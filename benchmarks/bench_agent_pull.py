@@ -9,7 +9,14 @@ Measures the server-side cost of the agent-pull execution plane:
   as a retention ratio, not just a wall-clock delta;
 * **multi-device claims** — ``agent.claim`` on ``device_count=4`` jobs,
   where the server must check and hold every slot all-or-nothing under
-  one lease.
+  one lease;
+* **parked polls** — over a real socket gateway: how long a parked
+  ``agent.poll`` takes to return once the submit that feeds it is acked
+  (``parked_wake_ms_p50``, one agent), and what a ``job.submit`` costs
+  while 8 agents — twice the gateway's workers — sit parked
+  (``submit_ms_p50_8_parked``).  Before polls were parked as requests
+  these were 25–50 ms (the 50 ms re-check) and ~1.7 s (every worker held
+  by a poll); the script holds both under 10 ms.
 
 Results land in ``BENCH_agent_pull.json`` at the repository root; CI
 trend-gates the wall-clock rates (50% bands, like the other requests/s
@@ -23,10 +30,13 @@ pytest-benchmark via
 from __future__ import annotations
 
 import json
+import statistics
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List
 
+from repro.api import BatteryLabClient, JsonLinesTransport, TransportApiError
 from repro.core.platform import build_default_platform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -35,11 +45,18 @@ RESULT_PATH = REPO_ROOT / "BENCH_agent_pull.json"
 ROUNDTRIP_JOBS = 200
 MULTI_CLAIMS = 50
 MULTI_DEVICE_COUNT = 4
+PARKED_ROUNDS = 50
+PARKED_AGENTS = 8
 
 #: Absolute sanity floors — an in-process agent plane slower than this is
 #: a code regression, not hardware variance.
 MIN_ROUNDTRIPS_PER_S = 50.0
 MIN_MULTI_CLAIMS_PER_S = 25.0
+
+#: Absolute ceilings on the parked-poll rows (also CI's gate): the wake is
+#: a re-check and two socket writes, the submit must not queue behind a poll.
+MAX_PARKED_WAKE_MS = 10.0
+MAX_SUBMIT_MS_8_PARKED = 10.0
 
 
 def _platform_with_devices(device_count: int):
@@ -106,16 +123,111 @@ def _bench_multi_claims() -> Dict[str, object]:
     }
 
 
+def _socket_client(gateway) -> BatteryLabClient:
+    return BatteryLabClient(
+        JsonLinesTransport(*gateway.address, timeout_s=60.0),
+        "experimenter",
+        "experimenter-token",
+    )
+
+
+def _park(gateway, agent_id: str, returned: List[float]) -> threading.Thread:
+    """Long-poll for ``agent_id`` on its own connection and thread; the
+    wall time the poll returned at is appended to ``returned``."""
+    parked_before = gateway._router.parked_polls()
+
+    def poll() -> None:
+        with _socket_client(gateway) as client:
+            try:
+                client.agent_poll(agent_id, wait_s=30.0, limit=1)
+            except TransportApiError:  # still parked when the gateway stopped
+                return
+            returned.append(time.perf_counter())
+
+    thread = threading.Thread(target=poll, daemon=True)
+    thread.start()
+    while gateway._router.parked_polls() == parked_before:
+        time.sleep(0.0005)
+    return thread
+
+
+def _bench_parked_wake() -> Dict[str, object]:
+    platform = _platform_with_devices(4)
+    gateway = platform.serve_gateway()
+    try:
+        with _socket_client(gateway) as client:
+            client.agent_register("bench-parked", connectors=["fake"])
+            wakes_ms, from_send_ms = [], []
+            for index in range(PARKED_ROUNDS):
+                returned: List[float] = []
+                thread = _park(gateway, "bench-parked", returned)
+                sent = time.perf_counter()
+                job = client.submit_job(
+                    f"wake-{index}", "noop", execution="agent", connector="fake"
+                )
+                acked = time.perf_counter()
+                thread.join()
+                # The poll's answer is queued before the submit's ack is, so
+                # it usually wins the race to its reader: 0 ms after the ack.
+                wakes_ms.append(max(0.0, returned[0] - acked) * 1000.0)
+                from_send_ms.append((returned[0] - sent) * 1000.0)
+                lease = client.agent_claim("bench-parked", job.job_id)
+                client.agent_report(lease.lease_id, "bench-parked", "completed")
+    finally:
+        gateway.stop()
+    return {
+        "parked_agents": 1,
+        "rounds": PARKED_ROUNDS,
+        "parked_wake_ms_p50": round(statistics.median(wakes_ms), 3),
+        "parked_wake_ms_max": round(max(wakes_ms), 3),
+        "parked_wake_from_send_ms_p50": round(statistics.median(from_send_ms), 3),
+    }
+
+
+def _bench_submit_with_parked_agents() -> Dict[str, object]:
+    platform = _platform_with_devices(4)
+    gateway = platform.serve_gateway()
+    try:
+        with _socket_client(gateway) as client:
+            # Parked on a connector no job below asks for: every submit
+            # re-checks all of them and wakes none.
+            for index in range(PARKED_AGENTS):
+                client.agent_register(f"bench-idle-{index}", connectors=["noprovision"])
+                _park(gateway, f"bench-idle-{index}", [])
+            submits_ms = []
+            for index in range(PARKED_ROUNDS):
+                started = time.perf_counter()
+                client.submit_job(
+                    f"busy-{index}", "noop", execution="agent", connector="fake"
+                )
+                submits_ms.append((time.perf_counter() - started) * 1000.0)
+            still_parked = gateway._router.parked_polls()
+    finally:
+        gateway.stop()
+    assert still_parked == PARKED_AGENTS, f"{still_parked} agents still parked"
+    return {
+        "parked_agents": PARKED_AGENTS,
+        "gateway_workers": gateway._worker_threads,
+        "submits": PARKED_ROUNDS,
+        "submit_ms_p50_8_parked": round(statistics.median(submits_ms), 3),
+        "submit_ms_max_8_parked": round(max(submits_ms), 3),
+    }
+
+
 def run_agent_pull_benchmark() -> Dict[str, object]:
     rows: List[Dict[str, object]] = [
         _bench_roundtrips(1),
         _bench_roundtrips(8),
         _bench_multi_claims(),
+        _bench_parked_wake(),
+        _bench_submit_with_parked_agents(),
     ]
     result: Dict[str, object] = {"benchmark": "agent_pull", "rows": rows}
     result["roundtrips_per_s_1agent"] = rows[0]["roundtrips_per_s"]
     result["roundtrips_per_s_8agent"] = rows[1]["roundtrips_per_s"]
     result["multi_claims_per_s"] = rows[2]["multi_claims_per_s"]
+    result["parked_wake_ms_p50"] = rows[3]["parked_wake_ms_p50"]
+    result["submit_ms_p50_8_parked"] = rows[4]["submit_ms_p50_8_parked"]
     # Normalized shape check: 8 registered agents must not make each
     # round-trip meaningfully slower than a lone agent's (the offer scan
     # and lease maps are per-job, not per-agent).
@@ -124,6 +236,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     )
     result["min_roundtrips_per_s"] = MIN_ROUNDTRIPS_PER_S
     result["min_multi_claims_per_s"] = MIN_MULTI_CLAIMS_PER_S
+    result["max_parked_wake_ms"] = MAX_PARKED_WAKE_MS
+    result["max_submit_ms_8_parked"] = MAX_SUBMIT_MS_8_PARKED
     return result
 
 
@@ -143,6 +257,12 @@ def _enforce_floors(result: Dict[str, object]) -> None:
             f"multi-device claims sustained {result['multi_claims_per_s']}/s; "
             f"floor is {MIN_MULTI_CLAIMS_PER_S}"
         )
+    for metric, ceiling in (
+        ("parked_wake_ms_p50", MAX_PARKED_WAKE_MS),
+        ("submit_ms_p50_8_parked", MAX_SUBMIT_MS_8_PARKED),
+    ):
+        if result[metric] > ceiling:
+            raise SystemExit(f"{metric} is {result[metric]} ms; ceiling is {ceiling}")
 
 
 def test_agent_pull(benchmark):
@@ -154,6 +274,8 @@ def test_agent_pull(benchmark):
     assert result["roundtrips_per_s_1agent"] >= MIN_ROUNDTRIPS_PER_S
     assert result["roundtrips_per_s_8agent"] >= MIN_ROUNDTRIPS_PER_S
     assert result["multi_claims_per_s"] >= MIN_MULTI_CLAIMS_PER_S
+    assert result["parked_wake_ms_p50"] <= MAX_PARKED_WAKE_MS
+    assert result["submit_ms_p50_8_parked"] <= MAX_SUBMIT_MS_8_PARKED
 
 
 if __name__ == "__main__":

@@ -17,6 +17,14 @@ metrics (events/s, requests/s) need a wider band than normalized ratios::
         --current BENCH_journal_replay.json \
         --metric events_per_s:0.5
 
+A lower-is-better metric whose old values are no baseline worth keeping
+(a latency that just fell 100×) is held to an absolute ceiling instead::
+
+    python benchmarks/check_bench_trend.py \
+        --baseline /tmp/bench_baseline_agent.json \
+        --current BENCH_agent_pull.json \
+        --ceiling parked_wake_ms_p50:10
+
 CI copies the committed ``BENCH_*.json`` aside before the benchmark run
 overwrites it, so "baseline" is always the last accepted measurement.
 Stdlib-only on purpose: the gate must run before any dependency install.
@@ -46,9 +54,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metric",
         action="append",
-        required=True,
+        default=[],
         help="higher-is-better metric to track (repeatable); append "
         "':FRACTION' for a metric-specific allowed drop, e.g. events_per_s:0.5",
+    )
+    parser.add_argument(
+        "--ceiling",
+        action="append",
+        default=[],
+        metavar="NAME:VALUE",
+        help="lower-is-better metric that must not exceed VALUE in the "
+        "current file, whatever the baseline says (repeatable)",
     )
     parser.add_argument(
         "--max-regression",
@@ -57,6 +73,8 @@ def main(argv=None) -> int:
         help="allowed fractional drop before failing (default: 0.20)",
     )
     args = parser.parse_args(argv)
+    if not args.metric and not args.ceiling:
+        parser.error("nothing to check: give --metric and/or --ceiling")
 
     baseline = load(args.baseline)
     current = load(args.current)
@@ -87,6 +105,20 @@ def main(argv=None) -> int:
                 f"{metric} regressed {-change:.1%} (baseline {base_value:.1f} -> "
                 f"{new_value:.1f}; allowed drop {max_regression:.0%})"
             )
+    for ceiling_spec in args.ceiling:
+        metric, _, limit = ceiling_spec.partition(":")
+        try:
+            ceiling = float(limit)
+        except ValueError:
+            raise SystemExit(f"bad ceiling spec {ceiling_spec!r}: want NAME:VALUE")
+        if metric not in current:
+            failures.append(f"{metric}: missing from {args.current}")
+            continue
+        new_value = float(current[metric])
+        status = "OK" if new_value <= ceiling else "OVER"
+        print(f"[trend] {metric}: current={new_value:.3f} (ceiling={ceiling:.3f}) {status}")
+        if new_value > ceiling:
+            failures.append(f"{metric} is {new_value:.3f}; ceiling is {ceiling:.3f}")
     if failures:
         print("benchmark trend check FAILED:", file=sys.stderr)
         for failure in failures:

@@ -1204,11 +1204,14 @@ class AccessServer(Entity):
             )
         engine = self.scheduler.engine
         engine.end_execution(job)
-        self.scheduler.release(job)
+        # Child slots first (as in expire_agent_leases): release() announces
+        # ``dispatch.released``, and every device the lease held must be
+        # free by then — a parked agent.poll is re-checked on that record.
         for vantage_point, serial in lease.devices[1:]:
             slot = engine.slots.slot(vantage_point, serial)
             if slot is not None and slot.busy_job_id == job.job_id:
                 engine.slots.mark_free(vantage_point, serial)
+        self.scheduler.release(job)
         if self._credit_policy is not None:
             owner = job.spec.owner
             owner_is_admin = (

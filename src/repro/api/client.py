@@ -142,6 +142,9 @@ class InProcessTransport(Transport):
         except (TypeError, ValueError) as exc:
             raise TransportApiError(f"request is not JSON-serializable: {exc}") from None
         response = self._router.handle(wire_request, push=self._on_push, owner=self)
+        # The call is over, so whatever it changed is in place: the point at
+        # which the gateway releases router_lock, and the same duty.
+        self._router.recheck_parked_polls()
         return json.loads(json.dumps(response))
 
     def _on_push(self, frame: dict) -> None:
@@ -727,8 +730,8 @@ class BatteryLabClient:
         """Claimable jobs for ``agent_id``; ``wait_s > 0`` long-polls (v2).
 
         The server clamps the wait to its own ceiling; on the in-process
-        transport keep ``wait_s=0`` — nothing can mutate state while this
-        thread is parked.
+        transport keep ``wait_s=0`` unless another thread drives the
+        platform — this one blocks until the poll is answered.
         """
         wire = self._call(
             "agent.poll",

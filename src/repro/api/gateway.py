@@ -39,6 +39,17 @@ connection that floods more than :data:`ApiGateway.MAX_PIPELINE_DEPTH`
 unanswered requests has its reads paused until the backlog drains —
 genuine TCP back-pressure instead of unbounded buffering.
 
+**Parked requests.**  A long-poll (``agent.poll`` with ``wait_s``) that
+finds no work is parked by the router as a registered request, not on a
+thread: the worker that dispatched it returns to the pool, the connection
+keeps its place in the response order (requests pipelined behind it wait,
+as they always did), and the response is queued when the router completes
+the poll — after a mutation that announced work (re-checked as
+:attr:`ApiGateway.router_lock` is released), at its deadline (the selector
+loop's timeout is the nearest one), or on cancel (connection close,
+:meth:`ApiGateway.stop`, shard drain).  Any number of agents may wait; none
+of them occupies a worker.
+
 **Streaming (API v2).**  Responses and server pushes share one connection:
 each connection hands the router a ``push`` callable that enqueues
 :class:`~repro.api.schemas.ApiPush` frames onto a *bounded* per-connection
@@ -83,6 +94,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.api.errors import TransportApiError, ValidationApiError
@@ -260,8 +272,24 @@ class _Connection:
                 batch.append(self._requests.popleft())
             return batch
 
+    def unread_requests(self, items) -> None:
+        """Worker thread: put the unexecuted tail of a batch back, in order."""
+        with self._lock:
+            if not self._closed:
+                self._requests.extendleft(reversed(items))
+
+    def resume_after_park(self) -> bool:
+        """Any thread, once a parked request has been answered: true when
+        requests queued behind it and the caller must start a worker for
+        them (the claim is kept); otherwise the claim is released."""
+        with self._lock:
+            if self._requests and not self._closed:
+                return True
+            self._worker_active = False
+            return False
+
     def queue_response(self, data: bytes) -> None:
-        """Worker thread: hand encoded response bytes back to the loop."""
+        """Any thread: hand encoded response bytes back to the loop."""
         with self._lock:
             if self._closed:
                 return
@@ -304,6 +332,36 @@ class _Connection:
             self.sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
+
+
+class _RouterLock:
+    """``ApiGateway.router_lock``: a mutex whose release ends a mutation burst.
+
+    Whatever mutates the access server under a gateway holds this lock — a
+    mutating request, a host loop's tick — so its release is the one moment
+    the state is both changed and whole again.  ``after_burst`` (the
+    router's ``recheck_parked_polls``) runs there, still under the lock, on
+    the thread that did the mutating: parked polls are re-checked at most
+    once per burst, and a burst that announced no work pays a flag test.
+    """
+
+    def __init__(self, after_burst) -> None:
+        self._lock = threading.Lock()
+        self._after_burst = after_burst
+        self.acquire = self._lock.acquire
+        self.locked = self._lock.locked
+
+    def release(self) -> None:
+        try:
+            self._after_burst()
+        finally:
+            self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self._lock.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
 
 
 class ApiGateway:
@@ -376,7 +434,9 @@ class ApiGateway:
         self._selector: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._router_lock = threading.Lock()
+        self._router_lock = _RouterLock(
+            getattr(router, "recheck_parked_polls", lambda: None)
+        )
         self._dirty_lock = threading.Lock()
         self._dirty: set = set()
         self._adoptions: deque = deque()
@@ -468,7 +528,7 @@ class ApiGateway:
         return self._tls_context is not None
 
     @property
-    def router_lock(self) -> threading.Lock:
+    def router_lock(self) -> _RouterLock:
         """The lock serializing *mutating* requests through the router.
 
         Anything that mutates the access server *outside* a gateway request
@@ -476,6 +536,8 @@ class ApiGateway:
         submit — must hold this lock for each mutation burst, or a request
         landing mid-dispatch races the single-threaded simulation state.
         Read-only operations run without it (see the module docstring).
+        Releasing it is also what re-checks parked ``agent.poll`` requests
+        against the work the burst announced (:class:`_RouterLock`).
         """
         return self._router_lock
 
@@ -572,10 +634,16 @@ class ApiGateway:
 
     def _run_loop(self) -> None:
         selector = self._selector
+        expire_polls = getattr(self._router, "expire_parked_polls", lambda: None)
         while self._running:
             timeout = 0.5 if any(
                 c.state == _STATE_TLS for c in self._connections
             ) else None
+            # Parked polls have no timer of their own: answer the ones now
+            # due, and sleep no longer than the nearest remaining deadline.
+            next_deadline = expire_polls()
+            if next_deadline is not None and (timeout is None or next_deadline < timeout):
+                timeout = next_deadline
             try:
                 events = selector.select(timeout)
             except OSError:  # pragma: no cover - selector torn down
@@ -823,9 +891,10 @@ class ApiGateway:
     def _inline_eligible(self, items) -> bool:
         """A burst may run on the loop thread iff every request is read-only
         (dispatched lock-free, so the loop cannot block behind a slow
-        mutating op), none of it can *park* (a blocking long-poll such as
-        ``agent.poll`` on the loop thread would freeze every connection),
-        and the burst is small enough not to starve other connections."""
+        mutating op), none of it can *park* (a long-poll such as
+        ``agent.poll`` holds its connection's place in the response order,
+        which is the worker path's business), and the burst is small
+        enough not to starve other connections."""
         if len(items) > self.INLINE_BATCH_MAX:
             return False
         is_read_only = getattr(self._router, "is_read_only", None)
@@ -894,15 +963,29 @@ class ApiGateway:
 
     def _drain_requests(self, connection: _Connection) -> None:
         obs_on = self._obs is not None and self._obs.registry.enabled
+        may_park = getattr(self._router, "is_blocking", lambda op: False)
         while True:
             batch = connection.next_request_batch(self.WORKER_BATCH)
             if batch is None:
                 return
             batch_t0 = time.perf_counter()
             out = bytearray()
-            for request, error in batch:
+            for index, (request, error) in enumerate(batch):
                 if error is not None:
                     response = error
+                elif may_park(request.get("op")):
+                    # From here the request's completion — on any thread,
+                    # possibly before the dispatch returns — owns this
+                    # connection's pipeline, so the batch ends with it:
+                    # answers so far go out, the rest goes back in line.
+                    connection.unread_requests(batch[index + 1 :])
+                    del batch[index + 1 :]
+                    if out:
+                        connection.queue_response(bytes(out))
+                        out = bytearray()
+                    response = self._dispatch_parking(request, connection)
+                    if response is None:
+                        break
                 else:
                     response = self._dispatch(request, connection, connection.secure)
                 out += json.dumps(response).encode("utf-8")
@@ -910,7 +993,22 @@ class ApiGateway:
             if obs_on:
                 self._m_requests_worker.inc(float(len(batch)))
                 self._m_batch_worker.observe(time.perf_counter() - batch_t0)
+            if response is None:
+                # Parked, and no thread waits with it: this worker is free,
+                # and the loop learns there is a new deadline to sleep to.
+                self._wake()
+                return
             connection.queue_response(bytes(out))
+
+    def _complete_parked(self, connection: _Connection, response: dict) -> None:
+        """Any thread: a parked request's answer, then the requests behind it."""
+        connection.queue_response(json.dumps(response).encode("utf-8") + b"\n")
+        pool = self._pool
+        if connection.resume_after_park() and pool is not None:
+            try:
+                pool.submit(self._drain_requests, connection)
+            except RuntimeError:  # stop() shut the pool down under us
+                pass
 
     def _parse_line(self, line: bytes):
         """Loop thread: parse one request line into ``(request, None)`` or
@@ -987,6 +1085,39 @@ class ApiGateway:
                     span, status="ok" if response.get("ok") else "error"
                 )
             return response
+
+    def _dispatch_parking(
+        self, request: dict, connection: _Connection
+    ) -> Optional[dict]:
+        """:meth:`_dispatch` for a request that may park: ``None`` when it
+        did, and :meth:`_complete_parked` delivers the response later.
+
+        Such requests are read-only, so the optimistic rule applies:
+        lock-free first (unless client-traced), once more under the lock
+        after a torn read.
+        """
+        deferred = getattr(self._router, "handle_deferred", None)
+        if deferred is None:  # a router that cannot park blocks this worker
+            return self._dispatch(request, connection, connection.secure)
+
+        attempt = partial(
+            deferred,
+            request,
+            partial(self._complete_parked, connection),
+            push=connection.push_frame,
+            owner=connection,
+            secure=connection.secure,
+        )
+        if request.get("trace_id") is None:
+            response = attempt()
+            error = response.get("error") if response is not None else None
+            if not (
+                isinstance(error, dict)
+                and error.get("code") in _RETRY_UNDER_LOCK_CODES
+            ):
+                return response
+        with self._router_lock:
+            return attempt()
 
     # -- teardown ------------------------------------------------------------
     def _teardown(self, connection: _Connection, silent: bool = False) -> None:

@@ -157,13 +157,22 @@ from repro.obs import SPAN_TOPIC, component_logger, log_slow_op
 #: Job states a ``job.watch`` subscription terminates on.
 _TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
-#: Server-side ceiling on an ``agent.poll`` long-poll.  Parked polls hold a
-#: gateway worker thread, so the server bounds how long any one caller may
-#: occupy it regardless of the requested ``wait_s``.
+#: Server-side ceiling on an ``agent.poll`` long-poll.  A parked poll holds
+#: no thread — only a registry entry and its connection's place in the
+#: response order — but an agent that went away silently would hold those
+#: until its deadline, so the server bounds the requested ``wait_s``.
 MAX_POLL_WAIT_S = 30.0
 
-#: How often a parked poll re-checks for claimable work (real seconds).
-_POLL_RECHECK_S = 0.05
+#: Bus topics that can turn an empty ``agent.poll`` into an offer: new or
+#: newly approved work, a job back in the queue, a device or a reserved
+#: slot set free.
+_OFFER_TOPICS = (
+    "job.submitted",
+    "job.approved",
+    "dispatch.requeued",
+    "dispatch.released",
+    "dispatch.reservation_cancelled",
+)
 
 
 def _push_safe(value: object) -> object:
@@ -187,6 +196,10 @@ class RequestContext:
     push: Optional[Callable[[dict], None]] = None
     owner_token: Optional[object] = None
     trace_id: Optional[str] = None
+    # What a parked request needs to answer later, from another thread.
+    request_id: int = 0
+    started: float = 0.0
+    complete: Optional[Callable[[dict], None]] = None
 
 
 @dataclass
@@ -199,9 +212,30 @@ class _Op:
     authenticate: bool = True
     streaming: bool = False
     read_only: bool = False
-    # Read-only but may *park* (long-poll): must never run inline on the
-    # gateway's selector loop, only on a worker thread.
+    # Read-only but may *park* (long-poll): ``handle`` blocks its caller
+    # until the parked request completes, so it must never run inline on
+    # the gateway's selector loop; ``handle_deferred`` parks it instead.
     blocking: bool = False
+
+
+@dataclass
+class _ParkedPoll:
+    """One parked ``agent.poll``: a registered request, not a thread.
+
+    It is answered exactly once — by the re-check after a mutation that
+    announced work, by its deadline, or by a cancel — through
+    ``ctx.complete`` (the transport's callback) or, for a caller blocked in
+    :meth:`ApiRouter.handle`, through ``done``.
+    """
+
+    poll_id: int
+    ctx: RequestContext
+    agent_id: str
+    limit: int
+    parked_at: float  # time.monotonic()
+    deadline: float
+    done: Optional[threading.Event]
+    response: Optional[dict] = None
 
 
 class _Subscription:
@@ -305,11 +339,14 @@ class ApiRouter:
         self._server = server
         self._subscriptions: Dict[int, _Subscription] = {}
         self._bus_callbacks: Dict[int, Callable] = {}
-        # Parked agent.poll long-polls: poll id -> (wake event, owner token).
-        # Setting the event wakes the poll early so shutdown and drain are
-        # never held hostage by a full poll timeout.
-        self._parked_polls: Dict[int, Tuple[threading.Event, Optional[object]]] = {}
+        # The parking registry: every agent.poll waiting for work, whatever
+        # transport carried it.  ``_polls_dirty`` is raised by the bus tap
+        # (installed at the first park) when a mutation may have created an
+        # offer; ``recheck_parked_polls`` lowers it.
+        self._parked_polls: Dict[int, _ParkedPoll] = {}
         self._next_poll_id = 1
+        self._polls_dirty = False
+        self._poll_tap_installed = False
         self._subscriptions_lock = threading.Lock()
         self._analytics_replay_lock = threading.Lock()
         self._next_subscription_id = 1
@@ -330,6 +367,22 @@ class ApiRouter:
                 "API requests by operation and outcome",
                 labelnames=("op", "outcome"),
             )
+            self._g_parked_polls = registry.gauge(
+                "api_parked_polls", "agent.poll requests parked waiting for work."
+            ).labels()
+            completions = registry.counter(
+                "agent_poll_completions_total",
+                "Parked agent.poll requests answered, by what answered them.",
+                labelnames=("reason",),
+            )
+            self._m_poll_completions = {
+                reason: completions.labels(reason=reason)
+                for reason in ("work", "deadline", "cancelled")
+            }
+            self._m_poll_park = registry.histogram(
+                "agent_poll_park_seconds",
+                "Wall time an agent.poll spent parked before it was answered.",
+            ).labels()
         else:
             self._op_latency = None
             self._op_requests = None
@@ -476,11 +529,11 @@ class ApiRouter:
         return op is not None and op.read_only
 
     def is_blocking(self, op_name: object) -> bool:
-        """Whether ``op_name`` may park the calling thread (long-poll).
+        """Whether ``op_name`` may park (long-poll).
 
-        The gateway's inline-read fast path runs eligible bursts on the
-        selector loop itself; a blocking op there would freeze every
-        connection, so blocking ops always go to a worker thread.
+        :meth:`handle` blocks its caller for the length of the park, so the
+        gateway never runs such an op inline on its selector loop and
+        dispatches it through :meth:`handle_deferred` instead.
         """
         op = self._ops.get(op_name) if isinstance(op_name, str) else None
         return op is not None and op.blocking
@@ -523,7 +576,38 @@ class ApiRouter:
         secure:
             Whether the transport satisfies the paper's HTTPS-only mandate;
             authentication is refused otherwise.
+
+        A request that parks (``agent.poll`` with ``wait_s`` and no work)
+        blocks the calling thread until it is completed; transports that
+        must not block use :meth:`handle_deferred`.
         """
+        return self._handle(request, push, owner, secure, None)
+
+    def handle_deferred(
+        self,
+        request: dict,
+        complete: Callable[[dict], None],
+        push: Optional[Callable[[dict], None]] = None,
+        owner: Optional[object] = None,
+        secure: bool = True,
+    ) -> Optional[dict]:
+        """:meth:`handle` for transports that must not block.
+
+        Returns the response envelope, or ``None`` when the request parked:
+        its envelope is then passed to ``complete`` exactly once, later and
+        from whichever thread completes it (possibly before this call has
+        returned).
+        """
+        return self._handle(request, push, owner, secure, complete)
+
+    def _handle(
+        self,
+        request: dict,
+        push: Optional[Callable[[dict], None]],
+        owner: Optional[object],
+        secure: bool,
+        complete: Optional[Callable[[dict], None]],
+    ) -> Optional[dict]:
         request_id = request.get("request_id") if isinstance(request, dict) else 0
         if not isinstance(request_id, int) or isinstance(request_id, bool):
             request_id = 0
@@ -564,6 +648,9 @@ class ApiRouter:
                 push=push if op.streaming else None,
                 owner_token=owner,
                 trace_id=envelope.trace_id,
+                request_id=request_id,
+                started=started,
+                complete=complete,
             )
             obs = self._obs
             if obs is not None and obs.tracer.enabled and (
@@ -586,6 +673,10 @@ class ApiRouter:
             if span is not None:
                 self._obs.tracer.end_span(span)
                 span = None
+            if op.blocking and isinstance(payload, _ParkedPoll):
+                # Parked: whoever completes the poll builds its envelope
+                # and counts the request (see _finish_poll).
+                return self._await_poll(payload) if complete is None else None
         except Exception as exc:  # noqa: BLE001 - boundary translation
             if span is not None:
                 self._obs.tracer.end_span(span, status="error")
@@ -707,23 +798,31 @@ class ApiRouter:
         return True
 
     def cancel_owner(self, owner: Optional[object]) -> int:
-        """Close every subscription opened under ``owner`` (connection died)."""
+        """Close every subscription opened under ``owner`` (connection died).
+
+        Its parked polls are cancelled too: nothing of a dead connection
+        stays registered.
+        """
         with self._subscriptions_lock:
             doomed = [
                 sub_id
                 for sub_id, sub in self._subscriptions.items()
                 if sub.owner_token is owner
             ]
-            for event, poll_owner in self._parked_polls.values():
-                if poll_owner is owner:
-                    event.set()
+            polls = [
+                poll
+                for poll in self._parked_polls.values()
+                if poll.ctx.owner_token is owner
+            ]
+        for poll in polls:
+            self._finish_poll(poll, "cancelled")
         return sum(1 for sub_id in doomed if self.cancel_subscription(sub_id))
 
     def close_all_subscriptions(self) -> int:
         """Close every live subscription (gateway shutdown).
 
-        Also wakes every parked ``agent.poll`` so shutdown never waits out
-        a long-poll; the return value stays the subscription count.
+        Also cancels every parked ``agent.poll`` so shutdown never waits
+        out a long-poll; the return value stays the subscription count.
         """
         self.cancel_parked_polls()
         with self._subscriptions_lock:
@@ -731,29 +830,159 @@ class ApiRouter:
         return sum(1 for sub_id in doomed if self.cancel_subscription(sub_id))
 
     # -- parked long-polls ----------------------------------------------------
-    def _park_poll(self, owner: Optional[object]) -> Tuple[int, threading.Event]:
-        event = threading.Event()
+    def _park_poll(
+        self, ctx: RequestContext, request: AgentPollRequest, wait_s: float
+    ) -> _ParkedPoll:
+        """Register a poll *before* its check, so no announcement is missed.
+
+        A mutation that lands after this raises ``_polls_dirty`` and the
+        poll is re-checked when that mutation ends; one that landed before
+        is already visible to the check the caller runs next.
+        """
+        now = time.monotonic()
         with self._subscriptions_lock:
-            poll_id = self._next_poll_id
+            if not self._poll_tap_installed:
+                self._poll_tap_installed = True
+                for topic in _OFFER_TOPICS:
+                    self._server.events.subscribe(topic, self._on_offer_event)
+            poll = _ParkedPoll(
+                self._next_poll_id,
+                ctx,
+                request.agent_id,
+                request.limit,
+                parked_at=now,
+                deadline=now + wait_s,
+                done=threading.Event() if ctx.complete is None else None,
+            )
             self._next_poll_id += 1
-            self._parked_polls[poll_id] = (event, owner)
-        return poll_id, event
+            self._parked_polls[poll.poll_id] = poll
+        if self._obs is not None:
+            self._g_parked_polls.inc()
+        return poll
 
-    def _unpark_poll(self, poll_id: int) -> None:
+    def _unpark_poll(self, poll: _ParkedPoll) -> bool:
+        """Take ``poll`` off the registry; true for the one caller that did,
+        which is thereby the one that answers it."""
         with self._subscriptions_lock:
-            self._parked_polls.pop(poll_id, None)
+            if self._parked_polls.pop(poll.poll_id, None) is None:
+                return False
+        if self._obs is not None:
+            self._g_parked_polls.dec()
+        return True
 
-    def cancel_parked_polls(self) -> int:
-        """Wake every parked ``agent.poll`` now (shutdown, shard drain)."""
+    def _on_offer_event(self, record) -> None:
+        """Bus tap: a mutation in progress may have created an offer."""
+        if not self._parked_polls or self._polls_dirty:
+            return
+        if (
+            record.topic.startswith("job.")
+            and self._job(record.payload["job_id"]).spec.execution != "agent"
+        ):
+            return  # push-plane jobs are never offered to agents
+        self._polls_dirty = True
+
+    def recheck_parked_polls(self) -> int:
+        """Answer every parked poll that has work now; returns how many.
+
+        The bus tap only raises a flag: the state is whole again when the
+        mutation that published ends, and that is when its transport calls
+        this — the gateway as it releases ``router_lock`` (requests and
+        host-loop ticks alike), the in-process transport after each call.
+        So a poll is re-checked at most once per mutating request or tick,
+        however many events it published, and not at all when none of them
+        could have created an offer.
+        """
+        if not self._polls_dirty:
+            return 0
+        self._polls_dirty = False
         with self._subscriptions_lock:
             parked = list(self._parked_polls.values())
-        for event, _owner in parked:
-            event.set()
-        return len(parked)
+        answered = 0
+        for poll in parked:
+            try:
+                offers = self._server.agent_offers(
+                    poll.ctx.user, poll.agent_id, limit=poll.limit
+                )
+            except Exception:  # noqa: BLE001 - must not reach the mutation that woke us
+                # Answered empty; the agent's next poll meets the error in line.
+                self._log.exception("re-check of a parked agent.poll failed")
+                answered += self._finish_poll(poll, "cancelled")
+                continue
+            if offers:
+                answered += self._finish_poll(poll, "work", offers)
+        return answered
+
+    def expire_parked_polls(self) -> Optional[float]:
+        """Answer (empty) every poll whose deadline has passed.
+
+        Returns the seconds until the next deadline, ``None`` when nothing
+        is parked.  The gateway's selector loop calls this once per turn
+        and sleeps no longer than the answer — the one timer all parked
+        polls share.
+        """
+        if not self._parked_polls:
+            return None
+        with self._subscriptions_lock:
+            parked = list(self._parked_polls.values())
+        now = time.monotonic()
+        nearest: Optional[float] = None
+        for poll in parked:
+            if poll.deadline <= now:
+                self._finish_poll(poll, "deadline")
+            elif nearest is None or poll.deadline < nearest:
+                nearest = poll.deadline
+        return None if nearest is None else nearest - now
+
+    def cancel_parked_polls(self) -> int:
+        """Answer (empty) every parked ``agent.poll`` now (shutdown, shard drain)."""
+        with self._subscriptions_lock:
+            parked = list(self._parked_polls.values())
+        return sum(self._finish_poll(poll, "cancelled") for poll in parked)
 
     def parked_polls(self) -> int:
         with self._subscriptions_lock:
             return len(self._parked_polls)
+
+    def _finish_poll(self, poll: _ParkedPoll, reason: str, offers=()) -> bool:
+        """Answer a parked poll; false when someone else already has."""
+        if not self._unpark_poll(poll):
+            return False
+        ctx = poll.ctx
+        obs = self._obs
+        if obs is not None and obs.registry.enabled:
+            self._m_poll_completions[reason].inc()
+            self._m_poll_park.observe(time.monotonic() - poll.parked_at)
+        self._observe_request(
+            "agent.poll", "ok", time.perf_counter() - ctx.started, ctx.trace_id
+        )
+        poll.response = ApiResponse(
+            ok=True,
+            version=ctx.version,
+            request_id=ctx.request_id,
+            payload=AgentPollView(
+                offers=[self._offer_view(job) for job in offers]
+            ).to_wire(),
+        ).to_wire()
+        if poll.done is not None:
+            poll.done.set()
+        else:
+            try:
+                ctx.complete(poll.response)
+            except Exception:  # noqa: BLE001
+                # A dead transport must never propagate into the mutation
+                # (or the loop turn) that answered its poll.
+                self._log.exception("parked agent.poll completion failed")
+        return True
+
+    def _await_poll(self, poll: _ParkedPoll) -> dict:
+        """Block a :meth:`handle` caller on its parked poll's completion."""
+        if not poll.done.wait(poll.deadline - time.monotonic()):
+            # Its own deadline: the blocked caller is its own timer.  Losing
+            # the race to a concurrent completion is fine — that one's
+            # ``done`` is moments away.
+            self._finish_poll(poll, "deadline")
+            poll.done.wait()
+        return poll.response
 
     def active_subscriptions(self) -> List[int]:
         with self._subscriptions_lock:
@@ -1205,33 +1434,25 @@ class ApiRouter:
         )
         return AgentView.from_record(record, created=created).to_wire()
 
-    def _op_agent_poll(self, ctx: RequestContext, payload: dict) -> dict:
+    def _op_agent_poll(self, ctx: RequestContext, payload: dict):
         request = AgentPollRequest.from_wire(payload)
         if request.limit < 1:
             raise ValidationApiError("limit must be at least 1")
-        offers = self._server.agent_offers(
-            ctx.user, request.agent_id, limit=request.limit
-        )
         wait_s = min(max(request.wait_s, 0.0), MAX_POLL_WAIT_S)
-        if not offers and wait_s > 0.0:
-            # Park: hold the worker thread, waking every _POLL_RECHECK_S to
-            # re-check for claimable work (offers appear through mutations
-            # this read-only op never sees directly).  The registered event
-            # lets shutdown/drain cut the wait short.
-            poll_id, cancelled = self._park_poll(ctx.owner_token)
-            try:
-                deadline = time.monotonic() + wait_s
-                while not offers:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or cancelled.wait(
-                        min(_POLL_RECHECK_S, remaining)
-                    ):
-                        break
-                    offers = self._server.agent_offers(
-                        ctx.user, request.agent_id, limit=request.limit
-                    )
-            finally:
-                self._unpark_poll(poll_id)
+        # Register-then-check: a long-poll goes on the registry first, so a
+        # submit racing this (lock-free) check is either seen by it or
+        # finds the poll registered and re-checks it.
+        poll = self._park_poll(ctx, request, wait_s) if wait_s > 0.0 else None
+        try:
+            offers = self._server.agent_offers(
+                ctx.user, request.agent_id, limit=request.limit
+            )
+        except Exception:
+            if poll is not None and not self._unpark_poll(poll):
+                return poll  # answered meanwhile; that answer stands
+            raise
+        if poll is not None and (not offers or not self._unpark_poll(poll)):
+            return poll  # parked — or answered meanwhile, which is the same
         return AgentPollView(
             offers=[self._offer_view(job) for job in offers]
         ).to_wire()

@@ -210,8 +210,8 @@ class CrashingBackend:
 class _PartitionedRouter:
     """Stands in for a shard's router while the link to it is severed.
 
-    ``handle`` — the only operation the federation router uses on the
-    request path — fails with the transport's retryable error; every other
+    ``handle`` / ``handle_deferred`` — all the federation router uses on
+    the request path — fail with the transport's retryable error; every other
     attribute (subscription bookkeeping, cancel fan-out) passes through so
     control-plane cleanup still works, as it would for a router process
     that is alive but unreachable.
@@ -221,9 +221,11 @@ class _PartitionedRouter:
         self._real = real
         self._owner = owner
 
-    def handle(self, request, push=None, owner=None, secure=True):
+    def handle(self, *args, **kwargs):
         self._owner.dropped_requests += 1
         raise TransportApiError("chaos: shard partitioned")
+
+    handle_deferred = handle
 
     def __getattr__(self, name):
         return getattr(self._real, name)

@@ -291,6 +291,18 @@ class FederationRouter:
             fed.update(shard.router.active_subscriptions())
         return sorted(fed)
 
+    # A shard-routed agent.poll parks on its home shard's registry; the
+    # transport-facing calls fan out to every attached shard.
+    def parked_polls(self) -> int:
+        return sum(shard.router.parked_polls() for shard in self._attached())
+
+    def recheck_parked_polls(self) -> int:
+        return sum(shard.router.recheck_parked_polls() for shard in self._attached())
+
+    def expire_parked_polls(self) -> Optional[float]:
+        waits = [shard.router.expire_parked_polls() for shard in self._attached()]
+        return min((wait for wait in waits if wait is not None), default=None)
+
     # -- shard bookkeeping ----------------------------------------------------
     def _attached(self) -> List[FederationShard]:
         """Shards still participating (active or draining), lane order."""
@@ -404,6 +416,29 @@ class FederationRouter:
         secure: bool = True,
     ) -> dict:
         """Execute one wire request; never raises (same contract as ApiRouter)."""
+        return self._handle(request, push, owner, secure, None)
+
+    def handle_deferred(
+        self,
+        request: dict,
+        complete: Callable[[dict], None],
+        push: Optional[Callable[[dict], None]] = None,
+        owner: Optional[object] = None,
+        secure: bool = True,
+    ) -> Optional[dict]:
+        """:meth:`handle` that parks instead of blocking (same contract as
+        :meth:`ApiRouter.handle_deferred`): ``None`` when the home shard
+        parked the request, which then answers through ``complete``."""
+        return self._handle(request, push, owner, secure, complete)
+
+    def _handle(
+        self,
+        request: dict,
+        push: Optional[Callable[[dict], None]],
+        owner: Optional[object],
+        secure: bool,
+        complete: Optional[Callable[[dict], None]],
+    ) -> Optional[dict]:
         request_id = request.get("request_id") if isinstance(request, dict) else 0
         if not isinstance(request_id, int) or isinstance(request_id, bool):
             request_id = 0
@@ -430,7 +465,7 @@ class FederationRouter:
                 return ApiResponse(
                     ok=True, version=version, request_id=request_id, payload=payload
                 ).to_wire()
-            return self._dispatch(request, envelope, push, owner, secure)
+            return self._dispatch(request, envelope, push, owner, secure, complete)
         except Exception as exc:  # noqa: BLE001 - boundary translation
             error = map_exception(exc)
             return ApiResponse(
@@ -451,7 +486,8 @@ class FederationRouter:
         push: Optional[Callable[[dict], None]],
         owner: Optional[object],
         secure: bool,
-    ) -> dict:
+        complete: Optional[Callable[[dict], None]] = None,
+    ) -> Optional[dict]:
         attached = self._scatter_set()
         if not attached:
             raise ConflictApiError("every shard of this federation is detached")
@@ -463,13 +499,7 @@ class FederationRouter:
             # down to one shard must keep routing so detached lanes answer
             # ``resource.conflict`` ("re-attach me"), not a false not-found.
             self._count(op, "passthrough")
-            shard = attached[0]
-            return shard.router.handle(
-                self._request_for_shard(request, shard.shard_id),
-                push=push,
-                owner=owner,
-                secure=secure,
-            )
+            return self._forward(request, attached[0], secure, push, owner, complete)
         if op == "auth.login":
             self._count(op, "broadcast")
             return self._broadcast_login(request, envelope, secure)
@@ -505,7 +535,7 @@ class FederationRouter:
             return self._route_agent_register(request, envelope, secure)
         if op in _AGENT_OPS:
             self._count(op, "routed")
-            return self._route_agent(request, envelope, secure)
+            return self._route_agent(request, envelope, secure, owner, complete)
         if op == "job.watch":
             self._count(op, "stream")
             return self._open_watch(request, envelope, push, owner, secure)
@@ -528,13 +558,14 @@ class FederationRouter:
         secure: bool,
         push: Optional[Callable[[dict], None]] = None,
         owner: Optional[object] = None,
-    ) -> dict:
-        return shard.router.handle(
-            self._request_for_shard(request, shard.shard_id),
-            push=push,
-            owner=owner,
-            secure=secure,
-        )
+        complete: Optional[Callable[[dict], None]] = None,
+    ) -> Optional[dict]:
+        request = self._request_for_shard(request, shard.shard_id)
+        if complete is not None:
+            return shard.router.handle_deferred(
+                request, complete, push=push, owner=owner, secure=secure
+            )
+        return shard.router.handle(request, push=push, owner=owner, secure=secure)
 
     def _scatter_responses(
         self, request: dict, secure: bool
@@ -800,7 +831,17 @@ class FederationRouter:
             self._directory.agents[agent_id] = target.shard_id
         return response
 
-    def _route_agent(self, request: dict, envelope: ApiRequest, secure: bool) -> dict:
+    def _route_agent(
+        self,
+        request: dict,
+        envelope: ApiRequest,
+        secure: bool,
+        owner: Optional[object] = None,
+        complete: Optional[Callable[[dict], None]] = None,
+    ) -> Optional[dict]:
+        """Route to the agent's home shard.  ``owner`` and ``complete`` ride
+        along for ``agent.poll``: a poll the shard parks is cancelled with
+        its connection and answers through ``complete``."""
         payload = envelope.payload if isinstance(envelope.payload, dict) else {}
         agent_id = payload.get("agent_id")
         home = (
@@ -819,7 +860,7 @@ class FederationRouter:
                 "re-attach it with shard.add",
                 details={"agent_id": agent_id, "shard_id": home},
             )
-        return self._forward(request, shard, secure)
+        return self._forward(request, shard, secure, owner=owner, complete=complete)
 
     # -- broadcast ops ---------------------------------------------------------
     def _broadcast_login(

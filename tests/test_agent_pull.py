@@ -10,6 +10,8 @@ agent-held devices.
 """
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.accessserver.agents import AgentError
 from repro.accessserver.auth import Role
 from repro.accessserver.jobs import JobStatus
 from repro.accessserver.persistence import serialize_job
+from repro.api import BatteryLabClient, JsonLinesTransport
 from repro.api.errors import (
     ConflictApiError,
     NotFoundApiError,
@@ -472,3 +475,232 @@ class TestAgentManagerUnit:
             manager.get("ghost")
         with pytest.raises(AgentError):
             manager.renew("lease-1", 0.0)
+
+
+class TestParkedPolls:
+    """``agent.poll`` with ``wait_s`` over a real socket gateway: a parked
+    poll is a registered request that the mutation creating its offer
+    completes — no worker thread waits with it, and no test here sleeps."""
+
+    @pytest.fixture()
+    def gateway(self, platform, poller):
+        gateway = platform.serve_gateway()
+        yield gateway
+        gateway.stop()
+
+    @pytest.fixture()
+    def remote(self, gateway):
+        with BatteryLabClient(
+            JsonLinesTransport(*gateway.address, timeout_s=10.0),
+            "experimenter",
+            "experimenter-token",
+        ) as client:
+            yield client
+
+    @staticmethod
+    def completions(platform, reason):
+        family = platform.access_server.obs.registry.family(
+            "agent_poll_completions_total"
+        )
+        return family.labels(reason=reason).value
+
+    def test_submit_completes_the_matching_poll_and_no_other(
+        self, platform, gateway, remote, poller, park_signal
+    ):
+        """Twice as many agents parked as the gateway has workers: submits
+        are still answered at once, submits no parked agent can take wake
+        nobody, and the one that matches is delivered in milliseconds."""
+        workers = gateway._worker_threads
+        parked = park_signal(gateway._router)
+        remote.agent_register("edge-fake", connectors=["fake"])
+        bystanders = [f"edge-other-{index}" for index in range(2 * workers - 1)]
+        for agent_id in bystanders:
+            remote.agent_register(agent_id, connectors=["noprovision"])
+        pollers = {
+            agent_id: poller(gateway.address, agent_id)
+            for agent_id in ["edge-fake", *bystanders]
+        }
+        for _ in pollers:
+            assert parked.acquire(timeout=5.0)
+        assert gateway._router.parked_polls() == 2 * workers
+        gateway_threads = [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("batterylab-gw-worker")
+        ]
+        assert len(gateway_threads) <= workers
+
+        submit_ms = []
+        for index in range(10):
+            started = time.perf_counter()
+            if index % 2:
+                remote.submit_job(f"push-{index}", "noop")  # push plane
+            else:  # a connector nobody parked here announced
+                submit_agent_job(remote, name=f"odd-{index}", connector="multi")
+            submit_ms.append((time.perf_counter() - started) * 1000.0)
+        assert sorted(submit_ms)[len(submit_ms) // 2] < 50.0, submit_ms
+        assert gateway._router.parked_polls() == 2 * workers
+        assert self.completions(platform, "work") == 0
+
+        started = time.perf_counter()
+        job = submit_agent_job(remote, name="for-edge-fake")
+        assert pollers["edge-fake"].result() == [job.job_id]
+        wake_ms = (pollers["edge-fake"].returned_at - started) * 1000.0
+        assert wake_ms < 50.0, wake_ms
+        assert gateway._router.parked_polls() == 2 * workers - 1
+        assert self.completions(platform, "work") == 1
+
+    def test_submit_between_the_check_and_the_park_is_delivered(
+        self, platform, gateway, remote, poller
+    ):
+        """The lost-wake-up race, forced: the job is submitted (and acked)
+        after the poll's check came back empty and before the poll parks."""
+        server = platform.access_server
+        remote.agent_register("edge-1", connectors=["fake"])
+        check = server.agent_offers
+        racing = threading.Event()
+
+        def check_then_submit(user, agent_id, limit=10):
+            offers = check(user, agent_id, limit=limit)
+            if not racing.is_set():  # the re-check comes through here too
+                racing.set()
+                submit_agent_job(remote, name="racer")
+            return offers
+
+        server.agent_offers = check_then_submit
+        polling = poller(gateway.address, "edge-1")
+        polling.result()
+        assert [offer.name for offer in polling.offers] == ["racer"]
+        assert self.completions(platform, "work") == 1
+        assert gateway._router.parked_polls() == 0
+
+    def test_lease_expiry_reaped_by_a_host_tick_wakes_a_parked_poll(
+        self, platform, gateway, remote, poller, park_signal
+    ):
+        parked = park_signal(gateway._router)
+        job = submit_agent_job(remote)
+        remote.agent_register("edge-1", connectors=["fake"])
+        remote.agent_register("edge-2", connectors=["fake"])
+        remote.agent_claim("edge-1", job.job_id, ttl_s=10.0)
+        polling = poller(gateway.address, "edge-2")
+        assert parked.acquire(timeout=5.0)
+        # The clock alone announces nothing ...
+        with gateway.router_lock:
+            platform.context.run_for(11.0)
+        assert gateway._router.parked_polls() == 1
+        # ... the tick that reaps the lease publishes dispatch.requeued.
+        with gateway.router_lock:
+            platform.run_queue()
+        assert polling.result() == [job.job_id]
+        assert self.completions(platform, "work") == 1
+
+    def test_release_of_the_last_missing_device_wakes_a_multi_poll(
+        self, platform, gateway, remote, poller, park_signal
+    ):
+        """A 4-device job waits on two devices another lease holds; the
+        report that frees them (one of them a child slot) is the wake."""
+        parked = park_signal(gateway._router)
+        with BatteryLabClient(
+            JsonLinesTransport(*gateway.address, timeout_s=10.0), "admin", "admin-token"
+        ) as admin:
+            admin.register_vantage_point("node2", "Example University", device_count=3)
+        remote.agent_register("pair", connectors=["multi"])
+        remote.agent_register("fanout", connectors=["multi"])
+        blocker = submit_agent_job(
+            remote, name="blocker", connector="multi", device_count=2
+        )
+        lease = remote.agent_claim("pair", blocker.job_id)
+        big = submit_agent_job(remote, name="big", connector="multi", device_count=4)
+        polling = poller(gateway.address, "fanout")
+        assert parked.acquire(timeout=5.0)
+        assert remote.agent_poll("fanout").offers == []
+        remote.agent_report(lease.lease_id, "pair", "completed")
+        assert polling.result() == [big.job_id]
+
+    def test_deadline_answers_empty_and_metrics_are_exported(
+        self, platform, gateway, remote, poller
+    ):
+        remote.agent_register("edge-1", connectors=["fake"])
+        polling = poller(gateway.address, "edge-1", wait_s=0.05)
+        assert polling.result() == []
+        assert self.completions(platform, "deadline") == 1
+        view = remote.obs_metrics()
+        assert {"api_parked_polls"} <= {sample.name for sample in view.gauges}
+        assert {"agent_poll_completions_total"} <= {
+            sample.name for sample in view.counters
+        }
+        park = [
+            sample for sample in view.histograms
+            if sample.name == "agent_poll_park_seconds"
+        ]
+        assert park and park[0].count == 1 and park[0].sum >= 0.05
+        assert "api_parked_polls 0" in platform.access_server.obs.registry.render_text()
+
+    def test_agents_and_submitters_racing_lose_no_wake_and_settle_each_job_once(
+        self, platform, gateway, remote
+    ):
+        """More threads than cores and a 10 µs switch interval: every job
+        submitted while agents park, wake, claim and report is settled by
+        exactly one agent, and nothing is left parked at a deadline."""
+        import sys
+
+        agents, submitters, jobs_each = 6, 3, 20
+        total = submitters * jobs_each
+        done = threading.Event()
+        settled, failures = [], []
+
+        def connect():
+            return BatteryLabClient(
+                JsonLinesTransport(*gateway.address, timeout_s=30.0),
+                "experimenter",
+                "experimenter-token",
+            )
+
+        def agent(agent_id):
+            with connect() as client:
+                client.agent_register(agent_id, connectors=["fake"])
+                while not done.is_set():
+                    try:
+                        offers = client.agent_poll(agent_id, wait_s=20.0, limit=1).offers
+                        if not offers:
+                            continue
+                        lease = client.agent_claim(agent_id, offers[0].job_id)
+                        client.agent_report(lease.lease_id, agent_id, "completed")
+                    except ConflictApiError:
+                        continue  # another agent claimed the offer first
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        if not done.is_set():
+                            failures.append(exc)
+                        return
+                    settled.append(offers[0].job_id)
+                    if len(settled) == total:
+                        done.set()
+
+        def submitter(index):
+            with connect() as client:
+                for job in range(jobs_each):
+                    submit_agent_job(client, name=f"storm-{index}-{job}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=agent, args=(f"storm-agent-{index}",), daemon=True)
+                for index in range(agents)
+            ] + [
+                threading.Thread(target=submitter, args=(index,), daemon=True)
+                for index in range(submitters)
+            ]
+            for thread in threads:
+                thread.start()
+            finished = done.wait(timeout=20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+        assert finished, f"{len(settled)}/{total} settled; a wake-up was lost"
+        assert sorted(settled) == sorted(set(settled)) and len(settled) == total
+        assert self.completions(platform, "deadline") == 0
+        gateway.stop()  # answers the agents still parked: their loops see ``done``
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert gateway._router.parked_polls() == 0

@@ -316,6 +316,106 @@ class TestConcurrentReads:
             thread.join(timeout=5.0)
 
 
+class TestParkedRequests:
+    """A parked ``agent.poll`` holds its connection's place in the response
+    order and nothing else: not a worker, and not a trace once the
+    connection is gone."""
+
+    AUTH = {"username": "experimenter", "token": "experimenter-token"}
+
+    @pytest.fixture()
+    def gateway(self, platform, poller):
+        gateway = ApiGateway(ApiRouter(platform.access_server))
+        gateway.start()
+        yield gateway
+        gateway.stop()
+
+    def _line(self, op, request_id, payload=None):
+        request = {
+            "op": op,
+            "version": "2.0",
+            "auth": self.AUTH,
+            "payload": payload or {},
+            "request_id": request_id,
+        }
+        return json.dumps(request).encode("utf-8") + b"\n"
+
+    def _poll_line(self, request_id, agent_id="edge-1"):
+        return self._line(
+            "agent.poll", request_id, {"agent_id": agent_id, "wait_s": 20.0, "limit": 10}
+        )
+
+    def test_requests_pipelined_behind_a_parked_poll_keep_request_order(
+        self, gateway, client, park_signal
+    ):
+        parked = park_signal(gateway._router)
+        client.agent_register("edge-1", connectors=["fake"])
+        blob = (
+            self._line("server.status", 1)
+            + self._poll_line(2)
+            + self._line("server.status", 3)
+            + self._line("fleet.list", 4)
+        )
+        with socket.create_connection(gateway.address, timeout=10.0) as sock:
+            sock.sendall(blob)  # all four in flight before any read
+            reader = sock.makefile("rb")
+            assert json.loads(reader.readline())["request_id"] == 1
+            assert parked.acquire(timeout=5.0)
+            job = client.submit_job("wakes-it", "noop", execution="agent", connector="fake")
+            responses = [json.loads(reader.readline()) for _ in range(3)]
+        assert [response["request_id"] for response in responses] == [2, 3, 4]
+        assert all(response["ok"] for response in responses)
+        offers = responses[0]["payload"]["offers"]
+        assert [offer["job_id"] for offer in offers] == [job.job_id]
+
+    def test_connection_closed_while_parked_leaves_nothing_behind(
+        self, platform, gateway, client, park_signal
+    ):
+        import threading
+
+        router = gateway._router
+        parked = park_signal(router)
+        cancelled = threading.Event()
+        connections = []
+        cancel_owner = router.cancel_owner
+
+        def cancel_and_tell(owner):
+            count = cancel_owner(owner)
+            connections.append(owner)
+            cancelled.set()
+            return count
+
+        router.cancel_owner = cancel_and_tell
+        client.agent_register("edge-1", connectors=["fake"])
+        with socket.create_connection(gateway.address, timeout=10.0) as sock:
+            sock.sendall(self._poll_line(1) + self._line("server.status", 2))
+            assert parked.acquire(timeout=5.0)
+            assert router.parked_polls() == 1
+        assert cancelled.wait(timeout=5.0)
+        assert router.parked_polls() == 0
+        (dead,) = connections
+        # The cancelled poll's answer went nowhere, and the request queued
+        # behind it died with the connection instead of being run.
+        assert not dead._responses and not dead._requests and not dead._worker_active
+        registry = platform.access_server.obs.registry
+        completions = registry.family("agent_poll_completions_total")
+        assert completions.labels(reason="cancelled").value == 1
+        assert registry.family("api_parked_polls").labels().value == 0
+        # Work for the departed agent wakes nobody and breaks nothing.
+        job = client.submit_job("too-late", "noop", execution="agent", connector="fake")
+        assert [o.job_id for o in client.agent_poll("edge-1").offers] == [job.job_id]
+
+    def test_poll_that_finds_work_or_does_not_wait_is_answered_in_line(
+        self, gateway, client
+    ):
+        client.agent_register("edge-1", connectors=["fake"])
+        assert client.agent_poll("edge-1").offers == []  # wait_s=0: never parks
+        job = client.submit_job("ready", "noop", execution="agent", connector="fake")
+        offers = client.agent_poll("edge-1", wait_s=20.0).offers
+        assert [offer.job_id for offer in offers] == [job.job_id]
+        assert gateway._router.parked_polls() == 0
+
+
 class TestGatewayTelemetry:
     """Gateway loop health metrics: the request/connection counters and
     per-batch latency histograms recorded on the selector-loop hot paths.

@@ -7,13 +7,15 @@ merge deterministically, and a drain → detach → re-attach cycle loses no
 jobs and leaves the merged analytics report identical.
 """
 
+import json
 import os
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.api import ApiRouter
+from repro.api import ApiGateway, ApiRouter, JsonLinesTransport
 from repro.api.client import BatteryLabClient, InProcessTransport
 from repro.api.errors import ConflictApiError, NotFoundApiError, PermissionApiError
 from repro.core.platform import build_default_platform
@@ -833,6 +835,114 @@ class TestFederatedAgents:
         thread.join(timeout=5.0)
         assert response["ok"]
         assert elapsed < 2.0, f"drain took {elapsed:.2f}s behind a parked poll"
+        assert not thread.is_alive()
+        assert outcome["offers"] == []
+        assert shards[1].router.parked_polls() == 0
+
+    def test_parked_poll_over_a_gateway_is_woken_by_its_home_shard_only(
+        self, fed2, poller, park_signal
+    ):
+        """The socket path through the federation router: polls park on the
+        home shard's registry without holding a gateway worker, a job on
+        the other shard leaves them parked, one on their own wakes them."""
+        router, shards = fed2
+        parked = park_signal(shards[1].router)
+        with ApiGateway(router) as gateway:
+            with BatteryLabClient(
+                JsonLinesTransport(*gateway.address, timeout_s=10.0),
+                "experimenter",
+                "experimenter-token",
+            ) as client:
+                client.agent_register(
+                    "worker", vantage_point="shard-1-node1", connectors=["fake"]
+                )
+                pollers = [
+                    poller(gateway.address, "worker")
+                    for _ in range(2 * gateway._worker_threads)
+                ]
+                for _ in pollers:
+                    assert parked.acquire(timeout=5.0)
+                assert router.parked_polls() == len(pollers)
+                assert shards[0].router.parked_polls() == 0
+                submit_on(client, 0, "elsewhere", execution="agent", connector="fake")
+                submit_on(client, 1, "push-plane")
+                assert router.parked_polls() == len(pollers)
+                started = time.perf_counter()
+                job = submit_on(client, 1, "pulled", execution="agent", connector="fake")
+                for polling in pollers:
+                    assert polling.result() == [job.job_id]
+                    assert polling.returned_at - started < 0.05
+                assert router.parked_polls() == 0
+
+    def test_parked_poll_dies_with_its_gateway_connection(self, fed2, park_signal):
+        router, shards = fed2
+        parked = park_signal(shards[1].router)
+        fed_client(router, "experimenter").agent_register(
+            "worker", vantage_point="shard-1-node1"
+        )
+        gone = threading.Event()
+        cancel_owner = router.cancel_owner
+
+        def cancel_and_tell(owner):
+            count = cancel_owner(owner)
+            gone.set()
+            return count
+
+        router.cancel_owner = cancel_and_tell
+        request = {
+            "op": "agent.poll",
+            "version": "2.0",
+            "request_id": 1,
+            "auth": {"username": "experimenter", "token": "experimenter-token"},
+            "payload": {"agent_id": "worker", "wait_s": 20.0},
+        }
+        with ApiGateway(router) as gateway:
+            with socket.create_connection(gateway.address, timeout=10.0) as sock:
+                sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                assert parked.acquire(timeout=5.0)
+                assert shards[1].router.parked_polls() == 1
+            assert gone.wait(timeout=5.0)
+            assert router.parked_polls() == 0
+
+    def test_in_process_poll_blocks_until_a_submit_completes_it(self, fed2, park_signal):
+        """No gateway: the caller blocks on the same registry entry, and the
+        in-process transport that carried the submit re-checks it."""
+        router, shards = fed2
+        parked = park_signal(shards[1].router)
+        client = fed_client(router, "experimenter")
+        client.agent_register("worker", vantage_point="shard-1-node1")
+        outcome = {}
+
+        def blocked_poll():
+            with fed_client(router, "experimenter") as agent:
+                outcome["offers"] = agent.agent_poll("worker", wait_s=20.0).offers
+
+        thread = threading.Thread(target=blocked_poll)
+        thread.start()
+        assert parked.acquire(timeout=5.0)
+        job = submit_on(client, 1, "pulled", execution="agent")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert [offer.job_id for offer in outcome["offers"]] == [job.job_id]
+        assert router.parked_polls() == 0
+
+    def test_detach_answers_a_poll_parked_on_a_draining_shard(self, fed2, park_signal):
+        router, shards = fed2
+        parked = park_signal(shards[1].router)
+        client = fed_client(router, "experimenter")
+        client.agent_register("late", vantage_point="shard-1-node1")
+        assert admin_call(router, "shard.drain", {"shard_id": "shard-1"})["ok"]
+        outcome = {}
+
+        def blocked_poll():
+            with fed_client(router, "experimenter") as agent:
+                outcome["offers"] = agent.agent_poll("late", wait_s=20.0).offers
+
+        thread = threading.Thread(target=blocked_poll)
+        thread.start()
+        assert parked.acquire(timeout=5.0)
+        assert admin_call(router, "shard.remove", {"shard_id": "shard-1"})["ok"]
+        thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert outcome["offers"] == []
         assert shards[1].router.parked_polls() == 0
