@@ -10,8 +10,16 @@ server.
 The run also asserts the durability contract end-to-end: after recovery the
 dispatcher must produce the *identical* assignment sequence that the
 uninterrupted server would have produced from the same point (in-flight
-jobs re-queued at their original positions included).  Results land in
-``BENCH_journal_replay.json`` at the repository root.
+jobs re-queued at their original positions included).
+
+It also prices the other half of the journal's cost, the checkpoint: with
+1k and 10k settled jobs retained (plus a blocked queue), how long one
+checkpoint stalls the dispatch thread when 10 jobs settled since the
+previous one (``checkpoint_ms_*``, median of 5, ``FileBackend`` with its
+fsyncs), and how many job records that checkpoint had to encode
+(``checkpoint_encoded_jobs_10k`` — an exact count: live + 10, whatever
+is retained).  Results land in ``BENCH_journal_replay.json`` at the
+repository root.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_journal_replay.py``
 or under pytest-benchmark via
@@ -21,6 +29,7 @@ or under pytest-benchmark via
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -42,6 +51,9 @@ EXECUTED = 1000
 RESERVATIONS = 300
 RESERVATIONS_CANCELLED = 100
 MIN_JOURNAL_EVENTS = 10_000
+CHECKPOINT_LIVE_JOBS = 50
+CHECKPOINT_NEW_SETTLES = 10
+CHECKPOINT_ROUNDS = 5
 
 
 def _vp_name(index: int) -> str:
@@ -137,6 +149,74 @@ def drain_assignments(server) -> List[Tuple[str, str, str]]:
             scheduler.release(assignment.job)
 
 
+def _submit_noops(platform, count: int, vantage_point=None) -> None:
+    for index in range(count):
+        platform.access_server.submit_job(
+            platform.experimenter,
+            JobSpec(
+                name=f"noop-{index:05d}",
+                owner="experimenter",
+                run=noop_payload,
+                constraints=JobConstraints(vantage_point=vantage_point),
+            ),
+        )
+
+
+def _encoded_jobs(server) -> int:
+    """Job records checkpoints have encoded so far (the manager's counter)."""
+    for counter in server.obs.registry.snapshot()["counters"]:
+        if (
+            counter["name"] == "journal_snapshot_jobs_total"
+            and counter["labels"] == {"source": "encoded"}
+        ):
+            return int(counter["value"])
+    raise AssertionError("journal_snapshot_jobs_total{source=encoded} not exported")
+
+
+def measure_checkpoint(settled: int) -> Tuple[float, int]:
+    """``(median checkpoint ms, job records the last one encoded)`` with
+    ``settled`` jobs retained and 10 newly settled before each checkpoint."""
+    with tempfile.TemporaryDirectory(prefix="batterylab-checkpoint-") as state_dir:
+        platform = build_fleet()
+        server = platform.access_server
+        manager = server.enable_persistence(state_dir, snapshot_every=10**9)
+        _submit_noops(platform, settled)
+        while server.run_pending_jobs(max_jobs=1000):
+            pass
+        # A slice of queue that can never dispatch: live work every
+        # checkpoint has to serialise afresh.
+        _submit_noops(platform, CHECKPOINT_LIVE_JOBS, vantage_point="node99")
+        manager.checkpoint()
+        timings: List[float] = []
+        for _ in range(CHECKPOINT_ROUNDS):
+            _submit_noops(platform, CHECKPOINT_NEW_SETTLES)
+            executed = server.run_pending_jobs(max_jobs=CHECKPOINT_NEW_SETTLES)
+            assert len(executed) == CHECKPOINT_NEW_SETTLES
+            encoded_before = _encoded_jobs(server)
+            started = time.perf_counter()
+            manager.checkpoint()
+            timings.append((time.perf_counter() - started) * 1000.0)
+        manager.close()
+        return statistics.median(timings), _encoded_jobs(server) - encoded_before
+
+
+def run_checkpoint_benchmark() -> Dict[str, object]:
+    ms_1k, _ = measure_checkpoint(1_000)
+    ms_10k, encoded_10k = measure_checkpoint(10_000)
+    if encoded_10k != CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES:
+        raise AssertionError(
+            f"a checkpoint over 10k settled jobs encoded {encoded_10k} records; "
+            f"expected live + new = {CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES}"
+        )
+    return {
+        "checkpoint_live_jobs": CHECKPOINT_LIVE_JOBS,
+        "checkpoint_new_settles": CHECKPOINT_NEW_SETTLES,
+        "checkpoint_ms_1k_jobs": round(ms_1k, 2),
+        "checkpoint_ms_10k_jobs": round(ms_10k, 2),
+        "checkpoint_encoded_jobs_10k": encoded_10k,
+    }
+
+
 def run_replay_benchmark() -> Dict[str, object]:
     with tempfile.TemporaryDirectory(prefix="batterylab-journal-") as state_dir:
         platform, in_flight_count = build_loaded_platform(state_dir)
@@ -191,6 +271,7 @@ def run_replay_benchmark() -> Dict[str, object]:
             "post_recovery_assignments": len(recovered),
             "min_required_events": MIN_JOURNAL_EVENTS,
             "assignments_identical": True,
+            **run_checkpoint_benchmark(),
         }
 
 

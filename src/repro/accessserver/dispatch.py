@@ -704,6 +704,11 @@ class DispatchEngine:
     def end_execution(self, job: Job) -> None:
         self._executing.discard(job.job_id)
 
+    def is_executing(self, job_id: int) -> bool:
+        """Whether the job's payload (or agent lease) is still in flight —
+        true even after a cancellation made the job terminal."""
+        return job_id in self._executing
+
     def cancel(self, job: Job) -> None:
         """Drop a job from the queue and free its slot if it was running.
 

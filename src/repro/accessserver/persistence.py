@@ -14,8 +14,14 @@ the same durability with zero external dependencies:
   serialise the dispatch hot path on disk latency.
 * **Snapshots + log compaction** — every ``snapshot_every`` journal records
   the :class:`PersistenceManager` writes a full state snapshot (atomic
-  tmp-file + rename) and truncates the journal, bounding recovery cost by
-  the snapshot interval instead of the server's lifetime.
+  tmp-file + rename + directory ``fsync``) and truncates the journal,
+  bounding recovery cost by the snapshot interval instead of the server's
+  lifetime.  The snapshot *file* is always the whole retained state, but a
+  checkpoint only *encodes* what changed: a settled job's record never
+  changes again, so its compact JSON text is produced once, kept by the
+  manager for as long as the job is retained, and spliced into every later
+  snapshot by :func:`encode_snapshot`, which streams the document to the
+  backend without ever building the full job tree or the full text.
 * **Crash recovery** — :func:`recover_into` replays snapshot + journal into
   a freshly built :class:`~repro.accessserver.server.AccessServer`,
   reconstructing the dispatch engine's constraint-bucketed queue in its
@@ -52,7 +58,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.accessserver.credits import CreditTransaction, TransactionKind
 from repro.accessserver.dispatch import SessionReservation
@@ -93,6 +99,10 @@ class PersistenceError(RuntimeError):
 
 _PAYLOADS: Dict[str, Callable] = {}
 _PAYLOAD_NAMES: Dict[Callable, str] = {}
+#: Bumped whenever the catalogue changes.  A job's record names its payload
+#: (``payload_name(spec.run)`` at encode time), so record text encoded under
+#: an older catalogue may no longer be what a fresh encode would produce.
+_payload_epoch = 0
 
 
 def register_payload(name: str, payload: Optional[Callable] = None):
@@ -107,6 +117,8 @@ def register_payload(name: str, payload: Optional[Callable] = None):
     """
 
     def _register(fn: Callable) -> Callable:
+        global _payload_epoch
+        _payload_epoch += 1
         previous = _PAYLOADS.get(name)
         if previous is not None:
             _PAYLOAD_NAMES.pop(previous, None)
@@ -135,9 +147,11 @@ def unregister_payload(name: str) -> None:
     closure left registered pins everything it captures for the process
     lifetime.
     """
+    global _payload_epoch
     payload = _PAYLOADS.pop(name, None)
     if payload is not None:
         _PAYLOAD_NAMES.pop(payload, None)
+        _payload_epoch += 1
 
 
 def get_payload(name: str) -> Optional[Callable]:
@@ -173,6 +187,38 @@ def noop_payload(ctx) -> None:
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
+
+
+#: Compact JSON text of one value — what every journal line and every piece
+#: of a snapshot is made of.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_snapshot(snapshot: Dict[str, object]) -> Iterator[str]:
+    """Stream a snapshot document as compact JSON text, piece by piece.
+
+    The pieces concatenate to exactly
+    ``json.dumps(snapshot, separators=(",", ":"))``.  Entries of ``jobs``
+    that are already text — a settled job's record, encoded once by the
+    :class:`PersistenceManager` — are spliced in verbatim; everything else
+    is encoded here, one top-level value or one job at a time, so neither
+    the whole job tree nor the whole document ever exists in memory.  The
+    single encode path behind every backend's ``write_snapshot``.
+    """
+    opener = "{"
+    for key, value in snapshot.items():
+        yield opener + _encode(key) + ":"
+        opener = ","
+        if key != "jobs":
+            yield _encode(value)
+            continue
+        separator = "["
+        for record in value:
+            yield separator
+            yield record if isinstance(record, str) else _encode(record)
+            separator = ","
+        yield "[]" if separator == "[" else "]"
+    yield "{}" if opener == "{" else "}"
 
 
 def _json_safe(value: object) -> object:
@@ -328,7 +374,7 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Atomically replace the snapshot."""
+        """Atomically replace the snapshot with :func:`encode_snapshot`'s text."""
 
     @abc.abstractmethod
     def read_snapshot(self) -> Optional[Dict[str, object]]:
@@ -354,9 +400,10 @@ class InMemoryBackend(StorageBackend):
         self.snapshot: Optional[str] = None
         self.appended = 0
         self.syncs = 0
+        self.snapshot_bytes = 0
 
     def append(self, record: Dict[str, object]) -> None:
-        self.journal.append(json.dumps(record, separators=(",", ":")))
+        self.journal.append(_encode(record))
         self.appended += 1
 
     def sync(self) -> None:
@@ -369,7 +416,8 @@ class InMemoryBackend(StorageBackend):
         self.journal.clear()
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        self.snapshot = json.dumps(snapshot, separators=(",", ":"))
+        self.snapshot = "".join(encode_snapshot(snapshot))
+        self.snapshot_bytes = len(self.snapshot)
 
     def read_snapshot(self) -> Optional[Dict[str, object]]:
         return None if self.snapshot is None else json.loads(self.snapshot)
@@ -382,7 +430,9 @@ class FileBackend(StorageBackend):
     ----------
     state_dir:
         Directory holding ``journal.jsonl`` and ``snapshot.json``; created
-        on demand.
+        on demand.  A state dir has one owner at a time: opening it removes
+        the ``snapshot.json.tmp`` a crash between snapshot write and rename
+        left behind, which would be a live writer's file otherwise.
     fsync_every:
         ``fsync`` the journal after this many appends (1 = synchronous
         durability for every record; larger values batch the syncs, trading
@@ -401,12 +451,15 @@ class FileBackend(StorageBackend):
         self._dir.mkdir(parents=True, exist_ok=True)
         self._journal_path = self._dir / self.JOURNAL_NAME
         self._snapshot_path = self._dir / self.SNAPSHOT_NAME
+        self._snapshot_tmp_path = self._dir / (self.SNAPSHOT_NAME + ".tmp")
+        self._snapshot_tmp_path.unlink(missing_ok=True)
         self._fsync_every = fsync_every
         self._handle = None
         self._pending = 0
         self.appended = 0
         self.fsyncs = 0
         self.torn_records_dropped = 0
+        self.snapshot_bytes = 0
 
     @property
     def state_dir(self) -> Path:
@@ -427,7 +480,7 @@ class FileBackend(StorageBackend):
 
     def append(self, record: Dict[str, object]) -> None:
         handle = self._journal_handle()
-        handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        handle.write(_encode(record) + "\n")
         handle.flush()
         self.appended += 1
         self._pending += 1
@@ -469,12 +522,20 @@ class FileBackend(StorageBackend):
         open(self._journal_path, "w", encoding="utf-8").close()
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        tmp_path = self._snapshot_path.with_suffix(".json.tmp")
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle, separators=(",", ":"))
+        with open(self._snapshot_tmp_path, "w", encoding="utf-8") as handle:
+            handle.writelines(encode_snapshot(snapshot))
             handle.flush()
+            self.snapshot_bytes = os.fstat(handle.fileno()).st_size
             os.fsync(handle.fileno())
-        os.replace(tmp_path, self._snapshot_path)
+        os.replace(self._snapshot_tmp_path, self._snapshot_path)
+        # The rename lives in the directory, not the file: without this a
+        # power loss could keep the journal truncation that follows a
+        # checkpoint and lose the snapshot it was folded into.
+        dir_fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def read_snapshot(self) -> Optional[Dict[str, object]]:
         if not self._snapshot_path.exists():
@@ -504,23 +565,38 @@ class FileBackend(StorageBackend):
 TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
 
-def build_snapshot(server: "AccessServer", sequence: int) -> Dict[str, object]:
-    """Capture the server's full journaled state as one JSON document.
+def _retained_jobs(server: "AccessServer") -> Iterator[Job]:
+    """The jobs a snapshot keeps, in id order.
 
     Terminal jobs whose workspace retention has lapsed (the paper keeps job
-    logs "for several days") are dropped from the snapshot, so checkpoint
-    cost is bounded by the retention window and queue depth rather than
-    growing with the server's whole lifetime.
+    logs "for several days") are dropped, so snapshot size is bounded by
+    the retention window and queue depth rather than growing with the
+    server's whole lifetime.
+    """
+    now = server.context.now
+    for job in server.scheduler.jobs():
+        if not (job.status in TERMINAL_STATUSES and job.workspace.expired(now)):
+            yield job
+
+
+def build_snapshot(
+    server: "AccessServer", sequence: int, jobs: Optional[List[object]] = None
+) -> Dict[str, object]:
+    """Capture the server's full journaled state as one JSON document.
+
+    ``jobs`` overrides the ``jobs`` list: the :class:`PersistenceManager`
+    passes one whose settled jobs are already-encoded text (see
+    :func:`encode_snapshot`).  Left out, every retained job is serialised
+    afresh and the result is a plain ``json``-able tree.
     """
     scheduler = server.scheduler
     engine = scheduler.engine
-    now = server.context.now
     pending_ids = {job.job_id for job in server.pending_approval()}
-    jobs = [
-        serialize_job(job, queue_seq=engine.queue.sequence_of(job.job_id))
-        for job in scheduler.jobs()
-        if not (job.status in TERMINAL_STATUSES and job.workspace.expired(now))
-    ]
+    if jobs is None:
+        jobs = [
+            serialize_job(job, queue_seq=engine.queue.sequence_of(job.job_id))
+            for job in _retained_jobs(server)
+        ]
     credit_state: Optional[Dict[str, object]] = None
     if server.credit_policy is not None:
         ledger = server.credit_policy.ledger
@@ -1059,6 +1135,10 @@ class PersistenceManager:
         self._last_snapshot_at: Optional[float] = None
         self._attached = False
         self.last_recovery: Optional[RecoveryReport] = None
+        # Settled jobs' records as compact JSON text, by job id (see
+        # _job_records), and the payload catalogue they were encoded under.
+        self._settled: Dict[int, str] = {}
+        self._settled_epoch = _payload_epoch
         # Telemetry (rides on the server's registry when present).
         obs = getattr(server, "obs", None)
         if obs is not None:
@@ -1077,6 +1157,21 @@ class PersistenceManager:
                 "snapshot_age_seconds",
                 "Simulated seconds since the last checkpoint (0 before the first).",
             ).labels()
+            self._m_checkpoint = registry.histogram(
+                "journal_checkpoint_seconds",
+                "Wall time of one checkpoint (the dispatch thread stalls for it).",
+            ).labels()
+            self._g_snapshot_bytes = registry.gauge(
+                "journal_snapshot_bytes", "Size of the last snapshot written."
+            ).labels()
+            snapshot_jobs = registry.counter(
+                "journal_snapshot_jobs_total",
+                "Job records written to snapshots: encoded by that checkpoint, "
+                "or reused from when the job settled.",
+                labelnames=("source",),
+            )
+            self._c_jobs_encoded = snapshot_jobs.labels(source="encoded")
+            self._c_jobs_reused = snapshot_jobs.labels(source="reused")
             registry.add_collect_hook(self._collect_metrics)
         else:
             self._m_append = None
@@ -1084,6 +1179,7 @@ class PersistenceManager:
     def _collect_metrics(self) -> None:
         self._g_fsyncs.set(float(getattr(self._backend, "fsyncs", 0)))
         self._g_since_snapshot.set(float(self._records_since_snapshot))
+        self._g_snapshot_bytes.set(float(getattr(self._backend, "snapshot_bytes", 0)))
         if self._last_snapshot_at is not None:
             self._g_snapshot_age.set(self._server.context.now - self._last_snapshot_at)
         else:
@@ -1142,12 +1238,65 @@ class PersistenceManager:
 
     def checkpoint(self) -> None:
         """Write a snapshot of the current state and truncate the journal."""
+        checkpoint_t0 = time.perf_counter()
         self._backend.sync()
-        self._backend.write_snapshot(build_snapshot(self._server, self._sequence))
+        jobs, reused = self._job_records()
+        self._backend.write_snapshot(build_snapshot(self._server, self._sequence, jobs))
         self._backend.reset_journal()
         self._records_since_snapshot = 0
         self._snapshots_written += 1
         self._last_snapshot_at = self._server.context.now
+        if self._m_append is not None:
+            self._m_checkpoint.observe(time.perf_counter() - checkpoint_t0)
+            self._c_jobs_reused.inc(reused)
+            self._c_jobs_encoded.inc(len(jobs) - reused)
+
+    def _job_records(self) -> Tuple[List[object], int]:
+        """The snapshot's ``jobs`` list, settled jobs as already-encoded text,
+        and how many of those were reused rather than encoded by this call.
+
+        A settled job's record never changes again: it is terminal, off the
+        queue, its payload is no longer running (a job cancelled mid-payload
+        still logs) and no administrator decision is pending on it (a
+        cancelled pipeline change can still be approved back to life, or
+        rejected with a reason).  So the first checkpoint that sees it
+        settled encodes it and every later snapshot gets that text as is; a
+        checkpoint serialises only live and newly settled jobs.  The cache
+        is rebuilt from the jobs the snapshot still keeps, so an entry goes
+        when its job's retention lapses and the cache never holds more than
+        the snapshot does.
+        """
+        server = self._server
+        engine = server.scheduler.engine
+        sequence_of = engine.queue.sequence_of
+        is_executing = engine.is_executing
+        undecided = {job.job_id for job in server.pending_approval()}
+        if self._settled_epoch != _payload_epoch:
+            self._settled = {}
+            self._settled_epoch = _payload_epoch
+        settled = self._settled
+        kept: Dict[int, str] = {}
+        records: List[object] = []
+        reused = 0
+        for job in _retained_jobs(server):
+            job_id = job.job_id
+            record: object = settled.get(job_id)
+            if record is not None:
+                kept[job_id] = record
+                reused += 1
+            else:
+                queue_seq = sequence_of(job_id)
+                record = serialize_job(job, queue_seq=queue_seq)
+                if (
+                    job.status in TERMINAL_STATUSES
+                    and queue_seq is None
+                    and not is_executing(job_id)
+                    and job_id not in undecided
+                ):
+                    record = kept[job_id] = _encode(record)
+            records.append(record)
+        self._settled = kept
+        return records, reused
 
     # -- explicit server hooks ---------------------------------------------
     def on_job_submitted(self, job: Job, idempotency_key: Optional[str] = None) -> None:

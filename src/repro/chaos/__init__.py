@@ -33,6 +33,7 @@ from repro.chaos.invariants import (
     check_no_lost_jobs,
     check_push_contract,
     check_recovery_byte_identical,
+    check_snapshot_equals_fresh_encode,
 )
 from repro.chaos.scenario import (
     FAULT_KINDS,
@@ -64,6 +65,7 @@ __all__ = [
     "check_no_lost_jobs",
     "check_push_contract",
     "check_recovery_byte_identical",
+    "check_snapshot_equals_fresh_encode",
     "FAULT_KINDS",
     "FaultEvent",
     "Scenario",

@@ -19,6 +19,10 @@ point-wise, restated as whole-run assertions a chaos soak can run after
     Recovering the same durable state twice yields byte-identical
     platforms: same queue order, same job statuses, same canonical
     analytics report.
+``snapshot_equals_fresh_encode``
+    A checkpoint reuses the text it encoded when each job settled; the
+    bytes that reach the backend equal a cache-free encode of the same
+    state.
 ``credit_conservation``
     Per account, the transaction history sums exactly to the balance —
     credits are minted and burned only through recorded transactions.
@@ -33,6 +37,7 @@ point-wise, restated as whole-run assertions a chaos soak can run after
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -44,6 +49,7 @@ __all__ = [
     "check_no_lost_jobs",
     "check_no_double_execution",
     "check_recovery_byte_identical",
+    "check_snapshot_equals_fresh_encode",
     "check_credit_conservation",
     "check_analytics_live_equals_replay",
     "check_push_contract",
@@ -223,6 +229,37 @@ def check_recovery_byte_identical(backend, platform_factory) -> CheckResult:
         )
         details = f"recoveries diverged on {diverged}"
     return CheckResult("recovery_byte_identical", ok, details)
+
+
+def check_snapshot_equals_fresh_encode(server) -> CheckResult:
+    """Checkpoint now; what reached the backend must equal a fresh encode.
+
+    The manager splices in record text it encoded when each job settled,
+    so this is the whole-run check that nothing changed a settled job's
+    record behind that cache.  It writes a checkpoint — run it after the
+    checks that want the journal tail as the run left it.
+    """
+    from repro.accessserver.persistence import build_snapshot
+
+    name = "snapshot_equals_fresh_encode"
+    manager = server.persistence
+    if manager is None:
+        return CheckResult(name, False, "persistence not enabled on this server")
+    manager.checkpoint()
+    inner = getattr(manager.backend, "inner", manager.backend)
+    path = getattr(inner, "snapshot_path", None)
+    written = path.read_text(encoding="utf-8") if path is not None else inner.snapshot
+    fresh = json.dumps(
+        build_snapshot(server, manager.sequence), separators=(",", ":")
+    )
+    ok = written == fresh
+    details = (
+        f"{len(written)} snapshot byte(s) identical to a cache-free encode"
+        if ok
+        else f"snapshot ({len(written)} B) differs from a cache-free encode "
+        f"({len(fresh)} B)"
+    )
+    return CheckResult(name, ok, details)
 
 
 def check_credit_conservation(ledger) -> CheckResult:

@@ -57,6 +57,7 @@ from repro.chaos.invariants import (
     check_no_double_execution,
     check_no_lost_jobs,
     check_recovery_byte_identical,
+    check_snapshot_equals_fresh_encode,
 )
 from repro.chaos.scenario import FaultEvent, Scenario, canned_scenario
 
@@ -93,9 +94,11 @@ class SoakConfig:
     #: half of this so a hang never expires a live daemon's lease — lease
     #: expiry *requeues*, which would be an intended double execution.
     lease_ttl_s: float = 30.0
-    #: Persistence tuning.  A checkpoint serialises *every* job, so a fixed
-    #: interval makes total checkpoint cost quadratic in run size; ``None``
-    #: auto-scales the interval to bound the run at ~10 checkpoints.
+    #: Persistence tuning.  A checkpoint *encodes* only jobs that changed
+    #: since the last one, but it still *writes* every retained job (54 MB
+    #: at 100k), so a fixed interval makes total checkpoint bytes quadratic
+    #: in run size; ``None`` auto-scales the interval to bound the run at
+    #: ~10 checkpoints.
     snapshot_every: Optional[int] = None
     fsync_every: int = 1_024
     #: Name this server as a federation shard (its crash-kill is then a
@@ -669,6 +672,8 @@ class SoakHarness:
         )
         if self.config.credits and self.server.credit_policy is not None:
             report.add(check_credit_conservation(self.server.credit_policy.ledger))
+        # Last: it checkpoints, and the checks above want the journal tail.
+        report.add(check_snapshot_equals_fresh_encode(self.server))
         return SoakResult(
             seed=self.config.seed,
             scenario=self.scenario.name,

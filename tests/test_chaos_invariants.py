@@ -21,6 +21,7 @@ from repro.chaos.invariants import (
     check_no_lost_jobs,
     check_push_contract,
     check_recovery_byte_identical,
+    check_snapshot_equals_fresh_encode,
 )
 from repro.core.platform import build_default_platform
 
@@ -139,6 +140,39 @@ class TestAnalyticsLiveEqualsReplay:
 
     def test_missing_analytics_or_persistence_fails_loudly(self, platform):
         check = check_analytics_live_equals_replay(platform.access_server)
+        assert not check.ok
+        assert "not enabled" in check.details
+
+
+class TestSnapshotEqualsFreshEncode:
+    def _durable(self, tmp_path):
+        platform = build_default_platform(
+            seed=31, browsers=("chrome",), persistence=False
+        )
+        backend = CrashingBackend(FileBackend(tmp_path / "state"))
+        platform.access_server.enable_persistence(backend, recover=False)
+        return platform
+
+    def test_reused_records_match_a_cache_free_encode(self, tmp_path):
+        platform = self._durable(tmp_path)
+        finished_job(platform)
+        platform.access_server.persistence.checkpoint()  # encodes "done" once
+        platform.client().submit_job("queued", "noop")
+        check = check_snapshot_equals_fresh_encode(platform.access_server)
+        assert check.ok, check.details
+        assert "identical to a cache-free encode" in check.details
+
+    def test_a_settled_record_changed_behind_the_cache_fails(self, tmp_path):
+        platform = self._durable(tmp_path)
+        view = finished_job(platform)
+        platform.access_server.persistence.checkpoint()
+        platform.access_server.scheduler.job(view.job_id).log("written after settling")
+        check = check_snapshot_equals_fresh_encode(platform.access_server)
+        assert not check.ok
+        assert "differs from a cache-free encode" in check.details
+
+    def test_missing_persistence_fails_loudly(self, platform):
+        check = check_snapshot_equals_fresh_encode(platform.access_server)
         assert not check.ok
         assert "not enabled" in check.details
 

@@ -73,6 +73,7 @@ class TestSoakRuns:
             "no_double_execution",
             "analytics_live_equals_replay",
             "recovery_byte_identical",
+            "snapshot_equals_fresh_encode",
         ]
 
     def test_kitchen_sink_smoke_survives_every_fault_family(self, tmp_path):
@@ -177,6 +178,7 @@ class TestChaosCli:
         assert "PASS  no_lost_jobs" in out
         assert "PASS  no_double_execution" in out
         assert "PASS  recovery_byte_identical" in out
+        assert "PASS  snapshot_equals_fresh_encode" in out
 
     def test_scenario_file_via_at_syntax(self, capsys, tmp_path):
         builder = ScenarioBuilder("from-file")
