@@ -23,10 +23,15 @@ See :mod:`repro.experiments` for the drivers that regenerate every figure
 and table of the paper's evaluation section.
 """
 
-from repro.core.api import BatteryLabAPI
-from repro.core.platform import BatteryLabPlatform, add_vantage_point, build_default_platform
-from repro.core.results import MeasurementResult
-from repro.core.session import MeasurementSession
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.api import BatteryLabAPI
+    from repro.core.platform import BatteryLabPlatform, add_vantage_point, build_default_platform
+    from repro.core.results import MeasurementResult
+    from repro.core.session import MeasurementSession
 
 __version__ = "1.0.0"
 
@@ -39,3 +44,17 @@ __all__ = [
     "MeasurementSession",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core.api": ("BatteryLabAPI",),
+        "core.platform": (
+            "BatteryLabPlatform",
+            "add_vantage_point",
+            "build_default_platform",
+        ),
+        "core.results": ("MeasurementResult",),
+        "core.session": ("MeasurementSession",),
+    },
+)

@@ -32,60 +32,65 @@ Jenkins itself:
   all together.
 """
 
-from repro.accessserver.auth import (
-    AuthenticationError,
-    AuthorizationError,
-    Permission,
-    Role,
-    User,
-    UserRegistry,
-)
-from repro.accessserver.certificates import CertificateAuthority, WildcardCertificate
-from repro.accessserver.dns import DnsRecord, DnsZone
-from repro.accessserver.jobs import Job, JobContext, JobSpec, JobStatus
-from repro.accessserver.credits import (
-    CreditAccount,
-    CreditError,
-    CreditLedger,
-    CreditPolicy,
-    CreditTransaction,
-)
-from repro.accessserver.maintenance import (
-    build_certificate_renewal_job,
-    build_factory_reset_job,
-    build_power_safety_job,
-    build_workspace_cleanup_job,
-)
-from repro.accessserver.dispatch import (
-    Assignment,
-    DispatchEngine,
-    SchedulingError,
-)
-from repro.accessserver.persistence import (
-    FileBackend,
-    InMemoryBackend,
-    PersistenceError,
-    PersistenceManager,
-    RecoveryReport,
-    StorageBackend,
-    attach_persistence,
-    get_payload,
-    recover_into,
-    register_payload,
-    unregister_payload,
-)
-from repro.accessserver.policies import (
-    CreditSharePolicy,
-    DeadlinePolicy,
-    FairSharePolicy,
-    FifoPolicy,
-    PriorityPolicy,
-    SchedulingPolicy,
-    create_policy,
-)
-from repro.accessserver.scheduler import JobScheduler, SessionReservation
-from repro.accessserver.server import AccessServer, VantagePointRecord
-from repro.accessserver.testers import Tester, TesterPool, TesterSession
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.accessserver.auth import (
+        AuthenticationError,
+        AuthorizationError,
+        Permission,
+        Role,
+        User,
+        UserRegistry,
+    )
+    from repro.accessserver.certificates import CertificateAuthority, WildcardCertificate
+    from repro.accessserver.dns import DnsRecord, DnsZone
+    from repro.accessserver.jobs import Job, JobContext, JobSpec, JobStatus
+    from repro.accessserver.credits import (
+        CreditAccount,
+        CreditError,
+        CreditLedger,
+        CreditPolicy,
+        CreditTransaction,
+    )
+    from repro.accessserver.maintenance import (
+        build_certificate_renewal_job,
+        build_factory_reset_job,
+        build_power_safety_job,
+        build_workspace_cleanup_job,
+    )
+    from repro.accessserver.dispatch import (
+        Assignment,
+        DispatchEngine,
+        SchedulingError,
+    )
+    from repro.accessserver.persistence import (
+        FileBackend,
+        InMemoryBackend,
+        PersistenceError,
+        PersistenceManager,
+        RecoveryReport,
+        StorageBackend,
+        attach_persistence,
+        get_payload,
+        recover_into,
+        register_payload,
+        unregister_payload,
+    )
+    from repro.accessserver.policies import (
+        CreditSharePolicy,
+        DeadlinePolicy,
+        FairSharePolicy,
+        FifoPolicy,
+        PriorityPolicy,
+        SchedulingPolicy,
+        create_policy,
+    )
+    from repro.accessserver.scheduler import JobScheduler, SessionReservation
+    from repro.accessserver.server import AccessServer, VantagePointRecord
+    from repro.accessserver.testers import Tester, TesterPool, TesterSession
 
 __all__ = [
     "AuthenticationError",
@@ -140,3 +145,59 @@ __all__ = [
     "TesterPool",
     "TesterSession",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "auth": (
+            "AuthenticationError",
+            "AuthorizationError",
+            "Permission",
+            "Role",
+            "User",
+            "UserRegistry",
+        ),
+        "certificates": ("CertificateAuthority", "WildcardCertificate"),
+        "dns": ("DnsRecord", "DnsZone"),
+        "jobs": ("Job", "JobContext", "JobSpec", "JobStatus"),
+        "credits": (
+            "CreditAccount",
+            "CreditError",
+            "CreditLedger",
+            "CreditPolicy",
+            "CreditTransaction",
+        ),
+        "maintenance": (
+            "build_certificate_renewal_job",
+            "build_factory_reset_job",
+            "build_power_safety_job",
+            "build_workspace_cleanup_job",
+        ),
+        "dispatch": ("Assignment", "DispatchEngine", "SchedulingError"),
+        "persistence": (
+            "FileBackend",
+            "InMemoryBackend",
+            "PersistenceError",
+            "PersistenceManager",
+            "RecoveryReport",
+            "StorageBackend",
+            "attach_persistence",
+            "get_payload",
+            "recover_into",
+            "register_payload",
+            "unregister_payload",
+        ),
+        "policies": (
+            "CreditSharePolicy",
+            "DeadlinePolicy",
+            "FairSharePolicy",
+            "FifoPolicy",
+            "PriorityPolicy",
+            "SchedulingPolicy",
+            "create_policy",
+        ),
+        "scheduler": ("JobScheduler", "SessionReservation"),
+        "server": ("AccessServer", "VantagePointRecord"),
+        "testers": ("Tester", "TesterPool", "TesterSession"),
+    },
+)

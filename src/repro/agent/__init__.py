@@ -11,21 +11,26 @@ Platform API v2 (``agent.poll``), claims them under a renewable lease
 :class:`~repro.agent.outbox.Outbox` so results upload exactly once.
 """
 
-from repro.agent.connectors import (
-    CONNECTOR_PHASES,
-    ConnectorContext,
-    ConnectorError,
-    DeviceConnector,
-    FakeConnector,
-    MultiConnector,
-    NoProvisionConnector,
-    PhaseResult,
-    connector_types,
-    create_connector,
-    register_connector,
-)
-from repro.agent.daemon import AgentDaemon
-from repro.agent.outbox import Outbox, SimulatedCrash
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.agent.connectors import (
+        CONNECTOR_PHASES,
+        ConnectorContext,
+        ConnectorError,
+        DeviceConnector,
+        FakeConnector,
+        MultiConnector,
+        NoProvisionConnector,
+        PhaseResult,
+        connector_types,
+        create_connector,
+        register_connector,
+    )
+    from repro.agent.daemon import AgentDaemon
+    from repro.agent.outbox import Outbox, SimulatedCrash
 
 __all__ = [
     "CONNECTOR_PHASES",
@@ -43,3 +48,24 @@ __all__ = [
     "Outbox",
     "SimulatedCrash",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "connectors": (
+            "CONNECTOR_PHASES",
+            "ConnectorContext",
+            "ConnectorError",
+            "DeviceConnector",
+            "FakeConnector",
+            "MultiConnector",
+            "NoProvisionConnector",
+            "PhaseResult",
+            "connector_types",
+            "create_connector",
+            "register_connector",
+        ),
+        "daemon": ("AgentDaemon",),
+        "outbox": ("Outbox", "SimulatedCrash"),
+    },
+)

@@ -11,7 +11,8 @@ a vantage point's devices (``repro agent`` on the CLI).  Its loop:
 4. **claim** — ``agent.claim`` the first offer; multi-device jobs arrive
    with every slot already held all-or-nothing under one lease;
 5. **execute** — run the configured connector's provision → test → cleanup
-   phases, journaling each outcome and renewing the lease between phases;
+   phases, journaling each outcome and renewing the lease between phases
+   (not after the last: the report that follows settles the lease);
 6. **report** — ``agent.report`` the terminal status, then journal the ack.
 
 Every journal append happens *before* the daemon acts on the recorded
@@ -266,6 +267,10 @@ class AgentDaemon:
             self.outbox.append(
                 "phase", lease_id=lease_id, **result.to_record(), **extra
             )
+            if phase == CONNECTOR_PHASES[-1]:
+                # The report is the very next request and settles the
+                # lease; an expiry is caught there (see _upload).
+                break
             try:
                 self.client.agent_heartbeat(lease_id, self.agent_id)
             except NotFoundApiError:

@@ -14,37 +14,42 @@ federation and agent planes while faults fire on the simulated clock.
 * :mod:`repro.chaos.soak` — the soak harness behind ``repro chaos``.
 """
 
-from repro.chaos.faults import (
-    CRASH_MODES,
-    CrashPlan,
-    ExecutionLedger,
-    FaultPlane,
-    InjectedFault,
-    SimulatedCrash,
-)
-from repro.chaos.injectors import ChaosTransport, CrashingBackend, ShardPartition
-from repro.chaos.invariants import (
-    CheckResult,
-    InvariantReport,
-    InvariantViolation,
-    check_analytics_live_equals_replay,
-    check_credit_conservation,
-    check_no_double_execution,
-    check_no_lost_jobs,
-    check_push_contract,
-    check_recovery_byte_identical,
-    check_snapshot_equals_fresh_encode,
-)
-from repro.chaos.scenario import (
-    FAULT_KINDS,
-    FaultEvent,
-    Scenario,
-    ScenarioBuilder,
-    ScenarioError,
-    canned_scenario,
-    canned_scenario_names,
-)
-from repro.chaos.soak import SoakConfig, SoakHarness, SoakResult, run_soak
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.chaos.faults import (
+        CRASH_MODES,
+        CrashPlan,
+        ExecutionLedger,
+        FaultPlane,
+        InjectedFault,
+        SimulatedCrash,
+    )
+    from repro.chaos.injectors import ChaosTransport, CrashingBackend, ShardPartition
+    from repro.chaos.invariants import (
+        CheckResult,
+        InvariantReport,
+        InvariantViolation,
+        check_analytics_live_equals_replay,
+        check_credit_conservation,
+        check_no_double_execution,
+        check_no_lost_jobs,
+        check_push_contract,
+        check_recovery_byte_identical,
+        check_snapshot_equals_fresh_encode,
+    )
+    from repro.chaos.scenario import (
+        FAULT_KINDS,
+        FaultEvent,
+        Scenario,
+        ScenarioBuilder,
+        ScenarioError,
+        canned_scenario,
+        canned_scenario_names,
+    )
+    from repro.chaos.soak import SoakConfig, SoakHarness, SoakResult, run_soak
 
 __all__ = [
     "CRASH_MODES",
@@ -78,3 +83,40 @@ __all__ = [
     "SoakResult",
     "run_soak",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": (
+            "CRASH_MODES",
+            "CrashPlan",
+            "ExecutionLedger",
+            "FaultPlane",
+            "InjectedFault",
+            "SimulatedCrash",
+        ),
+        "injectors": ("ChaosTransport", "CrashingBackend", "ShardPartition"),
+        "invariants": (
+            "CheckResult",
+            "InvariantReport",
+            "InvariantViolation",
+            "check_analytics_live_equals_replay",
+            "check_credit_conservation",
+            "check_no_double_execution",
+            "check_no_lost_jobs",
+            "check_push_contract",
+            "check_recovery_byte_identical",
+            "check_snapshot_equals_fresh_encode",
+        ),
+        "scenario": (
+            "FAULT_KINDS",
+            "FaultEvent",
+            "Scenario",
+            "ScenarioBuilder",
+            "ScenarioError",
+            "canned_scenario",
+            "canned_scenario_names",
+        ),
+        "soak": ("SoakConfig", "SoakHarness", "SoakResult", "run_soak"),
+    },
+)

@@ -84,16 +84,12 @@ import sys
 import time
 from typing import List, Optional
 
+# Only the two light leaves the parser takes its ``choices`` from load with
+# this module; each command imports its own machinery, so ``repro agent`` and
+# the ``--gateway`` clients never load the platform (DESIGN.md, "Import
+# layering").
 from repro.accessserver.dispatch import DispatchEngine
 from repro.accessserver.policies import policy_names
-from repro.analysis.tables import format_table
-from repro.core.platform import build_default_platform
-from repro.experiments.accuracy import run_accuracy_experiment
-from repro.experiments.browser_study import run_browser_study
-from repro.experiments.controller_load import run_controller_load_experiment
-from repro.experiments.system_perf import run_system_performance
-from repro.experiments.vpn_study import run_vpn_energy_study, run_vpn_speedtests
-from repro.network.vpn import PROTONVPN_LOCATIONS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,8 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def format_table(rows, title: str) -> str:
+    # repro.analysis loads numpy; only a command that prints a table pays.
+    from repro.analysis.tables import format_table as render
+
+    return render(rows, title=title)
+
+
 def _ops_platform(args):
-    """The shared platform for the API-driven subcommands (submit/status/...)."""
+    """The shared platform for quickstart and the API-driven subcommands."""
+    from repro.core.platform import build_default_platform
+
     return build_default_platform(
         seed=args.seed,
         browsers=("chrome",),
@@ -968,17 +973,19 @@ def _cmd_agent(args) -> str:
             while True:
                 try:
                     job_id = daemon.run_once(wait_s=args.poll_wait_s)
+                    idle_s = 0.2 if job_id is None and args.poll_wait_s <= 0 else 0.0
                 except TransportApiError:
-                    wall.sleep(1.0)
-                    continue
+                    # Gateway unreachable: retry, but an outage outlasts
+                    # neither --once nor the --duration-s deadline.
+                    job_id, idle_s = None, 1.0
                 if job_id is not None:
                     completed.append(job_id)
                 if args.once:
                     break
                 if deadline is not None and wall.monotonic() >= deadline:
                     break
-                if job_id is None and args.poll_wait_s <= 0:
-                    wall.sleep(0.2)
+                if idle_s:
+                    wall.sleep(idle_s)
         except KeyboardInterrupt:
             lines.append("interrupted; draining")
     lines.append(
@@ -1021,10 +1028,10 @@ def _cmd_serve(args) -> str:
     host, port = gateway.address
     scheme = "tls" if gateway.tls_enabled else "plaintext"
     print(f"serving Platform API gateway on {host}:{port} ({scheme}); ^C to stop")
-    deadline = None if args.duration_s is None else time.time() + args.duration_s
+    deadline = None if args.duration_s is None else time.monotonic() + args.duration_s
     served = 0
     try:
-        while deadline is None or time.time() < deadline:
+        while deadline is None or time.monotonic() < deadline:
             # Drive the simulation so remotely submitted jobs execute; the
             # gateway threads only enqueue work.  The router lock keeps a
             # request landing mid-dispatch from racing the single-threaded
@@ -1101,10 +1108,10 @@ def _cmd_federate(args) -> str:
         f"serving federated Platform API ({args.shards} shard(s)) on "
         f"{host}:{port} ({scheme}); ^C to stop"
     )
-    deadline = None if args.duration_s is None else time.time() + args.duration_s
+    deadline = None if args.duration_s is None else time.monotonic() + args.duration_s
     served = 0
     try:
-        while deadline is None or time.time() < deadline:
+        while deadline is None or time.monotonic() < deadline:
             # Drive every attached shard's simulation under the gateway's
             # exclusive lock — same discipline as single-server serve.
             with gateway.router_lock:
@@ -1122,15 +1129,7 @@ def _cmd_federate(args) -> str:
 
 
 def _cmd_quickstart(args) -> str:
-    platform = build_default_platform(
-        seed=args.seed,
-        browsers=("chrome",),
-        scheduling_policy=args.scheduling_policy,
-        reservation_admission=args.reservation_admission,
-        state_dir=args.state_dir,
-        persistence=not args.no_persistence,
-    )
-    api = platform.api()
+    api = _ops_platform(args).api()
     device_id = api.list_devices()[0]
     api.power_monitor()
     api.set_voltage(3.85)
@@ -1147,6 +1146,8 @@ def _cmd_quickstart(args) -> str:
 
 
 def _cmd_locations(args) -> str:
+    from repro.network.vpn import PROTONVPN_LOCATIONS
+
     rows = [
         {
             "key": location.key,
@@ -1161,6 +1162,8 @@ def _cmd_locations(args) -> str:
 
 
 def _cmd_figure2(args) -> str:
+    from repro.experiments.accuracy import run_accuracy_experiment
+
     study = run_accuracy_experiment(
         duration_s=args.duration, sample_rate_hz=args.sample_rate, seed=args.seed
     )
@@ -1168,6 +1171,8 @@ def _cmd_figure2(args) -> str:
 
 
 def _cmd_figure3(args) -> str:
+    from repro.experiments.browser_study import run_browser_study
+
     study = run_browser_study(
         repetitions=args.repetitions,
         scrolls_per_page=args.scrolls,
@@ -1181,6 +1186,8 @@ def _cmd_figure3(args) -> str:
 
 
 def _cmd_figure5(args) -> str:
+    from repro.experiments.controller_load import run_controller_load_experiment
+
     result = run_controller_load_experiment(
         repetitions=args.repetitions, scrolls_per_page=12, sample_rate_hz=100.0, seed=args.seed
     )
@@ -1188,11 +1195,15 @@ def _cmd_figure5(args) -> str:
 
 
 def _cmd_table2(args) -> str:
+    from repro.experiments.vpn_study import run_vpn_speedtests
+
     rows = run_vpn_speedtests(probes_per_location=3, seed=args.seed)
     return format_table(rows, title="Table 2 — ProtonVPN statistics")
 
 
 def _cmd_figure6(args) -> str:
+    from repro.experiments.vpn_study import run_vpn_energy_study
+
     study = run_vpn_energy_study(
         repetitions=args.repetitions, scrolls_per_page=8, sample_rate_hz=50.0, seed=args.seed
     )
@@ -1200,6 +1211,8 @@ def _cmd_figure6(args) -> str:
 
 
 def _cmd_sysperf(args) -> str:
+    from repro.experiments.system_perf import run_system_performance
+
     result = run_system_performance(scrolls_per_page=12, sample_rate_hz=100.0, seed=args.seed)
     return format_table(result.rows(), title="System performance (Section 4.2)")
 

@@ -21,11 +21,16 @@ and never touches the wall clock, which is what makes the experiment
 drivers in :mod:`repro.experiments` deterministic and fast.
 """
 
-from repro.simulation.clock import SimClock
-from repro.simulation.entity import Entity, SimulationContext
-from repro.simulation.events import Event, EventScheduler
-from repro.simulation.process import PeriodicProcess
-from repro.simulation.random import SeededRandom
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.simulation.clock import SimClock
+    from repro.simulation.entity import Entity, SimulationContext
+    from repro.simulation.events import Event, EventScheduler
+    from repro.simulation.process import PeriodicProcess
+    from repro.simulation.random import SeededRandom
 
 __all__ = [
     "SimClock",
@@ -36,3 +41,14 @@ __all__ = [
     "SimulationContext",
     "PeriodicProcess",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "clock": ("SimClock",),
+        "entity": ("Entity", "SimulationContext"),
+        "events": ("Event", "EventScheduler"),
+        "process": ("PeriodicProcess",),
+        "random": ("SeededRandom",),
+    },
+)

@@ -240,6 +240,41 @@ class TestDaemonHappyPath:
         assert client.job_status(job.job_id).status == "completed"
         assert client.job_results(job.job_id).result == 1
 
+    def test_lease_is_renewed_between_phases_only(self, platform, tmp_path):
+        """The report right after the last phase settles the lease; a
+        renewal there would be a wasted round trip."""
+        client = platform.client()
+        job = client.submit_job("cycle", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+        renewals = []
+        heartbeat = daemon.client.agent_heartbeat
+
+        def counted(*args, **kwargs):
+            renewals.append(args)
+            return heartbeat(*args, **kwargs)
+
+        daemon.client.agent_heartbeat = counted
+        assert daemon.run_once() == job.job_id
+        assert len(renewals) == len(CONNECTOR_PHASES) - 1
+
+    def test_lease_lapsing_in_the_last_phase_is_caught_at_upload(
+        self, platform, tmp_path, monkeypatch
+    ):
+        client = platform.client()
+        job = client.submit_job("slow", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+
+        def outlive_the_lease(connector, ctx):
+            platform.context.run_for(31.0)
+            return "cleaned up, eventually"
+
+        monkeypatch.setattr(FakeConnector, "cleanup", outlive_the_lease)
+        assert daemon.run_once() is None
+        last = daemon.outbox.records()[-1]
+        assert (last["kind"], last["reason"]) == ("discarded", "lease unknown at upload")
+        # The server requeued the job; the stale result did not win.
+        assert client.job_status(job.job_id).status == "queued"
+
     def test_run_once_with_empty_queue_returns_none(self, platform, tmp_path):
         daemon = start_daemon(platform, tmp_path)
         assert daemon.run_once() is None

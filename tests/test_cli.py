@@ -184,3 +184,54 @@ class TestApiSubcommands:
         output = capsys.readouterr().out
         assert "journal_records" in output
         assert "records_since_snapshot" in output
+
+
+class TestAgentCommand:
+    """``repro agent`` when the gateway goes away after registration."""
+
+    def _run_after_gateway_loss(self, monkeypatch, tmp_path, *flags):
+        import threading
+
+        from repro.agent import AgentDaemon
+        from repro.core.platform import build_default_platform
+
+        platform = build_default_platform(seed=3, browsers=("chrome",))
+        gateway = platform.serve_gateway()
+        host, port = gateway.address
+        register = AgentDaemon.register
+
+        def register_then_lose_the_gateway(daemon):
+            view = register(daemon)
+            gateway.stop()  # the port closes: every later request fails
+            return view
+
+        monkeypatch.setattr(AgentDaemon, "register", register_then_lose_the_gateway)
+        argv = [
+            "agent",
+            "--gateway",
+            f"{host}:{port}",
+            "--outbox",
+            str(tmp_path / "outbox.jsonl"),
+            *flags,
+        ]
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        thread.start()
+        thread.join(timeout=15.0)
+        assert not thread.is_alive(), "the agent outlived its exit condition"
+        return codes
+
+    def test_duration_ends_an_agent_whose_gateway_is_unreachable(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        codes = self._run_after_gateway_loss(
+            monkeypatch, tmp_path, "--duration-s", "0.2"
+        )
+        assert codes == [0]
+        assert "no jobs settled" in capsys.readouterr().out
+
+    def test_once_is_one_cycle_even_when_it_fails(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        assert self._run_after_gateway_loss(monkeypatch, tmp_path, "--once") == [0]
+        assert "no jobs settled" in capsys.readouterr().out
