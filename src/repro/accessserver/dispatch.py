@@ -455,7 +455,10 @@ class DispatchEngine:
         self._policy = create_policy(policy)
         self._event_bus = event_bus
         self._running_by_owner: Dict[str, int] = {}
-        self._executing: Set[int] = set()
+        # The hold table: job id -> the slots its execution holds beyond the
+        # primary one recorded on the job itself.  Membership is the
+        # "executing" mark; release() gives the whole family back.
+        self._executing: Dict[int, Tuple[Tuple[str, str], ...]] = {}
         self._batches = 0
         self._assignments = 0
         self._reservation_admission = "ignore"
@@ -530,13 +533,20 @@ class DispatchEngine:
         )
 
     def release(self, job: Job, forget: bool = True) -> None:
-        """Free the slot ``job`` runs on — O(1) via the job's own assignment.
+        """Give back everything ``job`` holds — the one exit from a device hold.
+
+        Clears the executing mark, frees the extra slots recorded by
+        :meth:`begin_execution` and then the primary slot (O(1) via the
+        job's own assignment), so ``dispatch.released`` — which names only
+        the primary — is published once every slot of the family is free.
 
         ``forget=False`` is used internally by :meth:`requeue`, which needs
         the job's queue sequence number to survive the release.
         """
         if forget:
             self.queue.forget(job)
+        for vantage_point, device_serial in self._executing.pop(job.job_id, ()):
+            self.slots.mark_free(vantage_point, device_serial)
         vantage_point = job.assigned_vantage_point
         device_serial = job.assigned_device
         if vantage_point is None or device_serial is None:
@@ -636,11 +646,13 @@ class DispatchEngine:
         return assignments
 
     def requeue(self, job: Job) -> None:
-        """Undo an assignment whose constraints lapsed before execution.
+        """Undo an assignment that will not run to its end on this hold.
 
-        Frees the slot and puts the job back in the queue — at its original
-        FIFO position — so a later tick re-evaluates it against the
-        then-current reservations and controller load.
+        Gives back every slot (see :meth:`release`) and puts the job back in
+        the queue — at its original FIFO position — so a later tick
+        re-evaluates it against the then-current reservations and controller
+        load.  A lapsed wave admission and an expired agent lease both end
+        here, as crash recovery's in-flight requeue does on replay.
         """
         vantage_point = job.assigned_vantage_point
         device_serial = job.assigned_device
@@ -692,17 +704,20 @@ class DispatchEngine:
             self._emit("dispatch.reservation_cancelled", reservation_id=reservation_id)
         return removed
 
-    def begin_execution(self, job: Job) -> None:
-        """Mark a job's payload as in flight on its device.
+    def begin_execution(
+        self, job: Job, extra_slots: Tuple[Tuple[str, str], ...] = ()
+    ) -> None:
+        """Record what the execution starting now holds on top of its slot.
 
-        While a job is executing, cancelling it must *not* free the slot —
-        the payload is still physically using the device; the executor's own
-        release (after the payload returns) frees it.
+        ``extra_slots`` (the children of a multi-device agent claim) are
+        marked busy for the job here.  From now until :meth:`release` or
+        :meth:`requeue` the job is *executing*: cancelling it must not free
+        anything — the payload or agent is still physically using the
+        devices; whoever ends the execution gives them back.
         """
-        self._executing.add(job.job_id)
-
-    def end_execution(self, job: Job) -> None:
-        self._executing.discard(job.job_id)
+        for vantage_point, device_serial in extra_slots:
+            self.slots.mark_busy(vantage_point, device_serial, job.job_id)
+        self._executing[job.job_id] = extra_slots
 
     def is_executing(self, job_id: int) -> bool:
         """Whether the job's payload (or agent lease) is still in flight —

@@ -693,52 +693,41 @@ class AccessServer(Entity):
             if obs_on:
                 self._m_waves.inc()
                 self._m_wave_size.observe(float(len(assignments)))
-            if self._wave_executor is not None and len(assignments) > 1:
-                executed.extend(self._execute_wave_parallel(assignments))
+            if self._wave_executor is not None:
+                waves = [assignments]
             else:
-                for assignment in assignments:
-                    if self._execute_assignment(assignment):
-                        executed.append(assignment.job)
+                # Serial execution is waves of one: each job settles before
+                # the next is admitted, as payloads may advance the clock.
+                waves = [[assignment] for assignment in assignments]
+            for wave in waves:
+                executed.extend(self._execute_wave(wave))
         return executed
 
-    def _execute_assignment(self, assignment: Assignment) -> bool:
-        """Run one dispatched job to completion and settle its bookkeeping.
+    def _execute_wave(self, assignments: List[Assignment]) -> List[Job]:
+        """Admit, run and settle one wave; mutations stay on this thread.
 
-        The serial composition of the three-phase execution pipeline —
-        admit, run, settle — with nothing between the phases, which is
-        exactly the historical one-at-a-time behaviour.  Returns ``False``
-        without executing when the job was not admitted (left the RUNNING
-        state while waiting for its turn in the wave, or lost its
-        execution-time eligibility re-check).
-        """
-        admitted = self._admit_assignment(assignment)
-        if admitted is None:
-            return False
-        admitted.run_payload()
-        self._settle_assignment(admitted)
-        return True
-
-    def _execute_wave_parallel(self, assignments: List[Assignment]) -> List[Job]:
-        """Run one wave's payloads concurrently; mutations stay serialized.
-
-        Admission happens first, in assignment order, on this thread; the
-        admitted payloads then run together on the wave executor's pool
-        (a barrier — the call returns when all are done); finally every
-        outcome is settled in assignment order on this thread again.
+        Admission happens first, in assignment order; the admitted payloads
+        then run — together on the wave executor's pool when there are
+        several (a barrier: it returns when all are done), inline otherwise
+        — and finally every outcome is settled in assignment order.  Jobs
+        not admitted (cancelled while waiting for their turn, or requeued
+        by the execution-time eligibility re-check) are left out.
         """
         admitted = []
         for assignment in assignments:
             admission = self._admit_assignment(assignment)
             if admission is not None:
                 admitted.append(admission)
-        if admitted and self.obs.registry.enabled:
+        if len(assignments) > 1 and admitted and self.obs.registry.enabled:
             self._m_parallelism.set(len(admitted) / self._wave_executor.max_workers)
-        self._wave_executor.run_wave(admitted)
-        executed: List[Job] = []
+        if len(admitted) > 1:
+            self._wave_executor.run_wave(admitted)
+        else:
+            for admission in admitted:
+                admission.run_payload()
         for admission in admitted:
             self._settle_assignment(admission)
-            executed.append(admission.job)
-        return executed
+        return [admission.job for admission in admitted]
 
     def _admit_assignment(self, assignment: Assignment):
         """Phase 1 (server thread): decide whether the assignment still runs.
@@ -787,13 +776,63 @@ class AccessServer(Entity):
             admit_elapsed_s=admit_elapsed,
         )
 
-    def _settle_assignment(self, admitted) -> None:
-        """Phase 3 (server thread): status transition and all bookkeeping.
+    def _finish_execution(
+        self, job: Job, held_since: float, result: object, error: Optional[str]
+    ) -> None:
+        """The one way out of an execution that ran to its end, push or pull.
 
-        Mirrors the historical post-payload block exactly — transition,
-        ``end_execution``, device release, power-trace storage, credit
-        settlement, then journal append and ``job.finished`` publish — so
-        serial and parallel execution produce identical journals.
+        In this order: the terminal transition (only a still-RUNNING job
+        transitions — one cancelled while it held its devices stays
+        cancelled), the give-back of every slot and the executing mark,
+        credit settlement for the time the devices were held, and last the
+        journal record and ``job.finished`` publish, so recovery replays
+        balances exactly.  ``error`` set means the execution failed.
+        """
+        now = self.context.now
+        if job.status is not JobStatus.RUNNING:
+            self.log(
+                "job finished after cancellation",
+                job=job.spec.name,
+                status=job.status.value,
+            )
+        elif error is None:
+            job.mark_completed(now, result)
+            self.log("job completed", job=job.spec.name)
+        else:
+            job.mark_failed(now, error)
+            self.log("job failed", job=job.spec.name, error=error)
+        self.scheduler.release(job)
+        if self._credit_policy is not None:
+            owner = job.spec.owner
+            owner_is_admin = (
+                owner in self.users.usernames()
+                and self.users.get(owner).role is Role.ADMIN
+            )
+            if not owner_is_admin:
+                account = self._credit_account_for(owner)
+                # Charge the time the devices were held, not job.duration_s:
+                # a job cancelled mid-execution never gets a finished_at,
+                # yet it occupied them until here.
+                consumed_hours = (now - held_since) / 3600.0
+                consumed_hours = min(consumed_hours, account.balance_device_hours)
+                self._credit_policy.settle(
+                    owner, consumed_hours, now, note=f"job {job.job_id}"
+                )
+        # Cancellations were already journaled via the dispatch.cancelled
+        # bus event.
+        if job.status in (JobStatus.COMPLETED, JobStatus.FAILED):
+            if self._persistence is not None:
+                self._persistence.on_job_finished(job)
+            self.events.publish(
+                "job.finished",
+                job_id=job.job_id,
+                status=job.status.value,
+                finished_at=job.finished_at,
+            )
+
+    def _settle_assignment(self, admitted) -> None:
+        """Phase 3 (server thread): power-trace storage, then the shared
+        finish step (:meth:`_finish_execution`), then telemetry.
 
         Telemetry note: this is also where the job's lifecycle spans
         (``job.admit`` / ``job.run`` / ``job.settle``) are *recorded* — the
@@ -804,67 +843,13 @@ class AccessServer(Entity):
         """
         settle_t0 = time.perf_counter()
         job = admitted.job
-        if admitted.error is not None:
-            # The payload may have been cancelled while it ran (its slot is
-            # kept until here); only a still-RUNNING job transitions.
-            if job.status is JobStatus.RUNNING:
-                job.mark_failed(self.context.now, str(admitted.error))
-                self.log("job failed", job=job.spec.name, error=str(admitted.error))
-            else:
-                self.log(
-                    "job finished after cancellation",
-                    job=job.spec.name,
-                    status=job.status.value,
-                    error=str(admitted.error),
-                )
-        else:
-            if job.status is JobStatus.RUNNING:
-                job.mark_completed(self.context.now, admitted.result)
-                self.log("job completed", job=job.spec.name)
-            else:
-                self.log(
-                    "job finished after cancellation",
-                    job=job.spec.name,
-                    status=job.status.value,
-                )
-        self.scheduler.engine.end_execution(job)
-        self.scheduler.release(job)
         # Power-meter logs are collected by default and retained in
         # the workspace for several days (Section 3.1).
         monitor = admitted.record.controller.monitor
         if monitor is not None and monitor.last_trace() is not None:
             job.workspace.store("power_meter_trace", monitor.last_trace())
-        # Settle consumed device time against the owner's credits.
-        if self._credit_policy is not None:
-            owner = job.spec.owner
-            owner_is_admin = (
-                owner in self.users.usernames()
-                and self.users.get(owner).role is Role.ADMIN
-            )
-            if not owner_is_admin:
-                account = self._credit_account_for(owner)
-                # Charge the wall-clock the payload held the device, not
-                # job.duration_s: a job cancelled mid-payload never gets
-                # a finished_at, yet it occupied the device until here.
-                consumed_hours = (
-                    self.context.now - admitted.execution_started_at
-                ) / 3600.0
-                consumed_hours = min(consumed_hours, account.balance_device_hours)
-                self._credit_policy.settle(
-                    owner, consumed_hours, self.context.now, note=f"job {job.job_id}"
-                )
-        # Terminal outcomes are journaled once all bookkeeping has settled so
-        # recovery replays balances exactly; cancellations were already
-        # recorded via the dispatch.cancelled bus event.
-        if job.status in (JobStatus.COMPLETED, JobStatus.FAILED):
-            if self._persistence is not None:
-                self._persistence.on_job_finished(job)
-            self.events.publish(
-                "job.finished",
-                job_id=job.job_id,
-                status=job.status.value,
-                finished_at=job.finished_at,
-            )
+        error = None if admitted.error is None else str(admitted.error)
+        self._finish_execution(job, admitted.execution_started_at, admitted.result, error)
         settle_elapsed = time.perf_counter() - settle_t0
         if self.obs.registry.enabled:
             self._m_run.observe(admitted.run_elapsed_s)
@@ -916,13 +901,8 @@ class AccessServer(Entity):
     # -- agent-pull execution ------------------------------------------------------------------
     # The inverse of run_pending_jobs: vantage-point daemons *pull* jobs
     # whose spec says ``execution="agent"`` via poll -> claim -> report.
-    # A claim drives the very same dispatch-engine assign the push path
-    # uses (so journals and analytics see the identical ``job.assigned``
-    # record), holds the slots under a renewable lease, and a report
-    # performs the push path's settle bookkeeping.  Lease expiry reuses
-    # ``DispatchEngine.requeue`` — the preserve-position requeue crash
-    # recovery also relies on — so a dead agent never strands a job and
-    # the requeue journal record is byte-identical to a wave requeue.
+    # What a claim holds and how each exit gives it back is the "Execution
+    # lifecycle" table in DESIGN.md.
     def register_agent(
         self,
         user: User,
@@ -1019,10 +999,7 @@ class AccessServer(Entity):
                     break
                 if not lease.expired(now):
                     continue
-                try:
-                    job = self.scheduler.job(lease.job_id)
-                except Exception:
-                    continue
+                job = self.scheduler.job(lease.job_id)
                 if job.status is JobStatus.RUNNING and self._agent_job_matches(job, record):
                     offers.append(job)
         outcome = "offered" if offers else "empty"
@@ -1035,34 +1012,25 @@ class AccessServer(Entity):
         return offers
 
     def expire_agent_leases(self) -> int:
-        """Reap expired leases: free every held slot and requeue the jobs.
+        """Reap expired leases and give back everything they held, unbilled.
 
-        The requeue re-enters the constraint-bucketed queue at the job's
-        *original* FIFO position (``preserve_position=True`` inside
-        ``DispatchEngine.requeue``), mirroring crash recovery's in-flight
-        re-queue semantics, and emits the same ``dispatch.requeued`` bus
-        record the wave executor's lapsed-admission path does — so the
-        journal cannot tell a lease expiry from any other requeue.
+        A job still RUNNING is requeued at its *original* FIFO position
+        through ``DispatchEngine.requeue`` — the record a lapsed wave
+        admission emits and crash recovery's in-flight requeue mirrors, so
+        the journal cannot tell a lease expiry from any other requeue.  A
+        job cancelled while the agent held it stays cancelled; its devices
+        are simply released.
         """
-        reaped = 0
         engine = self.scheduler.engine
-        for lease in self.agents.expired(self.context.now):
+        expired = self.agents.expired(self.context.now)
+        for lease in expired:
             self.agents.release(lease.lease_id)
-            reaped += 1
-            try:
-                job = self.scheduler.job(lease.job_id)
-            except Exception:
-                job = None
-            if job is not None and job.status is JobStatus.RUNNING:
-                engine.end_execution(job)
-                # Child slots first: requeue() only frees the primary slot
-                # recorded on the job itself.
-                for vantage_point, serial in lease.devices[1:]:
-                    slot = engine.slots.slot(vantage_point, serial)
-                    if slot is not None and slot.busy_job_id == job.job_id:
-                        engine.slots.mark_free(vantage_point, serial)
+            job = self.scheduler.job(lease.job_id)
+            if job.status is JobStatus.RUNNING:
                 engine.requeue(job)
-                self._schedule_dispatch_tick()
+            else:
+                engine.release(job)
+            self._schedule_dispatch_tick()
             if self.obs.registry.enabled:
                 self._m_lease_expired.inc()
             self.log(
@@ -1071,7 +1039,7 @@ class AccessServer(Entity):
                 agent=lease.agent_id,
                 job_id=lease.job_id,
             )
-        return reaped
+        return len(expired)
 
     def agent_claim(
         self,
@@ -1087,7 +1055,7 @@ class AccessServer(Entity):
         marked busy under one lease, or the claim fails having touched
         nothing.  The primary slot goes through the dispatch engine's
         ``assign`` (same ``dispatch.assigned`` record as push dispatch);
-        the child slots are held directly on the slot index.
+        the child slots join the engine's hold for the job.
         """
         started = time.perf_counter()
         self.users.authorize(user, Permission.RUN_JOB)
@@ -1110,20 +1078,14 @@ class AccessServer(Entity):
                 f"agent {agent_id!r} does not match job {job_id} "
                 "(connector, vantage point or free-device constraints)"
             )
+        # The match above saw at least this many free candidates.
         need = job.spec.constraints.device_count
         devices = self._agent_candidate_slots(job, record)[:need]
-        if len(devices) < need:
-            raise AgentError(
-                f"job {job_id} needs {need} free devices; only "
-                f"{len(devices)} available — claim is all-or-nothing"
-            )
         now = self.context.now
         primary_vp, primary_serial = devices[0]
         self.scheduler.assign(job, primary_vp, primary_serial, now)
-        for vantage_point, serial in devices[1:]:
-            self.scheduler.engine.slots.mark_busy(vantage_point, serial, job.job_id)
         job.mark_execution_started(now)
-        self.scheduler.engine.begin_execution(job)
+        self.scheduler.engine.begin_execution(job, tuple(devices[1:]))
         lease = self.agents.grant(
             agent_id,
             job_id,
@@ -1189,51 +1151,8 @@ class AccessServer(Entity):
                 output=child.get("output", ""),
                 owner=job.spec.owner,
             )
-        if job.status is JobStatus.RUNNING:
-            if status == "completed":
-                job.mark_completed(now, result)
-                self.log("job completed", job=job.spec.name)
-            else:
-                job.mark_failed(now, error or "agent reported failure")
-                self.log("job failed", job=job.spec.name, error=error)
-        else:
-            self.log(
-                "agent report after cancellation",
-                job=job.spec.name,
-                status=job.status.value,
-            )
-        engine = self.scheduler.engine
-        engine.end_execution(job)
-        # Child slots first (as in expire_agent_leases): release() announces
-        # ``dispatch.released``, and every device the lease held must be
-        # free by then — a parked agent.poll is re-checked on that record.
-        for vantage_point, serial in lease.devices[1:]:
-            slot = engine.slots.slot(vantage_point, serial)
-            if slot is not None and slot.busy_job_id == job.job_id:
-                engine.slots.mark_free(vantage_point, serial)
-        self.scheduler.release(job)
-        if self._credit_policy is not None:
-            owner = job.spec.owner
-            owner_is_admin = (
-                owner in self.users.usernames()
-                and self.users.get(owner).role is Role.ADMIN
-            )
-            if not owner_is_admin:
-                account = self._credit_account_for(owner)
-                consumed_hours = (now - lease.granted_at) / 3600.0
-                consumed_hours = min(consumed_hours, account.balance_device_hours)
-                self._credit_policy.settle(
-                    owner, consumed_hours, now, note=f"job {job.job_id}"
-                )
-        if job.status in (JobStatus.COMPLETED, JobStatus.FAILED):
-            if self._persistence is not None:
-                self._persistence.on_job_finished(job)
-            self.events.publish(
-                "job.finished",
-                job_id=job.job_id,
-                status=job.status.value,
-                finished_at=job.finished_at,
-            )
+        failure = None if status == "completed" else (error or "agent reported failure")
+        self._finish_execution(job, lease.granted_at, result, failure)
         self.agents.settle(lease_id)
         settle_elapsed = time.perf_counter() - settle_t0
         if self.obs.registry.enabled:

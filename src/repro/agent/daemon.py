@@ -23,7 +23,7 @@ to do next; see :mod:`repro.agent.outbox` for the resume rules.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.agent.connectors import (
     CONNECTOR_PHASES,
@@ -38,6 +38,11 @@ from repro.api.schemas import AgentLeaseView, AgentView, json_safe
 from repro.obs import component_logger
 
 __all__ = ["AgentDaemon"]
+
+#: :meth:`AgentDaemon.run_forever` pauses: after a short poll that found
+#: nothing, and before retrying an unreachable gateway.
+_IDLE_SLEEP_S = 0.2
+_RETRY_SLEEP_S = 1.0
 
 
 class AgentDaemon:
@@ -132,23 +137,41 @@ class AgentDaemon:
 
     def run_forever(
         self,
-        stop_event=None,
         poll_wait_s: float = 2.0,
-        idle_sleep_s: float = 0.2,
-        retry_s: float = 1.0,
-    ) -> None:
-        """Serve until ``stop_event`` is set, retrying through outages."""
-        self.register()
-        while stop_event is None or not stop_event.is_set():
+        once: bool = False,
+        duration_s: Optional[float] = None,
+    ) -> Iterator[int]:
+        """Serve cycles until the stop condition, yielding each settled job id.
+
+        ``once`` stops after one cycle and ``duration_s`` after the first
+        cycle that ends past it (``None``: serve until interrupted); a
+        gateway outage is retried but outlasts neither.  The outbox is
+        replayed (:meth:`resume`) on entry and after an outage — a result
+        whose upload the disconnect cut short is waiting there — never per
+        cycle: a replay re-reads the whole outbox file.  Call
+        :meth:`register` first.
+        """
+        deadline = None if duration_s is None else time.monotonic() + duration_s
+        replay = True
+        while True:
+            pause_s = 0.0
             try:
-                self.resume()
-                settled = self.run_once(wait_s=poll_wait_s)
+                if replay:
+                    yield from self.resume()
+                    replay = False
+                job_id = self.run_once(wait_s=poll_wait_s)
+                if job_id is not None:
+                    yield job_id
+                elif poll_wait_s <= 0:
+                    pause_s = _IDLE_SLEEP_S
             except TransportApiError as exc:
                 self._log.warning("gateway unreachable (%s); retrying", exc)
-                time.sleep(retry_s)
-                continue
-            if settled is None and poll_wait_s <= 0:
-                time.sleep(idle_sleep_s)
+                replay = True
+                pause_s = _RETRY_SLEEP_S
+            if once or (deadline is not None and time.monotonic() >= deadline):
+                return
+            if pause_s:
+                time.sleep(pause_s)
 
     # -- execution ------------------------------------------------------------
     def execute(self, lease: AgentLeaseView) -> Optional[int]:

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
         InvariantViolation,
         check_analytics_live_equals_replay,
         check_credit_conservation,
+        check_device_hold_conservation,
         check_no_double_execution,
         check_no_lost_jobs,
         check_push_contract,
@@ -66,6 +67,7 @@ __all__ = [
     "InvariantViolation",
     "check_analytics_live_equals_replay",
     "check_credit_conservation",
+    "check_device_hold_conservation",
     "check_no_double_execution",
     "check_no_lost_jobs",
     "check_push_contract",
@@ -102,6 +104,7 @@ __getattr__, __dir__ = lazy_exports(
             "InvariantViolation",
             "check_analytics_live_equals_replay",
             "check_credit_conservation",
+            "check_device_hold_conservation",
             "check_no_double_execution",
             "check_no_lost_jobs",
             "check_push_contract",

@@ -32,6 +32,9 @@ point-wise, restated as whole-run assertions a chaos soak can run after
 ``push_seq_gap_equals_dropped``
     On a push stream, sequence-number gaps equal the ``dropped`` counts
     the gateway declared — back-pressure loses frames loudly or not at all.
+``device_hold_conservation``
+    Every busy device, executing mark and lease belongs to an execution
+    that can still end and give it back; a drained run holds nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "check_credit_conservation",
     "check_analytics_live_equals_replay",
     "check_push_contract",
+    "check_device_hold_conservation",
 ]
 
 #: Statuses a drained run may leave a job in.
@@ -336,3 +340,49 @@ def check_push_contract(frames: Sequence[dict]) -> CheckResult:
         details,
         {"gaps": gaps, "declared": declared},
     )
+
+
+def check_device_hold_conservation(server, drained: bool = False) -> CheckResult:
+    """No device is held by an execution that can no longer give it back.
+
+    A hold is a busy slot, an executing mark or a lease.  Its job must be
+    RUNNING (an agent-mode one under a lease), or terminal — cancelled
+    while held — and still executing: a push payload in flight, or an
+    agent lease that has not expired.  Every lease's devices are busy for
+    its job, and with ``drained`` nothing is held at all.
+    """
+    engine = server.scheduler.engine
+    now = server.context.now
+    jobs = {job.job_id: job for job in server.scheduler.jobs()}
+    leases = {lease.job_id: lease for lease in server.agents.leases()}
+    busy: Dict[str, int] = {}
+    for key in server.scheduler.registered_devices():  # "vantage_point/serial"
+        slot = engine.slots.slot(*key.split("/", 1))
+        if slot.busy_job_id is not None:
+            busy[key] = slot.busy_job_id
+
+    def will_end(job_id: int) -> bool:
+        job, lease = jobs.get(job_id), leases.get(job_id)
+        if job is None or (job.spec.execution == "agent" and lease is None):
+            return False
+        if job.status.value == "running":
+            return True
+        return engine.is_executing(job_id) and (lease is None or not lease.expired(now))
+
+    holders = set(busy.values()) | {j for j in jobs if engine.is_executing(j)}
+    problems = [
+        f"job {job_id} holds a device or an executing mark, but nothing will end it"
+        for job_id in sorted(holders)
+        if not will_end(job_id)
+    ]
+    problems += [
+        f"{lease.lease_id} holds {vp}/{serial}, which is not busy for job {job_id}"
+        for job_id, lease in leases.items()
+        for vp, serial in lease.devices
+        if busy.get(f"{vp}/{serial}") != job_id
+    ]
+    summary = f"{len(busy)} busy slot(s), {len(holders)} holding job(s), {len(leases)} lease(s)"
+    if drained and (holders or leases):
+        problems.append(f"still held after drain: {summary}")
+    details = "; ".join(problems[:5]) or f"{summary}; every hold has an execution that will end it"
+    return CheckResult("device_hold_conservation", not problems, details)

@@ -54,6 +54,7 @@ from repro.chaos.invariants import (
     InvariantReport,
     check_analytics_live_equals_replay,
     check_credit_conservation,
+    check_device_hold_conservation,
     check_no_double_execution,
     check_no_lost_jobs,
     check_recovery_byte_identical,
@@ -666,6 +667,7 @@ class SoakHarness:
         report = InvariantReport()
         report.add(check_no_lost_jobs([self.server], self.submitted.values()))
         report.add(check_no_double_execution(self.ledger))
+        report.add(check_device_hold_conservation(self.server, drained=True))
         report.add(check_analytics_live_equals_replay(self.server))
         report.add(
             check_recovery_byte_identical(self.backend, self._recovery_factory)

@@ -932,10 +932,8 @@ def _cmd_metrics(args) -> str:
 
 def _cmd_agent(args) -> str:
     import socket
-    import time as wall
 
     from repro.agent import AgentDaemon
-    from repro.api.errors import TransportApiError
 
     tags = {}
     for item in args.tags or ():
@@ -963,35 +961,44 @@ def _cmd_agent(args) -> str:
             f"agent {view.agent_id} registered "
             f"(connectors: {', '.join(view.connectors)}; outbox: {outbox})"
         )
-        resumed = daemon.resume()
-        if resumed:
-            lines.append(f"resumed from outbox; settled jobs: {resumed}")
-        deadline = (
-            wall.monotonic() + args.duration_s if args.duration_s is not None else None
-        )
         try:
-            while True:
-                try:
-                    job_id = daemon.run_once(wait_s=args.poll_wait_s)
-                    idle_s = 0.2 if job_id is None and args.poll_wait_s <= 0 else 0.0
-                except TransportApiError:
-                    # Gateway unreachable: retry, but an outage outlasts
-                    # neither --once nor the --duration-s deadline.
-                    job_id, idle_s = None, 1.0
-                if job_id is not None:
-                    completed.append(job_id)
-                if args.once:
-                    break
-                if deadline is not None and wall.monotonic() >= deadline:
-                    break
-                if idle_s:
-                    wall.sleep(idle_s)
+            for job_id in daemon.run_forever(
+                args.poll_wait_s, once=args.once, duration_s=args.duration_s
+            ):
+                completed.append(job_id)
         except KeyboardInterrupt:
             lines.append("interrupted; draining")
     lines.append(
         f"settled jobs: {completed}" if completed else "no jobs settled"
     )
     return "\n".join(lines)
+
+
+def _host_loop(gateway, what, platforms, duration_s) -> int:
+    """Announce a started gateway, then tick ``platforms()`` until ``duration_s`` or ^C.
+
+    The gateway threads only enqueue work; a tick runs each platform's queue,
+    then its simulation, on this thread under the router lock — a request
+    landing mid-dispatch must not race the single-threaded simulation state.
+    Stops the gateway on the way out; returns the number of jobs executed.
+    """
+    host, port = gateway.address
+    scheme = "tls" if gateway.tls_enabled else "plaintext"
+    print(f"serving {what} on {host}:{port} ({scheme}); ^C to stop")
+    deadline = None if duration_s is None else time.monotonic() + duration_s
+    served = 0
+    try:
+        while deadline is None or time.monotonic() < deadline:
+            with gateway.router_lock:
+                for platform in platforms():
+                    served += len(platform.run_queue())
+                    platform.context.run_for(1.0)
+            time.sleep(0.05)
+    except KeyboardInterrupt:  # pragma: no cover - interactive path
+        pass
+    finally:
+        gateway.stop()
+    return served
 
 
 def _cmd_serve(args) -> str:
@@ -1025,25 +1032,7 @@ def _cmd_serve(args) -> str:
         port=args.port,
         tls_cert_dir=args.cert_dir if args.tls else None,
     )
-    host, port = gateway.address
-    scheme = "tls" if gateway.tls_enabled else "plaintext"
-    print(f"serving Platform API gateway on {host}:{port} ({scheme}); ^C to stop")
-    deadline = None if args.duration_s is None else time.monotonic() + args.duration_s
-    served = 0
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            # Drive the simulation so remotely submitted jobs execute; the
-            # gateway threads only enqueue work.  The router lock keeps a
-            # request landing mid-dispatch from racing the single-threaded
-            # simulation state.
-            with gateway.router_lock:
-                served += len(platform.run_queue())
-                platform.context.run_for(1.0)
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        gateway.stop()
+    served = _host_loop(gateway, "Platform API gateway", lambda: (platform,), args.duration_s)
     return f"gateway stopped after executing {served} job(s)"
 
 
@@ -1102,29 +1091,12 @@ def _cmd_federate(args) -> str:
         router, host=args.host, port=args.port, tls_context=tls_context
     )
     gateway.start()
-    host, port = gateway.address
-    scheme = "tls" if gateway.tls_enabled else "plaintext"
-    print(
-        f"serving federated Platform API ({args.shards} shard(s)) on "
-        f"{host}:{port} ({scheme}); ^C to stop"
-    )
-    deadline = None if args.duration_s is None else time.monotonic() + args.duration_s
-    served = 0
-    try:
-        while deadline is None or time.monotonic() < deadline:
-            # Drive every attached shard's simulation under the gateway's
-            # exclusive lock — same discipline as single-server serve.
-            with gateway.router_lock:
-                for shard in router.shards:
-                    if shard.state is ShardState.DETACHED:
-                        continue
-                    served += len(shard.platform.run_queue())
-                    shard.platform.context.run_for(1.0)
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        gateway.stop()
+
+    def attached():  # asked every tick: shards attach and detach while serving
+        return [s.platform for s in router.shards if s.state is not ShardState.DETACHED]
+
+    what = f"federated Platform API ({args.shards} shard(s))"
+    served = _host_loop(gateway, what, attached, args.duration_s)
     return f"federation gateway stopped after executing {served} job(s)"
 
 

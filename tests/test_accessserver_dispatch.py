@@ -11,6 +11,7 @@ from repro.accessserver.dispatch import (
     SessionReservation,
 )
 from repro.accessserver.jobs import Job, JobConstraints, JobSpec, JobStatus
+from repro.accessserver.persistence import InMemoryBackend
 from repro.accessserver.policies import (
     DispatchStats,
     FairSharePolicy,
@@ -21,6 +22,7 @@ from repro.accessserver.policies import (
     policy_names,
 )
 from repro.accessserver.scheduler import JobScheduler
+from repro.chaos import check_device_hold_conservation
 from repro.core.platform import build_default_platform
 from repro.simulation.events import EventBus
 
@@ -415,6 +417,46 @@ class TestCancelAndRelease:
         assert [x.job.spec.name for x in assignments] == ["b"]
         assert late.status is JobStatus.QUEUED
 
+    @pytest.mark.parametrize(
+        "exit_by, cancelled",
+        [("release", False), ("release", True), ("requeue", False)],
+        ids=["release", "release-after-cancel", "requeue"],
+    )
+    def test_every_exit_gives_back_the_whole_family(self, exit_by, cancelled):
+        """The hold table: extra slots recorded when execution begins leave
+        with the primary one, whichever exit the execution takes."""
+        bus = EventBus()
+        engine = DispatchEngine(event_bus=bus)
+        for serial in ("dev0", "dev1", "dev2"):
+            engine.slots.register("node1", serial)
+        job = make_job(name="family")
+        engine.queue.push(job)
+        engine.assign(job, "node1", "dev0", now=0.0)
+        engine.begin_execution(job, (("node1", "dev1"), ("node1", "dev2")))
+        assert engine.slots.free_count == 0
+        if cancelled:
+            job.mark_cancelled()
+            engine.cancel(job)
+            # Still executing: the cancel gives nothing back.
+            assert engine.slots.free_count == 0 and engine.is_executing(job.job_id)
+        free_when_announced = []
+        bus.subscribe(
+            "dispatch.released",
+            lambda record: free_when_announced.append(engine.slots.free_count),
+        )
+        getattr(engine, exit_by)(job)
+        assert engine.slots.free_count == 3
+        assert not engine.is_executing(job.job_id)
+        assert engine.running_by_owner() == {}
+        # Announced once, for the primary slot, when the whole family is free.
+        assert free_when_announced == [3]
+        assert bus.events("dispatch.released")[0].payload["device_serial"] == "dev0"
+        assert (job in engine.queue) == (exit_by == "requeue")
+        # Every freed slot serves new work.
+        for index in range(3):
+            engine.queue.push(make_job(name=f"next{index}"))
+        assert len(engine.dispatch_batch(now=1.0)) == 3
+
     def test_fair_share_running_counts_follow_lifecycle(self, scheduler):
         engine = scheduler.engine
         job = scheduler.submit(make_job(owner="alice"), now=0.0)
@@ -721,6 +763,47 @@ class TestServerIntegration:
         assert job_box["job"].result is None  # cancelled jobs record no result
         assert rival.status is JobStatus.COMPLETED
         assert not server.scheduler.device_busy("node1", "node1-dev00")
+
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["running", "cancelled"])
+    def test_push_settle_gives_the_hold_back_bills_and_journals(self, platform, cancelled):
+        """Push settle's column of the exit matrix (agent report and lease
+        expiry are in ``test_agent_pull.py``)."""
+        server = platform.access_server
+        backend = InMemoryBackend()
+        server.enable_persistence(backend)
+        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        seen = {}
+
+        def hold_for_an_hour(ctx):
+            if cancelled:
+                server.scheduler.cancel(held.job_id)
+            platform.context.clock.advance(3600.0)  # one device-hour
+            seen["mid_payload"] = check_device_hold_conservation(server)
+            seen["busy"] = server.scheduler.device_busy("node1", ctx.device_serial)
+
+        held = server.submit_job(
+            platform.experimenter,
+            JobSpec(name="held", owner="experimenter", run=hold_for_an_hour, timeout_s=7200.0),
+        )
+        journaled = len(backend.read_journal())
+        assert server.run_pending_jobs() == [held]
+        # In flight, cancelled or not, the payload keeps its device.
+        assert seen["busy"] and seen["mid_payload"].ok, seen["mid_payload"].details
+        after = check_device_hold_conservation(server, drained=True)
+        assert after.ok, after.details
+        assert held.status is (JobStatus.CANCELLED if cancelled else JobStatus.COMPLETED)
+        assert [r["kind"] for r in backend.read_journal()[journaled:]] == (
+            ["job.assigned", "job.cancelled", "credit.txn"]
+            if cancelled
+            else ["job.assigned", "credit.txn", "job.finished"]
+        )
+        assert ledger.balance("experimenter") == pytest.approx(9.0)
+        follow_up = server.submit_job(
+            platform.experimenter,
+            JobSpec(name="next", owner="experimenter", run=lambda ctx: "ok"),
+        )
+        assert server.run_pending_jobs() == [follow_up]
+        assert follow_up.status is JobStatus.COMPLETED
 
     def test_auto_dispatch_wakes_at_reservation_end_without_poll(self, platform):
         server = platform.access_server

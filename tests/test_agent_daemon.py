@@ -24,6 +24,7 @@ from repro.agent import (
     connector_types,
     create_connector,
 )
+from repro.api.errors import TransportApiError
 from repro.core.platform import build_default_platform
 
 #: Executions of the counting payload, keyed by test-chosen label.  The
@@ -297,6 +298,50 @@ class TestDaemonHappyPath:
             if r["kind"] == "phase"
         ]
         assert ("cleanup", "ok") in phases
+
+
+class TestDaemonLoop:
+    def test_outage_mid_upload_is_healed_by_the_loop_itself(
+        self, platform, tmp_path, monkeypatch
+    ):
+        """A result stranded in the outbox by a disconnect is uploaded when
+        the gateway is back — by the running loop, not the next process
+        start — and the outbox is replayed then, not every cycle."""
+        client = platform.client()
+        job = client.submit_job("stranded", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+        report = daemon.client.agent_report
+        outage = [TransportApiError("gateway went away mid-upload")]
+
+        def flaky_report(*args, **kwargs):
+            if outage:
+                raise outage.pop()
+            return report(*args, **kwargs)
+
+        daemon.client.agent_report = flaky_report
+        replays = []
+        resume = daemon.resume
+        daemon.resume = lambda: replays.append(len(replays)) or resume()
+        pauses = []
+        monkeypatch.setattr("repro.agent.daemon.time.sleep", pauses.append)
+
+        loop = daemon.run_forever(poll_wait_s=0.0)
+        assert next(loop) == job.job_id
+        assert pauses == [1.0]  # one retry pause, then the replay uploaded it
+        kinds = [r["kind"] for r in daemon.outbox.records()]
+        assert kinds == ["claim", "phase", "phase", "phase", "result", "uploaded"]
+        assert client.job_status(job.job_id).status == "completed"
+        # Cycles without an outage do not touch the outbox again.
+        later = client.submit_job("later", "noop", execution="agent", connector="fake")
+        assert next(loop) == later.job_id
+        assert len(replays) == 2  # on entry, and after the outage
+        loop.close()
+
+    def test_once_and_duration_bound_the_loop(self, platform, tmp_path, monkeypatch):
+        daemon = start_daemon(platform, tmp_path)
+        monkeypatch.setattr("repro.agent.daemon.time.sleep", lambda s: None)
+        assert list(daemon.run_forever(poll_wait_s=0.0, once=True)) == []
+        assert list(daemon.run_forever(poll_wait_s=0.0, duration_s=0.0)) == []
 
 
 class TestCrashMatrix:

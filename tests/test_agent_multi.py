@@ -23,6 +23,7 @@ from repro.agent import (
 )
 from repro.analytics import AnalyticsEngine, report_json
 from repro.api.errors import ConflictApiError
+from repro.chaos import check_device_hold_conservation
 from repro.core.platform import build_default_platform
 
 
@@ -102,6 +103,34 @@ class TestMultiDeviceEndToEnd:
         # Three children, each running as the agent's account on behalf of
         # the parent job's owner — the inheritance rule.
         assert seen == [{"username": "experimenter", "owner": "alice"}] * 3
+
+    def test_family_cancelled_mid_run_is_held_until_the_daemon_reports(self, tmp_path):
+        platform = three_device_platform()
+        server = platform.access_server
+        client = platform.client()
+        job = submit_multi(client)
+        seen = {}
+
+        @register_connector("cancelled-multi")
+        class CancelledMidRun(MultiConnector):
+            def test(self, ctx):
+                client.cancel_job(job.job_id)
+                seen["free_mid_run"] = server.scheduler.engine.slots.free_count
+                seen["held"] = check_device_hold_conservation(server)
+                return super().test(ctx)
+
+        daemon = multi_daemon(platform, tmp_path, connector="cancelled-multi")
+        assert daemon.run_once() == job.job_id
+        # The cancel freed nothing while the agent was on the devices ...
+        assert seen["free_mid_run"] == 0
+        assert seen["held"].ok, seen["held"].details
+        # ... and the report gave all three back without resurrecting the job.
+        assert client.job_status(job.job_id).status == "cancelled"
+        after = check_device_hold_conservation(server, drained=True)
+        assert after.ok, after.details
+        assert server.events.events("job.finished") == []
+        again = submit_multi(client, name="next-fanout")
+        assert daemon.run_once() == again.job_id
 
     def test_competing_agent_is_locked_out_while_lease_held(self, tmp_path):
         platform = three_device_platform()

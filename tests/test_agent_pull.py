@@ -18,7 +18,7 @@ import pytest
 from repro.accessserver.agents import AgentError
 from repro.accessserver.auth import Role
 from repro.accessserver.jobs import JobStatus
-from repro.accessserver.persistence import serialize_job
+from repro.accessserver.persistence import InMemoryBackend, serialize_job
 from repro.api import BatteryLabClient, JsonLinesTransport
 from repro.api.errors import (
     ConflictApiError,
@@ -26,6 +26,7 @@ from repro.api.errors import (
     PermissionApiError,
     ValidationApiError,
 )
+from repro.chaos import check_device_hold_conservation
 from repro.core.platform import build_default_platform
 
 
@@ -452,6 +453,82 @@ class TestMultiDeviceClaims:
         assert [f.payload["device_serial"] for f in child_frames] == ["node1-dev00"]
         assert child_frames[0].payload["status"] == "completed"
         assert watch.final is not None and watch.final.status == "completed"
+
+
+class TestExitMatrix:
+    """{agent report, lease expiry} x {one device, a multi-device family} x
+    {still RUNNING, cancelled while held}: every way out of a leased
+    execution gives the whole hold back.  (Push settle's column lives in
+    ``test_accessserver_dispatch.py``.)"""
+
+    #: (exit, cancelled) -> (final status, journal records from the cancel
+    #: or exit on, device-hours billed for the hour the lease was held)
+    EXPECTED = {
+        ("report", False): ("completed", ["credit.txn", "job.finished"], 1.0),
+        ("report", True): ("cancelled", ["job.cancelled", "credit.txn"], 1.0),
+        ("expiry", False): ("queued", ["job.requeued"], 0.0),
+        ("expiry", True): ("cancelled", ["job.cancelled"], 0.0),
+    }
+
+    @pytest.mark.parametrize("cancelled", [False, True], ids=["running", "cancelled"])
+    @pytest.mark.parametrize("devices", [1, 3], ids=["single", "family"])
+    @pytest.mark.parametrize("exit_by", ["report", "expiry"])
+    def test_every_exit_gives_the_whole_hold_back(
+        self, platform, admin, client, exit_by, devices, cancelled
+    ):
+        server = platform.access_server
+        backend = InMemoryBackend()
+        server.enable_persistence(backend)
+        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        admin.register_vantage_point("node2", "Example University", device_count=2)
+        client.agent_register("fanout", connectors=["fake", "multi"])
+        job = submit_agent_job(
+            client, name="held", device_count=devices,
+            connector="multi" if devices > 1 else "fake",
+        )
+        lease = client.agent_claim("fanout", job.job_id, ttl_s=5400.0)
+        engine = server.scheduler.engine
+        assert len(engine.slots) - engine.slots.free_count == devices
+        balance = ledger.balance("experimenter")
+        journaled = len(backend.read_journal())
+        released = []
+        server.events.subscribe(
+            "dispatch.released",
+            lambda record: released.append(
+                (record.payload["device_serial"], engine.slots.free_count)
+            ),
+        )
+        platform.context.run_for(3600.0)
+        if cancelled:
+            client.cancel_job(job.job_id)
+        # Cancelled or not, the agent holds every device until its exit.
+        held = check_device_hold_conservation(server)
+        assert held.ok, held.details
+        assert engine.is_executing(job.job_id)
+        assert len(engine.slots) - engine.slots.free_count == devices
+
+        if exit_by == "report":
+            client.agent_report(lease.lease_id, "fanout", "completed", result=1)
+        else:
+            platform.context.run_for(1800.0)  # past the 5400 s TTL
+            assert server.expire_agent_leases() == 1
+
+        status, records, billed = self.EXPECTED[exit_by, cancelled]
+        assert client.job_status(job.job_id).status == status
+        after = check_device_hold_conservation(server, drained=True)
+        assert after.ok, after.details
+        assert not engine.is_executing(job.job_id)
+        # One dispatch.released, naming the primary slot, published once
+        # every slot of the family was free again.
+        assert released == [(lease.devices[0].device_serial, len(engine.slots))]
+        assert [r["kind"] for r in backend.read_journal()[journaled:]] == records
+        assert ledger.balance("experimenter") == pytest.approx(balance - billed)
+        # The freed devices take new work, pushed and pulled.
+        pushed = client.submit_job("after-push", "noop")
+        platform.run_queue()
+        assert client.job_status(pushed.job_id).status == "completed"
+        pulled = submit_agent_job(client, name="after-pull")
+        assert pulled.job_id in [o.job_id for o in client.agent_poll("fanout").offers]
 
 
 class TestAgentManagerUnit:

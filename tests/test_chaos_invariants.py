@@ -17,6 +17,7 @@ from repro.chaos.invariants import (
     InvariantViolation,
     check_analytics_live_equals_replay,
     check_credit_conservation,
+    check_device_hold_conservation,
     check_no_double_execution,
     check_no_lost_jobs,
     check_push_contract,
@@ -125,6 +126,43 @@ class TestCreditConservation:
         assert not check.ok
         assert "drift" in check.details
         assert check.data["drifting"][0][0] == account.owner
+
+
+class TestDeviceHoldConservation:
+    def claimed(self, platform, ttl_s=10.0):
+        client = platform.client()
+        job = client.submit_job("held", "noop", execution="agent", connector="fake")
+        client.agent_register("edge-1", connectors=["fake"])
+        return job, client.agent_claim("edge-1", job.job_id, ttl_s=ttl_s)
+
+    def test_a_live_lease_is_a_legitimate_hold_until_drained(self, platform):
+        server = platform.access_server
+        self.claimed(platform)
+        assert check_device_hold_conservation(server).ok
+        verdict = check_device_hold_conservation(server, drained=True)
+        assert not verdict.ok
+        assert "still held after drain: 1 busy slot(s)" in verdict.details
+
+    def test_a_cancelled_job_under_a_dead_lease_is_a_stranded_device(self, platform):
+        server = platform.access_server
+        job, _lease = self.claimed(platform)
+        platform.client().cancel_job(job.job_id)
+        assert check_device_hold_conservation(server).ok  # the agent may still report
+        platform.context.run_for(60.0)  # ... until its lease runs out unreaped
+        verdict = check_device_hold_conservation(server)
+        assert not verdict.ok
+        assert f"job {job.job_id} holds a device" in verdict.details
+        server.expire_agent_leases()
+        assert check_device_hold_conservation(server, drained=True).ok
+
+    def test_a_lease_whose_device_went_to_another_job_fails(self, platform):
+        server = platform.access_server
+        job, lease = self.claimed(platform)
+        # Given back behind the lease's back.
+        server.scheduler.release(server.scheduler.job(job.job_id))
+        verdict = check_device_hold_conservation(server)
+        assert not verdict.ok
+        assert f"{lease.lease_id} holds node1/node1-dev00" in verdict.details
 
 
 class TestAnalyticsLiveEqualsReplay:

@@ -71,6 +71,7 @@ class TestSoakRuns:
         assert names == [
             "no_lost_jobs",
             "no_double_execution",
+            "device_hold_conservation",
             "analytics_live_equals_replay",
             "recovery_byte_identical",
             "snapshot_equals_fresh_encode",
