@@ -4,6 +4,10 @@ Prints a markdown table (modules loaded, max RSS, import time), one fresh
 interpreter per row.  The table is the trend to read per PR; the gate is
 ``tests/test_import_boundaries.py``.
 
+A second table prices what the long-lived server keeps per retained job:
+heap (tracemalloc) and RSS growth over 12,000 in-process noop jobs, each in
+its own interpreter; its gate is ``tests/test_memory_footprint.py``.
+
     PYTHONPATH=src python benchmarks/footprint.py
 """
 
@@ -24,6 +28,50 @@ ms = (time.perf_counter() - started) * 1000.0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(f"| `{modules}` | {{len(sys.modules)}} | {{rss_mb:.1f}} | {{ms:.0f}} |")
 """
+RETAINED_JOBS = 12_000
+RETAINED_PROBE = """\
+import gc, sys, tempfile, tracemalloc
+from repro.core.platform import build_default_platform
+
+def submit(jobs):
+    for start in range(0, jobs, 20):
+        pipe = client.pipeline()
+        for index in range(start, start + 20):
+            pipe.submit_job(f"job-{{index}}", "noop")
+        pipe.flush()
+        if (start + 20) % 100 == 0:
+            platform.run_queue()
+    platform.run_queue()
+
+def rss_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * 4096
+
+with tempfile.TemporaryDirectory() as state_dir:
+    platform = build_default_platform(seed=7, browsers=("chrome",), state_dir=state_dir)
+    client = platform.client()
+    submit(20)
+    gc.collect()
+    if {trace}:
+        tracemalloc.start()
+        measure = lambda: tracemalloc.get_traced_memory()[0]
+    else:
+        measure = rss_bytes
+    before = measure()
+    submit({jobs})
+    gc.collect()
+    print(round((measure() - before) / {jobs}))
+"""
+
+
+def retained_job_bytes(trace: bool) -> int:
+    probe = subprocess.run(
+        [sys.executable, "-c", RETAINED_PROBE.format(trace=trace, jobs=RETAINED_JOBS)],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return int(probe.stdout)
 
 
 def main() -> None:
@@ -37,6 +85,13 @@ def main() -> None:
             text=True,
         )
         print(probe.stdout, end="")
+    print()
+    print("| per retained job | heap, tracemalloc (B) | RSS growth (B) |")
+    print("|---|---:|---:|")
+    print(
+        f"| {RETAINED_JOBS:,} in-process noop jobs "
+        f"| {retained_job_bytes(trace=True):,} | {retained_job_bytes(trace=False):,} |"
+    )
 
 
 if __name__ == "__main__":

@@ -218,6 +218,10 @@ class AgentManager:
                 self._settled.popitem(last=False)
         return lease
 
+    def settled_count(self) -> int:
+        """Settled lease ids currently remembered (≤ ``SETTLED_LEASE_MEMORY``)."""
+        return len(self._settled)
+
     def settled_job(self, lease_id: str) -> Optional[int]:
         """Job id a recently settled lease reported for, if remembered."""
         return self._settled.get(lease_id)

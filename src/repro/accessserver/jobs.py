@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 class JobError(RuntimeError):
@@ -29,7 +29,7 @@ class JobStatus(str, enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
+@dataclass(slots=True)
 class JobConstraints:
     """Experimenter and platform constraints considered at dispatch time.
 
@@ -64,7 +64,7 @@ class JobConstraints:
     connector: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class JobSpec:
     """Everything needed to run one experiment job.
 
@@ -91,30 +91,38 @@ class JobSpec:
     execution: str = "push"
 
 
-@dataclass
-class Workspace:
-    """Per-job artefact store (power-meter logs, ADB output, results)."""
+def _retention_lapsed(created_at: float, retention_days: float, now: float) -> bool:
+    return now > created_at + retention_days * 24 * 3600.0
 
-    artifacts: Dict[str, object] = field(default_factory=dict)
+
+@dataclass(slots=True)
+class Workspace:
+    """Per-job artefact store (power-meter logs, ADB output, results).
+
+    ``artifacts`` is ``None`` until the first :meth:`store`.
+    """
+
+    artifacts: Optional[Dict[str, object]] = None
     created_at: float = 0.0
     retention_days: float = 7.0
 
     def store(self, name: str, value: object) -> None:
         if not name:
             raise JobError("artifact name must be non-empty")
+        if self.artifacts is None:
+            self.artifacts = {}
         self.artifacts[name] = value
 
     def fetch(self, name: str) -> object:
-        try:
-            return self.artifacts[name]
-        except KeyError:
-            raise JobError(f"no artifact named {name!r} in the workspace") from None
+        if self.artifacts is None or name not in self.artifacts:
+            raise JobError(f"no artifact named {name!r} in the workspace")
+        return self.artifacts[name]
 
     def names(self) -> List[str]:
-        return sorted(self.artifacts)
+        return sorted(self.artifacts or ())
 
     def expired(self, now: float) -> bool:
-        return now > self.created_at + self.retention_days * 24 * 3600.0
+        return _retention_lapsed(self.created_at, self.retention_days, now)
 
 
 class _JobIdAllocator:
@@ -180,9 +188,16 @@ def shard_job_id_allocator(shard_index: int, shard_count: int) -> _JobIdAllocato
     return _JobIdAllocator(start=shard_index + 1, stride=shard_count)
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
-    """A job instance tracked by the scheduler."""
+    """A job instance tracked by the scheduler.
+
+    The server retains every job for days and most never log a line or
+    store an artefact, so ``log_lines`` and ``workspace`` are allocated on
+    first use — by :meth:`log` and by reading :attr:`workspace`.  Reading
+    ``log_lines``, :meth:`artifact_names` and :meth:`workspace_expired`
+    allocate nothing.
+    """
 
     spec: JobSpec
     job_id: int = field(default_factory=lambda: next(_job_ids))
@@ -194,11 +209,34 @@ class Job:
     assigned_device: Optional[str] = None
     result: object = None
     error: Optional[str] = None
-    log_lines: List[str] = field(default_factory=list)
-    workspace: Workspace = field(default_factory=Workspace)
+    _log_lines: Optional[List[str]] = field(default=None, repr=False)
+    _workspace: Optional[Workspace] = field(default=None, repr=False)
 
     def log(self, message: str) -> None:
-        self.log_lines.append(message)
+        if self._log_lines is None:
+            self._log_lines = []
+        self._log_lines.append(message)
+
+    @property
+    def log_lines(self) -> Sequence[str]:
+        return self._log_lines or ()
+
+    @property
+    def workspace(self) -> Workspace:
+        workspace = self._workspace
+        if workspace is None:
+            workspace = self._workspace = Workspace(
+                created_at=self.submitted_at,
+                retention_days=self.spec.log_retention_days,
+            )
+        return workspace
+
+    def artifact_names(self) -> List[str]:
+        return [] if self._workspace is None else self._workspace.names()
+
+    def workspace_expired(self, now: float) -> bool:
+        """Whether the retention window ("several days") has passed."""
+        return _retention_lapsed(self.submitted_at, self.spec.log_retention_days, now)
 
     @property
     def duration_s(self) -> Optional[float]:

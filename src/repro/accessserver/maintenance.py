@@ -97,9 +97,8 @@ def build_workspace_cleanup_job(server, owner: str = "admin") -> JobSpec:
     def run(ctx: JobContext) -> dict:
         purged = []
         for job in server.scheduler.jobs():
-            workspace = job.workspace
-            if workspace.artifacts and workspace.expired(ctx.now):
-                workspace.artifacts.clear()
+            if job.artifact_names() and job.workspace_expired(ctx.now):
+                job.workspace.artifacts.clear()
                 purged.append(job.job_id)
                 ctx.log(f"purged workspace of job {job.job_id}")
         return {"purged_jobs": purged, "count": len(purged)}

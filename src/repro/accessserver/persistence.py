@@ -313,10 +313,9 @@ def materialize_job(data: Dict[str, object]) -> Tuple[Job, bool]:
         assigned_device=None if was_in_flight else data.get("assigned_device"),
         result=data.get("result"),
         error=data.get("error"),
-        log_lines=list(data.get("log_lines", ())),
     )
-    job.workspace.created_at = job.submitted_at
-    job.workspace.retention_days = job.spec.log_retention_days
+    for line in data.get("log_lines", ()):
+        job.log(line)
     claim_job_id(job.job_id)
     return job, was_in_flight
 
@@ -575,7 +574,7 @@ def _retained_jobs(server: "AccessServer") -> Iterator[Job]:
     """
     now = server.context.now
     for job in server.scheduler.jobs():
-        if not (job.status in TERMINAL_STATUSES and job.workspace.expired(now)):
+        if not (job.status in TERMINAL_STATUSES and job.workspace_expired(now)):
             yield job
 
 
@@ -1170,6 +1169,10 @@ class PersistenceManager:
                 "or reused from when the job settled.",
                 labelnames=("source",),
             )
+            self._g_settled_cache = registry.gauge(
+                "persistence_settled_cache_entries",
+                "Settled jobs whose snapshot record is cached as text.",
+            ).labels()
             self._c_jobs_encoded = snapshot_jobs.labels(source="encoded")
             self._c_jobs_reused = snapshot_jobs.labels(source="reused")
             registry.add_collect_hook(self._collect_metrics)
@@ -1180,6 +1183,7 @@ class PersistenceManager:
         self._g_fsyncs.set(float(getattr(self._backend, "fsyncs", 0)))
         self._g_since_snapshot.set(float(self._records_since_snapshot))
         self._g_snapshot_bytes.set(float(getattr(self._backend, "snapshot_bytes", 0)))
+        self._g_settled_cache.set(float(len(self._settled)))
         if self._last_snapshot_at is not None:
             self._g_snapshot_age.set(self._server.context.now - self._last_snapshot_at)
         else:
@@ -1194,6 +1198,11 @@ class PersistenceManager:
     def sequence(self) -> int:
         """Sequence number of the last journaled record."""
         return self._sequence
+
+    @property
+    def settled_job_ids(self):
+        """Ids of the jobs whose snapshot record is cached as text."""
+        return self._settled.keys()
 
     @property
     def snapshots_written(self) -> int:

@@ -104,8 +104,6 @@ class JobScheduler:
     # -- queue management ---------------------------------------------------------------
     def submit(self, job: Job, now: float) -> Job:
         job.submitted_at = now
-        job.workspace.created_at = now
-        job.workspace.retention_days = job.spec.log_retention_days
         self._all_jobs[job.job_id] = job
         if job.status is JobStatus.QUEUED:
             self._engine.queue.push(job)
@@ -129,6 +127,10 @@ class JobScheduler:
             return self._all_jobs[job_id]
         except KeyError:
             raise SchedulingError(f"unknown job id {job_id}") from None
+
+    def job_count(self) -> int:
+        """Every job the scheduler retains, in any status."""
+        return len(self._all_jobs)
 
     def jobs(self, status: Optional[JobStatus] = None) -> List[Job]:
         jobs = sorted(self._all_jobs.values(), key=lambda job: job.job_id)

@@ -121,6 +121,10 @@ class AnalyticsEngine:
     def records_folded(self) -> int:
         return self._records_folded
 
+    def tracked_job_ids(self):
+        """Ids of the jobs the lifecycle fold holds a timeline for."""
+        return self._lifecycle.job_ids()
+
     @property
     def window(self) -> Dict[str, Optional[float]]:
         return {

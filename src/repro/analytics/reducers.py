@@ -66,7 +66,7 @@ def distribution_view(samples: List[float]) -> Dict[str, object]:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class _JobTimeline:
     """What the fold has seen of one job so far."""
 
@@ -237,6 +237,9 @@ class JobLifecycleReducer:
     }
 
     # -- views --------------------------------------------------------------
+    def job_ids(self):
+        return self._jobs.keys()
+
     def job_counts(self) -> Dict[str, int]:
         counts = {
             "submitted": len(self._jobs),

@@ -291,13 +291,10 @@ class _Subscription:
         # Sanitising the payload costs a json.dumps per value; at 1k+
         # subscribers the same record is delivered 1k+ times, so memoise
         # the wire-safe payload on the record itself (first deliverer pays).
-        payload = getattr(record, "_wire_payload", None)
+        payload = record.wire_payload
         if payload is None:
             payload = {key: _push_safe(value) for key, value in record.payload.items()}
-            try:
-                record._wire_payload = payload
-            except AttributeError:  # pragma: no cover - slotted/frozen record
-                pass
+            object.__setattr__(record, "wire_payload", payload)  # BusEvent is frozen
         self._send(self._frame(PUSH_FRAME_EVENT, record.topic, record.timestamp, payload))
         if self.closed or self.job_id is None:
             return

@@ -519,7 +519,7 @@ class JobResultsView(WireModel):
             result_repr=repr(job.result) if job.result is not None else None,
             error=job.error,
             log_lines=list(job.log_lines),
-            artifact_names=job.workspace.names(),
+            artifact_names=job.artifact_names(),
         )
 
 

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
         check_analytics_live_equals_replay,
         check_credit_conservation,
         check_device_hold_conservation,
+        check_history_bounded,
         check_no_double_execution,
         check_no_lost_jobs,
         check_push_contract,
@@ -68,6 +69,7 @@ __all__ = [
     "check_analytics_live_equals_replay",
     "check_credit_conservation",
     "check_device_hold_conservation",
+    "check_history_bounded",
     "check_no_double_execution",
     "check_no_lost_jobs",
     "check_push_contract",
@@ -105,6 +107,7 @@ __getattr__, __dir__ = lazy_exports(
             "check_analytics_live_equals_replay",
             "check_credit_conservation",
             "check_device_hold_conservation",
+            "check_history_bounded",
             "check_no_double_execution",
             "check_no_lost_jobs",
             "check_push_contract",

@@ -35,6 +35,11 @@ point-wise, restated as whole-run assertions a chaos soak can run after
 ``device_hold_conservation``
     Every busy device, executing mark and lease belongs to an execution
     that can still end and give it back; a drained run holds nothing.
+``history_bounded``
+    Every in-memory history is within its bound (simulation log, bus
+    history, trace store, settled-lease memory), every per-job cache holds
+    only jobs the scheduler retains (settled snapshot text, analytics
+    timelines), and a drained run leaves no parked poll and no lease.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "check_analytics_live_equals_replay",
     "check_push_contract",
     "check_device_hold_conservation",
+    "check_history_bounded",
 ]
 
 #: Statuses a drained run may leave a job in.
@@ -386,3 +392,48 @@ def check_device_hold_conservation(server, drained: bool = False) -> CheckResult
         problems.append(f"still held after drain: {summary}")
     details = "; ".join(problems[:5]) or f"{summary}; every hold has an execution that will end it"
     return CheckResult("device_hold_conservation", not problems, details)
+
+
+def check_history_bounded(server, routers=(), drained: bool = False) -> CheckResult:
+    """State that outlives a job is bounded, or is that job's own record.
+
+    ``routers`` are the :class:`~repro.api.router.ApiRouter` instances
+    serving ``server`` (their parked polls are counted); with ``drained``
+    no poll may be parked and no lease live.
+    """
+    from repro.accessserver.agents import SETTLED_LEASE_MEMORY
+    from repro.simulation.events import HISTORY_LIMIT
+
+    tracer = server.obs.tracer
+    sizes = {
+        "sim log": (server.context.log_retained, HISTORY_LIMIT),
+        "bus history": (server.events.retained, server.events.history_limit),
+        "trace store": (len(tracer.trace_ids()), tracer.max_traces),
+        "settled-lease memory": (server.agents.settled_count(), SETTLED_LEASE_MEMORY),
+    }
+    problems = [
+        f"{what} holds {size} record(s), bound {bound}"
+        for what, (size, bound) in sizes.items()
+        if size > bound
+    ]
+    retained = {job.job_id for job in server.scheduler.jobs()}
+    per_job = {}
+    if server.persistence is not None:
+        per_job["settled snapshot cache"] = server.persistence.settled_job_ids
+    if server.analytics is not None:
+        per_job["analytics timelines"] = server.analytics.tracked_job_ids()
+    for what, job_ids in per_job.items():
+        strays = sorted(set(job_ids) - retained)
+        if strays:
+            problems.append(
+                f"{what} keeps {len(strays)} job(s) the scheduler dropped (e.g. {strays[:5]})"
+            )
+    parked = sum(router.parked_polls() for router in routers)
+    leases = len(server.agents.leases())
+    if drained and (parked or leases):
+        problems.append(f"after drain: {parked} parked poll(s), {leases} live lease(s)")
+    details = "; ".join(problems[:5]) or (
+        ", ".join(f"{what} {size}/{bound}" for what, (size, bound) in sizes.items())
+        + f"; per-job caches within {len(retained)} retained job(s)"
+    )
+    return CheckResult("history_bounded", not problems, details)

@@ -55,6 +55,7 @@ from repro.chaos.invariants import (
     check_analytics_live_equals_replay,
     check_credit_conservation,
     check_device_hold_conservation,
+    check_history_bounded,
     check_no_double_execution,
     check_no_lost_jobs,
     check_recovery_byte_identical,
@@ -220,6 +221,7 @@ class SoakHarness:
         self.server = None
         self.backend: Optional[CrashingBackend] = None
         self.client = None
+        self.routers: List = []  # one per client of the current server
         self.daemons: List = []
         # Daemons needing an outbox replay before serving: resume() re-reads
         # the whole journal (O(run) late in a soak), so it only runs after a
@@ -278,6 +280,7 @@ class SoakHarness:
 
         self.platform = self._bare_platform()
         self.server = self.platform.access_server
+        self.routers = []
         self.backend = CrashingBackend(
             FileBackend(self.server_dir, fsync_every=self.config.fsync_every)
         )
@@ -321,8 +324,10 @@ class SoakHarness:
 
         username = self.platform.experimenter.username
         token = self.platform.account_tokens[username]
+        router = ApiRouter(self.server)
+        self.routers.append(router)
         transport = ChaosTransport(
-            InProcessTransport(ApiRouter(self.server)),
+            InProcessTransport(router),
             delay_sink=lambda s: self.platform.context.clock.advance(s),
         )
         return BatteryLabClient(transport, username, token)
@@ -668,6 +673,7 @@ class SoakHarness:
         report.add(check_no_lost_jobs([self.server], self.submitted.values()))
         report.add(check_no_double_execution(self.ledger))
         report.add(check_device_hold_conservation(self.server, drained=True))
+        report.add(check_history_bounded(self.server, self.routers, drained=True))
         report.add(check_analytics_live_equals_replay(self.server))
         report.add(
             check_recovery_byte_identical(self.backend, self._recovery_factory)

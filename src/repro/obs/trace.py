@@ -385,6 +385,10 @@ class Tracer:
         with self._lock:
             return list(self._traces.get(trace_id, ()))
 
+    @property
+    def max_traces(self) -> int:
+        return self._max_traces
+
     def trace_ids(self) -> List[str]:
         """Retained trace IDs, oldest first."""
         return list(self._traces)

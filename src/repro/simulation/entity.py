@@ -4,20 +4,22 @@ Every simulated component (device, power monitor, controller, access server,
 network link, ...) is an :class:`Entity` attached to one
 :class:`SimulationContext`.  The context bundles the event scheduler, the
 clock and the per-component random streams, and offers a tiny structured
-log that experiments and tests can assert on.
+log that experiments and tests can assert on — a window of the newest
+``HISTORY_LIMIT`` records, the event bus's retention contract.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.simulation.clock import SimClock
-from repro.simulation.events import EventScheduler
+from repro.simulation.events import HISTORY_LIMIT, EventScheduler
 from repro.simulation.random import RandomRegistry, SeededRandom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One structured log line emitted by a simulated component."""
 
@@ -41,7 +43,7 @@ class SimulationContext:
     def __init__(self, seed: int = 7, start_time: float = 0.0) -> None:
         self._scheduler = EventScheduler(SimClock(start_time))
         self._random = RandomRegistry(seed)
-        self._log: List[LogRecord] = []
+        self._log: Deque[LogRecord] = deque(maxlen=HISTORY_LIMIT)
         self._entities: Dict[str, "Entity"] = {}
 
     # -- time -----------------------------------------------------------------
@@ -88,11 +90,17 @@ class SimulationContext:
 
     # -- logging --------------------------------------------------------------
     def log(self, source: str, message: str, **data: object) -> LogRecord:
-        record = LogRecord(timestamp=self.now, source=source, message=message, data=dict(data))
+        record = LogRecord(timestamp=self.now, source=source, message=message, data=data)
         self._log.append(record)
         return record
 
+    @property
+    def log_retained(self) -> int:
+        """Number of records currently held for :meth:`log_records`."""
+        return len(self._log)
+
     def log_records(self, source: Optional[str] = None) -> List[LogRecord]:
+        """The newest ``HISTORY_LIMIT`` records, optionally of one source."""
         if source is None:
             return list(self._log)
         return [record for record in self._log if record.source == source]

@@ -24,6 +24,11 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.simulation.clock import SimClock
 
+#: Records each in-memory history of a simulation retains — the event bus's
+#: and the structured log's (:mod:`repro.simulation.entity`).  Both keep the
+#: newest and drop the oldest.
+HISTORY_LIMIT = 10_000
+
 
 @dataclass(order=True)
 class _QueueEntry:
@@ -152,7 +157,7 @@ class EventScheduler:
         return self._dispatched - dispatched_before
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BusEvent:
     """One structured record published on an :class:`EventBus`.
 
@@ -165,11 +170,17 @@ class BusEvent:
     payload:
         Topic-specific fields; values are kept primitive so records can be
         serialised or asserted on directly.
+    wire_payload:
+        Memo of the JSON-safe payload, filled by the first push subscriber
+        that delivers the record (``None`` until then; not part of equality).
     """
 
     timestamp: float
     topic: str
     payload: Dict[str, object] = field(default_factory=dict)
+    wire_payload: Optional[Dict[str, object]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 class EventBus:
@@ -185,7 +196,9 @@ class EventBus:
         are dropped first.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None, history_limit: int = 10_000) -> None:
+    def __init__(
+        self, clock: Optional[SimClock] = None, history_limit: int = HISTORY_LIMIT
+    ) -> None:
         self._clock = clock
         self._subscribers: Dict[Optional[str], List[Callable[[BusEvent], None]]] = {}
         self._history: Deque[BusEvent] = deque(maxlen=history_limit)
@@ -195,6 +208,15 @@ class EventBus:
     def published(self) -> int:
         """Number of records published over the bus's lifetime."""
         return self._published
+
+    @property
+    def history_limit(self) -> int:
+        return self._history.maxlen
+
+    @property
+    def retained(self) -> int:
+        """Number of records currently held for :meth:`events`."""
+        return len(self._history)
 
     def subscribe(self, topic: Optional[str], callback: Callable[[BusEvent], None]) -> None:
         """Register ``callback`` for ``topic`` (``None`` subscribes to every topic)."""

@@ -138,6 +138,24 @@ class TestInProcessEvents:
         # cancelling again reports false, not an error
         assert client.cancel_subscription(stream.subscription_id) is False
 
+    def test_two_subscriptions_sanitise_one_record_once(self, platform, client, monkeypatch):
+        from repro.api import router
+
+        sanitised = []
+        push_safe = router._push_safe
+        monkeypatch.setattr(
+            router, "_push_safe", lambda value: sanitised.append(value) or push_safe(value)
+        )
+        streams = [client.events(topic_prefix="test."), client.events(topic_prefix="test.")]
+        record = platform.access_server.events.publish("test.topic", plain=1, odd={1, 2})
+        assert sanitised == [1, {1, 2}]  # each value once, not once per stream
+        frames = [next(iter(stream)) for stream in streams]
+        assert frames[0].payload == frames[1].payload == {"plain": 1, "odd": "{1, 2}"}
+        assert record.wire_payload == frames[0].payload
+        assert record.payload == {"plain": 1, "odd": {1, 2}}  # the bus keeps the original
+        for stream in streams:
+            stream.close()
+
     def test_subscriptions_tracked_and_released(self, platform):
         router = ApiRouter(platform.access_server)
         from repro.api import InProcessTransport

@@ -8,6 +8,7 @@ the verdict flips with an actionable detail line.
 
 import pytest
 
+from repro.accessserver.agents import SETTLED_LEASE_MEMORY
 from repro.accessserver.persistence import FileBackend
 from repro.chaos.faults import ExecutionLedger
 from repro.chaos.injectors import CrashingBackend
@@ -18,6 +19,7 @@ from repro.chaos.invariants import (
     check_analytics_live_equals_replay,
     check_credit_conservation,
     check_device_hold_conservation,
+    check_history_bounded,
     check_no_double_execution,
     check_no_lost_jobs,
     check_push_contract,
@@ -163,6 +165,57 @@ class TestDeviceHoldConservation:
         verdict = check_device_hold_conservation(server)
         assert not verdict.ok
         assert f"{lease.lease_id} holds node1/node1-dev00" in verdict.details
+
+
+class TestHistoryBounded:
+    def test_a_healthy_platform_is_within_every_bound(self, tmp_path):
+        platform = build_default_platform(
+            seed=31, browsers=("chrome",), state_dir=str(tmp_path)
+        )
+        finished_job(platform)
+        platform.access_server.persistence.checkpoint()
+        verdict = check_history_bounded(platform.access_server, drained=True)
+        assert verdict.ok, verdict.details
+        assert "sim log" in verdict.details and "/10000" in verdict.details
+
+    def test_a_history_past_its_bound_fails(self, platform):
+        server = platform.access_server
+        agents = server.agents
+        for index in range(SETTLED_LEASE_MEMORY + 1):  # behind settle()'s trim
+            agents._settled[f"lease-{index}"] = index
+        verdict = check_history_bounded(server)
+        assert not verdict.ok
+        assert (
+            f"settled-lease memory holds {SETTLED_LEASE_MEMORY + 1} record(s), "
+            f"bound {SETTLED_LEASE_MEMORY}" in verdict.details
+        )
+
+    def test_a_per_job_cache_that_outlives_its_job_fails(self, platform):
+        server = platform.access_server
+        view = finished_job(platform)
+        assert check_history_bounded(server).ok
+        del server.scheduler._all_jobs[view.job_id]  # evicted; the fold kept it
+        verdict = check_history_bounded(server)
+        assert not verdict.ok
+        assert "analytics timelines keeps 1 job(s)" in verdict.details
+
+    def test_a_parked_poll_or_a_lease_fails_only_a_drained_run(self, platform):
+        server = platform.access_server
+        client = platform.client()
+        job = client.submit_job("held", "noop", execution="agent", connector="fake")
+        client.agent_register("edge-1", connectors=["fake"])
+        client.agent_claim("edge-1", job.job_id, ttl_s=10.0)
+        assert check_history_bounded(server).ok
+        verdict = check_history_bounded(server, drained=True)
+        assert not verdict.ok
+        assert "after drain: 0 parked poll(s), 1 live lease(s)" in verdict.details
+
+        class Router:  # what the check asks of an ApiRouter
+            def parked_polls(self):
+                return 2
+
+        verdict = check_history_bounded(server, [Router()], drained=True)
+        assert "after drain: 2 parked poll(s), 1 live lease(s)" in verdict.details
 
 
 class TestAnalyticsLiveEqualsReplay:

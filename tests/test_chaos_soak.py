@@ -72,6 +72,7 @@ class TestSoakRuns:
             "no_lost_jobs",
             "no_double_execution",
             "device_hold_conservation",
+            "history_bounded",
             "analytics_live_equals_replay",
             "recovery_byte_identical",
             "snapshot_equals_fresh_encode",
