@@ -16,7 +16,14 @@ Measures the server-side cost of the agent-pull execution plane:
   while 8 agents — twice the gateway's workers — sit parked
   (``submit_ms_p50_8_parked``).  Before polls were parked as requests
   these were 25–50 ms (the 50 ms re-check) and ~1.7 s (every worker held
-  by a poll); the script holds both under 10 ms.
+  by a poll); the script holds both under 10 ms;
+* **the outbox at rest** — what 10,000 settled jobs leave in one daemon's
+  outbox file (``outbox_bytes_after_10k_jobs``) and what a ``resume()``
+  then costs with nothing pending (``resume_ms_after_10k_settled``).
+  Before compaction and the in-memory fold these were ~7.5 MB and ~560 ms
+  (the whole file parsed twice); the script holds them to one compaction
+  bound plus a lease, and 5 ms.  ``os.fsync`` is stubbed for this row: it
+  prices bytes and the resume, and 60,000 real fsyncs would price the disk.
 
 Results land in ``BENCH_agent_pull.json`` at the repository root; CI
 trend-gates the wall-clock rates (50% bands, like the other requests/s
@@ -30,12 +37,17 @@ pytest-benchmark via
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List
+from unittest import mock
 
+from repro.agent import CONNECTOR_PHASES, AgentDaemon
+from repro.agent.outbox import COMPACT_BYTES
 from repro.api import BatteryLabClient, JsonLinesTransport, TransportApiError
 from repro.core.platform import build_default_platform
 
@@ -47,6 +59,7 @@ MULTI_CLAIMS = 50
 MULTI_DEVICE_COUNT = 4
 PARKED_ROUNDS = 50
 PARKED_AGENTS = 8
+OUTBOX_JOBS = 10_000
 
 #: Absolute sanity floors — an in-process agent plane slower than this is
 #: a code regression, not hardware variance.
@@ -57,6 +70,12 @@ MIN_MULTI_CLAIMS_PER_S = 25.0
 #: a re-check and two socket writes, the submit must not queue behind a poll.
 MAX_PARKED_WAKE_MS = 10.0
 MAX_SUBMIT_MS_8_PARKED = 10.0
+
+#: Absolute ceilings on the outbox rows (also CI's gate): the file is under
+#: the compaction bound unless the last job just crossed it (one lease's
+#: records, < 1 KiB), and a resume with nothing pending reads no file.
+MAX_OUTBOX_BYTES_AFTER_10K = COMPACT_BYTES + 1024
+MAX_RESUME_MS_AFTER_10K = 5.0
 
 
 def _platform_with_devices(device_count: int):
@@ -214,6 +233,45 @@ def _bench_submit_with_parked_agents() -> Dict[str, object]:
     }
 
 
+def _bench_outbox_at_rest() -> Dict[str, object]:
+    """The six records of a noop job, as the daemon journals them, 10,000
+    times over; then ``resume()`` on the same long-lived daemon."""
+    with tempfile.TemporaryDirectory(prefix="bench-outbox-") as root:
+        # Nothing pending: the resume never reaches for its client.
+        daemon = AgentDaemon(None, "bench-outbox", os.path.join(root, "outbox.jsonl"))
+        outbox = daemon.outbox
+        with mock.patch.object(os, "fsync", lambda fd: None):
+            for index in range(OUTBOX_JOBS):
+                lease_id = f"lease-{index}"
+                outbox.append(
+                    "claim", lease_id=lease_id, agent_id=daemon.agent_id, job_id=index,
+                    job_name=f"pull-{index}", owner="experimenter", payload="noop",
+                    devices=[["bench-node", "bench-node-dev00"]],
+                )
+                for phase in CONNECTOR_PHASES:
+                    outbox.append(
+                        "phase", lease_id=lease_id, phase=phase, status="ok", output=""
+                    )
+                outbox.append(
+                    "result", lease_id=lease_id, status="completed", result=None,
+                    error=None, children=[],
+                )
+                outbox.append("uploaded", lease_id=lease_id, duplicate=False)
+        file_bytes = os.path.getsize(outbox.path)
+        resumes_ms = []
+        for _ in range(5):
+            started = time.perf_counter()
+            assert daemon.resume() == []
+            resumes_ms.append((time.perf_counter() - started) * 1000.0)
+        outbox.close()
+    return {
+        "outbox_jobs": OUTBOX_JOBS,
+        "outbox_bytes_after_10k_jobs": file_bytes,
+        "outbox_compactions": outbox.compactions,
+        "resume_ms_after_10k_settled": round(statistics.median(resumes_ms), 3),
+    }
+
+
 def run_agent_pull_benchmark() -> Dict[str, object]:
     rows: List[Dict[str, object]] = [
         _bench_roundtrips(1),
@@ -221,6 +279,7 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
         _bench_multi_claims(),
         _bench_parked_wake(),
         _bench_submit_with_parked_agents(),
+        _bench_outbox_at_rest(),
     ]
     result: Dict[str, object] = {"benchmark": "agent_pull", "rows": rows}
     result["roundtrips_per_s_1agent"] = rows[0]["roundtrips_per_s"]
@@ -228,6 +287,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["multi_claims_per_s"] = rows[2]["multi_claims_per_s"]
     result["parked_wake_ms_p50"] = rows[3]["parked_wake_ms_p50"]
     result["submit_ms_p50_8_parked"] = rows[4]["submit_ms_p50_8_parked"]
+    result["outbox_bytes_after_10k_jobs"] = rows[5]["outbox_bytes_after_10k_jobs"]
+    result["resume_ms_after_10k_settled"] = rows[5]["resume_ms_after_10k_settled"]
     # Normalized shape check: 8 registered agents must not make each
     # round-trip meaningfully slower than a lone agent's (the offer scan
     # and lease maps are per-job, not per-agent).
@@ -238,6 +299,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["min_multi_claims_per_s"] = MIN_MULTI_CLAIMS_PER_S
     result["max_parked_wake_ms"] = MAX_PARKED_WAKE_MS
     result["max_submit_ms_8_parked"] = MAX_SUBMIT_MS_8_PARKED
+    result["max_outbox_bytes_after_10k_jobs"] = MAX_OUTBOX_BYTES_AFTER_10K
+    result["max_resume_ms_after_10k_settled"] = MAX_RESUME_MS_AFTER_10K
     return result
 
 
@@ -260,9 +323,11 @@ def _enforce_floors(result: Dict[str, object]) -> None:
     for metric, ceiling in (
         ("parked_wake_ms_p50", MAX_PARKED_WAKE_MS),
         ("submit_ms_p50_8_parked", MAX_SUBMIT_MS_8_PARKED),
+        ("outbox_bytes_after_10k_jobs", MAX_OUTBOX_BYTES_AFTER_10K),
+        ("resume_ms_after_10k_settled", MAX_RESUME_MS_AFTER_10K),
     ):
         if result[metric] > ceiling:
-            raise SystemExit(f"{metric} is {result[metric]} ms; ceiling is {ceiling}")
+            raise SystemExit(f"{metric} is {result[metric]}; ceiling is {ceiling}")
 
 
 def test_agent_pull(benchmark):
@@ -276,6 +341,8 @@ def test_agent_pull(benchmark):
     assert result["multi_claims_per_s"] >= MIN_MULTI_CLAIMS_PER_S
     assert result["parked_wake_ms_p50"] <= MAX_PARKED_WAKE_MS
     assert result["submit_ms_p50_8_parked"] <= MAX_SUBMIT_MS_8_PARKED
+    assert result["outbox_bytes_after_10k_jobs"] <= MAX_OUTBOX_BYTES_AFTER_10K
+    assert result["resume_ms_after_10k_settled"] <= MAX_RESUME_MS_AFTER_10K
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro._atomicfile import replace_file
 from repro.accessserver.credits import CreditTransaction, TransactionKind
 from repro.accessserver.dispatch import SessionReservation
 from repro.accessserver.jobs import (
@@ -521,20 +522,12 @@ class FileBackend(StorageBackend):
         open(self._journal_path, "w", encoding="utf-8").close()
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        with open(self._snapshot_tmp_path, "w", encoding="utf-8") as handle:
-            handle.writelines(encode_snapshot(snapshot))
-            handle.flush()
-            self.snapshot_bytes = os.fstat(handle.fileno()).st_size
-            os.fsync(handle.fileno())
-        os.replace(self._snapshot_tmp_path, self._snapshot_path)
-        # The rename lives in the directory, not the file: without this a
-        # power loss could keep the journal truncation that follows a
-        # checkpoint and lose the snapshot it was folded into.
-        dir_fd = os.open(self._dir, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        # Durable through the directory fsync before this returns: the
+        # journal truncation that follows a checkpoint must not outlive the
+        # snapshot it was folded into.
+        self.snapshot_bytes = replace_file(
+            self._snapshot_path, encode_snapshot(snapshot), self._snapshot_tmp_path
+        )
 
     def read_snapshot(self) -> Optional[Dict[str, object]]:
         if not self._snapshot_path.exists():

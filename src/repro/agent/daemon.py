@@ -145,11 +145,11 @@ class AgentDaemon:
 
         ``once`` stops after one cycle and ``duration_s`` after the first
         cycle that ends past it (``None``: serve until interrupted); a
-        gateway outage is retried but outlasts neither.  The outbox is
-        replayed (:meth:`resume`) on entry and after an outage — a result
-        whose upload the disconnect cut short is waiting there — never per
-        cycle: a replay re-reads the whole outbox file.  Call
-        :meth:`register` first.
+        gateway outage is retried but outlasts neither.  Pending leases are
+        finished (:meth:`resume`) on entry and after an outage — a result
+        whose upload the disconnect cut short is waiting there — not per
+        cycle: nothing else can leave one pending.  A resume reads no file;
+        the outbox keeps its fold in memory.  Call :meth:`register` first.
         """
         deadline = None if duration_s is None else time.monotonic() + duration_s
         replay = True

@@ -8,9 +8,14 @@ discharge aggregation, and plain-text table rendering for EXPERIMENTS.md
 and the benchmark output.
 """
 
-from repro.analysis.cdf import EmpiricalCdf, empirical_cdf
-from repro.analysis.stats import SeriesSummary, summarize
-from repro.analysis.tables import format_table, rows_to_markdown
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.cdf import EmpiricalCdf, empirical_cdf
+    from repro.analysis.stats import SeriesSummary, summarize
+    from repro.analysis.tables import format_table, rows_to_markdown
 
 __all__ = [
     "EmpiricalCdf",
@@ -20,3 +25,14 @@ __all__ = [
     "format_table",
     "rows_to_markdown",
 ]
+
+# ``cdf`` and ``stats`` load numpy; ``tables`` — all that ``repro report
+# --gateway`` needs to print one — is plain string formatting.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cdf": ("EmpiricalCdf", "empirical_cdf"),
+        "stats": ("SeriesSummary", "summarize"),
+        "tables": ("format_table", "rows_to_markdown"),
+    },
+)

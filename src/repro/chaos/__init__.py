@@ -36,6 +36,7 @@ if TYPE_CHECKING:
         check_credit_conservation,
         check_device_hold_conservation,
         check_history_bounded,
+        check_outbox_bounded,
         check_no_double_execution,
         check_no_lost_jobs,
         check_push_contract,
@@ -70,6 +71,7 @@ __all__ = [
     "check_credit_conservation",
     "check_device_hold_conservation",
     "check_history_bounded",
+    "check_outbox_bounded",
     "check_no_double_execution",
     "check_no_lost_jobs",
     "check_push_contract",
@@ -108,6 +110,7 @@ __getattr__, __dir__ = lazy_exports(
             "check_credit_conservation",
             "check_device_hold_conservation",
             "check_history_bounded",
+            "check_outbox_bounded",
             "check_no_double_execution",
             "check_no_lost_jobs",
             "check_push_contract",

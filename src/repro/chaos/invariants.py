@@ -40,12 +40,18 @@ point-wise, restated as whole-run assertions a chaos soak can run after
     history, trace store, settled-lease memory), every per-job cache holds
     only jobs the scheduler retains (settled snapshot text, analytics
     timelines), and a drained run leaves no parked poll and no lease.
+``outbox_bounded``
+    Every agent outbox costs what is live: the file is within the
+    compaction bound plus its pending leases, the daemon's in-memory fold
+    equals a fresh replay of the file, no compaction left a temporary file
+    behind, and a drained run leaves no lease pending.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -63,6 +69,7 @@ __all__ = [
     "check_push_contract",
     "check_device_hold_conservation",
     "check_history_bounded",
+    "check_outbox_bounded",
 ]
 
 #: Statuses a drained run may leave a job in.
@@ -437,3 +444,55 @@ def check_history_bounded(server, routers=(), drained: bool = False) -> CheckRes
         + f"; per-job caches within {len(retained)} retained job(s)"
     )
     return CheckResult("history_bounded", not problems, details)
+
+
+def check_outbox_bounded(outboxes, drained: bool = False) -> CheckResult:
+    """Each :class:`~repro.agent.outbox.Outbox` holds what is live, no more.
+
+    The file may reach the compaction bound, plus the records of its
+    pending leases (compaction keeps those), plus one lease's worth (the
+    settling record that crosses the bound is written before the file is
+    replaced).  With ``drained`` no lease may be pending.
+    """
+    from repro.agent.outbox import COMPACT_BYTES, fold_records
+
+    def lease_bytes(state) -> int:
+        records = (state["claim"], *state["phases"], state["result"])
+        return sum(
+            len(json.dumps(record, sort_keys=True)) + 1
+            for record in records
+            if record is not None
+        )
+
+    problems: List[str] = []
+    sizes: List[int] = []
+    for outbox in outboxes:
+        name = os.path.basename(outbox.path)
+        size = os.path.getsize(outbox.path)
+        sizes.append(size)
+        replayed = fold_records(outbox.records())
+        pending = outbox.pending()
+        if outbox.lease_states() != replayed:
+            problems.append(f"{name}: in-memory fold differs from a replay of the file")
+        if outbox.size_bytes != size or outbox.pending_count != len(pending):
+            problems.append(
+                f"{name}: gauges read {outbox.size_bytes} B / {outbox.pending_count} "
+                f"pending, the file is {size} B / {len(pending)} pending"
+            )
+        per_lease = {lease_id: lease_bytes(state) for lease_id, state in replayed.items()}
+        bound = (
+            COMPACT_BYTES
+            + sum(per_lease[lease_id] for lease_id in pending)
+            + max(per_lease.values(), default=0)
+        )
+        if size > bound:
+            problems.append(f"{name}: file is {size} B, bound {bound} B")
+        if os.path.exists(f"{outbox.path}.tmp"):
+            problems.append(f"{name}: a compaction left {name}.tmp behind")
+        if drained and pending:
+            problems.append(f"{name}: after drain: {len(pending)} pending lease(s)")
+    details = "; ".join(problems[:5]) or (
+        f"{len(sizes)} outbox(es), largest {max(sizes, default=0)} B of "
+        f"{COMPACT_BYTES} B + pending; folds equal their files"
+    )
+    return CheckResult("outbox_bounded", not problems, details)

@@ -18,7 +18,8 @@ Fault kinds
 ``partition.start``   drop requests on a named transport/router link
 ``partition.heal``    heal that link
 ``crash.server``      kill -9 the access server at journal append ``at_append``
-``crash.agent``       kill -9 an agent daemon at outbox append ``at_append``
+``crash.agent``       kill -9 an agent daemon at outbox write ``at_append`` (an
+                      append, or the compaction one triggered)
 
 Two authoring styles produce the same :class:`Scenario`:
 

@@ -58,6 +58,7 @@ from repro.chaos.invariants import (
     check_history_bounded,
     check_no_double_execution,
     check_no_lost_jobs,
+    check_outbox_bounded,
     check_recovery_byte_identical,
     check_snapshot_equals_fresh_encode,
 )
@@ -223,9 +224,8 @@ class SoakHarness:
         self.client = None
         self.routers: List = []  # one per client of the current server
         self.daemons: List = []
-        # Daemons needing an outbox replay before serving: resume() re-reads
-        # the whole journal (O(run) late in a soak), so it only runs after a
-        # restart or a transport error, never in the steady-state loop.
+        # Daemons with a lease possibly left pending: resume() runs after a
+        # restart or a transport error, the only things that can leave one.
         self._needs_resume: Set[str] = set()
         self._build(recover=False)
         self.start_now = self.platform.context.now
@@ -306,6 +306,8 @@ class SoakHarness:
         register_payload(PAYLOAD_NAME, self._payload)
 
         self.client = self._make_client()
+        for daemon in self.daemons:
+            daemon.outbox.close()  # a rebuilt daemon reopens the same file
         self.daemons = [
             self._make_daemon(index) for index in range(self.config.agents)
         ]
@@ -520,6 +522,7 @@ class SoakHarness:
         self._dropped_before_restart += self.daemons[
             index
         ].client.transport.dropped_requests
+        self.daemons[index].outbox.close()  # kill -9 closes its descriptors
         self.daemons[index] = self._make_daemon(index)
         if "agents" in self.partitioned_links or "all" in self.partitioned_links:
             self.daemons[index].client.transport.partition()
@@ -674,6 +677,10 @@ class SoakHarness:
         report.add(check_no_double_execution(self.ledger))
         report.add(check_device_hold_conservation(self.server, drained=True))
         report.add(check_history_bounded(self.server, self.routers, drained=True))
+        if self.daemons:
+            report.add(
+                check_outbox_bounded([d.outbox for d in self.daemons], drained=True)
+            )
         report.add(check_analytics_live_equals_replay(self.server))
         report.add(
             check_recovery_byte_identical(self.backend, self._recovery_factory)

@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def format_table(rows, title: str) -> str:
-    # repro.analysis loads numpy; only a command that prints a table pays.
+    # Imported on use: most commands print no table.
     from repro.analysis.tables import format_table as render
 
     return render(rows, title=title)
@@ -931,9 +931,10 @@ def _cmd_metrics(args) -> str:
 
 
 def _cmd_agent(args) -> str:
+    import contextlib
     import socket
 
-    from repro.agent import AgentDaemon
+    from repro.agent import AgentDaemon, Outbox
 
     tags = {}
     for item in args.tags or ():
@@ -942,7 +943,13 @@ def _cmd_agent(args) -> str:
             raise SystemExit("--tags expects KEY=VALUE")
         tags[key] = value
     agent_id = args.agent_id or f"agent-{socket.gethostname()}"
-    outbox = args.outbox or f"{agent_id}-outbox.jsonl"
+    path = args.outbox or f"{agent_id}-outbox.jsonl"
+    try:
+        # Before anything is sent: a job claimed against an outbox that
+        # cannot record it would sit leased to nobody until its TTL lapsed.
+        outbox = Outbox(path)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot open outbox {path}: {exc}")
     client = _remote_or_local_client(args)
     daemon = AgentDaemon(
         client,
@@ -955,11 +962,11 @@ def _cmd_agent(args) -> str:
     )
     lines = []
     completed = []
-    with client:
+    with contextlib.closing(outbox), client:
         view = daemon.register()
         lines.append(
             f"agent {view.agent_id} registered "
-            f"(connectors: {', '.join(view.connectors)}; outbox: {outbox})"
+            f"(connectors: {', '.join(view.connectors)}; outbox: {path})"
         )
         try:
             for job_id in daemon.run_forever(
@@ -970,6 +977,10 @@ def _cmd_agent(args) -> str:
             lines.append("interrupted; draining")
     lines.append(
         f"settled jobs: {completed}" if completed else "no jobs settled"
+    )
+    lines.append(
+        f"outbox: {outbox.size_bytes} bytes, {outbox.pending_count} pending "
+        f"lease(s), {outbox.compactions} compaction(s)"
     )
     return "\n".join(lines)
 

@@ -7,7 +7,13 @@ job is neither lost nor double-executed and that its result uploads exactly
 once — the agent-pull subsystem's core durability claim.
 """
 
+import builtins
+import json
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accessserver.persistence import register_payload
 from repro.agent import (
@@ -24,6 +30,8 @@ from repro.agent import (
     connector_types,
     create_connector,
 )
+from repro.agent import outbox as outbox_module
+from repro.agent.outbox import COMPACT_BYTES, fold_records
 from repro.api.errors import TransportApiError
 from repro.core.platform import build_default_platform
 
@@ -474,3 +482,312 @@ class TestCrashMatrix:
         # counter did not advance and the upload carried result 1.
         assert _RUNS["count-me"] == 1
         assert platform.client().job_results(job.job_id).result == 1
+
+
+def settled_lease_lines(index):
+    """One noop job's six records, as the outbox writes them."""
+    lease_id = f"settled-{index}"
+    records = [
+        {"kind": "claim", "lease_id": lease_id, "agent_id": "edge-1", "job_id": index,
+         "job_name": f"job-{index}", "owner": "experimenter", "payload": "noop",
+         "devices": [["node1", "node1-dev00"]]},
+        *(
+            {"kind": "phase", "lease_id": lease_id, "phase": phase, "status": "ok",
+             "output": ""}
+            for phase in CONNECTOR_PHASES
+        ),
+        {"kind": "result", "lease_id": lease_id, "status": "completed",
+         "result": None, "error": None, "children": []},
+        {"kind": "uploaded", "lease_id": lease_id, "duplicate": False},
+    ]
+    return [json.dumps(record, sort_keys=True) + "\n" for record in records]
+
+
+class TestOutboxCompaction:
+    """The file costs what is live: bounded, replayed once, fold in memory."""
+
+    def settle(self, outbox, index):
+        for line in settled_lease_lines(index):
+            record = json.loads(line)
+            outbox.append(record.pop("kind"), **record)
+
+    def test_a_settling_record_at_the_bound_leaves_only_pending_leases(
+        self, tmp_path, monkeypatch
+    ):
+        outbox = Outbox(str(tmp_path / "o.jsonl"))
+        outbox.append("claim", lease_id="lease-held", job_id=99)
+        outbox.append("phase", lease_id="lease-held", phase="provision", status="ok")
+        self.settle(outbox, 1)
+        held = outbox.lease_states()["lease-held"]
+        assert outbox.compactions == 0 and len(outbox.lease_states()) == 2
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", outbox.size_bytes)
+        self.settle(outbox, 2)
+        assert outbox.compactions == 1
+        assert [r["kind"] for r in outbox.records()] == ["claim", "phase"]
+        assert outbox.lease_states() == {"lease-held": held}
+        assert outbox.lease_states() == fold_records(outbox.records())
+        assert outbox.pending() == ["lease-held"] and outbox.pending_count == 1
+        assert outbox.size_bytes == os.path.getsize(outbox.path)
+        # The reopened handle appends to the new file, not the unlinked one.
+        outbox.append("phase", lease_id="lease-held", phase="test", status="ok")
+        assert len(Outbox(outbox.path).lease_states()["lease-held"]["phases"]) == 2
+
+    def test_only_a_settling_record_compacts(self, tmp_path, monkeypatch):
+        outbox = Outbox(str(tmp_path / "o.jsonl"))
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        outbox.append("claim", lease_id="lease-1", job_id=1)
+        outbox.append("result", lease_id="lease-1", status="completed")
+        assert outbox.compactions == 0
+        outbox.append("discarded", lease_id="lease-1", reason="expired")
+        assert outbox.compactions == 1 and outbox.size_bytes == 0
+        assert outbox.records() == [] and outbox.lease_states() == {}
+
+    def test_a_file_written_by_the_parent_shrinks_on_first_use(
+        self, platform, tmp_path
+    ):
+        """10,000 settled leases and one pending: opens, resumes the pending
+        one and is under the bound afterwards."""
+        _RUNS.pop("count-me", None)
+        client = platform.client()
+        job = client.submit_job("held", "count-me", execution="agent", connector="fake")
+        crashing = Outbox(str(tmp_path / "pending.jsonl"))
+        crashing.plan_crash(4, mode="after")  # result durable, never uploaded
+        daemon = AgentDaemon(platform.client(), "edge-1", crashing)
+        daemon.register()
+        with pytest.raises(SimulatedCrash):
+            daemon.run_once()
+        path = tmp_path / "edge-1.jsonl"
+        with open(path, "w", encoding="utf-8") as handle:
+            for index in range(5_000):
+                handle.writelines(settled_lease_lines(index))
+            handle.write((tmp_path / "pending.jsonl").read_text(encoding="utf-8"))
+            for index in range(5_000, 10_000):
+                handle.writelines(settled_lease_lines(index))
+        assert path.stat().st_size > 50 * COMPACT_BYTES
+        fresh = start_daemon(platform, tmp_path)
+        assert fresh.outbox.compactions == 1 and fresh.outbox.writes == 0
+        assert path.stat().st_size < COMPACT_BYTES
+        assert fresh.outbox.pending() == crashing.pending()
+        assert fresh.outbox.lease_states() == fold_records(crashing.records())
+        assert fresh.resume() == [job.job_id]
+        assert _RUNS["count-me"] == 1
+        assert fresh.outbox.pending() == []
+        assert path.stat().st_size < COMPACT_BYTES
+
+    def test_a_compacted_file_reads_like_any_other(self, tmp_path, monkeypatch):
+        """Format unchanged: the parent's reader is ``records()`` + the fold."""
+        outbox = Outbox(str(tmp_path / "o.jsonl"))
+        outbox.append("claim", lease_id="lease-held", job_id=99, devices=[("a", "b")])
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        self.settle(outbox, 1)
+        text = (tmp_path / "o.jsonl").read_text(encoding="utf-8")
+        assert text == json.dumps(
+            {"kind": "claim", "lease_id": "lease-held", "job_id": 99,
+             "devices": [["a", "b"]]},
+            sort_keys=True,
+        ) + "\n"
+
+    def test_a_stale_tmp_is_unlinked_at_open(self, tmp_path):
+        path = tmp_path / "o.jsonl"
+        (tmp_path / "o.jsonl.tmp").write_text("half a compaction", encoding="utf-8")
+        Outbox(str(path))
+        assert os.listdir(tmp_path) == ["o.jsonl"]
+
+    def test_plan_crash_offsets_keep_their_meaning(self, tmp_path, monkeypatch):
+        """``writes`` counts on through a compaction and a reopened handle;
+        a compaction at open counts nothing."""
+        outbox = Outbox(str(tmp_path / "o.jsonl"))
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        self.settle(outbox, 1)
+        assert outbox.compactions == 1
+        assert outbox.writes == 7  # six appends and the compaction they caused
+        outbox.plan_crash(outbox.writes + 2, mode="before")
+        outbox.append("claim", lease_id="lease-2", job_id=2)
+        outbox.append("phase", lease_id="lease-2", phase="provision", status="ok")
+        with pytest.raises(SimulatedCrash):
+            outbox.append("phase", lease_id="lease-2", phase="test", status="ok")
+        fresh = Outbox(outbox.path)  # over the bound: compacts, lease-2 is kept
+        assert fresh.compactions == 1 and fresh.writes == 0
+        assert len(fresh.lease_states()["lease-2"]["phases"]) == 1
+
+    def test_resume_reads_no_file_once_constructed(
+        self, platform, tmp_path, monkeypatch
+    ):
+        client = platform.client()
+        job = client.submit_job("stranded", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+        report = daemon.client.agent_report
+        outage = [TransportApiError("gateway went away mid-upload")]
+
+        def flaky_report(*args, **kwargs):
+            if outage:
+                raise outage.pop()
+            return report(*args, **kwargs)
+
+        daemon.client.agent_report = flaky_report
+        with pytest.raises(TransportApiError):
+            daemon.run_once()
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert daemon.outbox.pending_count == 1
+        assert daemon.resume() == [job.job_id]  # uploads, appends `uploaded`
+        assert daemon.resume() == []
+        assert opened == []
+
+    def test_an_unwritable_outbox_is_found_before_any_claim(self, platform, tmp_path):
+        client = platform.client()
+        job = client.submit_job("safe", "noop", execution="agent", connector="fake")
+        with pytest.raises(OSError):
+            AgentDaemon(platform.client(), "edge-1", tmp_path / "no-such-dir" / "o.jsonl")
+        read_only = tmp_path / "read-only"
+        read_only.mkdir()
+        read_only.chmod(0o500)
+        try:
+            if not os.access(read_only, os.W_OK):  # root ignores the mode bits
+                with pytest.raises(OSError):
+                    Outbox(str(read_only / "o.jsonl"))
+        finally:
+            read_only.chmod(0o700)
+        assert client.job_status(job.job_id).status == "queued"
+        assert platform.access_server.agents.leases() == []
+
+
+class TestCompactionCrashMatrix:
+    """kill -9 inside a compaction: before the temporary file is written,
+    with it written but not renamed, and right after the rename — each with
+    nothing pending, a lease mid-phases, and a ``result`` awaiting upload."""
+
+    #: How the earlier job is left in the file: (crash offset, mode) of its run.
+    PENDING = {"nothing": None, "mid-phases": (1, "after"), "result": (4, "after")}
+
+    @pytest.mark.parametrize("pending", sorted(PENDING))
+    @pytest.mark.parametrize("mode", ["before", "torn", "after"])
+    def test_a_fresh_daemon_settles_everything_exactly_once(
+        self, tmp_path, monkeypatch, pending, mode
+    ):
+        _RUNS.pop("count-me", None)
+        platform = build_default_platform(seed=11, browsers=("chrome",), device_count=2)
+        client = platform.client()
+        path = tmp_path / "edge-1.jsonl"
+        jobs = []
+        if self.PENDING[pending] is not None:
+            jobs.append(
+                client.submit_job("held", "count-me", execution="agent", connector="fake")
+            )
+            first = start_daemon(platform, tmp_path)
+            first.outbox.plan_crash(*self.PENDING[pending])
+            with pytest.raises(SimulatedCrash):
+                first.run_once()
+        jobs.append(
+            client.submit_job("settles", "count-me", execution="agent", connector="fake")
+        )
+        second = start_daemon(platform, tmp_path)
+        pending_before = second.outbox.pending()
+        states_before = second.outbox.lease_states()
+        assert len(pending_before) == len(jobs) - 1
+        # Every settling record is now over the bound: the seventh write of
+        # this cycle is the compaction its `uploaded` triggers.
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        second.outbox.plan_crash(second.outbox.writes + 6, mode=mode)
+        with pytest.raises(SimulatedCrash) as crash:
+            second.run_once()
+        assert "(compact)" in str(crash.value)
+        tmp_file = tmp_path / "edge-1.jsonl.tmp"
+        assert tmp_file.exists() == (mode == "torn")
+        replaced = mode == "after"
+        kinds = [r["kind"] for r in second.outbox.records()]
+        assert ("uploaded" in kinds) == (not replaced)
+
+        fresh = start_daemon(platform, tmp_path)
+        assert not tmp_file.exists()
+        assert fresh.outbox.pending() == pending_before
+        assert fresh.outbox.lease_states() == states_before
+        assert fresh.outbox.lease_states() == fold_records(fresh.outbox.records())
+        assert fresh.resume() == [job.job_id for job in jobs[:-1]]
+        assert fresh.outbox.pending() == [] and fresh.resume() == []
+        assert _RUNS["count-me"] == len(jobs)
+        results = [client.job_results(job.job_id).result for job in jobs]
+        assert sorted(results) == list(range(1, len(jobs) + 1))
+        assert all(client.job_status(job.job_id).status == "completed" for job in jobs)
+        assert path.stat().st_size == 0  # everything settled, everything dropped
+
+
+KINDS = ["claim", "phase", "phase", "result", "uploaded", "discarded"]
+steps = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 2), st.sampled_from(KINDS)),
+    st.tuples(
+        st.just("crash"),
+        st.integers(0, 2),
+        st.sampled_from(KINDS),
+        st.sampled_from(["before", "after", "torn"]),
+        st.booleans(),
+    ),
+    st.tuples(st.just("reopen")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=st.lists(steps, max_size=40), bound=st.sampled_from([1, 200, 600]))
+def test_a_compacting_outbox_agrees_with_one_that_never_compacts(
+    tmp_path_factory, script, bound
+):
+    """Random leases, record kinds, planned crashes and reopens.  After
+    every step the fold in memory equals a fresh replay of the file, and
+    what is pending — ids, order and each lease's state — is what the
+    fold of every record ever made durable says, compacted or not."""
+    path = str(tmp_path_factory.mktemp("outbox") / "o.jsonl")
+    real_bound = outbox_module.COMPACT_BYTES
+    outbox_module.COMPACT_BYTES = bound
+    try:
+        outbox = Outbox(path)
+        durable = []  # the file of an outbox that never compacts
+        generation = [0, 0, 0]  # a settled lease's id is never claimed again
+        for number, step in enumerate(script):
+            if step[0] == "reopen":
+                outbox.close()
+                outbox = Outbox(path)
+            else:
+                slot, kind = step[1], step[2]
+                lease_id = f"lease-{slot}-{generation[slot]}"
+                if lease_id not in fold_records(durable):
+                    kind = "claim"  # a lease's first record
+                crash_on_append = step[0] == "crash" and not step[4]
+                if step[0] == "crash":
+                    # The append itself, or the compaction it may trigger.
+                    outbox.plan_crash(outbox.writes + step[4], mode=step[3])
+                try:
+                    outbox.append(kind, lease_id=lease_id, number=number)
+                except SimulatedCrash:
+                    outbox.close()
+                    outbox = Outbox(path)
+                outbox.plan_crash(10**9)  # disarm what did not fire
+                if not crash_on_append or step[3] == "after":
+                    durable.append(
+                        {"kind": kind, "lease_id": lease_id, "number": number}
+                    )
+                    if kind in ("uploaded", "discarded"):
+                        generation[slot] += 1
+            states = outbox.lease_states()
+            assert states == fold_records(outbox.records())
+            assert outbox.size_bytes == os.path.getsize(path)
+            assert outbox.pending_count == len(outbox.pending())
+            assert not os.path.exists(path + ".tmp")
+            uncompacted = fold_records(durable)
+            expected = [
+                lease_id
+                for lease_id, state in uncompacted.items()
+                if state["claim"] and not (state["uploaded"] or state["discarded"])
+            ]
+            assert outbox.pending() == expected
+            assert [states[lease_id] for lease_id in expected] == [
+                uncompacted[lease_id] for lease_id in expected
+            ]
+        outbox.close()
+    finally:
+        outbox_module.COMPACT_BYTES = real_bound

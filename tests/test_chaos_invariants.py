@@ -6,6 +6,8 @@ manufactures the specific wreckage the check exists to catch and asserts
 the verdict flips with an actionable detail line.
 """
 
+import json
+
 import pytest
 
 from repro.accessserver.agents import SETTLED_LEASE_MEMORY
@@ -22,10 +24,14 @@ from repro.chaos.invariants import (
     check_history_bounded,
     check_no_double_execution,
     check_no_lost_jobs,
+    check_outbox_bounded,
     check_push_contract,
     check_recovery_byte_identical,
     check_snapshot_equals_fresh_encode,
 )
+from repro.agent import AgentDaemon
+from repro.agent import outbox as outbox_module
+from repro.chaos import ScenarioBuilder, SoakConfig, run_soak
 from repro.core.platform import build_default_platform
 
 
@@ -216,6 +222,79 @@ class TestHistoryBounded:
 
         verdict = check_history_bounded(server, [Router()], drained=True)
         assert "after drain: 2 parked poll(s), 1 live lease(s)" in verdict.details
+
+
+class TestOutboxBounded:
+    @pytest.fixture()
+    def daemon(self, platform, tmp_path):
+        client = platform.client()
+        for index in range(3):
+            client.submit_job(f"job-{index}", "noop", execution="agent", connector="fake")
+        daemon = AgentDaemon(platform.client(), "edge-1", tmp_path / "edge-1.jsonl")
+        daemon.register()
+        while daemon.run_once() is not None:
+            pass
+        return daemon
+
+    def test_a_drained_daemon_holds_what_is_live(self, daemon):
+        verdict = check_outbox_bounded([daemon.outbox], drained=True)
+        assert verdict.ok, verdict.details
+        assert "1 outbox(es)" in verdict.details and "65536 B" in verdict.details
+        assert check_outbox_bounded([], drained=True).ok
+
+    def test_a_file_that_outgrew_the_bound_fails(self, daemon, monkeypatch):
+        # Three settled leases on disk, and a bound that should have dropped them.
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 64)
+        verdict = check_outbox_bounded([daemon.outbox])
+        assert not verdict.ok
+        assert f"edge-1.jsonl: file is {daemon.outbox.size_bytes} B, bound" in verdict.details
+
+    def test_a_fold_that_drifted_from_its_file_fails(self, daemon):
+        with open(daemon.outbox.path, "a", encoding="utf-8") as handle:
+            record = {"kind": "claim", "lease_id": "lease-behind-its-back", "job_id": 1}
+            handle.write(json.dumps(record) + "\n")
+        verdict = check_outbox_bounded([daemon.outbox])
+        assert not verdict.ok
+        assert "in-memory fold differs from a replay of the file" in verdict.details
+        assert "gauges read" in verdict.details
+
+    def test_a_leftover_tmp_fails(self, daemon):
+        open(daemon.outbox.path + ".tmp", "w").close()
+        verdict = check_outbox_bounded([daemon.outbox])
+        assert not verdict.ok
+        assert "a compaction left edge-1.jsonl.tmp behind" in verdict.details
+
+    def test_a_pending_lease_fails_only_a_drained_run(self, daemon):
+        daemon.outbox.append("claim", lease_id="lease-held", job_id=9)
+        assert check_outbox_bounded([daemon.outbox]).ok
+        verdict = check_outbox_bounded([daemon.outbox], drained=True)
+        assert not verdict.ok
+        assert "after drain: 1 pending lease(s)" in verdict.details
+
+    @pytest.mark.parametrize("mode", ["before", "torn", "after"])
+    def test_an_agent_crash_can_land_inside_a_compaction(
+        self, tmp_path, monkeypatch, mode
+    ):
+        """With every settle over the bound, the seventh write of the first
+        cycle after the event is the compaction: the soak survives a kill
+        there — nothing lost, nothing run twice, the outbox check green."""
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        builder = ScenarioBuilder("agent-crash-in-compaction")
+        builder.at(2.0).crash_agent("agent-0", at_append=6, mode=mode)
+        result = run_soak(SoakConfig(
+            jobs=200,
+            batch=50,
+            seed=7,
+            scenario=builder.build(),
+            state_dir=str(tmp_path),
+            agents=1,
+            agent_job_fraction=0.5,
+        ))
+        assert result.ok, result.summary()
+        assert result.metrics["agent_crashes"] == 1
+        assert result.metrics["crash_reruns"] == 0  # the job had been reported
+        names = [check.name for check in result.report.checks]
+        assert "outbox_bounded" in names
 
 
 class TestAnalyticsLiveEqualsReplay:

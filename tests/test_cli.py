@@ -235,3 +235,51 @@ class TestAgentCommand:
     ):
         assert self._run_after_gateway_loss(monkeypatch, tmp_path, "--once") == [0]
         assert "no jobs settled" in capsys.readouterr().out
+
+    def test_an_unwritable_outbox_exits_before_anything_is_sent(
+        self, monkeypatch, tmp_path
+    ):
+        """A job claimed against an outbox that cannot record it would sit
+        leased to nobody: the path is opened before the client exists."""
+        import os
+        import subprocess
+        import sys
+
+        import repro.cli
+
+        def no_client(args):
+            raise AssertionError("a client was built before the outbox opened")
+
+        monkeypatch.setattr(repro.cli, "_remote_or_local_client", no_client)
+        outbox = str(tmp_path / "no" / "such" / "dir" / "x.jsonl")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["agent", "--gateway", "127.0.0.1:9", "--outbox", outbox, "--once"])
+        assert str(exit_info.value.code).startswith(f"error: cannot open outbox {outbox}")
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "agent", "--gateway", "127.0.0.1:9",
+             "--outbox", outbox, "--once"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: cannot open outbox")
+
+    def test_exit_summary_reports_the_outbox(self, tmp_path, capsys):
+        state = str(tmp_path / "state")
+        argv = ["--state-dir", state, "submit", "--name", "pulled", "--execution", "agent"]
+        assert main(argv) == 0
+        outbox = tmp_path / "outbox.jsonl"
+        argv = ["--state-dir", state, "agent", "--once", "--poll-wait-s", "0",
+                "--outbox", str(outbox)]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "\nsettled jobs: [" in output
+        assert (
+            f"outbox: {outbox.stat().st_size} bytes, 0 pending lease(s), "
+            "0 compaction(s)" in output
+        )

@@ -63,6 +63,7 @@ LAZY_PACKAGES = (
     "repro.simulation",
     "repro.chaos",
     "repro.agent",
+    "repro.analysis",
 )
 
 
@@ -91,6 +92,22 @@ def test_edge_entry_point_loads_only_the_edge(entry):
     ]
     assert leaked == []
     assert len(modules) < MAX_MODULES
+
+
+def test_printing_a_table_does_not_load_numpy():
+    """``repro report --gateway`` / ``jobs --gateway`` print tables on an
+    operator's laptop or the Pi; ``repro.analysis.tables`` is plain string
+    formatting and must not pay for its numpy-backed siblings."""
+    modules = loaded_modules(
+        "import repro.analysis.tables\n"
+        "import repro.cli\n"
+        "try:\n"
+        "    repro.cli.main(['report', '--help'])\n"
+        "except SystemExit:\n"
+        "    pass"
+    )
+    assert "repro.analysis.tables" in modules
+    assert [name for name in modules if fnmatch.fnmatchcase(name, "numpy*")] == []
 
 
 @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
