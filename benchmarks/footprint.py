@@ -8,11 +8,21 @@ A second table prices what the long-lived server keeps per retained job:
 heap (tracemalloc) and RSS growth over 12,000 in-process noop jobs, each in
 its own interpreter; its gate is ``tests/test_memory_footprint.py``.
 
+A third table records the size of the code itself: python lines under
+``src/``, ``tests/`` and ``benchmarks/``, and every ``src/`` file over 1,000
+lines.  A trend, not a gate — it is the number ROADMAP.md otherwise
+re-derives by hand at each re-anchor.
+
     PYTHONPATH=src python benchmarks/footprint.py
 """
 
+import os
 import subprocess
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZE_TREES = ("src", "tests", "benchmarks")
+LARGE_FILE_LINES = 1_000
 
 IMPORTS = (
     "repro.cli",
@@ -74,6 +84,18 @@ def retained_job_bytes(trace: bool) -> int:
     return int(probe.stdout)
 
 
+def python_lines(tree: str) -> dict:
+    """``{path relative to the repo: lines}`` of every ``.py`` under ``tree``."""
+    lines = {}
+    for directory, _subdirs, names in os.walk(os.path.join(ROOT, tree)):
+        for name in names:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                with open(path, "rb") as source:
+                    lines[os.path.relpath(path, ROOT)] = sum(1 for _ in source)
+    return lines
+
+
 def main() -> None:
     print("| import | modules | max RSS (MB) | import (ms) |")
     print("|---|---:|---:|---:|")
@@ -92,6 +114,15 @@ def main() -> None:
         f"| {RETAINED_JOBS:,} in-process noop jobs "
         f"| {retained_job_bytes(trace=True):,} | {retained_job_bytes(trace=False):,} |"
     )
+    print()
+    print("| code size | python files | lines |")
+    print("|---|---:|---:|")
+    trees = {tree: python_lines(tree) for tree in SIZE_TREES}
+    for tree, lines in trees.items():
+        print(f"| `{tree}/` | {len(lines):,} | {sum(lines.values()):,} |")
+    for path, count in sorted(trees["src"].items(), key=lambda item: -item[1]):
+        if count > LARGE_FILE_LINES:
+            print(f"| `{path}` | | {count:,} |")
 
 
 if __name__ == "__main__":

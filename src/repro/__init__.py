@@ -35,17 +35,7 @@ if TYPE_CHECKING:
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BatteryLabAPI",
-    "BatteryLabPlatform",
-    "add_vantage_point",
-    "build_default_platform",
-    "MeasurementResult",
-    "MeasurementSession",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "core.api": ("BatteryLabAPI",),
@@ -58,3 +48,4 @@ __getattr__, __dir__ = lazy_exports(
         "core.session": ("MeasurementSession",),
     },
 )
+__all__.append("__version__")

@@ -19,11 +19,12 @@ from typing import Callable, List, Mapping, Sequence, Tuple
 
 def lazy_exports(
     package: str, leaves: Mapping[str, Sequence[str]]
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """Module ``(__getattr__, __dir__)`` for ``package``.
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """Module ``(__getattr__, __dir__, __all__)`` for ``package``.
 
     ``leaves`` maps a submodule path relative to ``package`` (``"client"``,
-    ``"core.platform"``) to the public names that submodule defines.
+    ``"core.platform"``) to the public names that submodule defines; those
+    names, in the order given, are the package's ``__all__``.
     """
     leaf_of = {
         name: f"{package}.{leaf}" for leaf, names in leaves.items() for name in names
@@ -46,4 +47,4 @@ def lazy_exports(
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(leaf_of))
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(leaf_of)

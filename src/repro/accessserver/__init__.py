@@ -92,61 +92,7 @@ if TYPE_CHECKING:
     from repro.accessserver.server import AccessServer, VantagePointRecord
     from repro.accessserver.testers import Tester, TesterPool, TesterSession
 
-__all__ = [
-    "AuthenticationError",
-    "AuthorizationError",
-    "Permission",
-    "Role",
-    "User",
-    "UserRegistry",
-    "CertificateAuthority",
-    "WildcardCertificate",
-    "DnsRecord",
-    "DnsZone",
-    "Job",
-    "JobContext",
-    "JobSpec",
-    "JobStatus",
-    "CreditAccount",
-    "CreditError",
-    "CreditLedger",
-    "CreditPolicy",
-    "CreditTransaction",
-    "build_certificate_renewal_job",
-    "build_factory_reset_job",
-    "build_power_safety_job",
-    "build_workspace_cleanup_job",
-    "Assignment",
-    "DispatchEngine",
-    "SchedulingError",
-    "SchedulingPolicy",
-    "FifoPolicy",
-    "PriorityPolicy",
-    "FairSharePolicy",
-    "DeadlinePolicy",
-    "CreditSharePolicy",
-    "create_policy",
-    "get_payload",
-    "unregister_payload",
-    "StorageBackend",
-    "InMemoryBackend",
-    "FileBackend",
-    "PersistenceError",
-    "PersistenceManager",
-    "RecoveryReport",
-    "attach_persistence",
-    "recover_into",
-    "register_payload",
-    "JobScheduler",
-    "SessionReservation",
-    "AccessServer",
-    "VantagePointRecord",
-    "Tester",
-    "TesterPool",
-    "TesterSession",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "auth": (

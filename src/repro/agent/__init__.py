@@ -32,24 +32,7 @@ if TYPE_CHECKING:
     from repro.agent.daemon import AgentDaemon
     from repro.agent.outbox import Outbox, SimulatedCrash
 
-__all__ = [
-    "CONNECTOR_PHASES",
-    "ConnectorContext",
-    "ConnectorError",
-    "DeviceConnector",
-    "FakeConnector",
-    "MultiConnector",
-    "NoProvisionConnector",
-    "PhaseResult",
-    "connector_types",
-    "create_connector",
-    "register_connector",
-    "AgentDaemon",
-    "Outbox",
-    "SimulatedCrash",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "connectors": (

@@ -17,18 +17,9 @@ if TYPE_CHECKING:
     from repro.analysis.stats import SeriesSummary, summarize
     from repro.analysis.tables import format_table, rows_to_markdown
 
-__all__ = [
-    "EmpiricalCdf",
-    "empirical_cdf",
-    "SeriesSummary",
-    "summarize",
-    "format_table",
-    "rows_to_markdown",
-]
-
 # ``cdf`` and ``stats`` load numpy; ``tables`` — all that ``repro report
 # --gateway`` needs to print one — is plain string formatting.
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "cdf": ("EmpiricalCdf", "empirical_cdf"),

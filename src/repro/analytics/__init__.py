@@ -19,39 +19,50 @@ Exposed end to end: API v2 operations ``analytics.report`` /
 subcommand, and ``examples/operations_report.py``.
 """
 
-from repro.analytics.engine import AnalyticsEngine, report_json
-from repro.analytics.records import (
-    JournalReplaySource,
-    LiveBusTap,
-    OpsRecord,
-    RecordSource,
-    normalize_bus_event,
-    normalize_journal_record,
-    synthesize_snapshot_records,
-)
-from repro.analytics.reducers import (
-    CreditReducer,
-    JobLifecycleReducer,
-    ReservationReducer,
-    ThroughputReducer,
-    distribution_view,
-    percentile,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AnalyticsEngine",
-    "CreditReducer",
-    "JobLifecycleReducer",
-    "JournalReplaySource",
-    "LiveBusTap",
-    "OpsRecord",
-    "RecordSource",
-    "ReservationReducer",
-    "ThroughputReducer",
-    "distribution_view",
-    "normalize_bus_event",
-    "normalize_journal_record",
-    "percentile",
-    "report_json",
-    "synthesize_snapshot_records",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analytics.engine import AnalyticsEngine, report_json
+    from repro.analytics.records import (
+        JournalReplaySource,
+        LiveBusTap,
+        OpsRecord,
+        RecordSource,
+        normalize_bus_event,
+        normalize_journal_record,
+        synthesize_snapshot_records,
+    )
+    from repro.analytics.reducers import (
+        CreditReducer,
+        JobLifecycleReducer,
+        ReservationReducer,
+        ThroughputReducer,
+        distribution_view,
+        percentile,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("AnalyticsEngine", "report_json"),
+        "records": (
+            "JournalReplaySource",
+            "LiveBusTap",
+            "OpsRecord",
+            "RecordSource",
+            "normalize_bus_event",
+            "normalize_journal_record",
+            "synthesize_snapshot_records",
+        ),
+        "reducers": (
+            "CreditReducer",
+            "JobLifecycleReducer",
+            "ReservationReducer",
+            "ThroughputReducer",
+            "distribution_view",
+            "percentile",
+        ),
+    },
+)

@@ -11,8 +11,10 @@ directly any more — they speak typed requests and responses through a
   negotiation;
 * :mod:`repro.api.errors` — the typed error taxonomy with stable
   machine-readable codes;
-* :mod:`repro.api.router` — operation-name → handler routing with
-  per-operation auth against the existing role matrix;
+* :mod:`repro.api.ops` — the one operation table (name, permission,
+  version, federation mode) and the envelope gates every router shares;
+* :mod:`repro.api.router` — the table's handlers against one access
+  server, with per-operation auth against the existing role matrix;
 * :mod:`repro.api.client` — the client SDK and the transport abstraction;
 * :mod:`repro.api.gateway` — a JSON-lines socket gateway plus its client
   transport, so the same client code drives a local simulation or a
@@ -65,7 +67,8 @@ if TYPE_CHECKING:
         map_exception,
     )
     from repro.api.gateway import ApiGateway, JsonLinesTransport
-    from repro.api.router import ApiRouter, RequestContext
+    from repro.api.ops import OPS, Op, RequestContext
+    from repro.api.router import ApiRouter
     from repro.api.schemas import (
         API_VERSION,
         API_VERSION_V2,
@@ -117,88 +120,7 @@ if TYPE_CHECKING:
         WireModel,
     )
 
-__all__ = [
-    "ALL_ERROR_CODES",
-    "API_VERSION",
-    "API_VERSION_V2",
-    "LATEST_API_VERSION",
-    "PUSH_FRAME_END",
-    "PUSH_FRAME_EVENT",
-    "PUSH_KIND",
-    "SUPPORTED_VERSIONS",
-    "AnalyticsReportRequest",
-    "AnalyticsReportView",
-    "AnalyticsTimeseriesRequest",
-    "AnalyticsTimeseriesView",
-    "ApiError",
-    "ApiGateway",
-    "ApiPush",
-    "ApiRequest",
-    "ApiResponse",
-    "ApiRouter",
-    "AuthCredentials",
-    "AuthenticationApiError",
-    "BatteryLabClient",
-    "ClientPipeline",
-    "ConflictApiError",
-    "CreateUserRequest",
-    "CreditApiError",
-    "CreditQuery",
-    "CreditView",
-    "DeviceUsageView",
-    "DeviceView",
-    "ERROR_CODES",
-    "EventsSubscribeRequest",
-    "FleetView",
-    "GrantCreditsRequest",
-    "InProcessTransport",
-    "InternalApiError",
-    "JobConstraintsV1",
-    "JobCountsView",
-    "JobListRequest",
-    "JobPage",
-    "JobRef",
-    "JobResultsView",
-    "JobView",
-    "JobWatch",
-    "JournalHealthView",
-    "JsonLinesTransport",
-    "LoginRequest",
-    "LogoutView",
-    "NotFoundApiError",
-    "OwnerUsageView",
-    "PercentileStatsView",
-    "PermissionApiError",
-    "PipelineResult",
-    "PushStream",
-    "RegisterVantagePointRequest",
-    "RequestContext",
-    "ReservationStatsView",
-    "ReservationView",
-    "ReserveSessionRequest",
-    "SessionApiError",
-    "SessionView",
-    "StatusView",
-    "SubmitJobRequest",
-    "SubscriptionAck",
-    "SubscriptionRef",
-    "TimeseriesBucketView",
-    "Transport",
-    "TransportApiError",
-    "UnknownOperationApiError",
-    "UserView",
-    "V2_ERROR_CODES",
-    "ValidationApiError",
-    "VantagePointView",
-    "VersionApiError",
-    "WatchJobRequest",
-    "WireModel",
-    "error_from_wire",
-    "in_process_client",
-    "map_exception",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "client": (
@@ -232,7 +154,8 @@ __getattr__, __dir__ = lazy_exports(
             "map_exception",
         ),
         "gateway": ("ApiGateway", "JsonLinesTransport"),
-        "router": ("ApiRouter", "RequestContext"),
+        "ops": ("OPS", "Op", "RequestContext"),
+        "router": ("ApiRouter",),
         "schemas": (
             "API_VERSION",
             "API_VERSION_V2",

@@ -49,6 +49,7 @@ from repro.api.errors import (
     TransportApiError,
     error_from_wire,
 )
+from repro.api.ops import OPS
 from repro.api.schemas import (
     API_VERSION,
     API_VERSION_V2,
@@ -471,7 +472,13 @@ class BatteryLabClient:
     ) -> ApiRequest:
         self._request_id += 1
         if version is None:
-            version = API_VERSION_V2 if self._session_token else self._version
+            row = OPS.get(op)
+            if self._session_token:
+                version = API_VERSION_V2  # a bearer session is a v2 envelope field
+            elif row is not None and row.min_version != API_VERSION:
+                version = row.min_version  # the operation postdates the v1 surface
+            else:
+                version = self._version
         return ApiRequest(
             op=op,
             version=version,
@@ -482,7 +489,7 @@ class BatteryLabClient:
         )
 
     def _call_once(
-        self, op: str, payload: Optional[dict], version: Optional[str]
+        self, op: str, payload: Optional[dict], version: Optional[str] = None
     ) -> dict:
         request = self._build_request(op, payload, version)
         raw = self._transport.send(request.to_wire())
@@ -519,7 +526,7 @@ class BatteryLabClient:
         """
         self._session_token = None
         payload = {} if ttl_s is None else {"ttl_s": ttl_s}
-        wire = self._call_once("auth.login", payload, API_VERSION_V2)
+        wire = self._call_once("auth.login", payload)
         view = SessionView.from_wire(wire)
         self._session_token = view.session_token
         self._session_ttl_s = ttl_s
@@ -535,7 +542,7 @@ class BatteryLabClient:
         if self._session_token is None:
             return False
         try:
-            wire = self._call_once("auth.logout", {}, API_VERSION_V2)
+            wire = self._call_once("auth.logout", {})
         except SessionApiError:
             self._session_token = None
             return False
@@ -678,7 +685,7 @@ class BatteryLabClient:
         ``while status != "completed"`` polling loop.  ``watch.wait()``
         consumes the stream and returns the final job view.
         """
-        wire = self._call("job.watch", {"job_id": job_id}, API_VERSION_V2)
+        wire = self._call("job.watch", {"job_id": job_id})
         ack = SubscriptionAck.from_wire(wire)
         return JobWatch(self, ack.subscription_id, ack.job, timeout_s=timeout_s)
 
@@ -691,16 +698,12 @@ class BatteryLabClient:
         :class:`~repro.api.schemas.ApiPush` per matching bus record; call
         ``close()`` to cancel the subscription.
         """
-        wire = self._call(
-            "events.subscribe", {"topic_prefix": topic_prefix}, API_VERSION_V2
-        )
+        wire = self._call("events.subscribe", {"topic_prefix": topic_prefix})
         ack = SubscriptionAck.from_wire(wire)
         return PushStream(self, ack.subscription_id, timeout_s=timeout_s)
 
     def cancel_subscription(self, subscription_id: int) -> bool:
-        wire = self._call(
-            "subscription.cancel", {"subscription_id": subscription_id}, API_VERSION_V2
-        )
+        wire = self._call("subscription.cancel", {"subscription_id": subscription_id})
         return bool(wire.get("cancelled", False))
 
     # -- agent-pull execution (v2) --------------------------------------------
@@ -720,7 +723,6 @@ class BatteryLabClient:
                 "connectors": list(connectors or []),
                 "tags": dict(tags or {}),
             },
-            API_VERSION_V2,
         )
         return AgentView.from_wire(wire)
 
@@ -734,9 +736,7 @@ class BatteryLabClient:
         platform — this one blocks until the poll is answered.
         """
         wire = self._call(
-            "agent.poll",
-            {"agent_id": agent_id, "wait_s": wait_s, "limit": limit},
-            API_VERSION_V2,
+            "agent.poll", {"agent_id": agent_id, "wait_s": wait_s, "limit": limit}
         )
         return AgentPollView.from_wire(wire)
 
@@ -745,18 +745,14 @@ class BatteryLabClient:
     ) -> AgentLeaseView:
         """Atomically claim one offered job and all its device slots (v2)."""
         wire = self._call(
-            "agent.claim",
-            {"agent_id": agent_id, "job_id": job_id, "ttl_s": ttl_s},
-            API_VERSION_V2,
+            "agent.claim", {"agent_id": agent_id, "job_id": job_id, "ttl_s": ttl_s}
         )
         return AgentLeaseView.from_wire(wire)
 
     def agent_heartbeat(self, lease_id: str, agent_id: str) -> AgentLeaseView:
         """Renew a lease before its TTL lapses (v2)."""
         wire = self._call(
-            "agent.heartbeat",
-            {"lease_id": lease_id, "agent_id": agent_id},
-            API_VERSION_V2,
+            "agent.heartbeat", {"lease_id": lease_id, "agent_id": agent_id}
         )
         return AgentLeaseView.from_wire(wire)
 
@@ -780,7 +776,7 @@ class BatteryLabClient:
             body["result"] = result
         if error is not None:
             body["error"] = error
-        wire = self._call("agent.report", body, API_VERSION_V2)
+        wire = self._call("agent.report", body)
         return AgentReportView.from_wire(wire)
 
     # -- admin control plane (v2) -------------------------------------------
@@ -804,25 +800,20 @@ class BatteryLabClient:
                 "device_count": device_count,
                 "device_profile": device_profile,
             },
-            API_VERSION_V2,
         )
         return VantagePointView.from_wire(wire)
 
     def approvals(self) -> List[JobView]:
         """Pipeline changes waiting for administrator approval."""
-        wire = self._call("approvals.list", {}, API_VERSION_V2)
+        wire = self._call("approvals.list")
         return [JobView.from_wire(item) for item in wire.get("jobs", [])]
 
     def approve_job(self, job_id: int) -> JobView:
-        return JobView.from_wire(
-            self._call("job.approve", {"job_id": job_id}, API_VERSION_V2)
-        )
+        return JobView.from_wire(self._call("job.approve", {"job_id": job_id}))
 
     def reject_job(self, job_id: int, reason: str = "") -> JobView:
         return JobView.from_wire(
-            self._call(
-                "job.reject", {"job_id": job_id, "reason": reason}, API_VERSION_V2
-            )
+            self._call("job.reject", {"job_id": job_id, "reason": reason})
         )
 
     def grant_credits(
@@ -831,7 +822,6 @@ class BatteryLabClient:
         wire = self._call(
             "credits.grant",
             {"owner": owner, "amount_device_hours": amount_device_hours, "note": note},
-            API_VERSION_V2,
         )
         return CreditView.from_wire(wire)
 
@@ -841,7 +831,6 @@ class BatteryLabClient:
         wire = self._call(
             "user.create",
             {"username": username, "role": role, "token": token, "email": email},
-            API_VERSION_V2,
         )
         return UserView.from_wire(wire)
 
@@ -857,14 +846,12 @@ class BatteryLabClient:
         body: dict = {}
         if owner is not None:
             body["owner"] = owner
-        wire = self._call("analytics.report", body, API_VERSION_V2)
+        wire = self._call("analytics.report", body)
         return AnalyticsReportView.from_wire(wire)
 
     def analytics_timeseries(self, bucket_s: float = 60.0) -> AnalyticsTimeseriesView:
         """Fleet throughput over time, bucketed at ``bucket_s`` (v2)."""
-        wire = self._call(
-            "analytics.timeseries", {"bucket_s": bucket_s}, API_VERSION_V2
-        )
+        wire = self._call("analytics.timeseries", {"bucket_s": bucket_s})
         return AnalyticsTimeseriesView.from_wire(wire)
 
     # -- observability (v2) --------------------------------------------------
@@ -879,7 +866,7 @@ class BatteryLabClient:
         body: dict = {}
         if prefix is not None:
             body["prefix"] = prefix
-        wire = self._call("obs.metrics", body, API_VERSION_V2)
+        wire = self._call("obs.metrics", body)
         return ObsMetricsView.from_wire(wire)
 
     def obs_trace(
@@ -895,7 +882,7 @@ class BatteryLabClient:
             body["trace_id"] = trace_id
         if job_id is not None:
             body["job_id"] = job_id
-        wire = self._call("obs.trace", body, API_VERSION_V2)
+        wire = self._call("obs.trace", body)
         return ObsTraceView.from_wire(wire)
 
     # -- sessions, credits, fleet, status -----------------------------------

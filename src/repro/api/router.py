@@ -11,7 +11,15 @@ response envelope.  All domain exceptions are translated to the typed
 taxonomy of :mod:`repro.api.errors` at this boundary — a transport never
 sees a raw ``JobError`` or ``ValueError``.
 
-The v1 operation table (unchanged, still served to ``"1.0"`` envelopes):
+Which operations exist — and each one's permission, minimum version and
+flags — is declared once, in :data:`repro.api.ops.OPS`; the entry points
+and the envelope gates a request crosses before its handler are
+:class:`~repro.api.ops.OpRouter`'s, shared with the federation router.
+This module is the handlers (``_op_<name>``, bound to the rows at
+construction) and what they need: authentication, subscriptions, parked
+polls, telemetry.  The tables below document each operation's DTOs.
+
+The v1 operations (unchanged, still served to ``"1.0"`` envelopes):
 
 =================== =========================== ======================= ==================
 operation           permission                  request DTO             response DTO
@@ -27,7 +35,7 @@ operation           permission                  request DTO             response
 ``server.status``   ``view_results``            (none)                  ``StatusView``
 =================== =========================== ======================= ==================
 
-The v2 operation table (rejected on ``"1.0"`` envelopes with
+The v2 operations (rejected on ``"1.0"`` envelopes with
 ``request.version_unsupported``):
 
 ========================== =========================== ================================ ==================
@@ -86,24 +94,21 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.accessserver.agents import AgentError
-from repro.accessserver.auth import Permission, Role, User
+from repro.accessserver.auth import Role, User
 from repro.accessserver.jobs import JobSpec, JobStatus
 from repro.accessserver.persistence import get_payload, payload_name
 from repro.api.errors import (
     AuthenticationApiError,
     NotFoundApiError,
     PermissionApiError,
-    UnknownOperationApiError,
     ValidationApiError,
     VersionApiError,
-    map_exception,
 )
+from repro.api.ops import OPS, OpRouter, RequestContext
 from repro.api.schemas import (
-    API_VERSION,
     API_VERSION_V2,
     PUSH_FRAME_END,
     PUSH_FRAME_EVENT,
-    SUPPORTED_VERSIONS,
     AgentClaimRequest,
     AgentHeartbeatRequest,
     AgentLeaseView,
@@ -119,7 +124,6 @@ from repro.api.schemas import (
     AnalyticsTimeseriesView,
     ApiPush,
     ApiRequest,
-    ApiResponse,
     CreateUserRequest,
     CreditQuery,
     CreditView,
@@ -182,40 +186,6 @@ def _push_safe(value: object) -> object:
         return value
     except (TypeError, ValueError):
         return repr(value)
-
-
-@dataclass
-class RequestContext:
-    """Everything a handler may need beyond its payload."""
-
-    user: Optional[User]
-    version: str
-    secure: bool = True
-    auth: Optional[object] = None
-    session_token: Optional[str] = None
-    push: Optional[Callable[[dict], None]] = None
-    owner_token: Optional[object] = None
-    trace_id: Optional[str] = None
-    # What a parked request needs to answer later, from another thread.
-    request_id: int = 0
-    started: float = 0.0
-    complete: Optional[Callable[[dict], None]] = None
-
-
-@dataclass
-class _Op:
-    """One routable operation and how to guard it."""
-
-    handler: Callable[[RequestContext, dict], dict]
-    permission: Optional[Permission] = None
-    min_version: str = API_VERSION
-    authenticate: bool = True
-    streaming: bool = False
-    read_only: bool = False
-    # Read-only but may *park* (long-poll): ``handle`` blocks its caller
-    # until the parked request completes, so it must never run inline on
-    # the gateway's selector loop; ``handle_deferred`` parks it instead.
-    blocking: bool = False
 
 
 @dataclass
@@ -329,8 +299,8 @@ class _Subscription:
             self.router.cancel_subscription(self.subscription_id)
 
 
-class ApiRouter:
-    """Maps operation names to handlers executing against one server."""
+class ApiRouter(OpRouter):
+    """Serves the operation table (:mod:`repro.api.ops`) against one server."""
 
     def __init__(self, server) -> None:
         self._server = server
@@ -383,314 +353,59 @@ class ApiRouter:
         else:
             self._op_latency = None
             self._op_requests = None
-        self._ops: Dict[str, _Op] = {
-            # -- v1 ----------------------------------------------------------
-            "job.submit": _Op(self._op_job_submit, Permission.CREATE_JOB),
-            "job.status": _Op(self._op_job_status, Permission.VIEW_RESULTS, read_only=True),
-            "job.list": _Op(self._op_job_list, Permission.VIEW_RESULTS, read_only=True),
-            "job.cancel": _Op(self._op_job_cancel, Permission.EDIT_JOB),
-            "job.results": _Op(self._op_job_results, Permission.VIEW_RESULTS, read_only=True),
-            "session.reserve": _Op(self._op_session_reserve, Permission.REMOTE_CONTROL),
-            "credits.balance": _Op(self._op_credits_balance, Permission.VIEW_RESULTS, read_only=True),
-            "fleet.list": _Op(self._op_fleet_list, Permission.VIEW_RESULTS, read_only=True),
-            "server.status": _Op(self._op_server_status, Permission.VIEW_RESULTS, read_only=True),
-            # -- v2: sessions ------------------------------------------------
-            "auth.login": _Op(
-                self._op_auth_login,
-                permission=None,
-                min_version=API_VERSION_V2,
-                authenticate=False,
-            ),
-            "auth.logout": _Op(
-                self._op_auth_logout, permission=None, min_version=API_VERSION_V2
-            ),
-            # -- v2: admin control plane ------------------------------------
-            "vantage-point.register": _Op(
-                self._op_vantage_point_register,
-                Permission.MANAGE_VANTAGE_POINTS,
-                min_version=API_VERSION_V2,
-            ),
-            "approvals.list": _Op(
-                self._op_approvals_list,
-                Permission.APPROVE_PIPELINE,
-                min_version=API_VERSION_V2,
-                read_only=True,
-            ),
-            "job.approve": _Op(
-                self._op_job_approve,
-                Permission.APPROVE_PIPELINE,
-                min_version=API_VERSION_V2,
-            ),
-            "job.reject": _Op(
-                self._op_job_reject,
-                Permission.APPROVE_PIPELINE,
-                min_version=API_VERSION_V2,
-            ),
-            "credits.grant": _Op(
-                self._op_credits_grant,
-                Permission.MANAGE_CREDITS,
-                min_version=API_VERSION_V2,
-            ),
-            "user.create": _Op(
-                self._op_user_create,
-                Permission.MANAGE_USERS,
-                min_version=API_VERSION_V2,
-            ),
-            # -- v2: operations analytics -----------------------------------
-            "analytics.report": _Op(
-                self._op_analytics_report,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                read_only=True,
-            ),
-            "analytics.timeseries": _Op(
-                self._op_analytics_timeseries,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                read_only=True,
-            ),
-            # -- v2: observability -------------------------------------------
-            "obs.metrics": _Op(
-                self._op_obs_metrics,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                read_only=True,
-            ),
-            "obs.trace": _Op(
-                self._op_obs_trace,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                read_only=True,
-            ),
-            # -- v2: streaming ----------------------------------------------
-            "job.watch": _Op(
-                self._op_job_watch,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                streaming=True,
-            ),
-            "events.subscribe": _Op(
-                self._op_events_subscribe,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-                streaming=True,
-            ),
-            "subscription.cancel": _Op(
-                self._op_subscription_cancel,
-                Permission.VIEW_RESULTS,
-                min_version=API_VERSION_V2,
-            ),
-            # -- v2: agent-pull execution ------------------------------------
-            "agent.register": _Op(
-                self._op_agent_register,
-                Permission.RUN_JOB,
-                min_version=API_VERSION_V2,
-            ),
-            "agent.poll": _Op(
-                self._op_agent_poll,
-                Permission.RUN_JOB,
-                min_version=API_VERSION_V2,
-                read_only=True,
-                blocking=True,
-            ),
-            "agent.claim": _Op(
-                self._op_agent_claim,
-                Permission.RUN_JOB,
-                min_version=API_VERSION_V2,
-            ),
-            "agent.heartbeat": _Op(
-                self._op_agent_heartbeat,
-                Permission.RUN_JOB,
-                min_version=API_VERSION_V2,
-            ),
-            "agent.report": _Op(
-                self._op_agent_report,
-                Permission.RUN_JOB,
-                min_version=API_VERSION_V2,
-            ),
-        }
+        self._bind(
+            (op for op in OPS.values() if op.mode != "admin"),
+            lambda op: getattr(self, "_op_" + op.handler_suffix, None),
+        )
 
     @property
     def server(self):
         return self._server
 
-    def is_read_only(self, op_name: object) -> bool:
-        """Whether ``op_name`` never mutates access-server state.
-
-        The gateway uses this to let read-only operations run without the
-        exclusive router lock (they tolerate running concurrently with a
-        mutating op; see DESIGN.md's optimistic-read contract).  Unknown
-        operations classify as mutating — the safe default.
-        """
-        op = self._ops.get(op_name) if isinstance(op_name, str) else None
-        return op is not None and op.read_only
-
-    def is_blocking(self, op_name: object) -> bool:
-        """Whether ``op_name`` may park (long-poll).
-
-        :meth:`handle` blocks its caller for the length of the park, so the
-        gateway never runs such an op inline on its selector loop and
-        dispatches it through :meth:`handle_deferred` instead.
-        """
-        op = self._ops.get(op_name) if isinstance(op_name, str) else None
-        return op is not None and op.blocking
-
-    def operations(self, version: str = API_VERSION) -> Dict[str, Optional[Permission]]:
-        """The routable operation names (for ``version``) and their permissions.
-
-        Defaults to the v1 table — the frozen compatibility surface; pass
-        :data:`~repro.api.schemas.API_VERSION_V2` for the full v2 set.
-        """
-        return {
-            name: op.permission
-            for name, op in self._ops.items()
-            if op.min_version <= version
-        }
-
-    # -- entry point --------------------------------------------------------
-    def handle(
-        self,
-        request: dict,
-        push: Optional[Callable[[dict], None]] = None,
-        owner: Optional[object] = None,
-        secure: bool = True,
-    ) -> dict:
-        """Execute one wire-form request and return the wire-form response.
-
-        Never raises: every failure becomes an error envelope with a stable
-        code, which is what lets remote transports stay dumb pipes.
-
-        Parameters
-        ----------
-        push:
-            Transport-provided frame sink enabling the streaming operations;
-            ``None`` means the transport cannot carry pushes and streaming
-            ops fail with ``request.invalid``.
-        owner:
-            Opaque token grouping this request's subscriptions (the gateway
-            passes the connection); :meth:`cancel_owner` with the same token
-            tears them down.
-        secure:
-            Whether the transport satisfies the paper's HTTPS-only mandate;
-            authentication is refused otherwise.
-
-        A request that parks (``agent.poll`` with ``wait_s`` and no work)
-        blocks the calling thread until it is completed; transports that
-        must not block use :meth:`handle_deferred`.
-        """
-        return self._handle(request, push, owner, secure, None)
-
-    def handle_deferred(
-        self,
-        request: dict,
-        complete: Callable[[dict], None],
-        push: Optional[Callable[[dict], None]] = None,
-        owner: Optional[object] = None,
-        secure: bool = True,
+    # -- behind the gates -----------------------------------------------------
+    def _serve(
+        self, ctx: RequestContext, handler: Callable[[RequestContext, dict], dict]
     ) -> Optional[dict]:
-        """:meth:`handle` for transports that must not block.
-
-        Returns the response envelope, or ``None`` when the request parked:
-        its envelope is then passed to ``complete`` exactly once, later and
-        from whichever thread completes it (possibly before this call has
-        returned).
-        """
-        return self._handle(request, push, owner, secure, complete)
-
-    def _handle(
-        self,
-        request: dict,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-        complete: Optional[Callable[[dict], None]],
-    ) -> Optional[dict]:
-        request_id = request.get("request_id") if isinstance(request, dict) else 0
-        if not isinstance(request_id, int) or isinstance(request_id, bool):
-            request_id = 0
-        version = API_VERSION
-        started = time.perf_counter()
-        metric_op = "<invalid>"
-        trace_id: Optional[str] = None
+        op, envelope = ctx.op, ctx.envelope
+        obs = self._obs
         span = None
-        try:
-            envelope = ApiRequest.from_wire(request)
-            if envelope.version not in SUPPORTED_VERSIONS:
-                raise VersionApiError(
-                    f"API version {envelope.version!r} is not supported",
-                    details={"supported_versions": list(SUPPORTED_VERSIONS)},
-                )
-            version = envelope.version
-            try:
-                op = self._ops[envelope.op]
-            except KeyError:
-                metric_op = "<unknown>"
-                raise UnknownOperationApiError(
-                    f"unknown operation {envelope.op!r}",
-                    details={"operations": sorted(self._ops)},
-                ) from None
-            metric_op = envelope.op
-            if op.min_version > envelope.version:
-                raise VersionApiError(
-                    f"operation {envelope.op!r} requires API version "
-                    f"{op.min_version}; negotiate a v2 envelope",
-                    details={"operation": envelope.op, "min_version": op.min_version},
-                )
-            ctx = RequestContext(
-                user=None,
-                version=envelope.version,
-                secure=secure,
-                auth=envelope.auth,
-                session_token=envelope.session,
-                push=push if op.streaming else None,
-                owner_token=owner,
-                trace_id=envelope.trace_id,
-                request_id=request_id,
-                started=started,
-                complete=complete,
+        if obs is not None and obs.tracer.enabled and (
+            not op.read_only or envelope.trace_id is not None
+        ):
+            # Mutating ops (and anything the caller explicitly traced)
+            # get a router span; read-only hot-path ops pay metrics only.
+            span = obs.tracer.start_span(
+                f"router.{op.name}", trace_id=envelope.trace_id, op=op.name
             )
-            obs = self._obs
-            if obs is not None and obs.tracer.enabled and (
-                not op.read_only or envelope.trace_id is not None
-            ):
-                # Mutating ops (and anything the caller explicitly traced)
-                # get a router span; read-only hot-path ops pay metrics only.
-                span = obs.tracer.start_span(
-                    f"router.{envelope.op}",
-                    trace_id=envelope.trace_id,
-                    op=envelope.op,
-                )
-                ctx.trace_id = span.trace_id
-                trace_id = span.trace_id
+            ctx.trace_id = span.trace_id
+        try:
             if op.authenticate:
-                ctx.user = self._authenticate(envelope, secure)
+                ctx.user = self._authenticate(envelope, ctx.secure)
                 if op.permission is not None:
                     self._server.users.authorize(ctx.user, op.permission)
-            payload = op.handler(ctx, envelope.payload)
+            payload = handler(ctx, envelope.payload)
+        except Exception:
             if span is not None:
-                self._obs.tracer.end_span(span)
-                span = None
-            if op.blocking and isinstance(payload, _ParkedPoll):
-                # Parked: whoever completes the poll builds its envelope
-                # and counts the request (see _finish_poll).
-                return self._await_poll(payload) if complete is None else None
-        except Exception as exc:  # noqa: BLE001 - boundary translation
-            if span is not None:
-                self._obs.tracer.end_span(span, status="error")
-            error = map_exception(exc)
-            self._observe_request(
-                metric_op, "error", time.perf_counter() - started, trace_id
-            )
-            return ApiResponse(
-                ok=False,
-                version=version,
-                request_id=request_id,
-                error=error.to_wire(),
-            ).to_wire()
-        self._observe_request(metric_op, "ok", time.perf_counter() - started, trace_id)
-        return ApiResponse(
-            ok=True, version=version, request_id=request_id, payload=payload
-        ).to_wire()
+                obs.tracer.end_span(span, status="error")
+            raise
+        if span is not None:
+            obs.tracer.end_span(span)
+        if op.blocking and isinstance(payload, _ParkedPoll):
+            # Parked: whoever completes the poll builds its envelope
+            # and counts the request (see _finish_poll).
+            return self._await_poll(payload) if ctx.complete is None else None
+        response = ctx.ok(payload)
+        self._observe_request(
+            op.name, "ok", time.perf_counter() - ctx.started, ctx.trace_id
+        )
+        return response
+
+    def _on_error(
+        self, label: str, elapsed_s: float, ctx: Optional[RequestContext]
+    ) -> None:
+        self._observe_request(
+            label, "error", elapsed_s, None if ctx is None else ctx.trace_id
+        )
 
     def _observe_request(
         self,
@@ -744,11 +459,6 @@ class ApiRouter:
         topic_prefix: Optional[str] = None,
         job_id: Optional[int] = None,
     ) -> _Subscription:
-        if ctx.push is None:
-            raise ValidationApiError(
-                "this transport cannot carry server pushes; use a streaming-"
-                "capable transport (gateway connection or in-process client)"
-            )
         with self._subscriptions_lock:
             subscription_id = self._next_subscription_id
             self._next_subscription_id += 1
@@ -952,14 +662,9 @@ class ApiRouter:
         self._observe_request(
             "agent.poll", "ok", time.perf_counter() - ctx.started, ctx.trace_id
         )
-        poll.response = ApiResponse(
-            ok=True,
-            version=ctx.version,
-            request_id=ctx.request_id,
-            payload=AgentPollView(
-                offers=[self._offer_view(job) for job in offers]
-            ).to_wire(),
-        ).to_wire()
+        poll.response = ctx.ok(
+            AgentPollView(offers=[self._offer_view(job) for job in offers]).to_wire()
+        )
         if poll.done is not None:
             poll.done.set()
         else:
@@ -1130,12 +835,13 @@ class ApiRouter:
         # Journal health and shard identity are v2 additions: a strict
         # pre-v2 client parsing StatusView would reject the unknown fields,
         # so v1 envelopes keep their exact historical wire form.
-        journal = status.get("journal") if ctx.version == API_VERSION_V2 else None
-        shard_id = status.get("shard_id") if ctx.version == API_VERSION_V2 else None
+        version = ctx.envelope.version
+        journal = status.get("journal") if version == API_VERSION_V2 else None
+        shard_id = status.get("shard_id") if version == API_VERSION_V2 else None
         return StatusView(
             journal=JournalHealthView(**journal) if journal is not None else None,
             shard_id=shard_id,
-            api_version=ctx.version,
+            api_version=version,
             vantage_points=status["vantage_points"],
             users=status["users"],
             queued_jobs=status["queued_jobs"],
@@ -1154,17 +860,18 @@ class ApiRouter:
         # auth.login is the one op that authenticates inside its handler:
         # the envelope's account credentials are exchanged for a session.
         request = LoginRequest.from_wire(payload)
-        if ctx.session_token is not None:
+        auth = ctx.envelope.auth
+        if ctx.envelope.session is not None:
             raise ValidationApiError(
                 "auth.login takes account credentials, not a session token"
             )
-        if ctx.auth is None:
+        if auth is None:
             raise AuthenticationApiError(
                 "auth.login requires account credentials in the envelope"
             )
         session_token, session = self._server.sessions.login(
-            ctx.auth.username,
-            ctx.auth.token,
+            auth.username,
+            auth.token,
             self._server.context.now,
             ttl_s=request.ttl_s,
             over_https=ctx.secure,
@@ -1179,12 +886,12 @@ class ApiRouter:
         ).to_wire()
 
     def _op_auth_logout(self, ctx: RequestContext, payload: dict) -> dict:
-        if ctx.session_token is None:
+        if ctx.envelope.session is None:
             raise ValidationApiError(
                 "auth.logout revokes the presenting session; authenticate "
                 "with a session token"
             )
-        revoked = self._server.sessions.revoke(ctx.session_token)
+        revoked = self._server.sessions.revoke(ctx.envelope.session)
         return LogoutView(revoked=revoked).to_wire()
 
     # -- v2 handlers: admin control plane ------------------------------------
@@ -1236,7 +943,7 @@ class ApiRouter:
         return JobView.from_job(job).to_wire()
 
     def _op_job_reject(self, ctx: RequestContext, payload: dict) -> dict:
-        reason = payload.pop("reason", "") if isinstance(payload, dict) else ""
+        reason = payload.pop("reason", "")
         if not isinstance(reason, str):
             raise ValidationApiError("reason must be a string")
         ref = JobRef.from_wire(payload)

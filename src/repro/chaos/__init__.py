@@ -54,43 +54,7 @@ if TYPE_CHECKING:
     )
     from repro.chaos.soak import SoakConfig, SoakHarness, SoakResult, run_soak
 
-__all__ = [
-    "CRASH_MODES",
-    "CrashPlan",
-    "ExecutionLedger",
-    "FaultPlane",
-    "InjectedFault",
-    "SimulatedCrash",
-    "ChaosTransport",
-    "CrashingBackend",
-    "ShardPartition",
-    "CheckResult",
-    "InvariantReport",
-    "InvariantViolation",
-    "check_analytics_live_equals_replay",
-    "check_credit_conservation",
-    "check_device_hold_conservation",
-    "check_history_bounded",
-    "check_outbox_bounded",
-    "check_no_double_execution",
-    "check_no_lost_jobs",
-    "check_push_contract",
-    "check_recovery_byte_identical",
-    "check_snapshot_equals_fresh_encode",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "Scenario",
-    "ScenarioBuilder",
-    "ScenarioError",
-    "canned_scenario",
-    "canned_scenario_names",
-    "SoakConfig",
-    "SoakHarness",
-    "SoakResult",
-    "run_soak",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "faults": (

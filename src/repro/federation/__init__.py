@@ -24,40 +24,50 @@ Modules:
   streams and the ``shard.*`` admin plane (drain → detach → re-attach).
 """
 
-from repro.federation.merge import (
-    merge_approvals,
-    merge_fleet,
-    merge_job_list,
-    merge_report,
-    merge_status,
-    merge_timeseries,
-)
-from repro.federation.placement import (
-    PlacementDirectory,
-    ShardState,
-    lane_of_job,
-    rendezvous_shard,
-)
-from repro.federation.router import FederationRouter
-from repro.federation.shard import (
-    FederationShard,
-    build_federation_shards,
-    build_shard,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "FederationRouter",
-    "FederationShard",
-    "PlacementDirectory",
-    "ShardState",
-    "build_federation_shards",
-    "build_shard",
-    "lane_of_job",
-    "merge_approvals",
-    "merge_fleet",
-    "merge_job_list",
-    "merge_report",
-    "merge_status",
-    "merge_timeseries",
-    "rendezvous_shard",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.federation.merge import (
+        merge_approvals,
+        merge_fleet,
+        merge_job_list,
+        merge_report,
+        merge_status,
+        merge_timeseries,
+    )
+    from repro.federation.placement import (
+        PlacementDirectory,
+        ShardState,
+        lane_of_job,
+        rendezvous_shard,
+    )
+    from repro.federation.router import FederationRouter
+    from repro.federation.shard import (
+        FederationShard,
+        build_federation_shards,
+        build_shard,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "merge": (
+            "merge_approvals",
+            "merge_fleet",
+            "merge_job_list",
+            "merge_report",
+            "merge_status",
+            "merge_timeseries",
+        ),
+        "placement": (
+            "PlacementDirectory",
+            "ShardState",
+            "lane_of_job",
+            "rendezvous_shard",
+        ),
+        "router": ("FederationRouter",),
+        "shard": ("FederationShard", "build_federation_shards", "build_shard"),
+    },
+)

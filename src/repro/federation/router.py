@@ -7,38 +7,48 @@ duck-type surface :class:`~repro.api.gateway.ApiGateway` drives an
 ``server`` exposing ``.obs`` — so the stock gateway, the stock client and
 every existing wire test run against a federation without modification.
 
-Request classes and how each is served:
+Which operation is served how is not decided here: every row of the
+operation table (:data:`repro.api.ops.OPS`) names its federation *mode*,
+and the router binds each row to a route at construction — its own
+``_fed_<name>`` method where the operation needs one, else the generic
+route of its mode.  What each mode means across N shards:
 
-* **Routed** — one deterministic target shard, response returned
-  *verbatim* (same bytes a standalone server would produce).  Job ops
-  route by the job-id *lane* (``(job_id - 1) % N``; see
-  :mod:`repro.federation.placement`); ``job.submit`` places by sticky
+* **routed** — one deterministic target shard, response returned
+  *verbatim* (same bytes a standalone server would produce).  A job
+  reference routes by the job-id *lane* (``(job_id - 1) % N``; see
+  :mod:`repro.federation.placement`); new work places by sticky
   idempotency key, then hardware-constraint directory, then rendezvous
-  hash over the active shards; ``session.reserve`` and
-  ``vantage-point.register`` follow the hardware; ``credits.*`` follow a
-  rendezvous of the owner over the (fixed) lane set so an account lives
-  on exactly one shard.
-* **Scattered** — fanned out to every attached shard and merged with the
-  deterministic folds in :mod:`repro.federation.merge`: ``fleet.list``,
-  ``server.status``, ``job.list`` (pagination applied *after* the global
-  id-sort), ``approvals.list``, ``analytics.report`` /
-  ``analytics.timeseries``, ``obs.metrics`` (per-shard ``shard`` label)
-  and trace-id ``obs.trace`` (first shard that knows the trace answers).
-* **Broadcast** — applied to every shard because the resource is
-  federation-global: ``auth.login`` (per-shard tokens collapsed behind
-  one federated bearer token), ``auth.logout``, ``user.create``.
-* **Streams** — ``events.subscribe`` opens one leg per attached shard and
+  hash over the active shards; reservations, hardware and agents follow
+  the directory; a credit account follows a rendezvous of its owner over
+  the (fixed) lane set so it lives on exactly one shard.
+* **scatter** — fanned out to every attached shard and merged with the
+  deterministic fold in :mod:`repro.federation.merge` the row names
+  (pagination is applied *after* the global id-sort; metrics gain a
+  per-shard ``shard`` label; a trace id is answered by the first shard
+  that knows the trace).
+* **broadcast** — applied to every shard because the resource is
+  federation-global (a login collapses the per-shard tokens behind one
+  federated bearer token).
+* **stream** — an event subscription opens one leg per attached shard and
   multiplexes them behind a single federated subscription id; the
   federated ``seq`` advances by each leg frame's ``dropped + 1``, so the
   PR-5 back-pressure contract (seq gap == dropped) holds across the
-  merge.  ``job.watch`` is routed to the job's lane and re-tagged.
-* **Admin** — ``shard.list`` / ``shard.add`` / ``shard.drain`` /
-  ``shard.remove`` drive the drain state machine (``active`` →
-  ``draining`` → ``detached``); they live in the router because shard
-  membership *is* router state.
+  merge.  A job watch is one leg on the job's lane, re-tagged.
+* **admin** — the ``shard.*`` rows drive the drain state machine
+  (``active`` → ``draining`` → ``detached``); they live in the router
+  because shard membership *is* router state.  They — and the cancel of
+  a federated stream — are the only requests the router authenticates
+  itself.
 
-A single-lane federation passes every non-admin request through
-verbatim — a federation of one is byte-identical to a standalone server.
+The envelope gates (known operation, supported and sufficient version, a
+push-capable transport for a stream) are :class:`~repro.api.ops.OpRouter`'s,
+shared with :class:`~repro.api.router.ApiRouter`; authentication of every
+forwarded request stays on the shard that serves it, so no request is
+token-hashed twice.
+
+A single-lane federation passes every non-admin request that clears the
+gates through verbatim — a federation of one is byte-identical to a
+standalone server.
 """
 
 from __future__ import annotations
@@ -47,26 +57,19 @@ import threading
 import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.accessserver.auth import Permission, Role, User
+from repro.accessserver.auth import Role, User
 from repro.api.errors import (
     AuthenticationApiError,
     ConflictApiError,
     NotFoundApiError,
     PermissionApiError,
     SessionApiError,
-    UnknownOperationApiError,
-    ValidationApiError,
     VersionApiError,
-    map_exception,
 )
-from repro.api.router import ApiRouter
+from repro.api.ops import OPS, Op, OpRouter, RequestContext
 from repro.api.schemas import (
-    API_VERSION,
     API_VERSION_V2,
     PUSH_FRAME_END,
-    SUPPORTED_VERSIONS,
-    ApiRequest,
-    ApiResponse,
     ObsMetricsView,
     ShardListView,
     ShardRef,
@@ -85,31 +88,6 @@ from repro.federation.shard import FederationShard
 from repro.obs import Observability
 
 __all__ = ["FederationRouter"]
-
-#: Ops scattered to every attached shard and merged deterministically.
-_SCATTER_OPS = frozenset(
-    {
-        "fleet.list",
-        "server.status",
-        "job.list",
-        "approvals.list",
-        "analytics.report",
-        "analytics.timeseries",
-        "obs.metrics",
-    }
-)
-
-#: Ops routed to the lane that minted the referenced job id.
-_JOB_OPS = frozenset(
-    {"job.status", "job.cancel", "job.results", "job.approve", "job.reject"}
-)
-
-#: Agent-plane ops routed to the agent's learned home shard.  Leases are
-#: shard-local state, so everything an agent does after registering must
-#: keep landing on the shard that granted its leases.
-_AGENT_OPS = frozenset(
-    {"agent.poll", "agent.claim", "agent.heartbeat", "agent.report"}
-)
 
 
 class _RouterCore:
@@ -179,7 +157,7 @@ class _FedSubscription:
         return _push
 
 
-class FederationRouter:
+class FederationRouter(OpRouter):
     """N shards behind one ApiRouter-shaped endpoint.
 
     Parameters
@@ -224,13 +202,16 @@ class FederationRouter:
             "Federated API requests by operation and serving mode",
             labelnames=("op", "mode"),
         )
-        #: shard.* op -> (handler, read_only)
-        self._fed_ops: Dict[str, Tuple[Callable, bool]] = {
-            "shard.list": (self._op_shard_list, True),
-            "shard.add": (self._op_shard_add, False),
-            "shard.drain": (self._op_shard_drain, False),
-            "shard.remove": (self._op_shard_remove, False),
-        }
+        self._bind(OPS.values(), self._route_for)
+
+    def _route_for(self, op: Op) -> Optional[Callable[[RequestContext], object]]:
+        """The op's own ``_fed_<name>`` route, else the generic one of its mode."""
+        route = getattr(self, "_fed_" + op.handler_suffix, None)
+        if route is None and op.mode == "routed":
+            route = self._route_to_job
+        if route is None and op.merge is not None:
+            route = self._scatter
+        return route
 
     # -- ApiRouter duck-type surface -----------------------------------------
     @property
@@ -240,23 +221,6 @@ class FederationRouter:
     @property
     def shards(self) -> List[FederationShard]:
         return list(self._lanes)
-
-    def is_read_only(self, op_name: object) -> bool:
-        if isinstance(op_name, str) and op_name in self._fed_ops:
-            return self._fed_ops[op_name][1]
-        return self._lanes[0].router.is_read_only(op_name)
-
-    def is_blocking(self, op_name: object) -> bool:
-        if isinstance(op_name, str) and op_name in self._fed_ops:
-            return False
-        return self._lanes[0].router.is_blocking(op_name)
-
-    def operations(self, version: str = API_VERSION) -> Dict[str, Optional[Permission]]:
-        ops = self._lanes[0].router.operations(version)
-        if version >= API_VERSION_V2:
-            for name in self._fed_ops:
-                ops[name] = Permission.MANAGE_VANTAGE_POINTS
-        return ops
 
     def cancel_owner(self, owner: Optional[object]) -> int:
         with self._subscriptions_lock:
@@ -360,7 +324,8 @@ class FederationRouter:
                     return rewritten
         return request
 
-    def _caller_username(self, envelope: ApiRequest) -> str:
+    def _caller_username(self, ctx: RequestContext) -> str:
+        envelope = ctx.envelope
         if envelope.auth is not None:
             return envelope.auth.username
         if envelope.session is not None:
@@ -377,8 +342,10 @@ class FederationRouter:
                     continue
         return ""
 
-    def _resolve_user(self, envelope: ApiRequest, secure: bool) -> User:
-        """Authenticate a federation-handled op against the reference shard."""
+    def _authorize(self, ctx: RequestContext) -> User:
+        """Authenticate and authorize an op the federation serves itself,
+        against the reference shard."""
+        envelope = ctx.envelope
         shard = self._reference_shard()
         server = shard.server
         if envelope.session is not None:
@@ -396,279 +363,172 @@ class FederationRouter:
                         f"shard {shard.shard_id!r} restarted since this "
                         "session was issued; log in again"
                     )
-            return server.sessions.resolve(
-                token, server.context.now, over_https=secure
+            user = server.sessions.resolve(
+                token, server.context.now, over_https=ctx.secure
             )
-        if envelope.auth is None:
+        elif envelope.auth is None:
             raise AuthenticationApiError(
                 "operation requires credentials", details={"op": envelope.op}
             )
-        return server.users.authenticate(
-            envelope.auth.username, envelope.auth.token, over_https=secure
-        )
+        else:
+            user = server.users.authenticate(
+                envelope.auth.username, envelope.auth.token, over_https=ctx.secure
+            )
+        server.users.authorize(user, ctx.op.permission)
+        return user
 
-    # -- entry point ----------------------------------------------------------
-    def handle(
-        self,
-        request: dict,
-        push: Optional[Callable[[dict], None]] = None,
-        owner: Optional[object] = None,
-        secure: bool = True,
-    ) -> dict:
-        """Execute one wire request; never raises (same contract as ApiRouter)."""
-        return self._handle(request, push, owner, secure, None)
+    # -- behind the gates ------------------------------------------------------
+    def _on_lookup(self, label: str, op: Optional[Op]) -> None:
+        if not self.obs.registry.enabled:
+            return
+        if op is None:
+            mode = "rejected"
+        elif self._lane_count == 1 and op.mode != "admin":
+            mode = "passthrough"
+        else:
+            mode = op.mode
+        self._requests_total.labels(label, mode).inc()
 
-    def handle_deferred(
-        self,
-        request: dict,
-        complete: Callable[[dict], None],
-        push: Optional[Callable[[dict], None]] = None,
-        owner: Optional[object] = None,
-        secure: bool = True,
+    def _serve(
+        self, ctx: RequestContext, route: Callable[[RequestContext], object]
     ) -> Optional[dict]:
-        """:meth:`handle` that parks instead of blocking (same contract as
-        :meth:`ApiRouter.handle_deferred`): ``None`` when the home shard
-        parked the request, which then answers through ``complete``."""
-        return self._handle(request, push, owner, secure, complete)
-
-    def _handle(
-        self,
-        request: dict,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-        complete: Optional[Callable[[dict], None]],
-    ) -> Optional[dict]:
-        request_id = request.get("request_id") if isinstance(request, dict) else 0
-        if not isinstance(request_id, int) or isinstance(request_id, bool):
-            request_id = 0
-        version = API_VERSION
-        try:
-            envelope = ApiRequest.from_wire(request)
-            if envelope.version not in SUPPORTED_VERSIONS:
-                raise VersionApiError(
-                    f"API version {envelope.version!r} is not supported",
-                    details={"supported_versions": list(SUPPORTED_VERSIONS)},
-                )
-            version = envelope.version
-            op = envelope.op
-            if op in self._fed_ops:
-                if envelope.version != API_VERSION_V2:
-                    raise VersionApiError(
-                        f"operation {op!r} requires API version "
-                        f"{API_VERSION_V2}; negotiate a v2 envelope",
-                        details={"operation": op, "min_version": API_VERSION_V2},
-                    )
-                handler = self._fed_ops[op][0]
-                self._count(op, "admin")
-                payload = handler(envelope, secure)
-                return ApiResponse(
-                    ok=True, version=version, request_id=request_id, payload=payload
-                ).to_wire()
-            return self._dispatch(request, envelope, push, owner, secure, complete)
-        except Exception as exc:  # noqa: BLE001 - boundary translation
-            error = map_exception(exc)
-            return ApiResponse(
-                ok=False,
-                version=version,
-                request_id=request_id,
-                error=error.to_wire(),
-            ).to_wire()
-
-    def _count(self, op: str, mode: str) -> None:
-        if self.obs.registry.enabled:
-            self._requests_total.labels(op, mode).inc()
-
-    def _dispatch(
-        self,
-        request: dict,
-        envelope: ApiRequest,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-        complete: Optional[Callable[[dict], None]] = None,
-    ) -> Optional[dict]:
+        if ctx.op.mode == "admin":
+            self._authorize(ctx)
+            return ctx.ok(route(ctx))
         attached = self._scatter_set()
         if not attached:
             raise ConflictApiError("every shard of this federation is detached")
-        op = envelope.op
         if self._lane_count == 1:
             # Federation of one: the shard's response *is* the federated
             # response, byte for byte — including streams.  Only the true
             # single-lane case qualifies — a multi-lane federation drained
             # down to one shard must keep routing so detached lanes answer
             # ``resource.conflict`` ("re-attach me"), not a false not-found.
-            self._count(op, "passthrough")
-            return self._forward(request, attached[0], secure, push, owner, complete)
-        if op == "auth.login":
-            self._count(op, "broadcast")
-            return self._broadcast_login(request, envelope, secure)
-        if op == "auth.logout":
-            self._count(op, "broadcast")
-            return self._broadcast_logout(request, envelope, secure)
-        if op == "user.create":
-            self._count(op, "broadcast")
-            return self._broadcast_create_user(request, secure)
-        if op in _SCATTER_OPS:
-            self._count(op, "scatter")
-            return self._scatter(request, envelope, secure)
-        if op == "obs.trace":
-            self._count(op, "scatter")
-            return self._route_obs_trace(request, envelope, secure)
-        if op in _JOB_OPS:
-            self._count(op, "routed")
-            return self._route_to_job(request, envelope, secure)
-        if op == "job.submit":
-            self._count(op, "routed")
-            return self._route_submit(request, envelope, secure)
-        if op == "session.reserve":
-            self._count(op, "routed")
-            return self._route_reserve(request, secure)
-        if op == "vantage-point.register":
-            self._count(op, "routed")
-            return self._route_register(request, secure)
-        if op in ("credits.balance", "credits.grant"):
-            self._count(op, "routed")
-            return self._route_credits(request, envelope, secure)
-        if op == "agent.register":
-            self._count(op, "routed")
-            return self._route_agent_register(request, envelope, secure)
-        if op in _AGENT_OPS:
-            self._count(op, "routed")
-            return self._route_agent(request, envelope, secure, owner, complete)
-        if op == "job.watch":
-            self._count(op, "stream")
-            return self._open_watch(request, envelope, push, owner, secure)
-        if op == "events.subscribe":
-            self._count(op, "stream")
-            return self._open_events(request, envelope, push, owner, secure)
-        if op == "subscription.cancel":
-            self._count(op, "routed")
-            return self._cancel_subscription_op(request, envelope, secure)
-        raise UnknownOperationApiError(
-            f"unknown operation {op!r}",
-            details={"operations": sorted(self.operations(API_VERSION_V2))},
-        )
+            return self._forward(
+                ctx,
+                attached[0],
+                push=ctx.push,
+                owner=ctx.owner_token,
+                complete=ctx.complete,
+            )
+        return route(ctx)
 
     # -- forwarding helpers ----------------------------------------------------
     def _forward(
         self,
-        request: dict,
+        ctx: RequestContext,
         shard: FederationShard,
-        secure: bool,
+        request: Optional[dict] = None,
         push: Optional[Callable[[dict], None]] = None,
         owner: Optional[object] = None,
         complete: Optional[Callable[[dict], None]] = None,
     ) -> Optional[dict]:
-        request = self._request_for_shard(request, shard.shard_id)
+        """One shard leg: ``ctx``'s request (or ``request``, a rewrite of it)
+        handled by ``shard``'s own router, which authenticates it."""
+        request = self._request_for_shard(request or ctx.request, shard.shard_id)
         if complete is not None:
             return shard.router.handle_deferred(
-                request, complete, push=push, owner=owner, secure=secure
+                request, complete, push=push, owner=owner, secure=ctx.secure
             )
-        return shard.router.handle(request, push=push, owner=owner, secure=secure)
+        return shard.router.handle(
+            request, push=push, owner=owner, secure=ctx.secure
+        )
 
     def _scatter_responses(
-        self, request: dict, secure: bool
+        self, ctx: RequestContext, request: Optional[dict] = None
     ) -> List[Tuple[str, dict]]:
         return [
-            (shard.shard_id, self._forward(request, shard, secure))
+            (shard.shard_id, self._forward(ctx, shard, request))
             for shard in self._scatter_set()
         ]
 
-    @staticmethod
-    def _first_error(responses: List[Tuple[str, dict]]) -> Optional[dict]:
-        for _, response in responses:
-            if not response.get("ok"):
-                return response
+    def _job_shard(self, ctx: RequestContext) -> Optional[FederationShard]:
+        """The lane that minted the payload's ``job_id``; ``None`` for a
+        malformed ref, which the reference shard then rejects exactly as a
+        standalone server would."""
+        job_id = ctx.envelope.payload.get("job_id")
+        if isinstance(job_id, int) and not isinstance(job_id, bool) and job_id >= 1:
+            return self._lane_shard(job_id)
         return None
 
     # -- scattered reads -------------------------------------------------------
-    def _scatter(self, request: dict, envelope: ApiRequest, secure: bool) -> dict:
-        op = envelope.op
-        scattered = request
-        offset, limit = 0, None
-        if op == "job.list" and isinstance(envelope.payload, dict):
-            # Pagination must window the *merged* id-ordered list, so the
-            # shards are asked for their full filtered sets.
-            offset = envelope.payload.get("offset", 0)
-            limit = envelope.payload.get("limit")
-            stripped = {
-                key: value
-                for key, value in envelope.payload.items()
-                if key not in ("offset", "limit")
-            }
-            scattered = dict(request)
-            scattered["payload"] = stripped
-        responses = self._scatter_responses(scattered, secure)
-        error = self._first_error(responses)
-        if error is not None:
-            return error
-        payloads = [(shard_id, resp["payload"]) for shard_id, resp in responses]
-        if op == "fleet.list":
-            merged = fed_merge.merge_fleet(payloads)
-        elif op == "server.status":
-            merged = fed_merge.merge_status(payloads, envelope.version)
-        elif op == "job.list":
-            merged = fed_merge.merge_job_list(payloads, offset=offset, limit=limit)
-        elif op == "approvals.list":
-            merged = fed_merge.merge_approvals(payloads)
-        elif op == "analytics.report":
-            merged = fed_merge.merge_report(payloads)
-        elif op == "analytics.timeseries":
-            merged = fed_merge.merge_timeseries(payloads)
-        else:  # obs.metrics
-            merged = self._merge_metrics(envelope, payloads)
-        return ApiResponse(
-            ok=True,
-            version=envelope.version,
-            request_id=envelope.request_id,
-            payload=merged,
-        ).to_wire()
-
-    def _merge_metrics(
-        self, envelope: ApiRequest, payloads: List[Tuple[str, dict]]
+    def _scatter(
+        self,
+        ctx: RequestContext,
+        request: Optional[dict] = None,
+        fold: Optional[Callable[..., dict]] = None,
+        **fold_args: object,
     ) -> dict:
+        """Fan out to every attached shard and fold the payloads into one.
+
+        Without a ``fold`` of the route's own, it is the
+        :mod:`repro.federation.merge` function the op's row names — read off
+        the module per call, so a wrapper installed there is the one run.
+        """
+        responses = self._scatter_responses(ctx, request)
+        for _, response in responses:
+            if not response.get("ok"):
+                return response
+        payloads = [(shard_id, resp["payload"]) for shard_id, resp in responses]
+        if fold is None:
+            fold = getattr(fed_merge, ctx.op.merge)
+        return ctx.ok(fold(payloads, **fold_args))
+
+    def _fed_job_list(self, ctx: RequestContext) -> dict:
+        # Pagination must window the *merged* id-ordered list, so the
+        # shards are asked for their full filtered sets.
+        payload = ctx.envelope.payload
+        scattered = dict(ctx.request)
+        scattered["payload"] = {
+            key: value
+            for key, value in payload.items()
+            if key not in ("offset", "limit")
+        }
+        return self._scatter(
+            ctx,
+            scattered,
+            offset=payload.get("offset", 0),
+            limit=payload.get("limit"),
+        )
+
+    def _fed_server_status(self, ctx: RequestContext) -> dict:
+        return self._scatter(ctx, api_version=ctx.envelope.version)
+
+    def _fed_obs_metrics(self, ctx: RequestContext) -> dict:
         from repro.obs.metrics import merge_snapshots
 
-        prefix = None
-        if isinstance(envelope.payload, dict):
-            prefix = envelope.payload.get("prefix")
-        snapshots = {
-            shard_id: ObsMetricsView.from_wire(payload).to_snapshot()
-            for shard_id, payload in payloads
-        }
-        merged = merge_snapshots(
-            snapshots, extra=self.obs.registry.snapshot(), label="shard"
-        )
-        return ObsMetricsView.from_snapshot(merged, prefix=prefix).to_wire()
+        def fold(payloads: List[Tuple[str, dict]]) -> dict:
+            snapshots = {
+                shard_id: ObsMetricsView.from_wire(payload).to_snapshot()
+                for shard_id, payload in payloads
+            }
+            merged = merge_snapshots(
+                snapshots, extra=self.obs.registry.snapshot(), label="shard"
+            )
+            return ObsMetricsView.from_snapshot(
+                merged, prefix=ctx.envelope.payload.get("prefix")
+            ).to_wire()
 
-    def _route_obs_trace(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        job_id = payload.get("job_id")
-        if isinstance(job_id, int) and not isinstance(job_id, bool) and job_id >= 1:
-            return self._forward(request, self._lane_shard(job_id), secure)
+        return self._scatter(ctx, fold=fold)
+
+    def _fed_obs_trace(self, ctx: RequestContext) -> dict:
+        shard = self._job_shard(ctx)
+        if shard is not None:
+            return self._forward(ctx, shard)
         # Trace ids are globally unique (uuid-based): the one shard that
         # recorded the trace answers; every miss is a not-found.
-        responses = self._scatter_responses(request, secure)
+        responses = self._scatter_responses(ctx)
         for _, response in responses:
             if response.get("ok"):
                 return response
         return responses[0][1]
 
     # -- routed job ops --------------------------------------------------------
-    def _route_to_job(self, request: dict, envelope: ApiRequest, secure: bool) -> dict:
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        job_id = payload.get("job_id")
-        if not isinstance(job_id, int) or isinstance(job_id, bool) or job_id < 1:
-            # Malformed refs go to the reference shard for the exact
-            # validation error a standalone server would emit.
-            return self._forward(request, self._reference_shard(), secure)
-        return self._forward(request, self._lane_shard(job_id), secure)
+    def _route_to_job(self, ctx: RequestContext) -> dict:
+        return self._forward(ctx, self._job_shard(ctx) or self._reference_shard())
 
-    def _route_submit(self, request: dict, envelope: ApiRequest, secure: bool) -> dict:
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
+    def _fed_job_submit(self, ctx: RequestContext) -> dict:
+        payload = ctx.envelope.payload
         constraints = payload.get("constraints")
         constraints = constraints if isinstance(constraints, dict) else {}
         vantage_point = constraints.get("vantage_point")
@@ -678,7 +538,7 @@ class FederationRouter:
             idempotency_key = None
         owner = payload.get("owner")
         if not isinstance(owner, str) or not owner:
-            owner = self._caller_username(envelope)
+            owner = self._caller_username(ctx)
         target: Optional[FederationShard] = None
         sticky = self._directory.shard_for_submission(owner, idempotency_key)
         if sticky is not None:
@@ -721,34 +581,30 @@ class FederationRouter:
                     break
             chosen = rendezvous_shard(key or "", [s.shard_id for s in active])
             target = self._shard_by_id(chosen)
-        response = self._forward(request, target, secure)
+        response = self._forward(ctx, target)
         if response.get("ok"):
             self._directory.record_submission(
                 owner, idempotency_key, target.shard_id
             )
         return response
 
-    def _route_reserve(self, request: dict, secure: bool) -> dict:
-        payload = request.get("payload")
-        payload = payload if isinstance(payload, dict) else {}
-        vantage_point = payload.get("vantage_point")
+    def _fed_session_reserve(self, ctx: RequestContext) -> dict:
+        vantage_point = ctx.envelope.payload.get("vantage_point")
         home = None
         if isinstance(vantage_point, str):
             home = self._directory.vantage_points.get(vantage_point)
         if home is None:
-            return self._forward(request, self._reference_shard(), secure)
+            return self._forward(ctx, self._reference_shard())
         shard = self._shard_by_id(home)
         if shard is None or shard.state is ShardState.DETACHED:
             raise ConflictApiError(
                 f"vantage point {vantage_point!r} lives on a detached shard",
                 details={"vantage_point": vantage_point, "shard_id": home},
             )
-        return self._forward(request, shard, secure)
+        return self._forward(ctx, shard)
 
-    def _route_register(self, request: dict, secure: bool) -> dict:
-        payload = request.get("payload")
-        payload = payload if isinstance(payload, dict) else {}
-        name = payload.get("name")
+    def _fed_vantage_point_register(self, ctx: RequestContext) -> dict:
+        name = ctx.envelope.payload.get("name")
         if isinstance(name, str) and name in self._directory.vantage_points:
             # Conflict-check federation-wide before placing: rendezvous
             # would otherwise happily register a duplicate name on a
@@ -765,18 +621,15 @@ class FederationRouter:
             [s.shard_id for s in active],
         )
         shard = self._shard_by_id(chosen)
-        response = self._forward(request, shard, secure)
+        response = self._forward(ctx, shard)
         if response.get("ok"):
             self._directory.learn_shard(shard.shard_id, shard.server)
         return response
 
-    def _route_credits(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        owner = payload.get("owner")
+    def _route_credits(self, ctx: RequestContext) -> dict:
+        owner = ctx.envelope.payload.get("owner")
         if not isinstance(owner, str) or not owner:
-            owner = self._caller_username(envelope)
+            owner = self._caller_username(ctx)
         # Rendezvous over the *full* lane set: an account's home shard must
         # not move when another shard drains, or balances would appear to
         # reset.  A detached home refuses rather than silently re-homing.
@@ -788,12 +641,12 @@ class FederationRouter:
                 f"{home_id!r}; re-attach it with shard.add",
                 details={"owner": owner, "shard_id": home_id},
             )
-        return self._forward(request, shard, secure)
+        return self._forward(ctx, shard)
+
+    _fed_credits_balance = _fed_credits_grant = _route_credits
 
     # -- routed agent ops ------------------------------------------------------
-    def _route_agent_register(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
+    def _fed_agent_register(self, ctx: RequestContext) -> dict:
         """Place an agent on one shard and remember the choice.
 
         A vantage-point binding pins the agent to the shard hosting that
@@ -801,10 +654,9 @@ class FederationRouter:
         re-registration goes home to its learned shard, and a brand-new
         unbound agent is placed by rendezvous over the active shards.
         """
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        agent_id = payload.get("agent_id")
+        agent_id = ctx.envelope.payload.get("agent_id")
         agent_id = agent_id if isinstance(agent_id, str) else ""
-        vantage_point = payload.get("vantage_point")
+        vantage_point = ctx.envelope.payload.get("vantage_point")
         home = self._directory.agents.get(agent_id)
         if isinstance(vantage_point, str):
             vp_home = self._directory.vantage_points.get(vantage_point)
@@ -826,24 +678,18 @@ class FederationRouter:
             target = self._shard_by_id(
                 rendezvous_shard(agent_id, [s.shard_id for s in active])
             )
-        response = self._forward(request, target, secure)
+        response = self._forward(ctx, target)
         if response.get("ok"):
             self._directory.agents[agent_id] = target.shard_id
         return response
 
-    def _route_agent(
-        self,
-        request: dict,
-        envelope: ApiRequest,
-        secure: bool,
-        owner: Optional[object] = None,
-        complete: Optional[Callable[[dict], None]] = None,
-    ) -> Optional[dict]:
-        """Route to the agent's home shard.  ``owner`` and ``complete`` ride
+    def _route_agent(self, ctx: RequestContext) -> Optional[dict]:
+        """Route to the agent's home shard: leases are shard-local state, so
+        everything an agent does after registering must keep landing on the
+        shard that granted them.  The owner token and ``complete`` ride
         along for ``agent.poll``: a poll the shard parks is cancelled with
         its connection and answers through ``complete``."""
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        agent_id = payload.get("agent_id")
+        agent_id = ctx.envelope.payload.get("agent_id")
         home = (
             self._directory.agents.get(agent_id)
             if isinstance(agent_id, str)
@@ -852,7 +698,7 @@ class FederationRouter:
         if home is None:
             # Unknown agent: the reference shard emits the standalone
             # "unknown agent ...; register it first" not-found.
-            return self._forward(request, self._reference_shard(), secure)
+            return self._forward(ctx, self._reference_shard())
         shard = self._shard_by_id(home)
         if shard is None or shard.state is ShardState.DETACHED:
             raise ConflictApiError(
@@ -860,13 +706,16 @@ class FederationRouter:
                 "re-attach it with shard.add",
                 details={"agent_id": agent_id, "shard_id": home},
             )
-        return self._forward(request, shard, secure, owner=owner, complete=complete)
+        return self._forward(
+            ctx, shard, owner=ctx.owner_token, complete=ctx.complete
+        )
+
+    _fed_agent_poll = _fed_agent_claim = _route_agent
+    _fed_agent_heartbeat = _fed_agent_report = _route_agent
 
     # -- broadcast ops ---------------------------------------------------------
-    def _broadcast_login(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
-        responses = self._scatter_responses(request, secure)
+    def _fed_auth_login(self, ctx: RequestContext) -> dict:
+        responses = self._scatter_responses(ctx)
         tokens: Dict[str, str] = {}
         home_response: Optional[dict] = None
         for shard_id, response in responses:
@@ -885,43 +734,33 @@ class FederationRouter:
         merged["payload"] = merged_payload
         return merged
 
-    def _broadcast_logout(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
-        fed = (
-            self._sessions.pop(envelope.session, None)
-            if envelope.session is not None
-            else None
-        )
+    def _fed_auth_logout(self, ctx: RequestContext) -> dict:
+        session = ctx.envelope.session
+        fed = self._sessions.pop(session, None) if session is not None else None
         if fed is None:
             # Not a federated token: let the reference shard produce the
             # standalone behaviour (including the revoked=false case).
-            return self._forward(request, self._reference_shard(), secure)
+            return self._forward(ctx, self._reference_shard())
         revoked = False
         for shard in self._scatter_set():
             token = fed.tokens.get(shard.shard_id)
             if token is None:
                 continue
-            rewritten = dict(request)
+            rewritten = dict(ctx.request)
             rewritten["session"] = token
-            response = shard.router.handle(rewritten, secure=secure)
+            response = shard.router.handle(rewritten, secure=ctx.secure)
             if response.get("ok") and response["payload"].get("revoked"):
                 revoked = True
-        return ApiResponse(
-            ok=True,
-            version=envelope.version,
-            request_id=envelope.request_id,
-            payload={"revoked": revoked},
-        ).to_wire()
+        return ctx.ok({"revoked": revoked})
 
-    def _broadcast_create_user(self, request: dict, secure: bool) -> dict:
+    def _fed_user_create(self, ctx: RequestContext) -> dict:
         """Create the account on every shard so credentials work fleet-wide.
 
         Succeeds if at least one shard accepted; shards answering
         ``resource.conflict`` already hold the account (a retry after a
         partial failure), which is the idempotent outcome we want.
         """
-        responses = self._scatter_responses(request, secure)
+        responses = self._scatter_responses(ctx)
         for _, response in responses:
             if response.get("ok"):
                 return response
@@ -994,29 +833,18 @@ class FederationRouter:
             with sub.lock:
                 sub.legs.pop(shard_id, None)
 
-    def _open_watch(
-        self,
-        request: dict,
-        envelope: ApiRequest,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-    ) -> dict:
-        if push is None:
-            raise ValidationApiError(
-                "this transport cannot carry server pushes; use a streaming-"
-                "capable transport (gateway connection or in-process client)"
-            )
-        payload = envelope.payload if isinstance(envelope.payload, dict) else {}
-        job_id = payload.get("job_id")
-        if not isinstance(job_id, int) or isinstance(job_id, bool) or job_id < 1:
-            return self._forward(request, self._reference_shard(), secure)
-        shard = self._lane_shard(job_id)
+    def _fed_job_watch(self, ctx: RequestContext) -> dict:
+        shard = self._job_shard(ctx)
+        if shard is None:
+            # A malformed ref cannot open a stream; the push rides along so
+            # the shard's own gates let the request reach the validation
+            # error a standalone server would emit.
+            return self._forward(ctx, self._reference_shard(), push=ctx.push)
         sub = self._new_fed_subscription(
-            owner, self._caller_username(envelope), push, watch=True
+            ctx.owner_token, self._caller_username(ctx), ctx.push, watch=True
         )
         response = self._forward(
-            request, shard, secure, push=sub.leg_push(shard.shard_id), owner=sub
+            ctx, shard, push=sub.leg_push(shard.shard_id), owner=sub
         )
         if not response.get("ok"):
             self._cancel_fed_subscription(sub.fed_id)
@@ -1038,26 +866,14 @@ class FederationRouter:
         rewritten["payload"] = rewritten_payload
         return rewritten
 
-    def _open_events(
-        self,
-        request: dict,
-        envelope: ApiRequest,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-    ) -> dict:
-        if push is None:
-            raise ValidationApiError(
-                "this transport cannot carry server pushes; use a streaming-"
-                "capable transport (gateway connection or in-process client)"
-            )
+    def _fed_events_subscribe(self, ctx: RequestContext) -> dict:
         sub = self._new_fed_subscription(
-            owner, self._caller_username(envelope), push, watch=False
+            ctx.owner_token, self._caller_username(ctx), ctx.push, watch=False
         )
         opened: List[Tuple[FederationShard, int]] = []
         for shard in self._scatter_set():
             response = self._forward(
-                request, shard, secure, push=sub.leg_push(shard.shard_id), owner=sub
+                ctx, shard, push=sub.leg_push(shard.shard_id), owner=sub
             )
             if not response.get("ok"):
                 self._cancel_fed_subscription(sub.fed_id)
@@ -1066,53 +882,29 @@ class FederationRouter:
         with sub.lock:
             for shard, leg_id in opened:
                 sub.legs[shard.shard_id] = leg_id
-        return ApiResponse(
-            ok=True,
-            version=envelope.version,
-            request_id=envelope.request_id,
-            payload=SubscriptionAck(subscription_id=sub.fed_id).to_wire(),
-        ).to_wire()
+        return ctx.ok(SubscriptionAck(subscription_id=sub.fed_id).to_wire())
 
-    def _cancel_subscription_op(
-        self, request: dict, envelope: ApiRequest, secure: bool
-    ) -> dict:
-        ref = SubscriptionRef.from_wire(
-            envelope.payload if isinstance(envelope.payload, dict) else {}
-        )
+    def _fed_subscription_cancel(self, ctx: RequestContext) -> dict:
+        ref = SubscriptionRef.from_wire(ctx.envelope.payload)
         with self._subscriptions_lock:
             sub = self._subscriptions.get(ref.subscription_id)
         if sub is None:
             # Not federated: a pass-through-era shard subscription, or
             # simply unknown — the shards decide, with their own checks.
-            responses = self._scatter_responses(request, secure)
+            responses = self._scatter_responses(ctx)
             for _, response in responses:
                 if response.get("ok") and response["payload"].get("cancelled"):
                     return response
             return responses[0][1]
-        user = self._resolve_user(envelope, secure)
-        self._reference_shard().server.users.authorize(
-            user, Permission.VIEW_RESULTS
-        )
+        user = self._authorize(ctx)
         if sub.username != user.username and user.role is not Role.ADMIN:
             raise PermissionApiError(
                 "only the subscriber or an admin may cancel a subscription"
             )
         cancelled = self._cancel_fed_subscription(ref.subscription_id)
-        return ApiResponse(
-            ok=True,
-            version=envelope.version,
-            request_id=envelope.request_id,
-            payload={"cancelled": cancelled},
-        ).to_wire()
+        return ctx.ok({"cancelled": cancelled})
 
     # -- shard admin plane -----------------------------------------------------
-    def _require_admin(self, envelope: ApiRequest, secure: bool) -> User:
-        user = self._resolve_user(envelope, secure)
-        self._reference_shard().server.users.authorize(
-            user, Permission.MANAGE_VANTAGE_POINTS
-        )
-        return user
-
     def _shard_view(self, shard: FederationShard) -> ShardView:
         vantage_points = sorted(
             name
@@ -1136,18 +928,14 @@ class FederationRouter:
             pending_approval=pending,
         )
 
-    def _op_shard_list(self, envelope: ApiRequest, secure: bool) -> dict:
-        self._require_admin(envelope, secure)
+    def _fed_shard_list(self, ctx: RequestContext) -> dict:
         shards = sorted(self._lanes, key=lambda s: s.shard_id)
         return ShardListView(
             shards=[self._shard_view(shard) for shard in shards]
         ).to_wire()
 
-    def _op_shard_drain(self, envelope: ApiRequest, secure: bool) -> dict:
-        self._require_admin(envelope, secure)
-        ref = ShardRef.from_wire(
-            envelope.payload if isinstance(envelope.payload, dict) else {}
-        )
+    def _fed_shard_drain(self, ctx: RequestContext) -> dict:
+        ref = ShardRef.from_wire(ctx.envelope.payload)
         shard = self._shard_by_id(ref.shard_id)
         if shard is None:
             raise NotFoundApiError(
@@ -1174,11 +962,8 @@ class FederationRouter:
         shard.sync()
         return self._shard_view(shard).to_wire()
 
-    def _op_shard_remove(self, envelope: ApiRequest, secure: bool) -> dict:
-        self._require_admin(envelope, secure)
-        ref = ShardRef.from_wire(
-            envelope.payload if isinstance(envelope.payload, dict) else {}
-        )
+    def _fed_shard_remove(self, ctx: RequestContext) -> dict:
+        ref = ShardRef.from_wire(ctx.envelope.payload)
         shard = self._shard_by_id(ref.shard_id)
         if shard is None:
             raise NotFoundApiError(f"unknown shard {ref.shard_id!r}")
@@ -1199,11 +984,8 @@ class FederationRouter:
         # under the same id finds them waiting.
         return self._shard_view(shard).to_wire()
 
-    def _op_shard_add(self, envelope: ApiRequest, secure: bool) -> dict:
-        self._require_admin(envelope, secure)
-        ref = ShardRef.from_wire(
-            envelope.payload if isinstance(envelope.payload, dict) else {}
-        )
+    def _fed_shard_add(self, ctx: RequestContext) -> dict:
+        ref = ShardRef.from_wire(ctx.envelope.payload)
         shard = self._shard_by_id(ref.shard_id)
         if shard is None:
             raise ConflictApiError(

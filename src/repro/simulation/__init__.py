@@ -32,17 +32,7 @@ if TYPE_CHECKING:
     from repro.simulation.process import PeriodicProcess
     from repro.simulation.random import SeededRandom
 
-__all__ = [
-    "SimClock",
-    "Event",
-    "EventScheduler",
-    "SeededRandom",
-    "Entity",
-    "SimulationContext",
-    "PeriodicProcess",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "clock": ("SimClock",),

@@ -64,6 +64,8 @@ LAZY_PACKAGES = (
     "repro.chaos",
     "repro.agent",
     "repro.analysis",
+    "repro.federation",
+    "repro.analytics",
 )
 
 
