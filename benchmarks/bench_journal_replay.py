@@ -18,8 +18,14 @@ checkpoint stalls the dispatch thread when 10 jobs settled since the
 previous one (``checkpoint_ms_*``, median of 5, ``FileBackend`` with its
 fsyncs), and how many job records that checkpoint had to encode
 (``checkpoint_encoded_jobs_10k`` — an exact count: live + 10, whatever
-is retained).  Results land in ``BENCH_journal_replay.json`` at the
-repository root.
+is retained).
+
+And it sizes the state at rest for the replay workload:
+``journal_bytes_per_job`` (the uncompacted journal over the jobs submitted)
+and ``snapshot_bytes_per_job`` (what a checkpoint of the same state would
+write, over the same jobs).  Bytes repeat exactly from run to run, so CI
+holds them to a 2 % band where the timings get 50 %.  Results land in
+``BENCH_journal_replay.json`` at the repository root.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_journal_replay.py``
 or under pytest-benchmark via
@@ -36,7 +42,13 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
-from repro.accessserver.persistence import FileBackend, noop_payload, recover_into
+from repro.accessserver.persistence import (
+    FileBackend,
+    build_snapshot,
+    encode_snapshot,
+    noop_payload,
+    recover_into,
+)
 from repro.core.platform import add_vantage_point, build_default_platform
 from repro.device.profiles import SAMSUNG_J7_DUO
 
@@ -226,6 +238,11 @@ def run_replay_benchmark() -> Dict[str, object]:
         journal_events = manager.sequence
         appended = manager.backend.appended
         fsyncs = manager.backend.fsyncs
+        journal_bytes = manager.backend.journal_path.stat().st_size
+        snapshot_bytes = sum(
+            len(piece.encode("utf-8"))
+            for piece in encode_snapshot(build_snapshot(server, manager.sequence))
+        )
 
         # -- the crash ---------------------------------------------------------------
         fresh = build_fleet()
@@ -260,6 +277,8 @@ def run_replay_benchmark() -> Dict[str, object]:
             "journal_events": journal_events,
             "journal_appends": appended,
             "journal_fsyncs": fsyncs,
+            "journal_bytes_per_job": round(journal_bytes / SUBMISSIONS, 1),
+            "snapshot_bytes_per_job": round(snapshot_bytes / SUBMISSIONS, 1),
             "events_replayed": report.events_replayed,
             "jobs_restored": report.jobs_restored,
             "jobs_queued_after_recovery": report.jobs_queued,

@@ -17,6 +17,14 @@ metrics (events/s, requests/s) need a wider band than normalized ratios::
         --current BENCH_journal_replay.json \
         --metric events_per_s:0.5
 
+A lower-is-better metric that repeats (bytes, counts) is banded the other
+way round — ``NAME:FRACTION`` is how far it may *rise* over the baseline::
+
+    python benchmarks/check_bench_trend.py \
+        --baseline /tmp/bench_baseline_replay.json \
+        --current BENCH_journal_replay.json \
+        --lower journal_bytes_per_job:0.02
+
 A lower-is-better metric whose old values are no baseline worth keeping
 (a latency that just fell 100×) is held to an absolute ceiling instead::
 
@@ -59,6 +67,14 @@ def main(argv=None) -> int:
         "':FRACTION' for a metric-specific allowed drop, e.g. events_per_s:0.5",
     )
     parser.add_argument(
+        "--lower",
+        action="append",
+        default=[],
+        metavar="NAME:FRACTION",
+        help="lower-is-better metric that may rise at most FRACTION over the "
+        "baseline (repeatable), e.g. journal_bytes_per_job:0.02",
+    )
+    parser.add_argument(
         "--ceiling",
         action="append",
         default=[],
@@ -73,13 +89,15 @@ def main(argv=None) -> int:
         help="allowed fractional drop before failing (default: 0.20)",
     )
     args = parser.parse_args(argv)
-    if not args.metric and not args.ceiling:
-        parser.error("nothing to check: give --metric and/or --ceiling")
+    if not args.metric and not args.lower and not args.ceiling:
+        parser.error("nothing to check: give --metric, --lower and/or --ceiling")
 
     baseline = load(args.baseline)
     current = load(args.current)
     failures = []
-    for metric_spec in args.metric:
+    # (spec, +1 higher-is-better / -1 lower-is-better): one banded comparison.
+    banded = [(spec, 1) for spec in args.metric] + [(spec, -1) for spec in args.lower]
+    for metric_spec, direction in banded:
         metric, _, allowance = metric_spec.partition(":")
         try:
             max_regression = float(allowance) if allowance else args.max_regression
@@ -93,17 +111,19 @@ def main(argv=None) -> int:
             continue
         base_value = float(baseline[metric])
         new_value = float(current[metric])
-        floor = base_value * (1.0 - max_regression)
+        bound = base_value * (1.0 - direction * max_regression)
         change = (new_value - base_value) / base_value if base_value else float("inf")
-        status = "OK" if new_value >= floor else "REGRESSION"
+        regressed = (new_value - bound) * direction < 0
         print(
             f"[trend] {metric}: baseline={base_value:.1f} current={new_value:.1f} "
-            f"({change:+.1%}, floor={floor:.1f}) {status}"
+            f"({change:+.1%}, {'floor' if direction > 0 else 'ceiling'}={bound:.1f}) "
+            f"{'REGRESSION' if regressed else 'OK'}"
         )
-        if new_value < floor:
+        if regressed:
             failures.append(
-                f"{metric} regressed {-change:.1%} (baseline {base_value:.1f} -> "
-                f"{new_value:.1f}; allowed drop {max_regression:.0%})"
+                f"{metric} regressed {-direction * change:.1%} (baseline {base_value:.1f} -> "
+                f"{new_value:.1f}; allowed {'drop' if direction > 0 else 'rise'} "
+                f"{max_regression:.0%})"
             )
     for ceiling_spec in args.ceiling:
         metric, _, limit = ceiling_spec.partition(":")

@@ -8,7 +8,12 @@ A second table prices what the long-lived server keeps per retained job:
 heap (tracemalloc) and RSS growth over 12,000 in-process noop jobs, each in
 its own interpreter; its gate is ``tests/test_memory_footprint.py``.
 
-A third table records the size of the code itself: python lines under
+A third table prices the same job at rest: journal bytes written and
+snapshot bytes retained per settled noop job (one uncompacted run, then one
+checkpoint) — the numbers ``tests/test_record_elision.py`` budgets and
+``BENCH_journal_replay.json`` trends.
+
+A fourth table records the size of the code itself: python lines under
 ``src/``, ``tests/`` and ``benchmarks/``, and every ``src/`` file over 1,000
 lines.  A trend, not a gate — it is the number ROADMAP.md otherwise
 re-derives by hand at each re-anchor.
@@ -39,7 +44,7 @@ rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(f"| `{modules}` | {{len(sys.modules)}} | {{rss_mb:.1f}} | {{ms:.0f}} |")
 """
 RETAINED_JOBS = 12_000
-RETAINED_PROBE = """\
+PROBE_PRELUDE = """\
 import gc, sys, tempfile, tracemalloc
 from repro.core.platform import build_default_platform
 
@@ -52,7 +57,8 @@ def submit(jobs):
         if (start + 20) % 100 == 0:
             platform.run_queue()
     platform.run_queue()
-
+"""
+RETAINED_PROBE = PROBE_PRELUDE + """
 def rss_bytes():
     with open("/proc/self/statm") as statm:
         return int(statm.read().split()[1]) * 4096
@@ -72,16 +78,31 @@ with tempfile.TemporaryDirectory() as state_dir:
     gc.collect()
     print(round((measure() - before) / {jobs}))
 """
+STATE_PROBE = PROBE_PRELUDE + """
+with tempfile.TemporaryDirectory() as state_dir:
+    platform = build_default_platform(seed=7, browsers=("chrome",), persistence=False)
+    manager = platform.access_server.enable_persistence(state_dir, snapshot_every=10**9)
+    backend = manager.backend
+    client = platform.client()
+    empty_snapshot = backend.snapshot_path.stat().st_size
+    submit({jobs})
+    backend.sync()
+    journal = backend.journal_path.stat().st_size
+    manager.checkpoint()
+    snapshot = backend.snapshot_path.stat().st_size - empty_snapshot
+    print(round(journal / {jobs}), round(snapshot / {jobs}))
+"""
+
+
+def run_probe(source: str) -> str:
+    probe = subprocess.run(
+        [sys.executable, "-c", source], check=True, capture_output=True, text=True
+    )
+    return probe.stdout
 
 
 def retained_job_bytes(trace: bool) -> int:
-    probe = subprocess.run(
-        [sys.executable, "-c", RETAINED_PROBE.format(trace=trace, jobs=RETAINED_JOBS)],
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    return int(probe.stdout)
+    return int(run_probe(RETAINED_PROBE.format(trace=trace, jobs=RETAINED_JOBS)))
 
 
 def python_lines(tree: str) -> dict:
@@ -100,13 +121,7 @@ def main() -> None:
     print("| import | modules | max RSS (MB) | import (ms) |")
     print("|---|---:|---:|---:|")
     for modules in IMPORTS:
-        probe = subprocess.run(
-            [sys.executable, "-c", PROBE.format(modules=modules)],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        print(probe.stdout, end="")
+        print(run_probe(PROBE.format(modules=modules)), end="")
     print()
     print("| per retained job | heap, tracemalloc (B) | RSS growth (B) |")
     print("|---|---:|---:|")
@@ -114,6 +129,11 @@ def main() -> None:
         f"| {RETAINED_JOBS:,} in-process noop jobs "
         f"| {retained_job_bytes(trace=True):,} | {retained_job_bytes(trace=False):,} |"
     )
+    print()
+    journal, snapshot = run_probe(STATE_PROBE.format(jobs=RETAINED_JOBS)).split()
+    print("| per settled job, at rest | journal written (B) | snapshot retained (B) |")
+    print("|---|---:|---:|")
+    print(f"| {RETAINED_JOBS:,} in-process noop jobs | {int(journal):,} | {int(snapshot):,} |")
     print()
     print("| code size | python files | lines |")
     print("|---|---:|---:|")

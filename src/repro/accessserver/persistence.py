@@ -56,7 +56,8 @@ import abc
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -223,7 +224,14 @@ def encode_snapshot(snapshot: Dict[str, object]) -> Iterator[str]:
 
 
 def _json_safe(value: object) -> object:
-    """Pass JSON-serialisable values through; degrade the rest to a repr."""
+    """Pass JSON-serialisable values through; degrade the rest to a repr.
+
+    ``None`` and scalars are what nearly every job returns and need no
+    probe; only a container is test-encoded, because only a container can
+    hide something the encoder would choke on.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     try:
         json.dumps(value)
         return value
@@ -231,35 +239,88 @@ def _json_safe(value: object) -> object:
         return {"__repr__": repr(value)}
 
 
-def serialize_spec(spec: JobSpec) -> Dict[str, object]:
-    constraints = spec.constraints
-    serialized_constraints: Dict[str, object] = {
-        "vantage_point": constraints.vantage_point,
-        "device_serial": constraints.device_serial,
-        "connectivity": constraints.connectivity,
-        "require_low_controller_cpu": constraints.require_low_controller_cpu,
-        "max_controller_cpu_percent": constraints.max_controller_cpu_percent,
+# -- the per-job record codec -------------------------------------------------
+#
+# One rule for every per-job record (``job.submitted``'s job, ``job.finished``,
+# a snapshot's ``jobs`` entry): a field is written only when it differs from
+# the default its dataclass declares.  What has no default (``job_id``,
+# ``spec.name`` / ``owner`` / ``payload``) and the two fields a record is
+# identified by (``status``, ``submitted_at``) always stay.  Absent therefore
+# means *the default*, never "unchanged", and the readers below build their
+# dataclasses from the keys a record has — the dataclass supplies the rest,
+# so no default is spelled out on either side.
+
+
+def _field_defaults(cls) -> Dict[str, object]:
+    """``{field: default}`` for the fields of ``cls`` declared with one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+CONSTRAINT_DEFAULTS = _field_defaults(JobConstraints)
+SPEC_DEFAULTS = _field_defaults(JobSpec)
+JOB_DEFAULTS = _field_defaults(Job)
+
+
+def _elider(defaults: Dict[str, object]) -> Callable[[object], Dict[str, object]]:
+    """The rule, bound to one field table: ``chosen(obj)`` is ``{field: value}``
+    for the fields of ``obj`` that are not at their default."""
+    names = tuple(defaults)
+    at_default = tuple(defaults.values())
+    read = attrgetter(*names)
+
+    def chosen(obj: object) -> Dict[str, object]:
+        values = read(obj)
+        if values == at_default:  # the common case: nothing was chosen
+            return {}
+        return {
+            name: value
+            for name, value, default in zip(names, values, at_default)
+            if value != default
+        }
+
+    return chosen
+
+
+_chosen_constraints = _elider(CONSTRAINT_DEFAULTS)
+_chosen_spec = _elider(SPEC_DEFAULTS)
+#: The :class:`Job` fields a record carries beside its identity.
+_chosen_state = _elider(
+    {
+        name: JOB_DEFAULTS[name]
+        for name in (
+            "started_at",
+            "finished_at",
+            "assigned_vantage_point",
+            "assigned_device",
+            "result",
+            "error",
+            "_log_lines",
+        )
     }
-    # Agent-pull fields are elided at their defaults so every journal and
-    # snapshot written before they existed replays byte-identically.
-    if constraints.device_count != 1:
-        serialized_constraints["device_count"] = constraints.device_count
-    if constraints.connector is not None:
-        serialized_constraints["connector"] = constraints.connector
-    serialized: Dict[str, object] = {
+)
+#: What a ``job.finished`` record says about the job beyond its new status.
+_JOB_FINISHED_KEYS = ("finished_at", "result", "error", "log_lines")
+#: Assignment state that dies with the process that held it.
+_IN_FLIGHT_FIELDS = ("started_at", "assigned_vantage_point", "assigned_device")
+
+
+def _spelled_out(data: Dict[str, object], defaults: Dict[str, object]) -> Dict[str, object]:
+    """The defaulted fields a persisted record spells out, as constructor
+    keywords — the dataclass fills in whatever the record left out."""
+    return {name: data[name] for name in defaults if name in data}
+
+
+def serialize_spec(spec: JobSpec) -> Dict[str, object]:
+    record: Dict[str, object] = {
         "name": spec.name,
         "owner": spec.owner,
         "payload": payload_name(spec.run),
-        "description": spec.description,
-        "constraints": serialized_constraints,
-        "priority": spec.priority,
-        "timeout_s": spec.timeout_s,
-        "is_pipeline_change": spec.is_pipeline_change,
-        "log_retention_days": spec.log_retention_days,
+        **_chosen_spec(spec),
     }
-    if spec.execution != "push":
-        serialized["execution"] = spec.execution
-    return serialized
+    constraints = _chosen_constraints(spec.constraints)
+    if constraints:
+        record["constraints"] = constraints
+    return record
 
 
 def deserialize_spec(data: Dict[str, object]) -> JobSpec:
@@ -267,31 +328,49 @@ def deserialize_spec(data: Dict[str, object]) -> JobSpec:
         name=data["name"],
         owner=data["owner"],
         run=resolve_payload(data.get("payload")),
-        description=data.get("description", ""),
         constraints=JobConstraints(**data.get("constraints", {})),
-        priority=data.get("priority", 0.0),
-        timeout_s=data.get("timeout_s", 3600.0),
-        is_pipeline_change=data.get("is_pipeline_change", False),
-        log_retention_days=data.get("log_retention_days", 7.0),
-        execution=data.get("execution", "push"),
+        **_spelled_out(data, SPEC_DEFAULTS),
     )
 
 
+def _job_state(job: Job) -> Dict[str, object]:
+    """What ``job`` chose beyond its identity, in record form: a result the
+    encoder can take, and the log under its public name."""
+    state = _chosen_state(job)
+    if "result" in state:
+        state["result"] = _json_safe(state["result"])
+    if "_log_lines" in state:
+        state["log_lines"] = list(state.pop("_log_lines"))
+    return state
+
+
 def serialize_job(job: Job, queue_seq: Optional[int] = None) -> Dict[str, object]:
-    return {
+    record = {
         "job_id": job.job_id,
         "spec": serialize_spec(job.spec),
         "status": job.status.value,
         "submitted_at": job.submitted_at,
-        "started_at": job.started_at,
-        "finished_at": job.finished_at,
-        "assigned_vantage_point": job.assigned_vantage_point,
-        "assigned_device": job.assigned_device,
-        "result": _json_safe(job.result),
-        "error": job.error,
-        "log_lines": list(job.log_lines),
-        "queue_seq": queue_seq,
+        **_job_state(job),
     }
+    if queue_seq is not None:  # a snapshot's note on a queued job, not a field
+        record["queue_seq"] = queue_seq
+    return record
+
+
+def _check_job_record(job: Dict[str, object], source: object) -> None:
+    """Refuse a job record carrying a constraint this build does not know.
+
+    The keys become :class:`JobConstraints` keywords; a foreign one (state
+    written by a newer build) would otherwise abort recovery with a bare
+    ``TypeError`` naming neither the job nor the file.
+    """
+    foreign = job.get("spec", {}).get("constraints", {}).keys() - CONSTRAINT_DEFAULTS.keys()
+    if foreign:
+        raise PersistenceError(
+            f"{source}: job {job.get('job_id')} carries unknown constraint "
+            f"{', '.join(map(repr, sorted(foreign)))} "
+            f"(this build knows {', '.join(CONSTRAINT_DEFAULTS)})"
+        )
 
 
 def materialize_job(data: Dict[str, object]) -> Tuple[Job, bool]:
@@ -301,20 +380,14 @@ def materialize_job(data: Dict[str, object]) -> Tuple[Job, bool]:
     was captured comes back QUEUED (its execution died with the old
     process) with its assignment cleared, flagged so recovery can report it.
     """
-    status = JobStatus(data["status"])
+    state = _spelled_out(data, JOB_DEFAULTS)
+    status = JobStatus(state.pop("status", JOB_DEFAULTS["status"]))
     was_in_flight = status is JobStatus.RUNNING
-    job = Job(
-        spec=deserialize_spec(data["spec"]),
-        job_id=data["job_id"],
-        status=JobStatus.QUEUED if was_in_flight else status,
-        submitted_at=data.get("submitted_at", 0.0),
-        started_at=None if was_in_flight else data.get("started_at"),
-        finished_at=data.get("finished_at"),
-        assigned_vantage_point=None if was_in_flight else data.get("assigned_vantage_point"),
-        assigned_device=None if was_in_flight else data.get("assigned_device"),
-        result=data.get("result"),
-        error=data.get("error"),
-    )
+    if was_in_flight:
+        status = JobStatus.QUEUED
+        for name in _IN_FLIGHT_FIELDS:
+            state.pop(name, None)
+    job = Job(spec=deserialize_spec(data["spec"]), job_id=data["job_id"], status=status, **state)
     for line in data.get("log_lines", ()):
         job.log(line)
     claim_job_id(job.job_id)
@@ -663,9 +736,17 @@ def build_snapshot(
 
 class _ReplayState:
     """Applies snapshot + journal records onto plain dicts before
-    materialising them into a live server."""
+    materialising them into a live server.
 
-    def __init__(self) -> None:
+    ``snapshot_name`` / ``journal_name`` say where the records come from
+    (a path, for a :class:`FileBackend`) in the errors a bad record raises.
+    """
+
+    def __init__(
+        self, snapshot_name: object = "snapshot", journal_name: object = "journal"
+    ) -> None:
+        self._snapshot_name = snapshot_name
+        self._journal_name = journal_name
         self.jobs: Dict[int, Dict[str, object]] = {}
         self.queue_seq: Dict[int, float] = {}
         self.pending: List[int] = []
@@ -707,6 +788,7 @@ class _ReplayState:
         for vp in snapshot.get("vantage_points", ()):
             self.vantage_points[vp["name"]] = vp
         for data in snapshot.get("jobs", ()):
+            _check_job_record(data, self._snapshot_name)
             self.jobs[data["job_id"]] = dict(data)
             queue_seq = data.get("queue_seq")
             if queue_seq is not None:
@@ -753,11 +835,12 @@ class _ReplayState:
     # -- job lifecycle ------------------------------------------------------
     def _apply_job_submitted(self, data: Dict[str, object]) -> None:
         job = dict(data["job"])
+        _check_job_record(job, self._journal_name)
         self.jobs[job["job_id"]] = job
         key = data.get("idempotency_key")
         if key is not None:
             self.idempotency[(job["spec"]["owner"], key)] = job["job_id"]
-        if job["status"] == JobStatus.PENDING_APPROVAL.value:
+        if job.get("status") == JobStatus.PENDING_APPROVAL.value:
             self.pending.append(job["job_id"])
         else:
             self.queue_seq[job["job_id"]] = self._allocate_seq()
@@ -795,10 +878,13 @@ class _ReplayState:
         if job is None:
             return
         job["status"] = data["status"]
-        job["finished_at"] = data.get("finished_at")
-        job["result"] = data.get("result")
-        job["error"] = data.get("error")
-        job["log_lines"] = data.get("log_lines", job.get("log_lines", []))
+        # A key the record left out is at its default, not "unchanged": it
+        # leaves the folded row too.
+        for key in _JOB_FINISHED_KEYS:
+            if key in data:
+                job[key] = data[key]
+            else:
+                job.pop(key, None)
         self.queue_seq.pop(data["job_id"], None)
 
     def _apply_job_cancelled(self, data: Dict[str, object]) -> None:
@@ -901,7 +987,10 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
     (and reported) so the dispatcher cannot assign jobs to hardware that is
     not there.
     """
-    state = _ReplayState()
+    state = _ReplayState(
+        snapshot_name=getattr(backend, "snapshot_path", "snapshot"),
+        journal_name=getattr(backend, "journal_path", "journal"),
+    )
     snapshot = backend.read_snapshot()
     state.load_snapshot(snapshot)
     for record in backend.read_journal():
@@ -1323,15 +1412,13 @@ class PersistenceManager:
         self._append("job.approved", {"job_id": job.job_id})
 
     def on_job_finished(self, job: Job) -> None:
+        state = _job_state(job)
         self._append(
             "job.finished",
             {
                 "job_id": job.job_id,
                 "status": job.status.value,
-                "finished_at": job.finished_at,
-                "result": _json_safe(job.result),
-                "error": job.error,
-                "log_lines": list(job.log_lines),
+                **{key: state[key] for key in _JOB_FINISHED_KEYS if key in state},
             },
         )
 

@@ -68,7 +68,13 @@ class JobScheduler:
         self._engine = DispatchEngine(
             policy=policy, event_bus=event_bus, reservation_admission=reservation_admission
         )
+        # Every retained job, in id order by construction: ids are handed
+        # out increasing, so insertion order is id order until one arrives
+        # below the last (recovery's queue order, a job re-homed from another
+        # lane) — jobs() then re-sorts the table once, not on every read.
         self._all_jobs: Dict[int, Job] = {}
+        self._last_job_id = 0
+        self._out_of_order = False
         self._next_reservation_id = 1
 
     # -- policy ---------------------------------------------------------------------
@@ -104,7 +110,7 @@ class JobScheduler:
     # -- queue management ---------------------------------------------------------------
     def submit(self, job: Job, now: float) -> Job:
         job.submitted_at = now
-        self._all_jobs[job.job_id] = job
+        self._retain(job)
         if job.status is JobStatus.QUEUED:
             self._engine.queue.push(job)
         return job
@@ -114,7 +120,8 @@ class JobScheduler:
         if job.status is not JobStatus.QUEUED:
             job.status = JobStatus.QUEUED
         self._engine.queue.push(job)
-        self._all_jobs.setdefault(job.job_id, job)
+        if job.job_id not in self._all_jobs:
+            self._retain(job)
 
     def cancel(self, job_id: int) -> None:
         """Cancel a queued or running job; a running job's device is freed."""
@@ -132,10 +139,21 @@ class JobScheduler:
         """Every job the scheduler retains, in any status."""
         return len(self._all_jobs)
 
+    def _retain(self, job: Job) -> None:
+        if job.job_id > self._last_job_id:
+            self._last_job_id = job.job_id
+        elif job.job_id not in self._all_jobs:
+            self._out_of_order = True
+        self._all_jobs[job.job_id] = job
+
     def jobs(self, status: Optional[JobStatus] = None) -> List[Job]:
-        jobs = sorted(self._all_jobs.values(), key=lambda job: job.job_id)
+        """The retained jobs in id order (optionally only those in ``status``)."""
+        if self._out_of_order:
+            self._all_jobs = dict(sorted(self._all_jobs.items()))
+            self._out_of_order = False
+        jobs = self._all_jobs.values()
         if status is None:
-            return jobs
+            return list(jobs)
         return [job for job in jobs if job.status is status]
 
     def queue_length(self) -> int:
@@ -223,7 +241,7 @@ class JobScheduler:
         recovery code re-inserts jobs in their original first-enqueue order
         to reproduce the pre-crash queue exactly.
         """
-        self._all_jobs[job.job_id] = job
+        self._retain(job)
         if queued and job.status is JobStatus.QUEUED:
             self._engine.queue.push(job)
 

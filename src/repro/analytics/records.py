@@ -44,6 +44,8 @@ from typing import Dict, Iterator, List, Optional, Union
 from repro.accessserver.jobs import JobStatus
 from repro.accessserver.persistence import (
     DISPATCH_TOPIC_KINDS,
+    JOB_DEFAULTS,
+    SPEC_DEFAULTS,
     FileBackend,
     StorageBackend,
 )
@@ -109,17 +111,23 @@ def _credit_txn_data(data: Dict[str, object]) -> Dict[str, object]:
 
 
 def _job_submitted_data(job: Dict[str, object]) -> Dict[str, object]:
-    """Canonical ``job.submitted`` payload from a serialized job row."""
+    """Canonical ``job.submitted`` payload from a serialized job row.
+
+    A row spells out only what its job chose; what it leaves out is read
+    from the field tables the persistence codec elides by.
+    """
     spec = job.get("spec", {})
     return {
         "job_id": job["job_id"],
         "name": spec.get("name", ""),
         "owner": spec.get("owner", ""),
-        "priority": float(spec.get("priority", 0.0)),
-        "timeout_s": float(spec.get("timeout_s", 3600.0)),
-        "is_pipeline_change": bool(spec.get("is_pipeline_change", False)),
-        "status": job.get("status", JobStatus.QUEUED.value),
-        "submitted_at": float(job.get("submitted_at", 0.0)),
+        "priority": float(spec.get("priority", SPEC_DEFAULTS["priority"])),
+        "timeout_s": float(spec.get("timeout_s", SPEC_DEFAULTS["timeout_s"])),
+        "is_pipeline_change": bool(
+            spec.get("is_pipeline_change", SPEC_DEFAULTS["is_pipeline_change"])
+        ),
+        "status": job.get("status", JOB_DEFAULTS["status"].value),
+        "submitted_at": float(job.get("submitted_at", JOB_DEFAULTS["submitted_at"])),
     }
 
 
@@ -201,20 +209,10 @@ def normalize_bus_event(event: BusEvent) -> Optional[OpsRecord]:
             event.timestamp, translated, {"reservation_id": payload["reservation_id"]}
         )
     if topic == KIND_JOB_SUBMITTED:
-        return OpsRecord(
-            event.timestamp,
-            topic,
-            {
-                "job_id": payload["job_id"],
-                "name": payload.get("name", ""),
-                "owner": payload.get("owner", ""),
-                "priority": float(payload.get("priority", 0.0)),
-                "timeout_s": float(payload.get("timeout_s", 3600.0)),
-                "is_pipeline_change": bool(payload.get("is_pipeline_change", False)),
-                "status": payload.get("status", JobStatus.QUEUED.value),
-                "submitted_at": float(payload.get("submitted_at", event.timestamp)),
-            },
-        )
+        # The bus payload is a job row laid flat: the spec fields sit beside
+        # the job's own, and the event's time stands in for ``submitted_at``.
+        row = {"submitted_at": event.timestamp, **payload, "spec": payload}
+        return OpsRecord(event.timestamp, topic, _job_submitted_data(row))
     if topic in (KIND_JOB_APPROVED, KIND_JOB_REJECTED):
         return OpsRecord(event.timestamp, topic, {"job_id": payload["job_id"]})
     if topic == KIND_JOB_FINISHED:
@@ -256,22 +254,19 @@ def synthesize_snapshot_records(snapshot: Optional[Dict[str, object]]) -> List[O
         return []
     records: List[OpsRecord] = []
     for job in snapshot.get("jobs", ()):
-        spec = job.get("spec", {})
-        submitted = dict(_job_submitted_data(job))
+        submitted = _job_submitted_data(job)
+        is_pipeline_change = submitted["is_pipeline_change"]
+        status = submitted["status"]
         # The row's status is the *folded* status; at submission time the
         # job was either queued or awaiting approval.
         submitted["status"] = (
             JobStatus.PENDING_APPROVAL.value
-            if spec.get("is_pipeline_change", False)
+            if is_pipeline_change
             else JobStatus.QUEUED.value
         )
-        submitted_at = float(job.get("submitted_at", 0.0))
+        submitted_at = submitted["submitted_at"]
         records.append(OpsRecord(submitted_at, KIND_JOB_SUBMITTED, submitted))
-        status = job.get("status")
-        if (
-            spec.get("is_pipeline_change", False)
-            and status != JobStatus.PENDING_APPROVAL.value
-        ):
+        if is_pipeline_change and status != JobStatus.PENDING_APPROVAL.value:
             # The row left the approval queue before the checkpoint; the
             # snapshot kept no approval timestamp (documented compaction
             # loss), so the best bound is submission time.

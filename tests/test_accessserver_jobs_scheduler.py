@@ -3,6 +3,7 @@
 import pytest
 
 from repro.accessserver.jobs import Job, JobConstraints, JobError, JobSpec, JobStatus, Workspace
+from repro.accessserver import scheduler as scheduler_module
 from repro.accessserver.scheduler import JobScheduler, SchedulingError
 
 
@@ -148,6 +149,24 @@ class TestScheduler:
         job = scheduler.submit(make_job(), now=0.0)
         assert job in scheduler.jobs(JobStatus.QUEUED)
         assert scheduler.jobs(JobStatus.RUNNING) == []
+
+    def test_jobs_read_in_id_order_however_they_arrived(self, scheduler, monkeypatch):
+        first, second, third, fourth = (make_job(name=f"job-{i}") for i in range(4))
+        scheduler.submit(second, now=0.0)
+        scheduler.submit(fourth, now=0.0)
+        scheduler.restore_job(first, queued=True)  # below the last id: recovery, re-homing
+        third.status = JobStatus.PENDING_APPROVAL
+        scheduler.enqueue_approved(third)
+        assert scheduler.jobs() == [first, second, third, fourth]
+        assert scheduler.jobs(JobStatus.QUEUED) == [first, second, third, fourth]
+
+        # The table was re-ordered once; reads no longer sort it.
+        monkeypatch.setattr(scheduler_module, "sorted", None, raising=False)
+        assert scheduler.jobs() == [first, second, third, fourth]
+        newest = scheduler.submit(make_job(), now=1.0)
+        scheduler.restore_job(second, queued=False)  # a known id keeps its place
+        assert scheduler.jobs() == [first, second, third, fourth, newest]
+        assert scheduler.jobs() is not scheduler.jobs()  # a fresh list each read
 
 
 class TestReservations:
