@@ -25,6 +25,13 @@ connection design could not sustain:
   framed responses (byte-level load generators, so the sweep measures
   gateway capacity rather than client-side DTO decoding).
 
+One row crosses the whole job path, and is the only isolated benchmark that
+runs the CLI's host loop: **settled jobs** — ``noop`` jobs pipelined in
+batches through a gateway whose platform is driven by ``cli._host_loop`` on
+a thread, first submit to last ``end`` frame.  Its wall-clock band is wide,
+so the script also asserts the fact that does not depend on the machine:
+the loop never slept straight after a dispatch pass that filled its batch.
+
 Results land in ``BENCH_api_roundtrip.json`` at the repository root.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_api_roundtrip.py``
@@ -41,6 +48,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
+from repro import cli
 from repro.api import ApiGateway, ApiRouter, BatteryLabClient, InProcessTransport
 from repro.api.gateway import JsonLinesTransport
 from repro.core.platform import build_default_platform
@@ -57,6 +65,8 @@ PIPELINE_BATCH = 64
 SWEEP_CLIENTS = (1, 16, 64, 256)
 SWEEP_READS = 8000  # total per sweep level, split across the clients
 SWEEP_BATCH = 64  # requests in flight per connection
+SETTLED_JOBS = 2000
+SETTLED_BATCH = 20
 
 #: Sanity floor: the in-process API layer must sustain at least this many
 #: status reads per second, or the envelope/DTO path has gone quadratic.
@@ -183,6 +193,80 @@ def _measure_sweep(host: str, port: int) -> Dict[str, object]:
     return sweep
 
 
+class _SleepAudit:
+    """``repro.cli.time`` stand-in: counts the host loop's sleeps, and those
+    that directly followed a pass ``dispatch_passes_total`` called full."""
+
+    def __init__(self, server) -> None:
+        self._server = server
+        self._full_before_pass = 0
+        self.sleeps = 0
+        self.sleeps_after_full_pass = 0
+
+    def __getattr__(self, attribute):
+        return getattr(time, attribute)
+
+    def pass_begins(self) -> None:
+        self._full_before_pass = self._server.dispatch_pass_counts()["full"]
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps += 1
+        if self._server.dispatch_pass_counts()["full"] > self._full_before_pass:
+            self.sleeps_after_full_pass += 1
+        time.sleep(seconds)
+
+
+def _measure_settled(jobs: int, batch: int) -> Dict[str, float]:
+    """Pipelined submits through a gateway driven by ``cli._host_loop``."""
+    platform = build_default_platform(seed=13, browsers=("chrome",))
+    gateway = ApiGateway(ApiRouter(platform.access_server))
+    host, port = gateway.start()
+    audit = _SleepAudit(platform.access_server)
+    done = threading.Event()
+
+    def platforms():  # asked once per pass
+        if done.is_set():
+            raise KeyboardInterrupt  # the loop's stop hook; it stops the gateway
+        audit.pass_begins()
+        return (platform,)
+
+    cli_time, cli.time = cli.time, audit
+    loop = threading.Thread(
+        target=cli._host_loop, args=(gateway, "settled-jobs benchmark", platforms, None)
+    )
+    loop.start()
+    try:
+        with BatteryLabClient(
+            JsonLinesTransport(host, port, timeout_s=30.0),
+            "experimenter",
+            "experimenter-token",
+        ) as client:
+            client.server_status()
+            started = time.perf_counter()
+            for first in range(0, jobs, batch):
+                pipe = client.pipeline()
+                for index in range(first, min(first + batch, jobs)):
+                    pipe.submit_job(f"settled-{index}", "noop")
+                last = pipe.flush()[-1]
+            # FIFO onto the one device: the last job's end is everyone's.
+            final = client.watch_job(last.job_id, timeout_s=60.0).wait()
+            elapsed = time.perf_counter() - started
+    finally:
+        done.set()
+        loop.join()
+        cli.time = cli_time
+    assert final.status == "completed", final.status
+    return {
+        "jobs": jobs,
+        "batch": batch,
+        "elapsed_s": round(elapsed, 4),
+        "jobs_per_s": round(jobs / elapsed, 1),
+        "dispatch_passes": platform.access_server.dispatch_pass_counts(),
+        "host_loop_sleeps": audit.sleeps,
+        "sleeps_after_full_pass": audit.sleeps_after_full_pass,
+    }
+
+
 def run_api_roundtrip_benchmark() -> Dict[str, object]:
     # Each transport gets a fresh platform: submitted jobs accumulate in the
     # queue (and in the server-status orphan scan), so sharing one server
@@ -239,6 +323,7 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
         else float("inf")
     )
     peak = max(level["reads_per_s"] for level in sweep.values())
+    settled = _measure_settled(SETTLED_JOBS, SETTLED_BATCH)
     return {
         "benchmark": "api_roundtrip",
         "api_version": "1.0",
@@ -248,6 +333,8 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
         "gateway_submits_per_s": remote["submits_per_s"],
         "gateway_pipelined_reads_per_s": pipelined_reads_per_s,
         "gateway_peak_reads_per_s": peak,
+        "gateway_settled_jobs_per_s": settled["jobs_per_s"],
+        "gateway_settled": settled,
         "gateway_sweep": sweep,
         "inproc": inproc,
         "gateway": remote,
@@ -258,6 +345,16 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
 
 def write_result(result: Dict[str, object]) -> None:
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+
+
+def settled_fault(result: Dict[str, object]) -> str:
+    """What the settled-jobs row got wrong on any hardware ("" if nothing)."""
+    settled = result["gateway_settled"]
+    if not settled["dispatch_passes"]["full"]:
+        return f"no dispatch pass filled its batch, so nothing was tested: {settled}"
+    if settled["sleeps_after_full_pass"]:
+        return f"the host loop slept straight after a full dispatch pass: {settled}"
+    return ""
 
 
 def test_api_roundtrip(benchmark):
@@ -283,6 +380,10 @@ def test_api_roundtrip(benchmark):
                 "transport": f"gateway pipelined (batch {PIPELINE_BATCH})",
                 "reads_per_s": result["gateway_pipelined_reads_per_s"],
             },
+            {
+                "transport": f"gateway + host loop, settled jobs (batch {SETTLED_BATCH})",
+                "jobs_per_s": result["gateway_settled_jobs_per_s"],
+            },
             *(
                 {
                     "transport": f"gateway sweep ({level['clients']} clients)",
@@ -293,6 +394,7 @@ def test_api_roundtrip(benchmark):
         ],
     )
     assert result["inproc_reads_per_s"] >= MIN_INPROC_READS_PER_S
+    assert not settled_fault(result)
 
 
 if __name__ == "__main__":
@@ -304,3 +406,6 @@ if __name__ == "__main__":
             f"in-process API reads fell to {outcome['inproc_reads_per_s']}/s; "
             f"floor is {MIN_INPROC_READS_PER_S}/s"
         )
+    fault = settled_fault(outcome)
+    if fault:
+        raise SystemExit(fault)

@@ -71,6 +71,27 @@ class AccessServerError(RuntimeError):
     """Raised for platform-level errors (unknown vantage point, failed join, ...)."""
 
 
+#: Jobs one dispatch pass executes at most (``platform.run_queue()``, an
+#: auto-dispatch tick, one turn of a host loop).  A host runs a pass under
+#: the gateway's ``router_lock``, so this bounds the longest a mutating
+#: request waits for that lock.  It is *not* a rate limit: whoever drives
+#: passes goes straight into the next one while :func:`batch_filled` says
+#: the last stopped at this cap.
+DISPATCH_BATCH = 100
+
+
+def batch_filled(executed, max_jobs: int = DISPATCH_BATCH) -> bool:
+    """Whether a dispatch pass stopped at its cap, not at an empty queue.
+
+    :meth:`AccessServer.run_pending_jobs` returns short of ``max_jobs``
+    only after ``dispatch_batch`` handed out nothing, so a pass that was
+    not filled left nothing dispatchable right now, and a filled one
+    probably did.  Every driver of passes asks this one question: the
+    simulated-time tick, the wall-clock host loop, a shard's drain.
+    """
+    return len(executed) >= max_jobs
+
+
 @dataclass
 class VantagePointRecord:
     """A registered vantage point as seen by the access server."""
@@ -157,7 +178,7 @@ class AccessServer(Entity):
         self._credit_policy: Optional[CreditPolicy] = None
         self._auto_dispatch = False
         self._auto_dispatch_interval_s: Optional[float] = None
-        self._auto_dispatch_max_jobs = 100
+        self._auto_dispatch_max_jobs = DISPATCH_BATCH
         self._auto_dispatch_event: Optional[Event] = None
         self._persistence = None
         self._analytics = None
@@ -181,6 +202,15 @@ class AccessServer(Entity):
         self._m_waves = registry.counter(
             "dispatch_waves_total", "Dispatch waves with at least one assignment."
         ).labels()
+        passes = registry.counter(
+            "dispatch_passes_total",
+            "run_pending_jobs calls, by how much of their batch they executed; "
+            "a rising full share means the queue is outrunning dispatch.",
+            labelnames=("result",),
+        )
+        self._m_passes = {
+            result: passes.labels(result) for result in ("empty", "partial", "full")
+        }
         self._m_wave_size = registry.histogram(
             "dispatch_wave_size",
             "Assignments handed out per dispatch wave.",
@@ -719,7 +749,17 @@ class AccessServer(Entity):
                 waves = [[assignment] for assignment in assignments]
             for wave in waves:
                 executed.extend(self._execute_wave(wave))
+        if obs_on:
+            if batch_filled(executed, max_jobs):
+                result = "full"
+            else:
+                result = "partial" if executed else "empty"
+            self._m_passes[result].inc()
         return executed
+
+    def dispatch_pass_counts(self) -> Dict[str, int]:
+        """``dispatch_passes_total`` by result: ``empty`` / ``partial`` / ``full``."""
+        return {result: int(child.value) for result, child in self._m_passes.items()}
 
     def _execute_wave(self, assignments: List[Assignment]) -> List[Job]:
         """Admit, run and settle one wave; mutations stay on this thread.
@@ -1278,7 +1318,7 @@ class AccessServer(Entity):
     def enable_auto_dispatch(
         self,
         poll_interval_s: Optional[float] = None,
-        max_jobs_per_tick: int = 100,
+        max_jobs_per_tick: int = DISPATCH_BATCH,
     ) -> None:
         """Dispatch through the simulation event loop instead of caller polling.
 
@@ -1324,7 +1364,7 @@ class AccessServer(Entity):
         executed = self.run_pending_jobs(max_jobs=self._auto_dispatch_max_jobs)
         if self.scheduler.queue_length() == 0:
             return
-        if len(executed) >= self._auto_dispatch_max_jobs:
+        if batch_filled(executed, self._auto_dispatch_max_jobs):
             # The per-tick cap cut this wave short; more work is dispatchable
             # right now, so follow up immediately rather than waiting for the
             # next submission or poll.

@@ -20,6 +20,7 @@ identical bytes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -52,9 +53,23 @@ def percentile(samples: List[float], fraction: float) -> float:
     return samples[min(rank, len(samples)) - 1]
 
 
+# Wire strings of the statuses the fold names; read once, because an enum
+# member's ``.value`` is a descriptor call and the fold compares per record.
+_PENDING_APPROVAL = JobStatus.PENDING_APPROVAL.value
+_QUEUED = JobStatus.QUEUED.value
+_RUNNING = JobStatus.RUNNING.value
+_COMPLETED = JobStatus.COMPLETED.value
+_FAILED = JobStatus.FAILED.value
+_CANCELLED = JobStatus.CANCELLED.value
+
+
 def distribution_view(samples: List[float]) -> Dict[str, object]:
     """Summary statistics of a sample list as a stable dict."""
-    ordered = sorted(samples)
+    return _ordered_view(sorted(samples))
+
+
+def _ordered_view(ordered: List[float]) -> Dict[str, object]:
+    """:func:`distribution_view` of samples already in ascending order."""
     count = len(ordered)
     return {
         "samples": count,
@@ -66,12 +81,40 @@ def distribution_view(samples: List[float]) -> Dict[str, object]:
     }
 
 
+class _Samples:
+    """Samples appended by the fold and read in ascending order by reports.
+
+    A read that finds arrivals since the last one sorts the ordered prefix
+    it kept plus the new tail — near-linear for timsort — into a fresh
+    list and keeps that; the fold's list is never reordered under it, so a
+    lock-free report beside a running fold sees a whole snapshot.
+    """
+
+    __slots__ = ("_arrived", "_ordered")
+
+    def __init__(self) -> None:
+        self._arrived: List[float] = []
+        self._ordered: List[float] = []
+
+    def append(self, sample: float) -> None:
+        self._arrived.append(sample)
+
+    def ordered(self) -> List[float]:
+        ordered = self._ordered
+        tail = self._arrived[len(ordered):]
+        if tail:
+            ordered = ordered + tail
+            ordered.sort()
+            self._ordered = ordered
+        return ordered
+
+
 @dataclass(slots=True)
 class _JobTimeline:
     """What the fold has seen of one job so far."""
 
     owner: str = ""
-    status: str = JobStatus.QUEUED.value
+    status: str = _QUEUED
     submitted_at: float = 0.0
     first_assigned_at: Optional[float] = None
     last_assigned_at: Optional[float] = None
@@ -107,9 +150,13 @@ class JobLifecycleReducer:
         self._jobs: Dict[int, _JobTimeline] = {}
         self._owners: Dict[str, _OwnerStats] = {}
         self._devices: Dict[Tuple[str, str], _DeviceStats] = {}
-        self._wait_samples: List[float] = []
-        self._run_samples: List[float] = []
+        self._wait_samples = _Samples()
+        self._run_samples = _Samples()
         self._requeues = 0
+        # Kept as the fold moves a timeline, so job_counts() reads them
+        # instead of walking every retained job.
+        self._by_status: Counter = Counter()
+        self._rejected = 0
 
     # -- folding ------------------------------------------------------------
     def fold(self, record: OpsRecord) -> None:
@@ -129,22 +176,33 @@ class JobLifecycleReducer:
             stats = self._devices[slot] = _DeviceStats()
         return stats
 
+    def _set_status(self, timeline: _JobTimeline, status: str) -> None:
+        """Move a tracked timeline to ``status``; the only writer of it."""
+        self._by_status[timeline.status] -= 1
+        self._by_status[status] += 1
+        timeline.status = status
+
     def _on_submitted(self, record: OpsRecord) -> None:
         data = record.data
         job_id = data["job_id"]
         timeline = _JobTimeline(
             owner=str(data.get("owner", "")),
-            status=str(data.get("status", JobStatus.QUEUED.value)),
+            status=str(data.get("status", _QUEUED)),
             submitted_at=float(data.get("submitted_at", record.ts)),
         )
+        replaced = self._jobs.get(job_id)
+        if replaced is not None:
+            self._by_status[replaced.status] -= 1
+            self._rejected -= replaced.rejected
         self._jobs[job_id] = timeline
+        self._by_status[timeline.status] += 1
         self._owner(timeline.owner).submitted += 1
 
     def _on_approved(self, record: OpsRecord) -> None:
         timeline = self._jobs.get(record.data["job_id"])
         if timeline is None:
             return
-        timeline.status = JobStatus.QUEUED.value
+        self._set_status(timeline, _QUEUED)
 
     def _on_assigned(self, record: OpsRecord) -> None:
         timeline = self._jobs.get(record.data["job_id"])
@@ -160,7 +218,7 @@ class JobLifecycleReducer:
             self._owner(timeline.owner).queue_wait_s += wait
         timeline.last_assigned_at = record.ts
         timeline.slot = slot
-        timeline.status = JobStatus.RUNNING.value
+        self._set_status(timeline, _RUNNING)
         self._device(slot).assignments += 1
 
     def _close_interval(self, timeline: _JobTimeline, end_ts: float) -> float:
@@ -182,7 +240,7 @@ class JobLifecycleReducer:
         self._requeues += 1
         timeline.slot = None
         timeline.last_assigned_at = None
-        timeline.status = JobStatus.QUEUED.value
+        self._set_status(timeline, _QUEUED)
 
     def _on_finished(self, record: OpsRecord) -> None:
         timeline = self._jobs.get(record.data["job_id"])
@@ -195,15 +253,15 @@ class JobLifecycleReducer:
         owner.device_seconds += busy
         if timeline.last_assigned_at is not None:
             self._run_samples.append(finished_at - timeline.last_assigned_at)
-        if status == JobStatus.COMPLETED.value:
+        if status == _COMPLETED:
             owner.completed += 1
             if timeline.slot is not None:
                 self._device(timeline.slot).completed += 1
-        elif status == JobStatus.FAILED.value:
+        elif status == _FAILED:
             owner.failed += 1
             if timeline.slot is not None:
                 self._device(timeline.slot).failed += 1
-        timeline.status = status
+        self._set_status(timeline, status)
         timeline.slot = None
         timeline.last_assigned_at = None
 
@@ -215,7 +273,7 @@ class JobLifecycleReducer:
         owner = self._owner(timeline.owner)
         owner.device_seconds += busy
         owner.cancelled += 1
-        timeline.status = JobStatus.CANCELLED.value
+        self._set_status(timeline, _CANCELLED)
         timeline.slot = None
         timeline.last_assigned_at = None
 
@@ -224,6 +282,7 @@ class JobLifecycleReducer:
         if timeline is None or timeline.rejected:
             return
         timeline.rejected = True
+        self._rejected += 1
         self._owner(timeline.owner).rejected += 1
 
     _HANDLERS = {
@@ -241,33 +300,24 @@ class JobLifecycleReducer:
         return self._jobs.keys()
 
     def job_counts(self) -> Dict[str, int]:
-        counts = {
-            "submitted": len(self._jobs),
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "rejected": 0,
-            "requeues": self._requeues,
-            "running": 0,
-            "queued": 0,
-            "pending_approval": 0,
+        by_status = self._by_status
+        submitted = len(self._jobs)
+        named = {
+            status: by_status[status]
+            for status in (_COMPLETED, _FAILED, _CANCELLED, _RUNNING, _PENDING_APPROVAL)
         }
-        for timeline in self._jobs.values():
-            if timeline.status == JobStatus.COMPLETED.value:
-                counts["completed"] += 1
-            elif timeline.status == JobStatus.FAILED.value:
-                counts["failed"] += 1
-            elif timeline.status == JobStatus.CANCELLED.value:
-                counts["cancelled"] += 1
-            elif timeline.status == JobStatus.RUNNING.value:
-                counts["running"] += 1
-            elif timeline.status == JobStatus.PENDING_APPROVAL.value:
-                counts["pending_approval"] += 1
-            else:
-                counts["queued"] += 1
-            if timeline.rejected:
-                counts["rejected"] += 1
-        return counts
+        return {
+            "submitted": submitted,
+            "completed": named[_COMPLETED],
+            "failed": named[_FAILED],
+            "cancelled": named[_CANCELLED],
+            "rejected": self._rejected,
+            "requeues": self._requeues,
+            "running": named[_RUNNING],
+            # Any status the fold does not name counts as queued.
+            "queued": submitted - sum(named.values()),
+            "pending_approval": named[_PENDING_APPROVAL],
+        }
 
     def owner_rows(self) -> List[Dict[str, object]]:
         rows = []
@@ -310,10 +360,10 @@ class JobLifecycleReducer:
         return rows
 
     def wait_distribution(self) -> Dict[str, object]:
-        return distribution_view(self._wait_samples)
+        return _ordered_view(self._wait_samples.ordered())
 
     def run_distribution(self) -> Dict[str, object]:
-        return distribution_view(self._run_samples)
+        return _ordered_view(self._run_samples.ordered())
 
 
 class CreditReducer:
@@ -402,7 +452,7 @@ class ThroughputReducer:
         elif record.kind == KIND_JOB_FINISHED:
             ts = float(record.data.get("finished_at", record.ts))
             status = record.data.get("status")
-            if status == JobStatus.FAILED.value:
+            if status == _FAILED:
                 self._bucket(ts).failed += 1
             else:
                 self._bucket(ts).completed += 1

@@ -985,27 +985,50 @@ def _cmd_agent(args) -> str:
     return "\n".join(lines)
 
 
-def _host_loop(gateway, what, platforms, duration_s) -> int:
-    """Announce a started gateway, then tick ``platforms()`` until ``duration_s`` or ^C.
+#: Wall-clock seconds of one idle host-loop tick: how long the loop sleeps
+#: after a pass that filled no batch, and what one simulated second costs.
+_HOST_TICK_S = 0.05
 
-    The gateway threads only enqueue work; a tick runs each platform's queue,
-    then its simulation, on this thread under the router lock — a request
-    landing mid-dispatch must not race the single-threaded simulation state.
+
+def _host_loop(gateway, what, platforms, duration_s) -> int:
+    """Announce a started gateway, then run passes over ``platforms()`` until ``duration_s`` or ^C.
+
+    The gateway threads only enqueue work; a pass runs each platform's queue
+    (one batch at most), then its simulation, on this thread under the
+    router lock — a request landing mid-dispatch must not race the
+    single-threaded simulation state.  The lock is released after every
+    pass, and the loop sleeps only after a pass in which no platform filled
+    its batch: a full batch means more is queued, so the next pass starts at
+    once.  Simulated time advances one second per ``_HOST_TICK_S`` of wall
+    clock at most, however many passes that interval holds, so one wall
+    second never buys more than 20 simulated ones.
     Stops the gateway on the way out; returns the number of jobs executed.
     """
+    from repro.accessserver.server import batch_filled
+
     host, port = gateway.address
     scheme = "tls" if gateway.tls_enabled else "plaintext"
     print(f"serving {what} on {host}:{port} ({scheme}); ^C to stop")
-    deadline = None if duration_s is None else time.monotonic() + duration_s
+    now = time.monotonic()
+    deadline = None if duration_s is None else now + duration_s
+    second_due = now
     served = 0
     try:
-        while deadline is None or time.monotonic() < deadline:
+        while deadline is None or now < deadline:
+            step = 0.0
+            if now >= second_due:
+                step, second_due = 1.0, now + _HOST_TICK_S
+            backlog = False
             with gateway.router_lock:
                 for platform in platforms():
-                    served += len(platform.run_queue())
-                    platform.context.run_for(1.0)
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+                    ran = platform.run_queue()
+                    served += len(ran)
+                    backlog = backlog or batch_filled(ran)
+                    platform.context.run_for(step)
+            if not backlog:
+                time.sleep(_HOST_TICK_S)
+            now = time.monotonic()
+    except KeyboardInterrupt:
         pass
     finally:
         gateway.stop()
@@ -1044,7 +1067,12 @@ def _cmd_serve(args) -> str:
         tls_cert_dir=args.cert_dir if args.tls else None,
     )
     served = _host_loop(gateway, "Platform API gateway", lambda: (platform,), args.duration_s)
-    return f"gateway stopped after executing {served} job(s)"
+    passes = platform.access_server.dispatch_pass_counts()
+    return (
+        f"gateway stopped after executing {served} job(s) in "
+        f"{passes['full']} full, {passes['partial']} partial and "
+        f"{passes['empty']} empty dispatch pass(es)"
+    )
 
 
 def _cmd_federate(args) -> str:

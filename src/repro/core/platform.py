@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.accessserver.auth import Role, User
-from repro.accessserver.server import AccessServer, VantagePointRecord
+from repro.accessserver.server import DISPATCH_BATCH, AccessServer, VantagePointRecord
 from repro.core.api import BatteryLabAPI
 from repro.device.android import AndroidDevice
 from repro.device.profiles import SAMSUNG_J7_DUO, DeviceHardwareProfile
@@ -96,7 +96,7 @@ class BatteryLabPlatform:
         """Select the dispatch queue ordering policy by name or instance."""
         self.access_server.set_scheduling_policy(policy)
 
-    def run_queue(self, max_jobs: int = 100):
+    def run_queue(self, max_jobs: int = DISPATCH_BATCH):
         """Batch-dispatch and execute queued jobs; returns the executed jobs."""
         return self.access_server.run_pending_jobs(max_jobs=max_jobs)
 

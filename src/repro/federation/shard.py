@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Sequence
 
+from repro.accessserver.server import batch_filled
 from repro.api.router import ApiRouter
 from repro.core.platform import BatteryLabPlatform, build_default_platform
 from repro.federation.placement import ShardState
@@ -51,16 +52,19 @@ class FederationShard:
         return self.platform.access_server
 
     def settle(self, max_rounds: int = 100) -> int:
-        """Drain the shard's queue: run pending jobs until none remain.
+        """Drain the shard's queue: run passes until one runs out of work.
 
-        Returns how many jobs were executed.  ``max_rounds`` bounds the
-        loop against a pathological queue that refills itself.
+        Returns how many jobs were executed.  A pass that did not fill its
+        batch left nothing dispatchable — what is still queued waits for an
+        agent, a reservation or a held device, and no further pass here
+        would run it.  ``max_rounds`` bounds the loop against a
+        pathological queue that refills itself.
         """
         executed = 0
         for _ in range(max_rounds):
             ran = self.platform.run_queue()
             executed += len(ran)
-            if self.server.scheduler.queue_length() == 0:
+            if not batch_filled(ran):
                 break
         return executed
 

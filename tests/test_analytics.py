@@ -13,6 +13,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.accessserver.persistence import InMemoryBackend, register_payload
 from repro.analytics import (
@@ -21,6 +23,7 @@ from repro.analytics import (
     OpsRecord,
     ThroughputReducer,
     distribution_view,
+    JobLifecycleReducer,
     normalize_bus_event,
     percentile,
     report_json,
@@ -302,6 +305,63 @@ class TestReducers:
         report = engine.report()
         assert report["jobs"]["submitted"] == 0
         assert report["owners"] == []
+
+
+def recount_jobs(reducer):
+    """``job_counts()`` the slow way: one walk over every retained timeline."""
+    named = ("completed", "failed", "cancelled", "running", "pending_approval")
+    counts = dict.fromkeys(named + ("queued", "rejected"), 0)
+    for timeline in reducer._jobs.values():
+        counts[timeline.status if timeline.status in named else "queued"] += 1
+        counts["rejected"] += timeline.rejected
+    return {"submitted": len(reducer._jobs), "requeues": reducer._requeues, **counts}
+
+
+lifecycle_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("submit", "submit-held", "approve", "assign", "requeue", "finish",
+             "fail", "cancel", "reject")
+        ),
+        st.integers(min_value=1, max_value=3),  # few ids: resubmits and strays happen
+    ),
+    max_size=60,
+)
+
+
+class TestIncrementalViews:
+    """The views a report reads are kept by the fold, not recomputed from
+    every retained job; they must equal the recomputation at every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=lifecycle_steps)
+    @example(steps=[("submit", 1), ("reject", 1), ("submit", 1)])
+    def test_job_counts_and_distributions_equal_a_recount(self, steps):
+        reducer = JobLifecycleReducer()
+        waits, runs = [], []
+        for ts, (step, job_id) in enumerate(steps):
+            ts = float(ts * 7 % 11)  # samples arrive out of order
+            tracked = reducer._jobs.get(job_id)
+            data = {"job_id": job_id}
+            if step in ("submit", "submit-held"):
+                kind = "job.submitted"
+                status = "pending_approval" if step == "submit-held" else "queued"
+                data.update(owner="o", status=status, submitted_at=ts)
+            elif step in ("finish", "fail"):
+                kind = "job.finished"
+                data.update(status="completed" if step == "finish" else "failed", finished_at=ts)
+                if tracked is not None and tracked.last_assigned_at is not None:
+                    runs.append(ts - tracked.last_assigned_at)
+            else:
+                kind = {"approve": "job.approved", "assign": "job.assigned",
+                        "requeue": "job.requeued", "cancel": "job.cancelled",
+                        "reject": "job.rejected"}[step]
+                if step == "assign" and tracked is not None and tracked.first_assigned_at is None:
+                    waits.append(ts - tracked.submitted_at)
+            reducer.fold(OpsRecord(ts, kind, data))
+            assert reducer.job_counts() == recount_jobs(reducer)
+            assert reducer.wait_distribution() == distribution_view(waits)
+            assert reducer.run_distribution() == distribution_view(runs)
 
 
 class TestSnapshotSynthesis:

@@ -562,6 +562,36 @@ class TestShardAdminPlane:
         assert client.job_status(queued.job_id).status == "completed"
         assert shards[1].server.scheduler.queue_length() == 0
 
+    def test_drain_gives_up_on_a_queue_it_cannot_run(self, fed2, monkeypatch):
+        """A job waiting for an agent is not run by more dispatch passes:
+        the drain makes one, not ``max_rounds`` of them under the lock."""
+        router, shards = fed2
+        client = fed_client(router)
+        client.login()
+        waiting = submit_on(client, 1, "for-an-agent", execution="agent")
+        server = shards[1].server
+        passes = []
+        run_pending_jobs = server.run_pending_jobs
+
+        def counted(max_jobs):
+            passes.append(max_jobs)
+            return run_pending_jobs(max_jobs=max_jobs)
+
+        monkeypatch.setattr(server, "run_pending_jobs", counted)
+        response = admin_call(router, "shard.drain", {"shard_id": "shard-1"})
+        assert response["ok"] and response["payload"]["state"] == "draining"
+        assert len(passes) == 1
+        assert client.job_status(waiting.job_id).status == "queued"
+
+    def test_settle_drains_a_queue_deeper_than_one_batch(self, fed2):
+        router, shards = fed2
+        client = fed_client(router)
+        client.login()
+        for index in range(250):
+            submit_on(client, 1, f"deep-{index}")
+        assert shards[1].settle() == 250
+        assert shards[1].server.scheduler.queue_length() == 0
+
     def test_draining_shard_takes_no_new_placements(self, fed2):
         router, shards = fed2
         client = fed_client(router)
