@@ -13,12 +13,12 @@ uninterrupted server would have produced from the same point (in-flight
 jobs re-queued at their original positions included).
 
 It also prices the other half of the journal's cost, the checkpoint: with
-1k and 10k settled jobs retained (plus a blocked queue), how long one
+1k, 10k and 100k settled jobs retained (plus a blocked queue), how long one
 checkpoint stalls the dispatch thread when 10 jobs settled since the
 previous one (``checkpoint_ms_*``, median of 5, ``FileBackend`` with its
 fsyncs), and how many job records that checkpoint had to encode
-(``checkpoint_encoded_jobs_10k`` — an exact count: live + 10, whatever
-is retained).
+(``checkpoint_encoded_jobs_10k`` / ``_100k`` — an exact count: live + 10,
+whatever is retained; the rest is spliced from the previous snapshot).
 
 And it sizes the state at rest for the replay workload:
 ``journal_bytes_per_job`` (the uncompacted journal over the jobs submitted)
@@ -215,17 +215,21 @@ def measure_checkpoint(settled: int) -> Tuple[float, int]:
 def run_checkpoint_benchmark() -> Dict[str, object]:
     ms_1k, _ = measure_checkpoint(1_000)
     ms_10k, encoded_10k = measure_checkpoint(10_000)
-    if encoded_10k != CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES:
-        raise AssertionError(
-            f"a checkpoint over 10k settled jobs encoded {encoded_10k} records; "
-            f"expected live + new = {CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES}"
-        )
+    ms_100k, encoded_100k = measure_checkpoint(100_000)
+    for label, encoded in (("10k", encoded_10k), ("100k", encoded_100k)):
+        if encoded != CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES:
+            raise AssertionError(
+                f"a checkpoint over {label} settled jobs encoded {encoded} records; "
+                f"expected live + new = {CHECKPOINT_LIVE_JOBS + CHECKPOINT_NEW_SETTLES}"
+            )
     return {
         "checkpoint_live_jobs": CHECKPOINT_LIVE_JOBS,
         "checkpoint_new_settles": CHECKPOINT_NEW_SETTLES,
         "checkpoint_ms_1k_jobs": round(ms_1k, 2),
         "checkpoint_ms_10k_jobs": round(ms_10k, 2),
+        "checkpoint_ms_100k_jobs": round(ms_100k, 2),
         "checkpoint_encoded_jobs_10k": encoded_10k,
+        "checkpoint_encoded_jobs_100k": encoded_100k,
     }
 
 

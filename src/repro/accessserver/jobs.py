@@ -91,8 +91,12 @@ class JobSpec:
     execution: str = "push"
 
 
+def _retention_end(created_at: float, retention_days: float) -> float:
+    return created_at + retention_days * 24 * 3600.0
+
+
 def _retention_lapsed(created_at: float, retention_days: float, now: float) -> bool:
-    return now > created_at + retention_days * 24 * 3600.0
+    return now > _retention_end(created_at, retention_days)
 
 
 @dataclass(slots=True)
@@ -234,9 +238,14 @@ class Job:
     def artifact_names(self) -> List[str]:
         return [] if self._workspace is None else self._workspace.names()
 
+    @property
+    def retention_ends_at(self) -> float:
+        """When the retention window ("several days") closes; fixed at submit."""
+        return _retention_end(self.submitted_at, self.spec.log_retention_days)
+
     def workspace_expired(self, now: float) -> bool:
-        """Whether the retention window ("several days") has passed."""
-        return _retention_lapsed(self.submitted_at, self.spec.log_retention_days, now)
+        """Whether the retention window has passed."""
+        return now > self.retention_ends_at
 
     @property
     def duration_s(self) -> Optional[float]:

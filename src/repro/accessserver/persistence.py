@@ -18,10 +18,11 @@ the same durability with zero external dependencies:
   bounding recovery cost by the snapshot interval instead of the server's
   lifetime.  The snapshot *file* is always the whole retained state, but a
   checkpoint only *encodes* what changed: a settled job's record never
-  changes again, so its compact JSON text is produced once, kept by the
-  manager for as long as the job is retained, and spliced into every later
-  snapshot by :func:`encode_snapshot`, which streams the document to the
-  backend without ever building the full job tree or the full text.
+  changes again, so the manager remembers where it sits in the current
+  snapshot (job id, offset, retention — no text) and hands the backend a
+  :class:`Splice` of those bytes, which :func:`encode_snapshot` streams
+  beside the freshly encoded live and newly settled records.  The file
+  backend copies a splice in the kernel.
 * **Crash recovery** — :func:`recover_into` replays snapshot + journal into
   a freshly built :class:`~repro.accessserver.server.AccessServer`,
   reconstructing the dispatch engine's constraint-bucketed queue in its
@@ -53,13 +54,28 @@ invisible to the journal by design.
 from __future__ import annotations
 
 import abc
+import errno
 import json
 import os
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro._atomicfile import replace_file
 from repro.accessserver.credits import CreditTransaction, TransactionKind
@@ -71,6 +87,7 @@ from repro.accessserver.jobs import (
     JobStatus,
     claim_job_id,
 )
+from repro.obs.logsetup import component_logger
 from repro.simulation.events import BusEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -192,35 +209,84 @@ def noop_payload(ctx) -> None:
 
 
 #: Compact JSON text of one value — what every journal line and every piece
-#: of a snapshot is made of.
+#: of a snapshot is made of.  ASCII (``ensure_ascii``), so its length is
+#: its size in bytes.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def encode_snapshot(snapshot: Dict[str, object]) -> Iterator[str]:
+class Splice(NamedTuple):
+    """``length`` bytes at ``offset`` of the snapshot being replaced: a run
+    of ``jobs`` entries the new snapshot keeps byte for byte."""
+
+    offset: int
+    length: int
+
+
+class SnapshotJobs(list):
+    """A snapshot's ``jobs`` entries — records, record text or
+    :class:`Splice` runs — that notes where its entries land.
+
+    :func:`encode_snapshot` fills ``starts`` (the byte offset of each entry
+    in the document, in order) and ``size`` (the document's length) as it
+    streams, so whoever built the list learns the new layout from the list
+    itself once the backend's ``write_snapshot`` returns.
+    """
+
+    __slots__ = ("starts", "size")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.starts = array("q")
+        self.size = 0
+
+
+def encode_snapshot(snapshot: Dict[str, object]) -> Iterator[Union[str, Splice]]:
     """Stream a snapshot document as compact JSON text, piece by piece.
 
     The pieces concatenate to exactly
-    ``json.dumps(snapshot, separators=(",", ":"))``.  Entries of ``jobs``
-    that are already text — a settled job's record, encoded once by the
-    :class:`PersistenceManager` — are spliced in verbatim; everything else
-    is encoded here, one top-level value or one job at a time, so neither
-    the whole job tree nor the whole document ever exists in memory.  The
-    single encode path behind every backend's ``write_snapshot``.
+    ``json.dumps(snapshot, separators=(",", ":"))`` once every
+    :class:`Splice` is replaced by the bytes it names in the snapshot the
+    backend holds.  Entries of ``jobs`` that are already text are passed
+    through verbatim; everything else is encoded here, one top-level value
+    or one job at a time, so neither the whole job tree nor the whole
+    document ever exists in memory.  The single encode path behind every
+    backend's ``write_snapshot``.
     """
+    jobs = snapshot.get("jobs")
+    placed = jobs if isinstance(jobs, SnapshotJobs) else None
+    if placed is not None:
+        del placed.starts[:]
+    size = 0
     opener = "{"
     for key, value in snapshot.items():
-        yield opener + _encode(key) + ":"
+        head = opener + _encode(key) + ":"
         opener = ","
         if key != "jobs":
-            yield _encode(value)
+            piece = head + _encode(value)
+            size += len(piece)
+            yield piece
             continue
-        separator = "["
+        separator = head + "["
         for record in value:
+            size += len(separator)
             yield separator
-            yield record if isinstance(record, str) else _encode(record)
             separator = ","
-        yield "[]" if separator == "[" else "]"
-    yield "{}" if opener == "{" else "}"
+            if placed is not None:
+                placed.starts.append(size)
+            if isinstance(record, Splice):
+                size += record.length
+                yield record
+            else:
+                piece = record if isinstance(record, str) else _encode(record)
+                size += len(piece)
+                yield piece
+        piece = "]" if separator == "," else separator + "]"
+        size += len(piece)
+        yield piece
+    piece = "{}" if opener == "{" else "}"
+    if placed is not None:
+        placed.size = size + len(piece)
+    yield piece
 
 
 def _json_safe(value: object) -> object:
@@ -447,11 +513,17 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Atomically replace the snapshot with :func:`encode_snapshot`'s text."""
+        """Atomically replace the snapshot with :func:`encode_snapshot`'s
+        pieces, each :class:`Splice` resolved against the snapshot replaced."""
 
     @abc.abstractmethod
+    def read_snapshot_text(self) -> Optional[str]:
+        """The latest snapshot as written, or ``None`` when none was ever written."""
+
     def read_snapshot(self) -> Optional[Dict[str, object]]:
         """The latest snapshot, or ``None`` when none was ever written."""
+        text = self.read_snapshot_text()
+        return None if text is None else json.loads(text)
 
     def has_state(self) -> bool:
         """Whether recovery has anything to replay."""
@@ -489,11 +561,16 @@ class InMemoryBackend(StorageBackend):
         self.journal.clear()
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
-        self.snapshot = "".join(encode_snapshot(snapshot))
+        previous = self.snapshot
+        self.snapshot = "".join(
+            piece if isinstance(piece, str)
+            else previous[piece.offset : piece.offset + piece.length]
+            for piece in encode_snapshot(snapshot)
+        )
         self.snapshot_bytes = len(self.snapshot)
 
-    def read_snapshot(self) -> Optional[Dict[str, object]]:
-        return None if self.snapshot is None else json.loads(self.snapshot)
+    def read_snapshot_text(self) -> Optional[str]:
+        return self.snapshot
 
 
 class FileBackend(StorageBackend):
@@ -597,16 +674,20 @@ class FileBackend(StorageBackend):
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
         # Durable through the directory fsync before this returns: the
         # journal truncation that follows a checkpoint must not outlive the
-        # snapshot it was folded into.
+        # snapshot it was folded into.  A splice is a byte range of the file
+        # being replaced, which replace_file copies in the kernel.
         self.snapshot_bytes = replace_file(
             self._snapshot_path, encode_snapshot(snapshot), self._snapshot_tmp_path
         )
 
-    def read_snapshot(self) -> Optional[Dict[str, object]]:
+    def read_snapshot_text(self) -> Optional[str]:
         if not self._snapshot_path.exists():
             return None
+        return self._snapshot_path.read_text(encoding="utf-8")
+
+    def read_snapshot(self) -> Optional[Dict[str, object]]:
         try:
-            return json.loads(self._snapshot_path.read_text(encoding="utf-8"))
+            return super().read_snapshot()
         except json.JSONDecodeError as exc:
             raise PersistenceError(f"corrupt snapshot {self._snapshot_path}: {exc}") from exc
 
@@ -630,8 +711,10 @@ class FileBackend(StorageBackend):
 TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
 
-def _retained_jobs(server: "AccessServer") -> Iterator[Job]:
-    """The jobs a snapshot keeps, in id order.
+def _retained_jobs(
+    server: "AccessServer", jobs: Optional[Iterable[Job]] = None
+) -> Iterator[Job]:
+    """The jobs a snapshot keeps, of ``jobs`` (default: every job, in id order).
 
     Terminal jobs whose workspace retention has lapsed (the paper keeps job
     logs "for several days") are dropped, so snapshot size is bounded by
@@ -639,7 +722,7 @@ def _retained_jobs(server: "AccessServer") -> Iterator[Job]:
     server's whole lifetime.
     """
     now = server.context.now
-    for job in server.scheduler.jobs():
+    for job in server.scheduler.jobs() if jobs is None else jobs:
         if not (job.status in TERMINAL_STATUSES and job.workspace_expired(now)):
             yield job
 
@@ -650,9 +733,9 @@ def build_snapshot(
     """Capture the server's full journaled state as one JSON document.
 
     ``jobs`` overrides the ``jobs`` list: the :class:`PersistenceManager`
-    passes one whose settled jobs are already-encoded text (see
-    :func:`encode_snapshot`).  Left out, every retained job is serialised
-    afresh and the result is a plain ``json``-able tree.
+    passes a :class:`SnapshotJobs` of record text and :class:`Splice` runs
+    (see :func:`encode_snapshot`).  Left out, every retained job is
+    serialised afresh and the result is a plain ``json``-able tree.
     """
     scheduler = server.scheduler
     engine = scheduler.engine
@@ -1168,8 +1251,141 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
 
 
 # ---------------------------------------------------------------------------
+# The splice index
+# ---------------------------------------------------------------------------
+
+
+class _Run:
+    """Settled jobs' records lying back to back in the current snapshot.
+
+    Record ``i`` is job ``ids[i]`` (ascending); it starts ``offsets[i]``
+    bytes past ``start``, one comma after the end of record ``i - 1``, and
+    its retention lapses at ``expires[i]``; the last record ends at
+    ``start + end``.  24 bytes a record.  A checkpoint that carries the run
+    into the next snapshot moves ``start`` and nothing else; one that drops
+    a record inside it, or puts one between two of its records, cuts it
+    into :meth:`part`\\ s.
+    """
+
+    __slots__ = ("start", "end", "ids", "offsets", "expires", "lapses_at")
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+        self.end = 0
+        self.ids = array("q")
+        self.offsets = array("q")
+        self.expires = array("d")
+        self.lapses_at = float("inf")
+
+    def add(self, job_id: int, begin: int, length: int, expires: float) -> None:
+        """Append the record of ``length`` bytes at absolute offset ``begin``."""
+        self.ids.append(job_id)
+        self.offsets.append(begin - self.start)
+        self.expires.append(expires)
+        self.end = begin + length - self.start
+        self.lapses_at = min(self.lapses_at, expires)
+
+    def splice(self) -> Splice:
+        begin = self.start + self.offsets[0]
+        return Splice(begin, self.start + self.end - begin)
+
+    def records(self) -> Iterator[Tuple[int, int, int]]:
+        """``(job_id, begin, end)`` of each record, as absolute offsets."""
+        for index, job_id in enumerate(self.ids):
+            yield job_id, self.start + self.offsets[index], self.start + self._end_of(index)
+
+    def _end_of(self, index: int) -> int:
+        if index + 1 < len(self.ids):
+            return self.offsets[index + 1] - 1
+        return self.end
+
+    def part(self, lo: int, hi: int) -> "_Run":
+        """Records ``lo:hi`` as a run of their own, where they lie now."""
+        run = _Run(self.start)
+        run.ids = self.ids[lo:hi]
+        run.offsets = self.offsets[lo:hi]
+        run.expires = self.expires[lo:hi]
+        run.end = self._end_of(hi - 1)
+        run.lapses_at = min(run.expires)
+        return run
+
+
+def _cut(runs: List[_Run], changed: List[int], now: float) -> List[_Run]:
+    """``runs`` without the records of ``changed`` jobs or lapsed
+    retention, cut wherever a changed job falls between two records.
+
+    ``changed`` is ascending.  Runs with nothing to cut come back as they
+    are.
+    """
+    firsts = [run.ids[0] for run in runs]  # for bisection
+    cuts: Dict[int, Dict[int, bool]] = {}  # run -> {record: dropped (else: cut before)}
+    for job_id in changed:
+        at = bisect_right(firsts, job_id) - 1
+        if at < 0 or job_id > runs[at].ids[-1]:
+            continue
+        ids = runs[at].ids
+        index = bisect_left(ids, job_id)
+        cut = cuts.setdefault(at, {})
+        cut[index] = cut.get(index, False) or ids[index] == job_id
+    for at, run in enumerate(runs):
+        if now > run.lapses_at:
+            cut = cuts.setdefault(at, {})
+            for index, expires in enumerate(run.expires):
+                if now > expires:
+                    cut[index] = True
+    if not cuts:
+        return runs
+    kept: List[_Run] = []
+    for at, run in enumerate(runs):
+        cut = cuts.get(at)
+        if cut is None:
+            kept.append(run)
+            continue
+        lo = 0
+        for index in sorted(cut):
+            if index > lo:
+                kept.append(run.part(lo, index))
+            lo = index + 1 if cut[index] else index
+        if lo < len(run.ids):
+            kept.append(run.part(lo, len(run.ids)))
+    return kept
+
+
+def _place(entries: SnapshotJobs, notes: List[object], run: _Run) -> int:
+    """Add ``run``'s splice to ``entries``, coalesced with the splice before
+    it when their bytes are adjacent in the old snapshot too; returns the
+    bytes it adds to the snapshot."""
+    splice = run.splice()
+    if entries and type(entries[-1]) is Splice:
+        previous = entries[-1]
+        if previous.offset + previous.length + 1 == splice.offset:
+            entries[-1] = Splice(previous.offset, splice.offset + splice.length - previous.offset)
+            notes[-1].append(run)
+            return splice.length + 1  # the comma between them too
+    entries.append(splice)
+    notes.append([run])
+    return splice.length
+
+
+class _Plan(NamedTuple):
+    """A checkpoint's ``jobs`` entries and what :meth:`PersistenceManager._adopt`
+    needs to index them once written."""
+
+    entries: SnapshotJobs
+    #: Per entry: the runs a splice carries, ``(job id, retention end)`` of
+    #: a newly settled record, or ``None`` for a live one.
+    notes: List[object]
+    live: List[int]  # ids of the jobs written as live
+    encoded: int  # records encoded by this checkpoint
+    reused: int  # records spliced from the previous snapshot
+    spliced_bytes: int
+
+
+# ---------------------------------------------------------------------------
 # The manager
 # ---------------------------------------------------------------------------
+
+_LOG = component_logger("repro.accessserver.persistence")
 
 
 class PersistenceManager:
@@ -1216,10 +1432,16 @@ class PersistenceManager:
         self._last_snapshot_at: Optional[float] = None
         self._attached = False
         self.last_recovery: Optional[RecoveryReport] = None
-        # Settled jobs' records as compact JSON text, by job id (see
-        # _job_records), and the payload catalogue they were encoded under.
-        self._settled: Dict[int, str] = {}
-        self._settled_epoch = _payload_epoch
+        self._checkpoint_due = snapshot_every
+        # The splice index (see _plan): where each settled job's record sits
+        # in the current snapshot, as runs in id order; the payload
+        # catalogue it was encoded under (None: no index, the next
+        # checkpoint encodes everything); the jobs the last checkpoint
+        # wrote as live, and the jobs journaled since.
+        self._runs: List[_Run] = []
+        self._epoch: Optional[int] = None
+        self._live: List[int] = []
+        self._touched: Set[int] = set()
         # Telemetry (rides on the server's registry when present).
         obs = getattr(server, "obs", None)
         if obs is not None:
@@ -1248,15 +1470,28 @@ class PersistenceManager:
             snapshot_jobs = registry.counter(
                 "journal_snapshot_jobs_total",
                 "Job records written to snapshots: encoded by that checkpoint, "
-                "or reused from when the job settled.",
+                "or reused from the previous snapshot byte for byte.",
                 labelnames=("source",),
             )
+            snapshot_bytes = registry.counter(
+                "journal_snapshot_bytes_total",
+                "Snapshot bytes written: encoded by that checkpoint, or spliced "
+                "from the previous snapshot by a kernel copy.",
+                labelnames=("source",),
+            )
+            self._c_checkpoint_failures = registry.counter(
+                "journal_checkpoint_failures_total",
+                "Checkpoints that failed with an OSError; the previous snapshot "
+                "and the journal past it stay in force.",
+            ).labels()
             self._g_settled_cache = registry.gauge(
                 "persistence_settled_cache_entries",
-                "Settled jobs whose snapshot record is cached as text.",
+                "Settled jobs whose record the splice index locates in the snapshot.",
             ).labels()
             self._c_jobs_encoded = snapshot_jobs.labels(source="encoded")
             self._c_jobs_reused = snapshot_jobs.labels(source="reused")
+            self._c_bytes_encoded = snapshot_bytes.labels(source="encoded")
+            self._c_bytes_spliced = snapshot_bytes.labels(source="spliced")
             registry.add_collect_hook(self._collect_metrics)
         else:
             self._m_append = None
@@ -1265,7 +1500,7 @@ class PersistenceManager:
         self._g_fsyncs.set(float(getattr(self._backend, "fsyncs", 0)))
         self._g_since_snapshot.set(float(self._records_since_snapshot))
         self._g_snapshot_bytes.set(float(getattr(self._backend, "snapshot_bytes", 0)))
-        self._g_settled_cache.set(float(len(self._settled)))
+        self._g_settled_cache.set(float(sum(len(run.ids) for run in self._runs)))
         if self._last_snapshot_at is not None:
             self._g_snapshot_age.set(self._server.context.now - self._last_snapshot_at)
         else:
@@ -1282,9 +1517,19 @@ class PersistenceManager:
         return self._sequence
 
     @property
-    def settled_job_ids(self):
-        """Ids of the jobs whose snapshot record is cached as text."""
-        return self._settled.keys()
+    def settled_job_ids(self) -> List[int]:
+        """Ids of the settled jobs the splice index locates, ascending."""
+        return [job_id for run in self._runs for job_id in run.ids]
+
+    def settled_records(self) -> Dict[int, str]:
+        """Each indexed settled job's record, read back from the current
+        snapshot where the index says it lies — for tests and forensics."""
+        text = self._backend.read_snapshot_text() or ""
+        return {
+            job_id: text[begin:end]
+            for run in self._runs
+            for job_id, begin, end in run.records()
+        }
 
     @property
     def snapshots_written(self) -> int:
@@ -1328,73 +1573,146 @@ class PersistenceManager:
         self._backend.close()
 
     def checkpoint(self) -> None:
-        """Write a snapshot of the current state and truncate the journal."""
+        """Write a snapshot of the current state and truncate the journal.
+
+        The journal is fsynced first; that failing propagates as it is (a
+        record may not be durable).  A snapshot write that fails with an
+        ``OSError`` (a full disk) is logged, counted in
+        ``journal_checkpoint_failures_total`` and raised with the journal
+        untruncated: it and whichever snapshot is on disk still hold every
+        record.  The splice index is dropped — the write may have failed
+        after its rename, leaving the index's offsets pointing into the
+        wrong file — so the next checkpoint encodes every job once.
+        """
         checkpoint_t0 = time.perf_counter()
+        epoch = _payload_epoch
         self._backend.sync()
-        jobs, reused = self._job_records()
-        self._backend.write_snapshot(build_snapshot(self._server, self._sequence, jobs))
-        self._backend.reset_journal()
+        try:
+            plan = self._plan()
+            self._backend.write_snapshot(
+                build_snapshot(self._server, self._sequence, plan.entries)
+            )
+            self._adopt(plan, epoch)
+            self._backend.reset_journal()
+        except OSError as exc:
+            self._runs = []
+            self._epoch = None
+            _LOG.error(
+                "checkpoint at journal seq %d failed (%s): %s; the snapshot on "
+                "disk and the journal past it still hold every record",
+                self._sequence,
+                errno.errorcode.get(exc.errno, exc.errno),
+                exc,
+            )
+            if self._m_append is not None:
+                self._c_checkpoint_failures.inc()
+            raise
         self._records_since_snapshot = 0
+        self._checkpoint_due = self._snapshot_every
         self._snapshots_written += 1
         self._last_snapshot_at = self._server.context.now
         if self._m_append is not None:
             self._m_checkpoint.observe(time.perf_counter() - checkpoint_t0)
-            self._c_jobs_reused.inc(reused)
-            self._c_jobs_encoded.inc(len(jobs) - reused)
+            self._c_jobs_reused.inc(plan.reused)
+            self._c_jobs_encoded.inc(plan.encoded)
+            self._c_bytes_spliced.inc(plan.spliced_bytes)
+            self._c_bytes_encoded.inc(plan.entries.size - plan.spliced_bytes)
 
-    def _job_records(self) -> Tuple[List[object], int]:
-        """The snapshot's ``jobs`` list, settled jobs as already-encoded text,
-        and how many of those were reused rather than encoded by this call.
+    def _plan(self) -> _Plan:
+        """The snapshot's ``jobs`` entries and how to index them.
 
         A settled job's record never changes again: it is terminal, off the
         queue, its payload is no longer running (a job cancelled mid-payload
         still logs) and no administrator decision is pending on it (a
         cancelled pipeline change can still be approved back to life, or
-        rejected with a reason).  So the first checkpoint that sees it
-        settled encodes it and every later snapshot gets that text as is; a
-        checkpoint serialises only live and newly settled jobs.  The cache
-        is rebuilt from the jobs the snapshot still keeps, so an entry goes
-        when its job's retention lapses and the cache never holds more than
-        the snapshot does.
+        rejected with a reason).  So once a checkpoint has written it, later
+        ones splice its bytes from the snapshot they replace, and a
+        checkpoint encodes only the jobs that can have changed: those it
+        wrote as live last time and those journaled since — anything else
+        that changes a job journals it.  The index drops a record when that
+        job is encoded again or its retention lapses (each record carries
+        the date, fixed when it settled), so it never holds more than the
+        snapshot does.  With no index (after attach, recovery or a failed
+        checkpoint) or a changed payload catalogue — the one input to a
+        record that lives outside the job — every retained job is encoded,
+        once.
         """
         server = self._server
-        engine = server.scheduler.engine
+        scheduler = server.scheduler
+        engine = scheduler.engine
         sequence_of = engine.queue.sequence_of
         is_executing = engine.is_executing
         undecided = {job.job_id for job in server.pending_approval()}
-        if self._settled_epoch != _payload_epoch:
-            self._settled = {}
-            self._settled_epoch = _payload_epoch
-        settled = self._settled
-        kept: Dict[int, str] = {}
-        records: List[object] = []
-        reused = 0
-        for job in _retained_jobs(server):
+        if self._epoch != _payload_epoch:
+            runs: List[_Run] = []
+            jobs = _retained_jobs(server)
+        else:
+            changed = sorted(self._touched.union(self._live))
+            runs = _cut(self._runs, changed, server.context.now)
+            jobs = _retained_jobs(server, map(scheduler.job, changed))
+        entries = SnapshotJobs()
+        notes: List[object] = []
+        live: List[int] = []
+        encoded = spliced_bytes = 0
+        next_run = 0
+        for job in jobs:
             job_id = job.job_id
-            record: object = settled.get(job_id)
-            if record is not None:
-                kept[job_id] = record
-                reused += 1
+            while next_run < len(runs) and runs[next_run].ids[0] < job_id:
+                spliced_bytes += _place(entries, notes, runs[next_run])
+                next_run += 1
+            queue_seq = sequence_of(job_id)
+            entries.append(_encode(serialize_job(job, queue_seq=queue_seq)))
+            if (
+                job.status in TERMINAL_STATUSES
+                and queue_seq is None
+                and not is_executing(job_id)
+                and job_id not in undecided
+            ):
+                notes.append((job_id, job.retention_ends_at))
             else:
-                queue_seq = sequence_of(job_id)
-                record = serialize_job(job, queue_seq=queue_seq)
-                if (
-                    job.status in TERMINAL_STATUSES
-                    and queue_seq is None
-                    and not is_executing(job_id)
-                    and job_id not in undecided
-                ):
-                    record = kept[job_id] = _encode(record)
-            records.append(record)
-        self._settled = kept
-        return records, reused
+                notes.append(None)
+                live.append(job_id)
+            encoded += 1
+        for run in runs[next_run:]:
+            spliced_bytes += _place(entries, notes, run)
+        reused = sum(len(run.ids) for run in runs)
+        return _Plan(entries, notes, live, encoded, reused, spliced_bytes)
+
+    def _adopt(self, plan: _Plan, epoch: int) -> None:
+        """Make the index describe the snapshot just written: spliced runs
+        move to where they landed, adjacent newly settled records form new
+        runs."""
+        entries = plan.entries
+        if len(entries.starts) != len(entries):
+            raise PersistenceError(
+                "the backend wrote the snapshot without streaming it through encode_snapshot"
+            )
+        runs: List[_Run] = []
+        fresh: Optional[_Run] = None
+        for begin, entry, note in zip(entries.starts, entries, plan.notes):
+            if note is None:
+                fresh = None
+            elif type(note) is list:
+                for run in note:
+                    run.start += begin - entry.offset
+                runs.extend(note)
+                fresh = None
+            else:
+                if fresh is None:
+                    fresh = _Run(begin)
+                    runs.append(fresh)
+                fresh.add(note[0], begin, len(entry), note[1])
+        self._runs = runs
+        self._epoch = epoch
+        self._live = plan.live
+        self._touched = set()
 
     # -- explicit server hooks ---------------------------------------------
     def on_job_submitted(self, job: Job, idempotency_key: Optional[str] = None) -> None:
         data: Dict[str, object] = {"job": serialize_job(job)}
         if idempotency_key is not None:
             data["idempotency_key"] = idempotency_key
-        self._append("job.submitted", data)
+        self._append("job.submitted", data, job.job_id)
 
     def on_user_created(self, user) -> None:
         self._append("user.created", serialize_user(user))
@@ -1406,10 +1724,10 @@ class PersistenceManager:
         # The cancellation itself is journaled via the dispatch.cancelled
         # bus tap; this record carries what the tap cannot see — the
         # rejection reason recorded on the job for its owner.
-        self._append("job.rejected", {"job_id": job.job_id, "error": job.error})
+        self._append("job.rejected", {"job_id": job.job_id, "error": job.error}, job.job_id)
 
     def on_job_approved(self, job: Job) -> None:
-        self._append("job.approved", {"job_id": job.job_id})
+        self._append("job.approved", {"job_id": job.job_id}, job.job_id)
 
     def on_job_finished(self, job: Job) -> None:
         state = _job_state(job)
@@ -1420,6 +1738,7 @@ class PersistenceManager:
                 "status": job.status.value,
                 **{key: state[key] for key in _JOB_FINISHED_KEYS if key in state},
             },
+            job.job_id,
         )
 
     def on_reservation_created(self, reservation: SessionReservation) -> None:
@@ -1467,11 +1786,12 @@ class PersistenceManager:
                     "device_serial": payload["device_serial"],
                     "timestamp": record.timestamp,
                 },
+                payload["job_id"],
             )
         elif record.topic == "dispatch.requeued":
-            self._append("job.requeued", {"job_id": payload["job_id"]})
+            self._append("job.requeued", {"job_id": payload["job_id"]}, payload["job_id"])
         elif record.topic == "dispatch.cancelled":
-            self._append("job.cancelled", {"job_id": payload["job_id"]})
+            self._append("job.cancelled", {"job_id": payload["job_id"]}, payload["job_id"])
         elif record.topic == "dispatch.reservation_cancelled":
             self._append(
                 "reservation.cancelled", {"reservation_id": payload["reservation_id"]}
@@ -1484,8 +1804,17 @@ class PersistenceManager:
             self._append("credit.txn", dict(data))
 
     # -- internals ----------------------------------------------------------
-    def _append(self, kind: str, data: Dict[str, object]) -> None:
+    def _append(self, kind: str, data: Dict[str, object], job_id: Optional[int] = None) -> None:
+        """Journal one record (about job ``job_id``, if any); checkpoint when due.
+
+        A snapshot write that fails does not fail the caller — the record is
+        durable already, and so is every earlier one — it is retried a full
+        ``snapshot_every`` records later.  The journal fsync that precedes
+        it does fail the caller: then the record may not be durable.
+        """
         append_t0 = time.perf_counter()
+        if job_id is not None:
+            self._touched.add(job_id)
         self._sequence += 1
         self._backend.append(
             {
@@ -1498,8 +1827,14 @@ class PersistenceManager:
         self._records_since_snapshot += 1
         if self._m_append is not None:
             self._m_append.observe(time.perf_counter() - append_t0)
-        if self._records_since_snapshot >= self._snapshot_every:
-            self.checkpoint()
+        if self._records_since_snapshot >= self._checkpoint_due:
+            # Outside the try, so a journal fsync error fails this request;
+            # checkpoint()'s own sync then finds nothing left to flush.
+            self._backend.sync()
+            try:
+                self.checkpoint()
+            except OSError:  # logged and counted by checkpoint()
+                self._checkpoint_due = self._records_since_snapshot + self._snapshot_every
 
 
 def attach_persistence(

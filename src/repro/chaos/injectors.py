@@ -200,6 +200,9 @@ class CrashingBackend:
     def read_snapshot(self):
         return self.inner.read_snapshot()
 
+    def read_snapshot_text(self):
+        return self.inner.read_snapshot_text()
+
     def has_state(self) -> bool:
         return self.inner.has_state()
 

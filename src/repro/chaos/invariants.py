@@ -20,9 +20,9 @@ point-wise, restated as whole-run assertions a chaos soak can run after
     platforms: same queue order, same job statuses, same canonical
     analytics report.
 ``snapshot_equals_fresh_encode``
-    A checkpoint reuses the text it encoded when each job settled; the
-    bytes that reach the backend equal a cache-free encode of the same
-    state.
+    A checkpoint splices settled jobs' records from the snapshot it
+    replaces; the bytes that reach the backend equal a cache-free encode of
+    the same state.
 ``credit_conservation``
     Per account, the transaction history sums exactly to the balance —
     credits are minted and burned only through recorded transactions.
@@ -251,10 +251,11 @@ def check_recovery_byte_identical(backend, platform_factory) -> CheckResult:
 def check_snapshot_equals_fresh_encode(server) -> CheckResult:
     """Checkpoint now; what reached the backend must equal a fresh encode.
 
-    The manager splices in record text it encoded when each job settled,
-    so this is the whole-run check that nothing changed a settled job's
-    record behind that cache.  It writes a checkpoint — run it after the
-    checks that want the journal tail as the run left it.
+    The manager splices a settled job's record from the previous snapshot
+    instead of encoding it again, so this is the whole-run check that
+    nothing changed a settled job's record behind that index.  It writes a
+    checkpoint — run it after the checks that want the journal tail as the
+    run left it.
     """
     from repro.accessserver.persistence import build_snapshot
 
@@ -426,7 +427,7 @@ def check_history_bounded(server, routers=(), drained: bool = False) -> CheckRes
     retained = {job.job_id for job in server.scheduler.jobs()}
     per_job = {}
     if server.persistence is not None:
-        per_job["settled snapshot cache"] = server.persistence.settled_job_ids
+        per_job["snapshot splice index"] = server.persistence.settled_job_ids
     if server.analytics is not None:
         per_job["analytics timelines"] = server.analytics.tracked_job_ids()
     for what, job_ids in per_job.items():

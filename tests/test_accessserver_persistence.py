@@ -755,7 +755,7 @@ class TestSettledRecordsStaySettled:
     def test_cancel_results_and_reads_of_settled_jobs(self, world):
         self.settle(world, [("submit", 0), ("submit", 1), ("submit", 0), ("cancel", 2),
                             ("run", 10)])
-        cached = dict(world.manager._settled)
+        cached = world.manager.settled_records()
         assert len(cached) == 3
         for index in range(3):
             world.apply(("cancel", index))  # refused, or a no-op re-cancel
@@ -763,30 +763,30 @@ class TestSettledRecordsStaySettled:
         world.apply(("grant", 2))
         world.admin.create_user("newcomer", "experimenter", "newcomer-token")
         world.manager.checkpoint()
-        assert world.manager._settled == cached
+        assert world.manager.settled_records() == cached
 
     def test_duplicate_agent_report(self, world):
         self.settle(world, [("submit_agent", 1), ("claim", 30), ("report", 1)])
-        (job_id,) = world.manager._settled
+        (job_id,) = world.manager.settled_job_ids
         world.apply(("report", 2))  # same lease, different verdict: ignored
         world.manager.checkpoint()
         assert world.server.scheduler.job(job_id).result == {"n": 1}
 
     def test_lease_expiry_requeues_and_the_job_settles_again(self, world):
         self.settle(world, [("submit_agent", 2), ("claim", 5)])
-        assert not world.manager._settled  # running: nothing to keep
+        assert not world.manager.settled_job_ids  # running: nothing to keep
         world.apply(("advance", 40))  # lease lapses -> requeued
         world.manager.checkpoint()
         self.settle(world, [("claim", 30), ("report", 1)])
-        assert len(world.manager._settled) == 1
+        assert len(world.manager.settled_job_ids) == 1
 
     def test_rejecting_a_cancelled_pipeline_change_rewrites_its_error(self, world):
         self.settle(world, [("submit_pipeline", 0), ("cancel", 0)])
         # Cancelled but still awaiting a decision: not settled yet.
-        assert not world.manager._settled
+        assert not world.manager.settled_job_ids
         world.apply(("reject", 0))
         world.manager.checkpoint()
-        (text,) = world.manager._settled.values()
+        (text,) = world.manager.settled_records().values()
         assert "rejected: not this week" in text
         world.manager.checkpoint()
 
@@ -796,7 +796,7 @@ class TestSettledRecordsStaySettled:
         world.manager.checkpoint()
         assert world.statuses() == {JobStatus.QUEUED}
         self.settle(world, [("run", 5)])
-        assert len(world.manager._settled) == 1
+        assert len(world.manager.settled_job_ids) == 1
 
     def test_payload_logging_after_its_own_cancellation(self, world):
         self.settle(world, [("submit", 3), ("run", 5)])
@@ -813,10 +813,10 @@ class TestSettledRecordsStaySettled:
         (assignment,) = scheduler.dispatch_batch(world.server.context.now)
         assignment.job.mark_completed(world.server.context.now, None)
         world.manager.checkpoint()
-        assert not world.manager._settled
+        assert not world.manager.settled_job_ids
         scheduler.release(assignment.job)
         world.manager.checkpoint()
-        assert len(world.manager._settled) == 1
+        assert len(world.manager.settled_job_ids) == 1
 
     def test_unregistering_a_payload_renames_settled_jobs(self, world):
         register_payload("persistence-short-lived", lambda ctx: "ok")
@@ -824,11 +824,11 @@ class TestSettledRecordsStaySettled:
             world.client.submit_job("short", "persistence-short-lived").job_id
         )
         self.settle(world, [("run", 5)])
-        (text,) = world.manager._settled.values()
+        (text,) = world.manager.settled_records().values()
         assert '"payload":"persistence-short-lived"' in text
         unregister_payload("persistence-short-lived")
         world.manager.checkpoint()
-        (text,) = world.manager._settled.values()
+        (text,) = world.manager.settled_records().values()
         assert '"payload":null' in text
 
 
@@ -897,7 +897,7 @@ class TestEncodeOnce:
         self.submit(platform, 5)  # default retention: a week
         server.run_pending_jobs(max_jobs=100)
         manager.checkpoint()
-        assert len(manager._settled) == 25
+        assert len(manager.settled_job_ids) == 25
         platform.context.clock.advance(2 * 86_400.0)
         manager.checkpoint()
         kept = backend.read_snapshot()["jobs"]
@@ -905,7 +905,7 @@ class TestEncodeOnce:
         retained_terminal = [
             job["job_id"] for job in kept if JobStatus(job["status"]) in TERMINAL_STATUSES
         ]
-        assert sorted(manager._settled) == retained_terminal
+        assert manager.settled_job_ids == retained_terminal
         assert backend.snapshot == fresh_encode(server)
 
     def test_first_checkpoint_after_recovery_encodes_everything_once(
@@ -918,7 +918,7 @@ class TestEncodeOnce:
         del serialize_calls[:]
         rebuilt.persistence.checkpoint()
         assert len(serialize_calls) == 3
-        assert len(rebuilt.persistence._settled) == 40
+        assert len(rebuilt.persistence.settled_job_ids) == 40
 
     def test_checkpoint_metrics_are_exported(self, tmp_path):
         platform = self.settled_platform(FileBackend(tmp_path), settled=4, queued=1)

@@ -22,8 +22,10 @@ from repro.simulation.events import HISTORY_LIMIT, BusEvent, EventBus
 #: Heap bytes per retained noop job (tracemalloc, 6,000 jobs).  Measured:
 #: 3,395 before the log ring, slots and lazy containers; 2,766 after; 2,452
 #: once persisted records elide defaults (the settled-record text cache
-#: holds ~300 B less per job).  The budget is that plus 10 %.
-BYTES_PER_JOB_BUDGET = 2_700
+#: holds ~300 B less per job); 2,160 once that cache is gone and a settled
+#: record is located in the snapshot by 24 B of splice index instead.  The
+#: budget is that plus 10 %.
+BYTES_PER_JOB_BUDGET = 2_380
 
 
 def submit_noop_jobs(platform, client, jobs):
