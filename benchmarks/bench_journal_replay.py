@@ -42,11 +42,11 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
+from repro.accessserver.payloads import noop_payload
 from repro.accessserver.persistence import (
     FileBackend,
     build_snapshot,
     encode_snapshot,
-    noop_payload,
     recover_into,
 )
 from repro.core.platform import add_vantage_point, build_default_platform

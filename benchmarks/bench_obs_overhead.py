@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.accessserver.jobs import JobSpec
-from repro.accessserver.persistence import (
+from repro.accessserver.payloads import (
     get_payload,
     register_payload,
     unregister_payload,

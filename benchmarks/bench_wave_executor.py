@@ -30,7 +30,7 @@ from typing import Dict
 
 from repro.accessserver import jobs as jobs_module
 from repro.accessserver.jobs import JobSpec
-from repro.accessserver.persistence import (
+from repro.accessserver.payloads import (
     get_payload,
     register_payload,
     unregister_payload,

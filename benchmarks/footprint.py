@@ -1,8 +1,9 @@
 """Import footprint of the edge entry points beside the full platform.
 
 Prints a markdown table (modules loaded, max RSS, import time), one fresh
-interpreter per row.  The table is the trend to read per PR; the gate is
-``tests/test_import_boundaries.py``.
+interpreter per row; one row also runs the agent's first ``noop`` job, which
+is what the vantage point's Pi holds in steady state.  The table is the
+trend to read per PR; the gate is ``tests/test_import_boundaries.py``.
 
 A second table prices what the long-lived server keeps per retained job:
 heap (tracemalloc) and RSS growth over 12,000 in-process noop jobs, each in
@@ -29,19 +30,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZE_TREES = ("src", "tests", "benchmarks")
 LARGE_FILE_LINES = 1_000
 
+#: What the Pi holds once it has worked: the payload lookup loads more.
+FIRST_NOOP_JOB = (
+    "from repro.agent.connectors import ConnectorContext, FakeConnector\n"
+    "FakeConnector().run(ConnectorContext(1, 'job', 'owner', 'noop', 'node1', 'node1-dev00'))"
+)
+#: ``(modules, then)``: import the modules, run ``then``, measure.
 IMPORTS = (
-    "repro.cli",
-    "repro.agent.daemon",
-    "repro.api.client, repro.api.gateway",
-    "repro.core.platform",  # the reference: what a server needs anyway
+    ("repro.cli", ""),
+    ("repro.agent.daemon", ""),
+    ("repro.agent.daemon", FIRST_NOOP_JOB),
+    ("repro.api.client, repro.api.gateway", ""),
+    ("repro.core.platform", ""),  # the reference: what a server needs anyway
 )
 PROBE = """\
 import resource, sys, time
 started = time.perf_counter()
 import {modules}
+{then}
 ms = (time.perf_counter() - started) * 1000.0
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(f"| `{modules}` | {{len(sys.modules)}} | {{rss_mb:.1f}} | {{ms:.0f}} |")
+print(f"| {label} | {{len(sys.modules)}} | {{rss_mb:.1f}} | {{ms:.0f}} |")
 """
 RETAINED_JOBS = 12_000
 PROBE_PRELUDE = """\
@@ -120,8 +129,9 @@ def python_lines(tree: str) -> dict:
 def main() -> None:
     print("| import | modules | max RSS (MB) | import (ms) |")
     print("|---|---:|---:|---:|")
-    for modules in IMPORTS:
-        print(run_probe(PROBE.format(modules=modules)), end="")
+    for modules, then in IMPORTS:
+        label = f"`{modules}`" + (" after a `fake` connector's first `noop` job" * bool(then))
+        print(run_probe(PROBE.format(modules=modules, then=then, label=label)), end="")
     print()
     print("| per retained job | heap, tracemalloc (B) | RSS growth (B) |")
     print("|---|---:|---:|")

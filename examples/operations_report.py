@@ -22,7 +22,7 @@ Run it with ``python examples/operations_report.py``.
 import tempfile
 
 from repro import build_default_platform
-from repro.accessserver.persistence import register_payload
+from repro.accessserver.payloads import register_payload
 from repro.analysis.tables import format_table
 from repro.analytics import AnalyticsEngine
 from repro.core.platform import add_vantage_point

@@ -104,7 +104,8 @@ def replace_file(
     and propagates with ``path`` untouched; one from the directory fsync
     after it propagates with ``path`` already replaced, so a caller cannot
     assume either content.  A crash before the rename leaves the tmp file
-    behind for the owner to unlink.
+    behind for the owner: the outbox unlinks it at open, the server's next
+    snapshot overwrites it.
     """
     path = os.fspath(path)
     tmp_path = f"{path}.tmp" if tmp_path is None else os.fspath(tmp_path)

@@ -21,6 +21,8 @@ Jenkins itself:
   JSONL journal with fsync batching, periodic snapshots with log
   compaction, and crash recovery that replays the queue, reservations and
   credit ledger into a fresh server;
+* :mod:`~repro.accessserver.payloads` — the catalogue of named job payloads
+  a record, a request or an agent's claim refers to;
 * :mod:`~repro.accessserver.dns` — the Route53-style ``batterylab.dev`` zone;
 * :mod:`~repro.accessserver.certificates` — wildcard Let's Encrypt-style
   certificates and their renewal;
@@ -74,8 +76,10 @@ if TYPE_CHECKING:
         RecoveryReport,
         StorageBackend,
         attach_persistence,
-        get_payload,
         recover_into,
+    )
+    from repro.accessserver.payloads import (
+        get_payload,
         register_payload,
         unregister_payload,
     )
@@ -128,11 +132,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "RecoveryReport",
             "StorageBackend",
             "attach_persistence",
-            "get_payload",
             "recover_into",
-            "register_payload",
-            "unregister_payload",
         ),
+        "payloads": ("get_payload", "register_payload", "unregister_payload"),
         "policies": (
             "CreditSharePolicy",
             "DeadlinePolicy",

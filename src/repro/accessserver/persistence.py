@@ -35,12 +35,6 @@ the same durability with zero external dependencies:
   :class:`InMemoryBackend` (tests, benchmarks) and :class:`FileBackend`
   (the default behind ``--state-dir``).
 
-Job payloads are Python callables and cannot be journaled; payloads meant
-to survive a restart are registered by name via :func:`register_payload`
-and referenced by that name in the journal.  A recovered job whose payload
-was never re-registered fails at execution time with a clear error instead
-of silently doing nothing.
-
 The manager taps the existing ``dispatch.*`` records on the server's
 :class:`~repro.simulation.events.EventBus` for everything the dispatch
 engine already announces (assignments, requeues, cancellations, reservation
@@ -56,7 +50,6 @@ from __future__ import annotations
 import abc
 import errno
 import json
-import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
@@ -77,6 +70,7 @@ from typing import (
     Union,
 )
 
+from repro._appendlog import AppendLog, LogOwner
 from repro._atomicfile import replace_file
 from repro.accessserver.credits import CreditTransaction, TransactionKind
 from repro.accessserver.dispatch import SessionReservation
@@ -87,6 +81,7 @@ from repro.accessserver.jobs import (
     JobStatus,
     claim_job_id,
 )
+from repro.accessserver.payloads import catalogue_epoch, get_payload, payload_name
 from repro.obs.logsetup import component_logger
 from repro.simulation.events import BusEvent
 
@@ -112,81 +107,11 @@ class PersistenceError(RuntimeError):
     """Raised for journal/snapshot corruption or misuse of the subsystem."""
 
 
-# ---------------------------------------------------------------------------
-# Payload registry
-# ---------------------------------------------------------------------------
-
-_PAYLOADS: Dict[str, Callable] = {}
-_PAYLOAD_NAMES: Dict[Callable, str] = {}
-#: Bumped whenever the catalogue changes.  A job's record names its payload
-#: (``payload_name(spec.run)`` at encode time), so record text encoded under
-#: an older catalogue may no longer be what a fresh encode would produce.
-_payload_epoch = 0
-
-
-def register_payload(name: str, payload: Optional[Callable] = None):
-    """Register a job payload under a durable name.
-
-    Usable as a decorator (``@register_payload("measure-idle")``) or called
-    directly (``register_payload("measure-idle", fn)``).  Jobs whose
-    ``spec.run`` is a registered payload journal the name instead of the
-    callable and are fully executable after recovery.  Re-registering a name
-    replaces the previous payload (hosts re-register their catalogue on
-    every boot).
-    """
-
-    def _register(fn: Callable) -> Callable:
-        global _payload_epoch
-        _payload_epoch += 1
-        previous = _PAYLOADS.get(name)
-        if previous is not None:
-            _PAYLOAD_NAMES.pop(previous, None)
-        _PAYLOADS[name] = fn
-        _PAYLOAD_NAMES[fn] = name
-        return fn
-
-    if payload is not None:
-        return _register(payload)
-    return _register
-
-
-def payload_name(payload: Callable) -> Optional[str]:
-    """The registered name for ``payload``, or ``None`` if unregistered."""
-    try:
-        return _PAYLOAD_NAMES.get(payload)
-    except TypeError:  # unhashable callable
-        return None
-
-
-def unregister_payload(name: str) -> None:
-    """Drop a payload from the catalogue (idempotent).
-
-    For short-lived payloads registered programmatically (the client SDK's
-    callable convenience): the registry is process-global, so a payload
-    closure left registered pins everything it captures for the process
-    lifetime.
-    """
-    global _payload_epoch
-    payload = _PAYLOADS.pop(name, None)
-    if payload is not None:
-        _PAYLOAD_NAMES.pop(payload, None)
-        _payload_epoch += 1
-
-
-def get_payload(name: str) -> Optional[Callable]:
-    """Look up a registered payload by name; ``None`` when unregistered.
-
-    The strict sibling of :func:`resolve_payload`: API submissions must
-    reject unknown payload names up front instead of accepting a job that
-    can only ever fail at execution time.
-    """
-    return _PAYLOADS.get(name)
-
-
 def resolve_payload(name: Optional[str]) -> Callable:
     """Look up a registered payload; unknown names get a failing stand-in."""
-    if name is not None and name in _PAYLOADS:
-        return _PAYLOADS[name]
+    payload = get_payload(name)
+    if payload is not None:
+        return payload
 
     def _unrecoverable(ctx):
         raise PersistenceError(
@@ -195,12 +120,6 @@ def resolve_payload(name: Optional[str]) -> Callable:
         )
 
     return _unrecoverable
-
-
-@register_payload("noop")
-def noop_payload(ctx) -> None:
-    """Built-in do-nothing payload, handy for queue/benchmark workloads."""
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +492,20 @@ class InMemoryBackend(StorageBackend):
         return self.snapshot
 
 
-class FileBackend(StorageBackend):
+class FileBackend(LogOwner, StorageBackend):
     """JSONL journal + JSON snapshot under one state directory.
+
+    The journal is an :class:`~repro._appendlog.AppendLog`: ``plan_crash``
+    / ``writes`` crash-kill the server at a chosen journal append (only
+    appends count, not truncations or snapshots).
 
     Parameters
     ----------
     state_dir:
         Directory holding ``journal.jsonl`` and ``snapshot.json``; created
-        on demand.  A state dir has one owner at a time: opening it removes
-        the ``snapshot.json.tmp`` a crash between snapshot write and rename
-        left behind, which would be a live writer's file otherwise.
+        on demand.  Opening it writes nothing (a cold reader may be looking
+        at a live server's directory): the owner's first append heals a torn
+        journal tail, its first snapshot overwrites a stale ``.tmp``.
     fsync_every:
         ``fsync`` the journal after this many appends (1 = synchronous
         durability for every record; larger values batch the syncs, trading
@@ -595,112 +518,71 @@ class FileBackend(StorageBackend):
     SNAPSHOT_NAME = "snapshot.json"
 
     def __init__(self, state_dir: Union[str, Path], fsync_every: int = 32) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be at least 1")
-        self._dir = Path(state_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._journal_path = self._dir / self.JOURNAL_NAME
-        self._snapshot_path = self._dir / self.SNAPSHOT_NAME
-        self._snapshot_tmp_path = self._dir / (self.SNAPSHOT_NAME + ".tmp")
-        self._snapshot_tmp_path.unlink(missing_ok=True)
-        self._fsync_every = fsync_every
-        self._handle = None
-        self._pending = 0
+        self.state_dir = Path(state_dir)
+        self.state_dir.mkdir(parents=True, exist_ok=True)
+        self.journal_path = self.state_dir / self.JOURNAL_NAME
+        self.snapshot_path = self.state_dir / self.SNAPSHOT_NAME
+        self._log = AppendLog(self.journal_path, fsync_every)
         self.appended = 0
-        self.fsyncs = 0
-        self.torn_records_dropped = 0
         self.snapshot_bytes = 0
 
     @property
-    def state_dir(self) -> Path:
-        return self._dir
+    def fsyncs(self) -> int:
+        return self._log.fsyncs
 
     @property
-    def journal_path(self) -> Path:
-        return self._journal_path
-
-    @property
-    def snapshot_path(self) -> Path:
-        return self._snapshot_path
-
-    def _journal_handle(self):
-        if self._handle is None:
-            self._handle = open(self._journal_path, "a", encoding="utf-8")
-        return self._handle
+    def torn_records_dropped(self) -> int:
+        return self._log.torn_tails_dropped
 
     def append(self, record: Dict[str, object]) -> None:
-        handle = self._journal_handle()
-        handle.write(_encode(record) + "\n")
-        handle.flush()
+        self._log.append(_encode(record), record.get("kind", "record"))
         self.appended += 1
-        self._pending += 1
-        if self._pending >= self._fsync_every:
-            self.sync()
 
     def sync(self) -> None:
-        if self._handle is not None and self._pending > 0:
-            os.fsync(self._handle.fileno())
-            self.fsyncs += 1
-            self._pending = 0
+        self._log.sync()
 
     def read_journal(self) -> List[Dict[str, object]]:
-        if not self._journal_path.exists():
-            return []
+        # The log drops a torn last line; any other bad line is corruption.
         records: List[Dict[str, object]] = []
-        lines = self._journal_path.read_text(encoding="utf-8").splitlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
+        for number, line in enumerate(self._log.lines(), 1):
+            if not line:
                 continue
             try:
                 records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # A torn tail record is the expected signature of a crash
-                    # mid-append; everything before it is intact.
-                    self.torn_records_dropped += 1
-                    break
+            except ValueError:
                 raise PersistenceError(
-                    f"corrupt journal record at {self._journal_path}:{index + 1}"
-                )
+                    f"corrupt journal record at {self.journal_path}:{number}"
+                ) from None
         return records
 
     def reset_journal(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self._pending = 0
-        open(self._journal_path, "w", encoding="utf-8").close()
+        self._log.truncate()
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
         # Durable through the directory fsync before this returns: the
         # journal truncation that follows a checkpoint must not outlive the
         # snapshot it was folded into.  A splice is a byte range of the file
         # being replaced, which replace_file copies in the kernel.
-        self.snapshot_bytes = replace_file(
-            self._snapshot_path, encode_snapshot(snapshot), self._snapshot_tmp_path
-        )
+        self.snapshot_bytes = replace_file(self.snapshot_path, encode_snapshot(snapshot))
 
     def read_snapshot_text(self) -> Optional[str]:
-        if not self._snapshot_path.exists():
+        if not self.snapshot_path.exists():
             return None
-        return self._snapshot_path.read_text(encoding="utf-8")
+        return self.snapshot_path.read_text(encoding="utf-8")
 
     def read_snapshot(self) -> Optional[Dict[str, object]]:
         try:
             return super().read_snapshot()
         except json.JSONDecodeError as exc:
-            raise PersistenceError(f"corrupt snapshot {self._snapshot_path}: {exc}") from exc
+            raise PersistenceError(f"corrupt snapshot {self.snapshot_path}: {exc}") from exc
 
     def has_state(self) -> bool:
-        return self._snapshot_path.exists() or (
-            self._journal_path.exists() and self._journal_path.stat().st_size > 0
+        return self.snapshot_path.exists() or (
+            self.journal_path.exists() and self.journal_path.stat().st_size > 0
         )
 
     def close(self) -> None:
-        self.sync()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1090,7 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
         # server additionally fast-forwards its own job-id lane.
         server.claim_job_id(job.job_id)
         payload_ref = data["spec"].get("payload")
-        if payload_ref not in _PAYLOADS and job.status in (
+        if get_payload(payload_ref) is None and job.status in (
             JobStatus.QUEUED,
             JobStatus.PENDING_APPROVAL,
         ):
@@ -1585,7 +1467,7 @@ class PersistenceManager:
         wrong file — so the next checkpoint encodes every job once.
         """
         checkpoint_t0 = time.perf_counter()
-        epoch = _payload_epoch
+        epoch = catalogue_epoch()
         self._backend.sync()
         try:
             plan = self._plan()
@@ -1643,7 +1525,7 @@ class PersistenceManager:
         sequence_of = engine.queue.sequence_of
         is_executing = engine.is_executing
         undecided = {job.job_id for job in server.pending_approval()}
-        if self._epoch != _payload_epoch:
+        if self._epoch != catalogue_epoch():
             runs: List[_Run] = []
             jobs = _retained_jobs(server)
         else:

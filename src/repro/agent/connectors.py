@@ -265,7 +265,7 @@ class FakeConnector(DeviceConnector):
         # Run the job's payload when its name resolves in this process —
         # the in-process deployments share the payload catalogue — and
         # fall back to the configured canned result otherwise.
-        from repro.accessserver.persistence import get_payload
+        from repro.accessserver.payloads import get_payload
 
         payload = get_payload(ctx.payload) if ctx.payload else None
         if payload is not None:

@@ -22,9 +22,10 @@ still pending — normally none.  A settled lease is dropped whole: its
 ``uploaded`` / ``discarded`` record was durable, so no replay would have
 touched it again.
 
-The reader is torn-tail tolerant: a crash mid-append leaves a partial last
-line, which is ignored (its operation simply never happened).  Tests drive
-the crash points deterministically through ``plan_crash``.
+The file is an :class:`~repro._appendlog.AppendLog` fsync'd every line: a
+torn last line (its operation never happened) is dropped and healed at
+open; a bad line elsewhere is skipped.  Tests drive the crash points
+deterministically through ``plan_crash``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import json
 import os
 from typing import Dict, Iterable, List
 
+from repro._appendlog import AppendLog, LogOwner
 from repro._atomicfile import replace_file, write_synced
-from repro.chaos.faults import CrashPlan, SimulatedCrash
+from repro.chaos.faults import SimulatedCrash
 from repro.obs import component_logger
 
 __all__ = ["COMPACT_BYTES", "Outbox", "SimulatedCrash", "fold_records"]
@@ -94,7 +96,7 @@ def fold_records(
     return states
 
 
-class Outbox:
+class Outbox(LogOwner):
     """Append-only JSONL journal of one agent's claimed work.
 
     Raises :class:`OSError` when ``path`` cannot be opened for appending —
@@ -102,16 +104,18 @@ class Outbox:
     time: opening it removes the ``<path>.tmp`` a crash inside a compaction
     left behind.
 
-    ``size_bytes`` (the file), ``pending_count`` (leases with unfinished
-    work) and ``compactions`` (made by this instance) are plain attributes,
-    kept current where the work happens.
+    ``pending_count`` (leases with unfinished work) and ``compactions``
+    (made by this instance) are plain attributes, kept current where the
+    work happens.  A compaction is a crash-plan write of its own, right
+    after the append that triggered it: ``"before"`` crashes with the file
+    untouched, ``"torn"`` with the temporary file written but not renamed,
+    ``"after"`` with the rename done and nothing after it.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._tmp_path = f"{path}.tmp"
-        self._crash = CrashPlan()
-        self._log = component_logger("repro.agent.outbox")
+        self._logger = component_logger("repro.agent.outbox")
         self._states: Dict[str, Dict[str, object]] = {}
         self.compactions = 0
         self.pending_count = 0
@@ -119,84 +123,31 @@ class Outbox:
             os.unlink(self._tmp_path)
         except FileNotFoundError:
             pass
-        self._handle = open(path, "a", encoding="utf-8")
-        self.size_bytes = os.fstat(self._handle.fileno()).st_size
-        self._heal_torn_tail()
+        self._log = AppendLog(path)
+        self._log.open()
         for record in self.records():
             self.pending_count += _apply(self._states, record)
         if self.size_bytes >= COMPACT_BYTES:
             self._compact()
 
-    def _heal_torn_tail(self) -> None:
-        """Terminate a torn last line so new appends start on a fresh line.
-
-        A crash mid-append leaves a partial line with no newline; without
-        this, the restarted daemon's first append would concatenate onto
-        the fragment and corrupt its own record.  The fragment itself
-        stays ignored by :meth:`records` (it parses as garbage).
-        """
-        if not self.size_bytes:
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            last = handle.read(1)
-        if last != b"\n":
-            self._write("\n")
+    @property
+    def size_bytes(self) -> int:
+        return self._log.size_bytes
 
     def close(self) -> None:
         """Release the file handle; the daemon's owner calls this on exit."""
-        self._handle.close()
-
-    @property
-    def writes(self) -> int:
-        """Writes made through this outbox instance: appends, plus one per
-        compaction an append triggered (crash-plan offsets are relative to
-        its construction, so ``plan_crash(writes + n)`` targets the ``n``-th
-        write from now)."""
-        return self._crash.writes
-
-    # -- fault injection ------------------------------------------------------
-    def plan_crash(self, at_write: int, mode: str = "after") -> None:
-        """Simulate ``kill -9`` at the ``at_write``-th write (0-based).
-
-        Delegates to the platform-wide crash planner
-        (:class:`repro.chaos.faults.CrashPlan`), so the outbox speaks the
-        same fault vocabulary as the server journal.  ``mode``, for an
-        append:
-
-        * ``"before"`` — crash without writing anything;
-        * ``"after"``  — write the full record, then crash (the ack/record
-          is durable but the daemon never saw it succeed);
-        * ``"torn"``   — write half the line with no newline, then crash
-          (exercises the reader's torn-tail tolerance).
-
-        A compaction is the write right after the append that triggered it:
-        ``"before"`` crashes with the file untouched, ``"torn"`` with the
-        temporary file written but not renamed, ``"after"`` with the rename
-        done and nothing after it.
-        """
-        self._crash.arm(at_write, mode)
+        self._log.close()
 
     # -- writing --------------------------------------------------------------
-    def _write(self, text: str) -> None:
-        self._handle.write(text)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self.size_bytes += len(text)  # json.dumps output is ASCII
-
     def append(self, kind: str, **data: object) -> Dict[str, object]:
         record = {"kind": kind, **data}
         line = json.dumps(record, sort_keys=True)
-        self._crash.intercept(
-            kind,
-            lambda: self._write(line + "\n"),
-            lambda: self._write(line[: max(1, len(line) // 2)]),
-        )
+        self._log.append(line, kind)
         # Fold what a replay would read, not what the caller passed (JSON
         # turns tuples into lists and every key into a string).
         self.pending_count += _apply(self._states, json.loads(line))
         if kind in _SETTLING_KINDS and self.size_bytes >= COMPACT_BYTES:
-            self._crash.intercept(
+            self.crash_plan.intercept(
                 "compact",
                 self._compact,
                 lambda: write_synced(self._tmp_path, self._pending_lines()),
@@ -222,16 +173,14 @@ class Outbox:
     def _compact(self) -> None:
         """Replace the file by the pending leases' records; forget the rest."""
         before = self.size_bytes
-        self.size_bytes = replace_file(
-            self.path, self._pending_lines(), self._tmp_path
-        )
+        replace_file(self.path, self._pending_lines(), self._tmp_path)
         # The old handle still points at the file the rename just unlinked.
-        self._handle.close()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._log.close()
+        self._log.open()
         leases = len(self._states)
         self._states = self._pending_states()
         self.compactions += 1
-        self._log.info(
+        self._logger.info(
             "outbox %s compacted: %d -> %d bytes, %d lease(s) dropped, %d kept",
             self.path,
             before,
@@ -247,24 +196,14 @@ class Outbox:
         The one method that reads the file after construction — for tests
         and forensics; the daemon resumes from the in-memory fold.
         """
-        if not os.path.exists(self.path):
-            return []
         records: List[Dict[str, object]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    # Torn line from a crash mid-append: the operation it
-                    # described never completed.  Skip it — after a restart
-                    # heals the tail, valid records continue on the next
-                    # line.
-                    continue
-                if isinstance(record, dict) and "kind" in record:
-                    records.append(record)
+        for line in self._log.lines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue  # a fragment an older build healed into a line
+            if isinstance(record, dict) and "kind" in record:
+                records.append(record)
         return records
 
     def lease_states(self) -> Dict[str, Dict[str, object]]:

@@ -26,7 +26,7 @@ Platform API v2 adds three capabilities on top of the v1 surface:
 
 Job payloads are *named*: a Python callable cannot cross a JSON wire, so
 ``submit_job`` takes the name of a payload registered server-side with
-:func:`repro.accessserver.persistence.register_payload`.  As a local-use
+:func:`repro.accessserver.payloads.register_payload`.  As a local-use
 convenience, passing a callable auto-registers it in the (process-global)
 payload catalogue and submits its name — which works against in-process
 and same-process gateway servers, and fails loudly with
@@ -632,7 +632,7 @@ class BatteryLabClient:
             raise TransportApiError(
                 f"payload must be a registered name or a callable, got {payload!r}"
             )
-        from repro.accessserver.persistence import payload_name, register_payload
+        from repro.accessserver.payloads import payload_name, register_payload
 
         existing = payload_name(payload)
         if existing is not None:

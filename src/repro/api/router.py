@@ -96,7 +96,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.accessserver.agents import AgentError
 from repro.accessserver.auth import Role, User
 from repro.accessserver.jobs import JobSpec, JobStatus
-from repro.accessserver.persistence import get_payload, payload_name
+from repro.accessserver.payloads import get_payload, payload_name
 from repro.api.errors import (
     AuthenticationApiError,
     NotFoundApiError,

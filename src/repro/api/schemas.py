@@ -426,7 +426,7 @@ class SubmitJobRequest(WireModel):
     """``job.submit`` request: everything needed to create one job.
 
     ``payload`` names a callable registered server-side with
-    :func:`repro.accessserver.persistence.register_payload` — Python
+    :func:`repro.accessserver.payloads.register_payload` — Python
     callables cannot cross a JSON wire, so the payload catalogue is the
     remote-able contract (exactly as journaled jobs already work).
     ``owner`` defaults to the authenticated user; submitting on behalf of

@@ -8,8 +8,8 @@ federation and agent planes while faults fire on the simulated clock.
   speaks (``SimulatedCrash``, ``CrashPlan``, ``FaultPlane``, ...);
 * :mod:`repro.chaos.scenario` — the declarative scenario DSL, builder
   API and canned scenarios;
-* :mod:`repro.chaos.injectors` — transport, journal and federation
-  injection points;
+* :mod:`repro.chaos.injectors` — transport and federation injection
+  points;
 * :mod:`repro.chaos.invariants` — the invariant catalogue;
 * :mod:`repro.chaos.soak` — the soak harness behind ``repro chaos``.
 """
@@ -27,7 +27,7 @@ if TYPE_CHECKING:
         InjectedFault,
         SimulatedCrash,
     )
-    from repro.chaos.injectors import ChaosTransport, CrashingBackend, ShardPartition
+    from repro.chaos.injectors import ChaosTransport, ShardPartition
     from repro.chaos.invariants import (
         CheckResult,
         InvariantReport,
@@ -65,7 +65,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "InjectedFault",
             "SimulatedCrash",
         ),
-        "injectors": ("ChaosTransport", "CrashingBackend", "ShardPartition"),
+        "injectors": ("ChaosTransport", "ShardPartition"),
         "invariants": (
             "CheckResult",
             "InvariantReport",

@@ -17,8 +17,8 @@ plane it lands in:
 * :class:`CrashPlan` — the write-counting crash planner behind every
   ``plan_crash`` hook: arm it at an append offset with a mode
   (``before`` / ``after`` / ``torn``) and it raises :class:`SimulatedCrash`
-  at exactly that write.  The agent outbox and the journal-backend wrapper
-  (:class:`~repro.chaos.injectors.CrashingBackend`) both delegate here.
+  at exactly that write.  Every line of :class:`~repro._appendlog.AppendLog`
+  — the server journal and the agent outbox — goes through one.
 * :class:`FaultPlane` — the live fault table a running scenario mutates:
   per-device kill/hang/slow-IO orders and per-vantage-point power state,
   consumed by instrumented payloads at execution time.

@@ -1,7 +1,8 @@
-"""Transport, journal and federation injectors: where faults enter the wire.
+"""Transport and federation injectors: where faults enter the wire.
 
-Three injection points cover the platform's communication and durability
-surfaces:
+Two injection points cover the platform's communication surfaces (a
+durable log needs no wrapper: both journals crash-kill their owner at a
+chosen append through their own ``plan_crash``):
 
 * :class:`ChaosTransport` wraps any :class:`~repro.api.client.Transport`
   (the in-process bridge or the socket-level
@@ -11,11 +12,6 @@ surfaces:
   bounded number of requests, and a configured delay adds latency through
   a pluggable sink (wall-clock sleep for sockets, simulated-clock advance
   for in-process runs).
-* :class:`CrashingBackend` wraps a persistence
-  :class:`~repro.accessserver.persistence.StorageBackend` and crash-kills
-  the *server* at a chosen journal append, through the same shared
-  :class:`~repro.chaos.faults.CrashPlan` the agent outbox uses — the PR-9
-  crash matrix generalised to any process with a journal.
 * :class:`ShardPartition` isolates one federation shard from its
   scatter-gather router: while partitioned, every request the
   :class:`~repro.federation.router.FederationRouter` forwards to that
@@ -33,9 +29,8 @@ from typing import Callable, List, Optional
 
 from repro.api.client import Transport
 from repro.api.errors import TransportApiError
-from repro.chaos.faults import CrashPlan
 
-__all__ = ["ChaosTransport", "CrashingBackend", "ShardPartition"]
+__all__ = ["ChaosTransport", "ShardPartition"]
 
 
 class ChaosTransport(Transport):
@@ -122,89 +117,6 @@ class ChaosTransport(Transport):
         if self._partitioned:
             raise TransportApiError("chaos: link partitioned")
         return self.inner.recv_push(subscription_id, timeout_s)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class CrashingBackend:
-    """A storage backend proxy that can kill -9 its server mid-append.
-
-    Duck-types :class:`~repro.accessserver.persistence.StorageBackend`:
-    every operation delegates to the wrapped backend, with
-    :meth:`append` routed through a shared
-    :class:`~repro.chaos.faults.CrashPlan`.  ``torn`` mode writes half the
-    record's JSON line straight into a file backend's journal with no
-    newline — the exact on-disk shape of a crash mid-``write(2)`` — and
-    degrades to "nothing written" for backends with no file to tear,
-    which is what losing the only dirty sector means.
-
-    Arm it with :meth:`plan_crash` using an *absolute* append offset, or
-    :meth:`plan_crash_in` relative to the appends already made — the form
-    scenario events use, since they fire mid-run.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.plan = CrashPlan()
-
-    # -- fault injection ------------------------------------------------------
-    def plan_crash(self, at_write: int, mode: str = "after") -> None:
-        """Crash at the ``at_write``-th append since construction (0-based)."""
-        self.plan.arm(at_write, mode)
-
-    def plan_crash_in(self, appends_from_now: int, mode: str = "after") -> None:
-        """Crash ``appends_from_now`` appends from the current offset
-        (0 = the very next append)."""
-        if appends_from_now < 0:
-            raise ValueError("appends_from_now must be non-negative")
-        self.plan.arm(self.plan.writes + appends_from_now, mode)
-
-    @property
-    def writes(self) -> int:
-        return self.plan.writes
-
-    # -- StorageBackend (by delegation) ---------------------------------------
-    def append(self, record) -> None:
-        def _torn() -> None:
-            import json as _json
-            import os as _os
-
-            path = getattr(self.inner, "journal_path", None)
-            if path is None:
-                return
-            line = _json.dumps(record, separators=(",", ":"))
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(line[: max(1, len(line) // 2)])
-                handle.flush()
-                _os.fsync(handle.fileno())
-
-        self.plan.intercept(
-            str(record.get("kind", "record")),
-            lambda: self.inner.append(record),
-            _torn,
-        )
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-    def read_journal(self):
-        return self.inner.read_journal()
-
-    def reset_journal(self) -> None:
-        self.inner.reset_journal()
-
-    def write_snapshot(self, snapshot) -> None:
-        self.inner.write_snapshot(snapshot)
-
-    def read_snapshot(self):
-        return self.inner.read_snapshot()
-
-    def read_snapshot_text(self):
-        return self.inner.read_snapshot_text()
-
-    def has_state(self) -> bool:
-        return self.inner.has_state()
 
     def close(self) -> None:
         self.inner.close()

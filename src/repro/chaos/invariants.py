@@ -207,22 +207,20 @@ def _clone_backend(backend):
 
     File-backed state is copied to a fresh directory (the moral equivalent
     of restoring a disk image onto another machine); in-memory backends
-    are deep-copied.  :class:`~repro.chaos.injectors.CrashingBackend`
-    wrappers are unwrapped first — the crash plan is not durable state.
+    are deep-copied.
     """
-    inner = getattr(backend, "inner", backend)
-    state_dir = getattr(inner, "state_dir", None)
+    state_dir = getattr(backend, "state_dir", None)
     if state_dir is not None:
         import shutil
         import tempfile
 
         from repro.accessserver.persistence import FileBackend
 
-        inner.sync()
+        backend.sync()
         dest = Path(tempfile.mkdtemp(prefix="chaos-recovery-")) / "state"
         shutil.copytree(state_dir, dest)
         return FileBackend(dest)
-    return copy.deepcopy(inner)
+    return copy.deepcopy(backend)
 
 
 def check_recovery_byte_identical(backend, platform_factory) -> CheckResult:
@@ -264,9 +262,9 @@ def check_snapshot_equals_fresh_encode(server) -> CheckResult:
     if manager is None:
         return CheckResult(name, False, "persistence not enabled on this server")
     manager.checkpoint()
-    inner = getattr(manager.backend, "inner", manager.backend)
-    path = getattr(inner, "snapshot_path", None)
-    written = path.read_text(encoding="utf-8") if path is not None else inner.snapshot
+    backend = manager.backend
+    path = getattr(backend, "snapshot_path", None)
+    written = path.read_text(encoding="utf-8") if path is not None else backend.snapshot
     fresh = json.dumps(
         build_snapshot(server, manager.sequence), separators=(",", ":")
     )

@@ -16,8 +16,9 @@ thousands of jobs on the simulated clock), while a
   links between the harness's clients (submitter and agents) and the
   gateway — requests fail with the transport's own retryable error, and
   the harness retries submissions under their idempotency keys;
-* ``crash.server`` arms the :class:`~repro.chaos.injectors.CrashingBackend`
-  so the next journal append kill -9s the whole access server; the
+* ``crash.server`` arms the server's
+  :class:`~repro.accessserver.persistence.FileBackend` so a chosen journal
+  append kill -9s the whole access server; the
   harness then rebuilds the platform and recovers from the journal,
   exactly as an operator restart would;
 * ``crash.agent`` arms a daemon's outbox the same way.
@@ -49,7 +50,7 @@ from repro.chaos.faults import (
     InjectedFault,
     SimulatedCrash,
 )
-from repro.chaos.injectors import ChaosTransport, CrashingBackend
+from repro.chaos.injectors import ChaosTransport
 from repro.chaos.invariants import (
     InvariantReport,
     check_analytics_live_equals_replay,
@@ -220,7 +221,7 @@ class SoakHarness:
 
         self.platform = None
         self.server = None
-        self.backend: Optional[CrashingBackend] = None
+        self.backend = None  # the server's FileBackend, crash-armable
         self.client = None
         self.routers: List = []  # one per client of the current server
         self.daemons: List = []
@@ -276,14 +277,13 @@ class SoakHarness:
         return platform
 
     def _build(self, recover: bool) -> None:
-        from repro.accessserver.persistence import FileBackend, register_payload
+        from repro.accessserver.payloads import register_payload
+        from repro.accessserver.persistence import FileBackend
 
         self.platform = self._bare_platform()
         self.server = self.platform.access_server
         self.routers = []
-        self.backend = CrashingBackend(
-            FileBackend(self.server_dir, fsync_every=self.config.fsync_every)
-        )
+        self.backend = FileBackend(self.server_dir, fsync_every=self.config.fsync_every)
         self.server.enable_persistence(
             self.backend,
             recover=recover,
@@ -438,8 +438,9 @@ class SoakHarness:
         elif kind == "partition.heal":
             self._set_partition(str(target.get("link", "agents")), False)
         elif kind == "crash.server":
-            self.backend.plan_crash_in(
-                int(params.get("at_append", 0)), str(params.get("mode", "after"))
+            self.backend.plan_crash(
+                self.backend.writes + int(params.get("at_append", 0)),
+                str(params.get("mode", "after")),
             )
         elif kind == "crash.agent":
             agent_id = str(target.get("agent_id", ""))
@@ -506,7 +507,7 @@ class SoakHarness:
         self._dropped_before_restart += self._live_dropped()
         old_now = self.platform.context.now
         try:
-            self.backend.inner.close()
+            self.backend.close()
         except Exception:
             pass
         self._build(recover=True)
@@ -530,7 +531,7 @@ class SoakHarness:
         self._needs_resume.add(self.daemons[index].agent_id)
 
     def _server_crashed(self) -> bool:
-        return self.backend is not None and self.backend.plan.fired
+        return self.backend is not None and self.backend.crash_plan.fired
 
     # -- wave loop ------------------------------------------------------------
     def _submit_wave(self) -> None:
@@ -624,7 +625,7 @@ class SoakHarness:
         for vp in list(self.powered_off_vps):
             self._power(vp, on=True)
         self.plane.clear()
-        self.backend.plan.disarm()
+        self.backend.crash_plan.disarm()
         for _ in range(self.config.drain_rounds):
             self._submit_wave()
             self._run_push()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.accessserver.persistence import register_payload, unregister_payload
+from repro.accessserver.payloads import register_payload, unregister_payload
 from repro.analysis.stats import summarize
 from repro.core.platform import build_default_platform
 from repro.experiments.browser_study import run_browser_measurement

@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from repro.accessserver.jobs import JobConstraints, JobSpec
-from repro.accessserver.persistence import noop_payload, register_payload
+from repro.accessserver.payloads import noop_payload, register_payload
 from repro.core.platform import build_default_platform
 
 PLATFORM = dict(seed=7, browsers=("chrome",), device_count=3)

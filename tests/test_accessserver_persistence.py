@@ -30,16 +30,18 @@ from repro.accessserver.persistence import (
     attach_persistence,
     build_snapshot,
     encode_snapshot,
+    recover_into,
+    resolve_payload,
+)
+from repro.accessserver.payloads import (
     noop_payload,
     payload_name,
-    recover_into,
     register_payload,
-    resolve_payload,
     unregister_payload,
 )
+from repro.analytics import AnalyticsEngine, JournalReplaySource
 from repro.api import ApiError
 from repro.chaos.faults import SimulatedCrash
-from repro.chaos.injectors import CrashingBackend
 from repro.cli import main
 from repro.core.platform import build_default_platform
 
@@ -540,10 +542,9 @@ class CheckedBackend:
         self.checked = 0
 
     def raw_snapshot(self) -> str:
-        store = getattr(self.inner, "inner", self.inner)  # through CrashingBackend
-        if isinstance(store, FileBackend):
-            return store.snapshot_path.read_text(encoding="utf-8")
-        return store.snapshot
+        if isinstance(self.inner, FileBackend):
+            return self.inner.snapshot_path.read_text(encoding="utf-8")
+        return self.inner.snapshot
 
     def write_snapshot(self, snapshot) -> None:
         self.inner.write_snapshot(snapshot)
@@ -557,7 +558,6 @@ class CheckedBackend:
 BACKENDS = {
     "file": FileBackend,
     "memory": lambda state_dir: InMemoryBackend(),
-    "crashing": lambda state_dir: CrashingBackend(FileBackend(state_dir)),
 }
 
 
@@ -958,8 +958,8 @@ class TestSnapshotDurability:
             events.append("truncate")
             real_reset(backend)
 
-        monkeypatch.setattr(persistence.os, "fsync", fsync)
-        monkeypatch.setattr(persistence.os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
         monkeypatch.setattr(FileBackend, "reset_journal", reset)
         platform.persistence.checkpoint()
         # journal tail, snapshot tmp file, then the rename made durable.
@@ -970,8 +970,7 @@ class TestSnapshotDurability:
             seed=11, browsers=("chrome",), device_count=2, persistence=False
         )
         server = platform.access_server
-        backend = CrashingBackend(FileBackend(tmp_path))
-        server.enable_persistence(backend)
+        server.enable_persistence(FileBackend(tmp_path))
         for name in ("first", "second"):
             server.submit_job(platform.experimenter, spec(name))
         server.run_pending_jobs(max_jobs=1)
@@ -981,7 +980,7 @@ class TestSnapshotDurability:
             raise SimulatedCrash("kill -9 before the rename")
 
         with monkeypatch.context() as patch:
-            patch.setattr(persistence.os, "replace", die)
+            patch.setattr(os, "replace", die)
             with pytest.raises(SimulatedCrash):
                 server.persistence.checkpoint()
         tmp_file = tmp_path / "snapshot.json.tmp"
@@ -989,10 +988,30 @@ class TestSnapshotDurability:
         assert (tmp_path / "snapshot.json").read_bytes() == before
 
         reopened = FileBackend(tmp_path)
-        assert not tmp_file.exists()
+        assert tmp_file.exists()  # a reader leaves it to the owner
         assert reopened.read_snapshot()["jobs"] == []  # the previous snapshot...
         assert len(reopened.read_journal()) >= 4  # ...and the journal past it
         rebuilt = durable_platform(tmp_path)
         jobs = {job.spec.name: job.status for job in rebuilt.access_server.scheduler.jobs()}
         assert jobs == {"first": JobStatus.COMPLETED, "second": JobStatus.QUEUED}
         assert not tmp_file.exists()
+
+    def test_a_cold_replay_writes_nothing(self, tmp_path):
+        """A reader may be looking at a live server's directory, whose
+        ``snapshot.json.tmp`` is the checkpoint being written right now and
+        whose journal ends in the record being appended."""
+        state = tmp_path / "state"
+        platform = durable_platform(state)
+        platform.access_server.submit_job(platform.experimenter, spec("queued"))
+        platform.persistence.backend.sync()
+        (state / "snapshot.json.tmp").write_text('{"format":1,"seq', encoding="utf-8")
+        with open(state / "journal.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"seq":99,"ts":0.0,"kind":"job.sub')
+        before = {path.name: path.read_bytes() for path in state.iterdir()}
+        replayed = list(JournalReplaySource(str(state)).records())
+        report = AnalyticsEngine.from_backend(str(state)).report()
+        cold = build_default_platform(seed=11, browsers=("chrome",), device_count=2)
+        recovery = recover_into(cold.access_server, FileBackend(state))
+        assert replayed and report["jobs"]["submitted"] == 1
+        assert recovery.jobs_queued == 1
+        assert {path.name: path.read_bytes() for path in state.iterdir()} == before

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accessserver.persistence import register_payload
+from repro.accessserver.payloads import register_payload
 from repro.agent import (
     CONNECTOR_PHASES,
     AgentDaemon,

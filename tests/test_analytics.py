@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.accessserver.persistence import InMemoryBackend, register_payload
+from repro.accessserver.payloads import register_payload
+from repro.accessserver.persistence import InMemoryBackend
 from repro.analytics import (
     AnalyticsEngine,
     JournalReplaySource,

@@ -1,9 +1,9 @@
 """The shared fault vocabulary: crash plans, the fault plane, the ledger.
 
 ``repro.chaos.faults`` is the single vocabulary every plane's injection
-hooks delegate to — the agent outbox's ``plan_crash``, the server
-journal's :class:`~repro.chaos.injectors.CrashingBackend`, and the soak
-payload's device verdicts all speak it.  These tests pin its semantics
+hooks delegate to — the ``plan_crash`` of both append logs (the agent
+outbox and the server journal) and the soak payload's device verdicts
+all speak it.  These tests pin its semantics
 down in isolation: crash modes and offsets, SIGKILL-like uncatchability,
 FIFO device orders, power precedence, and the per-epoch execution
 accounting behind the no-double-execution invariant.

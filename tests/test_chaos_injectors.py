@@ -1,12 +1,12 @@
-"""Chaos injectors: the wire, the journal, and the federation link.
+"""Chaos injection points: the wire, the journal, and the federation link.
 
-Covers the three injection points end to end against real platform
-components — a :class:`ChaosTransport` wrapping both the in-process
-bridge and the socket-level :class:`JsonLinesTransport`; a
-:class:`CrashingBackend` crash-killing a persisted access server at
-chosen journal appends in all three modes (with recovery verified after
-each); and a :class:`ShardPartition` severing one shard of a live
-scatter-gather federation and healing it again.
+Covers them end to end against real platform components — a
+:class:`ChaosTransport` wrapping both the in-process bridge and the
+socket-level :class:`JsonLinesTransport`; a :class:`FileBackend`
+crash-killing its persisted access server at chosen journal appends in
+all three modes (with recovery verified after each); and a
+:class:`ShardPartition` severing one shard of a live scatter-gather
+federation and healing it again.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.api.errors import TransportApiError
 from repro.api.gateway import JsonLinesTransport
 from repro.accessserver.persistence import FileBackend
 from repro.chaos.faults import SimulatedCrash
-from repro.chaos.injectors import ChaosTransport, CrashingBackend, ShardPartition
+from repro.chaos.injectors import ChaosTransport, ShardPartition
 from repro.core.platform import build_default_platform
 from repro.federation.router import FederationRouter
 from repro.federation.shard import build_federation_shards
@@ -121,16 +121,17 @@ class TestChaosTransportOverTheWire:
             gateway.stop()
 
 
-class TestCrashingBackend:
-    """The PR-9 agent-outbox crash matrix, generalised to the server journal."""
+class TestJournalCrashPoints:
+    """The agent-outbox crash matrix, on the server journal: a
+    ``FileBackend`` crash-kills its server at a chosen journal append."""
 
     def _persisted(self, tmp_path, recover=False):
         platform = build_default_platform(
             seed=29, browsers=("chrome",), persistence=False
         )
-        backend = CrashingBackend(FileBackend(tmp_path / "state"))
+        backend = FileBackend(tmp_path / "state", fsync_every=1)
         platform.access_server.enable_persistence(
-            backend, recover=recover, snapshot_every=10_000, fsync_every=1
+            backend, recover=recover, snapshot_every=10_000
         )
         return platform, backend
 
@@ -145,7 +146,7 @@ class TestCrashingBackend:
         platform, backend = self._persisted(tmp_path)
         client = platform.client()
         client.submit_job("first", "noop")
-        backend.plan_crash_in(0, mode="before")
+        backend.plan_crash(backend.writes, mode="before")
         with pytest.raises(SimulatedCrash):
             client.submit_job("second", "noop")
         assert self._recovered_names(tmp_path) == ["first"]
@@ -154,7 +155,7 @@ class TestCrashingBackend:
         platform, backend = self._persisted(tmp_path)
         client = platform.client()
         client.submit_job("first", "noop")
-        backend.plan_crash_in(0, mode="after")
+        backend.plan_crash(backend.writes, mode="after")
         with pytest.raises(SimulatedCrash):
             client.submit_job("second", "noop")
         # The record hit the disk even though the server never saw the ack.
@@ -164,35 +165,50 @@ class TestCrashingBackend:
         platform, backend = self._persisted(tmp_path)
         client = platform.client()
         client.submit_job("first", "noop")
-        before = backend.inner.journal_path.read_bytes()
-        backend.plan_crash_in(0, mode="torn")
+        before = backend.journal_path.read_bytes()
+        backend.plan_crash(backend.writes, mode="torn")
         with pytest.raises(SimulatedCrash):
             client.submit_job("second", "noop")
-        torn = backend.inner.journal_path.read_bytes()
+        torn = backend.journal_path.read_bytes()
         assert len(torn) > len(before)
         assert not torn.endswith(b"\n")  # the exact shape of a torn write(2)
         assert self._recovered_names(tmp_path) == ["first"]
 
-    def test_absolute_and_relative_arming_agree(self, tmp_path):
+    def test_only_journal_appends_are_crash_points(self, tmp_path):
         platform, backend = self._persisted(tmp_path)
         client = platform.client()
         client.submit_job("first", "noop")
         writes = backend.writes
-        assert writes > 0
-        backend.plan_crash(writes + 1, mode="before")  # absolute offset
+        assert writes == backend.appended > 0
+        platform.access_server.persistence.checkpoint()  # snapshot + truncate
+        assert backend.writes == writes
+        backend.plan_crash(writes + 1, mode="before")
         client.submit_job("second", "noop")  # append `writes`: survives
         with pytest.raises(SimulatedCrash):
             client.submit_job("third", "noop")
         with pytest.raises(ValueError):
-            backend.plan_crash_in(-1)
+            backend.plan_crash(-1)
 
     def test_disarm_cancels_the_kill(self, tmp_path):
         platform, backend = self._persisted(tmp_path)
         client = platform.client()
-        backend.plan_crash_in(0, mode="after")
-        backend.plan.disarm()
+        backend.plan_crash(backend.writes, mode="after")
+        backend.crash_plan.disarm()
         client.submit_job("calm", "noop")
         assert self._recovered_names(tmp_path) == ["calm"]
+
+    def test_the_journal_gauges_read_the_backend(self, tmp_path):
+        """A crash-armable backend is the backend: its fsync and snapshot
+        gauges are exported, not lost behind a wrapper."""
+        platform, backend = self._persisted(tmp_path)
+        backend.plan_crash(10**6)
+        for name in ("one", "two"):
+            platform.client().submit_job(name, "noop")
+        platform.access_server.persistence.checkpoint()
+        snapshot = platform.access_server.obs.registry.snapshot()
+        gauges = {g["name"]: g["value"] for g in snapshot["gauges"]}
+        assert gauges["journal_fsyncs_total"] == backend.fsyncs > 0
+        assert gauges["journal_snapshot_bytes"] == backend.snapshot_bytes > 0
 
 
 class TestShardPartition:

@@ -13,7 +13,6 @@ import pytest
 from repro.accessserver.agents import SETTLED_LEASE_MEMORY
 from repro.accessserver.persistence import FileBackend
 from repro.chaos.faults import ExecutionLedger
-from repro.chaos.injectors import CrashingBackend
 from repro.chaos.invariants import (
     CheckResult,
     InvariantReport,
@@ -319,7 +318,7 @@ class TestSnapshotEqualsFreshEncode:
         platform = build_default_platform(
             seed=31, browsers=("chrome",), persistence=False
         )
-        backend = CrashingBackend(FileBackend(tmp_path / "state"))
+        backend = FileBackend(tmp_path / "state")
         platform.access_server.enable_persistence(backend, recover=False)
         return platform
 
@@ -363,7 +362,7 @@ class TestRecoveryByteIdentical:
         platform = build_default_platform(
             seed=31, browsers=("chrome",), persistence=False
         )
-        backend = CrashingBackend(FileBackend(tmp_path / "state"))
+        backend = FileBackend(tmp_path / "state")
         platform.access_server.enable_analytics()
         platform.access_server.enable_persistence(backend, recover=False)
         finished_job(platform)
@@ -372,19 +371,19 @@ class TestRecoveryByteIdentical:
         assert check.ok
         assert "two recoveries agree" in check.details
 
-    def test_unwraps_the_crashing_proxy_and_leaves_state_untouched(self, tmp_path):
+    def test_recovers_clones_and_leaves_state_untouched(self, tmp_path):
         platform = build_default_platform(
             seed=31, browsers=("chrome",), persistence=False
         )
-        backend = CrashingBackend(FileBackend(tmp_path / "state"))
+        backend = FileBackend(tmp_path / "state")
         platform.access_server.enable_analytics()
         platform.access_server.enable_persistence(backend, recover=False)
         finished_job(platform)
-        before = backend.inner.journal_path.read_bytes()
+        before = backend.journal_path.read_bytes()
         check_recovery_byte_identical(backend, self._factory(tmp_path))
         # Each recovery ran on a *clone*: the live journal did not grow.
-        backend.inner.sync()
-        assert backend.inner.journal_path.read_bytes() == before
+        backend.sync()
+        assert backend.journal_path.read_bytes() == before
 
 
 class TestPushContract:

@@ -96,6 +96,20 @@ def test_edge_entry_point_loads_only_the_edge(entry):
     assert len(modules) < MAX_MODULES
 
 
+def test_an_agent_running_noop_loads_no_persistence():
+    """The ``fake`` connector looks ``noop`` up in the payload catalogue,
+    which is a leaf of its own: the Pi pays for the name, not the journal."""
+    modules = loaded_modules(
+        "import repro.agent.daemon\n"
+        "from repro.agent.connectors import ConnectorContext, FakeConnector\n"
+        "ctx = ConnectorContext(1, 'job', 'owner', 'noop', 'node1', 'node1-dev00')\n"
+        "assert [r.status for r in FakeConnector().run(ctx)] == ['ok'] * 3"
+    )
+    assert "repro.accessserver.persistence" not in modules
+    assert "repro.accessserver.credits" not in modules
+    assert "repro.accessserver.payloads" in modules
+
+
 def test_printing_a_table_does_not_load_numpy():
     """``repro report --gateway`` / ``jobs --gateway`` print tables on an
     operator's laptop or the Pi; ``repro.analysis.tables`` is plain string

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.accessserver.jobs import JobSpec
-from repro.accessserver.persistence import register_payload, unregister_payload
+from repro.accessserver.payloads import register_payload, unregister_payload
 from repro.core.platform import add_vantage_point, build_default_platform
 from repro.device.profiles import SAMSUNG_J7_DUO
 from repro.obs import SPAN_TOPIC, Tracer, component_logger, log_slow_op
@@ -130,7 +130,7 @@ def _build_fleet(seed=61):
 
 
 def _run_jobs(platform, count, parallel):
-    from repro.accessserver.persistence import get_payload
+    from repro.accessserver.payloads import get_payload
 
     server = platform.access_server
     if parallel:

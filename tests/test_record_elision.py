@@ -33,11 +33,10 @@ from repro.accessserver.persistence import (
     InMemoryBackend,
     PersistenceError,
     materialize_job,
-    noop_payload,
     recover_into,
     serialize_job,
-    unregister_payload,
 )
+from repro.accessserver.payloads import noop_payload, unregister_payload
 from repro.analytics.records import _job_submitted_data
 from repro.core.platform import build_default_platform
 

@@ -27,13 +27,8 @@ from test_host_loop import FakeGateway, FakeTime
 from repro import _atomicfile, cli
 from repro.accessserver import persistence
 from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
-from repro.accessserver.persistence import (
-    FileBackend,
-    InMemoryBackend,
-    noop_payload,
-    register_payload,
-    unregister_payload,
-)
+from repro.accessserver.payloads import noop_payload, register_payload, unregister_payload
+from repro.accessserver.persistence import FileBackend, InMemoryBackend
 from repro.api import ApiError
 from repro.api.errors import InternalApiError
 from repro.chaos.faults import SimulatedCrash

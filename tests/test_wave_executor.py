@@ -14,7 +14,7 @@ import pytest
 
 from repro.accessserver.executor import AdmittedExecution, WaveExecutor
 from repro.accessserver.jobs import JobSpec, JobStatus
-from repro.accessserver.persistence import register_payload, unregister_payload
+from repro.accessserver.payloads import register_payload, unregister_payload
 from repro.core.platform import add_vantage_point, build_default_platform
 from repro.device.profiles import SAMSUNG_J7_DUO
 
@@ -61,7 +61,7 @@ def _submit_jobs(platform, count, payload="test/wave-sleep", fail_index=None):
     server = platform.access_server
     for index in range(count):
         run = payload if index != fail_index else "test/wave-fail"
-        from repro.accessserver.persistence import get_payload
+        from repro.accessserver.payloads import get_payload
 
         server.submit_job(
             platform.experimenter,
