@@ -29,9 +29,12 @@ class JobStatus(str, enum.Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class JobConstraints:
     """Experimenter and platform constraints considered at dispatch time.
+
+    Immutable, so a job that chose none holds :data:`DEFAULT_CONSTRAINTS`
+    rather than a copy of its own; ``dataclasses.replace`` derives others.
 
     Attributes
     ----------
@@ -64,6 +67,17 @@ class JobConstraints:
     connector: Optional[str] = None
 
 
+#: The constraints of every job that chose none: one instance, shared.
+DEFAULT_CONSTRAINTS = JobConstraints()
+
+
+def job_constraints(**chosen: object) -> JobConstraints:
+    """``JobConstraints(**chosen)``, or the shared default when that is what
+    ``chosen`` amounts to."""
+    constraints = JobConstraints(**chosen)
+    return DEFAULT_CONSTRAINTS if constraints == DEFAULT_CONSTRAINTS else constraints
+
+
 @dataclass(slots=True)
 class JobSpec:
     """Everything needed to run one experiment job.
@@ -83,7 +97,9 @@ class JobSpec:
     owner: str
     run: Callable[["JobContext"], object]
     description: str = ""
-    constraints: JobConstraints = field(default_factory=JobConstraints)
+    # A factory, not a plain default: records spell constraints out as a
+    # nested object, not as one of the spec's own elidable fields.
+    constraints: JobConstraints = field(default_factory=lambda: DEFAULT_CONSTRAINTS)
     priority: float = 0.0
     timeout_s: float = 3600.0
     is_pipeline_change: bool = False

@@ -52,7 +52,6 @@ def build_certificate_renewal_job(
         owner=owner,
         run=run,
         description="Renew the *.batterylab.dev certificate and deploy it to every vantage point",
-        constraints=JobConstraints(),
         log_retention_days=30.0,
     )
 
@@ -108,7 +107,6 @@ def build_workspace_cleanup_job(server, owner: str = "admin") -> JobSpec:
         owner=owner,
         run=run,
         description="Delete job artefacts whose retention window has elapsed",
-        constraints=JobConstraints(),
         log_retention_days=3.0,
     )
 

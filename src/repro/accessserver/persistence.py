@@ -80,6 +80,7 @@ from repro.accessserver.jobs import (
     JobSpec,
     JobStatus,
     claim_job_id,
+    job_constraints,
 )
 from repro.accessserver.payloads import catalogue_epoch, get_payload, payload_name
 from repro.obs.logsetup import component_logger
@@ -313,7 +314,7 @@ def deserialize_spec(data: Dict[str, object]) -> JobSpec:
         name=data["name"],
         owner=data["owner"],
         run=resolve_payload(data.get("payload")),
-        constraints=JobConstraints(**data.get("constraints", {})),
+        constraints=job_constraints(**data.get("constraints", {})),
         **_spelled_out(data, SPEC_DEFAULTS),
     )
 

@@ -270,31 +270,28 @@ class AccessServer(Entity):
         self._g_leases = registry.gauge(
             "agent_leases_active", "Currently granted agent leases."
         ).labels()
-        # A size on every history, read at scrape time only.
-        self._g_sim_log = registry.gauge(
-            "sim_log_records", "Records in the simulation log's bounded window."
-        ).labels()
-        self._g_event_history = registry.gauge(
-            "event_history_records", "Records in the event bus's bounded history."
-        ).labels()
+        # A size on every per-job structure, read at scrape time only.
         self._g_retained_jobs = registry.gauge(
             "scheduler_retained_jobs", "Jobs the scheduler holds, in any status."
         ).labels()
         self._g_idempotency_keys = registry.gauge(
             "idempotency_keys", "Remembered (owner, idempotency key) submissions."
         ).labels()
+        self._g_analytics_timelines = registry.gauge(
+            "analytics_timelines", "Jobs the analytics fold holds a timeline for."
+        ).labels()
         self._seen_queue_buckets: set = set()
         registry.add_collect_hook(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
         """Scrape-time gauges: queue depth per constraint bucket, orphan count,
-        history sizes."""
+        per-job structure sizes."""
         self._g_orphans.set(float(len(self.orphaned_jobs())))
         self._g_leases.set(float(len(self.agents.leases())))
-        self._g_sim_log.set(float(self.context.log_retained))
-        self._g_event_history.set(float(self.events.retained))
         self._g_retained_jobs.set(float(self.scheduler.job_count()))
         self._g_idempotency_keys.set(float(len(self._idempotent_submissions)))
+        timelines = self._analytics.tracked_job_ids() if self._analytics is not None else ()
+        self._g_analytics_timelines.set(float(len(timelines)))
         sizes = self.scheduler.engine.queue.bucket_sizes()
         live = set()
         for key, depth in sizes.items():

@@ -396,9 +396,9 @@ class JobConstraintsV1(WireModel):
     connector: Optional[str] = None
 
     def to_domain(self):
-        from repro.accessserver.jobs import JobConstraints
+        from repro.accessserver.jobs import job_constraints
 
-        return JobConstraints(
+        return job_constraints(
             vantage_point=self.vantage_point,
             device_serial=self.device_serial,
             connectivity=self.connectivity,

@@ -36,10 +36,10 @@ point-wise, restated as whole-run assertions a chaos soak can run after
     Every busy device, executing mark and lease belongs to an execution
     that can still end and give it back; a drained run holds nothing.
 ``history_bounded``
-    Every in-memory history is within its bound (simulation log, bus
-    history, trace store, settled-lease memory), every per-job cache holds
-    only jobs the scheduler retains (settled snapshot text, analytics
-    timelines), and a drained run leaves no parked poll and no lease.
+    Every in-memory history is within its bound (trace store,
+    settled-lease memory), every per-job cache holds only jobs the
+    scheduler retains (snapshot splice index, analytics timelines), and a
+    drained run leaves no parked poll and no lease.
 ``outbox_bounded``
     Every agent outbox costs what is live: the file is within the
     compaction bound plus its pending leases, the daemon's in-memory fold
@@ -408,12 +408,9 @@ def check_history_bounded(server, routers=(), drained: bool = False) -> CheckRes
     no poll may be parked and no lease live.
     """
     from repro.accessserver.agents import SETTLED_LEASE_MEMORY
-    from repro.simulation.events import HISTORY_LIMIT
 
     tracer = server.obs.tracer
     sizes = {
-        "sim log": (server.context.log_retained, HISTORY_LIMIT),
-        "bus history": (server.events.retained, server.events.history_limit),
         "trace store": (len(tracer.trace_ids()), tracer.max_traces),
         "settled-lease memory": (server.agents.settled_count(), SETTLED_LEASE_MEMORY),
     }

@@ -1230,7 +1230,7 @@ def _cmd_sysperf(args) -> str:
 
 def _cmd_dispatch_bench(args) -> str:
     """Queue a synthetic fleet-scale workload and time pure dispatch decisions."""
-    from repro.accessserver.jobs import Job, JobConstraints, JobSpec
+    from repro.accessserver.jobs import DEFAULT_CONSTRAINTS, Job, JobConstraints, JobSpec
     from repro.accessserver.scheduler import JobScheduler
 
     scheduler = JobScheduler(
@@ -1245,7 +1245,7 @@ def _cmd_dispatch_bench(args) -> str:
             f"node{index % vantage_points:02d}", f"dev{index // vantage_points:02d}"
         )
     for index in range(args.jobs):
-        constraints = JobConstraints()
+        constraints = DEFAULT_CONSTRAINTS
         if index % 3 == 0:
             constraints = JobConstraints(vantage_point=f"node{index % vantage_points:02d}")
         spec = JobSpec(

@@ -3,30 +3,21 @@
 Every simulated component (device, power monitor, controller, access server,
 network link, ...) is an :class:`Entity` attached to one
 :class:`SimulationContext`.  The context bundles the event scheduler, the
-clock and the per-component random streams, and offers a tiny structured
-log that experiments and tests can assert on — a window of the newest
-``HISTORY_LIMIT`` records, the event bus's retention contract.
+clock and the per-component random streams.  Its :meth:`~SimulationContext.log`
+keeps nothing: a line goes to the stdlib ``repro.simulation`` logger at
+DEBUG, stamped with simulated time, and costs a level check when DEBUG is off.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+import logging
+from typing import Dict, List
 
 from repro.simulation.clock import SimClock
-from repro.simulation.events import HISTORY_LIMIT, EventScheduler
+from repro.simulation.events import EventScheduler
 from repro.simulation.random import RandomRegistry, SeededRandom
 
-
-@dataclass(frozen=True, slots=True)
-class LogRecord:
-    """One structured log line emitted by a simulated component."""
-
-    timestamp: float
-    source: str
-    message: str
-    data: Dict[str, object] = field(default_factory=dict)
+_LOG = logging.getLogger("repro.simulation")
 
 
 class SimulationContext:
@@ -43,7 +34,6 @@ class SimulationContext:
     def __init__(self, seed: int = 7, start_time: float = 0.0) -> None:
         self._scheduler = EventScheduler(SimClock(start_time))
         self._random = RandomRegistry(seed)
-        self._log: Deque[LogRecord] = deque(maxlen=HISTORY_LIMIT)
         self._entities: Dict[str, "Entity"] = {}
 
     # -- time -----------------------------------------------------------------
@@ -89,21 +79,10 @@ class SimulationContext:
         return list(self._entities.values())
 
     # -- logging --------------------------------------------------------------
-    def log(self, source: str, message: str, **data: object) -> LogRecord:
-        record = LogRecord(timestamp=self.now, source=source, message=message, data=data)
-        self._log.append(record)
-        return record
-
-    @property
-    def log_retained(self) -> int:
-        """Number of records currently held for :meth:`log_records`."""
-        return len(self._log)
-
-    def log_records(self, source: Optional[str] = None) -> List[LogRecord]:
-        """The newest ``HISTORY_LIMIT`` records, optionally of one source."""
-        if source is None:
-            return list(self._log)
-        return [record for record in self._log if record.source == source]
+    def log(self, source: str, message: str, **data: object) -> None:
+        """One line to the ``repro.simulation`` logger at DEBUG; nothing is kept."""
+        if _LOG.isEnabledFor(logging.DEBUG):
+            _LOG.debug("[t=%.3f] %s: %s%s", self.now, source, message, f" {data}" if data else "")
 
 
 class Entity:
@@ -137,8 +116,8 @@ class Entity:
     def random(self) -> SeededRandom:
         return self._random
 
-    def log(self, message: str, **data: object) -> LogRecord:
-        return self._context.log(self._name, message, **data)
+    def log(self, message: str, **data: object) -> None:
+        self._context.log(self._name, message, **data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self._name!r})"

@@ -11,23 +11,18 @@ the components themselves through :class:`~repro.simulation.process.PeriodicProc
 the access server's dispatch pipeline publish typed payloads under dotted
 topics (``dispatch.assigned``, ``dispatch.batch``, ...) and observers —
 tests, experiment drivers, auto-dispatch hooks — subscribe instead of
-polling the producer.
+polling the producer.  The bus keeps no history: a record reaches the
+subscribers registered when it is published, and nobody else.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.simulation.clock import SimClock
-
-#: Records each in-memory history of a simulation retains — the event bus's
-#: and the structured log's (:mod:`repro.simulation.entity`).  Both keep the
-#: newest and drop the oldest.
-HISTORY_LIMIT = 10_000
 
 
 @dataclass(order=True)
@@ -184,39 +179,24 @@ class BusEvent:
 
 
 class EventBus:
-    """Topic-based publish/subscribe channel with a bounded history.
+    """Topic-based publish/subscribe channel; it retains no record.
 
     Parameters
     ----------
     clock:
         Optional :class:`~repro.simulation.clock.SimClock` used to stamp
         published records.
-    history_limit:
-        Maximum number of records retained for :meth:`events`; older records
-        are dropped first.
     """
 
-    def __init__(
-        self, clock: Optional[SimClock] = None, history_limit: int = HISTORY_LIMIT
-    ) -> None:
+    def __init__(self, clock: Optional[SimClock] = None) -> None:
         self._clock = clock
         self._subscribers: Dict[Optional[str], List[Callable[[BusEvent], None]]] = {}
-        self._history: Deque[BusEvent] = deque(maxlen=history_limit)
         self._published = 0
 
     @property
     def published(self) -> int:
         """Number of records published over the bus's lifetime."""
         return self._published
-
-    @property
-    def history_limit(self) -> int:
-        return self._history.maxlen
-
-    @property
-    def retained(self) -> int:
-        """Number of records currently held for :meth:`events`."""
-        return len(self._history)
 
     def subscribe(self, topic: Optional[str], callback: Callable[[BusEvent], None]) -> None:
         """Register ``callback`` for ``topic`` (``None`` subscribes to every topic)."""
@@ -242,19 +222,9 @@ class EventBus:
             raise ValueError("event topic must be non-empty")
         timestamp = self._clock.now if self._clock is not None else 0.0
         record = BusEvent(timestamp=timestamp, topic=topic, payload=payload)
-        self._history.append(record)
         self._published += 1
         for callback in list(self._subscribers.get(topic, ())):
             callback(record)
         for callback in list(self._subscribers.get(None, ())):
             callback(record)
         return record
-
-    def events(self, topic: Optional[str] = None) -> List[BusEvent]:
-        """Retained records, optionally filtered to one topic."""
-        if topic is None:
-            return list(self._history)
-        return [record for record in self._history if record.topic == topic]
-
-    def clear(self) -> None:
-        self._history.clear()

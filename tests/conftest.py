@@ -53,6 +53,26 @@ def vantage_point(platform):
     return platform.vantage_point()
 
 
+class BusRecorder:
+    """Every record published on an :class:`~repro.simulation.events.EventBus`
+    since the recorder subscribed — the bus itself keeps no history, so a
+    test attaches one of these before it acts."""
+
+    def __init__(self, bus) -> None:
+        self.records = []
+        bus.subscribe(None, self.records.append)
+
+    def __call__(self, topic: str) -> list:
+        """The recorded records of ``topic``, oldest first."""
+        return [record for record in self.records if record.topic == topic]
+
+
+@pytest.fixture
+def record_bus():
+    """``record_bus(bus)`` subscribes and returns a :class:`BusRecorder`."""
+    return BusRecorder
+
+
 # -- parked agent.poll helpers (gateway, agent-pull and federation tests) -----------
 
 

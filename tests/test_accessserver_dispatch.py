@@ -422,10 +422,11 @@ class TestCancelAndRelease:
         [("release", False), ("release", True), ("requeue", False)],
         ids=["release", "release-after-cancel", "requeue"],
     )
-    def test_every_exit_gives_back_the_whole_family(self, exit_by, cancelled):
+    def test_every_exit_gives_back_the_whole_family(self, exit_by, cancelled, record_bus):
         """The hold table: extra slots recorded when execution begins leave
         with the primary one, whichever exit the execution takes."""
         bus = EventBus()
+        recorded = record_bus(bus)
         engine = DispatchEngine(event_bus=bus)
         for serial in ("dev0", "dev1", "dev2"):
             engine.slots.register("node1", serial)
@@ -450,7 +451,7 @@ class TestCancelAndRelease:
         assert engine.running_by_owner() == {}
         # Announced once, for the primary slot, when the whole family is free.
         assert free_when_announced == [3]
-        assert bus.events("dispatch.released")[0].payload["device_serial"] == "dev0"
+        assert recorded("dispatch.released")[0].payload["device_serial"] == "dev0"
         assert (job in engine.queue) == (exit_by == "requeue")
         # Every freed slot serves new work.
         for index in range(3):
@@ -468,23 +469,24 @@ class TestCancelAndRelease:
 
 
 class TestDispatchEvents:
-    def test_engine_publishes_structured_records(self):
+    def test_engine_publishes_structured_records(self, record_bus):
         bus = EventBus()
+        recorded = record_bus(bus)
         engine = DispatchEngine(policy="fifo", event_bus=bus)
         engine.slots.register("node1", "dev0")
         job = make_job(name="observed")
         engine.queue.push(job)
         engine.dispatch_batch(now=0.0)
-        assigned = bus.events("dispatch.assigned")
+        assigned = recorded("dispatch.assigned")
         assert len(assigned) == 1
         assert assigned[0].payload["job"] == "observed"
         assert assigned[0].payload["vantage_point"] == "node1"
         assert assigned[0].payload["policy"] == "fifo"
-        batches = bus.events("dispatch.batch")
+        batches = recorded("dispatch.batch")
         assert batches[-1].payload["assigned"] == 1
         job.mark_completed(1.0, None)
         engine.release(job)
-        assert bus.events("dispatch.released")[0].payload["job_id"] == job.job_id
+        assert recorded("dispatch.released")[0].payload["job_id"] == job.job_id
 
     def test_subscription_callbacks_fire(self):
         bus = EventBus()
@@ -498,17 +500,18 @@ class TestDispatchEvents:
 
 
 class TestServerIntegration:
-    def test_server_publishes_dispatch_events(self, platform):
+    def test_server_publishes_dispatch_events(self, platform, record_bus):
         server = platform.access_server
+        recorded = record_bus(server.events)
         job = server.submit_job(
             platform.experimenter,
             JobSpec(name="observed", owner="experimenter", run=lambda ctx: "ok"),
         )
         server.run_pending_jobs()
         assert job.status is JobStatus.COMPLETED
-        assigned = server.events.events("dispatch.assigned")
+        assigned = recorded("dispatch.assigned")
         assert [record.payload["job_id"] for record in assigned] == [job.job_id]
-        assert server.events.events("dispatch.released")
+        assert recorded("dispatch.released")
 
     def test_auto_dispatch_runs_jobs_without_polling(self, platform):
         server = platform.access_server
@@ -674,12 +677,13 @@ class TestServerIntegration:
         platform.run_for(1.0)
         assert all(job.status is JobStatus.COMPLETED for job in jobs)
 
-    def test_wave_revalidates_reservations_at_execution_time(self):
+    def test_wave_revalidates_reservations_at_execution_time(self, record_bus):
         # Both jobs are assigned at t=0 when dev01 is unreserved; job1's
         # payload advances the clock into admin's reservation window, so
         # job2 must be requeued instead of running on the reserved device.
         platform = build_default_platform(seed=6, browsers=("chrome",), device_count=2)
         server = platform.access_server
+        recorded = record_bus(server.events)
         server.reserve_session(
             platform.admin, "node1", "node1-dev01", start_s=50.0, duration_s=200.0
         )
@@ -708,7 +712,7 @@ class TestServerIntegration:
         assert second.status is JobStatus.QUEUED  # requeued, not run under the reservation
         assert executed == [first]
         assert not server.scheduler.device_busy("node1", "node1-dev01")
-        assert server.events.events("dispatch.requeued")
+        assert recorded("dispatch.requeued")
         # Once the reservation lapses the job runs normally.
         platform.run_for(300.0)
         server.run_pending_jobs()

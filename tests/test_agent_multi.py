@@ -104,9 +104,12 @@ class TestMultiDeviceEndToEnd:
         # the parent job's owner — the inheritance rule.
         assert seen == [{"username": "experimenter", "owner": "alice"}] * 3
 
-    def test_family_cancelled_mid_run_is_held_until_the_daemon_reports(self, tmp_path):
+    def test_family_cancelled_mid_run_is_held_until_the_daemon_reports(
+        self, tmp_path, record_bus
+    ):
         platform = three_device_platform()
         server = platform.access_server
+        recorded = record_bus(server.events)
         client = platform.client()
         job = submit_multi(client)
         seen = {}
@@ -128,7 +131,7 @@ class TestMultiDeviceEndToEnd:
         assert client.job_status(job.job_id).status == "cancelled"
         after = check_device_hold_conservation(server, drained=True)
         assert after.ok, after.details
-        assert server.events.events("job.finished") == []
+        assert recorded("job.finished") == []
         again = submit_multi(client, name="next-fanout")
         assert daemon.run_once() == again.job_id
 

@@ -286,12 +286,13 @@ class TestLeaseExpiry:
             client.agent_report(lease.lease_id, "edge-1", "completed")
         assert client.job_status(job.job_id).status == "queued"
 
-    def test_report_at_exact_expiry_settles_exactly_once(self, platform, client):
+    def test_report_at_exact_expiry_settles_exactly_once(self, platform, client, record_bus):
         """Satellite: a report landing at exactly ``now == expires_at``
         loses the race — ``agent_report`` reaps the lease *first*, so the
         late result is rejected and discarded, the job is requeued exactly
         once (one ``dispatch.requeued`` record, never two), and only the
         re-claiming agent's settle counts."""
+        recorded = record_bus(platform.access_server.events)
         job = submit_agent_job(client)
         client.agent_register("edge-1", connectors=["fake"])
         client.agent_register("edge-2", connectors=["fake"])
@@ -299,9 +300,8 @@ class TestLeaseExpiry:
         platform.context.run_for(10.0)  # the boundary: expired(now) is >=
         with pytest.raises(NotFoundApiError):
             client.agent_report(lease.lease_id, "edge-1", "completed", result=1)
-        events = platform.access_server.events
-        assert len(events.events("dispatch.requeued")) == 1
-        assert events.events("job.finished") == []
+        assert len(recorded("dispatch.requeued")) == 1
+        assert recorded("job.finished") == []
         assert client.job_status(job.job_id).status == "queued"
         # The job is claimable again and the second settle is the only one.
         lease2 = client.agent_claim("edge-2", job.job_id)
@@ -309,18 +309,19 @@ class TestLeaseExpiry:
         assert report.job.status == "completed"
         assert report.duplicate is False
         assert client.job_results(job.job_id).result == 2
-        assert len(events.events("dispatch.requeued")) == 1
-        assert len(events.events("job.finished")) == 1
+        assert len(recorded("dispatch.requeued")) == 1
+        assert len(recorded("job.finished")) == 1
         # A retry of the dead lease's upload stays rejected, not resurrected.
         with pytest.raises(NotFoundApiError):
             client.agent_report(lease.lease_id, "edge-1", "completed", result=1)
         assert client.job_results(job.job_id).result == 2
 
     def test_report_just_before_expiry_wins_without_requeue(
-        self, platform, client
+        self, platform, client, record_bus
     ):
         """The flip side of the boundary: one tick before expiry the lease
         is live, the report settles, and nothing is ever requeued."""
+        recorded = record_bus(platform.access_server.events)
         job = submit_agent_job(client)
         client.agent_register("edge-1", connectors=["fake"])
         lease = client.agent_claim("edge-1", job.job_id, ttl_s=10.0)
@@ -328,9 +329,8 @@ class TestLeaseExpiry:
         report = client.agent_report(lease.lease_id, "edge-1", "completed")
         assert report.job.status == "completed"
         assert report.duplicate is False
-        events = platform.access_server.events
-        assert events.events("dispatch.requeued") == []
-        assert len(events.events("job.finished")) == 1
+        assert recorded("dispatch.requeued") == []
+        assert len(recorded("job.finished")) == 1
 
     def test_lease_requeue_byte_parity_with_crash_requeue(self, tmp_path):
         """Satellite: the lease-expiry path must leave the job in exactly

@@ -181,7 +181,7 @@ class TestHistoryBounded:
         platform.access_server.persistence.checkpoint()
         verdict = check_history_bounded(platform.access_server, drained=True)
         assert verdict.ok, verdict.details
-        assert "sim log" in verdict.details and "/10000" in verdict.details
+        assert f"settled-lease memory 0/{SETTLED_LEASE_MEMORY}" in verdict.details
 
     def test_a_history_past_its_bound_fails(self, platform):
         server = platform.access_server

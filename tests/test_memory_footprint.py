@@ -2,9 +2,9 @@
 
 The access server keeps every job for days, so heap per settled job is the
 server's RSS slope.  The budget test below measures it with tracemalloc;
-the others pin the mechanisms that keep it down — the bounded simulation
-log, the slotted per-job records and their allocate-on-first-use
-containers — and that slotting cost no behaviour.
+the others pin the mechanisms that keep it down — the slotted per-job
+records, their allocate-on-first-use containers and the one shared default
+``JobConstraints`` — and that slotting cost no behaviour.
 """
 
 import copy
@@ -12,20 +12,30 @@ import dataclasses
 import gc
 import tracemalloc
 
-from repro.accessserver.jobs import Job, JobConstraints, JobSpec, JobStatus, Workspace
+import pytest
+
+from repro.accessserver.jobs import (
+    DEFAULT_CONSTRAINTS,
+    Job,
+    JobConstraints,
+    JobSpec,
+    JobStatus,
+    Workspace,
+)
 from repro.accessserver.persistence import InMemoryBackend, recover_into
 from repro.analytics.reducers import _JobTimeline
 from repro.core.platform import build_default_platform
-from repro.simulation.entity import LogRecord, SimulationContext
-from repro.simulation.events import HISTORY_LIMIT, BusEvent, EventBus
+from repro.simulation.events import BusEvent
 
 #: Heap bytes per retained noop job (tracemalloc, 6,000 jobs).  Measured:
 #: 3,395 before the log ring, slots and lazy containers; 2,766 after; 2,452
 #: once persisted records elide defaults (the settled-record text cache
 #: holds ~300 B less per job); 2,160 once that cache is gone and a settled
-#: record is located in the snapshot by 24 B of splice index instead.  The
-#: budget is that plus 10 %.
-BYTES_PER_JOB_BUDGET = 2_380
+#: record is located in the snapshot by 24 B of splice index instead; 1,136
+#: once the simulation log and the event bus keep no records (their two
+#: 10,000-record windows were full here) and a job that chose no
+#: constraints shares one default.  The budget is that plus 10 %.
+BYTES_PER_JOB_BUDGET = 1_250
 
 
 def submit_noop_jobs(platform, client, jobs):
@@ -41,7 +51,7 @@ def submit_noop_jobs(platform, client, jobs):
 
 
 def test_a_retained_job_stays_within_its_heap_budget(tmp_path):
-    jobs = 6_000  # past every history bound: 2 log lines and 5 bus events a job
+    jobs = 6_000
     platform = build_default_platform(
         seed=7, browsers=("chrome",), state_dir=str(tmp_path), analytics=True
     )
@@ -59,24 +69,8 @@ def test_a_retained_job_stays_within_its_heap_budget(tmp_path):
     server = platform.access_server
     assert server.scheduler.job_count() == jobs + 20
     assert all(job.status is JobStatus.COMPLETED for job in server.scheduler.jobs())
-    assert server.context.log_retained == HISTORY_LIMIT
-    assert server.events.retained == HISTORY_LIMIT
     per_job = (after - before) / jobs
     assert per_job <= BYTES_PER_JOB_BUDGET, f"{per_job:.0f} B per retained job"
-
-
-def test_the_simulation_log_keeps_the_newest_records():
-    context = SimulationContext()
-    for index in range(HISTORY_LIMIT + 5):
-        record = context.log("x" if index % 2 else "y", "line", index=index)
-    assert record == LogRecord(0.0, "y", "line", {"index": HISTORY_LIMIT + 4})
-    records = context.log_records()
-    assert len(records) == context.log_retained == HISTORY_LIMIT
-    assert [records[0].data["index"], records[-1].data["index"]] == [5, HISTORY_LIMIT + 4]
-    only_x = context.log_records("x")
-    assert len(only_x) == HISTORY_LIMIT // 2
-    assert {rec.source for rec in only_x} == {"x"}
-    assert EventBus().history_limit == HISTORY_LIMIT  # one bound, named once
 
 
 def test_per_job_records_carry_no_instance_dict():
@@ -86,7 +80,6 @@ def test_per_job_records_carry_no_instance_dict():
         spec,
         JobConstraints(),
         Workspace(),
-        LogRecord(0.0, "s", "m"),
         BusEvent(0.0, "t"),
         _JobTimeline(),
     ]
@@ -155,5 +148,30 @@ def test_every_history_exports_its_size(tmp_path):
     assert gauges["scheduler_retained_jobs"] == 3
     assert gauges["idempotency_keys"] == 3
     assert gauges["persistence_settled_cache_entries"] == 3
-    assert gauges["sim_log_records"] == server.context.log_retained > 0
-    assert gauges["event_history_records"] == server.events.retained > 0
+    assert gauges["analytics_timelines"] == 3
+
+
+def test_a_job_without_constraints_holds_the_shared_default():
+    backend = InMemoryBackend()
+    platform = build_default_platform(seed=7, browsers=("chrome",), persistence=False)
+    platform.access_server.enable_persistence(backend)
+    client = platform.client()
+    snapshotted = client.submit_job("snapshotted", "noop")
+    platform.access_server.persistence.checkpoint()
+    journaled = client.submit_job("journaled", "noop")
+    pinned = client.submit_job("pinned", "noop", vantage_point="node1")
+    fresh = build_default_platform(seed=7, browsers=("chrome",), persistence=False)
+    report = recover_into(fresh.access_server, backend)
+    assert report.jobs_restored == 3
+    for scheduler in (platform.access_server.scheduler, fresh.access_server.scheduler):
+        for job_id in (snapshotted.job_id, journaled.job_id):
+            assert scheduler.job(job_id).spec.constraints is DEFAULT_CONSTRAINTS
+        assert scheduler.job(pinned.job_id).spec.constraints == JobConstraints("node1")
+    assert JobSpec(name="n", owner="o", run=print).constraints is DEFAULT_CONSTRAINTS
+
+    # Shared, so immutable: another choice is a new object.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULT_CONSTRAINTS.device_count = 2
+    derived = dataclasses.replace(DEFAULT_CONSTRAINTS, connector="fake")
+    assert derived is not DEFAULT_CONSTRAINTS and derived.connector == "fake"
+    assert DEFAULT_CONSTRAINTS == JobConstraints()

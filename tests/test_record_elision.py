@@ -313,8 +313,10 @@ def test_a_reader_takes_an_absent_key_as_the_fields_default(cls, name):
     restored, _ = materialize_job(record)
 
     default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
-    target = {Job: job, JobSpec: job.spec, JobConstraints: job.spec.constraints}[cls]
-    setattr(target, name, default)
+    if cls is JobConstraints:  # frozen: derive, don't mutate
+        job.spec.constraints = dataclasses.replace(job.spec.constraints, **{name: default})
+    else:
+        setattr({Job: job, JobSpec: job.spec}[cls], name, default)
     assert restored == job
 
     # The analytics normaliser reads the same row to the same values.

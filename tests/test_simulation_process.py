@@ -1,5 +1,7 @@
 """Tests for periodic processes and the simulation context/entity plumbing."""
 
+import logging
+
 import pytest
 
 from repro.simulation.entity import Entity, SimulationContext
@@ -109,17 +111,23 @@ class TestSimulationContext:
         with pytest.raises(KeyError):
             context.entity("missing")
 
-    def test_log_records_are_stamped_and_filterable(self):
+    def test_log_lines_go_to_the_stdlib_logger_stamped(self, caplog):
         context = SimulationContext(seed=1)
         entity = Entity(context, "logger")
         context.run_for(2.0)
-        entity.log("hello", value=3)
-        records = context.log_records("logger")
-        assert len(records) == 1
-        assert records[0].timestamp == 2.0
-        assert records[0].message == "hello"
-        assert records[0].data == {"value": 3}
-        assert context.log_records() == records
+        with caplog.at_level(logging.INFO, logger="repro.simulation"):
+            entity.log("dropped: DEBUG is off")
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="repro.simulation"):
+            entity.log("hello", value=3)
+            context.log("elsewhere", "bare")
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("repro.simulation", logging.DEBUG)
+        ] * 2
+        assert caplog.messages == [
+            "[t=2.000] logger: hello {'value': 3}",
+            "[t=2.000] elsewhere: bare",
+        ]
 
     def test_entity_random_streams_are_per_entity(self):
         context = SimulationContext(seed=1)
