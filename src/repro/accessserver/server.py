@@ -71,13 +71,17 @@ class AccessServerError(RuntimeError):
     """Raised for platform-level errors (unknown vantage point, failed join, ...)."""
 
 
-#: Jobs one dispatch pass executes at most (``platform.run_queue()``, an
-#: auto-dispatch tick, one turn of a host loop).  A host runs a pass under
-#: the gateway's ``router_lock``, so this bounds the longest a mutating
-#: request waits for that lock.  It is *not* a rate limit: whoever drives
-#: passes goes straight into the next one while :func:`batch_filled` says
-#: the last stopped at this cap.
+#: Jobs one dispatch pass (:meth:`AccessServer.run_pending_jobs`) executes
+#: at most, everywhere.  A host runs a pass under the gateway's
+#: ``router_lock``, so this bounds the longest a mutating request waits for
+#: that lock.  It is *not* a rate limit: whoever drives passes goes straight
+#: into the next one while :func:`batch_filled` says the last stopped at
+#: this cap.
 DISPATCH_BATCH = 100
+
+#: Passes one :meth:`AccessServer.drain` makes at most, against a queue
+#: that refills itself as fast as it is run.
+DRAIN_PASSES = 100
 
 
 def batch_filled(executed, max_jobs: int = DISPATCH_BATCH) -> bool:
@@ -86,8 +90,8 @@ def batch_filled(executed, max_jobs: int = DISPATCH_BATCH) -> bool:
     :meth:`AccessServer.run_pending_jobs` returns short of ``max_jobs``
     only after ``dispatch_batch`` handed out nothing, so a pass that was
     not filled left nothing dispatchable right now, and a filled one
-    probably did.  Every driver of passes asks this one question: the
-    simulated-time tick, the wall-clock host loop, a shard's drain.
+    probably did.  The two drivers of passes ask this one question:
+    :meth:`AccessServer.drain` and the wall-clock host loop.
     """
     return len(executed) >= max_jobs
 
@@ -178,7 +182,6 @@ class AccessServer(Entity):
         self._credit_policy: Optional[CreditPolicy] = None
         self._auto_dispatch = False
         self._auto_dispatch_interval_s: Optional[float] = None
-        self._auto_dispatch_max_jobs = DISPATCH_BATCH
         self._auto_dispatch_event: Optional[Event] = None
         self._persistence = None
         self._analytics = None
@@ -700,15 +703,15 @@ class AccessServer(Entity):
     def _controller_cpu(self, vantage_point_name: str) -> float:
         return self.vantage_point(vantage_point_name).controller.latest_cpu_percent()
 
-    def run_pending_jobs(self, max_jobs: int = 10) -> List[Job]:
-        """Dispatch and synchronously execute queued jobs, honouring all constraints.
+    def run_pending_jobs(self, max_jobs: int = DISPATCH_BATCH) -> List[Job]:
+        """One dispatch pass: reap expired leases, then execute up to ``max_jobs`` queued jobs.
 
         Assignments are computed in waves via the scheduler's
         ``dispatch_batch`` (one job at a time per device holds within each
         wave); the jobs of a wave are then executed in assignment order, and
         freed devices feed the next wave.  Each job's power-meter logs and
         artefacts end up in its workspace.  Returns the jobs that were
-        executed by this call.
+        executed by this call; :meth:`drain` repeats passes.
 
         With :meth:`enable_parallel_waves` active, each wave's *payloads*
         run concurrently on a worker pool while every state mutation —
@@ -752,6 +755,25 @@ class AccessServer(Entity):
             else:
                 result = "partial" if executed else "empty"
             self._m_passes[result].inc()
+        return executed
+
+    def drain(self) -> List[Job]:
+        """Run dispatch passes until one does not fill its batch; returns the jobs run.
+
+        What a short pass leaves queued waits for an agent, a reservation or
+        a held device; no further pass would run it.  Stopping at
+        :data:`DRAIN_PASSES` with the last pass full is logged.
+        """
+        executed: List[Job] = []
+        for _ in range(DRAIN_PASSES):
+            ran = self.run_pending_jobs()
+            executed.extend(ran)
+            if not batch_filled(ran):
+                return executed
+        self._obs_log.warning(
+            "drain stopped after %d full dispatch passes with %d job(s) still queued",
+            DRAIN_PASSES, self.scheduler.queue_length(),
+        )
         return executed
 
     def dispatch_pass_counts(self) -> Dict[str, int]:
@@ -1312,27 +1334,22 @@ class AccessServer(Entity):
     def auto_dispatch_enabled(self) -> bool:
         return self._auto_dispatch
 
-    def enable_auto_dispatch(
-        self,
-        poll_interval_s: Optional[float] = None,
-        max_jobs_per_tick: int = DISPATCH_BATCH,
-    ) -> None:
+    def enable_auto_dispatch(self, poll_interval_s: Optional[float] = None) -> None:
         """Dispatch through the simulation event loop instead of caller polling.
 
         Once enabled, every submission/approval schedules a dispatch tick at
         the current simulated time, so advancing the simulation executes
-        queued jobs without anyone calling :meth:`run_pending_jobs`.  Jobs
-        left queued behind an active session reservation are retried when
-        that reservation ends.  With ``poll_interval_s`` set, an additional
-        periodic tick also retries other temporarily unsatisfied constraints
-        (notably a busy controller CPU, whose future is unknowable to the
-        dispatcher).  Jobs run inside event callbacks here, so payloads may
-        advance the simulated clock themselves — the event loop tolerates
-        that re-entrancy.
+        queued jobs without anyone calling :meth:`run_pending_jobs`.  A tick
+        is one :meth:`drain`.  Jobs left queued behind an active session
+        reservation are retried when that reservation ends.  With
+        ``poll_interval_s`` set, an additional periodic tick also retries
+        other temporarily unsatisfied constraints (notably a busy controller
+        CPU, whose future is unknowable to the dispatcher).  Jobs run inside
+        event callbacks here, so payloads may advance the simulated clock
+        themselves — the event loop tolerates that re-entrancy.
         """
         self._auto_dispatch = True
         self._auto_dispatch_interval_s = poll_interval_s
-        self._auto_dispatch_max_jobs = max_jobs_per_tick
         self._schedule_dispatch_tick()
 
     def disable_auto_dispatch(self) -> None:
@@ -1358,14 +1375,8 @@ class AccessServer(Entity):
         self._auto_dispatch_event = None
         if not self._auto_dispatch:
             return
-        executed = self.run_pending_jobs(max_jobs=self._auto_dispatch_max_jobs)
+        self.drain()
         if self.scheduler.queue_length() == 0:
-            return
-        if batch_filled(executed, self._auto_dispatch_max_jobs):
-            # The per-tick cap cut this wave short; more work is dispatchable
-            # right now, so follow up immediately rather than waiting for the
-            # next submission or poll.
-            self._schedule_dispatch_tick()
             return
         # Wake up at the earlier of the configured poll and the end of the
         # first active reservation — reservation expiry is the one blocking

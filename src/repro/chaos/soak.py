@@ -573,7 +573,7 @@ class SoakHarness:
 
     def _run_push(self) -> None:
         try:
-            self.server.run_pending_jobs(max_jobs=self.config.batch * 2)
+            self.server.drain()
         except SimulatedCrash:
             self._recover_server()
 

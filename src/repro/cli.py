@@ -615,7 +615,7 @@ def _cmd_submit(args) -> str:
         # Subscribe before dispatching, then stream the dispatch.* events —
         # the v2 replacement for polling job.status in a loop.
         watch = client.watch_job(view.job_id)
-        platform.run_queue()
+        platform.access_server.drain()
         frames = list(watch)
         if frames:
             sections.append(
@@ -710,7 +710,7 @@ def _cmd_watch(args) -> str:
     watch = client.watch_job(args.job_id)
     initial = watch.initial
     sections = [format_table([_job_row(initial)], title=f"Watching job {args.job_id}")]
-    platform.run_queue()
+    platform.access_server.drain()
     frames = list(watch)
     if frames:
         sections.append(
@@ -731,7 +731,7 @@ def _cmd_approve(args) -> str:
     platform = _ops_platform(args)
     admin = platform.client(username="admin")
     admin.approve_job(args.job_id)
-    platform.run_queue()
+    platform.access_server.drain()
     return format_table(
         [_job_row(admin.job_status(args.job_id))], title="Approved (Platform API v2)"
     )

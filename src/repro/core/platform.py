@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.accessserver.auth import Role, User
-from repro.accessserver.server import DISPATCH_BATCH, AccessServer, VantagePointRecord
+from repro.accessserver.server import AccessServer, VantagePointRecord
 from repro.core.api import BatteryLabAPI
 from repro.device.android import AndroidDevice
 from repro.device.profiles import SAMSUNG_J7_DUO, DeviceHardwareProfile
@@ -62,8 +62,8 @@ class BatteryLabPlatform:
 
     The platform exposes the dispatch pipeline's knobs directly:
     :meth:`set_scheduling_policy` swaps the queue ordering policy
-    (``fifo``/``priority``/``fair-share``) and :meth:`run_queue` drains
-    queued jobs through the access server's batch dispatcher.  Job
+    (``fifo``/``priority``/``fair-share``) and :meth:`run_queue` runs one
+    pass of the access server's batch dispatcher.  Job
     submission and inspection go through :meth:`client` — the Platform API
     v1 SDK — rather than the access server's methods.
     """
@@ -96,9 +96,9 @@ class BatteryLabPlatform:
         """Select the dispatch queue ordering policy by name or instance."""
         self.access_server.set_scheduling_policy(policy)
 
-    def run_queue(self, max_jobs: int = DISPATCH_BATCH):
-        """Batch-dispatch and execute queued jobs; returns the executed jobs."""
-        return self.access_server.run_pending_jobs(max_jobs=max_jobs)
+    def run_queue(self):
+        """One dispatch pass (``access_server.drain()`` runs the queue dry); returns the jobs run."""
+        return self.access_server.run_pending_jobs()
 
     @property
     def persistence(self):

@@ -958,7 +958,7 @@ class FederationRouter(OpRouter):
         # poll deadline (watches stay open; they get their end frames).
         shard.state = ShardState.DRAINING
         shard.router.cancel_parked_polls()
-        shard.settle()
+        shard.server.drain()
         shard.sync()
         return self._shard_view(shard).to_wire()
 

@@ -666,13 +666,13 @@ class TestServerIntegration:
 
     def test_auto_dispatch_continues_past_per_tick_cap(self, platform):
         server = platform.access_server
-        server.enable_auto_dispatch(max_jobs_per_tick=2)  # no poll interval
+        server.enable_auto_dispatch()  # no poll interval
         jobs = [
             server.submit_job(
                 platform.experimenter,
                 JobSpec(name=f"capped{i}", owner="experimenter", run=lambda ctx: "ok"),
             )
-            for i in range(5)
+            for i in range(250)
         ]
         platform.run_for(1.0)
         assert all(job.status is JobStatus.COMPLETED for job in jobs)
@@ -898,3 +898,63 @@ class TestServerIntegration:
         output = capsys.readouterr().out
         assert "Batch dispatch throughput" in output
         assert "20" in output
+
+
+class TestDrain:
+    """``AccessServer.drain()``: passes of one batch until a pass is not full."""
+
+    @pytest.fixture()
+    def chrome(self):
+        return build_default_platform(seed=7, browsers=("chrome",))
+
+    def test_drain_runs_a_queue_deeper_than_one_batch(self, chrome):
+        client = chrome.client()
+        for index in range(250):
+            client.submit_job(f"deep-{index}", "noop")
+        assert len(chrome.access_server.drain()) == 250
+        assert chrome.access_server.scheduler.queue_length() == 0
+
+    def test_drain_gives_up_on_a_queue_it_cannot_run(self, chrome):
+        """A job waiting for an agent is not run by more dispatch passes:
+        the drain makes one, not ``DRAIN_PASSES`` of them."""
+        server = chrome.access_server
+        waiting = chrome.client().submit_job("for-an-agent", "noop", execution="agent")
+        assert server.drain() == []
+        assert sum(server.dispatch_pass_counts().values()) == 1
+        assert server.scheduler.job(waiting.job_id).status is JobStatus.QUEUED
+
+    def test_drain_warns_when_it_stops_at_its_pass_bound(self, chrome, caplog):
+        """A queue that refills as fast as it runs ends the drain at its
+        bound, with the last pass full and one WARNING naming the queue."""
+        from repro.accessserver.server import DISPATCH_BATCH, DRAIN_PASSES
+
+        server = chrome.access_server
+
+        def successor(ctx):
+            server.submit_job(
+                chrome.experimenter,
+                JobSpec(name="successor", owner="experimenter", run=successor),
+            )
+            return "ok"
+
+        for index in range(DISPATCH_BATCH):
+            server.submit_job(
+                chrome.experimenter,
+                JobSpec(name=f"refill-{index}", owner="experimenter", run=successor),
+            )
+        with caplog.at_level("WARNING", logger="repro.accessserver.server"):
+            executed = server.drain()
+        assert DRAIN_PASSES == 100
+        assert len(executed) == DRAIN_PASSES * DISPATCH_BATCH
+        assert server.dispatch_pass_counts()["full"] == DRAIN_PASSES
+        assert server.scheduler.queue_length() > 0
+        warnings = [
+            record
+            for record in caplog.records
+            if record.name == "repro.accessserver.server"
+            and record.levelname == "WARNING"
+        ]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert f"after {DRAIN_PASSES} full" in message
+        assert f"{server.scheduler.queue_length()} job(s) still queued" in message

@@ -95,6 +95,28 @@ class TestApiSubcommands:
         assert re.search(r"queued_jobs\s+0", final)
         assert re.search(r"nightly\s+\S+\s+cancelled", final)
 
+    @pytest.mark.parametrize("command", ["submit", "watch"])
+    def test_job_behind_a_recovered_backlog_runs(self, tmp_path, capsys, command):
+        """A one-shot command runs the queue dry: a job behind more than one
+        dispatch batch of recovered jobs still runs before the command exits."""
+        from repro.core.platform import build_default_platform
+
+        state = str(tmp_path / "state")
+        platform = build_default_platform(seed=7, browsers=("chrome",), state_dir=state)
+        client = platform.client()
+        backlog = [client.submit_job(f"backlog-{index}", "noop") for index in range(150)]
+        platform.persistence.close()
+        if command == "submit":
+            argv = ["submit", "--name", "mine", "--payload", "noop"]
+            title = "After dispatch"
+        else:
+            argv = ["watch", "--job-id", str(backlog[-1].job_id)]
+            title = "Final state"
+        assert main(["--state-dir", state, *argv]) == 0
+        output = capsys.readouterr().out
+        assert title in output
+        assert "completed" in output.split(title, 1)[1]
+
     def test_api_errors_exit_cleanly(self, capsys):
         assert main(["cancel", "--job-id", "99999"]) == 1
         captured = capsys.readouterr()

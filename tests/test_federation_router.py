@@ -294,7 +294,7 @@ class TestRoutedOps:
         assert [j.job_id for j in shards[0].server.scheduler.jobs()] == [on_0.job_id]
         assert [j.job_id for j in shards[1].server.scheduler.jobs()] == [on_1.job_id]
         for shard in shards:
-            shard.settle()
+            shard.server.drain()
         assert client.job_status(on_0.job_id).status == "completed"
         assert client.job_results(on_1.job_id).status == "completed"
 
@@ -339,7 +339,7 @@ class TestRoutedOps:
         client = fed_client(router)
         client.login()
         stranded = submit_on(client, 1, "stranded")
-        shards[1].settle()
+        shards[1].server.drain()
         admin_call(router, "shard.drain", {"shard_id": "shard-1"})
         admin_call(router, "shard.remove", {"shard_id": "shard-1"})
         with pytest.raises(ConflictApiError):
@@ -405,7 +405,7 @@ class TestScatteredReads:
             submit_on(client, 0, f"a-{i}")
             submit_on(client, 1, f"b-{i}")
         for shard in shards:
-            shard.settle()
+            shard.server.drain()
         report = client.analytics_report()
         assert report.jobs.submitted == 4
         assert report.jobs.completed == 4
@@ -562,36 +562,6 @@ class TestShardAdminPlane:
         assert client.job_status(queued.job_id).status == "completed"
         assert shards[1].server.scheduler.queue_length() == 0
 
-    def test_drain_gives_up_on_a_queue_it_cannot_run(self, fed2, monkeypatch):
-        """A job waiting for an agent is not run by more dispatch passes:
-        the drain makes one, not ``max_rounds`` of them under the lock."""
-        router, shards = fed2
-        client = fed_client(router)
-        client.login()
-        waiting = submit_on(client, 1, "for-an-agent", execution="agent")
-        server = shards[1].server
-        passes = []
-        run_pending_jobs = server.run_pending_jobs
-
-        def counted(max_jobs):
-            passes.append(max_jobs)
-            return run_pending_jobs(max_jobs=max_jobs)
-
-        monkeypatch.setattr(server, "run_pending_jobs", counted)
-        response = admin_call(router, "shard.drain", {"shard_id": "shard-1"})
-        assert response["ok"] and response["payload"]["state"] == "draining"
-        assert len(passes) == 1
-        assert client.job_status(waiting.job_id).status == "queued"
-
-    def test_settle_drains_a_queue_deeper_than_one_batch(self, fed2):
-        router, shards = fed2
-        client = fed_client(router)
-        client.login()
-        for index in range(250):
-            submit_on(client, 1, f"deep-{index}")
-        assert shards[1].settle() == 250
-        assert shards[1].server.scheduler.queue_length() == 0
-
     def test_draining_shard_takes_no_new_placements(self, fed2):
         router, shards = fed2
         client = fed_client(router)
@@ -655,7 +625,7 @@ class TestRollingRestart:
             ids.append(submit_on(client, 0, f"l-{i}").job_id)
             ids.append(submit_on(client, 1, f"r-{i}").job_id)
         for shard in shards:
-            shard.settle()
+            shard.server.drain()
         pre_report = client.analytics_report()
         pre_list = [view.job_id for view in client.list_jobs()]
 
@@ -682,7 +652,7 @@ class TestRollingRestart:
             submit_on(client, 0, f"l-{i}")
             submit_on(client, 1, f"r-{i}")
         for shard in shards:
-            shard.settle()
+            shard.server.drain()
             shard.sync()
         live = client.analytics_report()
 

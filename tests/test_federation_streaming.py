@@ -179,7 +179,7 @@ class TestWatchAcrossDrain:
         view = client.submit_job("watched", "noop", vantage_point="shard-1-node1")
         assert lane_of_job(view.job_id, 2) == 1
         watch = client.watch_job(view.job_id)
-        shards[1].settle()
+        shards[1].server.drain()
         final = watch.wait()
         assert final.status == "completed"
         assert final.job_id == view.job_id
