@@ -261,7 +261,7 @@ def run_replay_benchmark() -> Dict[str, object]:
         # then both queues must drain through identical assignment sequences.
         manager.detach()
         for job in server.scheduler.jobs(JobStatus.RUNNING):
-            server.scheduler.engine.requeue(job)
+            server.scheduler.requeue(job)
         expected = drain_assignments(server)
         recovered = drain_assignments(fresh.access_server)
         if expected != recovered:

@@ -221,9 +221,9 @@ def run_comparison(now: float = 50.0) -> Dict[str, object]:
 
     indexed = JobScheduler(policy="fifo")
     build_workload(
-        indexed.register_device,
+        indexed.slots.register,
         indexed.submit,
-        lambda reservation: indexed.engine.reservations.add(reservation),
+        lambda reservation: indexed.reservations.add(reservation),
     )
     started = time.perf_counter()
     indexed_assignments = drain_indexed(indexed, now)

@@ -9,12 +9,14 @@ Jenkins itself:
   authorization matrix guarding job creation/edit/run;
 * :mod:`~repro.accessserver.jobs` — job specifications, job state, logs and
   per-job workspaces with retention;
-* :mod:`~repro.accessserver.scheduler` — the queue facade that dispatches
-  jobs subject to experimenter constraints (target device, connectivity) and
-  platform constraints (one job at a time per device, low controller CPU);
-* :mod:`~repro.accessserver.dispatch` — the indexed batch dispatch engine
-  behind the scheduler (free-slot indexes, reservation interval index,
-  constraint-bucketed queue, ``dispatch_batch``);
+* :mod:`~repro.accessserver.scheduler` — the one owner of the job table,
+  the queue, the device slots, reservations and the approval queue; its
+  ``dispatch_batch`` dispatches jobs subject to experimenter constraints
+  (target device, connectivity) and platform constraints (one job at a time
+  per device, low controller CPU);
+* :mod:`~repro.accessserver.dispatch` — the indexes the scheduler decides
+  over (free-slot index, reservation interval index, constraint-bucketed
+  queue);
 * :mod:`~repro.accessserver.policies` — pluggable queue ordering policies
   (FIFO, priority, per-owner fair-share, earliest-deadline-first);
 * :mod:`~repro.accessserver.persistence` — durable state: a write-ahead
@@ -63,11 +65,7 @@ if TYPE_CHECKING:
         build_power_safety_job,
         build_workspace_cleanup_job,
     )
-    from repro.accessserver.dispatch import (
-        Assignment,
-        DispatchEngine,
-        SchedulingError,
-    )
+    from repro.accessserver.dispatch import Assignment, SchedulingError
     from repro.accessserver.persistence import (
         FileBackend,
         InMemoryBackend,
@@ -123,7 +121,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "build_power_safety_job",
             "build_workspace_cleanup_job",
         ),
-        "dispatch": ("Assignment", "DispatchEngine", "SchedulingError"),
+        "dispatch": ("Assignment", "SchedulingError"),
         "persistence": (
             "FileBackend",
             "InMemoryBackend",

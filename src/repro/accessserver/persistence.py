@@ -25,10 +25,10 @@ the same durability with zero external dependencies:
   backend copies a splice in the kernel.
 * **Crash recovery** — :func:`recover_into` replays snapshot + journal into
   a freshly built :class:`~repro.accessserver.server.AccessServer`,
-  reconstructing the dispatch engine's constraint-bucketed queue in its
+  reconstructing the scheduler's constraint-bucketed queue in its
   exact pre-crash FIFO order, the reservation interval index, the credit
-  ledger (balances *and* transaction history) and the pending-approval
-  list.  Jobs that were assigned but still in flight when the crash hit are
+  ledger (balances *and* transaction history) and the approval queue.
+  Jobs that were assigned but still in flight when the crash hit are
   re-queued at their original position, so the post-recovery assignment
   sequence is identical to what an uninterrupted run would have produced.
 * **Pluggable storage** — a :class:`StorageBackend` ABC with
@@ -36,8 +36,8 @@ the same durability with zero external dependencies:
   (the default behind ``--state-dir``).
 
 The manager taps the existing ``dispatch.*`` records on the server's
-:class:`~repro.simulation.events.EventBus` for everything the dispatch
-engine already announces (assignments, requeues, cancellations, reservation
+:class:`~repro.simulation.events.EventBus` for everything the scheduler
+already announces (assignments, requeues, cancellations, reservation
 cancellations) and uses explicit hooks in ``server.py`` / ``credits.py``
 for the mutations that never reach the bus (submissions, approvals,
 completions, reservation creation, credit movements).  State mutated behind
@@ -621,11 +621,9 @@ def build_snapshot(
     serialised afresh and the result is a plain ``json``-able tree.
     """
     scheduler = server.scheduler
-    engine = scheduler.engine
-    pending_ids = {job.job_id for job in server.pending_approval()}
     if jobs is None:
         jobs = [
-            serialize_job(job, queue_seq=engine.queue.sequence_of(job.job_id))
+            serialize_job(job, queue_seq=scheduler.queue.sequence_of(job.job_id))
             for job in _retained_jobs(server)
         ]
     credit_state: Optional[Dict[str, object]] = None
@@ -659,8 +657,8 @@ def build_snapshot(
         "sequence": sequence,
         "captured_at": server.context.now,
         "policy": scheduler.policy.name,
-        "reservation_admission": engine.reservation_admission,
-        "next_reservation_id": scheduler._next_reservation_id,
+        "reservation_admission": scheduler.reservation_admission,
+        "next_reservation_id": scheduler.next_reservation_id,
         "users": [serialize_user(server.users.get(name)) for name in server.users.usernames()],
         "idempotency": [list(record) for record in server.idempotency_records()],
         "vantage_points": [
@@ -673,8 +671,8 @@ def build_snapshot(
             for record in server.vantage_points()
         ],
         "jobs": jobs,
-        "pending_approval": sorted(pending_ids),
-        "reservations": [_serialize_reservation(r) for r in engine.reservations.all()],
+        "pending_approval": sorted(scheduler.awaiting_approval),
+        "reservations": [_serialize_reservation(r) for r in scheduler.reservations.all()],
         "credit": credit_state,
     }
     if server.shard_id is not None:
@@ -715,7 +713,6 @@ class _ReplayState:
         self._journal_name = journal_name
         self.jobs: Dict[int, Dict[str, object]] = {}
         self.queue_seq: Dict[int, float] = {}
-        self.pending: List[int] = []
         self.reservations: Dict[int, Dict[str, object]] = {}
         self.next_reservation_id = 1
         self.policy: Optional[str] = None
@@ -760,7 +757,6 @@ class _ReplayState:
             if queue_seq is not None:
                 self.queue_seq[data["job_id"]] = float(queue_seq)
                 self._next_seq = max(self._next_seq, float(queue_seq))
-        self.pending = list(snapshot.get("pending_approval", ()))
         for data in snapshot.get("reservations", ()):
             self.reservations[data["reservation_id"]] = data
         for data in snapshot.get("users", ()):
@@ -806,9 +802,7 @@ class _ReplayState:
         key = data.get("idempotency_key")
         if key is not None:
             self.idempotency[(job["spec"]["owner"], key)] = job["job_id"]
-        if job.get("status") == JobStatus.PENDING_APPROVAL.value:
-            self.pending.append(job["job_id"])
-        else:
+        if job.get("status") != JobStatus.PENDING_APPROVAL.value:
             self.queue_seq[job["job_id"]] = self._allocate_seq()
 
     def _apply_job_approved(self, data: Dict[str, object]) -> None:
@@ -816,8 +810,6 @@ class _ReplayState:
         job = self.jobs.get(job_id)
         if job is None:
             return
-        if job_id in self.pending:
-            self.pending.remove(job_id)
         job["status"] = JobStatus.QUEUED.value
         self.queue_seq.setdefault(job_id, self._allocate_seq())
 
@@ -859,8 +851,6 @@ class _ReplayState:
             return
         job["status"] = JobStatus.CANCELLED.value
         self.queue_seq.pop(data["job_id"], None)
-        if data["job_id"] in self.pending:
-            self.pending.remove(data["job_id"])
 
     def _apply_job_rejected(self, data: Dict[str, object]) -> None:
         job = self.jobs.get(data["job_id"])
@@ -1002,12 +992,12 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
         )
     if (
         state.reservation_admission is not None
-        and state.reservation_admission != scheduler.engine.reservation_admission
+        and state.reservation_admission != scheduler.reservation_admission
     ):
         server.log(
             "journaled reservation admission differs; keeping this run's configuration",
             journaled=state.reservation_admission,
-            active=scheduler.engine.reservation_admission,
+            active=scheduler.reservation_admission,
         )
 
     registered = {record.name for record in server.vantage_points()}
@@ -1082,7 +1072,6 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
         report.reservations_restored += 1
     scheduler.claim_reservation_id(state.next_reservation_id - 1)
 
-    pending_ids = set(state.pending)
     queued: List[Tuple[float, Job]] = []
     for job_id in sorted(state.jobs):
         data = state.jobs[job_id]
@@ -1099,16 +1088,14 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
         report.jobs_restored += 1
         if was_in_flight:
             report.jobs_requeued_in_flight += 1
-        if job.job_id in pending_ids and job.status is JobStatus.PENDING_APPROVAL:
-            scheduler.restore_job(job, queued=False)
-            server._pending_approval.append(job)
-            server._track_orphan(job)
-            report.pending_approval += 1
-        elif job.status is JobStatus.QUEUED:
+        if job.status is JobStatus.QUEUED:
             seq = state.queue_seq.get(job.job_id)
             queued.append((seq if seq is not None else float("inf"), job))
-        else:
-            scheduler.restore_job(job, queued=False)
+            continue
+        scheduler.restore_job(job, queued=False)
+        if job.status is JobStatus.PENDING_APPROVAL:
+            server._track_orphan(job)
+            report.pending_approval += 1
     for _, job in sorted(queued, key=lambda item: item[0]):
         scheduler.restore_job(job, queued=True)
         server._track_orphan(job)
@@ -1505,10 +1492,8 @@ class PersistenceManager:
         """The snapshot's ``jobs`` entries and how to index them.
 
         A settled job's record never changes again: it is terminal, off the
-        queue, its payload is no longer running (a job cancelled mid-payload
-        still logs) and no administrator decision is pending on it (a
-        cancelled pipeline change can still be approved back to life, or
-        rejected with a reason).  So once a checkpoint has written it, later
+        queue and its payload is no longer running (a job cancelled
+        mid-payload still logs).  So once a checkpoint has written it, later
         ones splice its bytes from the snapshot they replace, and a
         checkpoint encodes only the jobs that can have changed: those it
         wrote as live last time and those journaled since — anything else
@@ -1522,10 +1507,8 @@ class PersistenceManager:
         """
         server = self._server
         scheduler = server.scheduler
-        engine = scheduler.engine
-        sequence_of = engine.queue.sequence_of
-        is_executing = engine.is_executing
-        undecided = {job.job_id for job in server.pending_approval()}
+        sequence_of = scheduler.queue.sequence_of
+        is_executing = scheduler.is_executing
         if self._epoch != catalogue_epoch():
             runs: List[_Run] = []
             jobs = _retained_jobs(server)
@@ -1549,7 +1532,6 @@ class PersistenceManager:
                 job.status in TERMINAL_STATUSES
                 and queue_seq is None
                 and not is_executing(job_id)
-                and job_id not in undecided
             ):
                 notes.append((job_id, job.retention_ends_at))
             else:

@@ -21,7 +21,7 @@ what fits its community:
 
 A policy only *orders* the queue snapshot for one dispatch tick; the
 constraint checks (free device, reservations, controller CPU) stay in
-:class:`repro.accessserver.dispatch.DispatchEngine`.  Policies are selected
+:class:`repro.accessserver.scheduler.JobScheduler`.  Policies are selected
 by name at any layer: ``JobScheduler(policy=...)``,
 ``AccessServer(scheduling_policy=...)``,
 ``build_default_platform(scheduling_policy=...)`` or the CLI's

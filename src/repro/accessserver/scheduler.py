@@ -1,4 +1,4 @@
-"""Job queue, dispatch constraints and timed sessions — the scheduler facade.
+"""Job table, queue, device slots, reservations and approvals — the scheduler.
 
 The access server "will dispatch queued jobs based on experimenter
 constraints, e.g., target device, connectivity, or network location, and
@@ -6,30 +6,40 @@ BatteryLab constraints, e.g., one job at the time per device"
 (Section 3.1).  Jobs additionally wait for "no other test running
 (required) and low CPU utilization (optional)" (Section 4.2).
 
-:class:`JobScheduler` keeps that contract but delegates every dispatch
-decision to the indexed :class:`~repro.accessserver.dispatch.DispatchEngine`:
-free slots, reservations and the job queue live in per-vantage-point /
-per-device indexes instead of flat lists, batches of assignments are
-computed per tick via :meth:`JobScheduler.dispatch_batch`, and queue
-ordering is a pluggable :class:`~repro.accessserver.policies.SchedulingPolicy`
-(``"fifo"`` — the default and the historical behaviour — ``"priority"``
-or ``"fair-share"``).  :class:`SchedulingError` and
-:class:`SessionReservation` are re-exported from
-:mod:`repro.accessserver.dispatch`, their new home.
+:class:`JobScheduler` is the one owner of that decision and of the state
+it reads: the job table, the approval queue, and the indexes of
+:mod:`repro.accessserver.dispatch` (free slots per vantage point,
+reservations per device, the queue bucketed by constraint).  A dispatch
+tick, :meth:`JobScheduler.dispatch_batch`, computes a maximal set of
+``(job, slot)`` assignments in the order of a pluggable
+:class:`~repro.accessserver.policies.SchedulingPolicy` (``"fifo"`` — the
+default — ``"priority"``, ``"fair-share"``, ...) and publishes structured
+``dispatch.*`` records on an :class:`~repro.simulation.events.EventBus`.
+:class:`SchedulingError` and :class:`SessionReservation` are re-exported
+from :mod:`repro.accessserver.dispatch`.
+
+With the FIFO policy a batch makes exactly the assignments a restart-from-
+head rescan (find the first placeable job, assign it, rescan) would make:
+assignments only ever consume free slots, so a job that was not placeable
+earlier in the pass cannot become placeable later within the same tick.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.accessserver.dispatch import (
     Assignment,
-    DispatchEngine,
+    BucketKey,
+    ConstraintQueue,
+    DeviceSlot,
+    DeviceSlotIndex,
+    ReservationIndex,
     SchedulingError,
     SessionReservation,
 )
 from repro.accessserver.jobs import Job, JobStatus
-from repro.accessserver.policies import SchedulingPolicy
+from repro.accessserver.policies import DispatchStats, SchedulingPolicy, create_policy
 from repro.simulation.events import EventBus
 
 __all__ = [
@@ -40,12 +50,11 @@ __all__ = [
 
 
 class JobScheduler:
-    """Keeps the job queue and decides what can run where.
+    """Keeps the jobs and decides what can run where.
 
-    The scheduler does not execute jobs itself; the access server either
-    pulls one decision at a time via :meth:`next_dispatchable` or — the
-    fast path — asks for a maximal assignment set via
-    :meth:`dispatch_batch`, and reports completion via :meth:`release`.
+    The scheduler does not execute jobs itself: the access server asks for
+    a maximal assignment set via :meth:`dispatch_batch` and gives each hold
+    back via :meth:`release` or :meth:`requeue`.
 
     Parameters
     ----------
@@ -53,11 +62,17 @@ class JobScheduler:
         Scheduling policy instance or registered name; defaults to FIFO.
     event_bus:
         Optional :class:`~repro.simulation.events.EventBus` that receives
-        structured ``dispatch.*`` records for every assignment/release.
+        ``dispatch.assigned``, ``dispatch.released``, ``dispatch.requeued``,
+        ``dispatch.cancelled`` and ``dispatch.batch`` records.
     reservation_admission:
-        ``"ignore"`` (default) or ``"defer"``; see
-        :class:`~repro.accessserver.dispatch.DispatchEngine`.
+        ``"ignore"`` (default) places a job on any slot whose *current*
+        reservation state allows it; ``"defer"`` additionally skips slots
+        whose next upcoming reservation (held by someone else) starts
+        before the job's ``timeout_s`` could elapse, so a long job is never
+        parked in front of an imminent interactive session.
     """
+
+    ADMISSION_MODES = ("ignore", "defer")
 
     def __init__(
         self,
@@ -65,9 +80,24 @@ class JobScheduler:
         event_bus: Optional[EventBus] = None,
         reservation_admission: str = "ignore",
     ) -> None:
-        self._engine = DispatchEngine(
-            policy=policy, event_bus=event_bus, reservation_admission=reservation_admission
-        )
+        if reservation_admission not in self.ADMISSION_MODES:
+            raise SchedulingError(
+                f"unknown reservation admission mode {reservation_admission!r}; "
+                f"available: {', '.join(self.ADMISSION_MODES)}"
+            )
+        self.reservation_admission = reservation_admission
+        self.policy = create_policy(policy)
+        self.slots = DeviceSlotIndex()
+        self.queue = ConstraintQueue()
+        self.reservations = ReservationIndex()
+        self.next_reservation_id = 1
+        #: Pipeline changes awaiting an administrator, in submission order.
+        #: A job leaves on approval or cancellation, so every entry is
+        #: ``PENDING_APPROVAL``.
+        self.awaiting_approval: Dict[int, Job] = {}
+        self.batches_dispatched = 0
+        self.assignments_made = 0
+        self._event_bus = event_bus
         # Every retained job, in id order by construction: ids are handed
         # out increasing, so insertion order is id order until one arrives
         # below the last (recovery's queue order, a job re-homed from another
@@ -75,59 +105,90 @@ class JobScheduler:
         self._all_jobs: Dict[int, Job] = {}
         self._last_job_id = 0
         self._out_of_order = False
-        self._next_reservation_id = 1
+        self._running_by_owner: Dict[str, int] = {}
+        # The hold table: job id -> the slots its execution holds beyond the
+        # primary one recorded on the job itself.  Membership is the
+        # "executing" mark; release() gives the whole family back.
+        self._executing: Dict[int, Tuple[Tuple[str, str], ...]] = {}
+        self._credit_balance_provider: Optional[Callable[[], Dict[str, float]]] = None
 
-    # -- policy ---------------------------------------------------------------------
-    @property
-    def engine(self) -> DispatchEngine:
-        """The underlying indexed dispatch engine."""
-        return self._engine
-
-    @property
-    def policy(self) -> SchedulingPolicy:
-        return self._engine.policy
-
+    # -- configuration --------------------------------------------------------------
     def set_policy(self, policy: Union[str, SchedulingPolicy]) -> SchedulingPolicy:
         """Swap the scheduling policy; takes effect from the next tick."""
-        return self._engine.set_policy(policy)
+        self.policy = create_policy(policy)
+        return self.policy
 
-    # -- topology -------------------------------------------------------------------
-    def register_device(self, vantage_point: str, device_serial: str) -> None:
-        self._engine.slots.register(vantage_point, device_serial)
+    def set_credit_balance_provider(
+        self, provider: Optional[Callable[[], Dict[str, float]]]
+    ) -> None:
+        """Feed per-owner credit balances into each tick's :class:`DispatchStats`.
 
-    def registered_devices(self) -> List[str]:
-        return self._engine.slots.keys()
+        The access server wires this when the credit system comes on; the
+        ``credit`` scheduling policy consumes the balances as fair-share
+        weights.  ``None`` disconnects (stats revert to empty balances).
+        """
+        self._credit_balance_provider = provider
 
-    def device_count(self) -> int:
-        """Number of registered device slots — the maximum width one
-        dispatch wave can reach, and therefore the natural worker-pool
-        size for parallel wave execution."""
-        return len(self._engine.slots.keys())
+    def running_by_owner(self) -> Dict[str, int]:
+        return dict(self._running_by_owner)
 
-    def device_busy(self, vantage_point: str, device_serial: str) -> bool:
-        return self._engine.slots.is_busy(vantage_point, device_serial)
-
-    # -- queue management ---------------------------------------------------------------
+    # -- the job table ----------------------------------------------------------------
     def submit(self, job: Job, now: float) -> Job:
+        """Admit a new job: queued, or awaiting approval if it is a pipeline change."""
         job.submitted_at = now
-        self._retain(job)
-        if job.status is JobStatus.QUEUED:
-            self._engine.queue.push(job)
+        self.restore_job(job, queued=True)
         return job
 
-    def enqueue_approved(self, job: Job) -> None:
-        """Move a job that was pending approval into the queue."""
-        if job.status is not JobStatus.QUEUED:
-            job.status = JobStatus.QUEUED
-        self._engine.queue.push(job)
-        if job.job_id not in self._all_jobs:
-            self._retain(job)
+    def restore_job(self, job: Job, queued: bool) -> None:
+        """Re-admit a journaled job without touching its timestamps or id.
 
-    def cancel(self, job_id: int) -> None:
-        """Cancel a queued or running job; a running job's device is freed."""
+        A ``PENDING_APPROVAL`` job joins the approval queue.  ``queued=True``
+        pushes a ``QUEUED`` job at the tail of the FIFO queue, so the
+        recovery code re-inserts jobs in their original first-enqueue order
+        to reproduce the pre-crash queue exactly.
+        """
+        if job.job_id > self._last_job_id:
+            self._last_job_id = job.job_id
+        elif job.job_id not in self._all_jobs:
+            self._out_of_order = True
+        self._all_jobs[job.job_id] = job
+        if job.status is JobStatus.PENDING_APPROVAL:
+            self.awaiting_approval[job.job_id] = job
+        elif queued and job.status is JobStatus.QUEUED:
+            self.queue.push(job)
+
+    def enqueue_approved(self, job: Job) -> None:
+        """Move a job that was awaiting approval into the queue."""
+        del self.awaiting_approval[job.job_id]
+        job.status = JobStatus.QUEUED
+        self.queue.push(job)
+
+    def cancel(self, job_id: int) -> Job:
+        """Cancel a waiting or running job; cancelling it again changes nothing.
+
+        The job leaves the queue or the approval queue.  A running job's
+        device is freed — unless its payload is executing: the payload or
+        agent still uses the devices, and whoever ends the execution gives
+        them back.
+        """
         job = self.job(job_id)
+        if job.status is JobStatus.CANCELLED:
+            return job
+        was_running = job.status is JobStatus.RUNNING
         job.mark_cancelled()
-        self._engine.cancel(job)
+        self.awaiting_approval.pop(job_id, None)
+        self.queue.remove(job)
+        self.queue.forget(job)  # cancellation is terminal; drop the retained sequence
+        if job_id not in self._executing:
+            self.release(job)
+        self._emit(
+            "dispatch.cancelled",
+            job_id=job_id,
+            job=job.spec.name,
+            owner=job.spec.owner,
+            was_running=was_running,
+        )
+        return job
 
     def job(self, job_id: int) -> Job:
         try:
@@ -138,13 +199,6 @@ class JobScheduler:
     def job_count(self) -> int:
         """Every job the scheduler retains, in any status."""
         return len(self._all_jobs)
-
-    def _retain(self, job: Job) -> None:
-        if job.job_id > self._last_job_id:
-            self._last_job_id = job.job_id
-        elif job.job_id not in self._all_jobs:
-            self._out_of_order = True
-        self._all_jobs[job.job_id] = job
 
     def jobs(self, status: Optional[JobStatus] = None) -> List[Job]:
         """The retained jobs in id order (optionally only those in ``status``)."""
@@ -157,23 +211,9 @@ class JobScheduler:
         return [job for job in jobs if job.status is status]
 
     def queue_length(self) -> int:
-        return len(self._engine.queue)
+        return len(self.queue)
 
-    # -- dispatch --------------------------------------------------------------------------
-    def next_dispatchable(
-        self,
-        now: float,
-        controller_cpu: Optional[Callable[[str], float]] = None,
-    ) -> Optional[Tuple[Job, str, str]]:
-        """Find the first queued job (in policy order) that can run right now.
-
-        Returns ``(job, vantage_point, device_serial)`` or ``None``.  The
-        optional ``controller_cpu`` callable maps a vantage-point name to its
-        current CPU utilisation so that the "low CPU utilization (optional)"
-        constraint can be honoured.
-        """
-        return self._engine.next_dispatchable(now, controller_cpu=controller_cpu)
-
+    # -- dispatch decisions -----------------------------------------------------------
     def dispatch_batch(
         self,
         now: float,
@@ -182,24 +222,185 @@ class JobScheduler:
     ) -> List[Assignment]:
         """Assign a maximal set of queued jobs to free devices in one tick.
 
-        Every returned :class:`~repro.accessserver.dispatch.Assignment`'s job
-        is RUNNING on its slot when this returns; the caller executes them and
-        calls :meth:`release` as each finishes.  Under the FIFO policy the
-        assignment set matches what repeated :meth:`next_dispatchable` +
-        :meth:`assign` calls would have produced on the same inputs.
+        Jobs are tried in policy order; each assignment consumes its slot
+        immediately, so one-job-per-device holds within the batch.  A bucket
+        whose constrained slot subset has no free slot left is skipped for
+        the remainder of the tick.  The optional ``controller_cpu`` maps a
+        vantage-point name to its current CPU utilisation, so the "low CPU
+        utilization (optional)" constraint can be honoured.  Every returned
+        assignment's job is RUNNING on its slot; the caller executes them
+        and calls :meth:`release` as each finishes.
         """
-        return self._engine.dispatch_batch(
-            now, controller_cpu=controller_cpu, max_assignments=max_assignments
+        assignments: List[Assignment] = []
+        cpu_cache: Dict[str, float] = {}
+        dead_buckets: Set[BucketKey] = set()
+        for job in self.policy.order(self.queue.jobs(), self._stats(now)):
+            if max_assignments is not None and len(assignments) >= max_assignments:
+                break
+            if self.slots.free_count == 0:
+                break
+            if job.spec.execution != "push":
+                # Agent-pull jobs wait in the queue (keeping their FIFO
+                # position) until a daemon claims them; the push executor
+                # must never place them.
+                continue
+            bucket = ConstraintQueue.bucket_key(job)
+            if bucket in dead_buckets:
+                continue
+            slot, saw_free_slot = self._find_slot(job, now, controller_cpu, cpu_cache)
+            if slot is None:
+                if not saw_free_slot:
+                    dead_buckets.add(bucket)
+                    # Once every bucket still holding queued jobs is dead,
+                    # nothing later in the policy order can dispatch either.
+                    if all(key in dead_buckets for key in self.queue.bucket_keys()):
+                        break
+                continue
+            self.assign(job, slot.vantage_point, slot.device_serial, now)
+            assignments.append(
+                Assignment(
+                    job=job,
+                    vantage_point=slot.vantage_point,
+                    device_serial=slot.device_serial,
+                    timestamp=now,
+                )
+            )
+        self.batches_dispatched += 1
+        self._emit(
+            "dispatch.batch",
+            assigned=len(assignments),
+            queued=len(self.queue),
+            free_slots=self.slots.free_count,
+            policy=self.policy.name,
+        )
+        return assignments
+
+    def eligible(
+        self,
+        job: Job,
+        vantage_point: str,
+        device_serial: str,
+        now: float,
+        controller_cpu: Optional[Callable[[str], float]] = None,
+    ) -> bool:
+        """Re-check a specific (job, slot) pairing against the current state.
+
+        Used by executors that received an assignment earlier in a wave and
+        need to confirm the reservation/CPU constraints still hold at the
+        (possibly advanced) execution time.
+        """
+        if self.reservations.blocked_for(vantage_point, device_serial, now, job.spec.owner):
+            return False
+        if self._deferred_by_upcoming_reservation(job, vantage_point, device_serial, now):
+            return False
+        constraints = job.spec.constraints
+        if constraints.require_low_controller_cpu and controller_cpu is not None:
+            if controller_cpu(vantage_point) > constraints.max_controller_cpu_percent:
+                return False
+        return True
+
+    # -- assignment lifecycle ---------------------------------------------------------
+    def assign(self, job: Job, vantage_point: str, device_serial: str, now: float) -> None:
+        """Bind ``job`` to a free slot and mark it running."""
+        self.slots.mark_busy(vantage_point, device_serial, job.job_id)
+        self.queue.remove(job)
+        job.mark_running(now, vantage_point, device_serial)
+        owner = job.spec.owner
+        self._running_by_owner[owner] = self._running_by_owner.get(owner, 0) + 1
+        self.assignments_made += 1
+        self._emit(
+            "dispatch.assigned",
+            job_id=job.job_id,
+            job=job.spec.name,
+            owner=owner,
+            vantage_point=vantage_point,
+            device_serial=device_serial,
+            policy=self.policy.name,
         )
 
-    def assign(self, job: Job, vantage_point: str, device_serial: str, now: float) -> None:
-        self._engine.assign(job, vantage_point, device_serial, now)
+    def begin_execution(
+        self, job: Job, extra_slots: Tuple[Tuple[str, str], ...] = ()
+    ) -> None:
+        """Record what the execution starting now holds on top of its slot.
 
-    def release(self, job: Job) -> None:
-        """Free the device ``job`` ran on — O(1) via the job's own assignment."""
-        self._engine.release(job)
+        ``extra_slots`` (the children of a multi-device agent claim) are
+        marked busy for the job here.  From now until :meth:`release` or
+        :meth:`requeue` the job is *executing*: cancelling it must not free
+        anything — the payload or agent is still physically using the
+        devices; whoever ends the execution gives them back.
+        """
+        for vantage_point, device_serial in extra_slots:
+            self.slots.mark_busy(vantage_point, device_serial, job.job_id)
+        self._executing[job.job_id] = extra_slots
 
-    # -- timed sessions -----------------------------------------------------------------------
+    def is_executing(self, job_id: int) -> bool:
+        """Whether the job's payload (or agent lease) is still in flight —
+        true even after a cancellation made the job terminal."""
+        return job_id in self._executing
+
+    def release(self, job: Job, forget: bool = True) -> None:
+        """Give back everything ``job`` holds — the one exit from a device hold.
+
+        Clears the executing mark, frees the extra slots recorded by
+        :meth:`begin_execution` and then the primary slot (O(1) via the
+        job's own assignment), so ``dispatch.released`` — which names only
+        the primary — is published once every slot of the family is free.
+        Releasing a job that holds nothing is harmless.
+
+        ``forget=False`` is used internally by :meth:`requeue`, which needs
+        the job's queue sequence number to survive the release.
+        """
+        if forget:
+            self.queue.forget(job)
+        for vantage_point, device_serial in self._executing.pop(job.job_id, ()):
+            self.slots.mark_free(vantage_point, device_serial)
+        vantage_point = job.assigned_vantage_point
+        device_serial = job.assigned_device
+        if vantage_point is None or device_serial is None:
+            return
+        slot = self.slots.slot(vantage_point, device_serial)
+        if slot is None or slot.busy_job_id != job.job_id:
+            return
+        self.slots.mark_free(vantage_point, device_serial)
+        owner = job.spec.owner
+        remaining = self._running_by_owner.get(owner, 0) - 1
+        if remaining > 0:
+            self._running_by_owner[owner] = remaining
+        else:
+            self._running_by_owner.pop(owner, None)
+        self._emit(
+            "dispatch.released",
+            job_id=job.job_id,
+            job=job.spec.name,
+            owner=owner,
+            vantage_point=vantage_point,
+            device_serial=device_serial,
+        )
+
+    def requeue(self, job: Job) -> None:
+        """Undo an assignment that will not run to its end on this hold.
+
+        Gives back every slot (see :meth:`release`) and puts the job back in
+        the queue — at its original FIFO position — so a later tick
+        re-evaluates it against the then-current reservations and controller
+        load.  A lapsed wave admission and an expired agent lease both end
+        here, as crash recovery's in-flight requeue does on replay.
+        """
+        vantage_point = job.assigned_vantage_point
+        device_serial = job.assigned_device
+        self.release(job, forget=False)
+        job.mark_requeued()
+        self.queue.push(job, preserve_position=True)
+        self._emit(
+            "dispatch.requeued",
+            job_id=job.job_id,
+            job=job.spec.name,
+            owner=job.spec.owner,
+            vantage_point=vantage_point,
+            device_serial=device_serial,
+        )
+
+    # -- timed sessions -----------------------------------------------------------------
     def reserve_session(
         self,
         username: str,
@@ -208,49 +409,101 @@ class JobScheduler:
         start_s: float,
         duration_s: float,
     ) -> SessionReservation:
-        """Reserve an interactive time slot; overlapping reservations are rejected."""
+        """Reserve an interactive time slot; overlapping reservations are rejected
+        (the id is spent either way)."""
+        reservation_id = self.next_reservation_id
+        self.next_reservation_id += 1
         reservation = SessionReservation(
-            reservation_id=self._allocate_reservation_id(),
+            reservation_id=reservation_id,
             username=username,
             vantage_point=vantage_point,
             device_serial=device_serial,
             start_s=start_s,
             duration_s=duration_s,
         )
-        self._engine.reservations.add(reservation)
+        self.reservations.add(reservation)
         return reservation
 
-    def reservations(self, active_at: Optional[float] = None) -> List[SessionReservation]:
-        if active_at is None:
-            return self._engine.reservations.all()
-        return self._engine.reservations.active_at(active_at)
+    def cancel_reservation(self, reservation_id: int) -> bool:
+        """Remove a session reservation, announcing it on the event bus.
 
-    def cancel_reservation(self, reservation_id: int) -> None:
-        self._engine.cancel_reservation(reservation_id)
-
-    def _allocate_reservation_id(self) -> int:
-        reservation_id = self._next_reservation_id
-        self._next_reservation_id += 1
-        return reservation_id
-
-    # -- crash recovery -----------------------------------------------------------------------
-    def restore_job(self, job: Job, queued: bool) -> None:
-        """Re-admit a journaled job without touching its timestamps or id.
-
-        ``queued=True`` pushes the job at the tail of the FIFO queue, so the
-        recovery code re-inserts jobs in their original first-enqueue order
-        to reproduce the pre-crash queue exactly.
+        The ``dispatch.reservation_cancelled`` record lets event-driven
+        dispatchers retry jobs that were blocked by the reservation instead
+        of sleeping until its original end time.
         """
-        self._retain(job)
-        if queued and job.status is JobStatus.QUEUED:
-            self._engine.queue.push(job)
+        removed = self.reservations.remove(reservation_id)
+        if removed:
+            self._emit("dispatch.reservation_cancelled", reservation_id=reservation_id)
+        return removed
 
     def restore_reservation(self, reservation: SessionReservation) -> None:
         """Re-add a journaled reservation, keeping the id allocator ahead of it."""
-        self._engine.reservations.add(reservation)
+        self.reservations.add(reservation)
         self.claim_reservation_id(reservation.reservation_id)
 
     def claim_reservation_id(self, reservation_id: int) -> None:
         """Fast-forward the id allocator past a recovered reservation id."""
-        if reservation_id >= self._next_reservation_id:
-            self._next_reservation_id = reservation_id + 1
+        self.next_reservation_id = max(self.next_reservation_id, reservation_id + 1)
+
+    # -- internals --------------------------------------------------------------------
+    def _stats(self, now: float) -> DispatchStats:
+        balances: Dict[str, float] = {}
+        if self._credit_balance_provider is not None:
+            balances = dict(self._credit_balance_provider())
+        return DispatchStats(
+            now=now,
+            running_by_owner=dict(self._running_by_owner),
+            credit_balance_by_owner=balances,
+        )
+
+    def _find_slot(
+        self,
+        job: Job,
+        now: float,
+        controller_cpu: Optional[Callable[[str], float]],
+        cpu_cache: Dict[str, float],
+    ) -> Tuple[Optional[DeviceSlot], bool]:
+        """First acceptable free slot for ``job`` plus whether any free slot matched.
+
+        The second element distinguishes "this job's constraint bucket has no
+        free slot at all" (owner-independent — the bucket is dead for this
+        tick) from "slots exist but reservations/CPU filtered them for this
+        particular job".
+        """
+        constraints = job.spec.constraints
+        saw_free_slot = False
+        for slot in self.slots.iter_free(constraints.vantage_point, constraints.device_serial):
+            saw_free_slot = True
+            if self.reservations.blocked_for(
+                slot.vantage_point, slot.device_serial, now, job.spec.owner
+            ):
+                continue
+            if self._deferred_by_upcoming_reservation(
+                job, slot.vantage_point, slot.device_serial, now
+            ):
+                continue
+            if constraints.require_low_controller_cpu and controller_cpu is not None:
+                cpu = cpu_cache.get(slot.vantage_point)
+                if cpu is None:
+                    cpu = controller_cpu(slot.vantage_point)
+                    cpu_cache[slot.vantage_point] = cpu
+                if cpu > constraints.max_controller_cpu_percent:
+                    continue
+            return slot, True
+        return None, saw_free_slot
+
+    def _deferred_by_upcoming_reservation(
+        self, job: Job, vantage_point: str, device_serial: str, now: float
+    ) -> bool:
+        """In ``"defer"`` mode, true when the job's timeout collides with a
+        reservation that starts later but before the timeout could elapse."""
+        if self.reservation_admission != "defer":
+            return False
+        upcoming = self.reservations.next_blocking_start(
+            vantage_point, device_serial, now, job.spec.owner
+        )
+        return upcoming is not None and upcoming < now + job.spec.timeout_s
+
+    def _emit(self, topic: str, **payload: object) -> None:
+        if self._event_bus is not None:
+            self._event_bus.publish(topic, **payload)

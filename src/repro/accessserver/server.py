@@ -9,26 +9,25 @@ DNS zone, the wildcard certificate, the SSH identity trusted by every
 controller).  The real deployment builds this on Jenkins in AWS; the model
 keeps the behaviour and drops the Java.
 
-Job dispatch runs through the indexed batch pipeline of
-:mod:`repro.accessserver.dispatch`: :meth:`AccessServer.run_pending_jobs`
-pulls waves of assignments via ``dispatch_batch`` and every scheduling
-decision is published as a structured ``dispatch.*`` record on
-:attr:`AccessServer.events`.  With :meth:`AccessServer.enable_auto_dispatch`
-the server becomes fully event-driven — submissions and approvals schedule
-dispatch ticks on the simulation event loop, so callers no longer poll
-``run_pending_jobs`` themselves.  The queue ordering policy
+Job dispatch runs through :class:`~repro.accessserver.scheduler.JobScheduler`:
+:meth:`AccessServer.run_pending_jobs` pulls waves of assignments via
+``dispatch_batch`` and every scheduling decision is published as a
+structured ``dispatch.*`` record on :attr:`AccessServer.events`.  With
+:meth:`AccessServer.enable_auto_dispatch` the server becomes fully
+event-driven — submissions and approvals schedule dispatch ticks on the
+simulation event loop, so callers no longer poll ``run_pending_jobs``
+themselves.  The queue ordering policy
 (``fifo``/``priority``/``fair-share``) is chosen per server via the
 ``scheduling_policy`` constructor argument or
 :meth:`AccessServer.set_scheduling_policy`.
 
 .. note::
-   Since Platform API v1 the sanctioned consumer surface is
-   :mod:`repro.api`: experiment code submits and inspects jobs through a
-   :class:`~repro.api.client.BatteryLabClient`, never by calling
+   Experiment code submits and inspects jobs through a
+   :class:`~repro.api.client.BatteryLabClient` (:mod:`repro.api`).
    :meth:`AccessServer.submit_job` / :meth:`AccessServer.reserve_session`
-   directly.  Those methods remain as thin compatibility shims — the
-   router executes through them — but direct use outside ``repro.api``
-   and the test suite is deprecated.
+   are the implementation the API router executes through — authorization,
+   credit admission, journaling and publication happen there — so in-process
+   hosts, benchmarks and tests may call them directly too.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ class AccessServer(Entity):
         ``"ignore"`` (default) or ``"defer"``; with ``"defer"`` a job is
         kept off any device whose next upcoming session reservation would
         begin before the job's timeout could elapse (see
-        :class:`~repro.accessserver.dispatch.DispatchEngine`).
+        :class:`~repro.accessserver.scheduler.JobScheduler`).
     """
 
     def __init__(
@@ -165,7 +164,7 @@ class AccessServer(Entity):
         )
         # Incrementally-maintained orphan set (jobs pinned to a vantage point
         # that is not registered).  Entries leave on cancel/reject — the
-        # engine emits ``dispatch.cancelled`` for both — or when the missing
+        # scheduler emits ``dispatch.cancelled`` for both — or when the missing
         # vantage point registers.  See :meth:`orphaned_jobs`.
         self._orphans: Dict[int, Job] = {}
         self.events.subscribe(
@@ -178,7 +177,6 @@ class AccessServer(Entity):
         self.agents = AgentManager()
         self.ssh_key = SshKeyPair.generate("batterylab-access-server", self.random)
         self._vantage_points: Dict[str, VantagePointRecord] = {}
-        self._pending_approval: List[Job] = []
         self._credit_policy: Optional[CreditPolicy] = None
         self._auto_dispatch = False
         self._auto_dispatch_interval_s: Optional[float] = None
@@ -295,7 +293,7 @@ class AccessServer(Entity):
         self._g_idempotency_keys.set(float(len(self._idempotent_submissions)))
         timelines = self._analytics.tracked_job_ids() if self._analytics is not None else ()
         self._g_analytics_timelines.set(float(len(timelines)))
-        sizes = self.scheduler.engine.queue.bucket_sizes()
+        sizes = self.scheduler.queue.bucket_sizes()
         live = set()
         for key, depth in sizes.items():
             vp, device = key
@@ -440,7 +438,7 @@ class AccessServer(Entity):
         ledger.add_observer(self._publish_credit_event)
         # The "credit" scheduling policy weighs owners by remaining balance;
         # feed it live ledger balances through the dispatch stats.
-        self.scheduler.engine.set_credit_balance_provider(self._credit_balances)
+        self.scheduler.set_credit_balance_provider(self._credit_balances)
         if self._persistence is not None:
             self._persistence.on_credit_enabled(
                 contribution_multiplier=contribution_multiplier,
@@ -503,7 +501,7 @@ class AccessServer(Entity):
             if job.spec.constraints.vantage_point == record.name:
                 del self._orphans[job_id]
         for serial in controller.list_devices():
-            self.scheduler.register_device(record.name, serial)
+            self.scheduler.slots.register(record.name, serial)
         if self._persistence is not None:
             self._persistence.on_vantage_point_registered(record)
         self.log("vantage point registered", name=record.name, devices=controller.list_devices())
@@ -568,12 +566,9 @@ class AccessServer(Entity):
     ) -> Job:
         """Create a job on behalf of an authenticated user.
 
-        .. deprecated:: API v1
-           Compatibility shim — new code submits through
-           :meth:`repro.api.client.BatteryLabClient.submit_job`.
-
-        Pipeline changes are parked until an administrator approves them;
-        ordinary jobs go straight into the queue.  When the credit system is
+        The ``job.submit`` operation of :mod:`repro.api` executes through
+        this method.  Pipeline changes are parked until an administrator
+        approves them; ordinary jobs go straight into the queue.  When the credit system is
         enabled, non-admin owners must be able to afford the job's estimated
         device time (its timeout) before it is accepted.
 
@@ -599,17 +594,13 @@ class AccessServer(Entity):
         job = self._new_job(spec)
         if spec.is_pipeline_change:
             job.status = JobStatus.PENDING_APPROVAL
-            self._pending_approval.append(job)
-            self.scheduler.submit(job, self.context.now)
-            if self._persistence is not None:
-                self._persistence.on_job_submitted(job, idempotency_key=idempotency_key)
-            self._publish_job_submitted(job)
+        self.scheduler.submit(job, self.context.now)
+        if self._persistence is not None:
+            self._persistence.on_job_submitted(job, idempotency_key=idempotency_key)
+        self._publish_job_submitted(job)
+        if spec.is_pipeline_change:
             self.log("job pending approval", job=spec.name, owner=user.username)
         else:
-            self.scheduler.submit(job, self.context.now)
-            if self._persistence is not None:
-                self._persistence.on_job_submitted(job, idempotency_key=idempotency_key)
-            self._publish_job_submitted(job)
             self.log("job queued", job=spec.name, owner=user.username)
             self._schedule_dispatch_tick()
         if idempotency_key is not None:
@@ -627,7 +618,7 @@ class AccessServer(Entity):
         return job
 
     # -- lifecycle event publication ---------------------------------------------------
-    # The dispatch engine already announces assignments/requeues/cancels on
+    # The scheduler already announces assignments/requeues/cancels on
     # the bus; these publications cover the mutations that previously only
     # the persistence hooks saw, so bus consumers — the analytics live tap,
     # remote ``events.subscribe`` clients on the ``job.`` / ``reservation.``
@@ -667,9 +658,8 @@ class AccessServer(Entity):
     def approve_job(self, admin: User, job: Job) -> None:
         """Administrator approval of a pipeline change (Section 3.1)."""
         self.users.authorize(admin, Permission.APPROVE_PIPELINE)
-        if job not in self._pending_approval:
+        if job.job_id not in self.scheduler.awaiting_approval:
             raise AccessServerError(f"job {job.job_id} is not awaiting approval")
-        self._pending_approval.remove(job)
         self.scheduler.enqueue_approved(job)
         if self._persistence is not None:
             self._persistence.on_job_approved(job)
@@ -682,9 +672,8 @@ class AccessServer(Entity):
         :meth:`approve_job`.  The job leaves the approval queue terminally
         cancelled, with the reason recorded on the job for its owner."""
         self.users.authorize(admin, Permission.APPROVE_PIPELINE)
-        if job not in self._pending_approval:
+        if job.job_id not in self.scheduler.awaiting_approval:
             raise AccessServerError(f"job {job.job_id} is not awaiting approval")
-        self._pending_approval.remove(job)
         job.error = f"rejected: {reason}" if reason else "rejected by administrator"
         self.scheduler.cancel(job.job_id)
         if self._persistence is not None:
@@ -698,7 +687,7 @@ class AccessServer(Entity):
         )
 
     def pending_approval(self) -> List[Job]:
-        return list(self._pending_approval)
+        return list(self.scheduler.awaiting_approval.values())
 
     def _controller_cpu(self, vantage_point_name: str) -> float:
         return self.vantage_point(vantage_point_name).controller.latest_cpu_percent()
@@ -826,14 +815,14 @@ class AccessServer(Entity):
         # constraints (reservations, controller CPU) at execution time — a
         # reservation may have begun meanwhile — and requeue rather than run
         # on a device someone else now holds.
-        if not self.scheduler.engine.eligible(
+        if not self.scheduler.eligible(
             job,
             assignment.vantage_point,
             assignment.device_serial,
             self.context.now,
             controller_cpu=self._controller_cpu,
         ):
-            self.scheduler.engine.requeue(job)
+            self.scheduler.requeue(job)
             return None
         # Bill execution time, not queue-on-device time, so credits match
         # what the seed's one-at-a-time dispatch charged.
@@ -841,7 +830,7 @@ class AccessServer(Entity):
         record = self.vantage_point(assignment.vantage_point)
         api = BatteryLabAPI(record.controller)
         ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self.context.now)
-        self.scheduler.engine.begin_execution(job)
+        self.scheduler.begin_execution(job)
         admit_elapsed = time.perf_counter() - admit_t0
         if self.obs.registry.enabled:
             self._m_admit.observe(admit_elapsed)
@@ -1033,10 +1022,9 @@ class AccessServer(Entity):
             and constraints.vantage_point != record.vantage_point
         ):
             return []
-        engine = self.scheduler.engine
         slots = [
             (slot.vantage_point, slot.device_serial)
-            for slot in engine.slots.iter_free(target_vp, constraints.device_serial)
+            for slot in self.scheduler.slots.iter_free(target_vp, constraints.device_serial)
         ]
         lease = self.agents.lease_for_job(job.job_id)
         if lease is not None and lease.expired(self.context.now):
@@ -1065,7 +1053,7 @@ class AccessServer(Entity):
         record = self.agents.get(agent_id)
         offers: List[Job] = []
         now = self.context.now
-        for job in self.scheduler.engine.queue.jobs():
+        for job in self.scheduler.queue.jobs():
             if len(offers) >= limit:
                 break
             if job.status is JobStatus.QUEUED and self._agent_job_matches(job, record):
@@ -1092,21 +1080,20 @@ class AccessServer(Entity):
         """Reap expired leases and give back everything they held, unbilled.
 
         A job still RUNNING is requeued at its *original* FIFO position
-        through ``DispatchEngine.requeue`` — the record a lapsed wave
+        through ``JobScheduler.requeue`` — the record a lapsed wave
         admission emits and crash recovery's in-flight requeue mirrors, so
         the journal cannot tell a lease expiry from any other requeue.  A
         job cancelled while the agent held it stays cancelled; its devices
         are simply released.
         """
-        engine = self.scheduler.engine
         expired = self.agents.expired(self.context.now)
         for lease in expired:
             self.agents.release(lease.lease_id)
             job = self.scheduler.job(lease.job_id)
             if job.status is JobStatus.RUNNING:
-                engine.requeue(job)
+                self.scheduler.requeue(job)
             else:
-                engine.release(job)
+                self.scheduler.release(job)
             self._schedule_dispatch_tick()
             if self.obs.registry.enabled:
                 self._m_lease_expired.inc()
@@ -1130,9 +1117,9 @@ class AccessServer(Entity):
         Multi-device jobs (``constraints.device_count > 1``) are
         all-or-nothing: either every slot is free and the whole family is
         marked busy under one lease, or the claim fails having touched
-        nothing.  The primary slot goes through the dispatch engine's
+        nothing.  The primary slot goes through the scheduler's
         ``assign`` (same ``dispatch.assigned`` record as push dispatch);
-        the child slots join the engine's hold for the job.
+        the child slots join the scheduler's hold for the job.
         """
         started = time.perf_counter()
         self.users.authorize(user, Permission.RUN_JOB)
@@ -1162,7 +1149,7 @@ class AccessServer(Entity):
         primary_vp, primary_serial = devices[0]
         self.scheduler.assign(job, primary_vp, primary_serial, now)
         job.mark_execution_started(now)
-        self.scheduler.engine.begin_execution(job, tuple(devices[1:]))
+        self.scheduler.begin_execution(job, tuple(devices[1:]))
         lease = self.agents.grant(
             agent_id,
             job_id,
@@ -1303,7 +1290,7 @@ class AccessServer(Entity):
         from repro.accessserver.executor import WaveExecutor
 
         if max_workers is None:
-            max_workers = max(1, self.scheduler.device_count())
+            max_workers = max(1, len(self.scheduler.slots))
         if self._wave_executor is not None:
             self._wave_executor.shutdown()
         self._wave_executor = WaveExecutor(max_workers=max_workers)
@@ -1386,8 +1373,8 @@ class AccessServer(Entity):
         # back, and such a job cannot become placeable before that
         # reservation ends, so the wake-up considers future reservations too.
         delay = self._auto_dispatch_interval_s
-        reservations = self.scheduler.engine.reservations
-        if self.scheduler.engine.reservation_admission == "defer":
+        reservations = self.scheduler.reservations
+        if self.scheduler.reservation_admission == "defer":
             reservation_end = reservations.earliest_relevant_end(self.context.now)
         else:
             reservation_end = reservations.earliest_active_end(self.context.now)
@@ -1408,9 +1395,8 @@ class AccessServer(Entity):
     ) -> SessionReservation:
         """Reserve a timed interactive slot on one device.
 
-        .. deprecated:: API v1
-           Compatibility shim — new code reserves through
-           :meth:`repro.api.client.BatteryLabClient.reserve_session`.
+        The ``session.reserve`` operation of :mod:`repro.api` executes
+        through this method.
         """
         self.users.authorize(user, Permission.REMOTE_CONTROL)
         self.vantage_point(vantage_point_name)
@@ -1570,9 +1556,9 @@ class AccessServer(Entity):
             "vantage_points": [record.name for record in self.vantage_points()],
             "users": self.users.usernames(),
             "queued_jobs": self.scheduler.queue_length(),
-            "pending_approval": len(self._pending_approval),
+            "pending_approval": len(self.scheduler.awaiting_approval),
             "scheduling_policy": self.scheduler.policy.name,
-            "reservation_admission": self.scheduler.engine.reservation_admission,
+            "reservation_admission": self.scheduler.reservation_admission,
             "auto_dispatch": self._auto_dispatch,
             "persistence": self._persistence is not None,
             "journal": journal,

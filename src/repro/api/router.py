@@ -712,7 +712,7 @@ class ApiRouter(OpRouter):
             devices=[
                 DeviceView(
                     serial=serial,
-                    busy=scheduler.device_busy(record.name, serial),
+                    busy=scheduler.slots.is_busy(record.name, serial),
                     held_by=held.get((record.name, serial)),
                 )
                 for serial in record.controller.list_devices()

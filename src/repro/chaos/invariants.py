@@ -194,7 +194,7 @@ def _recovery_fingerprint(platform) -> Dict[str, object]:
     backend = server.persistence.backend
     backend.sync()
     return {
-        "queue": [job.job_id for job in server.scheduler.engine.queue.jobs()],
+        "queue": [job.job_id for job in server.scheduler.queue.jobs()],
         "statuses": {
             job.job_id: job.status.value for job in server.scheduler.jobs()
         },
@@ -363,13 +363,13 @@ def check_device_hold_conservation(server, drained: bool = False) -> CheckResult
     agent lease that has not expired.  Every lease's devices are busy for
     its job, and with ``drained`` nothing is held at all.
     """
-    engine = server.scheduler.engine
+    scheduler = server.scheduler
     now = server.context.now
-    jobs = {job.job_id: job for job in server.scheduler.jobs()}
+    jobs = {job.job_id: job for job in scheduler.jobs()}
     leases = {lease.job_id: lease for lease in server.agents.leases()}
     busy: Dict[str, int] = {}
-    for key in server.scheduler.registered_devices():  # "vantage_point/serial"
-        slot = engine.slots.slot(*key.split("/", 1))
+    for key in scheduler.slots.keys():  # "vantage_point/serial"
+        slot = scheduler.slots.slot(*key.split("/", 1))
         if slot.busy_job_id is not None:
             busy[key] = slot.busy_job_id
 
@@ -379,9 +379,9 @@ def check_device_hold_conservation(server, drained: bool = False) -> CheckResult
             return False
         if job.status.value == "running":
             return True
-        return engine.is_executing(job_id) and (lease is None or not lease.expired(now))
+        return scheduler.is_executing(job_id) and (lease is None or not lease.expired(now))
 
-    holders = set(busy.values()) | {j for j in jobs if engine.is_executing(j)}
+    holders = set(busy.values()) | {j for j in jobs if scheduler.is_executing(j)}
     problems = [
         f"job {job_id} holds a device or an executing mark, but nothing will end it"
         for job_id in sorted(holders)

@@ -88,8 +88,8 @@ from typing import List, Optional
 # this module; each command imports its own machinery, so ``repro agent`` and
 # the ``--gateway`` clients never load the platform (DESIGN.md, "Import
 # layering").
-from repro.accessserver.dispatch import DispatchEngine
 from repro.accessserver.policies import policy_names
+from repro.accessserver.scheduler import JobScheduler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--reservation-admission",
-        choices=list(DispatchEngine.ADMISSION_MODES),
+        choices=list(JobScheduler.ADMISSION_MODES),
         default="ignore",
         help="whether dispatch plans around upcoming session reservations: "
         "'defer' keeps a job off a device whose next reservation starts "
@@ -1231,7 +1231,6 @@ def _cmd_sysperf(args) -> str:
 def _cmd_dispatch_bench(args) -> str:
     """Queue a synthetic fleet-scale workload and time pure dispatch decisions."""
     from repro.accessserver.jobs import DEFAULT_CONSTRAINTS, Job, JobConstraints, JobSpec
-    from repro.accessserver.scheduler import JobScheduler
 
     scheduler = JobScheduler(
         policy=args.scheduling_policy, reservation_admission=args.reservation_admission
@@ -1241,7 +1240,7 @@ def _cmd_dispatch_bench(args) -> str:
     # throughput figure), so clamp to one device per vantage point minimum.
     vantage_points = max(1, min(args.vantage_points, args.devices))
     for index in range(args.devices):
-        scheduler.register_device(
+        scheduler.slots.register(
             f"node{index % vantage_points:02d}", f"dev{index // vantage_points:02d}"
         )
     for index in range(args.jobs):

@@ -360,7 +360,7 @@ def build_default_platform(
     reservation_admission:
         ``"ignore"`` (default) or ``"defer"`` — whether dispatch plans
         around *upcoming* session reservations; see
-        :class:`~repro.accessserver.dispatch.DispatchEngine`.
+        :class:`~repro.accessserver.scheduler.JobScheduler`.
     state_dir:
         When set, the access server journals every state mutation under
         this directory and, if the directory already holds a previous run's

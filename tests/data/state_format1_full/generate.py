@@ -138,7 +138,7 @@ def observe(state_dir: Path) -> dict:
     snapshot = server.persistence.backend.read_snapshot()
     return {
         "job_list": [view.to_wire() for view in platform.client("admin").list_jobs()],
-        "queue_order": [job.job_id for job in server.scheduler.engine.queue.jobs()],
+        "queue_order": [job.job_id for job in server.scheduler.queue.jobs()],
         "pending_approval": [job.job_id for job in server.pending_approval()],
         "requeued_in_flight": report.jobs_requeued_in_flight,
         "orphaned_jobs": report.orphaned_jobs,
@@ -146,7 +146,7 @@ def observe(state_dir: Path) -> dict:
             account.owner: [account.balance_device_hours, len(account.transactions)]
             for account in ledger.accounts()
         },
-        "reservations": [r.reservation_id for r in server.scheduler.reservations()],
+        "reservations": [r.reservation_id for r in server.scheduler.reservations.all()],
         "idempotency": [list(record) for record in server.idempotency_records()],
         "analytics_report": server.analytics.report(include_throughput=False),
         "snapshot_jobs": snapshot["jobs"],

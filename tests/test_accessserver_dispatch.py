@@ -5,7 +5,6 @@ import pytest
 from repro.accessserver.dispatch import (
     ConstraintQueue,
     DeviceSlotIndex,
-    DispatchEngine,
     ReservationIndex,
     SchedulingError,
     SessionReservation,
@@ -40,9 +39,10 @@ def make_job(name="job", owner="experimenter", priority=0.0, **constraint_kwargs
 
 
 def reference_fifo_assignments(scheduler, now, controller_cpu=None):
-    """The seed's dispatch loop: repeated linear next_dispatchable + assign.
+    """The seed's dispatch loop: a linear scan for the first placeable job,
+    assign it, rescan from the head.
 
-    Re-implemented against the public scheduler API as the behavioural
+    Re-implemented against the scheduler's indexes as the behavioural
     oracle for ``dispatch_batch`` with the FIFO policy.
     """
     assignments = []
@@ -51,13 +51,13 @@ def reference_fifo_assignments(scheduler, now, controller_cpu=None):
         for job in scheduler.jobs(JobStatus.QUEUED):
             constraints = job.spec.constraints
             slots = []
-            for key in scheduler.registered_devices():
+            for key in scheduler.slots.keys():
                 vantage_point, device_serial = key.split("/", 1)
                 if constraints.vantage_point and vantage_point != constraints.vantage_point:
                     continue
                 if constraints.device_serial and device_serial != constraints.device_serial:
                     continue
-                if scheduler.device_busy(vantage_point, device_serial):
+                if scheduler.slots.is_busy(vantage_point, device_serial):
                     continue
                 slots.append((vantage_point, device_serial))
             for vantage_point, device_serial in sorted(slots):
@@ -66,7 +66,7 @@ def reference_fifo_assignments(scheduler, now, controller_cpu=None):
                     and r.device_serial == device_serial
                     and r.active_at(now)
                     and r.username != job.spec.owner
-                    for r in scheduler.reservations()
+                    for r in scheduler.reservations.all()
                 )
                 if reserved:
                     continue
@@ -245,7 +245,7 @@ class TestBatchDispatch:
         scheduler = JobScheduler()
         for vp in ("node1", "node2"):
             for serial in ("dev0", "dev1"):
-                scheduler.register_device(vp, serial)
+                scheduler.slots.register(vp, serial)
         return scheduler
 
     def test_batch_fills_all_free_devices(self, scheduler):
@@ -260,8 +260,8 @@ class TestBatchDispatch:
         }
         assert all(a.job.status is JobStatus.RUNNING for a in assignments)
         assert scheduler.queue_length() == 2
-        assert scheduler.engine.assignments_made == 4
-        assert scheduler.engine.batches_dispatched == 1
+        assert scheduler.assignments_made == 4
+        assert scheduler.batches_dispatched == 1
         # Until something is released, another tick assigns nothing.
         assert scheduler.dispatch_batch(now=0.0) == []
         jobs[0].mark_completed(1.0, None)
@@ -279,7 +279,7 @@ class TestBatchDispatch:
             scheduler = JobScheduler()
             for vp in ("node1", "node2", "node3"):
                 for serial in ("dev0", "dev1", "dev2"):
-                    scheduler.register_device(vp, serial)
+                    scheduler.slots.register(vp, serial)
             for i in range(25):
                 kwargs = {}
                 if i % 3 == 0:
@@ -338,7 +338,7 @@ class TestBatchDispatch:
 
     def test_priority_policy_dispatches_high_priority_first(self):
         scheduler = JobScheduler(policy="priority")
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         scheduler.submit(make_job(name="low", priority=0), now=0.0)
         scheduler.submit(make_job(name="high", priority=9), now=0.0)
         assignments = scheduler.dispatch_batch(now=0.0)
@@ -347,7 +347,7 @@ class TestBatchDispatch:
     def test_fair_share_policy_spreads_devices_across_owners(self):
         scheduler = JobScheduler(policy="fair-share")
         for serial in ("dev0", "dev1"):
-            scheduler.register_device("node1", serial)
+            scheduler.slots.register("node1", serial)
         for i in range(3):
             scheduler.submit(make_job(name=f"a{i}", owner="alice"), now=0.0)
         scheduler.submit(make_job(name="b0", owner="bob"), now=0.0)
@@ -359,28 +359,29 @@ class TestBatchDispatch:
         scheduler.set_policy("fair-share")
         assert scheduler.policy.name == "fair-share"
 
-    def test_next_dispatchable_still_works(self, scheduler):
+    def test_one_assignment_takes_the_first_free_slot(self, scheduler):
         job = scheduler.submit(make_job(name="solo"), now=0.0)
-        dispatched, vantage_point, device_serial = scheduler.next_dispatchable(now=0.0)
-        assert dispatched is job
-        assert (vantage_point, device_serial) == ("node1", "dev0")
+        scheduler.submit(make_job(name="next"), now=0.0)
+        (assignment,) = scheduler.dispatch_batch(now=0.0, max_assignments=1)
+        assert assignment.job is job
+        assert (assignment.vantage_point, assignment.device_serial) == ("node1", "dev0")
 
 
 class TestCancelAndRelease:
     @pytest.fixture
     def scheduler(self) -> JobScheduler:
         scheduler = JobScheduler()
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         return scheduler
 
     def test_cancel_running_job_releases_its_device(self, scheduler):
         job = scheduler.submit(make_job(name="runner"), now=0.0)
         scheduler.dispatch_batch(now=0.0)
         assert job.status is JobStatus.RUNNING
-        assert scheduler.device_busy("node1", "dev0")
+        assert scheduler.slots.is_busy("node1", "dev0")
         scheduler.cancel(job.job_id)
         assert job.status is JobStatus.CANCELLED
-        assert not scheduler.device_busy("node1", "dev0")
+        assert not scheduler.slots.is_busy("node1", "dev0")
         # The freed device immediately serves the next job.
         follow_up = scheduler.submit(make_job(name="next"), now=1.0)
         assert [a.job for a in scheduler.dispatch_batch(now=1.0)] == [follow_up]
@@ -396,22 +397,22 @@ class TestCancelAndRelease:
         scheduler.dispatch_batch(now=0.0)
         job.mark_completed(1.0, None)
         scheduler.release(job)
-        assert not scheduler.device_busy("node1", "dev0")
+        assert not scheduler.slots.is_busy("node1", "dev0")
         # Releasing twice (or releasing a never-assigned job) is harmless.
         scheduler.release(job)
         scheduler.release(make_job())
 
     def test_requeue_restores_fifo_position(self):
         scheduler = JobScheduler()
-        scheduler.register_device("node1", "dev0")
-        scheduler.register_device("node1", "dev1")
+        scheduler.slots.register("node1", "dev0")
+        scheduler.slots.register("node1", "dev1")
         a = scheduler.submit(make_job(name="a"), now=0.0)
         b = scheduler.submit(make_job(name="b"), now=0.0)
         scheduler.dispatch_batch(now=0.0)  # a -> dev0, b -> dev1
-        scheduler.engine.requeue(b)
+        scheduler.requeue(b)
         late = scheduler.submit(make_job(name="late"), now=1.0)
         # The requeued job keeps its place ahead of the newer submission...
-        assert [j.spec.name for j in scheduler.engine.queue.jobs()] == ["b", "late"]
+        assert [j.spec.name for j in scheduler.queue.jobs()] == ["b", "late"]
         # ...and dispatches first when only one device is free.
         assignments = scheduler.dispatch_batch(now=1.0)
         assert [x.job.spec.name for x in assignments] == ["b"]
@@ -427,56 +428,52 @@ class TestCancelAndRelease:
         with the primary one, whichever exit the execution takes."""
         bus = EventBus()
         recorded = record_bus(bus)
-        engine = DispatchEngine(event_bus=bus)
+        scheduler = JobScheduler(event_bus=bus)
         for serial in ("dev0", "dev1", "dev2"):
-            engine.slots.register("node1", serial)
-        job = make_job(name="family")
-        engine.queue.push(job)
-        engine.assign(job, "node1", "dev0", now=0.0)
-        engine.begin_execution(job, (("node1", "dev1"), ("node1", "dev2")))
-        assert engine.slots.free_count == 0
+            scheduler.slots.register("node1", serial)
+        job = scheduler.submit(make_job(name="family"), now=0.0)
+        scheduler.assign(job, "node1", "dev0", now=0.0)
+        scheduler.begin_execution(job, (("node1", "dev1"), ("node1", "dev2")))
+        assert scheduler.slots.free_count == 0
         if cancelled:
-            job.mark_cancelled()
-            engine.cancel(job)
+            scheduler.cancel(job.job_id)
             # Still executing: the cancel gives nothing back.
-            assert engine.slots.free_count == 0 and engine.is_executing(job.job_id)
+            assert scheduler.slots.free_count == 0 and scheduler.is_executing(job.job_id)
         free_when_announced = []
         bus.subscribe(
             "dispatch.released",
-            lambda record: free_when_announced.append(engine.slots.free_count),
+            lambda record: free_when_announced.append(scheduler.slots.free_count),
         )
-        getattr(engine, exit_by)(job)
-        assert engine.slots.free_count == 3
-        assert not engine.is_executing(job.job_id)
-        assert engine.running_by_owner() == {}
+        getattr(scheduler, exit_by)(job)
+        assert scheduler.slots.free_count == 3
+        assert not scheduler.is_executing(job.job_id)
+        assert scheduler.running_by_owner() == {}
         # Announced once, for the primary slot, when the whole family is free.
         assert free_when_announced == [3]
         assert recorded("dispatch.released")[0].payload["device_serial"] == "dev0"
-        assert (job in engine.queue) == (exit_by == "requeue")
+        assert (job in scheduler.queue) == (exit_by == "requeue")
         # Every freed slot serves new work.
         for index in range(3):
-            engine.queue.push(make_job(name=f"next{index}"))
-        assert len(engine.dispatch_batch(now=1.0)) == 3
+            scheduler.submit(make_job(name=f"next{index}"), now=1.0)
+        assert len(scheduler.dispatch_batch(now=1.0)) == 3
 
     def test_fair_share_running_counts_follow_lifecycle(self, scheduler):
-        engine = scheduler.engine
         job = scheduler.submit(make_job(owner="alice"), now=0.0)
         scheduler.dispatch_batch(now=0.0)
-        assert engine.running_by_owner() == {"alice": 1}
+        assert scheduler.running_by_owner() == {"alice": 1}
         job.mark_completed(1.0, None)
         scheduler.release(job)
-        assert engine.running_by_owner() == {}
+        assert scheduler.running_by_owner() == {}
 
 
 class TestDispatchEvents:
-    def test_engine_publishes_structured_records(self, record_bus):
+    def test_scheduler_publishes_structured_records(self, record_bus):
         bus = EventBus()
         recorded = record_bus(bus)
-        engine = DispatchEngine(policy="fifo", event_bus=bus)
-        engine.slots.register("node1", "dev0")
-        job = make_job(name="observed")
-        engine.queue.push(job)
-        engine.dispatch_batch(now=0.0)
+        scheduler = JobScheduler(policy="fifo", event_bus=bus)
+        scheduler.slots.register("node1", "dev0")
+        job = scheduler.submit(make_job(name="observed"), now=0.0)
+        scheduler.dispatch_batch(now=0.0)
         assigned = recorded("dispatch.assigned")
         assert len(assigned) == 1
         assert assigned[0].payload["job"] == "observed"
@@ -485,17 +482,17 @@ class TestDispatchEvents:
         batches = recorded("dispatch.batch")
         assert batches[-1].payload["assigned"] == 1
         job.mark_completed(1.0, None)
-        engine.release(job)
+        scheduler.release(job)
         assert recorded("dispatch.released")[0].payload["job_id"] == job.job_id
 
     def test_subscription_callbacks_fire(self):
         bus = EventBus()
         seen = []
         bus.subscribe("dispatch.assigned", lambda record: seen.append(record.payload["job"]))
-        engine = DispatchEngine(event_bus=bus)
-        engine.slots.register("node1", "dev0")
-        engine.queue.push(make_job(name="first"))
-        engine.dispatch_batch(now=0.0)
+        scheduler = JobScheduler(event_bus=bus)
+        scheduler.slots.register("node1", "dev0")
+        scheduler.submit(make_job(name="first"), now=0.0)
+        scheduler.dispatch_batch(now=0.0)
         assert seen == ["first"]
 
 
@@ -662,7 +659,7 @@ class TestServerIntegration:
         assert victim.status is JobStatus.CANCELLED
         assert ran == ["canceller"]
         assert executed == [first]
-        assert not server.scheduler.device_busy("node1", "node1-dev01")
+        assert not server.scheduler.slots.is_busy("node1", "node1-dev01")
 
     def test_auto_dispatch_continues_past_per_tick_cap(self, platform):
         server = platform.access_server
@@ -711,7 +708,7 @@ class TestServerIntegration:
         assert first.status is JobStatus.COMPLETED
         assert second.status is JobStatus.QUEUED  # requeued, not run under the reservation
         assert executed == [first]
-        assert not server.scheduler.device_busy("node1", "node1-dev01")
+        assert not server.scheduler.slots.is_busy("node1", "node1-dev01")
         assert recorded("dispatch.requeued")
         # Once the reservation lapses the job runs normally.
         platform.run_for(300.0)
@@ -747,7 +744,7 @@ class TestServerIntegration:
 
         def self_cancelling(ctx):
             server.scheduler.cancel(job_box["job"].job_id)
-            observed["busy_during_payload"] = server.scheduler.device_busy(
+            observed["busy_during_payload"] = server.scheduler.slots.is_busy(
                 "node1", "node1-dev00"
             )
             ctx.api.power_monitor()  # keep doing work after the cancel
@@ -766,7 +763,7 @@ class TestServerIntegration:
         assert job_box["job"].status is JobStatus.CANCELLED
         assert job_box["job"].result is None  # cancelled jobs record no result
         assert rival.status is JobStatus.COMPLETED
-        assert not server.scheduler.device_busy("node1", "node1-dev00")
+        assert not server.scheduler.slots.is_busy("node1", "node1-dev00")
 
     @pytest.mark.parametrize("cancelled", [False, True], ids=["running", "cancelled"])
     def test_push_settle_gives_the_hold_back_bills_and_journals(self, platform, cancelled):
@@ -783,7 +780,7 @@ class TestServerIntegration:
                 server.scheduler.cancel(held.job_id)
             platform.context.clock.advance(3600.0)  # one device-hour
             seen["mid_payload"] = check_device_hold_conservation(server)
-            seen["busy"] = server.scheduler.device_busy("node1", ctx.device_serial)
+            seen["busy"] = server.scheduler.slots.is_busy("node1", ctx.device_serial)
 
         held = server.submit_job(
             platform.experimenter,
@@ -879,7 +876,7 @@ class TestServerIntegration:
 
     def test_sequence_map_stays_bounded(self):
         scheduler = JobScheduler()
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         for index in range(20):
             job = scheduler.submit(make_job(name=f"churn{index}"), now=float(index))
             scheduler.dispatch_batch(now=float(index))
@@ -889,7 +886,7 @@ class TestServerIntegration:
                 job.mark_completed(float(index), None)
                 scheduler.release(job)
         assert scheduler.queue_length() == 0
-        assert scheduler.engine.queue._seq_by_job == {}
+        assert scheduler.queue._seq_by_job == {}
 
     def test_cli_dispatch_bench_command(self, capsys):
         from repro.cli import main

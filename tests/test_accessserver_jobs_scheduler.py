@@ -5,6 +5,7 @@ import pytest
 from repro.accessserver.jobs import Job, JobConstraints, JobError, JobSpec, JobStatus, Workspace
 from repro.accessserver import scheduler as scheduler_module
 from repro.accessserver.scheduler import JobScheduler, SchedulingError
+from repro.simulation.events import EventBus
 
 
 def make_job(name="test-job", owner="experimenter", **constraint_kwargs) -> Job:
@@ -16,6 +17,12 @@ def make_job(name="test-job", owner="experimenter", **constraint_kwargs) -> Job:
             constraints=JobConstraints(**constraint_kwargs),
         )
     )
+
+
+def dispatch_one(scheduler, now, **kwargs):
+    """The assignment a one-job tick makes (the first placeable job), or None."""
+    batch = scheduler.dispatch_batch(now, max_assignments=1, **kwargs)
+    return batch[0] if batch else None
 
 
 class TestJobLifecycle:
@@ -85,59 +92,66 @@ class TestScheduler:
     @pytest.fixture
     def scheduler(self) -> JobScheduler:
         scheduler = JobScheduler()
-        scheduler.register_device("node1", "dev0")
-        scheduler.register_device("node2", "dev0")
+        scheduler.slots.register("node1", "dev0")
+        scheduler.slots.register("node2", "dev0")
         return scheduler
 
     def test_submit_and_dispatch(self, scheduler):
         job = scheduler.submit(make_job(), now=0.0)
-        dispatch = scheduler.next_dispatchable(now=0.0)
-        assert dispatch is not None
-        dispatched_job, vantage_point, device = dispatch
-        assert dispatched_job is job
-        scheduler.assign(job, vantage_point, device, now=0.0)
-        assert scheduler.device_busy(vantage_point, device)
+        assignment = dispatch_one(scheduler, now=0.0)
+        assert assignment.job is job and job.status is JobStatus.RUNNING
+        assert scheduler.slots.is_busy(assignment.vantage_point, assignment.device_serial)
         assert scheduler.queue_length() == 0
 
     def test_one_job_at_a_time_per_device(self, scheduler):
         first = scheduler.submit(make_job("first", vantage_point="node1"), now=0.0)
         second = scheduler.submit(make_job("second", vantage_point="node1"), now=0.0)
-        job, vp, dev = scheduler.next_dispatchable(now=0.0)
-        scheduler.assign(job, vp, dev, now=0.0)
-        assert scheduler.next_dispatchable(now=0.0) is None
+        assert dispatch_one(scheduler, now=0.0).job is first
+        assert dispatch_one(scheduler, now=0.0) is None
         with pytest.raises(SchedulingError):
             scheduler.assign(second, "node1", "dev0", now=0.0)
         first.mark_completed(1.0, None)
         scheduler.release(first)
-        assert scheduler.next_dispatchable(now=1.0)[0] is second
+        assert dispatch_one(scheduler, now=1.0).job is second
 
     def test_device_constraint(self, scheduler):
-        scheduler.register_device("node1", "dev1")
+        scheduler.slots.register("node1", "dev1")
         job = scheduler.submit(make_job(device_serial="dev1"), now=0.0)
-        _, vantage_point, device = scheduler.next_dispatchable(now=0.0)
-        assert device == "dev1"
+        assert dispatch_one(scheduler, now=0.0).device_serial == "dev1"
 
     def test_vantage_point_constraint(self, scheduler):
         job = scheduler.submit(make_job(vantage_point="node2"), now=0.0)
-        _, vantage_point, _ = scheduler.next_dispatchable(now=0.0)
-        assert vantage_point == "node2"
+        assert dispatch_one(scheduler, now=0.0).vantage_point == "node2"
 
     def test_unsatisfiable_constraint_waits(self, scheduler):
         scheduler.submit(make_job(vantage_point="node-missing"), now=0.0)
-        assert scheduler.next_dispatchable(now=0.0) is None
+        assert dispatch_one(scheduler, now=0.0) is None
 
     def test_low_cpu_constraint(self, scheduler):
         scheduler.submit(
             make_job(require_low_controller_cpu=True, max_controller_cpu_percent=50.0), now=0.0
         )
-        assert scheduler.next_dispatchable(now=0.0, controller_cpu=lambda vp: 80.0) is None
-        assert scheduler.next_dispatchable(now=0.0, controller_cpu=lambda vp: 20.0) is not None
+        assert dispatch_one(scheduler, now=0.0, controller_cpu=lambda vp: 80.0) is None
+        assert dispatch_one(scheduler, now=0.0, controller_cpu=lambda vp: 20.0) is not None
 
     def test_cancel_removes_from_queue(self, scheduler):
         job = scheduler.submit(make_job(), now=0.0)
         scheduler.cancel(job.job_id)
-        assert scheduler.next_dispatchable(now=0.0) is None
+        assert dispatch_one(scheduler, now=0.0) is None
         assert scheduler.job(job.job_id).status is JobStatus.CANCELLED
+
+    def test_a_second_cancel_changes_nothing(self, record_bus):
+        bus = EventBus()
+        recorded = record_bus(bus)
+        scheduler = JobScheduler(event_bus=bus)
+        change = make_job("pipeline")
+        change.status = JobStatus.PENDING_APPROVAL
+        scheduler.submit(change, now=0.0)
+        assert scheduler.awaiting_approval == {change.job_id: change}
+        assert scheduler.cancel(change.job_id) is change
+        assert scheduler.cancel(change.job_id) is change
+        assert scheduler.awaiting_approval == {}
+        assert len(recorded("dispatch.cancelled")) == 1
 
     def test_unknown_job_and_slot(self, scheduler):
         with pytest.raises(SchedulingError):
@@ -156,6 +170,8 @@ class TestScheduler:
         scheduler.submit(fourth, now=0.0)
         scheduler.restore_job(first, queued=True)  # below the last id: recovery, re-homing
         third.status = JobStatus.PENDING_APPROVAL
+        scheduler.submit(third, now=0.0)
+        assert scheduler.awaiting_approval == {third.job_id: third}
         scheduler.enqueue_approved(third)
         assert scheduler.jobs() == [first, second, third, fourth]
         assert scheduler.jobs(JobStatus.QUEUED) == [first, second, third, fourth]
@@ -173,21 +189,21 @@ class TestReservations:
     @pytest.fixture
     def scheduler(self) -> JobScheduler:
         scheduler = JobScheduler()
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         return scheduler
 
     def test_reserve_and_list(self, scheduler):
         reservation = scheduler.reserve_session("alice", "node1", "dev0", start_s=0.0, duration_s=600.0)
         assert reservation.end_s == 600.0
-        assert scheduler.reservations(active_at=100.0) == [reservation]
-        assert scheduler.reservations(active_at=700.0) == []
+        assert scheduler.reservations.active_at(100.0) == [reservation]
+        assert scheduler.reservations.active_at(700.0) == []
 
     def test_overlapping_reservation_rejected(self, scheduler):
         scheduler.reserve_session("alice", "node1", "dev0", start_s=0.0, duration_s=600.0)
         with pytest.raises(SchedulingError):
             scheduler.reserve_session("bob", "node1", "dev0", start_s=300.0, duration_s=600.0)
         # A different device is fine.
-        scheduler.register_device("node1", "dev1")
+        scheduler.slots.register("node1", "dev1")
         scheduler.reserve_session("bob", "node1", "dev1", start_s=300.0, duration_s=600.0)
 
     def test_back_to_back_reservations_allowed(self, scheduler):
@@ -201,13 +217,12 @@ class TestReservations:
     def test_reservation_blocks_other_users_jobs(self, scheduler):
         scheduler.reserve_session("alice", "node1", "dev0", start_s=0.0, duration_s=600.0)
         scheduler.submit(make_job(owner="bob"), now=0.0)
-        assert scheduler.next_dispatchable(now=100.0) is None
+        assert dispatch_one(scheduler, now=100.0) is None
         # The reservation holder's own jobs may still run.
         scheduler.submit(make_job("alice-job", owner="alice"), now=0.0)
-        dispatch = scheduler.next_dispatchable(now=100.0)
-        assert dispatch is not None and dispatch[0].spec.owner == "alice"
+        assert dispatch_one(scheduler, now=100.0).job.spec.owner == "alice"
 
     def test_cancel_reservation(self, scheduler):
         reservation = scheduler.reserve_session("alice", "node1", "dev0", start_s=0.0, duration_s=600.0)
         scheduler.cancel_reservation(reservation.reservation_id)
-        assert scheduler.reservations() == []
+        assert scheduler.reservations.all() == []

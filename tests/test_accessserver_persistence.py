@@ -41,6 +41,7 @@ from repro.accessserver.payloads import (
 )
 from repro.analytics import AnalyticsEngine, JournalReplaySource
 from repro.api import ApiError
+from repro.api.errors import ConflictApiError
 from repro.chaos.faults import SimulatedCrash
 from repro.cli import main
 from repro.core.platform import build_default_platform
@@ -201,7 +202,7 @@ class TestRecovery:
         for name in names:
             server.submit_job(platform.experimenter, spec(name))
         rebuilt = durable_platform(tmp_path)
-        queue = rebuilt.access_server.scheduler.engine.queue.jobs()
+        queue = rebuilt.access_server.scheduler.queue.jobs()
         assert [job.spec.name for job in queue] == names
         report = rebuilt.persistence.last_recovery
         assert report.jobs_queued == 5
@@ -248,7 +249,7 @@ class TestRecovery:
         rebuilt = durable_platform(tmp_path, device_count=1)
         report = rebuilt.persistence.last_recovery
         assert report.jobs_requeued_in_flight == 1
-        queue = rebuilt.access_server.scheduler.engine.queue.jobs()
+        queue = rebuilt.access_server.scheduler.queue.jobs()
         assert [job.spec.name for job in queue] == ["first", "second"]
         executed = rebuilt.access_server.run_pending_jobs()
         assert [job.spec.name for job in executed] == ["first", "second"]
@@ -309,7 +310,7 @@ class TestRecovery:
         server.scheduler.cancel_reservation(drop.reservation_id)
 
         rebuilt = durable_platform(tmp_path)
-        reservations = rebuilt.access_server.scheduler.reservations()
+        reservations = rebuilt.access_server.scheduler.reservations.all()
         assert [(r.reservation_id, r.vantage_point, r.device_serial, r.start_s, r.duration_s)
                 for r in reservations] == [
             (keep.reservation_id, "node1", "node1-dev00", 100.0, 50.0)
@@ -335,6 +336,25 @@ class TestRecovery:
         executed = server2.run_pending_jobs()
         assert [job.spec.name for job in executed] == ["pipeline"]
 
+    @pytest.mark.parametrize("decision", ["approve_job", "reject_job"])
+    def test_a_cancelled_pipeline_change_is_refused_live_and_recovered(
+        self, tmp_path, decision
+    ):
+        platform = durable_platform(tmp_path)
+        view = platform.client().submit_job("pipeline", "noop", is_pipeline_change=True)
+        platform.client().cancel_job(view.job_id)
+
+        def assert_refused(booted):
+            admin = booted.client(username="admin")
+            assert admin.approvals() == []
+            with pytest.raises(ConflictApiError, match="not awaiting approval"):
+                getattr(admin, decision)(view.job_id)
+            job = admin.job_status(view.job_id)
+            assert (job.status, job.error) == ("cancelled", None)
+
+        assert_refused(platform)
+        assert_refused(durable_platform(tmp_path))
+
     def test_run_configuration_wins_over_journaled_policy(self, tmp_path):
         # Policy/admission are this run's configuration (CLI flags, boot
         # code), not queue state: recovery reports the journaled values but
@@ -343,7 +363,7 @@ class TestRecovery:
         platform.access_server.set_scheduling_policy("priority")
         rebuilt = durable_platform(tmp_path)  # note: built with defaults
         assert rebuilt.access_server.scheduler.policy.name == "fifo"
-        assert rebuilt.access_server.scheduler.engine.reservation_admission == "ignore"
+        assert rebuilt.access_server.scheduler.reservation_admission == "ignore"
         report = rebuilt.persistence.last_recovery
         assert report.journaled_policy == "priority"
         assert report.journaled_admission == "defer"
@@ -351,7 +371,7 @@ class TestRecovery:
             tmp_path, scheduling_policy="priority", reservation_admission="defer"
         )
         assert explicit.access_server.scheduler.policy.name == "priority"
-        assert explicit.access_server.scheduler.engine.reservation_admission == "defer"
+        assert explicit.access_server.scheduler.reservation_admission == "defer"
 
     def test_stale_journal_after_partial_checkpoint_is_not_reapplied(self, tmp_path):
         # Crash window: a checkpoint writes its snapshot but dies before
@@ -666,8 +686,8 @@ class World:
         return {job.status for job in self.server.scheduler.jobs()}
 
 
-#: Leaves a job in every status (and an agent job, a two-device job, a
-#: cancelled-then-rejected and a cancelled-then-approved pipeline change).
+#: Leaves a job in every status (and an agent job, a two-device job, and
+#: two cancelled pipeline changes that reject and approve both refuse).
 EVERY_STATUS = [
     ("submit", 0), ("submit", 1), ("submit", 2), ("submit", 3), ("run", 10),
     ("submit_agent", 1), ("submit_agent", 2), ("claim", 30), ("claim", 30),
@@ -780,23 +800,17 @@ class TestSettledRecordsStaySettled:
         self.settle(world, [("claim", 30), ("report", 1)])
         assert len(world.manager.settled_job_ids) == 1
 
-    def test_rejecting_a_cancelled_pipeline_change_rewrites_its_error(self, world):
+    def test_a_cancelled_pipeline_change_settles_at_once(self, world):
         self.settle(world, [("submit_pipeline", 0), ("cancel", 0)])
-        # Cancelled but still awaiting a decision: not settled yet.
-        assert not world.manager.settled_job_ids
-        world.apply(("reject", 0))
+        # Cancelling took it off the approval queue: nothing is left to decide.
+        assert world.manager.settled_job_ids == world.jobs
+        cached = world.manager.settled_records()
+        for decide in (world.admin.approve_job, world.admin.reject_job):
+            with pytest.raises(ConflictApiError, match="not awaiting approval"):
+                decide(world.jobs[0])
         world.manager.checkpoint()
-        (text,) = world.manager.settled_records().values()
-        assert "rejected: not this week" in text
-        world.manager.checkpoint()
-
-    def test_approving_a_cancelled_pipeline_change_revives_it(self, world):
-        self.settle(world, [("submit_pipeline", 0), ("cancel", 0)])
-        world.apply(("approve", 0))
-        world.manager.checkpoint()
-        assert world.statuses() == {JobStatus.QUEUED}
-        self.settle(world, [("run", 5)])
-        assert len(world.manager.settled_job_ids) == 1
+        assert world.manager.settled_records() == cached
+        assert world.statuses() == {JobStatus.CANCELLED}
 
     def test_payload_logging_after_its_own_cancellation(self, world):
         self.settle(world, [("submit", 3), ("run", 5)])

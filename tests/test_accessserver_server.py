@@ -40,7 +40,7 @@ class TestMembership:
         handle = add_vantage_point(platform, "node2", "Example University", browsers=("chrome",))
         assert handle.name == "node2"
         assert "node2" in [record.name for record in server.vantage_points()]
-        assert "node2/node2-dev00" in server.scheduler.registered_devices()
+        assert "node2/node2-dev00" in server.scheduler.slots.keys()
 
     def test_ssh_channel_to_vantage_point(self, server):
         channel = server.open_ssh_channel("node1")

@@ -118,7 +118,7 @@ class TestMultiDeviceEndToEnd:
         class CancelledMidRun(MultiConnector):
             def test(self, ctx):
                 client.cancel_job(job.job_id)
-                seen["free_mid_run"] = server.scheduler.engine.slots.free_count
+                seen["free_mid_run"] = server.scheduler.slots.free_count
                 seen["held"] = check_device_hold_conservation(server)
                 return super().test(ctx)
 

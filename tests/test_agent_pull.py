@@ -256,7 +256,7 @@ class TestLeaseExpiry:
         client.agent_claim("edge-1", first.job_id, ttl_s=10.0)
         platform.context.run_for(11.0)
         assert platform.access_server.expire_agent_leases() == 1
-        queue = platform.access_server.scheduler.engine.queue.jobs()
+        queue = platform.access_server.scheduler.queue.jobs()
         # Original FIFO position, not the tail — mirroring crash-requeue.
         assert [job.spec.name for job in queue] == ["first", "second"]
         assert client.job_status(first.job_id).status == "queued"
@@ -361,7 +361,7 @@ class TestLeaseExpiry:
         assert leased.access_server.expire_agent_leases() == 1
 
         def queue_bytes(p):
-            queue = p.access_server.scheduler.engine.queue.jobs()
+            queue = p.access_server.scheduler.queue.jobs()
             lines = []
             for seq, job in enumerate(queue):
                 state = serialize_job(job, seq)
@@ -487,15 +487,15 @@ class TestExitMatrix:
             connector="multi" if devices > 1 else "fake",
         )
         lease = client.agent_claim("fanout", job.job_id, ttl_s=5400.0)
-        engine = server.scheduler.engine
-        assert len(engine.slots) - engine.slots.free_count == devices
+        scheduler = server.scheduler
+        assert len(scheduler.slots) - scheduler.slots.free_count == devices
         balance = ledger.balance("experimenter")
         journaled = len(backend.read_journal())
         released = []
         server.events.subscribe(
             "dispatch.released",
             lambda record: released.append(
-                (record.payload["device_serial"], engine.slots.free_count)
+                (record.payload["device_serial"], scheduler.slots.free_count)
             ),
         )
         platform.context.run_for(3600.0)
@@ -504,8 +504,8 @@ class TestExitMatrix:
         # Cancelled or not, the agent holds every device until its exit.
         held = check_device_hold_conservation(server)
         assert held.ok, held.details
-        assert engine.is_executing(job.job_id)
-        assert len(engine.slots) - engine.slots.free_count == devices
+        assert scheduler.is_executing(job.job_id)
+        assert len(scheduler.slots) - scheduler.slots.free_count == devices
 
         if exit_by == "report":
             client.agent_report(lease.lease_id, "fanout", "completed", result=1)
@@ -517,10 +517,10 @@ class TestExitMatrix:
         assert client.job_status(job.job_id).status == status
         after = check_device_hold_conservation(server, drained=True)
         assert after.ok, after.details
-        assert not engine.is_executing(job.job_id)
+        assert not scheduler.is_executing(job.job_id)
         # One dispatch.released, naming the primary slot, published once
         # every slot of the family was free again.
-        assert released == [(lease.devices[0].device_serial, len(engine.slots))]
+        assert released == [(lease.devices[0].device_serial, len(scheduler.slots))]
         assert [r["kind"] for r in backend.read_journal()[journaled:]] == records
         assert ledger.balance("experimenter") == pytest.approx(balance - billed)
         # The freed devices take new work, pushed and pulled.

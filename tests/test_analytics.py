@@ -140,6 +140,22 @@ class TestLiveVsReplayEquivalence:
         assert replay["jobs"]["completed"] == live["jobs"]["completed"] == 6
         assert replay["owners"] == live["owners"]
 
+    def test_a_retried_cancel_is_journaled_and_counted_once(self, platform):
+        """A transport that resends ``job.cancel`` must not cancel twice: one
+        ``job.cancelled`` record, one cancellation in every view of it."""
+        server = platform.access_server
+        backend = InMemoryBackend()
+        server.enable_persistence(backend, snapshot_every=10**9)
+        client = platform.client()
+        job = client.submit_job("retried", "noop")
+        assert client.cancel_job(job.job_id).status == "cancelled"
+        assert client.cancel_job(job.job_id).status == "cancelled"
+        kinds = [record["kind"] for record in backend.read_journal()]
+        assert kinds.count("job.cancelled") == 1
+        for report in (server.analytics.report(), AnalyticsEngine.from_backend(backend).report()):
+            (owner,) = report["owners"]
+            assert owner["cancelled"] == report["jobs"]["cancelled"] == 1
+
     def test_compaction_preserves_approved_pipeline_backlog(self, platform):
         """An approved-but-still-queued pipeline change must replay as
         queued, not pending_approval, even after its approval record was

@@ -192,7 +192,7 @@ class TestSessionsCreditsFleetStatus:
         view = client.reserve_session("node1", "node1-dev00", 50.0, 600.0)
         assert view.username == "experimenter"
         assert view.end_s == 650.0
-        assert len(platform.access_server.scheduler.reservations()) == 1
+        assert len(platform.access_server.scheduler.reservations.all()) == 1
 
     def test_reserve_unknown_vantage_point(self, client):
         with pytest.raises(NotFoundApiError):

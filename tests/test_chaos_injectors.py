@@ -139,7 +139,7 @@ class TestJournalCrashPoints:
         platform, _ = self._persisted(tmp_path, recover=True)
         return [
             job.spec.name
-            for job in platform.access_server.scheduler.engine.queue.jobs()
+            for job in platform.access_server.scheduler.queue.jobs()
         ]
 
     def test_before_mode_loses_the_append(self, tmp_path):

@@ -109,7 +109,7 @@ class TestConnectivityFailures:
         )
         server.run_pending_jobs()
         assert job.status is JobStatus.FAILED
-        assert not server.scheduler.device_busy("node1", "node1-dev00")
+        assert not server.scheduler.slots.is_busy("node1", "node1-dev00")
         # The next job can still be dispatched and run.
         ok = server.submit_job(
             platform.experimenter,

@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-from repro.accessserver.dispatch import DispatchEngine
 from repro.accessserver.policies import policy_names
+from repro.accessserver.scheduler import JobScheduler
 from repro.cli import build_parser
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -153,6 +153,6 @@ def test_cli_choices_come_from_the_leaves():
     actions = {action.dest: action for action in build_parser()._actions}
     assert list(actions["scheduling_policy"].choices) == list(policy_names())
     assert list(actions["reservation_admission"].choices) == list(
-        DispatchEngine.ADMISSION_MODES
+        JobScheduler.ADMISSION_MODES
     )
 

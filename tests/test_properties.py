@@ -233,7 +233,7 @@ def test_dns_register_resolve_roundtrip(names):
 @settings(max_examples=30)
 def test_scheduler_never_double_books_a_device(job_count):
     scheduler = JobScheduler()
-    scheduler.register_device("node1", "dev0")
+    scheduler.slots.register("node1", "dev0")
     jobs = [
         scheduler.submit(
             Job(spec=JobSpec(name=f"job-{i}", owner="exp", run=lambda ctx: None,
@@ -244,13 +244,12 @@ def test_scheduler_never_double_books_a_device(job_count):
     ]
     completed = 0
     while True:
-        dispatch = scheduler.next_dispatchable(now=float(completed))
-        if dispatch is None:
+        batch = scheduler.dispatch_batch(now=float(completed), max_assignments=1)
+        if not batch:
             break
-        job, vantage_point, device = dispatch
-        scheduler.assign(job, vantage_point, device, now=float(completed))
+        job = batch[0].job
         # While one job holds the device no other may be assigned to it.
-        assert scheduler.next_dispatchable(now=float(completed)) is None
+        assert scheduler.dispatch_batch(now=float(completed)) == []
         job.mark_completed(float(completed) + 0.5, None)
         scheduler.release(job)
         completed += 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.accessserver.dispatch import DispatchEngine, SchedulingError
+from repro.accessserver.dispatch import SchedulingError
 from repro.accessserver.jobs import Job, JobConstraints, JobSpec, JobStatus
 from repro.accessserver.policies import DeadlinePolicy, DispatchStats, create_policy
 from repro.accessserver.scheduler import JobScheduler
@@ -45,7 +45,7 @@ class TestDeadlinePolicy:
 
     def test_scheduler_dispatches_earliest_deadline_first(self):
         scheduler = JobScheduler(policy="deadline")
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         relaxed = make_job("relaxed", timeout_s=9000.0)
         tight = make_job("tight", timeout_s=300.0)
         scheduler.submit(relaxed, now=0.0)
@@ -58,12 +58,12 @@ class TestDeadlinePolicy:
 class TestReservationAwareAdmission:
     def make_scheduler(self, mode="defer"):
         scheduler = JobScheduler(reservation_admission=mode)
-        scheduler.register_device("node1", "dev0")
+        scheduler.slots.register("node1", "dev0")
         return scheduler
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SchedulingError, match="admission mode"):
-            DispatchEngine(reservation_admission="maybe")
+            JobScheduler(reservation_admission="maybe")
 
     def test_long_job_deferred_from_slot_with_upcoming_reservation(self):
         scheduler = self.make_scheduler()
@@ -107,14 +107,14 @@ class TestReservationAwareAdmission:
         (assignment,) = scheduler.dispatch_batch(now=0.0)
         # A reservation lands after assignment but before execution begins.
         scheduler.reserve_session("alice", "node1", "dev0", start_s=200.0, duration_s=600.0)
-        assert not scheduler.engine.eligible(job, "node1", "dev0", now=150.0)
-        assert scheduler.engine.eligible(job, "node1", "dev0", now=900.0)
+        assert not scheduler.eligible(job, "node1", "dev0", now=150.0)
+        assert scheduler.eligible(job, "node1", "dev0", now=900.0)
 
     def test_next_blocking_start_skips_owner_reservations(self):
         scheduler = self.make_scheduler()
         scheduler.reserve_session("alice", "node1", "dev0", start_s=100.0, duration_s=50.0)
         scheduler.reserve_session("bob", "node1", "dev0", start_s=300.0, duration_s=50.0)
-        reservations = scheduler.engine.reservations
+        reservations = scheduler.reservations
         assert reservations.next_blocking_start("node1", "dev0", 0.0, "alice") == 300.0
         assert reservations.next_blocking_start("node1", "dev0", 0.0, "bob") == 100.0
         assert reservations.next_blocking_start("node1", "dev0", 400.0, "carol") is None
@@ -122,7 +122,7 @@ class TestReservationAwareAdmission:
     def test_earliest_relevant_end_sees_upcoming_reservations(self):
         scheduler = self.make_scheduler()
         scheduler.reserve_session("alice", "node1", "dev0", start_s=500.0, duration_s=100.0)
-        reservations = scheduler.engine.reservations
+        reservations = scheduler.reservations
         assert reservations.earliest_active_end(0.0) is None
         assert reservations.earliest_relevant_end(0.0) == 600.0
         assert reservations.earliest_relevant_end(700.0) is None

@@ -211,26 +211,6 @@ class TestDifferential:
         statuses = {job.status for job in rig.server.scheduler.jobs()}
         assert statuses == {JobStatus.COMPLETED, JobStatus.FAILED}
 
-    @pytest.mark.parametrize("kind", ["file", "memory"])
-    def test_a_revived_job_lands_inside_a_run(self, kind, tmp_path):
-        # The cancelled pipeline change lapses out of the snapshot while its
-        # neighbours settle into one run; approving it brings it back
-        # between them.
-        rig = Rig(kind, str(tmp_path))
-        for op in [
-            ("submit", 0), ("submit_pipeline", 1), ("submit", 2), ("cancel", 1),
-            ("advance", 1.5 * 86_400), ("run", 10), ("checkpoint", 0),
-        ]:
-            rig.apply(op)
-        first, revived, last = rig.jobs
-        assert rig.manager.settled_job_ids == [first, last]
-        rig.apply(("approve", 1))
-        rig.apply(("checkpoint", 0))
-        assert rig.server.scheduler.job(revived).status is JobStatus.QUEUED
-        rig.apply(("run", 1))
-        rig.apply(("checkpoint", 0))
-        assert rig.manager.settled_job_ids == [first, last]  # lapsed once it settled
-
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["file", "memory"]), ops=st.lists(OPS, max_size=40))
     def test_any_history_writes_a_cache_free_encode(self, kind, ops):
@@ -525,10 +505,9 @@ class TestAFailedCheckpointFailsNoRequest:
         assert served == 30 and gateway.stopped
         assert len(clock.sleeps) >= 9  # the loop kept ticking to its deadline
         assert attempts and counter(server, "journal_checkpoint_failures_total") == len(attempts)
-        engine = server.scheduler.engine
         for job_id in ids:
             assert server.scheduler.job(job_id).status is JobStatus.COMPLETED
-            assert not engine.is_executing(job_id)
+            assert not server.scheduler.is_executing(job_id)
         monkeypatch.undo()  # the disk has room again
         server.persistence.checkpoint()
         rebuilt = build_default_platform(
