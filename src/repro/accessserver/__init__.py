@@ -73,7 +73,6 @@ if TYPE_CHECKING:
         PersistenceManager,
         RecoveryReport,
         StorageBackend,
-        attach_persistence,
         recover_into,
     )
     from repro.accessserver.payloads import (
@@ -129,7 +128,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PersistenceManager",
             "RecoveryReport",
             "StorageBackend",
-            "attach_persistence",
             "recover_into",
         ),
         "payloads": ("get_payload", "register_payload", "unregister_payload"),

@@ -74,7 +74,7 @@ def unregister_payload(name: str) -> None:
 
 def get_payload(name: str) -> Optional[Callable]:
     """Look up a registered payload by name; ``None`` when unregistered
-    (recovery's lenient sibling is ``persistence.resolve_payload``)."""
+    (recovery's lenient sibling is ``persistence.codec.resolve_payload``)."""
     return _PAYLOADS.get(name)
 
 

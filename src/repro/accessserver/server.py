@@ -32,6 +32,7 @@ themselves.  The queue ordering policy
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -312,37 +313,46 @@ class AccessServer(Entity):
         """The attached :class:`~repro.accessserver.persistence.PersistenceManager`, if any."""
         return self._persistence
 
-    def enable_persistence(
-        self,
-        backend,
-        recover: bool = True,
-        snapshot_every: int = 1000,
-        fsync_every: int = 32,
-    ):
-        """Journal every state mutation to ``backend`` (a path or a backend).
+    def enable_persistence(self, backend, recover: bool = True, snapshot_every: int = 1000):
+        """Journal every state mutation to ``backend``: a
+        :class:`~repro.accessserver.persistence.StorageBackend`, or a state
+        directory path, which becomes a ``FileBackend`` at its default fsync
+        cadence (pass ``FileBackend(path, fsync_every=N)`` for another).
 
         With ``recover=True`` (the default) any state the backend already
         holds — a previous run's snapshot and journal — is replayed into
         this server first, so the queue, reservations and credit balances
         survive a restart.  ``recover=False`` starts fresh and *discards*
-        any state the backend held.  Returns the
+        any state the backend held: the initial checkpoint, written either
+        way so the state on disk is coherent at once, overwrites it.
+        Returns the
         :class:`~repro.accessserver.persistence.PersistenceManager`.
         """
-        from repro.accessserver.persistence import attach_persistence
+        from repro.accessserver.persistence import (
+            FileBackend,
+            PersistenceError,
+            PersistenceManager,
+            recover_into,
+        )
 
-        manager = attach_persistence(
+        if self._persistence is not None:
+            raise PersistenceError("persistence is already attached to this server")
+        if isinstance(backend, (str, os.PathLike)):
+            backend = FileBackend(backend)
+        report = recover_into(self, backend) if recover and backend.has_state() else None
+        manager = PersistenceManager(
             self,
             backend,
-            recover=recover,
             snapshot_every=snapshot_every,
-            fsync_every=fsync_every,
+            start_sequence=report.last_sequence if report is not None else 0,
         )
+        manager.attach()
+        manager.last_recovery = report
+        manager.checkpoint()
         self.log(
             "persistence enabled",
-            recovered=manager.last_recovery is not None,
-            jobs_queued=(
-                manager.last_recovery.jobs_queued if manager.last_recovery else 0
-            ),
+            recovered=report is not None,
+            jobs_queued=report.jobs_queued if report is not None else 0,
         )
         return manager
 

@@ -42,13 +42,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.accessserver.jobs import JobStatus
-from repro.accessserver.persistence import (
-    DISPATCH_TOPIC_KINDS,
-    JOB_DEFAULTS,
-    SPEC_DEFAULTS,
-    FileBackend,
-    StorageBackend,
-)
+from repro.accessserver.persistence.backends import FileBackend, StorageBackend
+from repro.accessserver.persistence.codec import DISPATCH_TOPIC_KINDS, JOB_DEFAULTS, SPEC_DEFAULTS
 from repro.simulation.events import BusEvent
 
 #: Canonical record kinds the reducers consume.  The vocabulary is the

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from repro.accessserver import persistence
 from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
+from repro.accessserver.persistence import manager as persistence_manager
 from repro.accessserver.persistence import (
     TERMINAL_STATUSES,
     FileBackend,
     InMemoryBackend,
     PersistenceError,
-    attach_persistence,
     build_snapshot,
     encode_snapshot,
     recover_into,
@@ -458,7 +458,7 @@ class TestInMemoryRecovery:
         backend = InMemoryBackend()
         platform = build_default_platform(seed=11, browsers=("chrome",))
         server = platform.access_server
-        attach_persistence(server, backend)
+        server.enable_persistence(backend)
         server.submit_job(platform.experimenter, spec("mem"))
 
         fresh = build_default_platform(seed=11, browsers=("chrome",))
@@ -470,7 +470,7 @@ class TestInMemoryRecovery:
     def test_missing_vantage_point_leaves_devices_unregistered(self):
         backend = InMemoryBackend()
         platform = build_default_platform(seed=11, browsers=("chrome",))
-        attach_persistence(platform.access_server, backend)
+        platform.access_server.enable_persistence(backend)
         platform.access_server.submit_job(platform.experimenter, spec("stranded"))
 
         # The "host" rebuilds with a *different* vantage point name, so the
@@ -856,7 +856,7 @@ class TestEncodeOnce:
             calls.append(job.job_id)
             return real(job, queue_seq=queue_seq)
 
-        monkeypatch.setattr(persistence, "serialize_job", counting)
+        monkeypatch.setattr(persistence_manager, "serialize_job", counting)
         return calls
 
     def settled_platform(self, backend, settled, queued=0, **spec_kwargs):

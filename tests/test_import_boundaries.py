@@ -60,6 +60,7 @@ LAZY_PACKAGES = (
     "repro",
     "repro.api",
     "repro.accessserver",
+    "repro.accessserver.persistence",
     "repro.simulation",
     "repro.chaos",
     "repro.agent",
@@ -105,9 +106,17 @@ def test_an_agent_running_noop_loads_no_persistence():
         "ctx = ConnectorContext(1, 'job', 'owner', 'noop', 'node1', 'node1-dev00')\n"
         "assert [r.status for r in FakeConnector().run(ctx)] == ['ok'] * 3"
     )
-    assert "repro.accessserver.persistence" not in modules
+    assert [name for name in modules if name.startswith("repro.accessserver.persistence")] == []
     assert "repro.accessserver.credits" not in modules
     assert "repro.accessserver.payloads" in modules
+
+
+def test_the_persistence_codec_is_a_leaf():
+    """``persistence.codec`` is what ``analytics.records`` and every other
+    module of the package build on; it loads none of its siblings."""
+    modules = loaded_modules("import repro.accessserver.persistence.codec")
+    package = "repro.accessserver.persistence"
+    assert [name for name in modules if name.startswith(package + ".")] == [package + ".codec"]
 
 
 def test_printing_a_table_does_not_load_numpy():

@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accessserver import persistence
+from repro.accessserver import jobs
 from repro.accessserver.jobs import Job, JobConstraints, JobSpec, JobStatus
+from repro.accessserver.persistence import codec, recovery
 from repro.accessserver.persistence import (
     CONSTRAINT_DEFAULTS,
     JOB_DEFAULTS,
@@ -89,7 +90,7 @@ def elided(full: dict) -> dict:
 
 
 def through_json(record: dict) -> dict:
-    return json.loads(persistence._encode(record))
+    return json.loads(codec._encode(record))
 
 
 def test_the_defaults_on_disk_are_the_dataclass_defaults():
@@ -98,7 +99,7 @@ def test_the_defaults_on_disk_are_the_dataclass_defaults():
     state = {k: v for k, v in FORMAT1_JOB_DEFAULTS.items() if k not in ("log_lines", "queue_seq")}
     assert {name: JOB_DEFAULTS[name] for name in state} == state
     assert JOB_DEFAULTS["status"] is JobStatus.QUEUED and JOB_DEFAULTS["submitted_at"] == 0.0
-    assert persistence.FORMAT_VERSION == 1
+    assert codec.FORMAT_VERSION == 1
 
 
 # -- (i) what the writers leave out -------------------------------------------
@@ -113,7 +114,7 @@ def test_an_all_default_job_serialises_to_its_identity():
         "status": "queued",
         "submitted_at": 0.0,
     }
-    assert persistence._encode(record) == (
+    assert codec._encode(record) == (
         '{"job_id":41,"spec":{"name":"n","owner":"o","payload":"noop"},'
         '"status":"queued","submitted_at":0.0}'
     )
@@ -153,7 +154,7 @@ def test_a_settled_noop_job_adds_only_where_and_when_it_ran():
 
 
 def test_a_finished_record_that_omits_a_key_means_its_default_not_unchanged():
-    state = persistence._ReplayState()
+    state = recovery._ReplayState()
     row = serialize_job(Job(spec=JobSpec(name="n", owner="o", run=noop_payload), job_id=9))
     state.apply({"seq": 1, "kind": "job.submitted", "data": {"job": {**row, "log_lines": ["old"]}}})
     state.apply(
@@ -383,6 +384,40 @@ def test_a_parent_written_state_dir_recovers_and_checkpoints_elided(tmp_path, fi
     assert len(json.dumps(rows)) < 0.5 * len(json.dumps(full_rows))
 
 
+def _top_level_values(text: str) -> dict:
+    """The raw text of each top-level value of a compact JSON object."""
+    decoder = json.JSONDecoder()
+    values, at = {}, 1
+    while text[at] != "}":
+        key, at = decoder.raw_decode(text, at)
+        _, end = decoder.raw_decode(text, at + 1)  # past the ':'
+        values[key] = text[at + 1 : end]
+        at = end + (text[end] == ",")
+    return values
+
+
+def _non_job_lines(journal: Path) -> list:
+    return [
+        line
+        for line in journal.read_text().splitlines()
+        if not json.loads(line)["kind"].startswith("job.")
+    ]
+
+
+def test_the_records_beside_the_jobs_are_the_fixtures_bytes(tmp_path, monkeypatch, fixture_payloads):
+    """Elision changed only the job records, so everything else the fixture's
+    session writes today is the fixture byte for byte.  Reservations and
+    credit transactions are written as ``asdict`` of their dataclass: this
+    pins their key order, which parsed-JSON comparisons cannot see."""
+    monkeypatch.setattr(jobs, "_job_ids", jobs._JobIdAllocator())  # the fixture's ids
+    fixture_payloads.write_state(tmp_path)
+    assert _non_job_lines(tmp_path / "journal.jsonl") == _non_job_lines(FIXTURE / "journal.jsonl")
+    written = _top_level_values((tmp_path / "snapshot.json").read_text())
+    committed = _top_level_values((FIXTURE / "snapshot.json").read_text())
+    for key in ("users", "vantage_points", "reservations", "credit"):
+        assert written[key] == committed[key], key
+
+
 # -- (v) the byte budget ------------------------------------------------------
 
 
@@ -453,11 +488,11 @@ def test_a_foreign_constraint_in_the_snapshot_is_a_persistence_error(tmp_path):
 def test_json_safe_probes_only_containers(monkeypatch):
     probes = []
     real = json.dumps
-    monkeypatch.setattr(persistence.json, "dumps", lambda value: probes.append(value) or real(value))
+    monkeypatch.setattr(codec.json, "dumps", lambda value: probes.append(value) or real(value))
     for scalar in (None, True, 3, 2.5, "text"):
-        assert persistence._json_safe(scalar) is scalar
+        assert codec._json_safe(scalar) is scalar
     assert probes == []
-    assert persistence._json_safe({"a": [1, 2]}) == {"a": [1, 2]}
+    assert codec._json_safe({"a": [1, 2]}) == {"a": [1, 2]}
     assert probes == [{"a": [1, 2]}]
-    assert persistence._json_safe({"a": object}) == {"__repr__": repr({"a": object})}
-    assert persistence._json_safe(object)["__repr__"] == repr(object)
+    assert codec._json_safe({"a": object}) == {"__repr__": repr({"a": object})}
+    assert codec._json_safe(object)["__repr__"] == repr(object)

@@ -29,6 +29,7 @@ from repro.accessserver import persistence
 from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
 from repro.accessserver.payloads import noop_payload, register_payload, unregister_payload
 from repro.accessserver.persistence import FileBackend, InMemoryBackend
+from repro.accessserver.persistence import manager as persistence_manager
 from repro.api import ApiError
 from repro.api.errors import InternalApiError
 from repro.chaos.faults import SimulatedCrash
@@ -286,7 +287,7 @@ class TestEncodeOnlyWhatChanged:
             raise AssertionError("a steady checkpoint walked scheduler.jobs()")
 
         with monkeypatch.context() as patch:
-            patch.setattr(persistence, "serialize_job", counting)
+            patch.setattr(persistence_manager, "serialize_job", counting)
             patch.setattr(server.scheduler, "jobs", poisoned)
             manager.checkpoint()
         assert len(calls) == 7 + 10
