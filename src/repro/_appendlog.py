@@ -1,19 +1,31 @@
-"""One fsync'd JSONL append log under both of the platform's journals.
+"""One JSONL append log under both of the platform's journals.
 
 The access server's ``journal.jsonl`` (``FileBackend``) and each agent's
 outbox (``Outbox``) are the same file discipline, kept once here: a held
 append handle that the owner takes with its first write (or with
 :meth:`AppendLog.open`); every line flushed as it is written and fsync'd
-every ``fsync_every`` lines; and every line written through a
+when the owner asks (:meth:`AppendLog.sync`) — each owner sets its own
+cadence; and every line written through a
 :class:`~repro.chaos.faults.CrashPlan`, so ``plan_crash(at_write, mode)``
-kills the owner before, after or halfway through (``torn``) a chosen line.
+kills the owner before, after or halfway through (``torn``) a chosen line,
+or cuts its power there (``power-loss``).
 
-**Only the last line can be torn**: every write ends with a newline, so a
-crash mid-write leaves at most the last line unterminated.  Readers drop
-it; the owner truncates it away when it takes the handle, so the file only
-ever holds whole lines.  A reader (:meth:`AppendLog.lines`) never takes the
-handle and writes nothing.  The log knows lines, not records: each owner
-keeps its own encoding and its own policy for a bad line mid-file.
+Two contracts, because two failures differ in what they keep:
+
+* **kill -9** keeps every line written: a flushed line is in the kernel's
+  page cache, which outlives the process.  **Only the last line can be
+  torn**: every write ends with a newline, so a crash mid-write leaves at
+  most the last line unterminated.  Readers drop it; the owner truncates it
+  away when it takes the handle, so the file only ever holds whole lines.
+* **power loss** keeps what was fsync'd: the file reopens at
+  ``synced_size`` as of the last :meth:`~AppendLog.sync` (or open, or
+  truncate), and :meth:`~AppendLog.lose_unsynced` is how a planned
+  ``power-loss`` crash puts it there.  How much that rewinds is the owner's
+  durability decision.
+
+A reader (:meth:`AppendLog.lines`) never takes the handle and writes
+nothing.  The log knows lines, not records: each owner keeps its own
+encoding and its own policy for a bad line mid-file.
 
 Lines are ASCII (JSON with ``ensure_ascii``), so a line's length is its
 size in bytes.  Standard library only: the agent imports this on the
@@ -49,19 +61,17 @@ def _whole_lines_end(path: str, size: int) -> int:
 
 class AppendLog:
     """An append-only file of newline-terminated lines; ``size_bytes``,
-    ``fsyncs`` and ``torn_tails_dropped`` are kept current as plain attributes."""
+    ``synced_size`` (the bytes a power loss keeps), ``fsyncs`` and
+    ``torn_tails_dropped`` are kept current as plain attributes."""
 
-    def __init__(self, path: Union[str, "os.PathLike[str]"], fsync_every: int = 1) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be at least 1")
+    def __init__(self, path: Union[str, "os.PathLike[str]"]) -> None:
         self.path = os.fspath(path)
-        self.fsync_every = fsync_every
-        self.crash_plan = CrashPlan()
+        self.crash_plan = CrashPlan(self.lose_unsynced)
         self.fsyncs = 0
         self.torn_tails_dropped = 0
         self._handle = None
-        self._unsynced = 0
         self.size_bytes = os.path.getsize(self.path) if os.path.exists(self.path) else 0
+        self.synced_size = self.size_bytes
 
     def open(self) -> None:
         """Take the append handle (owner only), creating the file and
@@ -73,7 +83,7 @@ class AppendLog:
         whole = _whole_lines_end(self.path, size)
         if whole < size:
             os.ftruncate(self._handle.fileno(), whole)
-        self.size_bytes = whole
+        self.size_bytes = self.synced_size = whole
 
     # -- writing --------------------------------------------------------------
     def append(self, line: str, label: str = "append") -> None:
@@ -91,24 +101,26 @@ class AppendLog:
         self._handle.write(text)
         self._handle.flush()
         self.size_bytes += len(text)
-        self._unsynced += 1
-        if self._unsynced >= self.fsync_every:
-            self.sync()
 
     def sync(self) -> None:
-        """fsync the lines written since the last one, if any."""
-        if self._unsynced:
+        """fsync the lines written since the last sync, if any."""
+        if self.synced_size != self.size_bytes:
             os.fsync(self._handle.fileno())
             self.fsyncs += 1
-            self._unsynced = 0
+            self.synced_size = self.size_bytes
+
+    def lose_unsynced(self) -> None:
+        """Cut the file back to ``synced_size``: what a power loss leaves."""
+        if self._handle is not None:
+            os.ftruncate(self._handle.fileno(), self.synced_size)
+        self.size_bytes = self.synced_size
 
     def truncate(self) -> None:
         """Empty the file; the next line is its first."""
         if self._handle is None:
             self.open()
         os.ftruncate(self._handle.fileno(), 0)
-        self._unsynced = 0
-        self.size_bytes = 0
+        self.size_bytes = self.synced_size = 0
 
     def close(self) -> None:
         """Sync and release the handle; a later write takes it again."""
@@ -150,5 +162,6 @@ class LogOwner:
     def plan_crash(self, at_write: int, mode: str = "after") -> None:
         """Simulate ``kill -9`` at the ``at_write``-th write (0-based), in a
         :data:`~repro.chaos.faults.CRASH_MODES` mode: ``torn`` writes half
-        the line with no newline — the on-disk shape of a crash mid-``write(2)``."""
+        the line with no newline — the on-disk shape of a crash mid-``write(2)``;
+        ``power-loss`` writes the line, then drops every unsynced byte."""
         self._log.crash_plan.arm(at_write, mode)

@@ -176,9 +176,10 @@ class InMemoryBackend(StorageBackend):
 class FileBackend(LogOwner, StorageBackend):
     """JSONL journal + JSON snapshot under one state directory.
 
-    The journal is an :class:`~repro._appendlog.AppendLog`: ``plan_crash``
-    / ``writes`` crash-kill the server at a chosen journal append (only
-    appends count, not truncations or snapshots).
+    The journal is an :class:`~repro._appendlog.AppendLog` whose fsync
+    cadence this backend sets: ``plan_crash`` / ``writes`` crash-kill the
+    server at a chosen journal append (only appends count, not truncations
+    or snapshots).
 
     Parameters
     ----------
@@ -204,7 +205,11 @@ class FileBackend(LogOwner, StorageBackend):
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.state_dir / self.JOURNAL_NAME
         self.snapshot_path = self.state_dir / self.SNAPSHOT_NAME
-        self._log = AppendLog(self.journal_path, fsync_every)
+        if fsync_every < 1:
+            raise ValueError("fsync_every must be at least 1")
+        self.fsync_every = fsync_every
+        self._log = AppendLog(self.journal_path)
+        self._unsynced = 0
         self.appended = 0
         self.snapshot_bytes = 0
 
@@ -219,9 +224,13 @@ class FileBackend(LogOwner, StorageBackend):
     def append(self, record: Dict[str, object]) -> None:
         self._log.append(_encode(record), record.get("kind", "record"))
         self.appended += 1
+        self._unsynced += 1
+        if self._unsynced >= self.fsync_every:
+            self.sync()
 
     def sync(self) -> None:
         self._log.sync()
+        self._unsynced = 0
 
     def read_journal(self) -> List[Dict[str, object]]:
         # The log drops a torn last line; any other bad line is corruption.
@@ -239,6 +248,7 @@ class FileBackend(LogOwner, StorageBackend):
 
     def reset_journal(self) -> None:
         self._log.truncate()
+        self._unsynced = 0
 
     def write_snapshot(self, snapshot: Dict[str, object]) -> None:
         # Durable through the directory fsync before this returns: the
@@ -265,3 +275,4 @@ class FileBackend(LogOwner, StorageBackend):
 
     def close(self) -> None:
         self._log.close()
+        self._unsynced = 0

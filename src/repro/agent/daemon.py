@@ -15,9 +15,16 @@ a vantage point's devices (``repro agent`` on the CLI).  Its loop:
    (not after the last: the report that follows settles the lease);
 6. **report** — ``agent.report`` the terminal status, then journal the ack.
 
-Every journal append happens *before* the daemon acts on the recorded
-step, so a ``kill -9`` anywhere leaves the outbox describing exactly what
-to do next; see :mod:`repro.agent.outbox` for the resume rules.
+Two failure contracts (see :mod:`repro.agent.outbox` for the resume rules):
+
+* **kill -9** — every journal append happens *before* the daemon acts on
+  the recorded step, so a kill anywhere leaves the outbox describing
+  exactly what to do next.
+* **power loss** — the outbox is fsync'd once per lease, as the lease
+  settles, so a restart after a power loss remembers only settled leases.
+  A lease the daemon had not reported lapses on the server, which offers
+  the job again after the TTL; one it had reported is never run again,
+  and the server's settled-lease memory keeps every report exactly-once.
 """
 
 from __future__ import annotations

@@ -12,6 +12,23 @@ offset, replaying the file tells a fresh daemon exactly where to resume:
   which is what makes the retry exactly-once rather than at-least-once;
 * ``uploaded`` / ``discarded`` — nothing to do.
 
+The file is an :class:`~repro._appendlog.AppendLog`, and what survives
+depends on what failed:
+
+* **kill -9** — every record is written and flushed before the daemon acts
+  on it, so the rules above resume from the exact step.  A torn last line
+  (its operation never happened) is dropped and healed at open; a bad line
+  elsewhere is skipped.
+* **power loss** — the file is fsync'd once per lease, at the ``uploaded``
+  / ``discarded`` record that settles it, so a power loss rewinds the agent
+  to its last settled lease.  A lease it had not reported is forgotten and
+  the server re-runs that job once its TTL lapses; a lease it had reported
+  is never reported or run again.  The server's settled-lease memory keeps
+  the report exactly-once whatever the agent loses; the outbox only decides
+  how much work a power loss repeats.  Syncing the ``claim`` too would buy
+  nothing: a controller reboots slower than a lease's TTL, so the restart
+  would only find the claim expired and discard it.
+
 The file costs what is live.  It is opened once and replayed once, at
 construction; after that the per-lease fold is kept in memory by
 :meth:`Outbox.append`, so :meth:`~Outbox.lease_states` and
@@ -19,13 +36,10 @@ construction; after that the per-lease fold is kept in memory by
 record leaves the file at or over :data:`COMPACT_BYTES` (also checked once
 at open), the file is atomically replaced by the records of the leases
 still pending — normally none.  A settled lease is dropped whole: its
-``uploaded`` / ``discarded`` record was durable, so no replay would have
-touched it again.
+``uploaded`` / ``discarded`` record was fsync'd before the compaction
+began, so no replay, after either failure, would have touched it again.
 
-The file is an :class:`~repro._appendlog.AppendLog` fsync'd every line: a
-torn last line (its operation never happened) is dropped and healed at
-open; a bad line elsewhere is skipped.  Tests drive the crash points
-deterministically through ``plan_crash``.
+Tests drive the crash points deterministically through ``plan_crash``.
 """
 
 from __future__ import annotations
@@ -44,7 +58,8 @@ __all__ = ["COMPACT_BYTES", "Outbox", "SimulatedCrash", "fold_records"]
 #: File size at which a settling record triggers compaction (≈ 88 noop jobs).
 COMPACT_BYTES = 64 * 1024
 
-#: The record kinds that settle a lease; only they can trigger compaction.
+#: The record kinds that settle a lease; only they are fsync'd, and only
+#: they can trigger compaction.
 _SETTLING_KINDS = ("uploaded", "discarded")
 
 
@@ -104,12 +119,13 @@ class Outbox(LogOwner):
     time: opening it removes the ``<path>.tmp`` a crash inside a compaction
     left behind.
 
-    ``pending_count`` (leases with unfinished work) and ``compactions``
-    (made by this instance) are plain attributes, kept current where the
-    work happens.  A compaction is a crash-plan write of its own, right
-    after the append that triggered it: ``"before"`` crashes with the file
-    untouched, ``"torn"`` with the temporary file written but not renamed,
-    ``"after"`` with the rename done and nothing after it.
+    ``pending_count`` (leases with unfinished work), ``compactions`` (made
+    by this instance) and ``fsyncs`` are plain attributes, kept current
+    where the work happens.  A compaction is a crash-plan write of its own,
+    right after the append that triggered it: ``"before"`` crashes with the
+    file untouched, ``"torn"`` with the temporary file written but not
+    renamed, ``"after"`` (and ``"power-loss"``: a compaction leaves nothing
+    unsynced) with the rename done and nothing after it.
     """
 
     def __init__(self, path: str) -> None:
@@ -134,6 +150,10 @@ class Outbox(LogOwner):
     def size_bytes(self) -> int:
         return self._log.size_bytes
 
+    @property
+    def fsyncs(self) -> int:
+        return self._log.fsyncs
+
     def close(self) -> None:
         """Release the file handle; the daemon's owner calls this on exit."""
         self._log.close()
@@ -146,7 +166,11 @@ class Outbox(LogOwner):
         # Fold what a replay would read, not what the caller passed (JSON
         # turns tuples into lists and every key into a string).
         self.pending_count += _apply(self._states, json.loads(line))
-        if kind in _SETTLING_KINDS and self.size_bytes >= COMPACT_BYTES:
+        if kind not in _SETTLING_KINDS:
+            return record
+        # Synced before the compaction, which drops the lease as settled.
+        self._log.sync()
+        if self.size_bytes >= COMPACT_BYTES:
             self.crash_plan.intercept(
                 "compact",
                 self._compact,

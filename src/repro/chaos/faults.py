@@ -16,9 +16,10 @@ plane it lands in:
   lost, phase failed).  The job fails; the process lives.
 * :class:`CrashPlan` — the write-counting crash planner behind every
   ``plan_crash`` hook: arm it at an append offset with a mode
-  (``before`` / ``after`` / ``torn``) and it raises :class:`SimulatedCrash`
-  at exactly that write.  Every line of :class:`~repro._appendlog.AppendLog`
-  — the server journal and the agent outbox — goes through one.
+  (``before`` / ``after`` / ``torn`` / ``power-loss``) and it raises
+  :class:`SimulatedCrash` at exactly that write.  Every line of
+  :class:`~repro._appendlog.AppendLog` — the server journal and the agent
+  outbox — goes through one.
 * :class:`FaultPlane` — the live fault table a running scenario mutates:
   per-device kill/hang/slow-IO orders and per-vantage-point power state,
   consumed by instrumented payloads at execution time.
@@ -42,8 +43,9 @@ __all__ = [
     "ExecutionLedger",
 ]
 
-#: The three ways a planned crash can interleave with the write it targets.
-CRASH_MODES = ("before", "after", "torn")
+#: The ways a planned crash can interleave with the write it targets: three
+#: ``kill -9`` shapes, and a power loss, which also loses every unsynced byte.
+CRASH_MODES = ("before", "after", "torn", "power-loss")
 
 
 class SimulatedCrash(BaseException):
@@ -81,10 +83,15 @@ class CrashPlan:
       crash (exercises readers' torn-tail tolerance).  Writers without a
       meaningful torn representation may omit ``write_torn``, in which case
       nothing is written — indistinguishable from ``"before"`` on disk,
-      which is exactly what a torn write that lost its only sector means.
+      which is exactly what a torn write that lost its only sector means;
+    * ``"power-loss"`` — write the full record, then call the owner's
+      ``lose_unsynced`` (drop every byte not yet fsync'd), then crash: the
+      machine lost power, not just the process.  An owner that passes no
+      ``lose_unsynced`` keeps everything, as ``"after"`` does.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lose_unsynced=None) -> None:
+        self._lose_unsynced = lose_unsynced
         self._writes = 0
         self._crash_at: Optional[int] = None
         self._crash_mode = "after"
@@ -126,6 +133,10 @@ class CrashPlan:
                 write_torn()
             raise SimulatedCrash(f"torn write {self._writes - 1} ({label})")
         write_full()
+        if crash_here and self._crash_mode == "power-loss":
+            if self._lose_unsynced is not None:
+                self._lose_unsynced()
+            raise SimulatedCrash(f"power lost at write {self._writes - 1} ({label})")
         if crash_here:
             raise SimulatedCrash(f"after write {self._writes - 1} ({label})")
 

@@ -980,7 +980,7 @@ def _cmd_agent(args) -> str:
     )
     lines.append(
         f"outbox: {outbox.size_bytes} bytes, {outbox.pending_count} pending "
-        f"lease(s), {outbox.compactions} compaction(s)"
+        f"lease(s), {outbox.compactions} compaction(s), {outbox.fsyncs} fsync(s)"
     )
     return "\n".join(lines)
 

@@ -141,6 +141,16 @@ class TestBackends:
         assert backend.fsyncs == 3  # the straggler
         backend.sync()
         assert backend.fsyncs == 3  # nothing pending, no extra fsync
+        for seq in range(7, 9):
+            backend.append({"seq": seq, "kind": "tick", "data": {}})
+        backend.reset_journal()  # a checkpoint restarts the count
+        for seq in range(9, 11):
+            backend.append({"seq": seq, "kind": "tick", "data": {}})
+        assert backend.fsyncs == 3
+        backend.close()
+        assert backend.fsyncs == 4  # the final sync
+        with pytest.raises(ValueError):
+            FileBackend(tmp_path / "other", fsync_every=0)
 
     def test_snapshot_replace_is_atomic(self, tmp_path):
         backend = FileBackend(tmp_path)

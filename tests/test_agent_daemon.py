@@ -48,6 +48,17 @@ def _counting_payload(job):
 
 register_payload("count-me", _counting_payload)
 
+#: Executions per job id of the ``count-per-job`` payload.
+_EXECUTIONS = {}
+
+
+def _per_job_payload(job):
+    _EXECUTIONS[job.job_id] = _EXECUTIONS.get(job.job_id, 0) + 1
+    return job.job_id
+
+
+register_payload("count-per-job", _per_job_payload)
+
 
 def make_context(**overrides):
     base = dict(
@@ -482,6 +493,114 @@ class TestCrashMatrix:
         # counter did not advance and the upload carried result 1.
         assert _RUNS["count-me"] == 1
         assert platform.client().job_results(job.job_id).result == 1
+
+
+#: Outbox writes of a single-device job: claim, a record per phase, result,
+#: uploaded.
+WRITES_PER_JOB = len(CONNECTOR_PHASES) + 3
+
+
+def agent_reports(platform):
+    return sum(
+        row["value"]
+        for row in platform.access_server.obs.registry.snapshot()["counters"]
+        if row["name"] == "agent_reports_total"
+    )
+
+
+class TestPowerLossMatrix:
+    """Cut the agent's power at every outbox write of two jobs, then restart.
+
+    A power loss keeps what the outbox fsync'd: everything up to its last
+    settled lease.  Whatever it forgets, the server's settled-lease memory
+    keeps each report exactly-once — the outbox only decides how much work
+    the restart repeats.
+    """
+
+    @pytest.mark.parametrize("at_write", range(2 * WRITES_PER_JOB))
+    def test_every_job_settles_exactly_once(self, tmp_path, at_write):
+        _EXECUTIONS.clear()
+        platform = build_default_platform(seed=11, browsers=("chrome",))
+        client = platform.client()
+        jobs = [
+            client.submit_job(f"job-{n}", "count-per-job", execution="agent",
+                              connector="fake").job_id
+            for n in range(2)
+        ]
+        doomed = start_daemon(platform, tmp_path)
+        doomed.outbox.plan_crash(at_write, mode="power-loss")
+        with pytest.raises(SimulatedCrash, match="power lost"):
+            while doomed.run_once() is not None:
+                pass
+        doomed.outbox.close()
+        reported = {
+            job_id for job_id in jobs if client.job_status(job_id).status == "completed"
+        }
+        runs_at_cut = dict(_EXECUTIONS)
+
+        fresh = start_daemon(platform, tmp_path)
+        durable = fresh.outbox.records()
+        assert not durable or durable[-1]["kind"] in ("uploaded", "discarded")
+        assert fresh.outbox.pending() == []
+        assert [r["kind"] for r in durable].count("uploaded") == at_write // WRITES_PER_JOB
+        for _ in range(len(jobs) + 1):
+            fresh.resume()
+            while fresh.run_once() is not None:
+                pass
+            if all(client.job_status(job_id).status == "completed" for job_id in jobs):
+                break
+            platform.context.run_for(31.0)  # the dead run's lease expires
+        assert [client.job_status(job_id).status for job_id in jobs] == ["completed"] * 2
+        assert [client.job_results(job_id).result for job_id in jobs] == jobs
+        assert agent_reports(platform) == len(jobs)
+        for job_id in jobs:
+            again = _EXECUTIONS.get(job_id, 0) - runs_at_cut.get(job_id, 0)
+            assert again == (0 if job_id in reported else 1), job_id
+        assert fresh.outbox.pending() == [] and fresh.resume() == []
+        fresh.outbox.close()
+
+
+class TestOneFsyncPerLease:
+    def test_a_cycle_costs_one_fsync(self, platform, tmp_path, monkeypatch):
+        client = platform.client()
+        cycles = 5
+        for n in range(cycles):
+            client.submit_job(f"job-{n}", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        for _ in range(cycles):
+            assert daemon.run_once() is not None
+            # What run_once leaves is what a power loss would keep.
+            assert daemon.outbox._log.synced_size == daemon.outbox.size_bytes
+        assert daemon.outbox.compactions == 0
+        assert daemon.outbox.writes == cycles * WRITES_PER_JOB
+        assert len(synced) == daemon.outbox.fsyncs == cycles
+        daemon.outbox.close()
+
+    def test_a_settling_record_is_synced_before_its_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A compaction drops a settled lease whole, which is only safe once
+        the record that settled it is on disk."""
+        outbox = Outbox(str(tmp_path / "o.jsonl"))
+        events = []
+        monkeypatch.setattr(os, "fsync", lambda fd: events.append("fsync"))
+        replace_file = outbox_module.replace_file
+
+        def replacing(*args):
+            events.append(("compact", outbox._log.synced_size == outbox.size_bytes))
+            return replace_file(*args)
+
+        monkeypatch.setattr(outbox_module, "replace_file", replacing)
+        monkeypatch.setattr(outbox_module, "COMPACT_BYTES", 1)
+        outbox.append("claim", lease_id="lease-1", job_id=1)
+        outbox.append("phase", lease_id="lease-1", phase="provision", status="ok")
+        assert events == []
+        outbox.append("discarded", lease_id="lease-1", reason="expired")
+        assert events[:2] == ["fsync", ("compact", True)]
+        assert outbox.compactions == 1 and outbox.fsyncs == 1
+        outbox.close()
 
 
 def settled_lease_lines(index):

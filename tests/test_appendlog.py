@@ -2,9 +2,10 @@
 
 ``repro._appendlog.AppendLog`` is the file discipline of the server journal
 (``FileBackend``) and the agent outbox (``Outbox``).  Its matrix: for each
-fsync policy, each write offset and each crash mode, a reopened log reads
-exactly the durable prefix, its next append lands on a fresh line, and its
-size count is the file's size.
+sync cadence, each write offset and each crash mode, a reopened log reads
+exactly the durable prefix — every line written for a ``kill -9``, every
+line synced for a power loss — its next append lands on a fresh line, and
+its size count is the file's size.
 """
 
 import json
@@ -19,7 +20,9 @@ from repro.chaos.faults import CRASH_MODES, SimulatedCrash
 LINES = [json.dumps({"n": n, "pad": "x" * (7 * n)}, sort_keys=True) for n in range(5)]
 
 
-def durable_prefix(at_write, mode):
+def durable_prefix(at_write, mode, sync_every):
+    if mode == "power-loss":
+        return LINES[: at_write // sync_every * sync_every]
     return LINES[: at_write + (mode == "after")]
 
 
@@ -28,25 +31,27 @@ def on_disk(path):
     return path.read_bytes() if path.exists() else b""
 
 
-@pytest.mark.parametrize("fsync_every", [1, 32])
+@pytest.mark.parametrize("sync_every", [1, 32])
 @pytest.mark.parametrize("at_write", range(len(LINES)))
 @pytest.mark.parametrize("mode", CRASH_MODES)
-def test_a_reopened_log_is_its_durable_prefix(tmp_path, fsync_every, at_write, mode):
+def test_a_reopened_log_is_its_durable_prefix(tmp_path, sync_every, at_write, mode):
     path = tmp_path / "log.jsonl"
-    log = AppendLog(path, fsync_every)
+    log = AppendLog(path)
     log.crash_plan.arm(at_write, mode)
     with pytest.raises(SimulatedCrash):
-        for line in LINES:
+        for number, line in enumerate(LINES, 1):
             log.append(line, "record")
+            if number % sync_every == 0:
+                log.sync()
     crashed = on_disk(path)
     assert log.size_bytes == len(crashed)
     assert crashed.endswith(b"\n") != (mode == "torn") or crashed == b""
 
-    reopened = AppendLog(path, fsync_every)
-    durable = durable_prefix(at_write, mode)
+    reopened = AppendLog(path)
+    durable = durable_prefix(at_write, mode, sync_every)
     assert list(reopened.lines()) == durable
     assert reopened.torn_tails_dropped == (mode == "torn")
-    assert reopened.size_bytes == len(crashed)
+    assert reopened.size_bytes == reopened.synced_size == len(crashed)
     assert on_disk(path) == crashed  # reading wrote nothing
 
     reopened.append("next")
@@ -58,25 +63,27 @@ def test_a_reopened_log_is_its_durable_prefix(tmp_path, fsync_every, at_write, m
     reopened.close()
 
 
-def test_fsyncs_follow_the_policy(tmp_path):
-    log = AppendLog(tmp_path / "log.jsonl", fsync_every=3)
-    for line in LINES + LINES:
+def test_a_log_fsyncs_only_when_its_owner_asks(tmp_path, monkeypatch):
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)
+    log = AppendLog(tmp_path / "log.jsonl")
+    for line in LINES:
         log.append(line)
-    assert log.fsyncs == 3  # after lines 3, 6 and 9
+    assert synced == [] and log.fsyncs == 0 and log.synced_size == 0
     log.sync()
-    assert log.fsyncs == 4  # the straggler
+    assert len(synced) == log.fsyncs == 1
+    assert log.synced_size == log.size_bytes
+    log.sync()
     log.close()
-    assert log.fsyncs == 4  # nothing left to sync
-    with pytest.raises(ValueError):
-        AppendLog(tmp_path / "other.jsonl", fsync_every=0)
+    assert log.fsyncs == 1  # nothing left to sync
 
 
 def test_truncate_empties_the_file_and_appends_go_on(tmp_path):
     path = tmp_path / "log.jsonl"
-    log = AppendLog(path, fsync_every=32)
+    log = AppendLog(path)
     log.append(LINES[0])
     log.truncate()
-    assert path.read_bytes() == b"" and log.size_bytes == 0
+    assert path.read_bytes() == b"" and log.size_bytes == log.synced_size == 0
     log.append(LINES[1])
     assert list(AppendLog(path).lines()) == [LINES[1]]
     assert log.size_bytes == os.path.getsize(path)

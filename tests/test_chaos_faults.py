@@ -96,6 +96,19 @@ class TestCrashPlan:
             plan.intercept("only", lambda: written.append("full"))
         assert written == []
 
+    def test_power_loss_writes_then_loses_what_was_unsynced(self):
+        written = []
+        plan = CrashPlan(lambda: written.append("lost"))
+        plan.arm(0, "power-loss")
+        with pytest.raises(SimulatedCrash, match=r"power lost at write 0 \(a\)"):
+            plan.intercept("a", lambda: written.append("a"))
+        assert written == ["a", "lost"]
+        bare = CrashPlan()  # an owner with nothing unsynced keeps the write
+        bare.arm(0, "power-loss")
+        with pytest.raises(SimulatedCrash):
+            bare.intercept("only", lambda: written.append("kept"))
+        assert written[-1] == "kept"
+
     def test_disarm_cancels_a_planned_crash(self):
         plan = CrashPlan()
         write, written = self._writer(plan)
@@ -123,7 +136,7 @@ class TestCrashPlan:
             plan.arm(0, "sideways")
         with pytest.raises(ValueError):
             plan.arm(-1)
-        assert set(CRASH_MODES) == {"before", "after", "torn"}
+        assert set(CRASH_MODES) == {"before", "after", "torn", "power-loss"}
 
 
 class TestFaultPlane:

@@ -303,5 +303,5 @@ class TestAgentCommand:
         assert "\nsettled jobs: [" in output
         assert (
             f"outbox: {outbox.stat().st_size} bytes, 0 pending lease(s), "
-            "0 compaction(s)" in output
+            "0 compaction(s), 1 fsync(s)" in output
         )
