@@ -26,7 +26,13 @@ Measures the server-side cost of the agent-pull execution plane:
   prices bytes and the resume, and 10,000 real fsyncs would price the disk.
   The stub counts its calls (``outbox_fsyncs_per_job``): one per settled
   lease plus a compaction's share, ~1.02 (~6.02 while every record was
-  fsync'd); held under 1.1.
+  fsync'd); held under 1.1;
+* **a deep queue on the other plane** — an ``agent.poll`` with 10,000 push
+  jobs queued that cannot run (``poll_ms_10k_push_queued``), and one
+  dispatch pass (``run_pending_jobs``) with 10,000 agent jobs queued and
+  free devices (``dispatch_pass_ms_10k_agent_queued``).  While both planes
+  walked the whole queue these were 6.2 and 3.0 ms on a 2-vCPU VM; the
+  queue is indexed by plane, so each is held under 0.5 ms.
 
 Results land in ``BENCH_agent_pull.json`` at the repository root; CI
 trend-gates the wall-clock rates (50% bands, like the other requests/s
@@ -49,6 +55,8 @@ from pathlib import Path
 from typing import Dict, List
 from unittest import mock
 
+from repro.accessserver.jobs import JobConstraints, JobSpec
+from repro.accessserver.payloads import noop_payload
 from repro.agent import CONNECTOR_PHASES, AgentDaemon
 from repro.agent.outbox import COMPACT_BYTES
 from repro.api import BatteryLabClient, JsonLinesTransport, TransportApiError
@@ -63,6 +71,8 @@ MULTI_DEVICE_COUNT = 4
 PARKED_ROUNDS = 50
 PARKED_AGENTS = 8
 OUTBOX_JOBS = 10_000
+DEEP_QUEUE_JOBS = 10_000
+DEEP_QUEUE_ROUNDS = 20
 
 #: Absolute sanity floors — an in-process agent plane slower than this is
 #: a code regression, not hardware variance.
@@ -80,6 +90,11 @@ MAX_SUBMIT_MS_8_PARKED = 10.0
 MAX_OUTBOX_BYTES_AFTER_10K = COMPACT_BYTES + 1024
 MAX_RESUME_MS_AFTER_10K = 5.0
 MAX_OUTBOX_FSYNCS_PER_JOB = 1.1
+
+#: Absolute ceilings on the deep-queue rows (also CI's gate): neither plane
+#: pays for the jobs queued on the other.
+MAX_POLL_MS_10K_PUSH_QUEUED = 0.5
+MAX_DISPATCH_PASS_MS_10K_AGENT_QUEUED = 0.5
 
 
 def _platform_with_devices(device_count: int):
@@ -278,6 +293,49 @@ def _bench_outbox_at_rest() -> Dict[str, object]:
     }
 
 
+def _median_ms(call, rounds: int = DEEP_QUEUE_ROUNDS) -> float:
+    samples = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - started) * 1000.0)
+    return round(statistics.median(samples), 3)
+
+
+def _fill_queue(platform, count: int, **spec) -> None:
+    server, user = platform.access_server, platform.experimenter
+    for index in range(count):
+        server.submit_job(user, JobSpec(f"deep-{index}", user.username, noop_payload, **spec))
+
+
+def _bench_deep_queue() -> Dict[str, object]:
+    """What one plane pays for 10,000 jobs queued on the other."""
+    platform = _platform_with_devices(4)
+    client = platform.client()
+    client.agent_register("bench-deep", connectors=["fake"])
+    # Pinned to a device the node does not have: queued for good.
+    _fill_queue(
+        platform,
+        DEEP_QUEUE_JOBS,
+        constraints=JobConstraints(vantage_point="bench-node", device_serial="absent"),
+    )
+    assert client.agent_poll("bench-deep").offers == []
+    poll_ms = _median_ms(lambda: client.agent_poll("bench-deep"))
+
+    platform = _platform_with_devices(4)
+    server = platform.access_server
+    _fill_queue(
+        platform, DEEP_QUEUE_JOBS, execution="agent", constraints=JobConstraints(connector="fake")
+    )
+    assert server.run_pending_jobs() == []
+    pass_ms = _median_ms(server.run_pending_jobs)
+    return {
+        "queued_jobs": DEEP_QUEUE_JOBS,
+        "poll_ms_10k_push_queued": poll_ms,
+        "dispatch_pass_ms_10k_agent_queued": pass_ms,
+    }
+
+
 def run_agent_pull_benchmark() -> Dict[str, object]:
     rows: List[Dict[str, object]] = [
         _bench_roundtrips(1),
@@ -286,6 +344,7 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
         _bench_parked_wake(),
         _bench_submit_with_parked_agents(),
         _bench_outbox_at_rest(),
+        _bench_deep_queue(),
     ]
     result: Dict[str, object] = {"benchmark": "agent_pull", "rows": rows}
     result["roundtrips_per_s_1agent"] = rows[0]["roundtrips_per_s"]
@@ -296,6 +355,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["outbox_bytes_after_10k_jobs"] = rows[5]["outbox_bytes_after_10k_jobs"]
     result["resume_ms_after_10k_settled"] = rows[5]["resume_ms_after_10k_settled"]
     result["outbox_fsyncs_per_job"] = rows[5]["outbox_fsyncs_per_job"]
+    result["poll_ms_10k_push_queued"] = rows[6]["poll_ms_10k_push_queued"]
+    result["dispatch_pass_ms_10k_agent_queued"] = rows[6]["dispatch_pass_ms_10k_agent_queued"]
     # Normalized shape check: 8 registered agents must not make each
     # round-trip meaningfully slower than a lone agent's (the offer scan
     # and lease maps are per-job, not per-agent).
@@ -309,6 +370,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["max_outbox_bytes_after_10k_jobs"] = MAX_OUTBOX_BYTES_AFTER_10K
     result["max_resume_ms_after_10k_settled"] = MAX_RESUME_MS_AFTER_10K
     result["max_outbox_fsyncs_per_job"] = MAX_OUTBOX_FSYNCS_PER_JOB
+    result["max_poll_ms_10k_push_queued"] = MAX_POLL_MS_10K_PUSH_QUEUED
+    result["max_dispatch_pass_ms_10k_agent_queued"] = MAX_DISPATCH_PASS_MS_10K_AGENT_QUEUED
     return result
 
 
@@ -334,6 +397,8 @@ def _enforce_floors(result: Dict[str, object]) -> None:
         ("outbox_bytes_after_10k_jobs", MAX_OUTBOX_BYTES_AFTER_10K),
         ("resume_ms_after_10k_settled", MAX_RESUME_MS_AFTER_10K),
         ("outbox_fsyncs_per_job", MAX_OUTBOX_FSYNCS_PER_JOB),
+        ("poll_ms_10k_push_queued", MAX_POLL_MS_10K_PUSH_QUEUED),
+        ("dispatch_pass_ms_10k_agent_queued", MAX_DISPATCH_PASS_MS_10K_AGENT_QUEUED),
     ):
         if result[metric] > ceiling:
             raise SystemExit(f"{metric} is {result[metric]}; ceiling is {ceiling}")
@@ -353,6 +418,8 @@ def test_agent_pull(benchmark):
     assert result["outbox_bytes_after_10k_jobs"] <= MAX_OUTBOX_BYTES_AFTER_10K
     assert result["resume_ms_after_10k_settled"] <= MAX_RESUME_MS_AFTER_10K
     assert result["outbox_fsyncs_per_job"] <= MAX_OUTBOX_FSYNCS_PER_JOB
+    assert result["poll_ms_10k_push_queued"] <= MAX_POLL_MS_10K_PUSH_QUEUED
+    assert result["dispatch_pass_ms_10k_agent_queued"] <= MAX_DISPATCH_PASS_MS_10K_AGENT_QUEUED
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ Jenkins itself:
   (target device, connectivity) and platform constraints (one job at a time
   per device, low controller CPU);
 * :mod:`~repro.accessserver.dispatch` — the indexes the scheduler decides
-  over (free-slot index, reservation interval index, constraint-bucketed
-  queue);
+  over (free-slot index, reservation interval index, a queue split by
+  execution plane and bucketed by constraint);
+* :mod:`~repro.accessserver.agents` — the agent plane: registered edge
+  daemons, their leases, and poll / claim / heartbeat / report over them,
+  matched through the scheduler's one slot matcher;
 * :mod:`~repro.accessserver.policies` — pluggable queue ordering policies
   (FIFO, priority, per-owner fair-share, earliest-deadline-first);
 * :mod:`~repro.accessserver.persistence` — durable state: a write-ahead

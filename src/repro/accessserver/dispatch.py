@@ -10,9 +10,10 @@ vantage points:
 * :class:`ReservationIndex` — per-device interval index over
   :class:`SessionReservation` objects; the active reservation at ``now`` is
   found with one bisect instead of a scan over every reservation;
-* :class:`ConstraintQueue` — FIFO job queue bucketed by the
-  ``(vantage_point, device_serial)`` constraint pair, letting a dispatch
-  tick skip a whole bucket once its target slots are exhausted.
+* :class:`ConstraintQueue` — FIFO job queue split by execution plane and
+  counted by the ``(vantage_point, device_serial)`` constraint pair, so
+  each plane walks only its own jobs and a dispatch tick skips a whole
+  bucket once its target slots are exhausted.
 
 :class:`~repro.accessserver.scheduler.JobScheduler` owns one of each and
 makes every decision over them; it returns an :class:`Assignment` per
@@ -22,8 +23,9 @@ makes every decision over them; it returns an :class:`Assignment` per
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -319,25 +321,30 @@ BucketKey = Tuple[Optional[str], Optional[str]]
 
 
 class ConstraintQueue:
-    """FIFO job queue bucketed by the ``(vantage_point, device_serial)`` constraint.
+    """FIFO job queue, split by execution plane and counted by constraint bucket.
 
-    The global FIFO order lives in one insertion-ordered dict; buckets group
-    jobs that compete for the same slot subset, letting a dispatch tick write
-    off every job of a bucket at once when the bucket's slots are exhausted
-    (an owner-independent condition) and stop scanning entirely once every
-    remaining bucket is dead.
+    Each plane (a job's ``spec.execution``: ``"push"`` or ``"agent"``) keeps
+    its queued jobs in one insertion-ordered dict, so a dispatch tick walks
+    only push jobs and an agent poll only agent jobs.  Sequence numbers are
+    global, so :meth:`jobs` with no plane merges the planes back into the
+    one FIFO.  Per plane the queue counts jobs per
+    ``(vantage_point, device_serial)`` constraint bucket, letting a dispatch
+    tick write off every job of a bucket at once when the bucket's slots are
+    exhausted (an owner-independent condition) and stop scanning entirely
+    once every remaining bucket is dead.
 
     A job can re-enter the queue with its original position preserved
-    (``push(job, preserve_position=True)``) after a lapsed wave assignment;
-    each job's first-enqueue sequence number is retained for that purpose.
+    (``push(job, preserve_position=True)``) after a lapsed assignment; each
+    job's first-enqueue sequence number is retained for that purpose.
     """
 
     def __init__(self) -> None:
-        self._jobs: "OrderedDict[int, Job]" = OrderedDict()
-        self._buckets: Dict[BucketKey, "OrderedDict[int, Job]"] = {}
+        self._planes: Dict[str, "OrderedDict[int, Job]"] = {}
+        self._buckets: Dict[str, "Counter[BucketKey]"] = {}
         self._sequence = itertools.count()
         self._seq_by_job: Dict[int, int] = {}
-        self._out_of_order = False
+        # Planes a preserved-position push left out of FIFO order.
+        self._out_of_order: Set[str] = set()
 
     @staticmethod
     def bucket_key(job: Job) -> BucketKey:
@@ -345,33 +352,37 @@ class ConstraintQueue:
         return (constraints.vantage_point, constraints.device_serial)
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return sum(len(jobs) for jobs in self._planes.values())
 
     def __contains__(self, job: Job) -> bool:
-        return job.job_id in self._jobs
+        return job.job_id in self._planes.get(job.spec.execution, ())
 
     def push(self, job: Job, preserve_position: bool = False) -> None:
-        if job.job_id in self._jobs:
+        plane = job.spec.execution
+        jobs = self._planes.setdefault(plane, OrderedDict())
+        if job.job_id in jobs:
             return
         if preserve_position and job.job_id in self._seq_by_job:
             # Re-entering mid-queue: the dict append puts it at the tail, so
-            # the next snapshot must re-sort by original sequence.
-            self._out_of_order = True
+            # the next read of the plane must re-sort by original sequence.
+            self._out_of_order.add(plane)
         else:
             self._seq_by_job[job.job_id] = next(self._sequence)
-        self._jobs[job.job_id] = job
-        self._buckets.setdefault(self.bucket_key(job), OrderedDict())[job.job_id] = job
+        jobs[job.job_id] = job
+        self._buckets.setdefault(plane, Counter())[self.bucket_key(job)] += 1
 
     def remove(self, job: Job) -> bool:
         # The sequence number is deliberately retained so a later
         # preserve_position push restores the job's place.
-        if self._jobs.pop(job.job_id, None) is None:
+        plane = job.spec.execution
+        jobs = self._planes.get(plane)
+        if jobs is None or jobs.pop(job.job_id, None) is None:
             return False
-        bucket = self._buckets.get(self.bucket_key(job))
-        if bucket is not None:
-            bucket.pop(job.job_id, None)
-            if not bucket:
-                del self._buckets[self.bucket_key(job)]
+        buckets = self._buckets[plane]
+        key = self.bucket_key(job)
+        buckets[key] -= 1
+        if not buckets[key]:
+            del buckets[key]
         return True
 
     def forget(self, job: Job) -> None:
@@ -381,7 +392,7 @@ class ConstraintQueue:
         bounded by the queue's churn, not by every job ever queued.  A job
         still in the queue keeps its entry (the ordering depends on it).
         """
-        if job.job_id not in self._jobs:
+        if job not in self:
             self._seq_by_job.pop(job.job_id, None)
 
     def sequence_of(self, job_id: int) -> Optional[int]:
@@ -393,17 +404,27 @@ class ConstraintQueue:
         """
         return self._seq_by_job.get(job_id)
 
-    def jobs(self) -> List[Job]:
-        """Queue snapshot in FIFO (first-enqueue) order."""
-        if self._out_of_order:
-            ordered = sorted(self._jobs.values(), key=lambda job: self._seq_by_job[job.job_id])
-            self._jobs = OrderedDict((job.job_id, job) for job in ordered)
-            self._out_of_order = False
-        return list(self._jobs.values())
+    def jobs(self, execution: Optional[str] = None) -> List[Job]:
+        """Queue snapshot in FIFO (first-enqueue) order: one plane's, or all merged."""
+        if execution is not None:
+            return list(self._plane(execution).values())
+        planes = [self._plane(name).values() for name in list(self._planes)]
+        return list(heapq.merge(*planes, key=lambda job: self._seq_by_job[job.job_id]))
 
-    def bucket_keys(self) -> List[BucketKey]:
-        """Constraint buckets with at least one queued job."""
-        return list(self._buckets)
+    def bucket_keys(self, execution: str) -> List[BucketKey]:
+        """Constraint buckets with at least one queued job of the plane."""
+        return list(self._buckets.get(execution, ()))
 
     def bucket_sizes(self) -> Dict[BucketKey, int]:
-        return {key: len(bucket) for key, bucket in self._buckets.items()}
+        """Queued jobs per constraint bucket, over both planes."""
+        return dict(sum(self._buckets.values(), Counter()))
+
+    def _plane(self, execution: str) -> "OrderedDict[int, Job]":
+        jobs = self._planes.get(execution)
+        if jobs is None:
+            return OrderedDict()
+        if execution in self._out_of_order:
+            ordered = sorted(jobs.items(), key=lambda item: self._seq_by_job[item[0]])
+            self._planes[execution] = jobs = OrderedDict(ordered)
+            self._out_of_order.discard(execution)
+        return jobs

@@ -26,7 +26,8 @@ earlier in the pass cannot become placeable later within the same tick.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+import functools
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.accessserver.dispatch import (
     Assignment,
@@ -220,10 +221,11 @@ class JobScheduler:
         controller_cpu: Optional[Callable[[str], float]] = None,
         max_assignments: Optional[int] = None,
     ) -> List[Assignment]:
-        """Assign a maximal set of queued jobs to free devices in one tick.
+        """Assign a maximal set of queued push jobs to free devices in one tick.
 
-        Jobs are tried in policy order; each assignment consumes its slot
-        immediately, so one-job-per-device holds within the batch.  A bucket
+        Push jobs are tried in policy order (agent jobs wait in their own
+        plane for a daemon); each assignment consumes its slot immediately,
+        so one-job-per-device holds within the batch.  A bucket
         whose constrained slot subset has no free slot left is skipped for
         the remainder of the tick.  The optional ``controller_cpu`` maps a
         vantage-point name to its current CPU utilisation, so the "low CPU
@@ -232,28 +234,28 @@ class JobScheduler:
         and calls :meth:`release` as each finishes.
         """
         assignments: List[Assignment] = []
-        cpu_cache: Dict[str, float] = {}
+        if controller_cpu is not None:
+            controller_cpu = functools.lru_cache(maxsize=None)(controller_cpu)  # once a tick
         dead_buckets: Set[BucketKey] = set()
-        for job in self.policy.order(self.queue.jobs(), self._stats(now)):
+        for job in self.policy.order(self.queue.jobs("push"), self._stats(now)):
             if max_assignments is not None and len(assignments) >= max_assignments:
                 break
             if self.slots.free_count == 0:
                 break
-            if job.spec.execution != "push":
-                # Agent-pull jobs wait in the queue (keeping their FIFO
-                # position) until a daemon claims them; the push executor
-                # must never place them.
-                continue
             bucket = ConstraintQueue.bucket_key(job)
             if bucket in dead_buckets:
                 continue
-            slot, saw_free_slot = self._find_slot(job, now, controller_cpu, cpu_cache)
+            slot = next(self.free_slots(job, now, controller_cpu), None)
             if slot is None:
-                if not saw_free_slot:
+                # No free slot at all in the job's constraint pair is
+                # owner-independent: the whole bucket is dead for this tick.
+                # (Free slots that reservations or CPU filtered for this job
+                # may still suit the next one.)
+                if next(self.slots.iter_free(*bucket), None) is None:
                     dead_buckets.add(bucket)
-                    # Once every bucket still holding queued jobs is dead,
-                    # nothing later in the policy order can dispatch either.
-                    if all(key in dead_buckets for key in self.queue.bucket_keys()):
+                    # Once every bucket still holding queued push jobs is
+                    # dead, nothing later in the policy order can dispatch.
+                    if all(key in dead_buckets for key in self.queue.bucket_keys("push")):
                         break
                 continue
             self.assign(job, slot.vantage_point, slot.device_serial, now)
@@ -275,6 +277,30 @@ class JobScheduler:
         )
         return assignments
 
+    def free_slots(
+        self,
+        job: Job,
+        now: float,
+        controller_cpu: Optional[Callable[[str], float]] = None,
+        vantage_point: Optional[str] = None,
+    ) -> Iterator[DeviceSlot]:
+        """The free slots ``job`` may start on now, in slot order: the one slot
+        matcher of push dispatch and the agent plane.
+
+        That is the free slots of the job's constraint pair — narrowed to an
+        agent's binding ``vantage_point``, if given — that :meth:`eligible`
+        accepts.  Callers stop iterating before they take a slot.
+        """
+        constraints = job.spec.constraints
+        target = constraints.vantage_point
+        if vantage_point is not None:
+            if target is not None and target != vantage_point:
+                return
+            target = vantage_point
+        for slot in self.slots.iter_free(target, constraints.device_serial):
+            if self.eligible(job, slot.vantage_point, slot.device_serial, now, controller_cpu):
+                yield slot
+
     def eligible(
         self,
         job: Job,
@@ -283,11 +309,12 @@ class JobScheduler:
         now: float,
         controller_cpu: Optional[Callable[[str], float]] = None,
     ) -> bool:
-        """Re-check a specific (job, slot) pairing against the current state.
+        """Whether ``job`` may run on this slot now: no one else's session
+        reservation (under ``"defer"``, none before its timeout could elapse)
+        and, if the job asks, a controller CPU low enough.
 
-        Used by executors that received an assignment earlier in a wave and
-        need to confirm the reservation/CPU constraints still hold at the
-        (possibly advanced) execution time.
+        Executors also re-check an assignment with it at the (possibly
+        advanced) execution time.
         """
         if self.reservations.blocked_for(vantage_point, device_serial, now, job.spec.owner):
             return False
@@ -455,42 +482,6 @@ class JobScheduler:
             running_by_owner=dict(self._running_by_owner),
             credit_balance_by_owner=balances,
         )
-
-    def _find_slot(
-        self,
-        job: Job,
-        now: float,
-        controller_cpu: Optional[Callable[[str], float]],
-        cpu_cache: Dict[str, float],
-    ) -> Tuple[Optional[DeviceSlot], bool]:
-        """First acceptable free slot for ``job`` plus whether any free slot matched.
-
-        The second element distinguishes "this job's constraint bucket has no
-        free slot at all" (owner-independent — the bucket is dead for this
-        tick) from "slots exist but reservations/CPU filtered them for this
-        particular job".
-        """
-        constraints = job.spec.constraints
-        saw_free_slot = False
-        for slot in self.slots.iter_free(constraints.vantage_point, constraints.device_serial):
-            saw_free_slot = True
-            if self.reservations.blocked_for(
-                slot.vantage_point, slot.device_serial, now, job.spec.owner
-            ):
-                continue
-            if self._deferred_by_upcoming_reservation(
-                job, slot.vantage_point, slot.device_serial, now
-            ):
-                continue
-            if constraints.require_low_controller_cpu and controller_cpu is not None:
-                cpu = cpu_cache.get(slot.vantage_point)
-                if cpu is None:
-                    cpu = controller_cpu(slot.vantage_point)
-                    cpu_cache[slot.vantage_point] = cpu
-                if cpu > constraints.max_controller_cpu_percent:
-                    continue
-            return slot, True
-        return None, saw_free_slot
 
     def _deferred_by_upcoming_reservation(
         self, job: Job, vantage_point: str, device_serial: str, now: float

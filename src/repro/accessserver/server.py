@@ -21,6 +21,10 @@ themselves.  The queue ordering policy
 ``scheduling_policy`` constructor argument or
 :meth:`AccessServer.set_scheduling_policy`.
 
+Pull execution is the agent plane on :attr:`AccessServer.agents`
+(:mod:`repro.accessserver.agents`); the server keeps the router's three
+entry points to it and ``_finish_execution``, the settle step both share.
+
 .. note::
    Experiment code submits and inspects jobs through a
    :class:`~repro.api.client.BatteryLabClient` (:mod:`repro.api`).
@@ -37,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.accessserver.agents import AgentError, AgentLease, AgentManager, AgentRecord
+from repro.accessserver.agents import AgentLease, AgentManager
 from repro.accessserver.auth import (
     Permission,
     Role,
@@ -174,8 +178,9 @@ class AccessServer(Entity):
         )
         self._declare_metrics()
         self.testers = TesterPool()
-        #: Pull-execution state: registered edge daemons + their leases.
-        self.agents = AgentManager()
+        #: The agent plane: registered edge daemons, their leases and the
+        #: poll/claim/heartbeat/report operations over them.
+        self.agents = AgentManager(self)
         self.ssh_key = SshKeyPair.generate("batterylab-access-server", self.random)
         self._vantage_points: Dict[str, VantagePointRecord] = {}
         self._credit_policy: Optional[CreditPolicy] = None
@@ -250,28 +255,6 @@ class AccessServer(Entity):
         self._g_orphans = registry.gauge(
             "orphaned_jobs", "Queued jobs pinned to an unregistered vantage point."
         ).labels()
-        self._m_agent_polls = registry.counter(
-            "agent_polls_total",
-            "agent.poll requests answered, by outcome.",
-            labelnames=("outcome",),
-        )
-        self._m_agent_poll_children: Dict[str, object] = {}
-        self._m_agent_claims = registry.counter(
-            "agent_claims_total", "Leases granted to pulling agents."
-        ).labels()
-        self._m_agent_reports = registry.counter(
-            "agent_reports_total",
-            "agent.report settlements, by terminal status.",
-            labelnames=("status",),
-        )
-        self._m_agent_report_children: Dict[str, object] = {}
-        self._m_lease_expired = registry.counter(
-            "agent_lease_expirations_total",
-            "Leases reaped after their holder went silent.",
-        ).labels()
-        self._g_leases = registry.gauge(
-            "agent_leases_active", "Currently granted agent leases."
-        ).labels()
         # A size on every per-job structure, read at scrape time only.
         self._g_retained_jobs = registry.gauge(
             "scheduler_retained_jobs", "Jobs the scheduler holds, in any status."
@@ -289,7 +272,6 @@ class AccessServer(Entity):
         """Scrape-time gauges: queue depth per constraint bucket, orphan count,
         per-job structure sizes."""
         self._g_orphans.set(float(len(self.orphaned_jobs())))
-        self._g_leases.set(float(len(self.agents.leases())))
         self._g_retained_jobs.set(float(self.scheduler.job_count()))
         self._g_idempotency_keys.set(float(len(self._idempotent_submissions)))
         timelines = self._analytics.tracked_job_ids() if self._analytics is not None else ()
@@ -722,10 +704,9 @@ class AccessServer(Entity):
         """
         executed: List[Job] = []
         obs_on = self.obs.registry.enabled
-        if self.agents.leases():
-            # A dead agent must never strand a job or its devices: every
-            # dispatch wave starts by reaping expired leases.
-            self.expire_agent_leases()
+        # A dead agent must never strand a job or its devices: every
+        # dispatch pass starts by reaping expired leases.
+        self.agents.expire_leases()
         while len(executed) < max_jobs:
             decision_t0 = time.perf_counter()
             assignments = self.scheduler.dispatch_batch(
@@ -975,304 +956,26 @@ class AccessServer(Entity):
             )
 
     # -- agent-pull execution ------------------------------------------------------------------
-    # The inverse of run_pending_jobs: vantage-point daemons *pull* jobs
-    # whose spec says ``execution="agent"`` via poll -> claim -> report.
-    # What a claim holds and how each exit gives it back is the "Execution
-    # lifecycle" table in DESIGN.md.
-    def register_agent(
-        self,
-        user: User,
-        agent_id: str,
-        vantage_point: Optional[str] = None,
-        connectors: Optional[List[str]] = None,
-        tags: Optional[Dict[str, str]] = None,
-    ) -> AgentRecord:
-        """Register (or refresh) an edge daemon's identity and capabilities.
-
-        Only the first registration is journaled — like user accounts, the
-        identity is durable while capability refreshes are cheap and
-        idempotent.  A named vantage point must exist; an agent without one
-        serves any vantage point's devices.
-        """
-        self.users.authorize(user, Permission.RUN_JOB)
-        if vantage_point is not None:
-            self.vantage_point(vantage_point)
-        record, created = self.agents.register(
-            agent_id,
-            self.context.now,
-            vantage_point=vantage_point,
-            connectors=connectors,
-            tags=tags,
-        )
-        if created and self._persistence is not None:
-            self._persistence.on_agent_registered(record)
-        self.log(
-            "agent registered",
-            agent=agent_id,
-            vantage_point=vantage_point,
-            connectors=list(record.connectors),
-        )
-        return record
-
-    def _agent_candidate_slots(
-        self, job: Job, record: AgentRecord
-    ) -> List[Tuple[str, str]]:
-        """Free slots this agent could run ``job`` on, in deterministic order.
-
-        Honours the job's vantage-point/device-serial constraints and the
-        agent's own vantage-point binding.  A job whose lease just expired
-        counts its still-marked-busy slots as available — poll is read-only
-        and may not reap the lease itself; the claim path expires it first.
-        """
-        constraints = job.spec.constraints
-        target_vp = constraints.vantage_point or record.vantage_point
-        if (
-            constraints.vantage_point is not None
-            and record.vantage_point is not None
-            and constraints.vantage_point != record.vantage_point
-        ):
-            return []
-        slots = [
-            (slot.vantage_point, slot.device_serial)
-            for slot in self.scheduler.slots.iter_free(target_vp, constraints.device_serial)
-        ]
-        lease = self.agents.lease_for_job(job.job_id)
-        if lease is not None and lease.expired(self.context.now):
-            slots = list(lease.devices) + [d for d in slots if d not in lease.devices]
-        return slots
-
-    def _agent_job_matches(self, job: Job, record: AgentRecord) -> bool:
-        if job.spec.execution != "agent":
-            return False
-        constraints = job.spec.constraints
-        if constraints.connector is not None and constraints.connector not in record.connectors:
-            return False
-        if constraints.device_count > 1 and "multi" not in record.connectors:
-            return False
-        return len(self._agent_candidate_slots(job, record)) >= constraints.device_count
-
+    # The plane lives on ``self.agents``; these three are the router's entry
+    # points to it, kept here so request tracing finds them by name.
     def agent_offers(self, user: User, agent_id: str, limit: int = 10) -> List[Job]:
-        """Queued agent-mode jobs this agent could claim right now (FIFO order).
-
-        Read-only — safe for the gateway's lock-free path.  Jobs held by an
-        *expired* lease are offered too: the claim (a mutating op) reaps the
-        lease before assigning, so a dead agent's job is re-claimable the
-        moment any live agent polls.
-        """
-        self.users.authorize(user, Permission.RUN_JOB)
-        record = self.agents.get(agent_id)
-        offers: List[Job] = []
-        now = self.context.now
-        for job in self.scheduler.queue.jobs():
-            if len(offers) >= limit:
-                break
-            if job.status is JobStatus.QUEUED and self._agent_job_matches(job, record):
-                offers.append(job)
-        if len(offers) < limit:
-            for lease in self.agents.leases():
-                if len(offers) >= limit:
-                    break
-                if not lease.expired(now):
-                    continue
-                job = self.scheduler.job(lease.job_id)
-                if job.status is JobStatus.RUNNING and self._agent_job_matches(job, record):
-                    offers.append(job)
-        outcome = "offered" if offers else "empty"
-        if self.obs.registry.enabled:
-            child = self._m_agent_poll_children.get(outcome)
-            if child is None:
-                child = self._m_agent_polls.labels(outcome=outcome)
-                self._m_agent_poll_children[outcome] = child
-            child.inc()
-        return offers
-
-    def expire_agent_leases(self) -> int:
-        """Reap expired leases and give back everything they held, unbilled.
-
-        A job still RUNNING is requeued at its *original* FIFO position
-        through ``JobScheduler.requeue`` — the record a lapsed wave
-        admission emits and crash recovery's in-flight requeue mirrors, so
-        the journal cannot tell a lease expiry from any other requeue.  A
-        job cancelled while the agent held it stays cancelled; its devices
-        are simply released.
-        """
-        expired = self.agents.expired(self.context.now)
-        for lease in expired:
-            self.agents.release(lease.lease_id)
-            job = self.scheduler.job(lease.job_id)
-            if job.status is JobStatus.RUNNING:
-                self.scheduler.requeue(job)
-            else:
-                self.scheduler.release(job)
-            self._schedule_dispatch_tick()
-            if self.obs.registry.enabled:
-                self._m_lease_expired.inc()
-            self.log(
-                "agent lease expired",
-                lease=lease.lease_id,
-                agent=lease.agent_id,
-                job_id=lease.job_id,
-            )
-        return len(expired)
+        return self.agents.offers(user, agent_id, limit=limit)
 
     def agent_claim(
-        self,
-        user: User,
-        agent_id: str,
-        job_id: int,
-        ttl_s: float = 30.0,
+        self, user: User, agent_id: str, job_id: int, ttl_s: float = 30.0
     ) -> Tuple[AgentLease, Job]:
-        """Atomically lease one job — and *all* its device slots — to an agent.
-
-        Multi-device jobs (``constraints.device_count > 1``) are
-        all-or-nothing: either every slot is free and the whole family is
-        marked busy under one lease, or the claim fails having touched
-        nothing.  The primary slot goes through the scheduler's
-        ``assign`` (same ``dispatch.assigned`` record as push dispatch);
-        the child slots join the scheduler's hold for the job.
-        """
-        started = time.perf_counter()
-        self.users.authorize(user, Permission.RUN_JOB)
-        if ttl_s <= 0:
-            raise AgentError("lease ttl_s must be positive")
-        self.expire_agent_leases()
-        record = self.agents.get(agent_id)
-        job = self.scheduler.job(job_id)
-        if job.spec.execution != "agent":
-            raise AgentError(
-                f"job {job_id} is push-dispatched; only execution='agent' "
-                "jobs can be claimed"
-            )
-        if job.status is not JobStatus.QUEUED:
-            raise AgentError(
-                f"job {job_id} is {job.status.value}, not claimable"
-            )
-        if not self._agent_job_matches(job, record):
-            raise AgentError(
-                f"agent {agent_id!r} does not match job {job_id} "
-                "(connector, vantage point or free-device constraints)"
-            )
-        # The match above saw at least this many free candidates.
-        need = job.spec.constraints.device_count
-        devices = self._agent_candidate_slots(job, record)[:need]
-        now = self.context.now
-        primary_vp, primary_serial = devices[0]
-        self.scheduler.assign(job, primary_vp, primary_serial, now)
-        job.mark_execution_started(now)
-        self.scheduler.begin_execution(job, tuple(devices[1:]))
-        lease = self.agents.grant(
-            agent_id,
-            job_id,
-            devices,
-            ttl_s,
-            now,
-            claim_elapsed_s=time.perf_counter() - started,
-        )
-        if self.obs.registry.enabled:
-            self._m_agent_claims.inc()
-        self.log(
-            "job leased",
-            job_id=job_id,
-            agent=agent_id,
-            lease=lease.lease_id,
-            devices=len(devices),
-        )
-        return lease, job
-
-    def agent_heartbeat(self, lease_id: str) -> AgentLease:
-        """Renew a lease for another TTL; expired leases are gone for good."""
-        self.expire_agent_leases()
-        return self.agents.renew(lease_id, self.context.now)
+        return self.agents.claim(user, agent_id, job_id, ttl_s=ttl_s)
 
     def agent_report(
         self,
         lease_id: str,
+        agent_id: str,
         status: str,
         result: object = None,
         error: Optional[str] = None,
         children: Optional[List[Dict[str, object]]] = None,
     ) -> Tuple[Job, bool]:
-        """Settle a leased job from its agent's report; idempotent on retry.
-
-        Returns ``(job, duplicate)``.  A report against a lease that
-        already settled — the agent crashed after upload but before
-        recording the server's ack — answers the same job with
-        ``duplicate=True`` and changes nothing, which is the exactly-once
-        contract the daemon's outbox replay relies on.  Child results of a
-        multi-device job are published as ``dispatch.child_result`` records
-        *before* the terminal transition, so they roll up into the
-        parent's ``job.watch`` stream ahead of its end frame.
-        """
-        settle_t0 = time.perf_counter()
-        self.expire_agent_leases()
-        lease = self.agents.lease(lease_id)
-        if lease is None:
-            settled_job = self.agents.settled_job(lease_id)
-            if settled_job is not None:
-                return self.scheduler.job(settled_job), True
-            raise AgentError(
-                f"unknown or expired lease {lease_id!r}; the job was "
-                "requeued and the result must be discarded"
-            )
-        job = self.scheduler.job(lease.job_id)
-        now = self.context.now
-        for child in children or []:
-            self.events.publish(
-                "dispatch.child_result",
-                job_id=job.job_id,
-                device_serial=child.get("device_serial"),
-                status=child.get("status"),
-                output=child.get("output", ""),
-                owner=job.spec.owner,
-            )
-        failure = None if status == "completed" else (error or "agent reported failure")
-        self._finish_execution(job, lease.granted_at, result, failure)
-        self.agents.settle(lease_id)
-        settle_elapsed = time.perf_counter() - settle_t0
-        if self.obs.registry.enabled:
-            terminal = job.status.value
-            child = self._m_agent_report_children.get(terminal)
-            if child is None:
-                child = self._m_agent_reports.labels(status=terminal)
-                self._m_agent_report_children[terminal] = child
-            child.inc()
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.record_phases(
-                job.job_id,
-                [
-                    (
-                        "agent.claim",
-                        lease.granted_at,
-                        lease.granted_at,
-                        lease.claim_elapsed_s,
-                        "ok",
-                        {
-                            "job_id": job.job_id,
-                            "agent": lease.agent_id,
-                            "devices": len(lease.devices),
-                        },
-                    ),
-                    (
-                        "agent.run",
-                        lease.granted_at,
-                        now,
-                        now - lease.granted_at,
-                        "error" if job.status is JobStatus.FAILED else "ok",
-                        {"job_id": job.job_id, "agent": lease.agent_id},
-                    ),
-                    (
-                        "agent.report",
-                        now,
-                        now,
-                        settle_elapsed,
-                        "ok",
-                        {"job_id": job.job_id, "status_after": job.status.value},
-                    ),
-                ],
-            )
-        self._schedule_dispatch_tick()
-        return job, False
+        return self.agents.report(lease_id, agent_id, status, result, error, children)
 
     # -- parallel wave execution ---------------------------------------------------------------
     @property

@@ -93,7 +93,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.accessserver.agents import AgentError
 from repro.accessserver.auth import Role, User
 from repro.accessserver.jobs import JobSpec, JobStatus
 from repro.accessserver.payloads import get_payload, payload_name
@@ -1124,12 +1123,7 @@ class ApiRouter(OpRouter):
         for key, value in request.tags.items():
             if not isinstance(key, str) or not isinstance(value, str):
                 raise ValidationApiError("tags must map strings to strings")
-        try:
-            self._server.agents.get(request.agent_id)
-            created = False
-        except AgentError:
-            created = True
-        record = self._server.register_agent(
+        record, created = self._server.agents.register(
             ctx.user,
             request.agent_id,
             vantage_point=request.vantage_point,
@@ -1172,20 +1166,10 @@ class ApiRouter(OpRouter):
 
     def _op_agent_heartbeat(self, ctx: RequestContext, payload: dict) -> dict:
         request = AgentHeartbeatRequest.from_wire(payload)
-        lease = self._server.agent_heartbeat(request.lease_id)
-        if lease.agent_id != request.agent_id:
-            raise PermissionApiError(
-                f"lease {request.lease_id!r} belongs to {lease.agent_id!r}",
-                details={"lease_id": request.lease_id},
-            )
-        try:
-            job = self._server.scheduler.job(lease.job_id)
-        except Exception:
-            job = None
+        lease = self._server.agents.heartbeat(request.lease_id, request.agent_id)
+        job = self._server.scheduler.job(lease.job_id)
         return AgentLeaseView.from_lease(
-            lease,
-            job=job,
-            payload=payload_name(job.spec.run) if job is not None else None,
+            lease, job=job, payload=payload_name(job.spec.run)
         ).to_wire()
 
     def _op_agent_report(self, ctx: RequestContext, payload: dict) -> dict:
@@ -1195,14 +1179,9 @@ class ApiRouter(OpRouter):
                 f"report status must be 'completed' or 'failed', "
                 f"not {request.status!r}"
             )
-        existing = self._server.agents.lease(request.lease_id)
-        if existing is not None and existing.agent_id != request.agent_id:
-            raise PermissionApiError(
-                f"lease {request.lease_id!r} belongs to {existing.agent_id!r}",
-                details={"lease_id": request.lease_id},
-            )
         job, duplicate = self._server.agent_report(
             request.lease_id,
+            request.agent_id,
             request.status,
             result=request.result,
             error=request.error,

@@ -121,7 +121,7 @@ def write_state(state_dir: Path) -> None:
     server.grant_credits(admin, "experimenter", 1.5, note="tail grant")
     submit(user, spec("tail-queued", timeout_s=60.0), idempotency_key="fixture-key-2")
     submit(user, spec("tail-unroutable", constraints=JobConstraints("nowhere")))
-    server.register_agent(user, "fixture-agent", connectors=["fake", "multi"])
+    server.agents.register(user, "fixture-agent", connectors=["fake", "multi"])
     fanout = next(job for job in server.scheduler.jobs() if job.spec.name == "agent-fanout")
     server.agent_claim(user, "fixture-agent", fanout.job_id, ttl_s=60.0)  # leased at the crash
     in_flight = server.scheduler.dispatch_batch(server.context.now)  # running at the crash

@@ -684,7 +684,7 @@ class World:
 
     def _advance(self, seconds) -> None:
         self.platform.context.clock.advance(float(seconds))
-        self.server.expire_agent_leases()
+        self.server.agents.expire_leases()
 
     def _grant(self, amount) -> None:
         self.admin.grant_credits("experimenter", float(amount), note="top-up")

@@ -197,7 +197,7 @@ class TestAgentDeathMidRun:
             assert [h for _, h in held] == ["doomed"] * 3
         platform.context.run_for(31.0)
         if interrupted:
-            assert platform.access_server.expire_agent_leases() == 1
+            assert platform.access_server.agents.expire_leases() == 1
             # Every device the dead agent held was released at once and
             # the parent went back to the queue.
             for vp in client.fleet().vantage_points:

@@ -17,7 +17,8 @@ import pytest
 
 from repro.accessserver.agents import AgentError
 from repro.accessserver.auth import Role
-from repro.accessserver.jobs import JobStatus
+from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
+from repro.accessserver.payloads import noop_payload
 from repro.accessserver.persistence import InMemoryBackend, serialize_job
 from repro.api import BatteryLabClient, JsonLinesTransport
 from repro.api.errors import (
@@ -201,8 +202,12 @@ class TestClaimLifecycle:
         platform.context.run_for(20.0)
         renewed = client.agent_heartbeat(lease.lease_id, "edge-1")
         assert renewed.expires_at == pytest.approx(platform.context.now + 30.0)
+        platform.context.run_for(5.0)
         with pytest.raises(PermissionApiError):
             client.agent_heartbeat(lease.lease_id, "edge-2")
+        # Refused before anything changed: edge-1's lease was not renewed.
+        (held,) = platform.access_server.agents.leases()
+        assert held.expires_at == pytest.approx(renewed.expires_at)
 
     def test_report_failure_marks_job_failed(self, client):
         job = submit_agent_job(client)
@@ -255,7 +260,7 @@ class TestLeaseExpiry:
         client.agent_register("edge-1", connectors=["fake"])
         client.agent_claim("edge-1", first.job_id, ttl_s=10.0)
         platform.context.run_for(11.0)
-        assert platform.access_server.expire_agent_leases() == 1
+        assert platform.access_server.agents.expire_leases() == 1
         queue = platform.access_server.scheduler.queue.jobs()
         # Original FIFO position, not the tail — mirroring crash-requeue.
         assert [job.spec.name for job in queue] == ["first", "second"]
@@ -358,7 +363,7 @@ class TestLeaseExpiry:
         # Path B: the *agent* dies; the lease expires and is reaped.
         leased = claimed_pair(tmp_path / "lease")
         leased.context.run_for(11.0)
-        assert leased.access_server.expire_agent_leases() == 1
+        assert leased.access_server.agents.expire_leases() == 1
 
         def queue_bytes(p):
             queue = p.access_server.scheduler.queue.jobs()
@@ -376,6 +381,136 @@ class TestLeaseExpiry:
         lease_bytes = queue_bytes(leased)
         assert crash_bytes == lease_bytes
         assert len(crash_bytes) == 2
+
+
+class TestSessionReservations:
+    """A timed session reservation (§3.1) keeps agent jobs off the device as
+    it keeps push jobs off it: both planes find slots through one matcher."""
+
+    @staticmethod
+    def reserve_every_device(platform, start_s, duration_s):
+        platform.access_server.users.add_user("bob", Role.EXPERIMENTER, "bob-token")
+        bob = platform.client(username="bob", token="bob-token")
+        for vp in bob.fleet().vantage_points:
+            for device in vp.devices:
+                bob.reserve_session(vp.name, device.serial, start_s, duration_s)
+
+    def test_another_owners_session_holds_agent_jobs_back_until_it_lapses(
+        self, platform, client
+    ):
+        self.reserve_every_device(platform, platform.context.now, 600.0)
+        job = submit_agent_job(client)
+        pushed = client.submit_job("push-control", "noop")
+        client.agent_register("edge-1", connectors=["fake"])
+        assert client.agent_poll("edge-1").offers == []
+        with pytest.raises(ConflictApiError):
+            client.agent_claim("edge-1", job.job_id)
+        platform.run_queue()
+        assert client.job_status(job.job_id).status == "queued"
+        assert client.job_status(pushed.job_id).status == "queued"
+
+        platform.context.run_for(600.0)  # bob's session ends
+        assert [o.job_id for o in client.agent_poll("edge-1").offers] == [job.job_id]
+        lease = client.agent_claim("edge-1", job.job_id)
+        report = client.agent_report(lease.lease_id, "edge-1", "completed")
+        assert report.job.status == "completed"
+
+    def test_defer_admission_keeps_agent_jobs_off_an_upcoming_session(self):
+        platform = build_default_platform(
+            seed=11, browsers=("chrome",), reservation_admission="defer"
+        )
+        client = platform.client()
+        # Bob's session starts in a minute; the job's timeout is an hour.
+        self.reserve_every_device(platform, platform.context.now + 60.0, 600.0)
+        job = submit_agent_job(client)
+        client.agent_register("edge-1", connectors=["fake"])
+        assert client.agent_poll("edge-1").offers == []
+        with pytest.raises(ConflictApiError):
+            client.agent_claim("edge-1", job.job_id)
+
+        platform.context.run_for(660.0)
+        assert [o.job_id for o in client.agent_poll("edge-1").offers] == [job.job_id]
+        assert client.agent_claim("edge-1", job.job_id).job_id == job.job_id
+
+
+class TestPlaneSeparation:
+    """Each plane walks only its own queued jobs: a poll never matches a push
+    job, a dispatch pass never looks at an agent job."""
+
+    @pytest.fixture()
+    def bare(self):
+        return build_default_platform(
+            seed=11, browsers=("chrome",), persistence=False, analytics=False
+        )
+
+    @staticmethod
+    def submit(platform, count, **spec):
+        user = platform.experimenter
+        for index in range(count):
+            platform.access_server.submit_job(
+                user,
+                JobSpec(f"job-{index}", user.username, noop_payload, **spec),
+            )
+
+    @staticmethod
+    def count_matcher_calls(server, monkeypatch):
+        calls = []
+        free_slots = server.scheduler.free_slots
+
+        def counted(job, *args, **kwargs):
+            calls.append(job.job_id)
+            return free_slots(job, *args, **kwargs)
+
+        monkeypatch.setattr(server.scheduler, "free_slots", counted)
+        return calls
+
+    def test_a_poll_matches_only_the_agent_jobs(self, bare, monkeypatch):
+        server = bare.access_server
+        # Pinned to a device that does not exist: queued for good.
+        stuck = JobConstraints(vantage_point="node1", device_serial="absent")
+        self.submit(bare, 10_000, constraints=stuck)
+        self.submit(bare, 3, execution="agent", constraints=JobConstraints(connector="fake"))
+        client = bare.client()
+        client.agent_register("edge-1", connectors=["fake"])
+        calls = self.count_matcher_calls(server, monkeypatch)
+        assert len(client.agent_poll("edge-1").offers) == 3
+        assert len(calls) == 3
+
+    def test_a_dispatch_pass_examines_no_agent_job(self, bare, monkeypatch):
+        server = bare.access_server
+        self.submit(bare, 10_000, execution="agent", constraints=JobConstraints(connector="fake"))
+        calls = self.count_matcher_calls(server, monkeypatch)
+        ordered = []
+        order = server.scheduler.policy.order
+        monkeypatch.setattr(
+            server.scheduler.policy,
+            "order",
+            lambda jobs, stats: ordered.extend(jobs) or order(jobs, stats),
+        )
+        assert server.scheduler.slots.free_count == 1
+        assert server.run_pending_jobs() == []
+        assert (ordered, calls) == ([], [])
+        self.submit(bare, 1)
+        assert [job.spec.execution for job in server.run_pending_jobs()] == ["push"]
+        assert len(calls) == 1
+
+    def test_a_job_requeued_by_lease_expiry_is_offered_ahead_of_later_ones(
+        self, platform, client
+    ):
+        first = submit_agent_job(client, name="first")
+        client.agent_register("edge-1", connectors=["fake"])
+        client.agent_claim("edge-1", first.job_id, ttl_s=10.0)
+        client.submit_job("push-between", "noop")
+        submit_agent_job(client, name="later-0")
+        submit_agent_job(client, name="later-1")
+        platform.context.run_for(11.0)
+        assert platform.access_server.agents.expire_leases() == 1
+        offers = client.agent_poll("edge-1").offers
+        assert [offer.name for offer in offers] == ["first", "later-0", "later-1"]
+        queue = platform.access_server.scheduler.queue
+        assert [job.spec.name for job in queue.jobs()] == [
+            "first", "push-between", "later-0", "later-1"
+        ]
 
 
 class TestMultiDeviceClaims:
@@ -423,7 +558,7 @@ class TestMultiDeviceClaims:
         client.agent_register("fanout", connectors=["multi"])
         client.agent_claim("fanout", job.job_id, ttl_s=10.0)
         platform.context.run_for(11.0)
-        assert platform.access_server.expire_agent_leases() == 1
+        assert platform.access_server.agents.expire_leases() == 1
         free = [
             device.serial
             for vp in client.fleet().vantage_points
@@ -511,7 +646,7 @@ class TestExitMatrix:
             client.agent_report(lease.lease_id, "fanout", "completed", result=1)
         else:
             platform.context.run_for(1800.0)  # past the 5400 s TTL
-            assert server.expire_agent_leases() == 1
+            assert server.agents.expire_leases() == 1
 
         status, records, billed = self.EXPECTED[exit_by, cancelled]
         assert client.job_status(job.job_id).status == status
@@ -535,8 +670,8 @@ class TestAgentManagerUnit:
     def test_settled_lease_memory_is_bounded(self, platform):
         from repro.accessserver.agents import SETTLED_LEASE_MEMORY, AgentManager
 
-        manager = AgentManager()
-        manager.register("a", 0.0)
+        manager = AgentManager(platform.access_server)
+        manager.register(platform.experimenter, "a")
         for index in range(SETTLED_LEASE_MEMORY + 10):
             lease = manager.grant("a", job_id=index + 1, devices=[("vp", "d")], ttl_s=1.0, now=0.0)
             manager.settle(lease.lease_id)
@@ -544,14 +679,14 @@ class TestAgentManagerUnit:
         # The oldest settlements were evicted; the newest are remembered.
         assert manager.settled_job(lease.lease_id) == lease.job_id
 
-    def test_unknown_agent_errors(self):
+    def test_unknown_agent_errors(self, platform):
         from repro.accessserver.agents import AgentManager
 
-        manager = AgentManager()
+        manager = AgentManager(platform.access_server)
         with pytest.raises(AgentError):
             manager.get("ghost")
         with pytest.raises(AgentError):
-            manager.renew("lease-1", 0.0)
+            manager.heartbeat("lease-1", "ghost")
 
 
 class TestParkedPolls:

@@ -159,7 +159,7 @@ class TestDeviceHoldConservation:
         verdict = check_device_hold_conservation(server)
         assert not verdict.ok
         assert f"job {job.job_id} holds a device" in verdict.details
-        server.expire_agent_leases()
+        server.agents.expire_leases()
         assert check_device_hold_conservation(server, drained=True).ok
 
     def test_a_lease_whose_device_went_to_another_job_fails(self, platform):

@@ -109,6 +109,11 @@ def test_an_agent_running_noop_loads_no_persistence():
     assert [name for name in modules if name.startswith("repro.accessserver.persistence")] == []
     assert "repro.accessserver.credits" not in modules
     assert "repro.accessserver.payloads" in modules
+    # The server's agent plane (``accessserver.agents``) is the daemon's
+    # peer, not a dependency: the catalogue is all it borrows.
+    assert [name for name in modules if name.startswith("repro.accessserver.")] == [
+        "repro.accessserver.payloads"
+    ]
 
 
 def test_the_persistence_codec_is_a_leaf():

@@ -160,7 +160,7 @@ class Rig:
 
     def _advance(self, seconds) -> None:
         self.platform.context.clock.advance(float(seconds))
-        self.server.expire_agent_leases()
+        self.server.agents.expire_leases()
 
     def _checkpoint(self, _arg) -> None:
         self.manager.checkpoint()
