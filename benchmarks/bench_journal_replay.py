@@ -100,7 +100,7 @@ def build_loaded_platform(state_dir: str):
     # Keep every event in the journal (no auto-compaction) so the replay
     # benchmark measures a worst-case, snapshot-less recovery.
     server.enable_persistence(state_dir, snapshot_every=10**9)
-    server.enable_credit_system(initial_grant_device_hours=100_000.0)
+    server.accounts.enable_credit_system(initial_grant_device_hours=100_000.0)
 
     for index in range(RESERVATIONS):
         serial = _device_serial(index % DEVICES)

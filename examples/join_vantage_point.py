@@ -26,7 +26,7 @@ def main() -> None:
     platform = build_default_platform(seed=7)
     server = platform.access_server
 
-    print("Registered vantage points before joining:", [r.name for r in server.vantage_points()])
+    print("Registered vantage points before joining:", [r.name for r in server.accounts.vantage_points()])
 
     handle = add_vantage_point(
         platform,
@@ -44,7 +44,7 @@ def main() -> None:
         status = "ok" if step.passed else "FAILED"
         print(f"  [{status:6}] {step.name}: {step.detail}")
 
-    print("\nRegistered vantage points after joining:", [r.name for r in server.vantage_points()])
+    print("\nRegistered vantage points after joining:", [r.name for r in server.accounts.vantage_points()])
     print("DNS record:", server.dns.resolve("node2"))
 
     # The new node is immediately visible and schedulable through Platform

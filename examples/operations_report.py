@@ -52,7 +52,7 @@ def main() -> None:
     add_vantage_point(
         platform, "node2", "Example University", browsers=("chrome",), install_video=False
     )
-    server.enable_credit_system(initial_grant_device_hours=8.0)
+    server.accounts.enable_credit_system(initial_grant_device_hours=8.0)
 
     admin = platform.client(username="admin")
     alice = admin.create_user("alice", "experimenter", "alice-token")

@@ -39,7 +39,7 @@ from repro.api import BatteryLabClient, JsonLinesTransport
 
 def main() -> None:
     platform = build_default_platform(seed=7, browsers=("chrome",))
-    platform.access_server.enable_credit_system()
+    platform.access_server.accounts.enable_credit_system()
 
     # -- 1. the server side: a TLS gateway plus a thread driving the
     # simulation (executing whatever the remote clients enqueue).

@@ -42,8 +42,8 @@ def main() -> None:
     print(f"reservation #{reservation.reservation_id} for {reservation.duration_s/60:.0f} minutes")
 
     # 2. Recruit a paid tester and share the mirrored device (toolbar hidden).
-    tester = server.testers.recruit("mturk-worker-42", RecruitmentChannel.MECHANICAL_TURK, hourly_rate_usd=15.0)
-    tester_session = server.share_with_tester(
+    tester = server.accounts.testers.recruit("mturk-worker-42", RecruitmentChannel.MECHANICAL_TURK, hourly_rate_usd=15.0)
+    tester_session = server.accounts.share_with_tester(
         platform.experimenter, tester.tester_id, "node1", device.serial, duration_s=900.0
     )
     print(f"share URL for the tester: {tester_session.share_url} (toolbar hidden: {not tester_session.toolbar_visible})")

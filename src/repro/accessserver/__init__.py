@@ -17,6 +17,9 @@ Jenkins itself:
 * :mod:`~repro.accessserver.dispatch` — the indexes the scheduler decides
   over (free-slot index, reservation interval index, a queue split by
   execution plane and bucketed by constraint);
+* :mod:`~repro.accessserver.accounts` — the accounts seam: registered
+  vantage points, user accounts, the credit ledger with the one rule for
+  who pays, tester sharing, and the orphan view over the queue;
 * :mod:`~repro.accessserver.agents` — the agent plane: registered edge
   daemons, their leases, and poll / claim / heartbeat / report over them,
   matched through the scheduler's one slot matcher;
@@ -44,6 +47,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
+    from repro.accessserver.accounts import Accounts, VantagePointRecord
     from repro.accessserver.auth import (
         AuthenticationError,
         AuthorizationError,
@@ -93,12 +97,13 @@ if TYPE_CHECKING:
         create_policy,
     )
     from repro.accessserver.scheduler import JobScheduler, SessionReservation
-    from repro.accessserver.server import AccessServer, VantagePointRecord
+    from repro.accessserver.server import AccessServer
     from repro.accessserver.testers import Tester, TesterPool, TesterSession
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
+        "accounts": ("Accounts", "VantagePointRecord"),
         "auth": (
             "AuthenticationError",
             "AuthorizationError",
@@ -144,7 +149,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "create_policy",
         ),
         "scheduler": ("JobScheduler", "SessionReservation"),
-        "server": ("AccessServer", "VantagePointRecord"),
+        "server": ("AccessServer",),
         "testers": ("Tester", "TesterPool", "TesterSession"),
     },
 )

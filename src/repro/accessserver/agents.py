@@ -174,7 +174,7 @@ class AgentManager:
         server = self._server
         server.users.authorize(user, Permission.RUN_JOB)
         if vantage_point is not None:
-            server.vantage_point(vantage_point)
+            server.accounts.vantage_point(vantage_point)
         if not agent_id:
             raise AgentError("agent_id must be non-empty")
         record = self._agents.get(agent_id)

@@ -160,6 +160,9 @@ class UserRegistry:
     def disable_user(self, username: str) -> None:
         self.get(username).enabled = False
 
+    def __contains__(self, username: str) -> bool:
+        return username in self._users
+
     def get(self, username: str) -> User:
         try:
             return self._users[username]

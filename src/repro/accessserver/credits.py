@@ -135,6 +135,9 @@ class CreditLedger:
             )
         return account
 
+    def __contains__(self, owner: str) -> bool:
+        return owner in self._accounts
+
     def account(self, owner: str) -> CreditAccount:
         try:
             return self._accounts[owner]

@@ -33,8 +33,8 @@ def build_certificate_renewal_job(
         deployed_to = []
         if renewed is not None:
             server.set_wildcard_certificate(renewed)
-            for record in server.vantage_points():
-                channel = server.open_ssh_channel(record.name)
+            for record in server.accounts.vantage_points():
+                channel = server.accounts.open_ssh_channel(record.name)
                 path = deploy_certificate(channel, renewed)
                 channel.close()
                 deployed_to.append(f"{record.name}:{path}")
@@ -60,7 +60,7 @@ def build_power_safety_job(server, vantage_point: str, owner: str = "admin") -> 
     """Ensure the power meter at a vantage point is off while no job needs it."""
 
     def run(ctx: JobContext) -> dict:
-        record = server.vantage_point(vantage_point)
+        record = server.accounts.vantage_point(vantage_point)
         controller = record.controller
         monitor = controller.monitor
         socket = controller.power_socket
@@ -117,7 +117,7 @@ def build_factory_reset_job(
     """Factory-reset one test device at a vantage point."""
 
     def run(ctx: JobContext) -> dict:
-        record = server.vantage_point(vantage_point)
+        record = server.accounts.vantage_point(vantage_point)
         output = record.controller.factory_reset(device_serial)
         ctx.log(output)
         return {"device": device_serial, "result": output}

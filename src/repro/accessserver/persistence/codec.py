@@ -36,7 +36,7 @@ DISPATCH_TOPIC_KINDS: Dict[str, str] = {
     "dispatch.reservation_cancelled": "reservation.cancelled",
 }
 
-#: The keywords of ``AccessServer.enable_credit_system``, in the order a
+#: The keywords of ``Accounts.enable_credit_system``, in the order a
 #: ``credit.enabled`` record and a snapshot's ``credit`` value spell them.
 CREDIT_CONFIG = (
     "contribution_multiplier",

@@ -194,8 +194,8 @@ class PersistenceManager:
             return
         for topic in DISPATCH_TOPIC_KINDS:
             self._server.events.subscribe(topic, self._on_bus_event)
-        if self._server.credit_policy is not None:
-            self._server.credit_policy.ledger.add_observer(self._on_credit_event)
+        if self._server.accounts.credit_policy is not None:
+            self._server.accounts.credit_policy.ledger.add_observer(self._on_credit_event)
         self._server._persistence = self
         self._attached = True
 
@@ -205,8 +205,8 @@ class PersistenceManager:
             return
         for topic in DISPATCH_TOPIC_KINDS:
             self._server.events.unsubscribe(topic, self._on_bus_event)
-        if self._server.credit_policy is not None:
-            self._server.credit_policy.ledger.remove_observer(self._on_credit_event)
+        if self._server.accounts.credit_policy is not None:
+            self._server.accounts.credit_policy.ledger.remove_observer(self._on_credit_event)
         self._server._persistence = None
         self._attached = False
 
@@ -389,7 +389,7 @@ class PersistenceManager:
     def on_credit_enabled(self, **config: float) -> None:
         """``config``: the ``CREDIT_CONFIG`` keywords the ledger was built with."""
         self._append("credit.enabled", config)
-        self._server.credit_policy.ledger.add_observer(self._on_credit_event)
+        self._server.accounts.credit_policy.ledger.add_observer(self._on_credit_event)
 
     # -- bus / ledger taps --------------------------------------------------
     def _on_bus_event(self, record: BusEvent) -> None:

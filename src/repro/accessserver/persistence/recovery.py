@@ -67,7 +67,7 @@ def build_snapshot(
             serialize_job(job, queue_seq=scheduler.queue.sequence_of(job.job_id))
             for job in _retained_jobs(server)
         ]
-    policy = server.credit_policy
+    policy = server.accounts.credit_policy
     credit_state: Optional[Dict[str, object]] = None
     if policy is not None:
         ledger = policy.ledger
@@ -95,7 +95,7 @@ def build_snapshot(
         "next_reservation_id": scheduler.next_reservation_id,
         "users": [serialize_user(server.users.get(name)) for name in server.users.usernames()],
         "idempotency": [list(record) for record in server.idempotency_records()],
-        "vantage_points": [serialize_vantage_point(record) for record in server.vantage_points()],
+        "vantage_points": [serialize_vantage_point(record) for record in server.accounts.vantage_points()],
         "jobs": jobs,
         "pending_approval": sorted(scheduler.awaiting_approval),
         "reservations": [asdict(r) for r in scheduler.reservations.all()],
@@ -410,7 +410,7 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
                 active=active,
             )
 
-    registered = {record.name for record in server.vantage_points()}
+    registered = {record.name for record in server.accounts.vantage_points()}
     report.missing_vantage_points = [
         name for name in state.vantage_points if name not in registered
     ]
@@ -432,12 +432,10 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
             report.idempotency_keys_restored += 1
 
     if state.credit is not None:
-        if server.credit_policy is None:
-            ledger = server.enable_credit_system(
-                **{key: state.credit[key] for key in CREDIT_CONFIG}
-            )
-        else:
-            ledger = server.credit_policy.ledger
+        # Keeps a ledger the host enabled before recovery ran.
+        ledger = server.accounts.enable_credit_system(
+            **{key: state.credit[key] for key in CREDIT_CONFIG}
+        )
         for owner in sorted(state.credit["accounts"]):
             account = state.credit["accounts"][owner]
             ledger.restore_account(
@@ -478,18 +476,16 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
             continue
         scheduler.restore_job(job, queued=False)
         if job.status is JobStatus.PENDING_APPROVAL:
-            server._track_orphan(job)
             report.pending_approval += 1
     for _, job in sorted(queued, key=lambda item: item[0]):
         scheduler.restore_job(job, queued=True)
-        server._track_orphan(job)
         report.jobs_queued += 1
 
     # Jobs pinned to a vantage point that has not re-joined can never
     # dispatch until an operator re-registers the topology; one predicate —
-    # AccessServer.orphaned_jobs(), which status() keeps reporting live —
+    # Accounts.orphaned_jobs(), which status() keeps reporting live —
     # decides both the recovery report and the ongoing view.
-    report.orphaned_jobs = [job.job_id for job in server.orphaned_jobs()]
+    report.orphaned_jobs = [job.job_id for job in server.accounts.orphaned_jobs()]
 
     server.log(
         "state recovered",

@@ -24,6 +24,8 @@ themselves.  The queue ordering policy
 Pull execution is the agent plane on :attr:`AccessServer.agents`
 (:mod:`repro.accessserver.agents`); the server keeps the router's three
 entry points to it and ``_finish_execution``, the settle step both share.
+Vantage points, user accounts, credits and testers are on
+:attr:`AccessServer.accounts` (:mod:`repro.accessserver.accounts`).
 
 .. note::
    Experiment code submits and inspects jobs through a
@@ -38,19 +40,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.accessserver.accounts import AccessServerError, Accounts
 from repro.accessserver.agents import AgentLease, AgentManager
-from repro.accessserver.auth import (
-    Permission,
-    Role,
-    SessionManager,
-    User,
-    UserRegistry,
-)
+from repro.accessserver.auth import Permission, SessionManager, User, UserRegistry
 from repro.accessserver.certificates import CertificateAuthority, WildcardCertificate
-from repro.accessserver.credits import CreditLedger, CreditPolicy
 from repro.accessserver.dispatch import Assignment
 from repro.accessserver.dns import DnsZone
 from repro.accessserver.jobs import (
@@ -62,17 +57,10 @@ from repro.accessserver.jobs import (
 )
 from repro.accessserver.policies import SchedulingPolicy
 from repro.accessserver.scheduler import JobScheduler, SessionReservation
-from repro.accessserver.testers import TesterPool
-from repro.network.ssh import SshChannel, SshKeyPair
+from repro.network.ssh import SshKeyPair
 from repro.obs import Observability, component_logger
 from repro.simulation.entity import Entity, SimulationContext
 from repro.simulation.events import Event, EventBus
-from repro.vantagepoint.controller import VantagePointController
-from repro.vantagepoint.provisioning import JoinRequest, ProvisioningReport, provision_vantage_point
-
-
-class AccessServerError(RuntimeError):
-    """Raised for platform-level errors (unknown vantage point, failed join, ...)."""
 
 
 #: Jobs one dispatch pass (:meth:`AccessServer.run_pending_jobs`) executes
@@ -98,19 +86,6 @@ def batch_filled(executed, max_jobs: int = DISPATCH_BATCH) -> bool:
     :meth:`AccessServer.drain` and the wall-clock host loop.
     """
     return len(executed) >= max_jobs
-
-
-@dataclass
-class VantagePointRecord:
-    """A registered vantage point as seen by the access server."""
-
-    name: str
-    controller: VantagePointController
-    institution: str
-    dns_name: str
-    report: ProvisioningReport
-    approved: bool = True
-    metadata: Dict[str, object] = field(default_factory=dict)
 
 
 class AccessServer(Entity):
@@ -167,29 +142,19 @@ class AccessServer(Entity):
             "dispatch.reservation_cancelled",
             lambda record: self._schedule_dispatch_tick(),
         )
-        # Incrementally-maintained orphan set (jobs pinned to a vantage point
-        # that is not registered).  Entries leave on cancel/reject — the
-        # scheduler emits ``dispatch.cancelled`` for both — or when the missing
-        # vantage point registers.  See :meth:`orphaned_jobs`.
-        self._orphans: Dict[int, Job] = {}
-        self.events.subscribe(
-            "dispatch.cancelled",
-            lambda record: self._orphans.pop(record.payload.get("job_id"), None),
-        )
         self._declare_metrics()
-        self.testers = TesterPool()
+        #: Vantage points, user accounts, credits and testers; the job
+        #: admission and bill of the credit system.
+        self.accounts = Accounts(self)
         #: The agent plane: registered edge daemons, their leases and the
         #: poll/claim/heartbeat/report operations over them.
         self.agents = AgentManager(self)
         self.ssh_key = SshKeyPair.generate("batterylab-access-server", self.random)
-        self._vantage_points: Dict[str, VantagePointRecord] = {}
-        self._credit_policy: Optional[CreditPolicy] = None
         self._auto_dispatch = False
         self._auto_dispatch_interval_s: Optional[float] = None
         self._auto_dispatch_event: Optional[Event] = None
         self._persistence = None
         self._analytics = None
-        self._analytics_tap = None
         #: Opt-in concurrent payload execution; see enable_parallel_waves.
         self._wave_executor = None
         # (owner, idempotency_key) -> job_id: flaky-transport retries of the
@@ -252,9 +217,6 @@ class AccessServer(Entity):
             "Queued jobs per constraint bucket.",
             labelnames=("bucket",),
         )
-        self._g_orphans = registry.gauge(
-            "orphaned_jobs", "Queued jobs pinned to an unregistered vantage point."
-        ).labels()
         # A size on every per-job structure, read at scrape time only.
         self._g_retained_jobs = registry.gauge(
             "scheduler_retained_jobs", "Jobs the scheduler holds, in any status."
@@ -269,9 +231,8 @@ class AccessServer(Entity):
         registry.add_collect_hook(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
-        """Scrape-time gauges: queue depth per constraint bucket, orphan count,
-        per-job structure sizes."""
-        self._g_orphans.set(float(len(self.orphaned_jobs())))
+        """Scrape-time gauges: queue depth per constraint bucket, per-job
+        structure sizes."""
         self._g_retained_jobs.set(float(self.scheduler.job_count()))
         self._g_idempotency_keys.set(float(len(self._idempotent_submissions)))
         timelines = self._analytics.tracked_job_ids() if self._analytics is not None else ()
@@ -365,19 +326,10 @@ class AccessServer(Entity):
             from repro.analytics import JournalReplaySource
 
             engine.fold_source(JournalReplaySource(self._persistence.backend))
-        tap = LiveBusTap(engine, self)
-        tap.attach()
+        LiveBusTap(engine, self).attach()
         self._analytics = engine
-        self._analytics_tap = tap
         self.log("analytics enabled", seeded_records=engine.records_folded)
         return engine
-
-    def disable_analytics(self) -> None:
-        """Detach the live tap and drop the engine (views are discarded)."""
-        if self._analytics_tap is not None:
-            self._analytics_tap.detach()
-        self._analytics = None
-        self._analytics_tap = None
 
     # -- platform assets -------------------------------------------------------------
     @property
@@ -391,129 +343,6 @@ class AccessServer(Entity):
     def set_wildcard_certificate(self, certificate: WildcardCertificate) -> None:
         self._wildcard_certificate = certificate
 
-    # -- credit system -----------------------------------------------------------------
-    @property
-    def credit_policy(self) -> Optional[CreditPolicy]:
-        return self._credit_policy
-
-    def enable_credit_system(
-        self,
-        contribution_multiplier: float = 1.5,
-        initial_grant_device_hours: float = 5.0,
-        minimum_reservation_hours: float = 0.25,
-    ) -> CreditLedger:
-        """Turn on the access-by-credit model sketched in the paper's conclusion.
-
-        Once enabled, experimenters without a credit balance cannot submit
-        jobs; institutions that contribute vantage points earn credits for
-        the device time they make available (see
-        :mod:`repro.accessserver.credits`).  Returns the ledger so callers
-        can open contributor accounts and award contributions.
-
-        Idempotent: when the credit system is already on — typically because
-        crash recovery restored it, balances included — the existing ledger
-        is returned untouched rather than replaced with an empty one, so
-        boot code may call this unconditionally after ``enable_persistence``.
-        """
-        if self._credit_policy is not None:
-            self.log("credit system already enabled; keeping existing ledger")
-            return self._credit_policy.ledger
-        ledger = CreditLedger(
-            contribution_multiplier=contribution_multiplier,
-            initial_grant_device_hours=initial_grant_device_hours,
-        )
-        self._credit_policy = CreditPolicy(
-            ledger, minimum_reservation_hours=minimum_reservation_hours
-        )
-        # Bridge ledger mutations onto the event bus so analytics and
-        # remote ``credit.`` event subscribers see credit traffic live.
-        ledger.add_observer(self._publish_credit_event)
-        # The "credit" scheduling policy weighs owners by remaining balance;
-        # feed it live ledger balances through the dispatch stats.
-        self.scheduler.set_credit_balance_provider(self._credit_balances)
-        if self._persistence is not None:
-            self._persistence.on_credit_enabled(
-                contribution_multiplier=contribution_multiplier,
-                initial_grant_device_hours=initial_grant_device_hours,
-                minimum_reservation_hours=minimum_reservation_hours,
-            )
-        self.log("credit system enabled")
-        return ledger
-
-    def _credit_balances(self) -> Dict[str, float]:
-        if self._credit_policy is None:
-            return {}
-        return {
-            account.owner: account.balance_device_hours
-            for account in self._credit_policy.ledger.accounts()
-        }
-
-    def _credit_account_for(self, owner: str):
-        assert self._credit_policy is not None
-        ledger = self._credit_policy.ledger
-        try:
-            return ledger.account(owner)
-        except Exception:
-            return ledger.open_account(owner, now=self.context.now)
-
-    # -- membership --------------------------------------------------------------------
-    def register_vantage_point(
-        self,
-        controller: VantagePointController,
-        request: JoinRequest,
-    ) -> VantagePointRecord:
-        """Run the join procedure for a new member and register its vantage point."""
-        if request.node_identifier in self._vantage_points:
-            raise AccessServerError(
-                f"a vantage point named {request.node_identifier!r} is already registered"
-            )
-        report = provision_vantage_point(
-            controller,
-            request,
-            access_server_key=self.ssh_key,
-            access_server_address=self._public_address,
-            dns_registry=self.dns,
-            certificate=self._wildcard_certificate,
-        )
-        if not report.succeeded:
-            failed = ", ".join(step.name for step in report.failed_steps())
-            raise AccessServerError(
-                f"vantage point {request.node_identifier!r} failed provisioning: {failed}"
-            )
-        record = VantagePointRecord(
-            name=request.node_identifier,
-            controller=controller,
-            institution=request.institution,
-            dns_name=report.dns_name,
-            report=report,
-        )
-        self._vantage_points[record.name] = record
-        # Jobs waiting on this vantage point are orphans no longer.
-        for job_id, job in list(self._orphans.items()):
-            if job.spec.constraints.vantage_point == record.name:
-                del self._orphans[job_id]
-        for serial in controller.list_devices():
-            self.scheduler.slots.register(record.name, serial)
-        if self._persistence is not None:
-            self._persistence.on_vantage_point_registered(record)
-        self.log("vantage point registered", name=record.name, devices=controller.list_devices())
-        return record
-
-    def vantage_point(self, name: str) -> VantagePointRecord:
-        try:
-            return self._vantage_points[name]
-        except KeyError:
-            raise AccessServerError(f"unknown vantage point {name!r}") from None
-
-    def vantage_points(self) -> List[VantagePointRecord]:
-        return [self._vantage_points[name] for name in sorted(self._vantage_points)]
-
-    def open_ssh_channel(self, vantage_point_name: str) -> SshChannel:
-        """Open an authenticated SSH channel to a vantage point controller."""
-        record = self.vantage_point(vantage_point_name)
-        return record.controller.ssh_server.open_channel(self.ssh_key, self._public_address)
-
-    # -- job lifecycle ---------------------------------------------------------------------
     # -- federation identity -----------------------------------------------------------
     def configure_shard(
         self, shard_id: str, shard_index: int = 0, shard_count: int = 1
@@ -560,9 +389,11 @@ class AccessServer(Entity):
 
         The ``job.submit`` operation of :mod:`repro.api` executes through
         this method.  Pipeline changes are parked until an administrator
-        approves them; ordinary jobs go straight into the queue.  When the credit system is
-        enabled, non-admin owners must be able to afford the job's estimated
-        device time (its timeout) before it is accepted.
+        approves them; ordinary jobs go straight into the queue.  When the
+        credit system is enabled, the job's payer (``spec.owner`` unless an
+        administrator; see :meth:`Accounts.payer
+        <repro.accessserver.accounts.Accounts.payer>`) must be able to afford
+        its estimated device time (its timeout) before it is accepted.
 
         With an ``idempotency_key``, resubmitting the same ``(owner, key)``
         pair returns the job the first submission created — the safe-retry
@@ -578,11 +409,7 @@ class AccessServer(Entity):
             existing = self._idempotent_submissions.get((spec.owner, idempotency_key))
             if existing is not None:
                 return self.scheduler.job(existing)
-        if self._credit_policy is not None and user.role is not Role.ADMIN:
-            self._credit_account_for(user.username)
-            self._credit_policy.authorize(
-                user.username, estimated_device_hours=spec.timeout_s / 3600.0
-            )
+        self.accounts.admit(spec)
         job = self._new_job(spec)
         if spec.is_pipeline_change:
             job.status = JobStatus.PENDING_APPROVAL
@@ -597,7 +424,6 @@ class AccessServer(Entity):
             self._schedule_dispatch_tick()
         if idempotency_key is not None:
             self._idempotent_submissions[(spec.owner, idempotency_key)] = job.job_id
-        self._track_orphan(job)
         tracer = self.obs.tracer
         if tracer.enabled:
             tracer.begin_job_trace(
@@ -629,12 +455,6 @@ class AccessServer(Entity):
             status=job.status.value,
             submitted_at=job.submitted_at,
         )
-
-    def _publish_credit_event(self, kind: str, data: Dict[str, object]) -> None:
-        if kind == "transaction":
-            self.events.publish("credit.txn", **data)
-        elif kind == "account_opened":
-            self.events.publish("credit.account_opened", **data)
 
     def idempotency_records(self) -> List[Tuple[str, str, int]]:
         """Every remembered ``(owner, key, job_id)`` triple, for snapshots."""
@@ -682,7 +502,7 @@ class AccessServer(Entity):
         return list(self.scheduler.awaiting_approval.values())
 
     def _controller_cpu(self, vantage_point_name: str) -> float:
-        return self.vantage_point(vantage_point_name).controller.latest_cpu_percent()
+        return self.accounts.vantage_point(vantage_point_name).controller.latest_cpu_percent()
 
     def run_pending_jobs(self, max_jobs: int = DISPATCH_BATCH) -> List[Job]:
         """One dispatch pass: reap expired leases, then execute up to ``max_jobs`` queued jobs.
@@ -818,7 +638,7 @@ class AccessServer(Entity):
         # Bill execution time, not queue-on-device time, so credits match
         # what the seed's one-at-a-time dispatch charged.
         job.mark_execution_started(self.context.now)
-        record = self.vantage_point(assignment.vantage_point)
+        record = self.accounts.vantage_point(assignment.vantage_point)
         api = BatteryLabAPI(record.controller)
         ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self.context.now)
         self.scheduler.begin_execution(job)
@@ -859,22 +679,7 @@ class AccessServer(Entity):
             job.mark_failed(now, error)
             self.log("job failed", job=job.spec.name, error=error)
         self.scheduler.release(job)
-        if self._credit_policy is not None:
-            owner = job.spec.owner
-            owner_is_admin = (
-                owner in self.users.usernames()
-                and self.users.get(owner).role is Role.ADMIN
-            )
-            if not owner_is_admin:
-                account = self._credit_account_for(owner)
-                # Charge the time the devices were held, not job.duration_s:
-                # a job cancelled mid-execution never gets a finished_at,
-                # yet it occupied them until here.
-                consumed_hours = (now - held_since) / 3600.0
-                consumed_hours = min(consumed_hours, account.balance_device_hours)
-                self._credit_policy.settle(
-                    owner, consumed_hours, now, note=f"job {job.job_id}"
-                )
+        self.accounts.bill(job, held_since)
         # Cancellations were already journaled via the dispatch.cancelled
         # bus event.
         if job.status in (JobStatus.COMPLETED, JobStatus.FAILED):
@@ -1030,10 +835,6 @@ class AccessServer(Entity):
         self.log("scheduling policy changed", policy=selected.name)
         return selected
 
-    @property
-    def auto_dispatch_enabled(self) -> bool:
-        return self._auto_dispatch
-
     def enable_auto_dispatch(self, poll_interval_s: Optional[float] = None) -> None:
         """Dispatch through the simulation event loop instead of caller polling.
 
@@ -1112,7 +913,7 @@ class AccessServer(Entity):
         through this method.
         """
         self.users.authorize(user, Permission.REMOTE_CONTROL)
-        self.vantage_point(vantage_point_name)
+        self.accounts.vantage_point(vantage_point_name)
         reservation = self.scheduler.reserve_session(
             user.username, vantage_point_name, device_serial, start_s, duration_s
         )
@@ -1129,131 +930,8 @@ class AccessServer(Entity):
         )
         return reservation
 
-    def share_with_tester(
-        self,
-        experimenter: User,
-        tester_id: int,
-        vantage_point_name: str,
-        device_serial: str,
-        duration_s: float,
-        show_toolbar: bool = False,
-    ):
-        """Share a mirrored device with a recruited tester for manual interaction."""
-        self.users.authorize(experimenter, Permission.REMOTE_CONTROL)
-        record = self.vantage_point(vantage_point_name)
-        session = record.controller.start_mirroring(device_serial)
-        if not show_toolbar:
-            session.novnc.toolbar.hide()
-        else:
-            session.novnc.toolbar.show()
-        tester_session = self.testers.open_session(
-            tester_id,
-            vantage_point_name,
-            device_serial,
-            now=self.context.now,
-            duration_s=duration_s,
-            toolbar_visible=show_toolbar,
-        )
-        session.connect_viewer(tester_session.tester.name, role="tester")
-        return tester_session
-
-    # -- remote administration (Platform API v2) ----------------------------------------------
-    def create_user(
-        self,
-        admin: User,
-        username: str,
-        role: Union[str, Role],
-        token: str,
-        email: str = "",
-    ) -> User:
-        """Open a platform account on an administrator's authority.
-
-        The account (with its token hash, never the plaintext) is journaled
-        when persistence is enabled, so remotely created users survive a
-        restart and can authenticate against the recovered server.
-        """
-        self.users.authorize(admin, Permission.MANAGE_USERS)
-        user = self.users.add_user(username, Role(role), token, email=email)
-        if self._persistence is not None:
-            self._persistence.on_user_created(user)
-        self.log(
-            "user created", username=username, role=user.role.value, by=admin.username
-        )
-        return user
-
-    def grant_credits(
-        self, admin: User, owner: str, amount_device_hours: float, note: str = ""
-    ):
-        """Administrative credit adjustment; opens the account when missing.
-
-        Returns the (possibly new) :class:`~repro.accessserver.credits.CreditAccount`.
-        The ledger's observers journal the transaction, so grants replay
-        exactly on recovery.
-        """
-        self.users.authorize(admin, Permission.MANAGE_CREDITS)
-        if self._credit_policy is None:
-            raise AccessServerError("the credit system is not enabled on this server")
-        account = self._credit_account_for(owner)
-        self._credit_policy.ledger.adjust(
-            owner,
-            amount_device_hours,
-            self.context.now,
-            note=note or f"grant by {admin.username}",
-        )
-        self.log(
-            "credits granted",
-            owner=owner,
-            amount_device_hours=amount_device_hours,
-            by=admin.username,
-        )
-        return account
-
-    # -- bootstrap helpers --------------------------------------------------------------------
-    def bootstrap_admin(self, username: str = "admin", token: str = "admin-token") -> User:
-        """Create the initial administrator account."""
-        return self.users.add_user(username, Role.ADMIN, token)
-
-    def _track_orphan(self, job: Job) -> None:
-        """Index ``job`` as an orphan if its pinned vantage point is absent.
-
-        Called on submission and on crash-recovery restore; the set shrinks
-        via the ``dispatch.cancelled`` subscription (cancel/reject both emit
-        it) and when the missing vantage point registers — an orphan can
-        never be dispatched, so no other exit path exists.
-        """
-        required = job.spec.constraints.vantage_point
-        if required is not None and required not in self._vantage_points:
-            self._orphans[job.job_id] = job
-
-    def orphaned_jobs(self) -> List[Job]:
-        """Waiting jobs pinned to a vantage point that is not registered.
-
-        After crash recovery these are the journaled jobs whose vantage
-        point has not re-joined (``recover_into`` restores state, not
-        hardware); they sit in the queue undispatchable until an operator
-        re-registers the topology.  Maintained incrementally (submission /
-        recovery add, cancellation and vantage-point registration remove),
-        so this — and the ``status()`` report built on it — costs
-        O(orphans), not O(queue).
-        """
-        orphaned = []
-        for job_id in list(self._orphans):
-            job = self._orphans[job_id]
-            required = job.spec.constraints.vantage_point
-            if (
-                job.status not in (JobStatus.QUEUED, JobStatus.PENDING_APPROVAL)
-                or required is None
-                or required in self._vantage_points
-            ):
-                # Self-heal any entry invalidated outside the tracked exits.
-                del self._orphans[job_id]
-                continue
-            orphaned.append(job)
-        orphaned.sort(key=lambda job: job.job_id)
-        return orphaned
-
     def status(self) -> dict:
-        orphaned = self.orphaned_jobs()
+        orphaned = self.accounts.orphaned_jobs()
         journal = None
         if self._persistence is not None:
             # Compaction lag at a glance: how much journal a recovery would
@@ -1266,7 +944,7 @@ class AccessServer(Entity):
             }
         return {
             "shard_id": self.shard_id,
-            "vantage_points": [record.name for record in self.vantage_points()],
+            "vantage_points": [record.name for record in self.accounts.vantage_points()],
             "users": self.users.usernames(),
             "queued_jobs": self.scheduler.queue_length(),
             "pending_approval": len(self.scheduler.awaiting_approval),

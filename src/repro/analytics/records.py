@@ -377,23 +377,9 @@ class LiveBusTap:
     def __init__(self, engine, server) -> None:
         self._engine = engine
         self._server = server
-        self._attached = False
-
-    @property
-    def attached(self) -> bool:
-        return self._attached
 
     def attach(self) -> None:
-        if self._attached:
-            return
         self._server.events.subscribe(None, self._on_event)
-        self._attached = True
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        self._server.events.unsubscribe(None, self._on_event)
-        self._attached = False
 
     def _on_event(self, event: BusEvent) -> None:
         record = normalize_bus_event(event)

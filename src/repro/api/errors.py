@@ -183,6 +183,7 @@ def map_exception(exc: BaseException) -> ApiError:
     exception zoo meets the wire contract.  ``ApiError`` instances pass
     through untouched.
     """
+    from repro.accessserver.accounts import AccessServerError
     from repro.accessserver.auth import (
         AuthenticationError,
         AuthorizationError,
@@ -192,7 +193,6 @@ def map_exception(exc: BaseException) -> ApiError:
     from repro.accessserver.dispatch import SchedulingError
     from repro.accessserver.jobs import JobError
     from repro.accessserver.policies import PolicyError
-    from repro.accessserver.server import AccessServerError
 
     if isinstance(exc, ApiError):
         return exc

@@ -817,7 +817,7 @@ class ApiRouter(OpRouter):
         request = CreditQuery.from_wire(payload)
         owner = request.owner or ctx.user.username
         self._require_owner_or_admin(ctx.user, owner, "read their balance")
-        policy = self._server.credit_policy
+        policy = self._server.accounts.credit_policy
         if policy is None:
             raise NotFoundApiError("the credit system is not enabled on this server")
         return CreditView.from_account(policy.ledger.account(owner)).to_wire()
@@ -825,7 +825,7 @@ class ApiRouter(OpRouter):
     def _op_fleet_list(self, ctx: RequestContext, payload: dict) -> dict:
         vantage_points = [
             self._vantage_point_view(record)
-            for record in self._server.vantage_points()
+            for record in self._server.accounts.vantage_points()
         ]
         return FleetView(vantage_points=vantage_points).to_wire()
 
@@ -904,7 +904,7 @@ class ApiRouter(OpRouter):
         from repro.api.errors import ConflictApiError
 
         if any(
-            record.name == request.name for record in self._server.vantage_points()
+            record.name == request.name for record in self._server.accounts.vantage_points()
         ):
             raise ConflictApiError(
                 f"a vantage point named {request.name!r} is already registered",
@@ -926,7 +926,7 @@ class ApiRouter(OpRouter):
             browsers=("chrome",),
             install_video=False,
         )
-        record = self._server.register_vantage_point(
+        record = self._server.accounts.register_vantage_point(
             assembled.controller, assembled.request
         )
         return self._vantage_point_view(record).to_wire()
@@ -952,9 +952,9 @@ class ApiRouter(OpRouter):
 
     def _op_credits_grant(self, ctx: RequestContext, payload: dict) -> dict:
         request = GrantCreditsRequest.from_wire(payload)
-        if self._server.credit_policy is None:
+        if self._server.accounts.credit_policy is None:
             raise NotFoundApiError("the credit system is not enabled on this server")
-        account = self._server.grant_credits(
+        account = self._server.accounts.grant_credits(
             ctx.user, request.owner, request.amount_device_hours, note=request.note
         )
         return CreditView.from_account(account).to_wire()
@@ -968,7 +968,7 @@ class ApiRouter(OpRouter):
                 f"unknown role {request.role!r}",
                 details={"roles": [role.value for role in Role]},
             ) from None
-        user = self._server.create_user(
+        user = self._server.accounts.create_user(
             ctx.user, request.username, role, request.token, email=request.email
         )
         return UserView(

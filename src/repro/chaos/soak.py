@@ -291,13 +291,9 @@ class SoakHarness:
         )
         self.server.enable_analytics()
         if self.config.credits:
-            from repro.accessserver.credits import CreditError
-
-            ledger = self.server.enable_credit_system()
+            ledger = self.server.accounts.enable_credit_system()
             owner = self.platform.experimenter.username
-            try:
-                ledger.account(owner)
-            except CreditError:
+            if owner not in ledger:
                 # Contributors pay in kind: usage is recorded but waived, so
                 # an arbitrarily long soak cannot overdraft the account.
                 ledger.open_account(
@@ -686,8 +682,8 @@ class SoakHarness:
         report.add(
             check_recovery_byte_identical(self.backend, self._recovery_factory)
         )
-        if self.config.credits and self.server.credit_policy is not None:
-            report.add(check_credit_conservation(self.server.credit_policy.ledger))
+        if self.config.credits and self.server.accounts.credit_policy is not None:
+            report.add(check_credit_conservation(self.server.accounts.credit_policy.ledger))
         # Last: it checkpoints, and the checks above want the journal tail.
         report.add(check_snapshot_equals_fresh_encode(self.server))
         return SoakResult(

@@ -746,8 +746,7 @@ def _cmd_reject(args) -> str:
 
 def _cmd_grant(args) -> str:
     platform = _ops_platform(args)
-    if platform.access_server.credit_policy is None:
-        platform.access_server.enable_credit_system()
+    platform.access_server.accounts.enable_credit_system()  # keeps a recovered ledger
     admin = platform.client(username="admin")
     balance = admin.grant_credits(args.owner, args.amount, note=args.note)
     rows = [

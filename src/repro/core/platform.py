@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.accessserver.auth import Role, User
-from repro.accessserver.server import AccessServer, VantagePointRecord
+from repro.accessserver.accounts import VantagePointRecord
+from repro.accessserver.server import AccessServer
 from repro.core.api import BatteryLabAPI
 from repro.device.android import AndroidDevice
 from repro.device.profiles import SAMSUNG_J7_DUO, DeviceHardwareProfile
@@ -236,7 +237,7 @@ def assemble_vantage_point(
     Shared by the in-process :func:`add_vantage_point` helper and the
     Platform API v2 ``vantage-point.register`` operation — the remote path
     assembles exactly the hardware the local path would, then both register
-    through :meth:`~repro.accessserver.server.AccessServer.register_vantage_point`.
+    through :meth:`~repro.accessserver.accounts.Accounts.register_vantage_point`.
     """
     hostname = f"{node_identifier}.batterylab.dev"
     controller = VantagePointController(
@@ -314,7 +315,7 @@ def add_vantage_point(
         home_region=home_region,
         public_address=f"198.51.100.{len(platform.vantage_points) + 10}",
     )
-    record = platform.access_server.register_vantage_point(
+    record = platform.access_server.accounts.register_vantage_point(
         assembled.controller, assembled.request
     )
     handle = VantagePointHandle(
@@ -386,7 +387,7 @@ def build_default_platform(
     )
     admin_token = "admin-token"
     experimenter_token = "experimenter-token"
-    admin = access_server.bootstrap_admin(token=admin_token)
+    admin = access_server.accounts.bootstrap_admin(token=admin_token)
     experimenter = access_server.users.add_user(
         "experimenter", Role.EXPERIMENTER, token=experimenter_token
     )

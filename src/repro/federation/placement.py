@@ -100,7 +100,7 @@ class PlacementDirectory:
 
     def learn_shard(self, shard_id: str, server) -> None:
         """Record every vantage point and device ``server`` currently hosts."""
-        for record in server.vantage_points():
+        for record in server.accounts.vantage_points():
             self.vantage_points[record.name] = shard_id
             for serial in record.controller.list_devices():
                 self.devices[serial] = shard_id

@@ -60,8 +60,8 @@ def write_state(state_dir: Path) -> None:
     platform = build_default_platform(state_dir=str(state_dir), **PLATFORM)
     server = platform.access_server
     admin, user = platform.admin, platform.experimenter
-    server.enable_credit_system(initial_grant_device_hours=500.0)
-    server.grant_credits(admin, "experimenter", 25.0, note="fixture grant")
+    server.accounts.enable_credit_system(initial_grant_device_hours=500.0)
+    server.accounts.grant_credits(admin, "experimenter", 25.0, note="fixture grant")
     submit = server.submit_job
 
     # -- what the snapshot holds ------------------------------------------------
@@ -118,7 +118,7 @@ def write_state(state_dir: Path) -> None:
     server.scheduler.cancel(to_cancel_later.job_id)
     server.scheduler.cancel_reservation(reserved.reservation_id)
     server.reserve_session(user, "node1", "node1-dev00", start_s=20000.0, duration_s=120.0)
-    server.grant_credits(admin, "experimenter", 1.5, note="tail grant")
+    server.accounts.grant_credits(admin, "experimenter", 1.5, note="tail grant")
     submit(user, spec("tail-queued", timeout_s=60.0), idempotency_key="fixture-key-2")
     submit(user, spec("tail-unroutable", constraints=JobConstraints("nowhere")))
     server.agents.register(user, "fixture-agent", connectors=["fake", "multi"])
@@ -134,7 +134,7 @@ def observe(state_dir: Path) -> dict:
     platform = build_default_platform(state_dir=str(state_dir), **PLATFORM)
     server = platform.access_server
     report = server.persistence.last_recovery
-    ledger = server.credit_policy.ledger
+    ledger = server.accounts.credit_policy.ledger
     snapshot = server.persistence.backend.read_snapshot()
     return {
         "job_list": [view.to_wire() for view in platform.client("admin").list_jobs()],

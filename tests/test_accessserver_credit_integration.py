@@ -19,14 +19,14 @@ def quick_job(name="credit-job", timeout_s=1800.0, owner="experimenter"):
 
 class TestCreditIntegration:
     def test_disabled_by_default(self, platform):
-        assert platform.access_server.credit_policy is None
+        assert platform.access_server.accounts.credit_policy is None
         job = platform.access_server.submit_job(platform.experimenter, quick_job())
         platform.access_server.run_pending_jobs()
         assert job.status is JobStatus.COMPLETED
 
     def test_experimenters_get_an_account_and_are_charged(self, platform):
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=2.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=2.0)
         job = server.submit_job(platform.experimenter, quick_job(timeout_s=1800.0))
         server.run_pending_jobs()
         assert job.status is JobStatus.COMPLETED
@@ -37,13 +37,13 @@ class TestCreditIntegration:
 
     def test_submission_rejected_without_enough_credits(self, platform):
         server = platform.access_server
-        server.enable_credit_system(initial_grant_device_hours=0.1)
+        server.accounts.enable_credit_system(initial_grant_device_hours=0.1)
         with pytest.raises(CreditError):
             server.submit_job(platform.experimenter, quick_job(timeout_s=7200.0))
 
     def test_admin_jobs_bypass_credits(self, platform):
         server = platform.access_server
-        server.enable_credit_system(initial_grant_device_hours=0.0)
+        server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
         spec = JobSpec(name="admin-job", owner="admin", run=lambda ctx: "ok", timeout_s=7200.0)
         job = server.submit_job(platform.admin, spec)
         server.run_pending_jobs()
@@ -51,7 +51,7 @@ class TestCreditIntegration:
 
     def test_contributing_institution_runs_for_free(self, platform):
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=0.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
         contributor = server.users.add_user("imperial", Role.EXPERIMENTER, token="imperial-token")
         ledger.open_account("imperial", contributes_hardware=True)
         ledger.credit_contribution("imperial", device_hours=24.0, now=0.0, note="node1 uptime")
@@ -63,7 +63,7 @@ class TestCreditIntegration:
 
     def test_failed_jobs_still_consume_credits(self, platform):
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=2.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=2.0)
 
         def crash(ctx):
             ctx.api.power_monitor()
@@ -78,3 +78,53 @@ class TestCreditIntegration:
         server.run_pending_jobs()
         assert job.status is JobStatus.FAILED
         assert ledger.balance("experimenter") < 2.0
+
+
+class TestWhoPays:
+    """One rule decides who pays, at admission and at settlement alike: the
+    job's ``spec.owner``, unless that owner is an administrator account."""
+
+    def test_admin_cannot_submit_for_an_owner_who_cannot_pay(self, platform):
+        server = platform.access_server
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
+        with pytest.raises(CreditError, match="'experimenter' lacks credits"):
+            server.submit_job(platform.admin, quick_job(timeout_s=3600.0))
+        assert server.scheduler.job_count() == 0
+        assert [account.owner for account in ledger.accounts()] == ["experimenter"]
+
+    def test_job_submit_with_an_owner_field_is_refused_over_the_api(self, platform):
+        from repro.api.errors import CreditApiError
+
+        platform.access_server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
+        with pytest.raises(CreditApiError) as excinfo:
+            platform.client("admin").submit_job(
+                "for-experimenter", "noop", owner="experimenter", timeout_s=3600.0
+            )
+        assert excinfo.value.code == "credits.insufficient"
+
+    def test_funded_owner_is_billed_for_the_hour_not_the_submitter(self, platform):
+        server = platform.access_server
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=2.0)
+        spec = JobSpec(
+            name="hour-long",
+            owner="experimenter",
+            run=lambda ctx: platform.context.run_for(3600.0),
+            timeout_s=3600.0,
+        )
+        job = server.submit_job(platform.admin, spec)
+        server.run_pending_jobs()
+        assert job.status is JobStatus.COMPLETED
+        usage = [t for t in ledger.account("experimenter").transactions if t.kind.value == "usage"]
+        assert [t.amount_device_hours for t in usage] == [pytest.approx(-1.0)]
+        assert ledger.balance("experimenter") == pytest.approx(1.0)
+        assert "admin" not in ledger
+
+    def test_maintenance_jobs_stay_free(self, platform):
+        from repro.accessserver.maintenance import build_power_safety_job
+
+        server = platform.access_server
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
+        job = server.submit_job(platform.admin, build_power_safety_job(server, "node1"))
+        server.run_pending_jobs()
+        assert job.status is JobStatus.COMPLETED
+        assert ledger.accounts() == []

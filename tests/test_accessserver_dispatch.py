@@ -772,7 +772,7 @@ class TestServerIntegration:
         server = platform.access_server
         backend = InMemoryBackend()
         server.enable_persistence(backend)
-        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=10.0)
         seen = {}
 
         def hold_for_an_hour(ctx):
@@ -824,7 +824,7 @@ class TestServerIntegration:
         # Self-cancelling right after dispatch must not evade usage charges:
         # the device was occupied for the payload's whole runtime.
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=10.0)
         box = {}
 
         def self_cancel_then_measure(ctx):

@@ -164,7 +164,7 @@ class TestJournaling:
     def test_mutations_reach_the_journal(self, tmp_path):
         platform = durable_platform(tmp_path)
         server = platform.access_server
-        server.enable_credit_system()
+        server.accounts.enable_credit_system()
         server.submit_job(platform.experimenter, spec("j0"))
         server.reserve_session(
             platform.experimenter, "node1", "node1-dev01", start_s=500.0, duration_s=60.0
@@ -268,7 +268,7 @@ class TestRecovery:
     def test_credit_balances_and_history_survive(self, tmp_path):
         platform = durable_platform(tmp_path)
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=10.0)
         ledger.open_account("contributor", contributes_hardware=True, now=0.0)
         ledger.credit_contribution("contributor", 4.0, now=0.0, note="hosting")
         server.submit_job(
@@ -279,7 +279,7 @@ class TestRecovery:
         assert expected_balance == pytest.approx(9.0, abs=0.01)
 
         rebuilt = durable_platform(tmp_path)
-        recovered_ledger = rebuilt.access_server.credit_policy.ledger
+        recovered_ledger = rebuilt.access_server.accounts.credit_policy.ledger
         assert recovered_ledger.balance("experimenter") == pytest.approx(expected_balance)
         assert recovered_ledger.balance("contributor") == pytest.approx(
             ledger.balance("contributor")
@@ -296,15 +296,15 @@ class TestRecovery:
         # system; after a recovery that call must keep the restored ledger
         # (balances included) instead of swapping in a fresh empty one.
         platform = durable_platform(tmp_path)
-        ledger = platform.access_server.enable_credit_system(initial_grant_device_hours=7.0)
+        ledger = platform.access_server.accounts.enable_credit_system(initial_grant_device_hours=7.0)
         ledger.open_account("alice", now=0.0)
         assert ledger.balance("alice") == pytest.approx(7.0)
 
         rebuilt = durable_platform(tmp_path)
-        re_enabled = rebuilt.access_server.enable_credit_system(
+        re_enabled = rebuilt.access_server.accounts.enable_credit_system(
             initial_grant_device_hours=7.0
         )
-        assert re_enabled is rebuilt.access_server.credit_policy.ledger
+        assert re_enabled is rebuilt.access_server.accounts.credit_policy.ledger
         assert re_enabled.balance("alice") == pytest.approx(7.0)
         assert len(re_enabled.account("alice").transactions) == 1
 
@@ -389,7 +389,7 @@ class TestRecovery:
         # (their sequence numbers are folded into the snapshot) instead of
         # applying them twice.
         platform = durable_platform(tmp_path)
-        ledger = platform.access_server.enable_credit_system(initial_grant_device_hours=7.0)
+        ledger = platform.access_server.accounts.enable_credit_system(initial_grant_device_hours=7.0)
         ledger.open_account("alice", now=0.0)
         stale_journal = (tmp_path / "journal.jsonl").read_bytes()
 
@@ -398,7 +398,7 @@ class TestRecovery:
         (tmp_path / "journal.jsonl").write_bytes(stale_journal)
 
         third = durable_platform(tmp_path)
-        recovered = third.access_server.credit_policy.ledger
+        recovered = third.access_server.accounts.credit_policy.ledger
         assert recovered.balance("alice") == pytest.approx(7.0)  # not 14.0
         assert len(recovered.account("alice").transactions) == 1
 
@@ -609,7 +609,7 @@ class World:
         self.manager = server.enable_persistence(
             self.backend, snapshot_every=snapshot_every
         )
-        server.enable_credit_system(initial_grant_device_hours=50.0)
+        server.accounts.enable_credit_system(initial_grant_device_hours=50.0)
         self.client = self.platform.client()
         self.admin = self.platform.client(username="admin")
         self.admin.register_vantage_point(

@@ -23,14 +23,14 @@ def server(platform):
 
 class TestMembership:
     def test_default_platform_registered_one_vantage_point(self, server):
-        assert [record.name for record in server.vantage_points()] == ["node1"]
-        record = server.vantage_point("node1")
+        assert [record.name for record in server.accounts.vantage_points()] == ["node1"]
+        record = server.accounts.vantage_point("node1")
         assert record.dns_name == "node1.batterylab.dev"
         assert server.dns.resolve("node1") is not None
 
     def test_unknown_vantage_point(self, server):
         with pytest.raises(AccessServerError):
-            server.vantage_point("node42")
+            server.accounts.vantage_point("node42")
 
     def test_duplicate_registration_rejected(self, platform):
         with pytest.raises(AccessServerError):
@@ -39,11 +39,11 @@ class TestMembership:
     def test_add_second_vantage_point(self, platform, server):
         handle = add_vantage_point(platform, "node2", "Example University", browsers=("chrome",))
         assert handle.name == "node2"
-        assert "node2" in [record.name for record in server.vantage_points()]
+        assert "node2" in [record.name for record in server.accounts.vantage_points()]
         assert "node2/node2-dev00" in server.scheduler.slots.keys()
 
     def test_ssh_channel_to_vantage_point(self, server):
-        channel = server.open_ssh_channel("node1")
+        channel = server.accounts.open_ssh_channel("node1")
         assert "node1-dev00" in channel.execute("list_devices")
         channel.close()
 
@@ -178,10 +178,10 @@ class TestSessionsAndTesters:
         assert reservation.username == "experimenter"
 
     def test_share_with_tester_hides_toolbar(self, platform, server, vantage_point):
-        tester = server.testers.recruit(
+        tester = server.accounts.testers.recruit(
             "worker-1", RecruitmentChannel.MECHANICAL_TURK, hourly_rate_usd=12.0
         )
-        session = server.share_with_tester(
+        session = server.accounts.share_with_tester(
             platform.experimenter,
             tester.tester_id,
             "node1",

@@ -221,7 +221,7 @@ class TestClaimLifecycle:
         assert view.error == "device caught fire"
 
     def test_report_settles_credits_for_lease_time(self, platform, client):
-        ledger = platform.access_server.enable_credit_system(
+        ledger = platform.access_server.accounts.enable_credit_system(
             initial_grant_device_hours=10.0
         )
         job = submit_agent_job(client)
@@ -614,7 +614,7 @@ class TestExitMatrix:
         server = platform.access_server
         backend = InMemoryBackend()
         server.enable_persistence(backend)
-        ledger = server.enable_credit_system(initial_grant_device_hours=10.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=10.0)
         admin.register_vantage_point("node2", "Example University", device_count=2)
         client.agent_register("fanout", connectors=["fake", "multi"])
         job = submit_agent_job(

@@ -46,7 +46,7 @@ def run_mixed_workload(platform):
     """Submissions from two owners, an approval, a reject, a cancel, a
     failure, reservations (one cancelled) and credit traffic."""
     server = platform.access_server
-    server.enable_credit_system(initial_grant_device_hours=6.0)
+    server.accounts.enable_credit_system(initial_grant_device_hours=6.0)
     admin = platform.client(username="admin")
     admin.create_user("alice", "experimenter", "alice-token")
     alice = platform.client(username="alice", token="alice-token")

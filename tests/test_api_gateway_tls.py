@@ -139,7 +139,7 @@ class TestTlsGateway:
         remotely over a TLS socket — login, register a vantage point,
         approve a pending job, grant credits, and stream the job's
         dispatch.* events via watch_job() until completion."""
-        platform.access_server.enable_credit_system()
+        platform.access_server.accounts.enable_credit_system()
         gateway = platform.serve_gateway(
             tls_cert_dir=tmp_path / "tls", assume_https=False
         )

@@ -203,7 +203,7 @@ class TestSessionsCreditsFleetStatus:
             client.credits_balance()
 
     def test_credits_balance_and_denial(self, platform, client):
-        ledger = platform.access_server.enable_credit_system(
+        ledger = platform.access_server.accounts.enable_credit_system(
             initial_grant_device_hours=2.0
         )
         ledger.open_account("experimenter", now=0.0)

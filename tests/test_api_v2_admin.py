@@ -208,7 +208,7 @@ class TestAdminControlPlane:
             client.approve_job(job.job_id)
 
     def test_grant_credits_over_the_api(self, platform, admin):
-        platform.access_server.enable_credit_system(initial_grant_device_hours=0.0)
+        platform.access_server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
         balance = admin.grant_credits("experimenter", 7.5, note="welcome")
         assert balance.owner == "experimenter"
         assert balance.balance_device_hours == 7.5
@@ -218,7 +218,7 @@ class TestAdminControlPlane:
             admin.grant_credits("experimenter", 1.0)
 
     def test_grant_credits_requires_admin(self, platform, client):
-        platform.access_server.enable_credit_system()
+        platform.access_server.accounts.enable_credit_system()
         with pytest.raises(PermissionApiError):
             client.grant_credits("experimenter", 1.0)
 
@@ -239,7 +239,7 @@ class TestAdminControlPlane:
 
     def test_full_remote_admin_workflow_via_session(self, platform, admin, client):
         """Login once, then run the whole operator loop on the session."""
-        platform.access_server.enable_credit_system()
+        platform.access_server.accounts.enable_credit_system()
         admin.login(ttl_s=3600.0)
         admin.register_vantage_point("node2", "Example University")
         admin.create_user("alice", "experimenter", "alice-token")
@@ -321,14 +321,14 @@ class TestAdminActionsJournaled:
     def _fresh_server(self, seed=5):
         context = SimulationContext(seed=seed)
         server = AccessServer(context)
-        admin = server.bootstrap_admin()
+        admin = server.accounts.bootstrap_admin()
         return server, admin
 
     def test_users_and_idempotency_survive_recovery(self):
         backend = InMemoryBackend()
         server, admin = self._fresh_server()
         server.enable_persistence(backend)
-        server.create_user(admin, "alice", Role.EXPERIMENTER, "alice-token", email="a@x.org")
+        server.accounts.create_user(admin, "alice", Role.EXPERIMENTER, "alice-token", email="a@x.org")
         alice = server.users.get("alice")
         from repro.accessserver.jobs import JobConstraints, JobSpec
 

@@ -118,14 +118,14 @@ class TestNoDoubleExecution:
 
 class TestCreditConservation:
     def test_transaction_history_reconciles(self, platform):
-        ledger = platform.access_server.enable_credit_system()
+        ledger = platform.access_server.accounts.enable_credit_system()
         finished_job(platform)
         check = check_credit_conservation(ledger)
         assert check.ok
         assert "reconcile" in check.details
 
     def test_tampered_balance_is_ledger_drift(self, platform):
-        ledger = platform.access_server.enable_credit_system()
+        ledger = platform.access_server.accounts.enable_credit_system()
         finished_job(platform)
         account = next(iter(ledger.accounts()))
         account.balance_device_hours += 1.0  # credits minted off the books

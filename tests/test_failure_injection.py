@@ -90,7 +90,7 @@ class TestConnectivityFailures:
 
     def test_ssh_from_unknown_address_rejected(self, platform, vantage_point):
         server = platform.access_server
-        record = server.vantage_point("node1")
+        record = server.accounts.vantage_point("node1")
         with pytest.raises(SshAuthenticationError):
             record.controller.ssh_server.open_channel(server.ssh_key, "203.0.113.99")
 

@@ -348,7 +348,7 @@ class TestRoutedOps:
     def test_credits_home_is_stable_across_membership(self, fed2):
         router, shards = fed2
         for shard in shards:
-            shard.server.enable_credit_system(initial_grant_device_hours=0.0)
+            shard.server.accounts.enable_credit_system(initial_grant_device_hours=0.0)
         admin = fed_client(router)
         admin.login()
         admin.create_user("carol", "experimenter", "carol-token")

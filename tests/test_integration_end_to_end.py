@@ -68,8 +68,8 @@ class TestExperimenterWorkflow:
         server = platform.access_server
         from repro.accessserver.testers import RecruitmentChannel
 
-        tester = server.testers.recruit("participant-1", RecruitmentChannel.VOLUNTEER_EMAIL)
-        session = server.share_with_tester(
+        tester = server.accounts.testers.recruit("participant-1", RecruitmentChannel.VOLUNTEER_EMAIL)
+        session = server.accounts.share_with_tester(
             platform.experimenter, tester.tester_id, "node1", "node1-dev00", duration_s=300.0
         )
         mirroring = vantage_point.controller.mirroring_session("node1-dev00")
@@ -85,7 +85,7 @@ class TestExperimenterWorkflow:
     def test_vpn_location_switch_through_ssh(self, platform, vantage_point):
         """The Section 4.3 automation extension: activate a VPN before testing."""
         server = platform.access_server
-        channel = server.open_ssh_channel("node1")
+        channel = server.accounts.open_ssh_channel("node1")
         channel.execute("vpn connect japan")
         assert vantage_point.controller.vpn.active_location.key == "japan"
         assert vantage_point.controller.network_path().region() == "JP"

@@ -1,15 +1,18 @@
-"""Recovery topology-gap reporting: orphaned jobs surface in server status.
+"""Orphaned jobs: waiting jobs pinned to a vantage point that is not registered.
 
-PR 2's crash recovery left a gap: jobs journaled against a vantage point
-that has not re-registered were only *logged*.  Now they are first-class:
-``RecoveryReport.orphaned_jobs`` lists them at recovery time,
-``AccessServer.status()`` / the API ``StatusView`` keep reporting them
-live, and re-registering the topology clears the report and lets the jobs
-dispatch.
+Jobs journaled against a vantage point that has not re-registered are
+first-class after recovery: ``RecoveryReport.orphaned_jobs`` lists them at
+recovery time, ``AccessServer.status()`` / the API ``StatusView`` keep
+reporting them live, and re-registering the topology clears the report and
+lets the jobs dispatch.  The same view holds on a live server, where it is
+read off the queue's constraint buckets and the approval queue
+(``Accounts.orphaned_jobs``).
 """
 
 import pytest
 
+from repro.accessserver.jobs import JobConstraints, JobSpec
+from repro.accessserver.payloads import noop_payload
 from repro.core.platform import add_vantage_point, build_default_platform
 
 
@@ -80,3 +83,73 @@ class TestOrphanedJobReporting:
         status = platform.access_server.status()
         assert status["orphaned_jobs"] == []
         assert status["orphaned_vantage_points"] == []
+
+
+class TestLiveOrphans:
+    """Orphans derived from the queue, without recovery in the picture."""
+
+    @pytest.fixture()
+    def bare(self):
+        return build_default_platform(
+            seed=9, browsers=("chrome",), persistence=False, analytics=False
+        )
+
+    @staticmethod
+    def submit(platform, name, vantage_point=None, **spec):
+        user = platform.experimenter
+        return platform.access_server.submit_job(
+            user,
+            JobSpec(
+                name,
+                user.username,
+                noop_payload,
+                constraints=JobConstraints(vantage_point=vantage_point),
+                **spec,
+            ),
+        )
+
+    @staticmethod
+    def orphan_gauge(server):
+        gauges = server.obs.registry.snapshot()["gauges"]
+        return next(g["value"] for g in gauges if g["name"] == "orphaned_jobs")
+
+    def test_lifecycle_of_a_live_orphan(self, bare):
+        server = bare.access_server
+        pinned = self.submit(bare, "pinned", "nowhere")
+        self.submit(bare, "roaming")
+        change = self.submit(bare, "change", "nowhere", is_pipeline_change=True)
+        assert [job.job_id for job in server.accounts.orphaned_jobs()] == [
+            pinned.job_id,
+            change.job_id,
+        ]
+        assert server.status()["orphaned_vantage_points"] == ["nowhere"]
+        assert self.orphan_gauge(server) == 2.0
+
+        server.scheduler.cancel(pinned.job_id)
+        assert server.accounts.orphaned_jobs() == [change]
+
+        later = self.submit(bare, "later", "nowhere")
+        assert server.accounts.orphaned_jobs() == [change, later]
+        add_vantage_point(bare, "nowhere", "Example University", browsers=("chrome",))
+        assert server.accounts.orphaned_jobs() == []
+        assert server.status()["orphaned_jobs"] == []
+        assert self.orphan_gauge(server) == 0.0
+
+    def test_status_never_walks_a_queue_without_pinned_buckets(self, bare, monkeypatch):
+        server = bare.access_server
+        for index in range(10_000):
+            self.submit(bare, f"job-{index}")
+        queue = server.scheduler.queue
+        walks = []
+        jobs = queue.jobs
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return jobs(*args, **kwargs)
+
+        monkeypatch.setattr(queue, "jobs", counted)
+        status = server.status()
+        server.obs.registry.snapshot()
+        assert status["queued_jobs"] == 10_000
+        assert status["orphaned_jobs"] == []
+        assert walks == []

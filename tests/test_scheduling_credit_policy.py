@@ -69,7 +69,7 @@ class TestCreditPolicyIntegration:
             seed=5, browsers=("chrome",), scheduling_policy="credit"
         )
         server = platform.access_server
-        ledger = server.enable_credit_system(initial_grant_device_hours=5.0)
+        ledger = server.accounts.enable_credit_system(initial_grant_device_hours=5.0)
         server.users.add_user("rich", "experimenter", "rich-token")
         server.users.add_user("poor", "experimenter", "poor-token")
         ledger.open_account("rich", now=0.0)

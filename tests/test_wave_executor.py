@@ -85,7 +85,7 @@ def _drive(platform, parallel, count, state_dir=None, fail_index=None):
     server = platform.access_server
     if state_dir is not None:
         server.enable_persistence(str(state_dir), snapshot_every=10**9)
-    server.enable_credit_system(initial_grant_device_hours=100.0)
+    server.accounts.enable_credit_system(initial_grant_device_hours=100.0)
     events = []
     server.events.subscribe(
         None, lambda record: events.append((record.topic, dict(record.payload)))
@@ -130,8 +130,8 @@ class TestSerialParallelParity:
         parallel_journal = (parallel_dir / "journal.jsonl").read_bytes()
         assert serial_journal == parallel_journal
         assert (
-            serial_platform.access_server._credit_balances()
-            == parallel_platform.access_server._credit_balances()
+            serial_platform.access_server.accounts._credit_balances()
+            == parallel_platform.access_server.accounts._credit_balances()
         )
 
     def test_failures_settle_identically(self, tmp_path):
