@@ -178,6 +178,34 @@ _OFFER_TOPICS = (
 )
 
 
+def job_list_query(
+    payload: dict,
+) -> Tuple[JobListRequest, Optional[JobStatus], slice]:
+    """Validate a ``job.list`` payload: the request, its status filter, its page.
+
+    The one paging rule of ``job.list``: a standalone server slices its
+    id-ordered list with the returned ``slice``, and a federation asks each
+    shard for that list's head up to ``page.stop`` and windows the merge
+    with the same slice, so the two cannot answer a request differently.
+    """
+    request = JobListRequest.from_wire(payload)
+    status: Optional[JobStatus] = None
+    if request.status is not None:
+        try:
+            status = JobStatus(request.status)
+        except ValueError:
+            raise ValidationApiError(
+                f"unknown job status {request.status!r}",
+                details={"statuses": [s.value for s in JobStatus]},
+            ) from None
+    if request.offset < 0:
+        raise ValidationApiError("offset must be non-negative")
+    if request.limit is not None and request.limit < 0:
+        raise ValidationApiError("limit must be non-negative")
+    stop = None if request.limit is None else request.offset + request.limit
+    return request, status, slice(request.offset, stop)
+
+
 def _push_safe(value: object) -> object:
     """Bus payload values are primitive by convention; degrade stragglers."""
     try:
@@ -760,31 +788,13 @@ class ApiRouter(OpRouter):
         return JobView.from_job(self._job(ref.job_id)).to_wire()
 
     def _op_job_list(self, ctx: RequestContext, payload: dict) -> dict:
-        request = JobListRequest.from_wire(payload)
-        status: Optional[JobStatus] = None
-        if request.status is not None:
-            try:
-                status = JobStatus(request.status)
-            except ValueError:
-                raise ValidationApiError(
-                    f"unknown job status {request.status!r}",
-                    details={"statuses": [s.value for s in JobStatus]},
-                ) from None
-        if request.offset < 0:
-            raise ValidationApiError("offset must be non-negative")
-        if request.limit is not None and request.limit < 0:
-            raise ValidationApiError("limit must be non-negative")
+        request, status, page = job_list_query(payload)
         jobs = self._server.scheduler.jobs(status)
         if request.owner is not None:
             jobs = [job for job in jobs if job.spec.owner == request.owner]
-        total = len(jobs)
-        if request.limit is None:
-            window = jobs[request.offset :]
-        else:
-            window = jobs[request.offset : request.offset + request.limit]
         return {
-            "jobs": [JobView.from_job(job).to_wire() for job in window],
-            "total": total,
+            "jobs": [JobView.from_job(job).to_wire() for job in jobs[page]],
+            "total": len(jobs),
             "offset": request.offset,
             "limit": request.limit,
         }

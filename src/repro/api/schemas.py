@@ -80,69 +80,6 @@ def _strip_optional(hint):
     return args[0]
 
 
-def _check_value(name: str, value, hint):
-    """Validate ``value`` against the field annotation, returning it converted.
-
-    Raises :class:`ValidationApiError` on a type mismatch.  Supports the
-    types wire models are built from: primitives, ``Optional``, ``List``,
-    nested :class:`WireModel` subclasses, and the free-form ``object`` /
-    ``dict`` escape hatches used by envelopes.
-    """
-    if _is_optional(hint):
-        if value is None:
-            return None
-        return _check_value(name, value, _strip_optional(hint))
-    origin = typing.get_origin(hint)
-    if origin in (list, typing.List):
-        if not isinstance(value, list):
-            raise ValidationApiError(
-                f"field {name!r} must be a list", details={"field": name}
-            )
-        (item_hint,) = typing.get_args(hint)
-        return [_check_value(f"{name}[{i}]", item, item_hint) for i, item in enumerate(value)]
-    if isinstance(hint, type) and issubclass(hint, WireModel):
-        if isinstance(value, hint):
-            return value
-        if not isinstance(value, dict):
-            raise ValidationApiError(
-                f"field {name!r} must be an object", details={"field": name}
-            )
-        return hint.from_wire(value)
-    if hint is object:
-        return value
-    if hint in (dict, Dict):
-        if not isinstance(value, dict):
-            raise ValidationApiError(
-                f"field {name!r} must be an object", details={"field": name}
-            )
-        return value
-    if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationApiError(
-                f"field {name!r} must be a number", details={"field": name}
-            )
-        return float(value)
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationApiError(
-                f"field {name!r} must be an integer", details={"field": name}
-            )
-        return value
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ValidationApiError(
-                f"field {name!r} must be a boolean", details={"field": name}
-            )
-        return value
-    if hint is str:
-        if not isinstance(value, str):
-            raise ValidationApiError(
-                f"field {name!r} must be a string", details={"field": name}
-            )
-        return value
-    raise TypeError(f"unsupported wire field type {hint!r} for {name!r}")
-
-
 def _wire_value(value):
     if isinstance(value, WireModel):
         return value.to_wire()
@@ -173,10 +110,12 @@ def _field_default(f: dataclasses.Field):
 def _compile_checker(hint):
     """Build a ``check(name, value) -> converted`` closure for one annotation.
 
-    The closure reproduces :func:`_check_value` exactly (same coercions, same
-    :class:`ValidationApiError` messages) with the ``typing`` introspection
-    hoisted out of the per-call path — the checker is built once per field
-    when a class's codec is compiled.
+    Supports the types wire models are built from: primitives, ``Optional``,
+    ``List``, nested :class:`WireModel` subclasses, and the free-form
+    ``object`` / ``dict`` escape hatches used by envelopes.  A mismatch
+    raises :class:`ValidationApiError` naming the field.  The ``typing``
+    introspection runs here, once per field when a class's codec is
+    compiled, not on the per-call path.
     """
     if _is_optional(hint):
         inner = _compile_checker(_strip_optional(hint))

@@ -22,6 +22,8 @@ views honest and byte-stable:
 
 from __future__ import annotations
 
+import heapq
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -53,24 +55,25 @@ def merge_fleet(payloads: TaggedPayloads) -> dict:
 def merge_job_list(
     payloads: TaggedPayloads, offset: int = 0, limit: Optional[int] = None
 ) -> dict:
-    """Global ``job.list``: id-ordered union, windowed after the merge.
+    """Global ``job.list``: the id-ordered union, windowed after the merge.
 
-    The router strips ``limit``/``offset`` from the scattered requests so
-    each shard returns its full (filtered) set; pagination is applied to
-    the merged, globally id-sorted list — the page a client sees is the
-    page a single server holding every job would have returned.
+    Each shard answers with the id-ordered head of its filtered set, up to
+    ``offset + limit`` jobs (all of them when ``limit`` is ``None``): no
+    job past that head can land in the page, because every job before it
+    on the same shard sorts ahead of it globally.  The heads merge by id
+    and ``[offset, offset + limit)`` of the merge is the page a single
+    server holding every job would have returned; ``total`` sums the
+    shards' pre-window totals.
     """
-    jobs = []
-    total = 0
-    for _, payload in payloads:
-        jobs.extend(payload.get("jobs", []))
-        total += payload.get("total", 0)
-    jobs.sort(key=lambda job: job.get("job_id", 0))
-    if limit is None:
-        window = jobs[offset:]
-    else:
-        window = jobs[offset : offset + limit]
-    return {"jobs": window, "total": total, "offset": offset, "limit": limit}
+    heads = [payload.get("jobs", []) for _, payload in payloads]
+    merged = heapq.merge(*heads, key=lambda job: job.get("job_id", 0))
+    stop = None if limit is None else offset + limit
+    return {
+        "jobs": list(islice(merged, offset, stop)),
+        "total": sum(payload.get("total", 0) for _, payload in payloads),
+        "offset": offset,
+        "limit": limit,
+    }
 
 
 def merge_approvals(payloads: TaggedPayloads) -> dict:

@@ -64,9 +64,11 @@ from repro.api.errors import (
     NotFoundApiError,
     PermissionApiError,
     SessionApiError,
+    ValidationApiError,
     VersionApiError,
 )
 from repro.api.ops import OPS, Op, OpRouter, RequestContext
+from repro.api.router import job_list_query
 from repro.api.schemas import (
     API_VERSION_V2,
     PUSH_FRAME_END,
@@ -98,13 +100,23 @@ class _RouterCore:
 
 
 class _FedSession:
-    """One federated login: the per-shard bearer tokens behind one token."""
+    """One federated login: the per-shard bearer tokens behind one token.
 
-    __slots__ = ("username", "tokens")
+    ``home`` is the shard whose login answer the client got, and
+    ``expires_at`` that shard's expiry on its own clock.  Past it the
+    session can never resolve again, and the next federated login forgets
+    it.
+    """
 
-    def __init__(self, username: str, tokens: Dict[str, str]) -> None:
+    __slots__ = ("username", "tokens", "home", "expires_at")
+
+    def __init__(
+        self, username: str, tokens: Dict[str, str], home: str, expires_at: float
+    ) -> None:
         self.username = username
         self.tokens = tokens
+        self.home = home
+        self.expires_at = expires_at
 
 
 class _FedSubscription:
@@ -475,21 +487,25 @@ class FederationRouter(OpRouter):
         return ctx.ok(fold(payloads, **fold_args))
 
     def _fed_job_list(self, ctx: RequestContext) -> dict:
-        # Pagination must window the *merged* id-ordered list, so the
-        # shards are asked for their full filtered sets.
+        # A leg need only return its id-ordered head up to the page's end:
+        # no job past it can sort into the merged page (see merge_job_list).
         payload = ctx.envelope.payload
-        scattered = dict(ctx.request)
-        scattered["payload"] = {
+        try:
+            request, _, page = job_list_query(payload)
+        except ValidationApiError:
+            # The reference shard authenticates first, then rejects the
+            # request exactly as a standalone server would.
+            return self._forward(ctx, self._reference_shard())
+        leg_payload = {
             key: value
             for key, value in payload.items()
             if key not in ("offset", "limit")
         }
-        return self._scatter(
-            ctx,
-            scattered,
-            offset=payload.get("offset", 0),
-            limit=payload.get("limit"),
-        )
+        if page.stop is not None:
+            leg_payload["limit"] = page.stop
+        leg = dict(ctx.request)
+        leg["payload"] = leg_payload
+        return self._scatter(ctx, leg, offset=request.offset, limit=request.limit)
 
     def _fed_server_status(self, ctx: RequestContext) -> dict:
         return self._scatter(ctx, api_version=ctx.envelope.version)
@@ -717,22 +733,36 @@ class FederationRouter(OpRouter):
     def _fed_auth_login(self, ctx: RequestContext) -> dict:
         responses = self._scatter_responses(ctx)
         tokens: Dict[str, str] = {}
+        home: Optional[str] = None
         home_response: Optional[dict] = None
         for shard_id, response in responses:
             if response.get("ok"):
                 tokens[shard_id] = response["payload"]["session_token"]
                 if home_response is None:
-                    home_response = response
+                    home, home_response = shard_id, response
         if home_response is None:
             return responses[0][1]
-        username = str(home_response["payload"].get("username", ""))
+        # Every shard swept its own expired sessions on this login; sweep
+        # the federated entries that can no longer resolve the same way.
+        self._purge_expired_sessions()
+        payload = home_response["payload"]
+        username = str(payload.get("username", ""))
         fed_token = uuid.uuid4().hex
-        self._sessions[fed_token] = _FedSession(username, tokens)
+        self._sessions[fed_token] = _FedSession(
+            username, tokens, home, payload["expires_at"]
+        )
         merged = dict(home_response)
-        merged_payload = dict(home_response["payload"])
+        merged_payload = dict(payload)
         merged_payload["session_token"] = fed_token
         merged["payload"] = merged_payload
         return merged
+
+    def _purge_expired_sessions(self) -> None:
+        """Drop federated sessions past their home shard's expiry."""
+        clocks = {shard.shard_id: shard.server.context.now for shard in self._lanes}
+        for token, fed in list(self._sessions.items()):
+            if clocks[fed.home] >= fed.expires_at:
+                self._sessions.pop(token, None)
 
     def _fed_auth_logout(self, ctx: RequestContext) -> dict:
         session = ctx.envelope.session

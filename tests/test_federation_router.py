@@ -14,11 +14,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ApiGateway, ApiRouter, JsonLinesTransport
 from repro.api.client import BatteryLabClient, InProcessTransport
 from repro.api.errors import ConflictApiError, NotFoundApiError, PermissionApiError
 from repro.core.platform import build_default_platform
+from repro.federation import merge as fed_merge
 from repro.federation import (
     FederationRouter,
     PlacementDirectory,
@@ -387,6 +390,41 @@ class TestScatteredReads:
         assert page.total == 6
         assert [view.job_id for view in page.jobs] == ids[2:5]
 
+    @pytest.mark.parametrize(
+        "payload, auth",
+        [
+            ({"offset": -2, "limit": 3}, ADMIN),
+            ({"limit": -1}, ADMIN),
+            ({"offset": "x"}, ADMIN),
+            ({"status": "bogus", "offset": -1}, ADMIN),
+            ({"limit": 2, "colour": "red"}, ADMIN),
+            # Credentials are checked before the payload, as standalone.
+            ({"offset": -1}, {"username": "admin", "token": "wrong"}),
+        ],
+    )
+    def test_invalid_paging_is_rejected_as_a_standalone_server_would(
+        self, fed2, payload, auth
+    ):
+        router, _ = fed2
+        client = fed_client(router)
+        client.login()
+        for i in range(3):
+            submit_on(client, 0, f"l-{i}")
+            submit_on(client, 1, f"r-{i}")
+        solo = ApiRouter(
+            build_default_platform(seed=7, browsers=("chrome",)).access_server
+        )
+        request = {
+            "op": "job.list",
+            "version": "2.0",
+            "request_id": 9,
+            "auth": auth,
+            "payload": payload,
+        }
+        expected = solo.handle(dict(request))
+        assert expected["ok"] is False
+        assert router.handle(dict(request)) == expected
+
     def test_server_status_merges_the_fleet_view(self, fed2):
         router, _ = fed2
         client = fed_client(router)
@@ -437,6 +475,94 @@ class TestScatteredReads:
             assert [vp.name for vp in client.fleet().vantage_points] == [
                 vp.name for vp in first
             ]
+
+
+def _job_list(router, payload, auth=ADMIN):
+    response = router.handle(
+        {
+            "op": "job.list",
+            "version": "2.0",
+            "request_id": 1,
+            "auth": auth,
+            "payload": payload,
+        }
+    )
+    assert response["ok"], response
+    return response["payload"]
+
+
+class TestJobListPushDown:
+    """Each leg returns at most its page's head; the merged page is unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shard_count=st.sampled_from([1, 2, 4]),
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["admin", "experimenter"]),
+                st.sampled_from(["queue", "cancel", "drain"]),
+            ),
+            max_size=16,
+        ),
+        status=st.sampled_from(
+            [None, "queued", "completed", "cancelled", "pending_approval"]
+        ),
+        owner=st.sampled_from([None, "admin", "experimenter", "nobody"]),
+        offset=st.one_of(st.just(0), st.integers(0, 24)),
+        limit=st.one_of(st.none(), st.just(0), st.integers(0, 20)),
+    )
+    def test_page_is_the_window_of_the_sorted_union(
+        self, shard_count, jobs, status, owner, offset, limit
+    ):
+        shards = build_federation_shards(shard_count, analytics=False)
+        router = FederationRouter(shards)
+        clients = {
+            name: fed_client(router, name) for name in ("admin", "experimenter")
+        }
+        for client in clients.values():
+            client.login()
+        for index, name, action in jobs:
+            index %= shard_count
+            view = submit_on(clients[name], index, f"{name}-{action}")
+            if action == "cancel":
+                clients[name].cancel_job(view.job_id)
+            elif action == "drain":
+                shards[index].server.drain()
+
+        unpaged = {"status": status}
+        if owner is not None:
+            unpaged["owner"] = owner
+        union = sorted(
+            (
+                job
+                for shard in shards
+                for job in _job_list(shard.router, unpaged)["jobs"]
+            ),
+            key=lambda job: job["job_id"],
+        )
+        stop = None if limit is None else offset + limit
+
+        leg_sizes = []
+        real_merge = fed_merge.merge_job_list
+
+        def spying_merge(payloads, **kwargs):
+            leg_sizes.extend(len(payload["jobs"]) for _, payload in payloads)
+            return real_merge(payloads, **kwargs)
+
+        paged = dict(unpaged, offset=offset)
+        if limit is not None:
+            paged["limit"] = limit
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fed_merge, "merge_job_list", spying_merge)
+            page = _job_list(router, paged)
+
+        assert page["jobs"] == union[offset:stop]
+        assert page["total"] == len(union)
+        assert (page["offset"], page["limit"]) == (offset, limit)
+        assert len(leg_sizes) == (shard_count if shard_count > 1 else 0)
+        if stop is not None:
+            assert all(size <= stop for size in leg_sizes)
 
 
 class TestFederationOfOneByteParity:
@@ -728,6 +854,36 @@ class TestFederatedSessions:
         client.login()
         assert client.logout() is True
         assert client.session_active is False
+
+    def test_session_table_stays_bounded_over_logins_past_the_ttl(self, fed2):
+        router, shards = fed2
+        login = {
+            "op": "auth.login",
+            "version": "2.0",
+            "request_id": 1,
+            "auth": ADMIN,
+        }
+        kept = router.handle(dict(login, payload={"ttl_s": 3600.0}))
+        for _ in range(50):
+            response = router.handle(dict(login, payload={"ttl_s": 10.0}))
+            assert response["ok"], response
+            for shard in shards:
+                shard.server.context.run_for(11.0)
+        # The live long session and the newest short one; the 49 expired
+        # short sessions are gone, as they are from every shard.
+        assert len(router._sessions) == 2
+        token = kept["payload"]["session_token"]
+        assert token in router._sessions
+        listed = router.handle(
+            {
+                "op": "job.list",
+                "version": "2.0",
+                "request_id": 2,
+                "session": token,
+                "payload": {},
+            }
+        )
+        assert listed["ok"], listed
 
     def test_user_create_broadcasts_to_every_shard(self, fed2):
         router, shards = fed2
