@@ -31,6 +31,9 @@ batches through a gateway whose platform is driven by ``cli._host_loop`` on
 a thread, first submit to last ``end`` frame.  Its wall-clock band is wide,
 so the script also asserts the fact that does not depend on the machine:
 the loop never slept straight after a dispatch pass that filled its batch.
+An idle loop passes every 5 ms and keeps up with the pipelines, so its
+first sleep lasts until ``SETTLED_BACKLOG`` jobs are queued: the passes
+after it are full.
 
 Results land in ``BENCH_api_roundtrip.json`` at the repository root.
 
@@ -67,6 +70,10 @@ SWEEP_READS = 8000  # total per sweep level, split across the clients
 SWEEP_BATCH = 64  # requests in flight per connection
 SETTLED_JOBS = 2000
 SETTLED_BATCH = 20
+#: Jobs queued before the host loop's first sleep ends.  A pass every 5 ms
+#: keeps up with 20-job pipelines, so without a backlog no pass would fill
+#: its batch and the sleep check would have nothing to check.
+SETTLED_BACKLOG = 200
 
 #: Sanity floor: the in-process API layer must sustain at least this many
 #: status reads per second, or the envelope/DTO path has gone quadratic.
@@ -195,13 +202,18 @@ def _measure_sweep(host: str, port: int) -> Dict[str, object]:
 
 class _SleepAudit:
     """``repro.cli.time`` stand-in: counts the host loop's sleeps, and those
-    that directly followed a pass ``dispatch_passes_total`` called full."""
+    that directly followed a pass ``dispatch_passes_total`` called full.
+
+    Its sleeps last until ``backlog_queued`` is set (30 s at most), so the
+    benchmark can queue a backlog deeper than a batch before passes resume.
+    """
 
     def __init__(self, server) -> None:
         self._server = server
         self._full_before_pass = 0
         self.sleeps = 0
         self.sleeps_after_full_pass = 0
+        self.backlog_queued = threading.Event()
 
     def __getattr__(self, attribute):
         return getattr(time, attribute)
@@ -213,11 +225,13 @@ class _SleepAudit:
         self.sleeps += 1
         if self._server.dispatch_pass_counts()["full"] > self._full_before_pass:
             self.sleeps_after_full_pass += 1
+        self.backlog_queued.wait(30.0)
         time.sleep(seconds)
 
 
-def _measure_settled(jobs: int, batch: int) -> Dict[str, float]:
-    """Pipelined submits through a gateway driven by ``cli._host_loop``."""
+def _measure_settled(jobs: int, batch: int, backlog: int) -> Dict[str, float]:
+    """Pipelined submits through a gateway driven by ``cli._host_loop``,
+    whose passes wait until the first ``backlog`` jobs are queued."""
     platform = build_default_platform(seed=13, browsers=("chrome",))
     gateway = ApiGateway(ApiRouter(platform.access_server))
     host, port = gateway.start()
@@ -248,17 +262,21 @@ def _measure_settled(jobs: int, batch: int) -> Dict[str, float]:
                 for index in range(first, min(first + batch, jobs)):
                     pipe.submit_job(f"settled-{index}", "noop")
                 last = pipe.flush()[-1]
+                if first + batch >= backlog:
+                    audit.backlog_queued.set()
             # FIFO onto the one device: the last job's end is everyone's.
             final = client.watch_job(last.job_id, timeout_s=60.0).wait()
             elapsed = time.perf_counter() - started
     finally:
         done.set()
+        audit.backlog_queued.set()
         loop.join()
         cli.time = cli_time
     assert final.status == "completed", final.status
     return {
         "jobs": jobs,
         "batch": batch,
+        "backlog": backlog,
         "elapsed_s": round(elapsed, 4),
         "jobs_per_s": round(jobs / elapsed, 1),
         "dispatch_passes": platform.access_server.dispatch_pass_counts(),
@@ -323,7 +341,7 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
         else float("inf")
     )
     peak = max(level["reads_per_s"] for level in sweep.values())
-    settled = _measure_settled(SETTLED_JOBS, SETTLED_BATCH)
+    settled = _measure_settled(SETTLED_JOBS, SETTLED_BATCH, SETTLED_BACKLOG)
     return {
         "benchmark": "api_roundtrip",
         "api_version": "1.0",

@@ -159,6 +159,10 @@ class Accounts:
         """
         server = self._server
         server.users.authorize(admin, Permission.MANAGE_USERS)
+        if username in server.users:
+            # A state conflict, not a malformed request: a federation
+            # reads it as "this shard holds the account already".
+            raise AccessServerError(f"user {username!r} already exists")
         user = server.users.add_user(username, Role(role), token, email=email)
         if server.persistence is not None:
             server.persistence.on_user_created(user)

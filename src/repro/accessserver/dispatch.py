@@ -411,6 +411,10 @@ class ConstraintQueue:
         planes = [self._plane(name).values() for name in list(self._planes)]
         return list(heapq.merge(*planes, key=lambda job: self._seq_by_job[job.job_id]))
 
+    def plane_length(self, execution: str) -> int:
+        """Queued jobs of one plane, counted without a walk."""
+        return len(self._planes.get(execution, ()))
+
     def bucket_keys(self, execution: str) -> List[BucketKey]:
         """Constraint buckets with at least one queued job of the plane."""
         return list(self._buckets.get(execution, ()))

@@ -80,10 +80,10 @@ def batch_filled(executed, max_jobs: int = DISPATCH_BATCH) -> bool:
     """Whether a dispatch pass stopped at its cap, not at an empty queue.
 
     :meth:`AccessServer.run_pending_jobs` returns short of ``max_jobs``
-    only after ``dispatch_batch`` handed out nothing, so a pass that was
-    not filled left nothing dispatchable right now, and a filled one
-    probably did.  The two drivers of passes ask this one question:
-    :meth:`AccessServer.drain` and the wall-clock host loop.
+    only when no push job is left queued or ``dispatch_batch`` handed out
+    nothing, so a pass that was not filled left nothing dispatchable right
+    now, and a filled one probably did.  The two drivers of passes ask this
+    one question: :meth:`AccessServer.drain` and the wall-clock host loop.
     """
     return len(executed) >= max_jobs
 
@@ -525,9 +525,11 @@ class AccessServer(Entity):
         executed: List[Job] = []
         obs_on = self.obs.registry.enabled
         # A dead agent must never strand a job or its devices: every
-        # dispatch pass starts by reaping expired leases.
+        # dispatch pass starts by reaping expired leases.  With no push job
+        # queued there is nothing to decide, and an idle host loop makes
+        # ~200 such passes a second: a count check ends them.
         self.agents.expire_leases()
-        while len(executed) < max_jobs:
+        while len(executed) < max_jobs and self.scheduler.queue.plane_length("push"):
             decision_t0 = time.perf_counter()
             assignments = self.scheduler.dispatch_batch(
                 self.context.now,

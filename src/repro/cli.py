@@ -984,9 +984,13 @@ def _cmd_agent(args) -> str:
     return "\n".join(lines)
 
 
-#: Wall-clock seconds of one idle host-loop tick: how long the loop sleeps
-#: after a pass that filled no batch, and what one simulated second costs.
-_HOST_TICK_S = 0.05
+#: Wall-clock seconds one simulated second costs: the host loop advances
+#: simulated time by ``1.0`` at most once per this interval.
+_SIM_SECOND_S = 0.05
+
+#: Wall-clock seconds an idle host loop sleeps before it visits the queues
+#: again: the longest a job submitted to an idle server waits for dispatch.
+_PASS_S = 0.005
 
 
 def _host_loop(gateway, what, platforms, duration_s) -> int:
@@ -996,11 +1000,13 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
     (one batch at most), then its simulation, on this thread under the
     router lock — a request landing mid-dispatch must not race the
     single-threaded simulation state.  The lock is released after every
-    pass, and the loop sleeps only after a pass in which no platform filled
-    its batch: a full batch means more is queued, so the next pass starts at
-    once.  Simulated time advances one second per ``_HOST_TICK_S`` of wall
-    clock at most, however many passes that interval holds, so one wall
-    second never buys more than 20 simulated ones.
+    pass, and the loop sleeps ``_PASS_S`` only after a pass in which no
+    platform filled its batch: a full batch means more is queued, so the
+    next pass starts at once.  Simulated time advances one second per
+    ``_SIM_SECOND_S`` of wall clock at most — ``run_for(1.0)`` on the first
+    pass at or past each due time, ``run_for(0.0)`` on every other — so one
+    wall second never buys more than 20 simulated ones, however many passes
+    it holds.
     Stops the gateway on the way out; returns the number of jobs executed.
     """
     from repro.accessserver.server import batch_filled
@@ -1016,7 +1022,13 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
         while deadline is None or now < deadline:
             step = 0.0
             if now >= second_due:
-                step, second_due = 1.0, now + _HOST_TICK_S
+                # Seconds fall due on a _SIM_SECOND_S grid, so a pass landing
+                # just past one does not stretch the next; a pass that overran
+                # a whole interval restarts the grid rather than catch up.
+                step = 1.0
+                second_due += _SIM_SECOND_S
+                if second_due <= now:
+                    second_due = now + _SIM_SECOND_S
             backlog = False
             with gateway.router_lock:
                 for platform in platforms():
@@ -1025,7 +1037,7 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
                     backlog = backlog or batch_filled(ran)
                     platform.context.run_for(step)
             if not backlog:
-                time.sleep(_HOST_TICK_S)
+                time.sleep(_PASS_S)
             now = time.monotonic()
     except KeyboardInterrupt:
         pass

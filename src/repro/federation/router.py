@@ -61,6 +61,7 @@ from repro.accessserver.auth import Role, User
 from repro.api.errors import (
     AuthenticationApiError,
     ConflictApiError,
+    InternalApiError,
     NotFoundApiError,
     PermissionApiError,
     SessionApiError,
@@ -786,11 +787,26 @@ class FederationRouter(OpRouter):
     def _fed_user_create(self, ctx: RequestContext) -> dict:
         """Create the account on every shard so credentials work fleet-wide.
 
-        Succeeds if at least one shard accepted; shards answering
-        ``resource.conflict`` already hold the account (a retry after a
-        partial failure), which is the idempotent outcome we want.
+        A shard answering ``resource.conflict`` already holds the account (a
+        retry after a partial failure), which is the idempotent outcome we
+        want.  When every shard refused otherwise, nothing was created and
+        the first refusal is the answer, as a standalone server's would be.
+        When only some did, the account exists on part of the fleet: that
+        is a retryable ``server.internal`` naming each shard that lacks it.
         """
         responses = self._scatter_responses(ctx)
+        failed = {
+            shard_id: response["error"]["code"]
+            for shard_id, response in responses
+            if not response.get("ok")
+            and response["error"]["code"] != ConflictApiError.code
+        }
+        if failed and len(failed) < len(responses):
+            raise InternalApiError(
+                f"user.create failed on shard(s) {', '.join(failed)} and "
+                "succeeded on the others; retry it to finish",
+                details={"failed_shards": failed},
+            )
         for _, response in responses:
             if response.get("ok"):
                 return response

@@ -920,6 +920,30 @@ class TestDrain:
         assert sum(server.dispatch_pass_counts().values()) == 1
         assert server.scheduler.job(waiting.job_id).status is JobStatus.QUEUED
 
+    def test_a_pass_with_no_push_job_queued_makes_no_dispatch_decision(
+        self, chrome, monkeypatch
+    ):
+        """An idle host loop makes ~200 passes a second: one that finds no
+        push job queued reaps leases, counts as empty and stops there."""
+        server = chrome.access_server
+        chrome.client().submit_job("for-an-agent", "noop", execution="agent")
+        decisions = []
+        dispatch_batch = server.scheduler.dispatch_batch
+
+        def counted(*args, **kwargs):
+            decisions.append(args)
+            return dispatch_batch(*args, **kwargs)
+
+        monkeypatch.setattr(server.scheduler, "dispatch_batch", counted)
+        assert server.run_pending_jobs() == []
+        assert decisions == []
+        assert server.dispatch_pass_counts() == {"empty": 1, "partial": 0, "full": 0}
+        chrome.client().submit_job("pushed", "noop")
+        assert len(server.run_pending_jobs()) == 1
+        # The pass ends on the count once its one job ran, not on a second,
+        # empty decision.
+        assert len(decisions) == 1
+
     def test_drain_warns_when_it_stops_at_its_pass_bound(self, chrome, caplog):
         """A queue that refills as fast as it runs ends the drain at its
         bound, with the last pass full and one WARNING naming the queue."""

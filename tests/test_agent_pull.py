@@ -382,6 +382,62 @@ class TestLeaseExpiry:
         assert crash_bytes == lease_bytes
         assert len(crash_bytes) == 2
 
+    def test_a_restart_replays_the_requeue_of_a_reaped_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """A dispatch pass reaps the lapsed lease and journals
+        ``job.requeued``; a restart replays that record into a queued job at
+        its FIFO position, and the state it would write is byte-identical."""
+        from repro.accessserver.persistence import build_snapshot, recovery
+
+        def state_bytes(p):
+            server = p.access_server
+            return json.dumps(
+                build_snapshot(server, server.persistence.sequence),
+                separators=(",", ":"),
+            )
+
+        live = build_default_platform(
+            seed=11, browsers=("chrome",), state_dir=str(tmp_path)
+        )
+        c = live.client()
+        first = submit_agent_job(c, name="first")
+        submit_agent_job(c, name="second")
+        c.agent_register("edge-1", connectors=["fake"])
+        c.agent_claim("edge-1", first.job_id, ttl_s=10.0)
+        live.context.run_for(11.0)
+        assert live.run_queue() == []  # agent jobs stay out of push dispatch
+        journal = (tmp_path / "journal.jsonl").read_text(encoding="utf-8")
+        requeued = [
+            record["data"]["job_id"]
+            for record in map(json.loads, journal.splitlines())
+            if record["kind"] == "job.requeued"
+        ]
+        assert requeued == [first.job_id]
+        before = state_bytes(live)
+
+        replayed = []
+        apply_requeued = recovery._ReplayState._apply_job_requeued
+
+        def spy(state, data):
+            replayed.append(data["job_id"])
+            apply_requeued(state, data)
+
+        monkeypatch.setattr(recovery._ReplayState, "_apply_job_requeued", spy)
+        restarted = build_default_platform(
+            seed=11, browsers=("chrome",), state_dir=str(tmp_path)
+        )
+        assert replayed == [first.job_id]
+        assert restarted.persistence.last_recovery.jobs_requeued_in_flight == 0
+        queue = restarted.access_server.scheduler.queue.jobs()
+        assert [job.spec.name for job in queue] == ["first", "second"]
+        assert queue[0].status is JobStatus.QUEUED
+        assert restarted.access_server.agents.leases() == []
+        # Simulated time restarts at zero; captured at the same instant, the
+        # recovered state is the live one, byte for byte.
+        restarted.context.run_until(live.context.now)
+        assert state_bytes(restarted) == before
+
 
 class TestSessionReservations:
     """A timed session reservation (§3.1) keeps agent jobs off the device as

@@ -15,6 +15,7 @@ from repro.api import (
     ApiRouter,
     AuthenticationApiError,
     BatteryLabClient,
+    ConflictApiError,
     InProcessTransport,
     NotFoundApiError,
     PermissionApiError,
@@ -232,6 +233,11 @@ class TestAdminControlPlane:
     def test_create_user_unknown_role_is_invalid(self, admin):
         with pytest.raises(ValidationApiError):
             admin.create_user("dave", "emperor", "t")
+
+    def test_create_user_of_an_existing_account_is_a_conflict(self, admin):
+        admin.create_user("carol", "experimenter", "carol-token")
+        with pytest.raises(ConflictApiError):
+            admin.create_user("carol", "admin", "other-token")
 
     def test_create_user_requires_admin(self, client):
         with pytest.raises(PermissionApiError):

@@ -895,6 +895,33 @@ class TestFederatedSessions:
             user = shard.server.users.authenticate("dave", "dave-token", over_https=True)
             assert user.username == "dave"
 
+    def test_a_user_create_that_misses_a_shard_is_an_error_naming_it(
+        self, fed2, monkeypatch
+    ):
+        router, shards = fed2
+        create = {"username": "erin", "role": "experimenter", "token": "erin-token"}
+
+        def disk_full(*args, **kwargs):
+            raise RuntimeError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shards[1].server.accounts, "create_user", disk_full)
+            partial = admin_call(router, "user.create", create)
+        assert not partial["ok"]
+        assert partial["error"]["code"] == "server.internal"
+        assert partial["error"]["details"] == {
+            "failed_shards": {"shard-1": "server.internal"}
+        }
+        # The retry finishes the job: shard-0 already holds the account
+        # (resource.conflict), shard-1 now accepts.
+        retried = admin_call(router, "user.create", create, request_id=2)
+        assert retried["ok"], retried
+        for shard in shards:
+            assert shard.server.users.authenticate("erin", "erin-token", over_https=True)
+        # A refusal every shard shares is the standalone answer, unwrapped.
+        again = admin_call(router, "user.create", create, request_id=3)
+        assert again["error"]["code"] == "resource.conflict"
+
 
 class TestFederatedAgents:
     """Agents attach to any shard; their leases live where they registered.

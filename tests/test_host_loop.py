@@ -7,6 +7,8 @@ time.  One case at the end crosses a real socket.
 """
 
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +18,8 @@ from repro.api import ApiGateway, ApiRouter, BatteryLabClient
 from repro.api.gateway import JsonLinesTransport
 from repro.core.platform import build_default_platform
 
-TICK_S = 0.05
+PASS_S = cli._PASS_S
+SIM_SECOND_S = cli._SIM_SECOND_S
 
 
 class FakeTime:
@@ -67,17 +70,23 @@ class FakePlatform:
         self.busy_s = busy_s
         self.gateway = gateway
         self.context = self
+        self.ran_at = []  # (fake clock, jobs) of every pass that ran any
+        self.seconds_at = []  # fake clock of every run_for(1.0)
 
     def run_queue(self):
         if self.gateway is not None:
             assert self.gateway.router_lock.locked()
         ran = min(self.queued, DISPATCH_BATCH)
         self.queued -= ran
+        if ran:
+            self.ran_at.append((self.clock.now, ran))
         self.clock.now += self.busy_s
         self.calls.append((self.name, "run_queue", ran))
         return [None] * ran
 
     def run_for(self, step):
+        if step:
+            self.seconds_at.append(self.clock.now)
         self.calls.append((self.name, "run_for", step))
 
 
@@ -107,15 +116,41 @@ def test_a_backlog_is_drained_in_consecutive_passes_without_sleeping(rig):
     assert gateway.stopped
 
 
-def test_an_idle_loop_ticks_every_50ms_and_advances_one_second_per_pass(rig):
+def test_an_idle_loop_sleeps_a_pass_and_advances_one_second_per_50ms(rig):
     clock, gateway, calls = rig
     platform = FakePlatform("a", clock, calls)
 
     cli._host_loop(gateway, "test", lambda: (platform,), 1.0)
 
-    assert clock.sleeps and set(clock.sleeps) == {TICK_S}
-    assert len(clock.sleeps) in (20, 21)  # 1.0 / 0.05, give or take float sums
-    assert steps(calls) == [1.0] * len(clock.sleeps)
+    assert clock.sleeps and set(clock.sleeps) == {PASS_S}
+    assert len(clock.sleeps) in (200, 201)  # 1.0 / 0.005, give or take float sums
+    assert len(steps(calls)) == len(clock.sleeps)
+    assert set(steps(calls)) == {0.0, 1.0}
+    # run_for(1.0) falls exactly once in every _SIM_SECOND_S of the fake
+    # clock (a nanosecond covers float sums landing just short of a boundary).
+    windows = [int((at + 1e-9) // SIM_SECOND_S) for at in platform.seconds_at]
+    assert windows == list(range(20))
+
+
+def test_a_job_queued_during_an_idle_sleep_runs_one_pass_later(rig):
+    clock, gateway, calls = rig
+    platform = FakePlatform("a", clock, calls)
+    sleep = clock.sleep
+    queued_at = []
+
+    def a_submit_lands_mid_sleep(seconds):
+        if len(clock.sleeps) == 3:
+            platform.queued = 1
+            queued_at.append(clock.now)
+        sleep(seconds)
+
+    clock.sleep = a_submit_lands_mid_sleep
+    served = cli._host_loop(gateway, "test", lambda: (platform,), 0.1)
+
+    assert served == 1
+    ((ran_at, ran),) = platform.ran_at
+    assert ran == 1
+    assert ran_at == pytest.approx(queued_at[0] + PASS_S)
 
 
 def test_a_sustained_backlog_never_buys_more_than_20_simulated_seconds_a_second(rig):
@@ -200,7 +235,7 @@ def test_every_platform_is_visited_every_pass_and_the_idle_one_keeps_its_clock(r
     assert [(who, what) for who, what, _ in calls] == pattern * (len(calls) // 4)
     assert steps(calls, "b") == steps(calls, "a")
     assert steps(calls, "b")[0] == 1.0
-    assert 19 <= sum(steps(calls, "b")) <= 21  # one simulated second per 50 ms
+    assert 19 <= sum(steps(calls, "b")) <= 21  # one simulated second per _SIM_SECOND_S
 
 
 def test_an_interrupted_pass_releases_the_lock_and_stops_the_gateway(rig):
@@ -228,9 +263,20 @@ def test_serve_reports_its_dispatch_passes_on_the_way_out(tmp_path, capsys):
     assert last_line.endswith(" empty dispatch pass(es)")
 
 
-def test_a_second_connection_is_served_while_a_pipelined_backlog_drains():
+def test_a_second_connection_is_served_while_a_pipelined_backlog_drains(monkeypatch):
     """Real sockets, real clock: a mutating request of another connection
-    gets ``router_lock`` between the back-to-back passes of a deep queue."""
+    gets ``router_lock`` between the back-to-back passes of a deep queue.
+
+    A pass every ``_PASS_S`` keeps up with a pipelined client, so the loop's
+    sleep is held until the first 500-job burst is queued: the pass after it
+    finds a backlog five batches deep."""
+    burst_queued = threading.Event()
+
+    def sleep(seconds):
+        burst_queued.wait(30.0)
+        time.sleep(seconds)
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleep))
     platform = build_default_platform(seed=13, browsers=("chrome",))
     gateway = ApiGateway(ApiRouter(platform.access_server))
     host, port = gateway.start()
@@ -251,11 +297,12 @@ def test_a_second_connection_is_served_while_a_pipelined_backlog_drains():
 
     try:
         with connect() as bulk, connect() as other:
-            for first in range(0, 2000, 20):
+            for first in range(0, 2000, 500):
                 pipe = bulk.pipeline()
-                for index in range(first, first + 20):
+                for index in range(first, first + 500):
                     pipe.submit_job(f"bulk-{index}", "noop")
                 last = pipe.flush()[-1]
+                burst_queued.set()
                 if first == 1000:
                     mine = other.submit_job("other", "noop")
             assert other.watch_job(mine.job_id, timeout_s=30.0).wait().status == "completed"
