@@ -23,12 +23,28 @@ A fourth table records the size of the code itself: python lines under
 lines.  A trend, not a gate — it is the number ROADMAP.md otherwise
 re-derives by hand at each re-anchor.
 
+``--uncalled`` prints a census instead: every function defined under
+``src/repro`` that no tier-1 test calls.  The tier-1 suite runs in one child
+interpreter under a ``sys.setprofile`` / ``threading.setprofile`` hook that
+records each code object entered; an AST walk of ``src/repro`` lists the
+defined functions, and a function is called when a recorded code object
+starts on its first line.  Code reached only inside a process a test
+spawns (``serve``, ``agent``) counts as uncalled.  The suite runs without
+``-x``, so one failing test does not cut the census short; it is a trend,
+not a gate.
+
     PYTHONPATH=src python benchmarks/footprint.py
+    PYTHONPATH=src python benchmarks/footprint.py --uncalled
 """
 
+import argparse
+import ast
+import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZE_TREES = ("src", "tests", "benchmarks")
@@ -117,6 +133,30 @@ with tempfile.TemporaryDirectory() as state_dir:
 """
 
 
+#: Runs tier-1 under the profile hook; writes the entered code objects'
+#: ``[file, first line]`` to ``argv[1]`` and exits with pytest's status.
+CENSUS_PROBE = """\
+import json, os, sys, threading
+codes = {}
+
+def entered(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        codes[id(code)] = code
+
+sys.setprofile(entered)
+threading.setprofile(entered)
+import pytest
+status = pytest.main(["-q", "-p", "no:cacheprovider"])
+sys.setprofile(None)
+threading.setprofile(None)
+called = {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes.values()}
+with open(sys.argv[1], "w") as out:
+    json.dump(sorted(called), out)
+sys.exit(int(status))
+"""
+
+
 def run_probe(source: str) -> str:
     probe = subprocess.run(
         [sys.executable, "-c", source], check=True, capture_output=True, text=True
@@ -142,7 +182,80 @@ def python_lines(tree: str) -> dict:
     return lines
 
 
+def defined_functions(tree: str):
+    """``(path, first line, qualified name, lines)`` of every function
+    under ``tree``; the first line is the first decorator's, as in
+    ``co_firstlineno``."""
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                name = prefix + child.name
+                yield path, first, name, child.end_lineno - first + 1
+                yield from walk(child, path, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, path, prefix + child.name + ".")
+            else:
+                yield from walk(child, path, prefix)
+
+    for path in sorted(python_lines(tree)):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as source:
+            yield from walk(ast.parse(source.read()), path, "")
+
+
+def uncalled() -> None:
+    """Print the functions under ``src/repro`` no tier-1 test calls."""
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        out = os.path.join(workdir, "called.json")
+        suite = subprocess.run(
+            [sys.executable, "-c", CENSUS_PROBE, out],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+        if not os.path.exists(out):
+            sys.stderr.write(suite.stdout[-2000:] + suite.stderr[-2000:])
+            raise SystemExit("the tier-1 suite ended before the census was written")
+        with open(out) as called_file:
+            called = {
+                (os.path.relpath(path, ROOT), line)
+                for path, line in json.load(called_file)
+            }
+    missed = [
+        function
+        for function in defined_functions(os.path.join("src", "repro"))
+        if function[:2] not in called
+    ]
+    report = suite.stdout.strip().splitlines()
+    print(f"tier-1 under the profile hook: {report[-1]}; "
+          f"census {time.perf_counter() - started:.0f} s wall")
+    for line in report:
+        if line.startswith(("FAILED ", "ERROR ")):
+            print(f"- {line}")
+    print()
+    print("| uncalled by tier-1 | functions | lines |")
+    print("|---|---:|---:|")
+    print(f"| `src/repro/` | {len(missed):,} | {sum(f[3] for f in missed):,} |")
+    print()
+    print("| function | defined at | lines |")
+    print("|---|---|---:|")
+    for path, line, name, lines in missed:
+        print(f"| `{name}` | `{path}:{line}` | {lines} |")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--uncalled",
+        action="store_true",
+        help="run tier-1 under a profile hook and list the src/repro "
+        "functions no test calls (several minutes)",
+    )
+    if parser.parse_args().uncalled:
+        uncalled()
+        return
     print("| import | modules | max RSS (MB) | import (ms) |")
     print("|---|---:|---:|---:|")
     for modules, then in IMPORTS:

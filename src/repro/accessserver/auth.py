@@ -227,11 +227,12 @@ class SessionManager:
     and clients simply log in again (they still hold their account
     credentials).
 
+    The table holds no accounts: ``login`` and ``resolve`` check the user
+    against the caller's :class:`UserRegistry` and clock, so a federation
+    shares one table across its shards.
+
     Parameters
     ----------
-    registry:
-        The account store sessions resolve against; disabling or removing a
-        user invalidates their sessions immediately.
     default_ttl_s:
         Session lifetime when ``login`` is not given an explicit one.
     max_ttl_s:
@@ -243,14 +244,12 @@ class SessionManager:
 
     def __init__(
         self,
-        registry: UserRegistry,
         default_ttl_s: float = 3600.0,
         max_ttl_s: float = 24 * 3600.0,
         token_factory: Optional[Callable[[], str]] = None,
     ) -> None:
         if default_ttl_s <= 0 or max_ttl_s <= 0:
             raise ValueError("session TTLs must be positive")
-        self._registry = registry
         self._default_ttl_s = float(default_ttl_s)
         self._max_ttl_s = float(max(max_ttl_s, default_ttl_s))
         self._token_factory = token_factory or (lambda: secrets.token_hex(16))
@@ -262,6 +261,7 @@ class SessionManager:
 
     def login(
         self,
+        users: UserRegistry,
         username: str,
         token: str,
         now: float,
@@ -277,7 +277,7 @@ class SessionManager:
         # resolve again, so the store is bounded by *active* sessions even
         # on servers whose clients re-login at each TTL expiry forever.
         self.purge_expired(now)
-        user = self._registry.authenticate(username, token, over_https=over_https)
+        user = users.authenticate(username, token, over_https=over_https)
         if ttl_s is None:
             ttl_s = self._default_ttl_s
         if ttl_s <= 0:
@@ -293,16 +293,22 @@ class SessionManager:
         self._sessions[session.token_hash] = session
         return session_token, session
 
-    def resolve(self, session_token: str, now: float, over_https: bool = True) -> User:
+    def resolve(
+        self,
+        users: UserRegistry,
+        session_token: str,
+        now: float,
+        over_https: bool = True,
+    ) -> User:
         """The user behind an active session token; typed failures otherwise."""
-        if self._registry.https_only and not over_https:
+        if users.https_only and not over_https:
             raise AuthenticationError("the web console is only available over HTTPS")
         session = self._sessions.get(_hash_token(session_token))
         if session is None:
             raise SessionExpiredError("unknown session token; log in again")
         if not session.active(now):
             raise SessionExpiredError("session expired or revoked; log in again")
-        user = self._registry.get(session.username)
+        user = users.get(session.username)
         if not user.enabled:
             raise AuthenticationError(f"user {session.username!r} is disabled")
         return user

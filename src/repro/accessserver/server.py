@@ -119,8 +119,9 @@ class AccessServer(Entity):
         super().__init__(context, "access-server")
         self._public_address = public_address
         self.users = UserRegistry(https_only=True)
-        #: Bearer token sessions for Platform API v2 (``auth.login``).
-        self.sessions = SessionManager(self.users)
+        #: Bearer token sessions for Platform API v2 (``auth.login``); a
+        #: federation replaces it with the one table its shards share.
+        self.sessions = SessionManager()
         self.dns = DnsZone(origin=domain)
         self.certificate_authority = CertificateAuthority(domain=domain)
         self._wildcard_certificate: Optional[WildcardCertificate] = (

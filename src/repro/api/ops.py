@@ -101,8 +101,8 @@ _TABLE = (
     Op("fleet.list", Permission.VIEW_RESULTS, "scatter", "merge_fleet", min_version=_V1, read_only=True),
     Op("server.status", Permission.VIEW_RESULTS, "scatter", "merge_status", min_version=_V1, read_only=True),
     # -- v2: sessions ----------------------------------------------------------------
-    Op("auth.login", None, "broadcast", authenticate=False),
-    Op("auth.logout", None, "broadcast"),
+    Op("auth.login", None, "routed", authenticate=False),
+    Op("auth.logout", None, "routed"),
     # -- v2: admin control plane -----------------------------------------------------
     Op("vantage-point.register", Permission.MANAGE_VANTAGE_POINTS, "routed"),
     Op("approvals.list", Permission.APPROVE_PIPELINE, "scatter", "merge_approvals", read_only=True),

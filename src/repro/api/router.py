@@ -469,7 +469,10 @@ class ApiRouter(OpRouter):
                     details={"version": envelope.version},
                 )
             return self._server.sessions.resolve(
-                envelope.session, self._server.context.now, over_https=secure
+                self._server.users,
+                envelope.session,
+                self._server.context.now,
+                over_https=secure,
             )
         if envelope.auth is None:
             raise AuthenticationApiError(
@@ -879,6 +882,7 @@ class ApiRouter(OpRouter):
                 "auth.login requires account credentials in the envelope"
             )
         session_token, session = self._server.sessions.login(
+            self._server.users,
             auth.username,
             auth.token,
             self._server.context.now,

@@ -20,8 +20,8 @@ Modules:
   reads (``fleet.list``, ``job.list``, ``server.status``, analytics,
   metrics).
 * :mod:`repro.federation.router` — the :class:`FederationRouter`
-  itself: routing, scatter-gather, federated sessions, merged push
-  streams and the ``shard.*`` admin plane (drain → detach → re-attach).
+  itself: routing, scatter-gather, the one session table its shards
+  share, merged push streams and the ``shard.*`` admin plane (drain → detach → re-attach).
 """
 
 from typing import TYPE_CHECKING

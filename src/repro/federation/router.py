@@ -27,8 +27,8 @@ route of its mode.  What each mode means across N shards:
   per-shard ``shard`` label; a trace id is answered by the first shard
   that knows the trace).
 * **broadcast** — applied to every shard because the resource is
-  federation-global (a login collapses the per-shard tokens behind one
-  federated bearer token).
+  federation-global: ``user.create``, so an account exists wherever
+  placement might send its jobs.
 * **stream** — an event subscription opens one leg per attached shard and
   multiplexes them behind a single federated subscription id; the
   federated ``seq`` advances by each leg frame's ``dropped + 1``, so the
@@ -44,7 +44,9 @@ The envelope gates (known operation, supported and sufficient version, a
 push-capable transport for a stream) are :class:`~repro.api.ops.OpRouter`'s,
 shared with :class:`~repro.api.router.ApiRouter`; authentication of every
 forwarded request stays on the shard that serves it, so no request is
-token-hashed twice.
+token-hashed twice.  Every attached shard shares the router's one session
+table, so a token any shard minted resolves on all of them and a request
+is forwarded as it arrived.
 
 A single-lane federation passes every non-admin request that clears the
 gates through verbatim — a federation of one is byte-identical to a
@@ -54,24 +56,19 @@ standalone server.
 from __future__ import annotations
 
 import threading
-import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.accessserver.auth import Role, User
+from repro.accessserver.auth import AuthenticationError, Role, SessionManager, User
 from repro.api.errors import (
-    AuthenticationApiError,
     ConflictApiError,
     InternalApiError,
     NotFoundApiError,
     PermissionApiError,
-    SessionApiError,
     ValidationApiError,
-    VersionApiError,
 )
 from repro.api.ops import OPS, Op, OpRouter, RequestContext
 from repro.api.router import job_list_query
 from repro.api.schemas import (
-    API_VERSION_V2,
     PUSH_FRAME_END,
     ObsMetricsView,
     ShardListView,
@@ -98,26 +95,6 @@ class _RouterCore:
 
     def __init__(self, obs: Observability) -> None:
         self.obs = obs
-
-
-class _FedSession:
-    """One federated login: the per-shard bearer tokens behind one token.
-
-    ``home`` is the shard whose login answer the client got, and
-    ``expires_at`` that shard's expiry on its own clock.  Past it the
-    session can never resolve again, and the next federated login forgets
-    it.
-    """
-
-    __slots__ = ("username", "tokens", "home", "expires_at")
-
-    def __init__(
-        self, username: str, tokens: Dict[str, str], home: str, expires_at: float
-    ) -> None:
-        self.username = username
-        self.tokens = tokens
-        self.home = home
-        self.expires_at = expires_at
 
 
 class _FedSubscription:
@@ -202,9 +179,10 @@ class FederationRouter(OpRouter):
         self._lane_count = len(shards)
         self._shard_factory = shard_factory
         self._directory = PlacementDirectory()
+        #: The federation's one session table, installed on every shard.
+        self.sessions = SessionManager()
         for shard in self._lanes:
-            self._directory.learn_shard(shard.shard_id, shard.server)
-        self._sessions: Dict[str, _FedSession] = {}
+            self._attach(shard)
         self._subscriptions: Dict[int, _FedSubscription] = {}
         self._subscriptions_lock = threading.Lock()
         self._next_subscription_id = 1
@@ -281,6 +259,10 @@ class FederationRouter(OpRouter):
         return min((wait for wait in waits if wait is not None), default=None)
 
     # -- shard bookkeeping ----------------------------------------------------
+    def _attach(self, shard: FederationShard) -> None:
+        shard.server.sessions = self.sessions
+        self._directory.learn_shard(shard.shard_id, shard.server)
+
     def _attached(self) -> List[FederationShard]:
         """Shards still participating (active or draining), lane order."""
         return [s for s in self._lanes if s.state is not ShardState.DETACHED]
@@ -314,80 +296,27 @@ class FederationRouter(OpRouter):
             raise ConflictApiError("every shard of this federation is detached")
         return attached[0]
 
-    # -- session fan-out ------------------------------------------------------
-    def _request_for_shard(self, request: dict, shard_id: str) -> dict:
-        """Rewrite the envelope's federated bearer token to the shard's own.
-
-        Unknown tokens pass through untouched: either the caller holds a
-        raw shard token from a pass-through era (the shard resolves it) or
-        the token is stale (the shard answers ``auth.session_expired`` and
-        the client re-logins, which re-broadcasts).  A *known* federated
-        session missing this shard's token — the shard restarted and its
-        in-memory sessions died — is forwarded stale on purpose for the
-        same re-login effect.
-        """
-        session = request.get("session")
-        if isinstance(session, str):
-            fed = self._sessions.get(session)
-            if fed is not None:
-                token = fed.tokens.get(shard_id)
-                if token is not None:
-                    rewritten = dict(request)
-                    rewritten["session"] = token
-                    return rewritten
-        return request
-
+    # -- callers -------------------------------------------------------------
     def _caller_username(self, ctx: RequestContext) -> str:
         envelope = ctx.envelope
         if envelope.auth is not None:
             return envelope.auth.username
         if envelope.session is not None:
-            fed = self._sessions.get(envelope.session)
-            if fed is not None:
-                return fed.username
-            for shard in self._scatter_set():
-                try:
-                    session = shard.server.sessions.resolve(
-                        envelope.session, shard.server.context.now
-                    )
-                    return session.username
-                except Exception:
-                    continue
+            server = self._reference_shard().server
+            try:
+                return self.sessions.resolve(
+                    server.users, envelope.session, server.context.now
+                ).username
+            except AuthenticationError:
+                pass
         return ""
 
     def _authorize(self, ctx: RequestContext) -> User:
         """Authenticate and authorize an op the federation serves itself,
         against the reference shard."""
-        envelope = ctx.envelope
         shard = self._reference_shard()
-        server = shard.server
-        if envelope.session is not None:
-            if envelope.version != API_VERSION_V2:
-                raise VersionApiError(
-                    "bearer session tokens require API version 2.0",
-                    details={"version": envelope.version},
-                )
-            token = envelope.session
-            fed = self._sessions.get(token)
-            if fed is not None:
-                token = fed.tokens.get(shard.shard_id)
-                if token is None:
-                    raise SessionApiError(
-                        f"shard {shard.shard_id!r} restarted since this "
-                        "session was issued; log in again"
-                    )
-            user = server.sessions.resolve(
-                token, server.context.now, over_https=ctx.secure
-            )
-        elif envelope.auth is None:
-            raise AuthenticationApiError(
-                "operation requires credentials", details={"op": envelope.op}
-            )
-        else:
-            user = server.users.authenticate(
-                envelope.auth.username, envelope.auth.token, over_https=ctx.secure
-            )
-        server.users.authorize(user, ctx.op.permission)
+        user = shard.router._authenticate(ctx.envelope, ctx.secure)
+        shard.server.users.authorize(user, ctx.op.permission)
         return user
 
     # -- behind the gates ------------------------------------------------------
@@ -438,7 +367,7 @@ class FederationRouter(OpRouter):
     ) -> Optional[dict]:
         """One shard leg: ``ctx``'s request (or ``request``, a rewrite of it)
         handled by ``shard``'s own router, which authenticates it."""
-        request = self._request_for_shard(request or ctx.request, shard.shard_id)
+        request = request or ctx.request
         if complete is not None:
             return shard.router.handle_deferred(
                 request, complete, push=push, owner=owner, secure=ctx.secure
@@ -731,59 +660,6 @@ class FederationRouter(OpRouter):
     _fed_agent_heartbeat = _fed_agent_report = _route_agent
 
     # -- broadcast ops ---------------------------------------------------------
-    def _fed_auth_login(self, ctx: RequestContext) -> dict:
-        responses = self._scatter_responses(ctx)
-        tokens: Dict[str, str] = {}
-        home: Optional[str] = None
-        home_response: Optional[dict] = None
-        for shard_id, response in responses:
-            if response.get("ok"):
-                tokens[shard_id] = response["payload"]["session_token"]
-                if home_response is None:
-                    home, home_response = shard_id, response
-        if home_response is None:
-            return responses[0][1]
-        # Every shard swept its own expired sessions on this login; sweep
-        # the federated entries that can no longer resolve the same way.
-        self._purge_expired_sessions()
-        payload = home_response["payload"]
-        username = str(payload.get("username", ""))
-        fed_token = uuid.uuid4().hex
-        self._sessions[fed_token] = _FedSession(
-            username, tokens, home, payload["expires_at"]
-        )
-        merged = dict(home_response)
-        merged_payload = dict(payload)
-        merged_payload["session_token"] = fed_token
-        merged["payload"] = merged_payload
-        return merged
-
-    def _purge_expired_sessions(self) -> None:
-        """Drop federated sessions past their home shard's expiry."""
-        clocks = {shard.shard_id: shard.server.context.now for shard in self._lanes}
-        for token, fed in list(self._sessions.items()):
-            if clocks[fed.home] >= fed.expires_at:
-                self._sessions.pop(token, None)
-
-    def _fed_auth_logout(self, ctx: RequestContext) -> dict:
-        session = ctx.envelope.session
-        fed = self._sessions.pop(session, None) if session is not None else None
-        if fed is None:
-            # Not a federated token: let the reference shard produce the
-            # standalone behaviour (including the revoked=false case).
-            return self._forward(ctx, self._reference_shard())
-        revoked = False
-        for shard in self._scatter_set():
-            token = fed.tokens.get(shard.shard_id)
-            if token is None:
-                continue
-            rewritten = dict(ctx.request)
-            rewritten["session"] = token
-            response = shard.router.handle(rewritten, secure=ctx.secure)
-            if response.get("ok") and response["payload"].get("revoked"):
-                revoked = True
-        return ctx.ok({"revoked": revoked})
-
     def _fed_user_create(self, ctx: RequestContext) -> dict:
         """Create the account on every shard so credentials work fleet-wide.
 
@@ -1058,7 +934,17 @@ class FederationRouter(OpRouter):
                     "got": {"shard_id": rebuilt.shard_id, "index": rebuilt.index},
                 },
             )
+        # user.create reached attached shards only: restore, and journal,
+        # each account created while this lane was detached.
+        users, server = self._reference_shard().server.users, rebuilt.server
+        for name in sorted(set(users.usernames()) - set(server.users.usernames())):
+            user = users.get(name)
+            restored = server.users.restore_user(
+                name, user.role, user.token_hash, user.email, user.enabled
+            )
+            if server.persistence is not None:
+                server.persistence.on_user_created(restored)
         rebuilt.state = ShardState.ACTIVE
         self._lanes[shard.index] = rebuilt
-        self._directory.learn_shard(rebuilt.shard_id, rebuilt.server)
+        self._attach(rebuilt)
         return self._shard_view(rebuilt).to_wire()

@@ -73,11 +73,11 @@ class TestSessions:
     def test_expired_session_is_resolved_as_session_error(self, platform):
         server = platform.access_server
         token, session = server.sessions.login(
-            "admin", "admin-token", now=0.0, ttl_s=10.0
+            server.users, "admin", "admin-token", now=0.0, ttl_s=10.0
         )
         platform.context.run_for(11.0)
         with pytest.raises(SessionExpiredError):
-            server.sessions.resolve(token, platform.context.now)
+            server.sessions.resolve(server.users, token, platform.context.now)
 
     def test_expired_session_triggers_transparent_relogin(self, platform, admin):
         admin.login(ttl_s=10.0)

@@ -208,6 +208,100 @@ class TestApiSubcommands:
         assert "records_since_snapshot" in output
 
 
+class TestAdminSubcommands:
+    """approve/reject/grant/register-vp/metrics against a local --state-dir."""
+
+    @pytest.fixture()
+    def pending(self, tmp_path):
+        """A state dir holding two pipeline-change jobs awaiting approval."""
+        from repro.core.platform import build_default_platform
+
+        state = str(tmp_path / "state")
+        platform = build_default_platform(seed=7, browsers=("chrome",), state_dir=state)
+        client = platform.client()
+        ids = [
+            client.submit_job(name, "noop", is_pipeline_change=True).job_id
+            for name in ("change-a", "change-b")
+        ]
+        platform.persistence.close()
+        return state, ids
+
+    def test_approve_runs_the_job(self, pending, capsys):
+        import re
+
+        state, (job_id, _) = pending
+        assert main(["--state-dir", state, "approve", "--job-id", str(job_id)]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("Approved (Platform API v2)\n")
+        assert re.search(
+            rf"^{job_id}\s+change-a\s+experimenter\s+completed\s+0\.00\s+node1\s+node1-dev00",
+            output,
+            re.MULTILINE,
+        )
+
+    def test_reject_cancels_the_job_and_is_journaled(self, pending, capsys):
+        import re
+
+        state, (_, job_id) = pending
+        argv = ["reject", "--job-id", str(job_id), "--reason", "unsafe"]
+        assert main(["--state-dir", state, *argv]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("Rejected (Platform API v2)\n")
+        row = rf"^{job_id}\s+change-b\s+experimenter\s+cancelled\s+0\.00\s+-\s+-"
+        assert re.search(row, output, re.MULTILINE)
+        assert main(["--state-dir", state, "status", "--jobs"]) == 0
+        assert re.search(
+            rf"^{job_id}\s+change-b\s+\S+\s+cancelled", capsys.readouterr().out,
+            re.MULTILINE,
+        )
+
+    def test_grant_adds_to_a_journaled_ledger(self, tmp_path, capsys):
+        import re
+
+        state = str(tmp_path / "state")
+        argv = ["grant", "--owner", "experimenter", "--amount", "2.5", "--note", "pilot"]
+        assert main(["--state-dir", state, *argv]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("Credits granted (Platform API v2)\n")
+        header = r"owner\s+balance_device_hours\s+contributes_hardware\s+transactions"
+        assert re.search(header, output)
+        assert re.search(r"^experimenter\s+7\.50\s+False\s+2\s*$", output, re.MULTILINE)
+        # A second run recovers the ledger and adds to it.
+        assert main(["--state-dir", state, "grant", "--owner", "experimenter",
+                     "--amount", "1"]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"^experimenter\s+8\.50\s+False\s+3\s*$", output, re.MULTILINE)
+
+    def test_register_vp_lists_the_new_devices(self, tmp_path, capsys):
+        import re
+
+        state = str(tmp_path / "state")
+        argv = ["register-vp", "--name", "node9", "--institution", "MIT", "--devices", "2"]
+        assert main(["--state-dir", state, *argv]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith("Vantage point registered (Platform API v2)\n")
+        rows = re.findall(
+            r"^node9\s+MIT\s+node9\.batterylab\.dev\s+(node9-dev\d\d)\s+False",
+            output,
+            re.MULTILINE,
+        )
+        assert rows == ["node9-dev00", "node9-dev01"]
+
+    def test_metrics_renders_the_prefixed_families(self, tmp_path, capsys):
+        state = str(tmp_path / "state")
+        assert main(["--state-dir", state, "submit", "--name", "j"]) == 0
+        capsys.readouterr()
+        assert main(["--state-dir", state, "metrics", "--prefix", "journal_"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# TYPE journal_checkpoint_failures_total counter" in lines
+        assert "journal_checkpoint_failures_total 0" in lines
+        assert "# TYPE journal_append_seconds histogram" in lines
+        assert 'journal_append_seconds_bucket{le="+Inf"} 0' in lines
+        assert all(
+            line.startswith(("# TYPE journal_", "journal_")) for line in lines
+        ), lines
+
+
 class TestAgentCommand:
     """``repro agent`` when the gateway goes away after registration."""
 

@@ -760,8 +760,8 @@ class TestRollingRestart:
         added = admin_call(router, "shard.add", {"shard_id": "shard-1"})
         assert added["ok"] and added["payload"]["state"] == "active"
 
-        # The shard restarted: its in-memory sessions died, so the SDK's
-        # session-expiry retry re-logins transparently on the next call.
+        # The shard restarted from its journal, but the federation's one
+        # session table outlived it: the same token answers, no re-login.
         assert [view.job_id for view in client.list_jobs()] == pre_list
         for job_id in ids:
             assert client.job_status(job_id).status == "completed"
@@ -806,6 +806,58 @@ class TestRollingRestart:
         # next id continues the stride, it does not collide.
         assert lane_of_job(after.job_id, 2) == 1
         assert after.job_id > before.job_id
+
+    def _restart(self, router, shard_id):
+        for op in ("shard.drain", "shard.remove", "shard.add"):
+            response = admin_call(router, op, {"shard_id": shard_id})
+            assert response["ok"], response
+
+    def test_a_session_outlives_a_shard_restart(self, tmp_path):
+        state_root = str(tmp_path)
+        shards = build_federation_shards(2, state_root=state_root)
+        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        login = router.handle(
+            {"op": "auth.login", "version": "2.0", "request_id": 1, "auth": ADMIN}
+        )
+        token = login["payload"]["session_token"]
+        client = fed_client(router)
+        client.login()
+        ids = [submit_on(client, lane, f"j-{lane}").job_id for lane in (0, 1)]
+
+        self._restart(router, "shard-1")
+
+        # The rebuilt shard resolves the token it never saw minted: the
+        # federation's session table outlived the shard, so no re-login.
+        request = {"op": "job.list", "version": "2.0", "session": token}
+        listed = router.handle(dict(request, request_id=2, payload={}))
+        assert listed["ok"], listed
+        assert [job["job_id"] for job in listed["payload"]["jobs"]] == ids
+        status = router.handle(
+            dict(request, op="job.status", request_id=3, payload={"job_id": ids[1]})
+        )
+        assert status["ok"], status
+
+    def test_shard_add_restores_users_created_while_detached(self, tmp_path):
+        state_root = str(tmp_path)
+        shards = build_federation_shards(2, state_root=state_root)
+        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        admin_call(router, "shard.drain", {"shard_id": "shard-1"})
+        admin_call(router, "shard.remove", {"shard_id": "shard-1"})
+        create = {"username": "dave", "role": "experimenter", "token": "dave-token"}
+        assert admin_call(router, "user.create", create)["ok"]
+        assert admin_call(router, "shard.add", {"shard_id": "shard-1"})["ok"]
+
+        def dave_on_shard_1():
+            server = router.shards[1].server
+            return server.users.authenticate("dave", "dave-token", over_https=True)
+
+        assert dave_on_shard_1().username == "dave"
+        dave = fed_client(router, "dave")
+        dave.login()
+        assert lane_of_job(submit_on(dave, 1, "dave-right").job_id, 2) == 1
+        # Journaled on the lane: the next restart recovers the account.
+        self._restart(router, "shard-1")
+        assert dave_on_shard_1().role.value == "experimenter"
 
     def test_plain_server_recovering_shard_state_adopts_the_lane(self, tmp_path):
         """Snapshotted shard identity is journaled configuration: a bare
@@ -855,6 +907,21 @@ class TestFederatedSessions:
         assert client.logout() is True
         assert client.session_active is False
 
+    def test_logout_refuses_the_token_on_every_lane(self, fed2):
+        router, _ = fed2
+        client = fed_client(router)
+        token = client.login().session_token
+        ids = [submit_on(client, lane, f"j-{lane}").job_id for lane in (0, 1)]
+        base = {"version": "2.0", "session": token}
+        logout = router.handle(dict(base, op="auth.logout", request_id=1, payload={}))
+        assert logout["payload"] == {"revoked": True}
+        for request_id, job_id in enumerate(ids, start=2):
+            refused = router.handle(
+                dict(base, op="job.status", request_id=request_id,
+                     payload={"job_id": job_id})
+            )
+            assert refused["error"]["code"] == "auth.session_expired"
+
     def test_session_table_stays_bounded_over_logins_past_the_ttl(self, fed2):
         router, shards = fed2
         login = {
@@ -869,11 +936,13 @@ class TestFederatedSessions:
             assert response["ok"], response
             for shard in shards:
                 shard.server.context.run_for(11.0)
-        # The live long session and the newest short one; the 49 expired
-        # short sessions are gone, as they are from every shard.
-        assert len(router._sessions) == 2
+        # The one table every shard shares holds the live long session and
+        # the newest short one, itself past its TTL; the 49 older short
+        # sessions were swept by the logins after them.
+        now = shards[0].server.context.now
+        assert router.sessions.active_count(now) == 1
+        assert len(router.sessions._sessions) == 2
         token = kept["payload"]["session_token"]
-        assert token in router._sessions
         listed = router.handle(
             {
                 "op": "job.list",

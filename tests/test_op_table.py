@@ -31,10 +31,11 @@ V1_OPS = {
 }
 
 #: The ``mode`` label each op was counted under by the hand-written
-#: federation dispatch ladder this table replaced.
+#: federation dispatch ladder this table replaced, except ``auth.login`` /
+#: ``auth.logout``: routed since the shards share one session table.
 FEDERATION_MODES = {
-    "auth.login": "broadcast",
-    "auth.logout": "broadcast",
+    "auth.login": "routed",
+    "auth.logout": "routed",
     "user.create": "broadcast",
     "fleet.list": "scatter",
     "server.status": "scatter",
