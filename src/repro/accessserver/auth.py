@@ -154,9 +154,6 @@ class UserRegistry:
         self._users[username] = user
         return user
 
-    def remove_user(self, username: str) -> None:
-        self._users.pop(username, None)
-
     def disable_user(self, username: str) -> None:
         self.get(username).enabled = False
 

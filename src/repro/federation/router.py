@@ -934,9 +934,14 @@ class FederationRouter(OpRouter):
                     "got": {"shard_id": rebuilt.shard_id, "index": rebuilt.index},
                 },
             )
+        # A rebuilt shard's clock starts at zero: run it up to the federation's,
+        # so the session table (and every deadline) reads one clock per lane.
+        reference = self._reference_shard().server
+        if rebuilt.server.context.now < reference.context.now:
+            rebuilt.server.context.run_until(reference.context.now)
         # user.create reached attached shards only: restore, and journal,
         # each account created while this lane was detached.
-        users, server = self._reference_shard().server.users, rebuilt.server
+        users, server = reference.users, rebuilt.server
         for name in sorted(set(users.usernames()) - set(server.users.usernames())):
             user = users.get(name)
             restored = server.users.restore_user(

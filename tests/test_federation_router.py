@@ -837,6 +837,64 @@ class TestRollingRestart:
         )
         assert status["ok"], status
 
+    def _past_the_ttl(self, router):
+        for shard in router.shards:
+            shard.platform.context.run_for(router.sessions.default_ttl_s + 400.0)
+
+    def _status(self, router, token, job_id, request_id):
+        return router.handle(
+            {
+                "op": "job.status",
+                "version": "2.0",
+                "request_id": request_id,
+                "session": token,
+                "payload": {"job_id": job_id},
+            }
+        )
+
+    def test_a_login_after_the_reference_shard_restarts_past_the_ttl_serves_every_lane(
+        self, tmp_path
+    ):
+        state_root = str(tmp_path)
+        shards = build_federation_shards(2, state_root=state_root)
+        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        client = fed_client(router)
+        client.login()
+        right = submit_on(client, 1, "right").job_id
+        self._past_the_ttl(router)
+
+        self._restart(router, "shard-0")
+
+        # The rebuilt reference shard mints on the federation's clock, not
+        # from zero, so lane 1 does not read the new token as long expired.
+        login = router.handle(
+            {"op": "auth.login", "version": "2.0", "request_id": 1, "auth": ADMIN}
+        )
+        status = self._status(router, login["payload"]["session_token"], right, 2)
+        assert status["ok"], status
+        clocks = {shard.server.context.now for shard in router.shards}
+        assert clocks == {router.sessions.default_ttl_s + 400.0}
+
+    def test_a_token_past_its_ttl_is_refused_on_a_restarted_lane(self, tmp_path):
+        state_root = str(tmp_path)
+        shards = build_federation_shards(2, state_root=state_root)
+        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        login = router.handle(
+            {"op": "auth.login", "version": "2.0", "request_id": 1, "auth": ADMIN}
+        )
+        token = login["payload"]["session_token"]
+        client = fed_client(router)
+        client.login()
+        ids = [submit_on(client, lane, f"j-{lane}").job_id for lane in (0, 1)]
+        self._past_the_ttl(router)
+
+        self._restart(router, "shard-1")
+
+        for request_id, job_id in enumerate(ids, start=2):
+            status = self._status(router, token, job_id, request_id)
+            assert not status["ok"]
+            assert status["error"]["code"] == "auth.session_expired", status
+
     def test_shard_add_restores_users_created_while_detached(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
