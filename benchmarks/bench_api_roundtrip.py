@@ -25,6 +25,12 @@ connection design could not sustain:
   framed responses (byte-level load generators, so the sweep measures
   gateway capacity rather than client-side DTO decoding).
 
+One row prices the response envelope alone: **envelope cost ratio** — the
+time ``RequestContext.ok`` takes to wrap a 20-job ``job.list`` payload over
+the time it takes to wrap an empty one, both measured in the same run.  A
+handler returns wire and the envelope holds it by reference, so the ratio
+is ~1; an envelope that walked its payload again would put it far above 2.
+
 One row crosses the whole job path, and is the only isolated benchmark that
 runs the CLI's host loop: **settled jobs** — ``noop`` jobs pipelined in
 batches through a gateway whose platform is driven by ``cli._host_loop`` on
@@ -44,6 +50,7 @@ or under pytest-benchmark via
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
@@ -54,6 +61,8 @@ from typing import Dict, List
 from repro import cli
 from repro.api import ApiGateway, ApiRouter, BatteryLabClient, InProcessTransport
 from repro.api.gateway import JsonLinesTransport
+from repro.api.ops import OPS, RequestContext
+from repro.api.schemas import ApiRequest
 from repro.core.platform import build_default_platform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +83,10 @@ SETTLED_BATCH = 20
 #: keeps up with 20-job pipelines, so without a backlog no pass would fill
 #: its batch and the sleep check would have nothing to check.
 SETTLED_BACKLOG = 200
+
+ENVELOPE_JOBS = 20
+ENVELOPE_CALLS = 5000
+ENVELOPE_REPEATS = 21
 
 #: Sanity floor: the in-process API layer must sustain at least this many
 #: status reads per second, or the envelope/DTO path has gone quadratic.
@@ -106,6 +119,59 @@ def _measure(client: BatteryLabClient, reads: int, submits: int) -> Dict[str, fl
         "submits_per_s": round(submits / submit_seconds, 1)
         if submit_seconds
         else float("inf"),
+    }
+
+
+def _measure_envelope_cost() -> Dict[str, float]:
+    """Best-of-``ENVELOPE_REPEATS`` µs per success envelope around a
+    ``job.list`` page of ``ENVELOPE_JOBS`` jobs and around ``{}``."""
+    platform = build_default_platform(seed=13, browsers=("chrome",))
+    router = ApiRouter(platform.access_server)
+    client = BatteryLabClient(InProcessTransport(router), "admin", "admin-token")
+    for index in range(ENVELOPE_JOBS):
+        client.submit_job(f"envelope-{index}", "noop", vantage_point="node99")
+    request = {
+        "op": "job.list",
+        "version": "2.0",
+        "request_id": 1,
+        "auth": {"username": "admin", "token": "admin-token"},
+        "payload": {"limit": ENVELOPE_JOBS},
+    }
+    page = router.handle(request)["payload"]
+    assert len(page["jobs"]) == ENVELOPE_JOBS, page
+    ctx = RequestContext(
+        op=OPS["job.list"],
+        request=request,
+        envelope=ApiRequest.from_wire(request),
+        push=None,
+        owner_token=None,
+        secure=True,
+        complete=None,
+        started=0.0,
+    )
+
+    def seconds(payload: dict) -> float:
+        started = time.perf_counter()
+        for _ in range(ENVELOPE_CALLS):
+            ctx.ok(payload)
+        return time.perf_counter() - started
+
+    # Interleaved, with the collector off (as ``timeit`` does), so a burst
+    # of noise on the machine lands on both sides of the ratio.
+    empty_s = page_s = float("inf")
+    gc.disable()
+    try:
+        for _ in range(ENVELOPE_REPEATS):
+            empty_s = min(empty_s, seconds({}))
+            page_s = min(page_s, seconds(page))
+    finally:
+        gc.enable()
+    empty_us = empty_s / ENVELOPE_CALLS * 1e6
+    page_us = page_s / ENVELOPE_CALLS * 1e6
+    return {
+        "envelope_us_0_jobs": round(empty_us, 4),
+        f"envelope_us_{ENVELOPE_JOBS}_jobs": round(page_us, 4),
+        "envelope_cost_ratio_20v0": round(page_us / empty_us, 3),
     }
 
 
@@ -342,6 +408,7 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
     )
     peak = max(level["reads_per_s"] for level in sweep.values())
     settled = _measure_settled(SETTLED_JOBS, SETTLED_BATCH, SETTLED_BACKLOG)
+    envelope = _measure_envelope_cost()
     return {
         "benchmark": "api_roundtrip",
         "api_version": "1.0",
@@ -352,6 +419,8 @@ def run_api_roundtrip_benchmark() -> Dict[str, object]:
         "gateway_pipelined_reads_per_s": pipelined_reads_per_s,
         "gateway_peak_reads_per_s": peak,
         "gateway_settled_jobs_per_s": settled["jobs_per_s"],
+        "envelope_cost_ratio_20v0": envelope["envelope_cost_ratio_20v0"],
+        "envelope": envelope,
         "gateway_settled": settled,
         "gateway_sweep": sweep,
         "inproc": inproc,
@@ -401,6 +470,10 @@ def test_api_roundtrip(benchmark):
             {
                 "transport": f"gateway + host loop, settled jobs (batch {SETTLED_BATCH})",
                 "jobs_per_s": result["gateway_settled_jobs_per_s"],
+            },
+            {
+                "transport": f"success envelope, {ENVELOPE_JOBS}-job page / empty",
+                "cost_ratio": result["envelope_cost_ratio_20v0"],
             },
             *(
                 {

@@ -98,7 +98,7 @@ from functools import partial
 from typing import Optional, Tuple
 
 from repro.api.errors import TransportApiError, ValidationApiError
-from repro.api.schemas import API_VERSION, PUSH_KIND, ApiResponse
+from repro.api.schemas import API_VERSION, PUSH_KIND, response_wire
 from repro.api.client import Transport
 from repro.obs import component_logger
 
@@ -1017,14 +1017,10 @@ class ApiGateway:
             request = json.loads(line)
         except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
             error = ValidationApiError(f"request line is not valid JSON: {exc}")
-            return None, ApiResponse(
-                ok=False, version=API_VERSION, request_id=0, error=error.to_wire()
-            ).to_wire()
+            return None, response_wire(API_VERSION, 0, error=error.to_wire())
         if not isinstance(request, dict):
             error = ValidationApiError("request line must be a JSON object")
-            return None, ApiResponse(
-                ok=False, version=API_VERSION, request_id=0, error=error.to_wire()
-            ).to_wire()
+            return None, response_wire(API_VERSION, 0, error=error.to_wire())
         return request, None
 
     def _dispatch(

@@ -59,7 +59,7 @@ from repro.api.schemas import (
     API_VERSION_V2,
     SUPPORTED_VERSIONS,
     ApiRequest,
-    ApiResponse,
+    response_wire,
 )
 
 
@@ -155,13 +155,9 @@ class RequestContext:
     user: Optional[User] = None
 
     def ok(self, payload: Optional[dict]) -> dict:
-        """The success envelope answering this request."""
-        return ApiResponse(
-            ok=True,
-            version=self.envelope.version,
-            request_id=self.envelope.request_id,
-            payload=payload,
-        ).to_wire()
+        """The success envelope answering this request; ``payload`` is wire
+        already, and the envelope holds it by reference."""
+        return response_wire(self.envelope.version, self.envelope.request_id, payload)
 
 
 class OpRouter:
@@ -332,12 +328,7 @@ class OpRouter:
         except Exception as exc:  # noqa: BLE001 - boundary translation
             error = map_exception(exc)
             self._on_error(label, time.perf_counter() - started, ctx)
-            return ApiResponse(
-                ok=False,
-                version=version,
-                request_id=request_id,
-                error=error.to_wire(),
-            ).to_wire()
+            return response_wire(version, request_id, error=error.to_wire())
 
     def _on_lookup(self, label: str, op: Optional[Op]) -> None:
         """Hook: the table was asked for the request's op (``None``: unknown)."""

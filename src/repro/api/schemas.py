@@ -90,6 +90,24 @@ def _wire_value(value):
     return value
 
 
+def response_wire(
+    version: str, request_id: int, payload: object = None, error: Optional[dict] = None
+) -> Dict[str, object]:
+    """The response envelope, built once: :class:`ApiResponse`'s wire form.
+
+    A handler returns wire, so ``payload`` is wrapped by reference, not
+    walked again; only an error's free-form ``details`` are.  The keys and
+    their order are ``ApiResponse.to_wire()``'s.
+    """
+    return {
+        "ok": error is None,
+        "version": version,
+        "request_id": request_id,
+        "payload": payload,
+        "error": None if error is None else _wire_value(error),
+    }
+
+
 def json_safe(value) -> bool:
     """Whether ``value`` survives a ``json.dumps``/``loads`` round trip."""
     try:
@@ -210,6 +228,26 @@ def _compile_checker(hint):
     return check_unsupported
 
 
+def _compile_encoder(hint):
+    """How ``to_wire`` encodes one field's (non-``None``) value.
+
+    ``None`` copies it as is, and is returned only for the primitives;
+    ``list`` copies a ``List`` of primitives; a nested model encodes itself;
+    anything else — the free-form ``object`` / ``dict`` fields — is walked
+    by :func:`_wire_value`.
+    """
+    hint = _strip_optional(hint)
+    if hint in (str, int, float, bool):
+        return None
+    if typing.get_origin(hint) in (list, typing.List):
+        (item_hint,) = typing.get_args(hint)
+        item = _compile_encoder(item_hint)
+        return list if item is None else lambda value: [item(v) for v in value]
+    if isinstance(hint, type) and issubclass(hint, WireModel):
+        return hint.to_wire
+    return _wire_value
+
+
 class _WireCodec:
     """Per-class compiled wire schema: one tuple walk per call, no ``typing``."""
 
@@ -220,11 +258,13 @@ class _WireCodec:
         elide = set(cls._ELIDE_WHEN_DEFAULT)
         fields = dataclasses.fields(cls)
         self.known = frozenset(f.name for f in fields)
-        # (name, elide_default | MISSING) — MISSING means "always emit".
+        # (name, elide_default | MISSING, encoder | None) — MISSING means
+        # "always emit", a None encoder "copy as is".
         self.to_wire_plan = tuple(
             (
                 f.name,
                 _field_default(f) if f.name in elide else dataclasses.MISSING,
+                _compile_encoder(hints[f.name]),
             )
             for f in fields
         )
@@ -277,12 +317,12 @@ class WireModel:
 
     def to_wire(self) -> Dict[str, object]:
         wire: Dict[str, object] = {}
-        wv = _wire_value
-        for name, elide_default in self._codec().to_wire_plan:
+        missing = dataclasses.MISSING
+        for name, elide_default, encode in self._codec().to_wire_plan:
             value = getattr(self, name)
-            if elide_default is not dataclasses.MISSING and value == elide_default:
+            if elide_default is not missing and value == elide_default:
                 continue
-            wire[name] = wv(value)
+            wire[name] = value if encode is None or value is None else encode(value)
         return wire
 
     @classmethod

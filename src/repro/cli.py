@@ -921,12 +921,13 @@ def _cmd_metrics(args) -> str:
     client = _remote_or_local_client(args)
     with client:
         view = client.obs_metrics(prefix=args.prefix)
-    text = render_snapshot(view.to_snapshot())
+    # An empty snapshot still renders its closing newline.
+    text = render_snapshot(view.to_snapshot()).rstrip("\n")
     if not text:
         return "# no metric families matched" + (
             f" prefix {args.prefix!r}" if args.prefix else ""
         )
-    return text.rstrip("\n")
+    return text
 
 
 def _cmd_agent(args) -> str:

@@ -301,6 +301,13 @@ class TestAdminSubcommands:
             line.startswith(("# TYPE journal_", "journal_")) for line in lines
         ), lines
 
+    def test_metrics_with_no_matching_family_says_so(self, tmp_path, capsys):
+        state = str(tmp_path / "state")
+        assert main(["--state-dir", state, "metrics", "--prefix", "nosuch_"]) == 0
+        assert capsys.readouterr().out == (
+            "# no metric families matched prefix 'nosuch_'\n"
+        )
+
 
 class TestAgentCommand:
     """``repro agent`` when the gateway goes away after registration."""
