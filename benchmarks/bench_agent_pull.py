@@ -13,10 +13,12 @@ Measures the server-side cost of the agent-pull execution plane:
 * **parked polls** — over a real socket gateway: how long a parked
   ``agent.poll`` takes to return once the submit that feeds it is acked
   (``parked_wake_ms_p50``, one agent), and what a ``job.submit`` costs
-  while 8 agents — twice the gateway's workers — sit parked
+  while 8 agents sit parked on the gateway's one dispatch thread
   (``submit_ms_p50_8_parked``).  Before polls were parked as requests
   these were 25–50 ms (the 50 ms re-check) and ~1.7 s (every worker held
-  by a poll); the script holds both under 10 ms;
+  by a poll); the script holds both under 10 ms.  The same row counts the
+  live ``batterylab-gw-worker`` threads while the agents are parked
+  (``gateway_dispatch_threads``, held at 1 in CI);
 * **the outbox at rest** — what 10,000 settled jobs leave in one daemon's
   outbox file (``outbox_bytes_after_10k_jobs``) and what a ``resume()``
   then costs with nothing pending (``resume_ms_after_10k_settled``).
@@ -232,6 +234,10 @@ def _bench_submit_with_parked_agents() -> Dict[str, object]:
             for index in range(PARKED_AGENTS):
                 client.agent_register(f"bench-idle-{index}", connectors=["noprovision"])
                 _park(gateway, f"bench-idle-{index}", [])
+            dispatch_threads = sum(
+                thread.name.startswith("batterylab-gw-worker")
+                for thread in threading.enumerate()
+            )
             submits_ms = []
             for index in range(PARKED_ROUNDS):
                 started = time.perf_counter()
@@ -245,7 +251,7 @@ def _bench_submit_with_parked_agents() -> Dict[str, object]:
     assert still_parked == PARKED_AGENTS, f"{still_parked} agents still parked"
     return {
         "parked_agents": PARKED_AGENTS,
-        "gateway_workers": gateway._worker_threads,
+        "gateway_dispatch_threads": dispatch_threads,
         "submits": PARKED_ROUNDS,
         "submit_ms_p50_8_parked": round(statistics.median(submits_ms), 3),
         "submit_ms_max_8_parked": round(max(submits_ms), 3),
@@ -352,6 +358,7 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["multi_claims_per_s"] = rows[2]["multi_claims_per_s"]
     result["parked_wake_ms_p50"] = rows[3]["parked_wake_ms_p50"]
     result["submit_ms_p50_8_parked"] = rows[4]["submit_ms_p50_8_parked"]
+    result["gateway_dispatch_threads"] = rows[4]["gateway_dispatch_threads"]
     result["outbox_bytes_after_10k_jobs"] = rows[5]["outbox_bytes_after_10k_jobs"]
     result["resume_ms_after_10k_settled"] = rows[5]["resume_ms_after_10k_settled"]
     result["outbox_fsyncs_per_job"] = rows[5]["outbox_fsyncs_per_job"]

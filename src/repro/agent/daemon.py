@@ -210,19 +210,10 @@ class AgentDaemon:
     ) -> Optional[int]:
         result_record = state["result"]
         if result_record is None:
-            # Crashed mid-run: the lease must still be ours to continue.
-            try:
-                self.client.agent_heartbeat(lease_id, self.agent_id)
-            except NotFoundApiError:
-                # Expired while we were dead; the server requeued the job
-                # and someone else may be running it — discard everything.
-                self.outbox.append(
-                    "discarded", lease_id=lease_id, reason="lease expired while down"
-                )
-                return None
             claim = state["claim"]
             done_records = list(state["phases"])
             done_results = [PhaseResult.from_record(p) for p in done_records]
+            done = {r.phase for r in done_results}
             ctx = self._context(
                 int(claim["job_id"]),
                 str(claim.get("job_name", "")),
@@ -230,6 +221,13 @@ class AgentDaemon:
                 claim.get("payload"),
                 [tuple(d) for d in claim.get("devices", [])],
             )
+            # Crashed mid-run: the lease must still be ours to continue.
+            try:
+                self.client.agent_heartbeat(lease_id, self.agent_id)
+            except NotFoundApiError:
+                # Expired while we were dead; the server requeued the job
+                # and someone else may be running it.
+                return self._abandon(lease_id, ctx, done, "lease expired while down")
             for record in done_records:
                 # The test phase's computed result/children were journaled
                 # with its phase record (the phase itself never re-runs, so
@@ -237,9 +235,7 @@ class AgentDaemon:
                 if record.get("phase") == "test":
                     ctx.result = record.get("result")
                     ctx.children = list(record.get("children", ()))
-            result_record = self._run_phases(
-                lease_id, ctx, done_results, {r.phase for r in done_results}
-            )
+            result_record = self._run_phases(lease_id, ctx, done_results, done)
             if result_record is None:
                 return None
         return self._upload(lease_id, result_record)
@@ -276,7 +272,7 @@ class AgentDaemon:
 
         A failed provision or test never skips cleanup — the device must be
         released regardless.  Returns ``None`` when the lease lapsed
-        mid-run (the work is abandoned; the server already requeued it).
+        mid-run (see :meth:`_abandon`).
         """
         connector = create_connector(self.connector_type, self.connector_config)
         for phase in CONNECTOR_PHASES:
@@ -304,10 +300,8 @@ class AgentDaemon:
             try:
                 self.client.agent_heartbeat(lease_id, self.agent_id)
             except NotFoundApiError:
-                self.outbox.append(
-                    "discarded", lease_id=lease_id, reason="lease expired mid-run"
-                )
-                return None
+                done = {r.phase for r in results}
+                return self._abandon(lease_id, ctx, done, "lease expired mid-run")
             except ApiError:
                 pass  # transient renewal trouble; the TTL may still hold
         failed = [r for r in results if r.status == PHASE_FAILED]
@@ -321,6 +315,17 @@ class AgentDaemon:
             error="; ".join(f"{r.phase}: {r.output}" for r in failed) or None,
             children=self._children_record(ctx.children),
         )
+
+    def _abandon(
+        self, lease_id: str, ctx: ConnectorContext, done: Set[str], reason: str
+    ) -> None:
+        """The lease lapsed (the job is requeued): run cleanup unless it is
+        journaled already, never the test, then discard the lease."""
+        if CONNECTOR_PHASES[-1] not in done:
+            connector = create_connector(self.connector_type, self.connector_config)
+            result = connector.run_phase(CONNECTOR_PHASES[-1], ctx)
+            self.outbox.append("phase", lease_id=lease_id, **result.to_record())
+        self.outbox.append("discarded", lease_id=lease_id, reason=reason)
 
     @staticmethod
     def _children_record(children: List[Dict[str, object]]) -> List[Dict[str, object]]:

@@ -11,9 +11,9 @@ drive the platform.
   accepted connections (optionally wrapped in TLS — the paper mandates
   HTTPS-only access — with the handshake driven non-blocking on the same
   loop).  The loop reads non-blocking sockets into per-connection buffers,
-  splits newline-framed request lines incrementally, and hands them to a
-  small worker pool for router dispatch, so one slow operation can never
-  stall the loop or the other connections.  A malformed JSON line gets a
+  splits newline-framed request lines incrementally, and hands them to
+  one dispatch thread for router dispatch, so one slow operation can never
+  stall the loop or the inline reads.  A malformed JSON line gets a
   well-formed ``request.invalid`` error envelope back rather than a
   dropped connection, so client bugs stay debuggable.
 * :class:`JsonLinesTransport` — the matching client
@@ -24,13 +24,13 @@ drive the platform.
   via :meth:`JsonLinesTransport.send_many`.
 
 **Pipelining.**  A connection may have many requests in flight: the loop
-queues complete lines as they arrive and a per-connection worker task
-executes them strictly in arrival order, queueing the responses back in
-the same order — so responses always match the request sequence and
-per-connection semantics are identical to the serial gateway.  Concurrency
-happens *across* connections: read-only operations (see
+queues complete lines as they arrive and the dispatch thread executes
+them strictly in arrival order, :data:`ApiGateway.WORKER_BATCH` per turn
+of a connection (so a deep pipeline cannot starve the others), queueing
+the responses back in the same order — so per-connection semantics are
+identical to the serial gateway.  Read-only operations (see
 :meth:`~repro.api.router.ApiRouter.is_read_only`) run without the
-exclusive router lock, while mutating operations still serialize through
+exclusive router lock, while mutating operations serialize through
 :attr:`ApiGateway.router_lock`.  A read that collides with a concurrent
 mutation (e.g. an iteration hitting a resized dict) surfaces as a
 ``server.internal`` error envelope; the gateway retries it once under the
@@ -41,14 +41,14 @@ genuine TCP back-pressure instead of unbounded buffering.
 
 **Parked requests.**  A long-poll (``agent.poll`` with ``wait_s``) that
 finds no work is parked by the router as a registered request, not on a
-thread: the worker that dispatched it returns to the pool, the connection
+thread: the dispatch thread moves on to other connections, the connection
 keeps its place in the response order (requests pipelined behind it wait,
 as they always did), and the response is queued when the router completes
 the poll — after a mutation that announced work (re-checked as
 :attr:`ApiGateway.router_lock` is released), at its deadline (the selector
 loop's timeout is the nearest one), or on cancel (connection close,
 :meth:`ApiGateway.stop`, shard drain).  Any number of agents may wait; none
-of them occupies a worker.
+of them occupies a thread.
 
 **Streaming (API v2).**  Responses and server pushes share one connection:
 each connection hands the router a ``push`` callable that enqueues
@@ -77,23 +77,25 @@ authentication time.  The default (``assume_https=True``) keeps plaintext
 loopback gateways — tests, local tooling — working as the stand-in for a
 terminated TLS connection.
 
-Threading model: one daemon loop thread owns all sockets; router dispatch
-runs on a small daemon worker pool.  Mutating requests across all
-connections are serialized through the router lock — matching the single
-simulated clock they all share — while read-only requests run
-concurrently.
+Threading model: one daemon loop thread owns all sockets and answers
+all-read-only bursts (≤ :data:`ApiGateway.INLINE_BATCH_MAX`) on an idle
+connection inline, lock-free, so they never wait behind a mutation; all
+else runs on one daemon dispatch thread (more add no parallelism on one
+core, only a convoy on the router lock and the GIL).  A bigger read burst,
+a read pipelined behind a mutation on its own connection, or an
+``agent.poll``'s first check can so wait behind another's slow mutation.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import selectors
 import socket
 import ssl
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Optional, Tuple
 
@@ -278,10 +280,10 @@ class _Connection:
             if not self._closed:
                 self._requests.extendleft(reversed(items))
 
-    def resume_after_park(self) -> bool:
-        """Any thread, once a parked request has been answered: true when
-        requests queued behind it and the caller must start a worker for
-        them (the claim is kept); otherwise the claim is released."""
+    def keep_claim_if_queued(self) -> bool:
+        """Any thread, after a turn or a parked request ends: true when
+        requests are still queued and the caller must queue the next turn
+        (the claim is kept); otherwise the claim is released."""
         with self._lock:
             if self._requests and not self._closed:
                 return True
@@ -388,10 +390,9 @@ class ApiGateway:
         back-pressure).  A consumer that cannot keep up loses its *oldest*
         queued event frames; the loss is surfaced as a ``dropped`` counter
         on the next frame it does receive.
-    worker_threads:
-        Size of the dispatch pool.  Requests from one connection always
-        execute serially in arrival order; the pool bounds how many
-        *connections* execute concurrently.
+
+    Two threads serve (see the module docstring): the loop answers small
+    read-only bursts inline, one dispatch thread everything else.
     """
 
     #: Longest a TLS handshake may take before the connection is dropped.
@@ -402,7 +403,7 @@ class ApiGateway:
     MAX_PIPELINE_DEPTH = 1024
 
     #: Largest all-read-only burst the loop thread answers inline; bigger
-    #: bursts go to the worker pool so one connection cannot starve others.
+    #: bursts go to the dispatch thread so one connection cannot starve others.
     INLINE_BATCH_MAX = 256
 
     def __init__(
@@ -413,24 +414,20 @@ class ApiGateway:
         tls_context: Optional[ssl.SSLContext] = None,
         assume_https: bool = True,
         push_queue_limit: int = 256,
-        worker_threads: int = 4,
     ) -> None:
         # Validate here, not per accepted connection: a bad limit must
         # fail the operator at startup, not kill live connections.
         if push_queue_limit < 1:
             raise ValueError("push_queue_limit must be at least 1")
-        if worker_threads < 1:
-            raise ValueError("worker_threads must be at least 1")
         self._router = router
         self._host = host
         self._requested_port = port
         self._tls_context = tls_context
         self._assume_https = assume_https
         self._push_queue_limit = push_queue_limit
-        self._worker_threads = worker_threads
         self._listener: Optional[socket.socket] = None
         self._loop_thread: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._turns: Optional[queue.SimpleQueue] = None  # of connections
         self._selector: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
@@ -557,10 +554,10 @@ class ApiGateway:
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ, "listener")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wakeup")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._worker_threads,
-            thread_name_prefix="batterylab-gw-worker",
-        )
+        self._turns = turns = queue.SimpleQueue()
+        threading.Thread(
+            target=self._dispatch_turns, args=(turns,), name="batterylab-gw-worker", daemon=True
+        ).start()
         self._running = True
         self._loop_thread = threading.Thread(
             target=self._run_loop, name="batterylab-gateway-loop", daemon=True
@@ -584,11 +581,10 @@ class ApiGateway:
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=2.0)
             self._loop_thread = None
-        if self._pool is not None:
-            # Workers mid-handler finish on their own time; their response
-            # bytes land on closed connections and are discarded.
-            self._pool.shutdown(wait=False)
-            self._pool = None
+        if self._turns is not None:
+            # The dispatch thread ends here; a handler it is still running
+            # finishes first, and its response lands on a closed connection.
+            self._turns.put(None)
         self._listener = None
 
     def __enter__(self) -> "ApiGateway":
@@ -886,7 +882,7 @@ class ApiGateway:
             )
             self._set_mask(connection, connection.mask & ~selectors.EVENT_READ)
         if connection.claim_worker():
-            self._pool.submit(self._drain_requests, connection)
+            self._turns.put(connection)
 
     def _inline_eligible(self, items) -> bool:
         """A burst may run on the loop thread iff every request is read-only
@@ -957,58 +953,67 @@ class ApiGateway:
             del outbuf[:sent]
         return True
 
-    # -- dispatch (worker threads) -------------------------------------------
-    #: Request lines one worker pass answers with a single response write.
+    # -- dispatch (the dispatch thread) --------------------------------------
+    #: Request lines one turn of a connection answers with a single response
+    #: write; a connection with more queued goes back behind the others.
     WORKER_BATCH = 128
 
+    def _dispatch_turns(self, turns: queue.SimpleQueue) -> None:
+        """The dispatch thread, until :meth:`stop` queues ``None``."""
+        for connection in iter(turns.get, None):
+            try:
+                self._drain_requests(connection)
+            except Exception:  # one connection stalls; the others are served
+                self._log.exception("request dispatch failed")
+
     def _drain_requests(self, connection: _Connection) -> None:
-        obs_on = self._obs is not None and self._obs.registry.enabled
+        batch = connection.next_request_batch(self.WORKER_BATCH)
+        if batch is None:
+            return
         may_park = getattr(self._router, "is_blocking", lambda op: False)
-        while True:
-            batch = connection.next_request_batch(self.WORKER_BATCH)
-            if batch is None:
-                return
-            batch_t0 = time.perf_counter()
-            out = bytearray()
-            for index, (request, error) in enumerate(batch):
-                if error is not None:
-                    response = error
-                elif may_park(request.get("op")):
-                    # From here the request's completion — on any thread,
-                    # possibly before the dispatch returns — owns this
-                    # connection's pipeline, so the batch ends with it:
-                    # answers so far go out, the rest goes back in line.
-                    connection.unread_requests(batch[index + 1 :])
-                    del batch[index + 1 :]
-                    if out:
-                        connection.queue_response(bytes(out))
-                        out = bytearray()
-                    response = self._dispatch_parking(request, connection)
-                    if response is None:
-                        break
-                else:
-                    response = self._dispatch(request, connection, connection.secure)
-                out += json.dumps(response).encode("utf-8")
-                out += b"\n"
-            if obs_on:
-                self._m_requests_worker.inc(float(len(batch)))
-                self._m_batch_worker.observe(time.perf_counter() - batch_t0)
-            if response is None:
-                # Parked, and no thread waits with it: this worker is free,
-                # and the loop learns there is a new deadline to sleep to.
-                self._wake()
-                return
-            connection.queue_response(bytes(out))
+        batch_t0 = time.perf_counter()
+        out = bytearray()
+        for index, (request, error) in enumerate(batch):
+            if error is not None:
+                response = error
+            elif may_park(request.get("op")):
+                # From here the request's completion — on any thread,
+                # possibly before the dispatch returns — owns this
+                # connection's pipeline, so the batch ends with it:
+                # answers so far go out, the rest goes back in line.
+                connection.unread_requests(batch[index + 1 :])
+                del batch[index + 1 :]
+                if out:
+                    connection.queue_response(bytes(out))
+                    out = bytearray()
+                response = self._dispatch_parking(request, connection)
+                if response is None:
+                    break
+            else:
+                response = self._dispatch(request, connection, connection.secure)
+            out += json.dumps(response).encode("utf-8")
+            out += b"\n"
+        if self._obs is not None and self._obs.registry.enabled:
+            self._m_requests_worker.inc(float(len(batch)))
+            self._m_batch_worker.observe(time.perf_counter() - batch_t0)
+        if response is None:
+            # Parked, and no thread waits with it: the dispatch thread is
+            # free, and the loop learns there is a new deadline to sleep to.
+            self._wake()
+            return
+        connection.queue_response(bytes(out))
+        self._next_turn(connection)
+
+    def _next_turn(self, connection: _Connection) -> None:
+        """Queue the connection's next batch behind every other connection's,
+        or release its claim when nothing is left to answer."""
+        if connection.keep_claim_if_queued():
+            self._turns.put(connection)
 
     def _complete_parked(self, connection: _Connection, response: dict) -> None:
         """Any thread: a parked request's answer, then the requests behind it."""
         connection.queue_response(json.dumps(response).encode("utf-8") + b"\n")
-        pool = self._pool
-        if connection.resume_after_park() and pool is not None:
-            try:
-                pool.submit(self._drain_requests, connection)
-            except RuntimeError:  # stop() shut the pool down under us
-                pass
+        self._next_turn(connection)
 
     def _parse_line(self, line: bytes):
         """Loop thread: parse one request line into ``(request, None)`` or
@@ -1093,7 +1098,7 @@ class ApiGateway:
         after a torn read.
         """
         deferred = getattr(self._router, "handle_deferred", None)
-        if deferred is None:  # a router that cannot park blocks this worker
+        if deferred is None:  # a router that cannot park blocks the thread
             return self._dispatch(request, connection, connection.secure)
 
         attempt = partial(

@@ -94,7 +94,7 @@ class Counter:
 
     Mutation is a GIL-atomic ``list.append`` into a pending mailbox, not a
     locked read-modify-write: on multi-threaded hot paths (gateway loop +
-    worker pool) even an *uncontended* lock acquire opens a GIL handoff
+    dispatch thread) even an *uncontended* lock acquire opens a GIL handoff
     window that costs several times the arithmetic it guards.  Reads fold
     the mailbox under the lock, so values are exact once writers quiesce —
     and writers only quiesce-read their own children at scrape time.

@@ -295,6 +295,35 @@ class TestDaemonHappyPath:
         # The server requeued the job; the stale result did not win.
         assert client.job_status(job.job_id).status == "queued"
 
+    def test_lease_lapsing_mid_run_still_cleans_up(
+        self, platform, tmp_path, monkeypatch
+    ):
+        """The renewal after a slow provision finds the lease gone: the
+        device is still cleaned (and that journaled) before the lease is
+        discarded, and the test phase never runs."""
+        client = platform.client()
+        job = client.submit_job("slow", "noop", execution="agent", connector="fake")
+        daemon = start_daemon(platform, tmp_path)
+        provision = FakeConnector.provision
+
+        def outlive_the_lease(connector, ctx):
+            platform.context.run_for(31.0)
+            return provision(connector, ctx)
+
+        monkeypatch.setattr(FakeConnector, "provision", outlive_the_lease)
+        assert daemon.run_once() is None
+        records = daemon.outbox.records()
+        assert [(r["kind"], r.get("phase")) for r in records] == [
+            ("claim", None),
+            ("phase", "provision"),
+            ("phase", "cleanup"),
+            ("discarded", None),
+        ]
+        assert records[2]["status"] == "ok"
+        assert records[-1]["reason"] == "lease expired mid-run"
+        assert client.job_status(job.job_id).status == "queued"
+        daemon.outbox.close()
+
     def test_run_once_with_empty_queue_returns_none(self, platform, tmp_path):
         daemon = start_daemon(platform, tmp_path)
         assert daemon.run_once() is None
@@ -472,6 +501,38 @@ class TestCrashMatrix:
         assert fresh.run_once() == job.job_id
         assert platform.client().job_status(job.job_id).status == "completed"
         assert _RUNS["count-me"] == 1  # provision crashed before the test phase
+
+    @pytest.mark.parametrize(
+        ("at_write", "cleanups_on_resume"),
+        [
+            (1, 1),  # provision journaled: the device still needs cleaning
+            (2, 1),  # test journaled too; it must not run again
+            (3, 0),  # cleanup already journaled: not run twice
+        ],
+    )
+    def test_lease_expired_while_down_cleans_up_once(
+        self, platform, tmp_path, monkeypatch, at_write, cleanups_on_resume
+    ):
+        self._crashing_run(platform, tmp_path, at_write, "after")
+        runs_at_crash = _RUNS.get("count-me", 0)
+        platform.context.run_for(31.0)
+        cleanups = []
+        cleanup = FakeConnector.cleanup
+
+        def counted(connector, ctx):
+            cleanups.append(ctx.job_id)
+            return cleanup(connector, ctx)
+
+        monkeypatch.setattr(FakeConnector, "cleanup", counted)
+        fresh, settled = self._recover(platform, tmp_path)
+        assert settled == []
+        assert len(cleanups) == cleanups_on_resume
+        assert _RUNS.get("count-me", 0) == runs_at_crash
+        kinds = [(r["kind"], r.get("phase")) for r in fresh.outbox.records()]
+        assert kinds.count(("phase", "cleanup")) == 1
+        assert kinds[-1] == ("discarded", None)
+        assert fresh.outbox.records()[-1]["reason"] == "lease expired while down"
+        fresh.outbox.close()
 
     def test_test_phase_record_journals_its_computed_result(
         self, platform, tmp_path

@@ -775,13 +775,13 @@ class TestParkedPolls:
     def test_submit_completes_the_matching_poll_and_no_other(
         self, platform, gateway, remote, poller, park_signal
     ):
-        """Twice as many agents parked as the gateway has workers: submits
+        """Eight agents parked on the gateway's one dispatch thread: submits
         are still answered at once, submits no parked agent can take wake
         nobody, and the one that matches is delivered in milliseconds."""
-        workers = gateway._worker_threads
+        crowd = 8
         parked = park_signal(gateway._router)
         remote.agent_register("edge-fake", connectors=["fake"])
-        bystanders = [f"edge-other-{index}" for index in range(2 * workers - 1)]
+        bystanders = [f"edge-other-{index}" for index in range(crowd - 1)]
         for agent_id in bystanders:
             remote.agent_register(agent_id, connectors=["noprovision"])
         pollers = {
@@ -790,12 +790,12 @@ class TestParkedPolls:
         }
         for _ in pollers:
             assert parked.acquire(timeout=5.0)
-        assert gateway._router.parked_polls() == 2 * workers
+        assert gateway._router.parked_polls() == crowd
         gateway_threads = [
             thread for thread in threading.enumerate()
             if thread.name.startswith("batterylab-gw-worker")
         ]
-        assert len(gateway_threads) <= workers
+        assert len(gateway_threads) == 1
 
         submit_ms = []
         for index in range(10):
@@ -806,7 +806,7 @@ class TestParkedPolls:
                 submit_agent_job(remote, name=f"odd-{index}", connector="multi")
             submit_ms.append((time.perf_counter() - started) * 1000.0)
         assert sorted(submit_ms)[len(submit_ms) // 2] < 50.0, submit_ms
-        assert gateway._router.parked_polls() == 2 * workers
+        assert gateway._router.parked_polls() == crowd
         assert self.completions(platform, "work") == 0
 
         started = time.perf_counter()
@@ -814,14 +814,15 @@ class TestParkedPolls:
         assert pollers["edge-fake"].result() == [job.job_id]
         wake_ms = (pollers["edge-fake"].returned_at - started) * 1000.0
         assert wake_ms < 50.0, wake_ms
-        assert gateway._router.parked_polls() == 2 * workers - 1
+        assert gateway._router.parked_polls() == crowd - 1
         assert self.completions(platform, "work") == 1
 
     def test_submit_between_the_check_and_the_park_is_delivered(
         self, platform, gateway, remote, poller
     ):
-        """The lost-wake-up race, forced: the job is submitted (and acked)
-        after the poll's check came back empty and before the poll parks."""
+        """The lost-wake-up race, forced: the job is submitted (a mutation
+        from another connection, under the router lock) after the poll's
+        check came back empty and before the poll parks."""
         server = platform.access_server
         remote.agent_register("edge-1", connectors=["fake"])
         check = server.agent_offers
@@ -831,7 +832,8 @@ class TestParkedPolls:
             offers = check(user, agent_id, limit=limit)
             if not racing.is_set():  # the re-check comes through here too
                 racing.set()
-                submit_agent_job(remote, name="racer")
+                with gateway.router_lock:
+                    submit_agent_job(platform.client(), name="racer")
             return offers
 
         server.agent_offers = check_then_submit

@@ -316,6 +316,45 @@ class TestConcurrentReads:
             thread.join(timeout=5.0)
 
 
+class TestDispatchFairness:
+    """The one dispatch thread takes connections in turn, one
+    ``WORKER_BATCH`` each: a deep pipeline of mutations cannot make
+    another connection's single mutation wait for all of it."""
+
+    AUTH = {"username": "experimenter", "token": "experimenter-token"}
+
+    def test_single_mutation_is_not_queued_behind_a_deep_pipeline(
+        self, gateway, client
+    ):
+        total = 4 * ApiGateway.WORKER_BATCH
+        blob = b"".join(
+            json.dumps(
+                {
+                    "op": "job.submit",
+                    "version": "1.0",
+                    "auth": self.AUTH,
+                    "payload": {"name": f"deep-{index}", "payload": "noop"},
+                    "request_id": index,
+                }
+            ).encode("utf-8")
+            + b"\n"
+            for index in range(1, total + 1)
+        )
+        client.server_status()  # connection + auth warm
+        with socket.create_connection(gateway.address, timeout=10.0) as sock:
+            sock.sendall(blob)
+            reader = sock.makefile("rb")
+            responses = [json.loads(reader.readline())]  # A is being served
+            single = client.submit_job("single", "noop")
+            responses += [json.loads(reader.readline()) for _ in range(total - 1)]
+        assert [r["request_id"] for r in responses] == list(range(1, total + 1))
+        deep_ids = [r["payload"]["job_id"] for r in responses]
+        assert deep_ids == sorted(deep_ids)
+        # Job ids are handed out in execution order: the single submit ran
+        # before the pipeline's last one, not after all of it.
+        assert single.job_id < deep_ids[-1], (single.job_id, deep_ids[-1])
+
+
 class TestParkedRequests:
     """A parked ``agent.poll`` holds its connection's place in the response
     order and nothing else: not a worker, and not a trace once the

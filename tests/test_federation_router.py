@@ -1153,7 +1153,7 @@ class TestFederatedAgents:
         self, fed2, poller, park_signal
     ):
         """The socket path through the federation router: polls park on the
-        home shard's registry without holding a gateway worker, a job on
+        home shard's registry without holding the dispatch thread, a job on
         the other shard leaves them parked, one on their own wakes them."""
         router, shards = fed2
         parked = park_signal(shards[1].router)
@@ -1166,13 +1166,15 @@ class TestFederatedAgents:
                 client.agent_register(
                     "worker", vantage_point="shard-1-node1", connectors=["fake"]
                 )
-                pollers = [
-                    poller(gateway.address, "worker")
-                    for _ in range(2 * gateway._worker_threads)
-                ]
+                pollers = [poller(gateway.address, "worker") for _ in range(8)]
                 for _ in pollers:
                     assert parked.acquire(timeout=5.0)
                 assert router.parked_polls() == len(pollers)
+                dispatch_threads = [
+                    thread for thread in threading.enumerate()
+                    if thread.name.startswith("batterylab-gw-worker")
+                ]
+                assert len(dispatch_threads) == 1
                 assert shards[0].router.parked_polls() == 0
                 submit_on(client, 0, "elsewhere", execution="agent", connector="fake")
                 submit_on(client, 1, "push-plane")
