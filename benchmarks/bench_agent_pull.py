@@ -10,14 +10,16 @@ Measures the server-side cost of the agent-pull execution plane:
 * **multi-device claims** — ``agent.claim`` on ``device_count=4`` jobs,
   where the server must check and hold every slot all-or-nothing under
   one lease;
-* **parked polls** — over a real socket gateway: how long a parked
-  ``agent.poll`` takes to return once the submit that feeds it is acked
-  (``parked_wake_ms_p50``, one agent), and what a ``job.submit`` costs
-  while 8 agents sit parked on the gateway's one dispatch thread
-  (``submit_ms_p50_8_parked``).  Before polls were parked as requests
-  these were 25–50 ms (the 50 ms re-check) and ~1.7 s (every worker held
-  by a poll); the script holds both under 10 ms.  The same row counts the
-  live ``batterylab-gw-worker`` threads while the agents are parked
+* **offer push** — over a real socket gateway: how long the ``offer``
+  frame takes to reach one agent waiting on its ``agent.subscribe`` stream
+  once the submit that feeds it is acked (``offer_wake_ms_p50``), and what
+  a ``job.submit`` costs while 8 agents wait on their streams
+  (``submit_ms_p50_8_subscribed``; every submit computes their offers and
+  pushes none).  While agents waited as parked ``agent.poll`` requests
+  these rows were ``parked_wake_ms_p50`` and ``submit_ms_p50_8_parked``,
+  and before that 25–50 ms (the 50 ms re-check) and ~1.7 s (every worker
+  held by a poll); the script holds both under 10 ms.  The same row counts
+  the live ``batterylab-gw-worker`` threads while the agents wait
   (``gateway_dispatch_threads``, held at 1 in CI);
 * **the outbox at rest** — what 10,000 settled jobs leave in one daemon's
   outbox file (``outbox_bytes_after_10k_jobs``) and what a ``resume()``
@@ -62,6 +64,7 @@ from repro.accessserver.payloads import noop_payload
 from repro.agent import CONNECTOR_PHASES, AgentDaemon
 from repro.agent.outbox import COMPACT_BYTES
 from repro.api import BatteryLabClient, JsonLinesTransport, TransportApiError
+from repro.api.client import PushStream
 from repro.core.platform import build_default_platform
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -70,8 +73,8 @@ RESULT_PATH = REPO_ROOT / "BENCH_agent_pull.json"
 ROUNDTRIP_JOBS = 200
 MULTI_CLAIMS = 50
 MULTI_DEVICE_COUNT = 4
-PARKED_ROUNDS = 50
-PARKED_AGENTS = 8
+OFFER_ROUNDS = 50
+SUBSCRIBED_AGENTS = 8
 OUTBOX_JOBS = 10_000
 DEEP_QUEUE_JOBS = 10_000
 DEEP_QUEUE_ROUNDS = 20
@@ -81,10 +84,10 @@ DEEP_QUEUE_ROUNDS = 20
 MIN_ROUNDTRIPS_PER_S = 50.0
 MIN_MULTI_CLAIMS_PER_S = 25.0
 
-#: Absolute ceilings on the parked-poll rows (also CI's gate): the wake is
-#: a re-check and two socket writes, the submit must not queue behind a poll.
-MAX_PARKED_WAKE_MS = 10.0
-MAX_SUBMIT_MS_8_PARKED = 10.0
+#: Absolute ceilings on the offer-push rows (also CI's gate): the wake is
+#: an offer check and a push, the submit pays the waiting agents' checks.
+MAX_OFFER_WAKE_MS = 10.0
+MAX_SUBMIT_MS_8_SUBSCRIBED = 10.0
 
 #: Absolute ceilings on the outbox rows (also CI's gate): the file is under
 #: the compaction bound unless the last job just crossed it (one lease's
@@ -171,90 +174,101 @@ def _socket_client(gateway) -> BatteryLabClient:
     )
 
 
-def _park(gateway, agent_id: str, returned: List[float]) -> threading.Thread:
-    """Long-poll for ``agent_id`` on its own connection and thread; the
-    wall time the poll returned at is appended to ``returned``."""
-    parked_before = gateway._router.parked_polls()
+def _await_offer(
+    agent: BatteryLabClient, stream: PushStream, received: List[float]
+) -> threading.Thread:
+    """Wait on ``agent``'s offer ``stream`` on a thread of its own; the wall
+    time the next frame arrived at is appended to ``received``.  Returns
+    once the thread is about to block."""
+    ready = threading.Event()
 
-    def poll() -> None:
-        with _socket_client(gateway) as client:
-            try:
-                client.agent_poll(agent_id, wait_s=30.0, limit=1)
-            except TransportApiError:  # still parked when the gateway stopped
-                return
-            returned.append(time.perf_counter())
+    def wait() -> None:
+        ready.set()
+        try:
+            agent.transport.recv_push(stream.subscription_id, timeout_s=60.0)
+        except TransportApiError:  # still waiting when the gateway stopped
+            return
+        received.append(time.perf_counter())
 
-    thread = threading.Thread(target=poll, daemon=True)
+    thread = threading.Thread(target=wait, daemon=True)
     thread.start()
-    while gateway._router.parked_polls() == parked_before:
-        time.sleep(0.0005)
+    ready.wait()
     return thread
 
 
-def _bench_parked_wake() -> Dict[str, object]:
+def _bench_offer_wake() -> Dict[str, object]:
     platform = _platform_with_devices(4)
     gateway = platform.serve_gateway()
     try:
-        with _socket_client(gateway) as client:
-            client.agent_register("bench-parked", connectors=["fake"])
+        with _socket_client(gateway) as client, _socket_client(gateway) as agent:
+            client.agent_register("bench-offered", connectors=["fake"])
+            stream = agent.agent_subscribe("bench-offered", limit=1)
             wakes_ms, from_send_ms = [], []
-            for index in range(PARKED_ROUNDS):
-                returned: List[float] = []
-                thread = _park(gateway, "bench-parked", returned)
+            for index in range(OFFER_ROUNDS):
+                received: List[float] = []
+                thread = _await_offer(agent, stream, received)
                 sent = time.perf_counter()
                 job = client.submit_job(
                     f"wake-{index}", "noop", execution="agent", connector="fake"
                 )
                 acked = time.perf_counter()
                 thread.join()
-                # The poll's answer is queued before the submit's ack is, so
-                # it usually wins the race to its reader: 0 ms after the ack.
-                wakes_ms.append(max(0.0, returned[0] - acked) * 1000.0)
-                from_send_ms.append((returned[0] - sent) * 1000.0)
-                lease = client.agent_claim("bench-parked", job.job_id)
-                client.agent_report(lease.lease_id, "bench-parked", "completed")
+                # The frame is queued before the submit's ack is, so it
+                # usually wins the race to its reader: 0 ms after the ack.
+                wakes_ms.append(max(0.0, received[0] - acked) * 1000.0)
+                from_send_ms.append((received[0] - sent) * 1000.0)
+                lease = client.agent_claim("bench-offered", job.job_id)  # re-arms
+                client.agent_report(lease.lease_id, "bench-offered", "completed")
     finally:
         gateway.stop()
     return {
-        "parked_agents": 1,
-        "rounds": PARKED_ROUNDS,
-        "parked_wake_ms_p50": round(statistics.median(wakes_ms), 3),
-        "parked_wake_ms_max": round(max(wakes_ms), 3),
-        "parked_wake_from_send_ms_p50": round(statistics.median(from_send_ms), 3),
+        "subscribed_agents": 1,
+        "rounds": OFFER_ROUNDS,
+        "offer_wake_ms_p50": round(statistics.median(wakes_ms), 3),
+        "offer_wake_ms_max": round(max(wakes_ms), 3),
+        "offer_wake_from_send_ms_p50": round(statistics.median(from_send_ms), 3),
     }
 
 
-def _bench_submit_with_parked_agents() -> Dict[str, object]:
+def _bench_submit_with_subscribed_agents() -> Dict[str, object]:
     platform = _platform_with_devices(4)
     gateway = platform.serve_gateway()
+    agents = [_socket_client(gateway) for _ in range(SUBSCRIBED_AGENTS)]
     try:
         with _socket_client(gateway) as client:
-            # Parked on a connector no job below asks for: every submit
-            # re-checks all of them and wakes none.
-            for index in range(PARKED_AGENTS):
-                client.agent_register(f"bench-idle-{index}", connectors=["noprovision"])
-                _park(gateway, f"bench-idle-{index}", [])
+            # Waiting on a connector no job below asks for: every submit
+            # checks all of them and pushes to none.
+            for index, agent in enumerate(agents):
+                agent_id = f"bench-idle-{index}"
+                client.agent_register(agent_id, connectors=["noprovision"])
+                _await_offer(agent, agent.agent_subscribe(agent_id), [])
             dispatch_threads = sum(
                 thread.name.startswith("batterylab-gw-worker")
                 for thread in threading.enumerate()
             )
             submits_ms = []
-            for index in range(PARKED_ROUNDS):
+            for index in range(OFFER_ROUNDS):
                 started = time.perf_counter()
                 client.submit_job(
                     f"busy-{index}", "noop", execution="agent", connector="fake"
                 )
                 submits_ms.append((time.perf_counter() - started) * 1000.0)
-            still_parked = gateway._router.parked_polls()
+            still_subscribed = gateway._router.agent_subscriptions()
+            frames = platform.access_server.obs.registry.family(
+                "agent_offer_frames_total"
+            ).labels().value
     finally:
         gateway.stop()
-    assert still_parked == PARKED_AGENTS, f"{still_parked} agents still parked"
+        for agent in agents:
+            agent.close()
+    assert still_subscribed == SUBSCRIBED_AGENTS, f"{still_subscribed} agents subscribed"
+    assert frames == 0, f"{frames} offer frame(s) pushed to agents that cannot run the jobs"
     return {
-        "parked_agents": PARKED_AGENTS,
+        "subscribed_agents": SUBSCRIBED_AGENTS,
         "gateway_dispatch_threads": dispatch_threads,
-        "submits": PARKED_ROUNDS,
-        "submit_ms_p50_8_parked": round(statistics.median(submits_ms), 3),
-        "submit_ms_max_8_parked": round(max(submits_ms), 3),
+        "submits": OFFER_ROUNDS,
+        "submit_ms_p50_8_subscribed": round(statistics.median(submits_ms), 3),
+        "submit_ms_max_8_subscribed": round(max(submits_ms), 3),
     }
 
 
@@ -347,8 +361,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
         _bench_roundtrips(1),
         _bench_roundtrips(8),
         _bench_multi_claims(),
-        _bench_parked_wake(),
-        _bench_submit_with_parked_agents(),
+        _bench_offer_wake(),
+        _bench_submit_with_subscribed_agents(),
         _bench_outbox_at_rest(),
         _bench_deep_queue(),
     ]
@@ -356,8 +370,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     result["roundtrips_per_s_1agent"] = rows[0]["roundtrips_per_s"]
     result["roundtrips_per_s_8agent"] = rows[1]["roundtrips_per_s"]
     result["multi_claims_per_s"] = rows[2]["multi_claims_per_s"]
-    result["parked_wake_ms_p50"] = rows[3]["parked_wake_ms_p50"]
-    result["submit_ms_p50_8_parked"] = rows[4]["submit_ms_p50_8_parked"]
+    result["offer_wake_ms_p50"] = rows[3]["offer_wake_ms_p50"]
+    result["submit_ms_p50_8_subscribed"] = rows[4]["submit_ms_p50_8_subscribed"]
     result["gateway_dispatch_threads"] = rows[4]["gateway_dispatch_threads"]
     result["outbox_bytes_after_10k_jobs"] = rows[5]["outbox_bytes_after_10k_jobs"]
     result["resume_ms_after_10k_settled"] = rows[5]["resume_ms_after_10k_settled"]
@@ -372,8 +386,8 @@ def run_agent_pull_benchmark() -> Dict[str, object]:
     )
     result["min_roundtrips_per_s"] = MIN_ROUNDTRIPS_PER_S
     result["min_multi_claims_per_s"] = MIN_MULTI_CLAIMS_PER_S
-    result["max_parked_wake_ms"] = MAX_PARKED_WAKE_MS
-    result["max_submit_ms_8_parked"] = MAX_SUBMIT_MS_8_PARKED
+    result["max_offer_wake_ms"] = MAX_OFFER_WAKE_MS
+    result["max_submit_ms_8_subscribed"] = MAX_SUBMIT_MS_8_SUBSCRIBED
     result["max_outbox_bytes_after_10k_jobs"] = MAX_OUTBOX_BYTES_AFTER_10K
     result["max_resume_ms_after_10k_settled"] = MAX_RESUME_MS_AFTER_10K
     result["max_outbox_fsyncs_per_job"] = MAX_OUTBOX_FSYNCS_PER_JOB
@@ -399,8 +413,8 @@ def _enforce_floors(result: Dict[str, object]) -> None:
             f"floor is {MIN_MULTI_CLAIMS_PER_S}"
         )
     for metric, ceiling in (
-        ("parked_wake_ms_p50", MAX_PARKED_WAKE_MS),
-        ("submit_ms_p50_8_parked", MAX_SUBMIT_MS_8_PARKED),
+        ("offer_wake_ms_p50", MAX_OFFER_WAKE_MS),
+        ("submit_ms_p50_8_subscribed", MAX_SUBMIT_MS_8_SUBSCRIBED),
         ("outbox_bytes_after_10k_jobs", MAX_OUTBOX_BYTES_AFTER_10K),
         ("resume_ms_after_10k_settled", MAX_RESUME_MS_AFTER_10K),
         ("outbox_fsyncs_per_job", MAX_OUTBOX_FSYNCS_PER_JOB),
@@ -420,8 +434,8 @@ def test_agent_pull(benchmark):
     assert result["roundtrips_per_s_1agent"] >= MIN_ROUNDTRIPS_PER_S
     assert result["roundtrips_per_s_8agent"] >= MIN_ROUNDTRIPS_PER_S
     assert result["multi_claims_per_s"] >= MIN_MULTI_CLAIMS_PER_S
-    assert result["parked_wake_ms_p50"] <= MAX_PARKED_WAKE_MS
-    assert result["submit_ms_p50_8_parked"] <= MAX_SUBMIT_MS_8_PARKED
+    assert result["offer_wake_ms_p50"] <= MAX_OFFER_WAKE_MS
+    assert result["submit_ms_p50_8_subscribed"] <= MAX_SUBMIT_MS_8_SUBSCRIBED
     assert result["outbox_bytes_after_10k_jobs"] <= MAX_OUTBOX_BYTES_AFTER_10K
     assert result["resume_ms_after_10k_settled"] <= MAX_RESUME_MS_AFTER_10K
     assert result["outbox_fsyncs_per_job"] <= MAX_OUTBOX_FSYNCS_PER_JOB

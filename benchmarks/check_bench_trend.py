@@ -31,7 +31,7 @@ A lower-is-better metric whose old values are no baseline worth keeping
     python benchmarks/check_bench_trend.py \
         --baseline /tmp/bench_baseline_agent.json \
         --current BENCH_agent_pull.json \
-        --ceiling parked_wake_ms_p50:10
+        --ceiling offer_wake_ms_p50:10
 
 CI copies the committed ``BENCH_*.json`` aside before the benchmark run
 overwrites it, so "baseline" is always the last accepted measurement.

@@ -131,7 +131,7 @@ class AgentManager:
         registry = server.obs.registry
         self._m_polls = registry.counter(
             "agent_polls_total",
-            "agent.poll requests answered, by outcome.",
+            "Offer checks (agent.poll requests and offer-stream checks), by outcome.",
             labelnames=("outcome",),
         )
         self._m_claims = registry.counter(
@@ -251,6 +251,10 @@ class AgentManager:
         nothing.  The primary slot goes through the scheduler's
         ``assign`` (same ``dispatch.assigned`` record as push dispatch);
         the child slots join the scheduler's hold for the job.
+
+        A repeated claim by the agent already holding the job's lease is
+        answered with that lease: a client that resent its claim after the
+        connection dropped on the way back gets what the first copy won.
         """
         started = time.perf_counter()
         server = self._server
@@ -267,6 +271,9 @@ class AgentManager:
                 "jobs can be claimed"
             )
         if job.status is not JobStatus.QUEUED:
+            held = self._leases.get(self._lease_by_job.get(job_id, ""))
+            if held is not None and held.agent_id == agent_id:
+                return held, job
             raise AgentError(f"job {job_id} is {job.status.value}, not claimable")
         now = server.context.now
         devices = self._slots_for(job, record, now)

@@ -89,8 +89,9 @@ class JobSpec:
 
     ``execution`` selects who runs the payload: ``"push"`` (default) keeps
     the server-side executor dispatching onto device slots; ``"agent"``
-    parks the job for a vantage-point daemon to pull via
-    ``agent.poll``/``agent.claim`` — push dispatch skips it entirely.
+    queues the job for a vantage-point daemon to be offered (``agent.subscribe``,
+    ``agent.poll``) and to pull (``agent.claim``) — push dispatch skips it
+    entirely.
     """
 
     name: str

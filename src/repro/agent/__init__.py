@@ -3,8 +3,8 @@
 BatteryLab's vantage points sit behind residential NATs and flaky links
 (Section 3), so the platform cannot rely on pushing work into them.  This
 package inverts the flow: a :class:`~repro.agent.daemon.AgentDaemon` runs
-*next to* the devices, long-polls the server for matching jobs over
-Platform API v2 (``agent.poll``), claims them under a renewable lease
+*next to* the devices, waits for matching jobs on a Platform API v2 push
+stream (``agent.subscribe``, with ``agent.poll`` as its check), claims them under a renewable lease
 (``agent.claim``/``agent.heartbeat``), executes them through a pluggable
 :class:`~repro.agent.connectors.DeviceConnector`, and uploads the outcome
 (``agent.report``) — surviving its own crashes through a journal-backed

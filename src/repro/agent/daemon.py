@@ -1,4 +1,4 @@
-"""The vantage-point agent daemon: poll, claim, execute, report.
+"""The vantage-point agent daemon: wait for work, claim, execute, report.
 
 :class:`AgentDaemon` is the long-running process an operator starts next to
 a vantage point's devices (``repro agent`` on the CLI).  Its loop:
@@ -7,7 +7,10 @@ a vantage point's devices (``repro agent`` on the CLI).  Its loop:
 2. **resume** — replay the outbox journal: finish half-run jobs without
    re-executing journaled phases, and re-upload results whose server ack
    was lost (the server answers ``duplicate`` if the first upload landed);
-3. **poll** — ``agent.poll``, optionally long-polling server-side;
+3. **wait** — for an ``offer`` frame on the ``agent.subscribe`` stream,
+   polling (``agent.poll``, never waiting server-side) once after
+   subscribing and whenever a frame cannot be trusted to tell it all: the
+   wait timed out, a ``seq`` gap, or every offer in the frame was taken;
 4. **claim** — ``agent.claim`` the first offer; multi-device jobs arrive
    with every slot already held all-or-nothing under one lease;
 5. **execute** — run the configured connector's provision → test → cleanup
@@ -41,13 +44,20 @@ from repro.agent.connectors import (
 )
 from repro.agent.outbox import Outbox
 from repro.api.errors import ApiError, NotFoundApiError, TransportApiError
-from repro.api.schemas import AgentLeaseView, AgentView, json_safe
+from repro.api.schemas import (
+    AgentLeaseView,
+    AgentPollView,
+    AgentView,
+    ApiPush,
+    JobOfferView,
+    json_safe,
+)
 from repro.obs import component_logger
 
 __all__ = ["AgentDaemon"]
 
-#: :meth:`AgentDaemon.run_forever` pauses: after a short poll that found
-#: nothing, and before retrying an unreachable gateway.
+#: :meth:`AgentDaemon.run_forever` pauses: after a cycle that found nothing
+#: without waiting, and before retrying an unreachable gateway.
 _IDLE_SLEEP_S = 0.2
 _RETRY_SLEEP_S = 1.0
 
@@ -93,6 +103,12 @@ class AgentDaemon:
         self.announced_connectors = sorted(set(connectors or ()) | {connector})
         self.lease_ttl_s = lease_ttl_s
         self._log = component_logger("repro.agent.daemon")
+        # The offer stream (see subscribe): its id, the transport's
+        # connection count it was opened at, and its last frame's seq
+        # (``None`` until the poll a fresh stream owes).
+        self._offers: Optional[int] = None
+        self._offers_connection = 0
+        self._offers_seq: Optional[int] = None
 
     # -- lifecycle ------------------------------------------------------------
     def register(self) -> AgentView:
@@ -124,22 +140,63 @@ class AgentDaemon:
                 settled.append(job_id)
         return settled
 
-    def run_once(self, wait_s: float = 0.0) -> Optional[int]:
-        """One poll → claim → execute → report cycle.
+    def subscribe(self) -> None:
+        """Wait for work on an ``agent.subscribe`` stream from now on.
 
-        Returns the settled job id, or ``None`` when nothing was claimable
-        (or the claim was lost to a racing agent — a normal outcome, not an
-        error).
+        The stream dies with its connection: :meth:`run_once` opens a new
+        one when the transport has reconnected since.
         """
-        poll = self.client.agent_poll(self.agent_id, wait_s=wait_s)
-        for offer in poll.offers:
+        self._offers = self.client.agent_subscribe(self.agent_id).subscription_id
+        self._offers_connection = self.client.transport.connects
+        self._offers_seq = None
+
+    def run_once(self, wait_s: float = 0.0) -> Optional[int]:
+        """One wait → claim → execute → report cycle.
+
+        Waits up to ``wait_s`` for an offer frame when subscribed, and
+        polls once instead of (or after) the frame when it cannot be
+        trusted to tell it all (see the module docstring).  Returns the
+        settled job id, or ``None`` when nothing was claimable (or the
+        claim was lost to a racing agent — a normal outcome, not an error).
+        """
+        offers = self._next_offers(wait_s)
+        lease = None if offers is None else self._claim_first(offers)
+        if lease is None:
+            lease = self._claim_first(self.client.agent_poll(self.agent_id).offers)
+        return None if lease is None else self.execute(lease)
+
+    def _next_offers(self, wait_s: float) -> Optional[List[JobOfferView]]:
+        """The next offer frame's offers; ``None`` when this cycle must poll."""
+        if self._offers is None:
+            return None
+        transport = self.client.transport
+        if transport.connects != self._offers_connection:
+            self.subscribe()
+        if self._offers_seq is None:
+            # Work queued before the stream opened is never pushed: poll.
+            self._offers_seq = 0
+            return None
+        try:
+            raw = transport.recv_push(self._offers, timeout_s=wait_s)
+        except TransportApiError as exc:
+            if exc.details.get("timeout_s") is None:
+                raise  # the connection is gone, not just quiet
+            return None
+        if raw is None:  # a transport that cannot wait
+            return None
+        frame = ApiPush.from_wire(raw)
+        gap = frame.seq != self._offers_seq + 1
+        self._offers_seq = frame.seq
+        return None if gap else AgentPollView.from_wire(frame.payload).offers
+
+    def _claim_first(self, offers: List[JobOfferView]) -> Optional[AgentLeaseView]:
+        for offer in offers:
             try:
-                lease = self.client.agent_claim(
+                return self.client.agent_claim(
                     self.agent_id, offer.job_id, ttl_s=self.lease_ttl_s
                 )
             except ApiError:
-                continue  # another agent won the race; try the next offer
-            return self.execute(lease)
+                continue  # taken by another agent; try the next offer
         return None
 
     def run_forever(
@@ -156,7 +213,9 @@ class AgentDaemon:
         finished (:meth:`resume`) on entry and after an outage — a result
         whose upload the disconnect cut short is waiting there — not per
         cycle: nothing else can leave one pending.  A resume reads no file;
-        the outbox keeps its fold in memory.  Call :meth:`register` first.
+        the outbox keeps its fold in memory.  Each resume is followed by a
+        :meth:`subscribe`, and each cycle waits ``poll_wait_s`` on that
+        stream.  Call :meth:`register` first.
         """
         deadline = None if duration_s is None else time.monotonic() + duration_s
         replay = True
@@ -165,11 +224,15 @@ class AgentDaemon:
             try:
                 if replay:
                     yield from self.resume()
+                    self.subscribe()
                     replay = False
+                cycle_started = time.monotonic()
                 job_id = self.run_once(wait_s=poll_wait_s)
                 if job_id is not None:
                     yield job_id
-                elif poll_wait_s <= 0:
+                elif time.monotonic() - cycle_started < _IDLE_SLEEP_S:
+                    # Nothing, and no wait (none asked for, or a transport
+                    # that cannot wait): pause rather than spin.
                     pause_s = _IDLE_SLEEP_S
             except TransportApiError as exc:
                 self._log.warning("gateway unreachable (%s); retrying", exc)

@@ -89,6 +89,10 @@ class Transport(abc.ABC):
     #: client attaches an idempotency key to submissions on such transports.
     supports_reconnect = False
 
+    #: Connections opened so far.  A subscription lives only as long as the
+    #: connection it was opened on, so a change here means it is gone.
+    connects = 0
+
     @abc.abstractmethod
     def send(self, request: dict) -> dict:
         """Deliver ``request`` and return the wire-form response envelope."""
@@ -112,7 +116,9 @@ class Transport(abc.ABC):
         wait for one (an in-process bridge would deadlock the thread that
         must also advance the simulation).  Waiting transports (sockets)
         block instead, raising :class:`~repro.api.errors.TransportApiError`
-        on timeout or a dead connection rather than returning ``None``.
+        on timeout or a dead connection rather than returning ``None``; a
+        timeout's error carries ``details["timeout_s"]`` and leaves the
+        connection up.
         """
         raise TransportApiError("this transport does not support streaming")
 
@@ -145,7 +151,7 @@ class InProcessTransport(Transport):
         response = self._router.handle(wire_request, push=self._on_push, owner=self)
         # The call is over, so whatever it changed is in place: the point at
         # which the gateway releases router_lock, and the same duty.
-        self._router.recheck_parked_polls()
+        self._router.push_offers()
         return json.loads(json.dumps(response))
 
     def _on_push(self, frame: dict) -> None:
@@ -726,18 +732,20 @@ class BatteryLabClient:
         )
         return AgentView.from_wire(wire)
 
-    def agent_poll(
-        self, agent_id: str, wait_s: float = 0.0, limit: int = 10
-    ) -> AgentPollView:
-        """Claimable jobs for ``agent_id``; ``wait_s > 0`` long-polls (v2).
+    def agent_subscribe(self, agent_id: str, limit: int = 10) -> PushStream:
+        """Wait for work: a stream of ``offer`` frames for ``agent_id`` (v2).
 
-        The server clamps the wait to its own ceiling; on the in-process
-        transport keep ``wait_s=0`` unless another thread drives the
-        platform — this one blocks until the poll is answered.
+        Each frame's payload is an :class:`AgentPollView`.  After a frame
+        the stream stays quiet until the agent's next :meth:`agent_claim`
+        or :meth:`agent_poll`; offers queued before the subscription are
+        only seen by a poll, so subscribe first, then poll once.
         """
-        wire = self._call(
-            "agent.poll", {"agent_id": agent_id, "wait_s": wait_s, "limit": limit}
-        )
+        wire = self._call("agent.subscribe", {"agent_id": agent_id, "limit": limit})
+        return PushStream(self, SubscriptionAck.from_wire(wire).subscription_id)
+
+    def agent_poll(self, agent_id: str, limit: int = 10) -> AgentPollView:
+        """The jobs ``agent_id`` could claim now (v2); never waits."""
+        wire = self._call("agent.poll", {"agent_id": agent_id, "limit": limit})
         return AgentPollView.from_wire(wire)
 
     def agent_claim(

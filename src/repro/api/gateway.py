@@ -39,17 +39,6 @@ connection that floods more than :data:`ApiGateway.MAX_PIPELINE_DEPTH`
 unanswered requests has its reads paused until the backlog drains —
 genuine TCP back-pressure instead of unbounded buffering.
 
-**Parked requests.**  A long-poll (``agent.poll`` with ``wait_s``) that
-finds no work is parked by the router as a registered request, not on a
-thread: the dispatch thread moves on to other connections, the connection
-keeps its place in the response order (requests pipelined behind it wait,
-as they always did), and the response is queued when the router completes
-the poll — after a mutation that announced work (re-checked as
-:attr:`ApiGateway.router_lock` is released), at its deadline (the selector
-loop's timeout is the nearest one), or on cancel (connection close,
-:meth:`ApiGateway.stop`, shard drain).  Any number of agents may wait; none
-of them occupies a thread.
-
 **Streaming (API v2).**  Responses and server pushes share one connection:
 each connection hands the router a ``push`` callable that enqueues
 :class:`~repro.api.schemas.ApiPush` frames onto a *bounded* per-connection
@@ -64,6 +53,10 @@ buffering push frames per subscription while a response is awaited.  When
 a connection dies — or :meth:`ApiGateway.stop` runs — every subscription
 it owned is cancelled on the router, so a blocked ``job.watch`` reader can
 never hang shutdown and the event bus never writes to a dead socket.
+Agents wait for work the same way: an ``agent.subscribe`` stream is
+pushed an ``offer`` frame as :attr:`ApiGateway.router_lock` is released
+after a mutation that made work claimable.  Every request is answered in
+turn; none waits server-side for work.
 
 **TLS.**  Pass an ``ssl.SSLContext`` (see
 :func:`repro.accessserver.certificates.server_tls_context`) to serve the
@@ -81,9 +74,9 @@ Threading model: one daemon loop thread owns all sockets and answers
 all-read-only bursts (≤ :data:`ApiGateway.INLINE_BATCH_MAX`) on an idle
 connection inline, lock-free, so they never wait behind a mutation; all
 else runs on one daemon dispatch thread (more add no parallelism on one
-core, only a convoy on the router lock and the GIL).  A bigger read burst,
-a read pipelined behind a mutation on its own connection, or an
-``agent.poll``'s first check can so wait behind another's slow mutation.
+core, only a convoy on the router lock and the GIL).  A bigger read burst
+or a read pipelined behind a mutation on its own connection can so wait
+behind another's slow mutation.
 """
 
 from __future__ import annotations
@@ -96,7 +89,6 @@ import ssl
 import threading
 import time
 from collections import deque
-from functools import partial
 from typing import Optional, Tuple
 
 from repro.api.errors import TransportApiError, ValidationApiError
@@ -274,16 +266,10 @@ class _Connection:
                 batch.append(self._requests.popleft())
             return batch
 
-    def unread_requests(self, items) -> None:
-        """Worker thread: put the unexecuted tail of a batch back, in order."""
-        with self._lock:
-            if not self._closed:
-                self._requests.extendleft(reversed(items))
-
     def keep_claim_if_queued(self) -> bool:
-        """Any thread, after a turn or a parked request ends: true when
-        requests are still queued and the caller must queue the next turn
-        (the claim is kept); otherwise the claim is released."""
+        """Dispatch thread, after a turn: true when requests are still
+        queued and the caller must queue the next turn (the claim is
+        kept); otherwise the claim is released."""
         with self._lock:
             if self._requests and not self._closed:
                 return True
@@ -342,9 +328,9 @@ class _RouterLock:
     Whatever mutates the access server under a gateway holds this lock — a
     mutating request, a host loop's tick — so its release is the one moment
     the state is both changed and whole again.  ``after_burst`` (the
-    router's ``recheck_parked_polls``) runs there, still under the lock, on
-    the thread that did the mutating: parked polls are re-checked at most
-    once per burst, and a burst that announced no work pays a flag test.
+    router's ``push_offers``) runs there, still under the lock, on the
+    thread that did the mutating: agent offers are computed at most once
+    per burst, and a burst that announced no work pays a flag test.
     """
 
     def __init__(self, after_burst) -> None:
@@ -431,9 +417,7 @@ class ApiGateway:
         self._selector: Optional[selectors.BaseSelector] = None
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
-        self._router_lock = _RouterLock(
-            getattr(router, "recheck_parked_polls", lambda: None)
-        )
+        self._router_lock = _RouterLock(getattr(router, "push_offers", lambda: None))
         self._dirty_lock = threading.Lock()
         self._dirty: set = set()
         self._adoptions: deque = deque()
@@ -533,8 +517,8 @@ class ApiGateway:
         submit — must hold this lock for each mutation burst, or a request
         landing mid-dispatch races the single-threaded simulation state.
         Read-only operations run without it (see the module docstring).
-        Releasing it is also what re-checks parked ``agent.poll`` requests
-        against the work the burst announced (:class:`_RouterLock`).
+        Releasing it is also what pushes ``offer`` frames to subscribed
+        agents for the work the burst announced (:class:`_RouterLock`).
         """
         return self._router_lock
 
@@ -630,16 +614,10 @@ class ApiGateway:
 
     def _run_loop(self) -> None:
         selector = self._selector
-        expire_polls = getattr(self._router, "expire_parked_polls", lambda: None)
         while self._running:
             timeout = 0.5 if any(
                 c.state == _STATE_TLS for c in self._connections
             ) else None
-            # Parked polls have no timer of their own: answer the ones now
-            # due, and sleep no longer than the nearest remaining deadline.
-            next_deadline = expire_polls()
-            if next_deadline is not None and (timeout is None or next_deadline < timeout):
-                timeout = next_deadline
             try:
                 events = selector.select(timeout)
             except OSError:  # pragma: no cover - selector torn down
@@ -887,20 +865,15 @@ class ApiGateway:
     def _inline_eligible(self, items) -> bool:
         """A burst may run on the loop thread iff every request is read-only
         (dispatched lock-free, so the loop cannot block behind a slow
-        mutating op), none of it can *park* (a long-poll such as
-        ``agent.poll`` holds its connection's place in the response order,
-        which is the worker path's business), and the burst is small
-        enough not to starve other connections."""
+        mutating op) and the burst is small enough not to starve other
+        connections."""
         if len(items) > self.INLINE_BATCH_MAX:
             return False
         is_read_only = getattr(self._router, "is_read_only", None)
         if is_read_only is None:
             return False
-        is_blocking = getattr(self._router, "is_blocking", None)
         return all(
-            error is None
-            and is_read_only(request.get("op"))
-            and not (is_blocking is not None and is_blocking(request.get("op")))
+            error is None and is_read_only(request.get("op"))
             for request, error in items
         )
 
@@ -970,50 +943,23 @@ class ApiGateway:
         batch = connection.next_request_batch(self.WORKER_BATCH)
         if batch is None:
             return
-        may_park = getattr(self._router, "is_blocking", lambda op: False)
         batch_t0 = time.perf_counter()
         out = bytearray()
-        for index, (request, error) in enumerate(batch):
-            if error is not None:
-                response = error
-            elif may_park(request.get("op")):
-                # From here the request's completion — on any thread,
-                # possibly before the dispatch returns — owns this
-                # connection's pipeline, so the batch ends with it:
-                # answers so far go out, the rest goes back in line.
-                connection.unread_requests(batch[index + 1 :])
-                del batch[index + 1 :]
-                if out:
-                    connection.queue_response(bytes(out))
-                    out = bytearray()
-                response = self._dispatch_parking(request, connection)
-                if response is None:
-                    break
-            else:
+        for request, error in batch:
+            if error is None:
                 response = self._dispatch(request, connection, connection.secure)
+            else:
+                response = error
             out += json.dumps(response).encode("utf-8")
             out += b"\n"
         if self._obs is not None and self._obs.registry.enabled:
             self._m_requests_worker.inc(float(len(batch)))
             self._m_batch_worker.observe(time.perf_counter() - batch_t0)
-        if response is None:
-            # Parked, and no thread waits with it: the dispatch thread is
-            # free, and the loop learns there is a new deadline to sleep to.
-            self._wake()
-            return
         connection.queue_response(bytes(out))
-        self._next_turn(connection)
-
-    def _next_turn(self, connection: _Connection) -> None:
-        """Queue the connection's next batch behind every other connection's,
-        or release its claim when nothing is left to answer."""
+        # Queue the connection's next batch behind every other connection's,
+        # or release its claim when nothing is left to answer.
         if connection.keep_claim_if_queued():
             self._turns.put(connection)
-
-    def _complete_parked(self, connection: _Connection, response: dict) -> None:
-        """Any thread: a parked request's answer, then the requests behind it."""
-        connection.queue_response(json.dumps(response).encode("utf-8") + b"\n")
-        self._next_turn(connection)
 
     def _parse_line(self, line: bytes):
         """Loop thread: parse one request line into ``(request, None)`` or
@@ -1087,39 +1033,6 @@ class ApiGateway:
                 )
             return response
 
-    def _dispatch_parking(
-        self, request: dict, connection: _Connection
-    ) -> Optional[dict]:
-        """:meth:`_dispatch` for a request that may park: ``None`` when it
-        did, and :meth:`_complete_parked` delivers the response later.
-
-        Such requests are read-only, so the optimistic rule applies:
-        lock-free first (unless client-traced), once more under the lock
-        after a torn read.
-        """
-        deferred = getattr(self._router, "handle_deferred", None)
-        if deferred is None:  # a router that cannot park blocks the thread
-            return self._dispatch(request, connection, connection.secure)
-
-        attempt = partial(
-            deferred,
-            request,
-            partial(self._complete_parked, connection),
-            push=connection.push_frame,
-            owner=connection,
-            secure=connection.secure,
-        )
-        if request.get("trace_id") is None:
-            response = attempt()
-            error = response.get("error") if response is not None else None
-            if not (
-                isinstance(error, dict)
-                and error.get("code") in _RETRY_UNDER_LOCK_CODES
-            ):
-                return response
-        with self._router_lock:
-            return attempt()
-
     # -- teardown ------------------------------------------------------------
     def _teardown(self, connection: _Connection, silent: bool = False) -> None:
         if connection.state == _STATE_CLOSED:
@@ -1177,7 +1090,9 @@ class JsonLinesTransport(Transport):
     Push frames (``kind: "push"``) may arrive interleaved with responses;
     they are demultiplexed into per-subscription buffers.  ``recv_push``
     drains the buffer first and then *blocks* on the socket — this is a
-    streaming-capable transport.
+    streaming-capable transport.  Lines are framed from the transport's
+    own buffer, so a ``recv_push`` that times out leaves the connection
+    (and a partly received frame) intact.
 
     :meth:`send_many` pipelines a batch of requests over the connection —
     one write, responses read back in request order — amortizing the
@@ -1203,7 +1118,7 @@ class JsonLinesTransport(Transport):
         self._tls_context = tls_context
         self._server_hostname = server_hostname or host
         self._sock: Optional[socket.socket] = None
-        self._reader = None
+        self._inbuf = bytearray()
         self._push_buffers: dict = {}
 
     def _connect(self) -> None:
@@ -1225,13 +1140,21 @@ class JsonLinesTransport(Transport):
                 details={"host": self._host, "port": self._port},
             ) from None
         self._sock = sock
-        self._reader = sock.makefile("rb")
+        self.connects += 1
 
     def _read_frame(self) -> Optional[dict]:
         """One parsed frame off the wire; ``None`` on orderly EOF."""
-        line = self._reader.readline()
-        if not line:
-            return None
+        buf = self._inbuf
+        end = buf.find(b"\n")
+        while end < 0:
+            scanned = len(buf)
+            chunk = self._sock.recv(_RECV_CHUNK)
+            if not chunk:
+                return None
+            buf += chunk
+            end = buf.find(b"\n", scanned)
+        line = buf[: end + 1]
+        del buf[: end + 1]
         try:
             frame = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -1339,7 +1262,7 @@ class JsonLinesTransport(Transport):
         buffered = self._push_buffers.get(subscription_id)
         if buffered:
             return buffered.pop(0)
-        if self._sock is None or self._reader is None:
+        if self._sock is None:
             raise TransportApiError(
                 "no connection to receive pushes on; the subscription is gone"
             )
@@ -1352,6 +1275,7 @@ class JsonLinesTransport(Transport):
             while True:
                 frame = self._read_frame()
                 if frame is None:
+                    self.close()
                     raise TransportApiError(
                         "gateway closed the connection while streaming"
                     )
@@ -1362,10 +1286,12 @@ class JsonLinesTransport(Transport):
                 if frame.get("subscription_id") == subscription_id:
                     return frame
                 self._buffer_push(frame)
-        except socket.timeout:
+        except (socket.timeout, BlockingIOError, ssl.SSLWantReadError):
+            # A quiet stream, not a dead one: ``details["timeout_s"]`` tells
+            # the two apart, and the connection stays up.
             raise TransportApiError(
                 f"timed out after {timeout_s}s waiting for a push frame",
-                details={"subscription_id": subscription_id},
+                details={"subscription_id": subscription_id, "timeout_s": timeout_s},
             ) from None
         except OSError as exc:
             self.close()
@@ -1375,12 +1301,7 @@ class JsonLinesTransport(Transport):
                 self._sock.settimeout(previous_timeout)
 
     def close(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._reader = None
+        self._inbuf.clear()
         if self._sock is not None:
             try:
                 self._sock.close()

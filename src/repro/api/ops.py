@@ -75,10 +75,6 @@ class Op:
     authenticate: bool = True
     streaming: bool = False
     read_only: bool = False
-    # Read-only but may *park* (long-poll): ``handle`` blocks its caller
-    # until the parked request completes, so it must never run inline on
-    # the gateway's selector loop; ``handle_deferred`` parks it instead.
-    blocking: bool = False
 
     @property
     def handler_suffix(self) -> str:
@@ -121,7 +117,8 @@ _TABLE = (
     Op("subscription.cancel", Permission.VIEW_RESULTS, "routed"),
     # -- v2: agent-pull execution ----------------------------------------------------
     Op("agent.register", Permission.RUN_JOB, "routed"),
-    Op("agent.poll", Permission.RUN_JOB, "routed", read_only=True, blocking=True),
+    Op("agent.subscribe", Permission.RUN_JOB, "stream", streaming=True),
+    Op("agent.poll", Permission.RUN_JOB, "routed", read_only=True),
     Op("agent.claim", Permission.RUN_JOB, "routed"),
     Op("agent.heartbeat", Permission.RUN_JOB, "routed"),
     Op("agent.report", Permission.RUN_JOB, "routed"),
@@ -148,8 +145,6 @@ class RequestContext:
     push: Optional[Callable[[dict], None]]
     owner_token: Optional[object]
     secure: bool
-    # What a parked request needs to answer later, from another thread.
-    complete: Optional[Callable[[dict], None]]
     started: float
     trace_id: Optional[str] = None
     user: Optional[User] = None
@@ -164,8 +159,7 @@ class OpRouter:
     """Entry points and envelope gates shared by every router.
 
     A subclass binds the table once with :meth:`_bind` and implements
-    ``_serve(ctx, handler)``, which returns the response envelope — or
-    ``None`` for a request that parked.
+    ``_serve(ctx, handler)``, which returns the response envelope.
     """
 
     _ops: Dict[str, Tuple[Op, Callable]]
@@ -196,16 +190,6 @@ class OpRouter:
         """
         op = self._row(op_name)
         return op is not None and op.read_only
-
-    def is_blocking(self, op_name: object) -> bool:
-        """Whether ``op_name`` may park (long-poll).
-
-        :meth:`handle` blocks its caller for the length of the park, so the
-        gateway never runs such an op inline on its selector loop and
-        dispatches it through :meth:`handle_deferred` instead.
-        """
-        op = self._row(op_name)
-        return op is not None and op.blocking
 
     def operations(self, version: str = API_VERSION) -> Dict[str, Optional[Permission]]:
         """The routable operation names (for ``version``) and their permissions.
@@ -245,38 +229,7 @@ class OpRouter:
         secure:
             Whether the transport satisfies the paper's HTTPS-only mandate;
             authentication is refused otherwise.
-
-        A request that parks (``agent.poll`` with ``wait_s`` and no work)
-        blocks the calling thread until it is completed; transports that
-        must not block use :meth:`handle_deferred`.
         """
-        return self._handle(request, push, owner, secure, None)
-
-    def handle_deferred(
-        self,
-        request: dict,
-        complete: Callable[[dict], None],
-        push: Optional[Callable[[dict], None]] = None,
-        owner: Optional[object] = None,
-        secure: bool = True,
-    ) -> Optional[dict]:
-        """:meth:`handle` for transports that must not block.
-
-        Returns the response envelope, or ``None`` when the request parked:
-        its envelope is then passed to ``complete`` exactly once, later and
-        from whichever thread completes it (possibly before this call has
-        returned).
-        """
-        return self._handle(request, push, owner, secure, complete)
-
-    def _handle(
-        self,
-        request: dict,
-        push: Optional[Callable[[dict], None]],
-        owner: Optional[object],
-        secure: bool,
-        complete: Optional[Callable[[dict], None]],
-    ) -> Optional[dict]:
         request_id = request.get("request_id") if isinstance(request, dict) else 0
         if not isinstance(request_id, int) or isinstance(request_id, bool):
             request_id = 0
@@ -320,7 +273,6 @@ class OpRouter:
                 push=push if op.streaming else None,
                 owner_token=owner,
                 secure=secure,
-                complete=complete,
                 started=started,
                 trace_id=envelope.trace_id,
             )

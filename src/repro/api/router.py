@@ -16,8 +16,8 @@ flags — is declared once, in :data:`repro.api.ops.OPS`; the entry points
 and the envelope gates a request crosses before its handler are
 :class:`~repro.api.ops.OpRouter`'s, shared with the federation router.
 This module is the handlers (``_op_<name>``, bound to the rows at
-construction) and what they need: authentication, subscriptions, parked
-polls, telemetry.  The tables below document each operation's DTOs.
+construction) and what they need: authentication, subscriptions, offer
+pushes, telemetry.  The tables below document each operation's DTOs.
 
 The v1 operations (unchanged, still served to ``"1.0"`` envelopes):
 
@@ -50,6 +50,7 @@ operation                  permission                  request DTO              
 ``credits.grant``          ``manage_credits``          ``GrantCreditsRequest``          ``CreditView``
 ``user.create``            ``manage_users``            ``CreateUserRequest``            ``UserView``
 ``job.watch``              ``view_results``            ``WatchJobRequest``              ``SubscriptionAck`` + pushes
+``agent.subscribe``        ``run_job``                 ``AgentPollRequest``             ``SubscriptionAck`` + ``offer`` pushes
 ``events.subscribe``       ``view_results``            ``EventsSubscribeRequest``       ``SubscriptionAck`` + pushes
 ``subscription.cancel``    ``view_results``            ``SubscriptionRef``              ``{"cancelled": bool}``
 ``analytics.report``       ``view_results``            ``AnalyticsReportRequest``       ``AnalyticsReportView``
@@ -83,6 +84,14 @@ are tied to the ``owner`` token the transport passes (the gateway uses the
 connection); :meth:`ApiRouter.cancel_owner` tears them down when the
 connection dies, and a push that raises (dead socket) closes its
 subscription instead of propagating into the dispatch pipeline.
+
+**Offers.**  ``agent.subscribe`` is how an agent waits for work: no bus
+record is forwarded, but when a burst of mutations may have made a job
+claimable, :meth:`ApiRouter.push_offers` pushes one ``offer`` frame
+(an :class:`~repro.api.schemas.AgentPollView`) to each armed agent
+subscription with work.  The frame disarms the subscription until that
+agent's next ``agent.claim`` or ``agent.poll``: at most one offer frame is
+in flight per subscription (DESIGN.md, *Offer push*).
 """
 
 from __future__ import annotations
@@ -90,7 +99,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.accessserver.auth import Role, User
@@ -108,6 +116,7 @@ from repro.api.schemas import (
     API_VERSION_V2,
     PUSH_FRAME_END,
     PUSH_FRAME_EVENT,
+    PUSH_FRAME_OFFER,
     AgentClaimRequest,
     AgentHeartbeatRequest,
     AgentLeaseView,
@@ -160,15 +169,9 @@ from repro.obs import SPAN_TOPIC, component_logger, log_slow_op
 #: Job states a ``job.watch`` subscription terminates on.
 _TERMINAL_STATUSES = (JobStatus.COMPLETED, JobStatus.FAILED, JobStatus.CANCELLED)
 
-#: Server-side ceiling on an ``agent.poll`` long-poll.  A parked poll holds
-#: no thread — only a registry entry and its connection's place in the
-#: response order — but an agent that went away silently would hold those
-#: until its deadline, so the server bounds the requested ``wait_s``.
-MAX_POLL_WAIT_S = 30.0
-
-#: Bus topics that can turn an empty ``agent.poll`` into an offer: new or
-#: newly approved work, a job back in the queue, a device or a reserved
-#: slot set free.
+#: Bus topics that can make a job claimable for an agent: new or newly
+#: approved work, a job back in the queue, a device or a reserved slot set
+#: free.
 _OFFER_TOPICS = (
     "job.submitted",
     "job.approved",
@@ -215,28 +218,9 @@ def _push_safe(value: object) -> object:
         return repr(value)
 
 
-@dataclass
-class _ParkedPoll:
-    """One parked ``agent.poll``: a registered request, not a thread.
-
-    It is answered exactly once — by the re-check after a mutation that
-    announced work, by its deadline, or by a cancel — through
-    ``ctx.complete`` (the transport's callback) or, for a caller blocked in
-    :meth:`ApiRouter.handle`, through ``done``.
-    """
-
-    poll_id: int
-    ctx: RequestContext
-    agent_id: str
-    limit: int
-    parked_at: float  # time.monotonic()
-    deadline: float
-    done: Optional[threading.Event]
-    response: Optional[dict] = None
-
-
 class _Subscription:
-    """One live push stream bridged from the server's event bus."""
+    """One live push stream: bridged from the server's event bus, or (with
+    ``offers_for``) fed offer frames by :meth:`ApiRouter.push_offers`."""
 
     def __init__(
         self,
@@ -247,6 +231,7 @@ class _Subscription:
         push: Callable[[dict], None],
         topic_prefix: Optional[str] = None,
         job_id: Optional[int] = None,
+        offers_for: Optional[Tuple[User, AgentPollRequest]] = None,
     ) -> None:
         self.router = router
         self.subscription_id = subscription_id
@@ -255,6 +240,10 @@ class _Subscription:
         self.push = push
         self.topic_prefix = topic_prefix
         self.job_id = job_id
+        self.offers_for = offers_for
+        # An offer stream holds at most one frame in flight: the frame
+        # disarms it, the agent's next claim or poll re-arms it.
+        self.armed = True
         self.seq = 0
         self.closed = False
         # Set by the router when this stream's prefix matches trace.span —
@@ -317,6 +306,20 @@ class _Subscription:
         )
         self.router.cancel_subscription(self.subscription_id)
 
+    def offer(self, jobs) -> None:
+        """One ``offer`` frame; the stream stays quiet until re-armed."""
+        self.armed = False
+        self._send(
+            self._frame(
+                PUSH_FRAME_OFFER,
+                None,
+                self.router.server.context.now,
+                AgentPollView(
+                    offers=[self.router._offer_view(job) for job in jobs]
+                ).to_wire(),
+            )
+        )
+
     def _send(self, frame: dict) -> None:
         try:
             self.push(frame)
@@ -333,14 +336,11 @@ class ApiRouter(OpRouter):
         self._server = server
         self._subscriptions: Dict[int, _Subscription] = {}
         self._bus_callbacks: Dict[int, Callable] = {}
-        # The parking registry: every agent.poll waiting for work, whatever
-        # transport carried it.  ``_polls_dirty`` is raised by the bus tap
-        # (installed at the first park) when a mutation may have created an
-        # offer; ``recheck_parked_polls`` lowers it.
-        self._parked_polls: Dict[int, _ParkedPoll] = {}
-        self._next_poll_id = 1
-        self._polls_dirty = False
-        self._poll_tap_installed = False
+        # The agent.subscribe streams; the bus tap (installed with the first)
+        # raises ``_offers_dirty`` for ``push_offers`` to lower.
+        self._agent_subscriptions: Dict[int, _Subscription] = {}
+        self._offers_dirty = False
+        self._offer_tap_installed = False
         self._subscriptions_lock = threading.Lock()
         self._analytics_replay_lock = threading.Lock()
         self._next_subscription_id = 1
@@ -361,22 +361,16 @@ class ApiRouter(OpRouter):
                 "API requests by operation and outcome",
                 labelnames=("op", "outcome"),
             )
-            self._g_parked_polls = registry.gauge(
-                "api_parked_polls", "agent.poll requests parked waiting for work."
+            self._m_offer_frames = registry.counter(
+                "agent_offer_frames_total",
+                "offer frames pushed to agent.subscribe streams.",
             ).labels()
-            completions = registry.counter(
-                "agent_poll_completions_total",
-                "Parked agent.poll requests answered, by what answered them.",
-                labelnames=("reason",),
+            subscriptions = registry.gauge(
+                "api_agent_subscriptions", "Open agent.subscribe streams."
+            ).labels()
+            registry.add_collect_hook(
+                lambda: subscriptions.set(float(len(self._agent_subscriptions)))
             )
-            self._m_poll_completions = {
-                reason: completions.labels(reason=reason)
-                for reason in ("work", "deadline", "cancelled")
-            }
-            self._m_poll_park = registry.histogram(
-                "agent_poll_park_seconds",
-                "Wall time an agent.poll spent parked before it was answered.",
-            ).labels()
         else:
             self._op_latency = None
             self._op_requests = None
@@ -392,7 +386,7 @@ class ApiRouter(OpRouter):
     # -- behind the gates -----------------------------------------------------
     def _serve(
         self, ctx: RequestContext, handler: Callable[[RequestContext, dict], dict]
-    ) -> Optional[dict]:
+    ) -> dict:
         op, envelope = ctx.op, ctx.envelope
         obs = self._obs
         span = None
@@ -417,10 +411,6 @@ class ApiRouter(OpRouter):
             raise
         if span is not None:
             obs.tracer.end_span(span)
-        if op.blocking and isinstance(payload, _ParkedPoll):
-            # Parked: whoever completes the poll builds its envelope
-            # and counts the request (see _finish_poll).
-            return self._await_poll(payload) if ctx.complete is None else None
         response = ctx.ok(payload)
         self._observe_request(
             op.name, "ok", time.perf_counter() - ctx.started, ctx.trace_id
@@ -454,9 +444,7 @@ class ApiRouter(OpRouter):
             self._op_metrics[key] = children
         children[0].observe(elapsed_s)
         children[1].inc()
-        # Blocking ops (long-polls) spend their wait parked by design; the
-        # slow-op health warning is for ops that should have been fast.
-        if elapsed_s >= obs.slow_op_threshold_s and not self.is_blocking(op_name):
+        if elapsed_s >= obs.slow_op_threshold_s:
             log_slow_op(
                 self._log, op_name, elapsed_s, obs.slow_op_threshold_s, trace_id
             )
@@ -488,6 +476,7 @@ class ApiRouter(OpRouter):
         ctx: RequestContext,
         topic_prefix: Optional[str] = None,
         job_id: Optional[int] = None,
+        offers_for: Optional[AgentPollRequest] = None,
     ) -> _Subscription:
         with self._subscriptions_lock:
             subscription_id = self._next_subscription_id
@@ -500,10 +489,13 @@ class ApiRouter(OpRouter):
                 ctx.push,
                 topic_prefix=topic_prefix,
                 job_id=job_id,
+                offers_for=None if offers_for is None else (ctx.user, offers_for),
             )
             self._subscriptions[subscription_id] = subscription
-            callback = subscription.deliver
-            self._bus_callbacks[subscription_id] = callback
+            if offers_for is None:
+                self._bus_callbacks[subscription_id] = subscription.deliver
+            else:
+                self._agent_subscriptions[subscription_id] = subscription
             # Spans are only published on the bus while a stream that can
             # receive them is open; tell the tracer one just appeared.
             if (
@@ -513,13 +505,21 @@ class ApiRouter(OpRouter):
             ):
                 subscription.trace_interest = True
                 self._obs.tracer.stream_interest += 1
-        self._server.events.subscribe(None, callback)
+        if offers_for is None:
+            self._server.events.subscribe(None, subscription.deliver)
+        elif not self._offer_tap_installed:
+            # Offer streams are fed by push_offers, not by the bus: only
+            # the tap that tells push_offers when to look is on it.
+            self._offer_tap_installed = True
+            for topic in _OFFER_TOPICS:
+                self._server.events.subscribe(topic, self._on_offer_event)
         return subscription
 
     def cancel_subscription(self, subscription_id: int) -> bool:
         """Close one subscription; true when it was live."""
         with self._subscriptions_lock:
             subscription = self._subscriptions.pop(subscription_id, None)
+            self._agent_subscriptions.pop(subscription_id, None)
             callback = self._bus_callbacks.pop(subscription_id, None)
             if (
                 subscription is not None
@@ -535,186 +535,82 @@ class ApiRouter(OpRouter):
         return True
 
     def cancel_owner(self, owner: Optional[object]) -> int:
-        """Close every subscription opened under ``owner`` (connection died).
-
-        Its parked polls are cancelled too: nothing of a dead connection
-        stays registered.
-        """
+        """Close every subscription opened under ``owner`` (connection died)."""
         with self._subscriptions_lock:
             doomed = [
                 sub_id
                 for sub_id, sub in self._subscriptions.items()
                 if sub.owner_token is owner
             ]
-            polls = [
-                poll
-                for poll in self._parked_polls.values()
-                if poll.ctx.owner_token is owner
-            ]
-        for poll in polls:
-            self._finish_poll(poll, "cancelled")
         return sum(1 for sub_id in doomed if self.cancel_subscription(sub_id))
 
     def close_all_subscriptions(self) -> int:
-        """Close every live subscription (gateway shutdown).
-
-        Also cancels every parked ``agent.poll`` so shutdown never waits
-        out a long-poll; the return value stays the subscription count.
-        """
-        self.cancel_parked_polls()
+        """Close every live subscription (gateway shutdown)."""
         with self._subscriptions_lock:
             doomed = list(self._subscriptions)
         return sum(1 for sub_id in doomed if self.cancel_subscription(sub_id))
 
-    # -- parked long-polls ----------------------------------------------------
-    def _park_poll(
-        self, ctx: RequestContext, request: AgentPollRequest, wait_s: float
-    ) -> _ParkedPoll:
-        """Register a poll *before* its check, so no announcement is missed.
-
-        A mutation that lands after this raises ``_polls_dirty`` and the
-        poll is re-checked when that mutation ends; one that landed before
-        is already visible to the check the caller runs next.
-        """
-        now = time.monotonic()
-        with self._subscriptions_lock:
-            if not self._poll_tap_installed:
-                self._poll_tap_installed = True
-                for topic in _OFFER_TOPICS:
-                    self._server.events.subscribe(topic, self._on_offer_event)
-            poll = _ParkedPoll(
-                self._next_poll_id,
-                ctx,
-                request.agent_id,
-                request.limit,
-                parked_at=now,
-                deadline=now + wait_s,
-                done=threading.Event() if ctx.complete is None else None,
-            )
-            self._next_poll_id += 1
-            self._parked_polls[poll.poll_id] = poll
-        if self._obs is not None:
-            self._g_parked_polls.inc()
-        return poll
-
-    def _unpark_poll(self, poll: _ParkedPoll) -> bool:
-        """Take ``poll`` off the registry; true for the one caller that did,
-        which is thereby the one that answers it."""
-        with self._subscriptions_lock:
-            if self._parked_polls.pop(poll.poll_id, None) is None:
-                return False
-        if self._obs is not None:
-            self._g_parked_polls.dec()
-        return True
-
+    # -- offer pushes ---------------------------------------------------------
     def _on_offer_event(self, record) -> None:
         """Bus tap: a mutation in progress may have created an offer."""
-        if not self._parked_polls or self._polls_dirty:
+        if not self._agent_subscriptions or self._offers_dirty:
             return
         if (
             record.topic.startswith("job.")
             and self._job(record.payload["job_id"]).spec.execution != "agent"
         ):
             return  # push-plane jobs are never offered to agents
-        self._polls_dirty = True
+        self._offers_dirty = True
 
-    def recheck_parked_polls(self) -> int:
-        """Answer every parked poll that has work now; returns how many.
+    def push_offers(self) -> int:
+        """Push an ``offer`` frame to every armed agent subscription that
+        has work now; returns how many were pushed.
 
         The bus tap only raises a flag: the state is whole again when the
         mutation that published ends, and that is when its transport calls
         this — the gateway as it releases ``router_lock`` (requests and
         host-loop ticks alike), the in-process transport after each call.
-        So a poll is re-checked at most once per mutating request or tick,
+        So offers are computed at most once per mutating request or tick,
         however many events it published, and not at all when none of them
         could have created an offer.
         """
-        if not self._polls_dirty:
+        if not self._offers_dirty:
             return 0
-        self._polls_dirty = False
+        self._offers_dirty = False
         with self._subscriptions_lock:
-            parked = list(self._parked_polls.values())
-        answered = 0
-        for poll in parked:
+            armed = [sub for sub in self._agent_subscriptions.values() if sub.armed]
+        pushed = 0
+        for sub in armed:
+            user, request = sub.offers_for
             try:
                 offers = self._server.agent_offers(
-                    poll.ctx.user, poll.agent_id, limit=poll.limit
+                    user, request.agent_id, limit=request.limit
                 )
             except Exception:  # noqa: BLE001 - must not reach the mutation that woke us
-                # Answered empty; the agent's next poll meets the error in line.
-                self._log.exception("re-check of a parked agent.poll failed")
-                answered += self._finish_poll(poll, "cancelled")
+                # Quiet until re-armed; the agent's next poll meets the error.
+                self._log.exception("offer check for an agent subscription failed")
+                sub.armed = False
                 continue
             if offers:
-                answered += self._finish_poll(poll, "work", offers)
-        return answered
+                sub.offer(offers)
+                pushed += 1
+        if pushed and self._obs is not None and self._obs.registry.enabled:
+            self._m_offer_frames.inc(float(pushed))
+        return pushed
 
-    def expire_parked_polls(self) -> Optional[float]:
-        """Answer (empty) every poll whose deadline has passed.
-
-        Returns the seconds until the next deadline, ``None`` when nothing
-        is parked.  The gateway's selector loop calls this once per turn
-        and sleeps no longer than the answer — the one timer all parked
-        polls share.
-        """
-        if not self._parked_polls:
-            return None
+    def _arm_offers(self, agent_id: str) -> None:
+        """The agent claimed or polled: its streams may offer again."""
+        if not self._agent_subscriptions:
+            return
         with self._subscriptions_lock:
-            parked = list(self._parked_polls.values())
-        now = time.monotonic()
-        nearest: Optional[float] = None
-        for poll in parked:
-            if poll.deadline <= now:
-                self._finish_poll(poll, "deadline")
-            elif nearest is None or poll.deadline < nearest:
-                nearest = poll.deadline
-        return None if nearest is None else nearest - now
+            subs = list(self._agent_subscriptions.values())
+        for sub in subs:
+            if sub.offers_for[1].agent_id == agent_id:
+                sub.armed = True
 
-    def cancel_parked_polls(self) -> int:
-        """Answer (empty) every parked ``agent.poll`` now (shutdown, shard drain)."""
+    def agent_subscriptions(self) -> int:
         with self._subscriptions_lock:
-            parked = list(self._parked_polls.values())
-        return sum(self._finish_poll(poll, "cancelled") for poll in parked)
-
-    def parked_polls(self) -> int:
-        with self._subscriptions_lock:
-            return len(self._parked_polls)
-
-    def _finish_poll(self, poll: _ParkedPoll, reason: str, offers=()) -> bool:
-        """Answer a parked poll; false when someone else already has."""
-        if not self._unpark_poll(poll):
-            return False
-        ctx = poll.ctx
-        obs = self._obs
-        if obs is not None and obs.registry.enabled:
-            self._m_poll_completions[reason].inc()
-            self._m_poll_park.observe(time.monotonic() - poll.parked_at)
-        self._observe_request(
-            "agent.poll", "ok", time.perf_counter() - ctx.started, ctx.trace_id
-        )
-        poll.response = ctx.ok(
-            AgentPollView(offers=[self._offer_view(job) for job in offers]).to_wire()
-        )
-        if poll.done is not None:
-            poll.done.set()
-        else:
-            try:
-                ctx.complete(poll.response)
-            except Exception:  # noqa: BLE001
-                # A dead transport must never propagate into the mutation
-                # (or the loop turn) that answered its poll.
-                self._log.exception("parked agent.poll completion failed")
-        return True
-
-    def _await_poll(self, poll: _ParkedPoll) -> dict:
-        """Block a :meth:`handle` caller on its parked poll's completion."""
-        if not poll.done.wait(poll.deadline - time.monotonic()):
-            # Its own deadline: the blocked caller is its own timer.  Losing
-            # the race to a concurrent completion is fine — that one's
-            # ``done`` is moments away.
-            self._finish_poll(poll, "deadline")
-            poll.done.wait()
-        return poll.response
+            return len(self._agent_subscriptions)
 
     def active_subscriptions(self) -> List[int]:
         with self._subscriptions_lock:
@@ -1146,31 +1042,34 @@ class ApiRouter(OpRouter):
         )
         return AgentView.from_record(record, created=created).to_wire()
 
-    def _op_agent_poll(self, ctx: RequestContext, payload: dict):
+    @staticmethod
+    def _agent_poll_request(payload: dict) -> AgentPollRequest:
         request = AgentPollRequest.from_wire(payload)
         if request.limit < 1:
             raise ValidationApiError("limit must be at least 1")
-        wait_s = min(max(request.wait_s, 0.0), MAX_POLL_WAIT_S)
-        # Register-then-check: a long-poll goes on the registry first, so a
-        # submit racing this (lock-free) check is either seen by it or
-        # finds the poll registered and re-checks it.
-        poll = self._park_poll(ctx, request, wait_s) if wait_s > 0.0 else None
-        try:
-            offers = self._server.agent_offers(
-                ctx.user, request.agent_id, limit=request.limit
-            )
-        except Exception:
-            if poll is not None and not self._unpark_poll(poll):
-                return poll  # answered meanwhile; that answer stands
-            raise
-        if poll is not None and (not offers or not self._unpark_poll(poll)):
-            return poll  # parked — or answered meanwhile, which is the same
+        return request
+
+    def _op_agent_subscribe(self, ctx: RequestContext, payload: dict) -> dict:
+        request = self._agent_poll_request(payload)
+        self._server.agents.get(request.agent_id)  # not-found before subscribing
+        subscription = self._open_subscription(ctx, offers_for=request)
+        return SubscriptionAck(subscription_id=subscription.subscription_id).to_wire()
+
+    def _op_agent_poll(self, ctx: RequestContext, payload: dict) -> dict:
+        request = self._agent_poll_request(payload)
+        # Arm-then-check: a submit racing this (lock-free) check is either
+        # seen by it or finds the agent's stream armed and is pushed there.
+        self._arm_offers(request.agent_id)
+        offers = self._server.agent_offers(
+            ctx.user, request.agent_id, limit=request.limit
+        )
         return AgentPollView(
             offers=[self._offer_view(job) for job in offers]
         ).to_wire()
 
     def _op_agent_claim(self, ctx: RequestContext, payload: dict) -> dict:
         request = AgentClaimRequest.from_wire(payload)
+        self._arm_offers(request.agent_id)
         lease, job = self._server.agent_claim(
             ctx.user, request.agent_id, request.job_id, ttl_s=request.ttl_s
         )

@@ -61,10 +61,12 @@ SUPPORTED_VERSIONS = ("1.0", "2.0")
 #: Discriminator value marking a server-pushed frame (vs. a response).
 PUSH_KIND = "push"
 
-#: ``ApiPush.frame`` types: a streamed event, and the terminal frame a
-#: ``job.watch`` subscription ends with (carrying the final ``JobView``).
+#: ``ApiPush.frame`` types: a streamed event, the terminal frame a
+#: ``job.watch`` subscription ends with (carrying the final ``JobView``),
+#: and the work an ``agent.subscribe`` stream offers (an ``AgentPollView``).
 PUSH_FRAME_EVENT = "event"
 PUSH_FRAME_END = "end"
+PUSH_FRAME_OFFER = "offer"
 
 
 def _is_optional(hint) -> bool:
@@ -414,7 +416,8 @@ class SubmitJobRequest(WireModel):
     ``idempotency_key`` (v2) makes retries safe over flaky transports:
     resubmitting the same ``(owner, key)`` pair returns the original job's
     view instead of enqueueing a duplicate.  ``execution`` (v2) selects
-    push (server executor) or ``"agent"`` (parked for daemon pull).  Both
+    push (server executor) or ``"agent"`` (queued until a daemon claims
+    it; subscribed agents are offered it on their push stream).  Both
     are elided from the wire at their defaults, so v1 clients and goldens
     are untouched.
     """
@@ -842,9 +845,11 @@ class ApiPush(WireModel):
     frames before strict parsing; responses never carry a ``kind`` key.
     ``seq`` increases per subscription, letting consumers detect gaps.
     ``frame`` is :data:`PUSH_FRAME_EVENT` for streamed bus events (``topic``
-    and ``payload`` mirror the :class:`~repro.simulation.events.BusEvent`)
-    or :data:`PUSH_FRAME_END` when a ``job.watch`` reaches a terminal state
-    (``payload["job"]`` holds the final :class:`JobView` wire form).
+    and ``payload`` mirror the :class:`~repro.simulation.events.BusEvent`),
+    :data:`PUSH_FRAME_END` when a ``job.watch`` reaches a terminal state
+    (``payload["job"]`` holds the final :class:`JobView` wire form), or
+    :data:`PUSH_FRAME_OFFER` on an ``agent.subscribe`` stream (the payload
+    is an :class:`AgentPollView`).
 
     ``dropped`` is the slow-consumer back-pressure counter: when the
     gateway's bounded per-connection push queue overflows, event frames
@@ -1264,15 +1269,15 @@ class AgentView(WireModel):
 
 @dataclass
 class AgentPollRequest(WireModel):
-    """``agent.poll``: ask for claimable jobs, optionally long-polling.
+    """``agent.poll`` and ``agent.subscribe``: the jobs ``agent_id`` could claim.
 
-    ``wait_s > 0`` parks the request server-side until an offer appears or
-    the wait elapses (the server clamps the wait to its own maximum); the
-    op is read-only, so a parked poll never blocks mutations.
+    ``agent.poll`` answers at once with what is claimable now.  An agent
+    waits for work on an ``agent.subscribe`` stream instead, whose
+    ``offer`` frames carry the same :class:`AgentPollView`; either request
+    re-arms the stream after a frame (see DESIGN.md, *Offer push*).
     """
 
     agent_id: str
-    wait_s: float = 0.0
     limit: int = 10
 
 
@@ -1291,7 +1296,8 @@ class JobOfferView(WireModel):
 
 @dataclass
 class AgentPollView(WireModel):
-    """``agent.poll`` response: claimable jobs in dispatch order."""
+    """``agent.poll`` response and ``offer`` frame payload: claimable jobs
+    in dispatch order."""
 
     offers: List[JobOfferView] = field(default_factory=list)
 

@@ -103,6 +103,10 @@ class ChaosTransport(Transport):
     def supports_reconnect(self) -> bool:  # type: ignore[override]
         return self.inner.supports_reconnect
 
+    @property
+    def connects(self) -> int:  # type: ignore[override]
+        return self.inner.connects
+
     def send(self, request: dict) -> dict:
         self._gate()
         return self.inner.send(request)
@@ -125,8 +129,8 @@ class ChaosTransport(Transport):
 class _PartitionedRouter:
     """Stands in for a shard's router while the link to it is severed.
 
-    ``handle`` / ``handle_deferred`` — all the federation router uses on
-    the request path — fail with the transport's retryable error; every other
+    ``handle`` — all the federation router uses on the request path —
+    fails with the transport's retryable error; every other
     attribute (subscription bookkeeping, cancel fan-out) passes through so
     control-plane cleanup still works, as it would for a router process
     that is alive but unreachable.
@@ -139,8 +143,6 @@ class _PartitionedRouter:
     def handle(self, *args, **kwargs):
         self._owner.dropped_requests += 1
         raise TransportApiError("chaos: shard partitioned")
-
-    handle_deferred = handle
 
     def __getattr__(self, name):
         return getattr(self._real, name)

@@ -39,7 +39,7 @@ point-wise, restated as whole-run assertions a chaos soak can run after
     Every in-memory history is within its bound (trace store,
     settled-lease memory), every per-job cache holds only jobs the
     scheduler retains (snapshot splice index, analytics timelines), and a
-    drained run leaves no parked poll and no lease.
+    drained run leaves no agent subscription and no lease.
 ``outbox_bounded``
     Every agent outbox costs what is live: the file is within the
     compaction bound plus its pending leases, the daemon's in-memory fold
@@ -404,8 +404,8 @@ def check_history_bounded(server, routers=(), drained: bool = False) -> CheckRes
     """State that outlives a job is bounded, or is that job's own record.
 
     ``routers`` are the :class:`~repro.api.router.ApiRouter` instances
-    serving ``server`` (their parked polls are counted); with ``drained``
-    no poll may be parked and no lease live.
+    serving ``server`` (their agent subscriptions are counted); with
+    ``drained`` no agent subscription may be open and no lease live.
     """
     from repro.accessserver.agents import SETTLED_LEASE_MEMORY
 
@@ -431,10 +431,12 @@ def check_history_bounded(server, routers=(), drained: bool = False) -> CheckRes
             problems.append(
                 f"{what} keeps {len(strays)} job(s) the scheduler dropped (e.g. {strays[:5]})"
             )
-    parked = sum(router.parked_polls() for router in routers)
+    subscriptions = sum(router.agent_subscriptions() for router in routers)
     leases = len(server.agents.leases())
-    if drained and (parked or leases):
-        problems.append(f"after drain: {parked} parked poll(s), {leases} live lease(s)")
+    if drained and (subscriptions or leases):
+        problems.append(
+            f"after drain: {subscriptions} agent subscription(s), {leases} live lease(s)"
+        )
     details = "; ".join(problems[:5]) or (
         ", ".join(f"{what} {size}/{bound}" for what, (size, bound) in sizes.items())
         + f"; per-job caches within {len(retained)} retained job(s)"

@@ -331,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     agent = sub.add_parser(
         "agent",
-        help="run a vantage-point agent daemon: long-poll the server for "
-        "matching jobs, execute them through a device connector, report "
+        help="run a vantage-point agent daemon: wait on the server's offer "
+        "stream for matching jobs, execute them through a device connector, report "
         "results (exactly-once via a local outbox journal)",
     )
     agent.add_argument(
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-wait-s",
         type=float,
         default=2.0,
-        help="server-side long-poll wait per cycle (default: 2)",
+        help="how long one cycle waits for an offer frame before it polls (default: 2)",
     )
     agent.add_argument(
         "--lease-ttl-s",

@@ -33,7 +33,8 @@ route of its mode.  What each mode means across N shards:
   multiplexes them behind a single federated subscription id; the
   federated ``seq`` advances by each leg frame's ``dropped + 1``, so the
   PR-5 back-pressure contract (seq gap == dropped) holds across the
-  merge.  A job watch is one leg on the job's lane, re-tagged.
+  merge.  A job watch is one leg on the job's lane, and an agent's offer
+  stream one leg on its home shard, each re-tagged.
 * **admin** — the ``shard.*`` rows drive the drain state machine
   (``active`` → ``draining`` → ``detached``); they live in the router
   because shard membership *is* router state.  They — and the cancel of
@@ -246,17 +247,10 @@ class FederationRouter(OpRouter):
             fed.update(shard.router.active_subscriptions())
         return sorted(fed)
 
-    # A shard-routed agent.poll parks on its home shard's registry; the
-    # transport-facing calls fan out to every attached shard.
-    def parked_polls(self) -> int:
-        return sum(shard.router.parked_polls() for shard in self._attached())
-
-    def recheck_parked_polls(self) -> int:
-        return sum(shard.router.recheck_parked_polls() for shard in self._attached())
-
-    def expire_parked_polls(self) -> Optional[float]:
-        waits = [shard.router.expire_parked_polls() for shard in self._attached()]
-        return min((wait for wait in waits if wait is not None), default=None)
+    def push_offers(self) -> int:
+        """An agent's offer stream lives on its home shard's router: every
+        attached shard pushes what the burst made claimable."""
+        return sum(shard.router.push_offers() for shard in self._attached())
 
     # -- shard bookkeeping ----------------------------------------------------
     def _attach(self, shard: FederationShard) -> None:
@@ -333,7 +327,7 @@ class FederationRouter(OpRouter):
 
     def _serve(
         self, ctx: RequestContext, route: Callable[[RequestContext], object]
-    ) -> Optional[dict]:
+    ) -> dict:
         if ctx.op.mode == "admin":
             self._authorize(ctx)
             return ctx.ok(route(ctx))
@@ -346,13 +340,7 @@ class FederationRouter(OpRouter):
             # single-lane case qualifies — a multi-lane federation drained
             # down to one shard must keep routing so detached lanes answer
             # ``resource.conflict`` ("re-attach me"), not a false not-found.
-            return self._forward(
-                ctx,
-                attached[0],
-                push=ctx.push,
-                owner=ctx.owner_token,
-                complete=ctx.complete,
-            )
+            return self._forward(ctx, attached[0], push=ctx.push, owner=ctx.owner_token)
         return route(ctx)
 
     # -- forwarding helpers ----------------------------------------------------
@@ -363,17 +351,11 @@ class FederationRouter(OpRouter):
         request: Optional[dict] = None,
         push: Optional[Callable[[dict], None]] = None,
         owner: Optional[object] = None,
-        complete: Optional[Callable[[dict], None]] = None,
-    ) -> Optional[dict]:
+    ) -> dict:
         """One shard leg: ``ctx``'s request (or ``request``, a rewrite of it)
         handled by ``shard``'s own router, which authenticates it."""
-        request = request or ctx.request
-        if complete is not None:
-            return shard.router.handle_deferred(
-                request, complete, push=push, owner=owner, secure=ctx.secure
-            )
         return shard.router.handle(
-            request, push=push, owner=owner, secure=ctx.secure
+            request or ctx.request, push=push, owner=owner, secure=ctx.secure
         )
 
     def _scatter_responses(
@@ -629,12 +611,11 @@ class FederationRouter(OpRouter):
             self._directory.agents[agent_id] = target.shard_id
         return response
 
-    def _route_agent(self, ctx: RequestContext) -> Optional[dict]:
-        """Route to the agent's home shard: leases are shard-local state, so
+    def _agent_home(self, ctx: RequestContext) -> Optional[FederationShard]:
+        """The agent's home shard: leases are shard-local state, so
         everything an agent does after registering must keep landing on the
-        shard that granted them.  The owner token and ``complete`` ride
-        along for ``agent.poll``: a poll the shard parks is cancelled with
-        its connection and answers through ``complete``."""
+        shard that granted them.  ``None`` for an unknown agent, which the
+        reference shard then refuses exactly as a standalone server would."""
         agent_id = ctx.envelope.payload.get("agent_id")
         home = (
             self._directory.agents.get(agent_id)
@@ -642,9 +623,7 @@ class FederationRouter(OpRouter):
             else None
         )
         if home is None:
-            # Unknown agent: the reference shard emits the standalone
-            # "unknown agent ...; register it first" not-found.
-            return self._forward(ctx, self._reference_shard())
+            return None
         shard = self._shard_by_id(home)
         if shard is None or shard.state is ShardState.DETACHED:
             raise ConflictApiError(
@@ -652,9 +631,10 @@ class FederationRouter(OpRouter):
                 "re-attach it with shard.add",
                 details={"agent_id": agent_id, "shard_id": home},
             )
-        return self._forward(
-            ctx, shard, owner=ctx.owner_token, complete=ctx.complete
-        )
+        return shard
+
+    def _route_agent(self, ctx: RequestContext) -> dict:
+        return self._forward(ctx, self._agent_home(ctx) or self._reference_shard())
 
     _fed_agent_poll = _fed_agent_claim = _route_agent
     _fed_agent_heartbeat = _fed_agent_report = _route_agent
@@ -756,14 +736,22 @@ class FederationRouter(OpRouter):
                 sub.legs.pop(shard_id, None)
 
     def _fed_job_watch(self, ctx: RequestContext) -> dict:
-        shard = self._job_shard(ctx)
+        return self._one_leg_stream(ctx, self._job_shard(ctx), watch=True)
+
+    def _fed_agent_subscribe(self, ctx: RequestContext) -> dict:
+        return self._one_leg_stream(ctx, self._agent_home(ctx), watch=False)
+
+    def _one_leg_stream(
+        self, ctx: RequestContext, shard: Optional[FederationShard], watch: bool
+    ) -> dict:
+        """A stream served by one shard, behind a federated subscription id."""
         if shard is None:
-            # A malformed ref cannot open a stream; the push rides along so
-            # the shard's own gates let the request reach the validation
-            # error a standalone server would emit.
+            # No shard to stream from; the push rides along so the
+            # reference shard's own gates let the request reach the error
+            # a standalone server would emit.
             return self._forward(ctx, self._reference_shard(), push=ctx.push)
         sub = self._new_fed_subscription(
-            ctx.owner_token, self._caller_username(ctx), ctx.push, watch=True
+            ctx.owner_token, self._caller_username(ctx), ctx.push, watch=watch
         )
         response = self._forward(
             ctx, shard, push=sub.leg_push(shard.shard_id), owner=sub
@@ -875,11 +863,8 @@ class FederationRouter(OpRouter):
             )
         # Draining: new placements stop immediately (the placement paths
         # only consider ACTIVE shards), then the in-flight work settles so
-        # watches receive their end frames before any detach.  Parked
-        # agent long-polls are woken now — a drain must not sit behind a
-        # poll deadline (watches stay open; they get their end frames).
+        # watches receive their end frames before any detach.
         shard.state = ShardState.DRAINING
-        shard.router.cancel_parked_polls()
         shard.server.drain()
         shard.sync()
         return self._shard_view(shard).to_wire()

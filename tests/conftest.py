@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.api import ApiError, BatteryLabClient, JsonLinesTransport
+from repro.api.schemas import PUSH_FRAME_OFFER, ApiPush
 from repro.core.platform import build_default_platform
 from repro.device.android import AndroidDevice
 from repro.device.profiles import SAMSUNG_J7_DUO
@@ -73,32 +74,14 @@ def record_bus():
     return BusRecorder
 
 
-# -- parked agent.poll helpers (gateway, agent-pull and federation tests) -----------
+# -- agent offer-stream helpers (gateway, agent-pull and federation tests) ----------
 
 
-@pytest.fixture
-def park_signal():
-    """``park_signal(router)``: a semaphore released each time ``router``
-    registers an ``agent.poll`` on its parking registry — a test waits for
-    N parked agents by acquiring it N times, never by sleeping."""
-
-    def install(router):
-        parked = threading.Semaphore(0)
-        register = router._park_poll
-
-        def park(*args, **kwargs):
-            poll = register(*args, **kwargs)
-            parked.release()
-            return poll
-
-        router._park_poll = park
-        return parked
-
-    return install
-
-
-class Poller(threading.Thread):
-    """One agent long-polling over its own gateway connection."""
+class Subscriber(threading.Thread):
+    """One agent waiting on its ``agent.subscribe`` stream over its own
+    gateway connection.  The stream is open when the constructor returns
+    (its ack is in), so a test never sleeps for it; the thread then waits
+    for one offer frame."""
 
     def __init__(self, address, agent_id: str, wait_s: float) -> None:
         super().__init__(daemon=True)
@@ -109,36 +92,41 @@ class Poller(threading.Thread):
             "experimenter",
             "experimenter-token",
         )
-        self.offers = None
+        self.stream = self.client.agent_subscribe(agent_id)
+        self.frame = None
         self.error = None
-        self.returned_at = None
+        self.received_at = None
 
     def run(self) -> None:
         try:
-            self.offers = self.client.agent_poll(self.agent_id, wait_s=self.wait_s).offers
+            raw = self.client.transport.recv_push(
+                self.stream.subscription_id, timeout_s=self.wait_s
+            )
+            self.frame = ApiPush.from_wire(raw)
         except ApiError as exc:
             self.error = exc
-        self.returned_at = time.perf_counter()
+        self.received_at = time.perf_counter()
 
     def result(self, timeout_s: float = 5.0):
-        """The poll's offers as job ids; fails the test if it has not returned."""
+        """The frame's offers as job ids; fails the test if none arrived."""
         self.join(timeout_s)
-        assert not self.is_alive(), f"{self.agent_id}'s poll is still parked"
+        assert not self.is_alive(), f"{self.agent_id} is still waiting for an offer"
         assert self.error is None, self.error
-        return [offer.job_id for offer in self.offers]
+        assert self.frame.frame == PUSH_FRAME_OFFER
+        return [offer["job_id"] for offer in self.frame.payload["offers"]]
 
 
 @pytest.fixture
-def poller():
-    """``poller(address, agent_id, wait_s=20.0)`` starts a :class:`Poller`.
+def subscriber():
+    """``subscriber(address, agent_id, wait_s=20.0)`` starts a :class:`Subscriber`.
 
     Gateway fixtures should depend on this one, so that they stop first
-    (which answers whatever is still parked) and the connections are
-    closed here afterwards, with no reader left blocked on them."""
+    (which ends every stream) and the connections are closed here
+    afterwards, with no reader left blocked on them."""
     started = []
 
     def start(address, agent_id, wait_s=20.0):
-        thread = Poller(address, agent_id, wait_s)
+        thread = Subscriber(address, agent_id, wait_s)
         started.append(thread)
         thread.start()
         return thread

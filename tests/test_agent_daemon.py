@@ -392,6 +392,132 @@ class TestDaemonLoop:
         assert list(daemon.run_forever(poll_wait_s=0.0, duration_s=0.0)) == []
 
 
+def record_ops(transport):
+    """Wrap ``transport.send``; returns the list the ops it sends land in."""
+    ops = []
+    send = transport.send
+
+    def recording(request):
+        ops.append(request["op"])
+        return send(request)
+
+    transport.send = recording
+    return ops
+
+
+class TestOfferStream:
+    """A subscribed daemon waits for an ``offer`` frame and polls only when
+    a frame cannot tell it all: a quiet wait, a ``seq`` gap, a frame whose
+    every offer was taken, a stream it has not polled since opening."""
+
+    @pytest.fixture()
+    def gateway(self, platform):
+        gateway = platform.serve_gateway()
+        yield gateway
+        gateway.stop()
+
+    @staticmethod
+    def connect(gateway):
+        from repro.api import BatteryLabClient, JsonLinesTransport
+
+        return BatteryLabClient(
+            JsonLinesTransport(*gateway.address, timeout_s=10.0),
+            "experimenter",
+            "experimenter-token",
+        )
+
+    @pytest.fixture()
+    def remote(self, gateway):
+        """Mutations go through the gateway, whose lock release pushes."""
+        with self.connect(gateway) as client:
+            yield client
+
+    @pytest.fixture()
+    def daemon(self, gateway, tmp_path):
+        client = self.connect(gateway)
+        daemon = AgentDaemon(client, "edge-1", tmp_path / "edge-1.jsonl")
+        daemon.register()
+        daemon.subscribe()
+        assert daemon.run_once(wait_s=5.0) is None  # the poll a new stream owes
+        yield daemon
+        daemon.outbox.close()
+        client.close()
+
+    def test_a_job_costs_four_requests(self, remote, daemon):
+        job = remote.submit_job(
+            "pushed", "noop", execution="agent", connector="fake"
+        )
+        ops = record_ops(daemon.client.transport)
+        assert daemon.run_once(wait_s=5.0) == job.job_id
+        assert ops == ["agent.claim", "agent.heartbeat", "agent.heartbeat", "agent.report"]
+
+    def test_a_quiet_wait_polls_once(self, daemon):
+        ops = record_ops(daemon.client.transport)
+        assert daemon.run_once(wait_s=0.05) is None
+        assert ops == ["agent.poll"]
+        assert daemon.client.transport.connects == 1  # quiet, not gone
+
+    def test_a_frame_whose_every_offer_was_taken_is_followed_by_a_poll(
+        self, remote, daemon
+    ):
+        remote.agent_register("edge-2", connectors=["fake"])
+        taken = remote.submit_job("taken", "noop", execution="agent", connector="fake")
+        remote.agent_claim("edge-2", taken.job_id)
+        ops = record_ops(daemon.client.transport)
+        assert daemon.run_once(wait_s=5.0) is None
+        assert ops == ["agent.claim", "agent.poll"]
+
+    def test_a_seq_gap_is_followed_by_a_poll(self, remote, daemon):
+        transport = daemon.client.transport
+        recv_push = transport.recv_push
+
+        def one_frame_lost(*args, **kwargs):
+            frame = recv_push(*args, **kwargs)
+            frame["seq"] += 1
+            return frame
+
+        transport.recv_push = one_frame_lost
+        job = remote.submit_job(
+            "after-a-gap", "noop", execution="agent", connector="fake"
+        )
+        ops = record_ops(transport)
+        assert daemon.run_once(wait_s=5.0) == job.job_id
+        assert ops[:2] == ["agent.poll", "agent.claim"]
+
+    def test_a_reconnect_reopens_the_stream(self, remote, daemon):
+        transport = daemon.client.transport
+        send = transport.send
+
+        def drop_before_a_heartbeat(request):
+            if request["op"] == "agent.heartbeat" and transport.connects == 1:
+                transport.close()  # the connection drops; send reconnects
+            return send(request)
+
+        transport.send = drop_before_a_heartbeat
+        first = remote.submit_job("first", "noop", execution="agent", connector="fake")
+        assert daemon.run_once(wait_s=5.0) == first.job_id
+        assert transport.connects == 2  # the stream died with connection 1
+        ops = record_ops(transport)
+        assert daemon.run_once(wait_s=5.0) is None
+        assert ops == ["agent.subscribe", "agent.poll"]
+        job = remote.submit_job(
+            "on-the-new-stream", "noop", execution="agent", connector="fake"
+        )
+        assert daemon.run_once(wait_s=5.0) == job.job_id
+        assert ops[2] == "agent.claim"
+
+    def test_an_in_process_stream_cannot_wait_and_polls(self, platform, tmp_path):
+        daemon = start_daemon(platform, tmp_path)
+        daemon.subscribe()
+        ops = record_ops(daemon.client.transport)
+        assert daemon.run_once(wait_s=5.0) is None
+        job = platform.client().submit_job(
+            "polled", "noop", execution="agent", connector="fake"
+        )
+        assert daemon.run_once(wait_s=5.0) == job.job_id
+        assert ops[:3] == ["agent.poll", "agent.poll", "agent.claim"]
+
+
 class TestCrashMatrix:
     """kill -9 at every interesting outbox offset, then recover.
 

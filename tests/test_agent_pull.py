@@ -745,13 +745,13 @@ class TestAgentManagerUnit:
             manager.heartbeat("lease-1", "ghost")
 
 
-class TestParkedPolls:
-    """``agent.poll`` with ``wait_s`` over a real socket gateway: a parked
-    poll is a registered request that the mutation creating its offer
-    completes — no worker thread waits with it, and no test here sleeps."""
+class TestOfferPush:
+    """``agent.subscribe`` over a real socket gateway: the mutation that makes
+    a job claimable pushes one ``offer`` frame to each armed stream that can
+    take it — no request waits server-side, and no test here sleeps."""
 
     @pytest.fixture()
-    def gateway(self, platform, poller):
+    def gateway(self, platform, subscriber):
         gateway = platform.serve_gateway()
         yield gateway
         gateway.stop()
@@ -766,31 +766,27 @@ class TestParkedPolls:
             yield client
 
     @staticmethod
-    def completions(platform, reason):
-        family = platform.access_server.obs.registry.family(
-            "agent_poll_completions_total"
-        )
-        return family.labels(reason=reason).value
+    def frames(platform):
+        registry = platform.access_server.obs.registry
+        return registry.family("agent_offer_frames_total").labels().value
 
-    def test_submit_completes_the_matching_poll_and_no_other(
-        self, platform, gateway, remote, poller, park_signal
+    def test_submit_offers_to_the_matching_stream_and_no_other(
+        self, platform, gateway, remote, subscriber
     ):
-        """Eight agents parked on the gateway's one dispatch thread: submits
-        are still answered at once, submits no parked agent can take wake
-        nobody, and the one that matches is delivered in milliseconds."""
+        """Eight agents wait on their streams beside the gateway's one
+        dispatch thread: submits are still answered at once, submits no
+        waiting agent can take push nothing, and the one that matches is
+        delivered in milliseconds."""
         crowd = 8
-        parked = park_signal(gateway._router)
         remote.agent_register("edge-fake", connectors=["fake"])
         bystanders = [f"edge-other-{index}" for index in range(crowd - 1)]
         for agent_id in bystanders:
             remote.agent_register(agent_id, connectors=["noprovision"])
-        pollers = {
-            agent_id: poller(gateway.address, agent_id)
+        streams = {
+            agent_id: subscriber(gateway.address, agent_id)
             for agent_id in ["edge-fake", *bystanders]
         }
-        for _ in pollers:
-            assert parked.acquire(timeout=5.0)
-        assert gateway._router.parked_polls() == crowd
+        assert gateway._router.agent_subscriptions() == crowd
         gateway_threads = [
             thread for thread in threading.enumerate()
             if thread.name.startswith("batterylab-gw-worker")
@@ -802,73 +798,101 @@ class TestParkedPolls:
             started = time.perf_counter()
             if index % 2:
                 remote.submit_job(f"push-{index}", "noop")  # push plane
-            else:  # a connector nobody parked here announced
+            else:  # a connector no subscribed agent announced
                 submit_agent_job(remote, name=f"odd-{index}", connector="multi")
             submit_ms.append((time.perf_counter() - started) * 1000.0)
         assert sorted(submit_ms)[len(submit_ms) // 2] < 50.0, submit_ms
-        assert gateway._router.parked_polls() == crowd
-        assert self.completions(platform, "work") == 0
+        assert self.frames(platform) == 0
 
         started = time.perf_counter()
         job = submit_agent_job(remote, name="for-edge-fake")
-        assert pollers["edge-fake"].result() == [job.job_id]
-        wake_ms = (pollers["edge-fake"].returned_at - started) * 1000.0
+        assert streams["edge-fake"].result() == [job.job_id]
+        wake_ms = (streams["edge-fake"].received_at - started) * 1000.0
         assert wake_ms < 50.0, wake_ms
-        assert gateway._router.parked_polls() == crowd - 1
-        assert self.completions(platform, "work") == 1
+        assert self.frames(platform) == 1
+        assert all(streams[agent_id].is_alive() for agent_id in bystanders)
 
-    def test_submit_between_the_check_and_the_park_is_delivered(
-        self, platform, gateway, remote, poller
+    def test_submit_racing_the_poll_that_re_arms_the_stream_is_pushed(
+        self, platform, gateway, remote, subscriber
     ):
-        """The lost-wake-up race, forced: the job is submitted (a mutation
-        from another connection, under the router lock) after the poll's
-        check came back empty and before the poll parks."""
+        """The lost-wake-up race, forced: a frame has disarmed the stream,
+        and a job is submitted (a mutation from another connection, under
+        the router lock) after the agent's next poll checked and before it
+        answered.  The poll re-armed the stream before its check, so the
+        job is pushed."""
         server = platform.access_server
         remote.agent_register("edge-1", connectors=["fake"])
+        agent = subscriber(gateway.address, "edge-1")
+        submit_agent_job(remote, name="first")
+        agent.result()
         check = server.agent_offers
         racing = threading.Event()
 
         def check_then_submit(user, agent_id, limit=10):
             offers = check(user, agent_id, limit=limit)
-            if not racing.is_set():  # the re-check comes through here too
+            if not racing.is_set():  # the push's own check comes through here too
                 racing.set()
                 with gateway.router_lock:
                     submit_agent_job(platform.client(), name="racer")
             return offers
 
         server.agent_offers = check_then_submit
-        polling = poller(gateway.address, "edge-1")
-        polling.result()
-        assert [offer.name for offer in polling.offers] == ["racer"]
-        assert self.completions(platform, "work") == 1
-        assert gateway._router.parked_polls() == 0
+        polled = agent.client.agent_poll("edge-1").offers
+        assert [offer.name for offer in polled] == ["first"]
+        frame = agent.client.transport.recv_push(agent.stream.subscription_id, 5.0)
+        assert [offer["name"] for offer in frame["payload"]["offers"]] == ["first", "racer"]
+        assert self.frames(platform) == 2
 
-    def test_lease_expiry_reaped_by_a_host_tick_wakes_a_parked_poll(
-        self, platform, gateway, remote, poller, park_signal
+    def test_one_frame_in_flight_until_a_claim_or_a_poll_re_arms_the_stream(
+        self, platform, gateway, remote, subscriber
     ):
-        parked = park_signal(gateway._router)
+        with BatteryLabClient(
+            JsonLinesTransport(*gateway.address, timeout_s=10.0), "admin", "admin-token"
+        ) as admin:
+            admin.register_vantage_point("node2", "Example University", device_count=2)
+        remote.agent_register("edge-1", connectors=["fake"])
+        agent = subscriber(gateway.address, "edge-1")
+        first = submit_agent_job(remote, name="first")
+        assert agent.result() == [first.job_id]
+        submit_agent_job(remote, name="second")  # the stream is disarmed
+        assert self.frames(platform) == 1
+        agent.client.agent_claim("edge-1", first.job_id)  # re-arms; pushes nothing
+        assert self.frames(platform) == 1
+        submit_agent_job(remote, name="third")
+        frame = agent.client.transport.recv_push(agent.stream.subscription_id, 5.0)
+        assert [offer["name"] for offer in frame["payload"]["offers"]] == [
+            "second", "third",
+        ]
+        assert frame["seq"] == 2 and self.frames(platform) == 2
+        submit_agent_job(remote, name="fourth")  # disarmed again
+        assert agent.client.agent_poll("edge-1").offers  # re-arms
+        submit_agent_job(remote, name="fifth")
+        frame = agent.client.transport.recv_push(agent.stream.subscription_id, 5.0)
+        assert frame["seq"] == 3 and self.frames(platform) == 3
+
+    def test_lease_expiry_reaped_by_a_host_tick_pushes_an_offer(
+        self, platform, gateway, remote, subscriber
+    ):
         job = submit_agent_job(remote)
         remote.agent_register("edge-1", connectors=["fake"])
         remote.agent_register("edge-2", connectors=["fake"])
         remote.agent_claim("edge-1", job.job_id, ttl_s=10.0)
-        polling = poller(gateway.address, "edge-2")
-        assert parked.acquire(timeout=5.0)
+        waiting = subscriber(gateway.address, "edge-2")
         # The clock alone announces nothing ...
         with gateway.router_lock:
             platform.context.run_for(11.0)
-        assert gateway._router.parked_polls() == 1
+        assert self.frames(platform) == 0
         # ... the tick that reaps the lease publishes dispatch.requeued.
         with gateway.router_lock:
             platform.run_queue()
-        assert polling.result() == [job.job_id]
-        assert self.completions(platform, "work") == 1
+        assert waiting.result() == [job.job_id]
+        assert self.frames(platform) == 1
 
-    def test_release_of_the_last_missing_device_wakes_a_multi_poll(
-        self, platform, gateway, remote, poller, park_signal
+    def test_release_of_the_last_missing_device_pushes_a_multi_offer(
+        self, platform, gateway, remote, subscriber
     ):
         """A 4-device job waits on two devices another lease holds; the
-        report that frees them (one of them a child slot) is the wake."""
-        parked = park_signal(gateway._router)
+        report that frees them (one of them a child slot) is the push."""
         with BatteryLabClient(
             JsonLinesTransport(*gateway.address, timeout_s=10.0), "admin", "admin-token"
         ) as admin:
@@ -880,38 +904,50 @@ class TestParkedPolls:
         )
         lease = remote.agent_claim("pair", blocker.job_id)
         big = submit_agent_job(remote, name="big", connector="multi", device_count=4)
-        polling = poller(gateway.address, "fanout")
-        assert parked.acquire(timeout=5.0)
+        waiting = subscriber(gateway.address, "fanout")
         assert remote.agent_poll("fanout").offers == []
         remote.agent_report(lease.lease_id, "pair", "completed")
-        assert polling.result() == [big.job_id]
+        assert waiting.result() == [big.job_id]
 
-    def test_deadline_answers_empty_and_metrics_are_exported(
-        self, platform, gateway, remote, poller
-    ):
+    def test_offer_metrics_are_exported(self, platform, gateway, remote, subscriber):
+        router = gateway._router
+        closed = threading.Event()
+        cancel_owner = router.cancel_owner
+
+        def cancel_and_tell(owner):
+            count = cancel_owner(owner)
+            closed.set()
+            return count
+
+        router.cancel_owner = cancel_and_tell
         remote.agent_register("edge-1", connectors=["fake"])
-        polling = poller(gateway.address, "edge-1", wait_s=0.05)
-        assert polling.result() == []
-        assert self.completions(platform, "deadline") == 1
+        waiting = subscriber(gateway.address, "edge-1")
+        job = submit_agent_job(remote)
+        assert waiting.result() == [job.job_id]
         view = remote.obs_metrics()
-        assert {"api_parked_polls"} <= {sample.name for sample in view.gauges}
-        assert {"agent_poll_completions_total"} <= {
-            sample.name for sample in view.counters
-        }
-        park = [
-            sample for sample in view.histograms
-            if sample.name == "agent_poll_park_seconds"
-        ]
-        assert park and park[0].count == 1 and park[0].sum >= 0.05
-        assert "api_parked_polls 0" in platform.access_server.obs.registry.render_text()
+        assert {"api_agent_subscriptions": 1.0}.items() <= {
+            sample.name: sample.value for sample in view.gauges
+        }.items()
+        assert {"agent_offer_frames_total": 1.0}.items() <= {
+            sample.name: sample.value for sample in view.counters
+        }.items()
+        waiting.client.close()
+        assert closed.wait(timeout=5.0)
+        text = platform.access_server.obs.registry.render_text()
+        assert "api_agent_subscriptions 0" in text
 
     def test_agents_and_submitters_racing_lose_no_wake_and_settle_each_job_once(
         self, platform, gateway, remote
     ):
         """More threads than cores and a 10 µs switch interval: every job
-        submitted while agents park, wake, claim and report is settled by
-        exactly one agent, and nothing is left parked at a deadline."""
+        submitted while agents wait, claim and report is settled by exactly
+        one agent, and no agent's wait for a frame times out.  Each agent
+        waits as the daemon does: subscribe, poll once, then take the
+        frames, polling when every offer of one was taken."""
         import sys
+
+        from repro.api.errors import TransportApiError
+        from repro.api.schemas import AgentPollView
 
         agents, submitters, jobs_each = 6, 3, 20
         total = submitters * jobs_each
@@ -928,20 +964,32 @@ class TestParkedPolls:
         def agent(agent_id):
             with connect() as client:
                 client.agent_register(agent_id, connectors=["fake"])
+                stream = client.agent_subscribe(agent_id, limit=1)
+                offers = client.agent_poll(agent_id, limit=1).offers
                 while not done.is_set():
                     try:
-                        offers = client.agent_poll(agent_id, wait_s=20.0, limit=1).offers
                         if not offers:
+                            frame = client.transport.recv_push(
+                                stream.subscription_id, timeout_s=20.0
+                            )
+                            offers = AgentPollView.from_wire(frame["payload"]).offers
+                        job_id = offers[0].job_id
+                        try:
+                            lease = client.agent_claim(agent_id, job_id)
+                        except ConflictApiError:
+                            # Taken by another agent: poll, as the daemon does.
+                            offers = client.agent_poll(agent_id, limit=1).offers
                             continue
-                        lease = client.agent_claim(agent_id, offers[0].job_id)
+                        offers = []
                         client.agent_report(lease.lease_id, agent_id, "completed")
-                    except ConflictApiError:
-                        continue  # another agent claimed the offer first
-                    except Exception as exc:  # noqa: BLE001 - reported below
+                    except TransportApiError as exc:
                         if not done.is_set():
-                            failures.append(exc)
+                            failures.append(exc)  # a timed-out wait: a lost wake
                         return
-                    settled.append(offers[0].job_id)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append(exc)
+                        return
+                    settled.append(job_id)
                     if len(settled) == total:
                         done.set()
 
@@ -968,9 +1016,52 @@ class TestParkedPolls:
         assert not failures, failures
         assert finished, f"{len(settled)}/{total} settled; a wake-up was lost"
         assert sorted(settled) == sorted(set(settled)) and len(settled) == total
-        assert self.completions(platform, "deadline") == 0
-        gateway.stop()  # answers the agents still parked: their loops see ``done``
+        gateway.stop()  # ends the streams the agents still wait on
         for thread in threads:
             thread.join(timeout=5.0)
             assert not thread.is_alive()
-        assert gateway._router.parked_polls() == 0
+        assert gateway._router.agent_subscriptions() == 0
+
+
+class TestResentClaim:
+    def test_a_claim_resent_after_its_answer_was_lost_gets_the_same_lease(
+        self, platform, tmp_path
+    ):
+        """The daemon's connection drops after the server granted its lease
+        and before the answer arrived.  The transport resends the claim
+        once; the resend is answered with the lease the first copy won, so
+        the cycle runs the job instead of leaving it leased for a TTL."""
+        import socket
+
+        from repro.agent import AgentDaemon
+
+        gateway = platform.serve_gateway()
+        try:
+            with BatteryLabClient(
+                JsonLinesTransport(*gateway.address, timeout_s=10.0),
+                "experimenter",
+                "experimenter-token",
+            ) as client:
+                daemon = AgentDaemon(client, "edge-1", tmp_path / "outbox.jsonl")
+                daemon.register()
+                job = submit_agent_job(client)
+                server = platform.access_server
+                claim = server.agent_claim
+                granted = []
+
+                def grant_then_drop(*args, **kwargs):
+                    lease, claimed = claim(*args, **kwargs)
+                    if not granted:
+                        granted.append(lease.lease_id)
+                        client.transport._sock.shutdown(socket.SHUT_RDWR)
+                    return lease, claimed
+
+                server.agent_claim = grant_then_drop
+                assert daemon.run_once() == job.job_id
+                assert client.transport.connects == 2  # the claim was resent
+                assert client.job_status(job.job_id).status == "completed"
+                (claimed,) = [r for r in daemon.outbox.records() if r["kind"] == "claim"]
+                assert claimed["lease_id"] == granted[0]
+                daemon.outbox.close()
+        finally:
+            gateway.stop()

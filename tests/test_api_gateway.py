@@ -355,15 +355,15 @@ class TestDispatchFairness:
         assert single.job_id < deep_ids[-1], (single.job_id, deep_ids[-1])
 
 
-class TestParkedRequests:
-    """A parked ``agent.poll`` holds its connection's place in the response
-    order and nothing else: not a worker, and not a trace once the
-    connection is gone."""
+class TestAgentRequests:
+    """No request waits server-side for work: an ``agent.poll`` is answered
+    in its turn, and an agent's offer stream costs its connection nothing
+    once the connection is gone."""
 
     AUTH = {"username": "experimenter", "token": "experimenter-token"}
 
     @pytest.fixture()
-    def gateway(self, platform, poller):
+    def gateway(self, platform):
         gateway = ApiGateway(ApiRouter(platform.access_server))
         gateway.start()
         yield gateway
@@ -379,80 +379,75 @@ class TestParkedRequests:
         }
         return json.dumps(request).encode("utf-8") + b"\n"
 
-    def _poll_line(self, request_id, agent_id="edge-1"):
-        return self._line(
-            "agent.poll", request_id, {"agent_id": agent_id, "wait_s": 20.0, "limit": 10}
-        )
-
-    def test_requests_pipelined_behind_a_parked_poll_keep_request_order(
-        self, gateway, client, park_signal
+    def test_requests_pipelined_around_a_poll_and_an_offer_keep_request_order(
+        self, gateway, client
     ):
-        parked = park_signal(gateway._router)
         client.agent_register("edge-1", connectors=["fake"])
-        blob = (
-            self._line("server.status", 1)
-            + self._poll_line(2)
-            + self._line("server.status", 3)
-            + self._line("fleet.list", 4)
-        )
         with socket.create_connection(gateway.address, timeout=10.0) as sock:
-            sock.sendall(blob)  # all four in flight before any read
             reader = sock.makefile("rb")
-            assert json.loads(reader.readline())["request_id"] == 1
-            assert parked.acquire(timeout=5.0)
-            job = client.submit_job("wakes-it", "noop", execution="agent", connector="fake")
-            responses = [json.loads(reader.readline()) for _ in range(3)]
+            sock.sendall(self._line("agent.subscribe", 1, {"agent_id": "edge-1"}))
+            ack = json.loads(reader.readline())
+            job = client.submit_job("offered", "noop", execution="agent", connector="fake")
+            blob = (
+                self._line("server.status", 2)
+                + self._line("agent.poll", 3, {"agent_id": "edge-1"})
+                + self._line("fleet.list", 4)
+            )
+            sock.sendall(blob)  # all three in flight before any read
+            frames = [json.loads(reader.readline()) for _ in range(4)]
+        pushes = [frame for frame in frames if frame.get("kind") == "push"]
+        responses = [frame for frame in frames if frame.get("kind") != "push"]
         assert [response["request_id"] for response in responses] == [2, 3, 4]
         assert all(response["ok"] for response in responses)
-        offers = responses[0]["payload"]["offers"]
+        offers = responses[1]["payload"]["offers"]
         assert [offer["job_id"] for offer in offers] == [job.job_id]
+        (offer,) = pushes
+        assert offer["frame"] == "offer"
+        assert offer["subscription_id"] == ack["payload"]["subscription_id"]
+        assert [o["job_id"] for o in offer["payload"]["offers"]] == [job.job_id]
 
-    def test_connection_closed_while_parked_leaves_nothing_behind(
-        self, platform, gateway, client, park_signal
+    def test_connection_closed_with_an_offer_stream_leaves_nothing_behind(
+        self, platform, gateway, client
     ):
         import threading
 
         router = gateway._router
-        parked = park_signal(router)
         cancelled = threading.Event()
-        connections = []
         cancel_owner = router.cancel_owner
 
         def cancel_and_tell(owner):
             count = cancel_owner(owner)
-            connections.append(owner)
             cancelled.set()
             return count
 
         router.cancel_owner = cancel_and_tell
         client.agent_register("edge-1", connectors=["fake"])
         with socket.create_connection(gateway.address, timeout=10.0) as sock:
-            sock.sendall(self._poll_line(1) + self._line("server.status", 2))
-            assert parked.acquire(timeout=5.0)
-            assert router.parked_polls() == 1
+            sock.sendall(self._line("agent.subscribe", 1, {"agent_id": "edge-1"}))
+            assert json.loads(sock.makefile("rb").readline())["ok"]
+            assert router.agent_subscriptions() == 1
         assert cancelled.wait(timeout=5.0)
-        assert router.parked_polls() == 0
-        (dead,) = connections
-        # The cancelled poll's answer went nowhere, and the request queued
-        # behind it died with the connection instead of being run.
-        assert not dead._responses and not dead._requests and not dead._worker_active
+        assert router.agent_subscriptions() == 0
+        assert router.active_subscriptions() == []
         registry = platform.access_server.obs.registry
-        completions = registry.family("agent_poll_completions_total")
-        assert completions.labels(reason="cancelled").value == 1
-        assert registry.family("api_parked_polls").labels().value == 0
-        # Work for the departed agent wakes nobody and breaks nothing.
+        assert "api_agent_subscriptions 0" in registry.render_text()
+        # Work for the departed agent is pushed nowhere and breaks nothing.
         job = client.submit_job("too-late", "noop", execution="agent", connector="fake")
         assert [o.job_id for o in client.agent_poll("edge-1").offers] == [job.job_id]
+        assert registry.family("agent_offer_frames_total").labels().value == 0
 
-    def test_poll_that_finds_work_or_does_not_wait_is_answered_in_line(
-        self, gateway, client
-    ):
+    def test_poll_never_waits_and_a_stale_wait_is_refused(self, gateway, client):
         client.agent_register("edge-1", connectors=["fake"])
-        assert client.agent_poll("edge-1").offers == []  # wait_s=0: never parks
+        assert client.agent_poll("edge-1").offers == []
         job = client.submit_job("ready", "noop", execution="agent", connector="fake")
-        offers = client.agent_poll("edge-1", wait_s=20.0).offers
-        assert [offer.job_id for offer in offers] == [job.job_id]
-        assert gateway._router.parked_polls() == 0
+        assert [offer.job_id for offer in client.agent_poll("edge-1").offers] == [job.job_id]
+        with socket.create_connection(gateway.address, timeout=10.0) as sock:
+            sock.sendall(
+                self._line("agent.poll", 1, {"agent_id": "edge-1", "wait_s": 20.0})
+            )
+            response = json.loads(sock.makefile("rb").readline())
+        assert response["error"]["code"] == "request.invalid"
+        assert "wait_s" in response["error"]["message"]
 
 
 class TestGatewayTelemetry:

@@ -279,11 +279,10 @@ class TestGatewayStreaming:
         assert gateway._router.active_subscriptions() == []
         client.close()
 
-    def test_stop_with_parked_agent_poll_does_not_hang(self, platform):
-        """Regression: ApiGateway.stop() must wake parked ``agent.poll``
-        long-polls promptly — an agent waiting out a 30 s poll deadline
-        cannot hold shutdown hostage (companion to the blocked-watcher
-        test above)."""
+    def test_stop_with_an_agent_waiting_for_offers_does_not_hang(self, platform):
+        """ApiGateway.stop() unblocks an agent waiting on its offer stream
+        at once, as it does a watcher (the test above): the agent sees a
+        typed transport error, not a hang."""
         gateway = self._serve(platform)
         host, port = gateway.address
         client = BatteryLabClient(
@@ -291,34 +290,56 @@ class TestGatewayStreaming:
             "experimenter",
             "experimenter-token",
         )
-        client.agent_register("parked-agent", connectors=["fake"])
+        client.agent_register("waiting-agent", connectors=["fake"])
+        stream = client.agent_subscribe("waiting-agent")
         outcome = {}
 
-        def parked_poller():
+        def waiting_agent():
             try:
-                # No matching work exists: server-side this parks for 20 s
-                # unless stop() wakes it.
-                outcome["offers"] = client.agent_poll(
-                    "parked-agent", wait_s=20.0
-                ).offers
+                # No matching work exists: this waits 20 s unless stop() ends it.
+                outcome["frame"] = client.transport.recv_push(
+                    stream.subscription_id, timeout_s=20.0
+                )
             except TransportApiError as exc:
-                outcome["error"] = str(exc)
+                outcome["error"] = exc
 
-        poller = threading.Thread(target=parked_poller)
-        poller.start()
-        time.sleep(0.3)  # let the poll park server-side
-        assert gateway._router.parked_polls() == 1
+        agent = threading.Thread(target=waiting_agent)
+        agent.start()
         started = time.perf_counter()
         gateway.stop()
         elapsed = time.perf_counter() - started
-        poller.join(timeout=5.0)
-        assert elapsed < 2.0, f"stop() took {elapsed:.2f}s with a parked poll"
-        assert not poller.is_alive()
-        # The woken poll either answered empty before the socket died or
-        # the reader saw a typed transport error — never a hang.
-        assert outcome.get("offers") == [] or "error" in outcome
-        assert gateway._router.parked_polls() == 0
+        agent.join(timeout=5.0)
+        assert elapsed < 2.0, f"stop() took {elapsed:.2f}s with a waiting agent"
+        assert not agent.is_alive()
+        assert "timeout_s" not in outcome["error"].details  # gone, not quiet
+        assert gateway._router.agent_subscriptions() == 0
         client.close()
+
+    def test_a_quiet_wait_times_out_and_leaves_the_connection_up(self, platform):
+        """A ``recv_push`` that times out says so (``details["timeout_s"]``)
+        and keeps the connection: the next request and the next frame use
+        it, with no reconnect."""
+        gateway = self._serve(platform)
+        client = BatteryLabClient(
+            JsonLinesTransport(*gateway.address, timeout_s=30.0),
+            "experimenter",
+            "experimenter-token",
+        )
+        try:
+            client.agent_register("quiet-agent", connectors=["fake"])
+            stream = client.agent_subscribe("quiet-agent")
+            for timeout_s in (0.05, 0.0):
+                with pytest.raises(TransportApiError) as raised:
+                    client.transport.recv_push(stream.subscription_id, timeout_s=timeout_s)
+                assert raised.value.details["timeout_s"] == timeout_s
+            job = client.submit_job("work", "noop", execution="agent", connector="fake")
+            frame = client.transport.recv_push(stream.subscription_id, timeout_s=5.0)
+            assert frame["frame"] == "offer"
+            assert [o["job_id"] for o in frame["payload"]["offers"]] == [job.job_id]
+            assert client.transport.connects == 1
+        finally:
+            client.close()
+            gateway.stop()
 
     def test_connection_death_cancels_its_subscriptions(self, platform):
         gateway = self._serve(platform)

@@ -204,7 +204,10 @@ class TestHistoryBounded:
         assert not verdict.ok
         assert "analytics timelines keeps 1 job(s)" in verdict.details
 
-    def test_a_parked_poll_or_a_lease_fails_only_a_drained_run(self, platform):
+    def test_an_agent_subscription_or_a_lease_fails_only_a_drained_run(self, platform):
+        from repro.api.client import BatteryLabClient, InProcessTransport
+        from repro.api.router import ApiRouter
+
         server = platform.access_server
         client = platform.client()
         job = client.submit_job("held", "noop", execution="agent", connector="fake")
@@ -213,14 +216,20 @@ class TestHistoryBounded:
         assert check_history_bounded(server).ok
         verdict = check_history_bounded(server, drained=True)
         assert not verdict.ok
-        assert "after drain: 0 parked poll(s), 1 live lease(s)" in verdict.details
+        assert "after drain: 0 agent subscription(s), 1 live lease(s)" in verdict.details
 
-        class Router:  # what the check asks of an ApiRouter
-            def parked_polls(self):
-                return 2
-
-        verdict = check_history_bounded(server, [Router()], drained=True)
-        assert "after drain: 2 parked poll(s), 1 live lease(s)" in verdict.details
+        router = ApiRouter(server)
+        agent = BatteryLabClient(
+            InProcessTransport(router), "experimenter", "experimenter-token"
+        )
+        agent.agent_subscribe("edge-1")
+        agent.agent_subscribe("edge-1")
+        assert check_history_bounded(server, [router]).ok
+        verdict = check_history_bounded(server, [router], drained=True)
+        assert "after drain: 2 agent subscription(s), 1 live lease(s)" in verdict.details
+        agent.close()  # the connection goes, and its streams with it
+        verdict = check_history_bounded(server, [router], drained=True)
+        assert "after drain: 0 agent subscription(s), 1 live lease(s)" in verdict.details
 
 
 class TestOutboxBounded:

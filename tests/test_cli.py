@@ -48,6 +48,42 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Johannesburg" in output
 
+    @staticmethod
+    def table(output):
+        """A rendered table's title, column names and data rows."""
+        title, header, rule, *rows = output.strip().splitlines()
+        assert set(rule) <= {"-", " "}
+        return title, header.split(), rows
+
+    def test_figure5(self, capsys):
+        assert main(["figure5", "--repetitions", "1"]) == 0
+        title, columns, rows = self.table(capsys.readouterr().out)
+        assert title == "Figure 5 — controller CPU utilisation"
+        assert columns == [
+            "mirroring", "median_cpu_percent", "p90_cpu_percent",
+            "fraction_above_95", "samples",
+        ]
+        assert [row.split()[0] for row in rows] == ["False", "True"]
+
+    def test_figure6(self, capsys):
+        assert main(["figure6", "--repetitions", "1"]) == 0
+        title, columns, rows = self.table(capsys.readouterr().out)
+        assert title == "Figure 6 — discharge per VPN location"
+        assert columns == [
+            "location", "browser", "mean_discharge_mah", "std_discharge_mah",
+            "mean_bytes_mb",
+        ]
+        assert len(rows) == 10  # five locations, Brave and Chrome each
+        assert {row.split()[1] for row in rows} == {"brave", "chrome"}
+
+    def test_sysperf(self, capsys):
+        assert main(["sysperf"]) == 0
+        title, columns, rows = self.table(capsys.readouterr().out)
+        assert title == "System performance (Section 4.2)"
+        assert columns == ["metric", "value"]
+        assert len(rows) == 10
+        assert rows[0].startswith("controller CPU, no mirroring (%)")
+
     def test_seed_changes_nothing_structural(self, capsys):
         assert main(["--seed", "11", "locations"]) == 0
         first = capsys.readouterr().out

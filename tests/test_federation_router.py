@@ -1121,42 +1121,13 @@ class TestFederatedAgents:
         with pytest.raises(ConflictApiError):
             client.agent_register("stranded")
 
-    def test_drain_wakes_parked_agent_polls(self, fed2):
-        """A shard drain must not sit behind a long-poll deadline: parked
-        ``agent.poll`` requests are cancelled as the drain begins."""
-        router, shards = fed2
-        client = fed_client(router, "experimenter")
-        client.agent_register("sleeper", vantage_point="shard-1-node1")
-        outcome = {}
-
-        def parked_poll():
-            with fed_client(router, "experimenter") as poller:
-                outcome["offers"] = poller.agent_poll("sleeper", wait_s=20.0).offers
-
-        thread = threading.Thread(target=parked_poll)
-        thread.start()
-        deadline = time.time() + 2.0
-        while shards[1].router.parked_polls() == 0 and time.time() < deadline:
-            time.sleep(0.01)
-        assert shards[1].router.parked_polls() == 1
-        started = time.perf_counter()
-        response = admin_call(router, "shard.drain", {"shard_id": "shard-1"})
-        elapsed = time.perf_counter() - started
-        thread.join(timeout=5.0)
-        assert response["ok"]
-        assert elapsed < 2.0, f"drain took {elapsed:.2f}s behind a parked poll"
-        assert not thread.is_alive()
-        assert outcome["offers"] == []
-        assert shards[1].router.parked_polls() == 0
-
-    def test_parked_poll_over_a_gateway_is_woken_by_its_home_shard_only(
-        self, fed2, poller, park_signal
+    def test_offer_stream_over_a_gateway_is_fed_by_its_home_shard_only(
+        self, fed2, subscriber
     ):
-        """The socket path through the federation router: polls park on the
-        home shard's registry without holding the dispatch thread, a job on
-        the other shard leaves them parked, one on their own wakes them."""
+        """The socket path through the federation router: streams open on
+        the home shard's router beside one dispatch thread, a job on the
+        other shard pushes nothing, one on their own is pushed to each."""
         router, shards = fed2
-        parked = park_signal(shards[1].router)
         with ApiGateway(router) as gateway:
             with BatteryLabClient(
                 JsonLinesTransport(*gateway.address, timeout_s=10.0),
@@ -1166,29 +1137,28 @@ class TestFederatedAgents:
                 client.agent_register(
                     "worker", vantage_point="shard-1-node1", connectors=["fake"]
                 )
-                pollers = [poller(gateway.address, "worker") for _ in range(8)]
-                for _ in pollers:
-                    assert parked.acquire(timeout=5.0)
-                assert router.parked_polls() == len(pollers)
+                streams = [subscriber(gateway.address, "worker") for _ in range(8)]
+                assert shards[1].router.agent_subscriptions() == len(streams)
+                assert shards[0].router.agent_subscriptions() == 0
                 dispatch_threads = [
                     thread for thread in threading.enumerate()
                     if thread.name.startswith("batterylab-gw-worker")
                 ]
                 assert len(dispatch_threads) == 1
-                assert shards[0].router.parked_polls() == 0
                 submit_on(client, 0, "elsewhere", execution="agent", connector="fake")
                 submit_on(client, 1, "push-plane")
-                assert router.parked_polls() == len(pollers)
+                assert all(stream.is_alive() for stream in streams)
                 started = time.perf_counter()
                 job = submit_on(client, 1, "pulled", execution="agent", connector="fake")
-                for polling in pollers:
-                    assert polling.result() == [job.job_id]
-                    assert polling.returned_at - started < 0.05
-                assert router.parked_polls() == 0
+                for stream in streams:
+                    assert stream.result() == [job.job_id]
+                    assert stream.received_at - started < 0.05
+                    # Re-tagged: the federated id and seq, not the leg's.
+                    assert stream.frame.subscription_id == stream.stream.subscription_id
+                    assert stream.frame.seq == 1
 
-    def test_parked_poll_dies_with_its_gateway_connection(self, fed2, park_signal):
+    def test_offer_stream_dies_with_its_gateway_connection(self, fed2):
         router, shards = fed2
-        parked = park_signal(shards[1].router)
         fed_client(router, "experimenter").agent_register(
             "worker", vantage_point="shard-1-node1"
         )
@@ -1202,59 +1172,52 @@ class TestFederatedAgents:
 
         router.cancel_owner = cancel_and_tell
         request = {
-            "op": "agent.poll",
+            "op": "agent.subscribe",
             "version": "2.0",
             "request_id": 1,
             "auth": {"username": "experimenter", "token": "experimenter-token"},
-            "payload": {"agent_id": "worker", "wait_s": 20.0},
+            "payload": {"agent_id": "worker"},
         }
         with ApiGateway(router) as gateway:
             with socket.create_connection(gateway.address, timeout=10.0) as sock:
                 sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
-                assert parked.acquire(timeout=5.0)
-                assert shards[1].router.parked_polls() == 1
+                assert json.loads(sock.makefile("rb").readline())["ok"]
+                assert shards[1].router.agent_subscriptions() == 1
             assert gone.wait(timeout=5.0)
-            assert router.parked_polls() == 0
+            assert shards[1].router.agent_subscriptions() == 0
+            assert router.active_subscriptions() == []
 
-    def test_in_process_poll_blocks_until_a_submit_completes_it(self, fed2, park_signal):
-        """No gateway: the caller blocks on the same registry entry, and the
-        in-process transport that carried the submit re-checks it."""
+    def test_in_process_offer_is_pushed_by_the_submitting_transport(self, fed2):
+        """No gateway: the in-process transport that carried the submit
+        pushes the offer at the end of its call, to a stream another client
+        opened through the same federation."""
         router, shards = fed2
-        parked = park_signal(shards[1].router)
         client = fed_client(router, "experimenter")
         client.agent_register("worker", vantage_point="shard-1-node1")
-        outcome = {}
-
-        def blocked_poll():
-            with fed_client(router, "experimenter") as agent:
-                outcome["offers"] = agent.agent_poll("worker", wait_s=20.0).offers
-
-        thread = threading.Thread(target=blocked_poll)
-        thread.start()
-        assert parked.acquire(timeout=5.0)
+        agent = fed_client(router, "experimenter")
+        stream = agent.agent_subscribe("worker")
+        assert list(stream) == []
         job = submit_on(client, 1, "pulled", execution="agent")
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert [offer.job_id for offer in outcome["offers"]] == [job.job_id]
-        assert router.parked_polls() == 0
+        (frame,) = list(stream)
+        assert frame.frame == "offer" and frame.seq == 1
+        assert [o["job_id"] for o in frame.payload["offers"]] == [job.job_id]
+        assert agent.agent_claim("worker", job.job_id).job_id == job.job_id
 
-    def test_detach_answers_a_poll_parked_on_a_draining_shard(self, fed2, park_signal):
+    def test_unknown_agent_cannot_subscribe(self, fed2):
+        router, _ = fed2
+        with pytest.raises(NotFoundApiError):
+            fed_client(router, "experimenter").agent_subscribe("stranger")
+
+    def test_drain_keeps_and_detach_closes_an_offer_stream(self, fed2):
+        """A drain answers at once and leaves the stream open, as it leaves
+        watches open; detaching the shard closes the stream's leg."""
         router, shards = fed2
-        parked = park_signal(shards[1].router)
         client = fed_client(router, "experimenter")
         client.agent_register("late", vantage_point="shard-1-node1")
+        client.agent_subscribe("late")
+        started = time.perf_counter()
         assert admin_call(router, "shard.drain", {"shard_id": "shard-1"})["ok"]
-        outcome = {}
-
-        def blocked_poll():
-            with fed_client(router, "experimenter") as agent:
-                outcome["offers"] = agent.agent_poll("late", wait_s=20.0).offers
-
-        thread = threading.Thread(target=blocked_poll)
-        thread.start()
-        assert parked.acquire(timeout=5.0)
+        assert time.perf_counter() - started < 2.0
+        assert shards[1].router.agent_subscriptions() == 1
         assert admin_call(router, "shard.remove", {"shard_id": "shard-1"})["ok"]
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert outcome["offers"] == []
-        assert shards[1].router.parked_polls() == 0
+        assert shards[1].router.agent_subscriptions() == 0

