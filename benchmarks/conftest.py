@@ -1,10 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the ``bench_*.py`` scripts.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper's
-evaluation section.  The benchmarks run each experiment exactly once
-(``rounds=1``) — the interesting output is the reproduced rows/series, which
-are printed and attached to the benchmark's ``extra_info`` so they are
-visible in the saved benchmark JSON as well as with ``pytest -s``.
+Under pytest-benchmark a script runs its measurement exactly once
+(``rounds=1``); the interesting output is the table of measured rows, which
+is printed and attached to the benchmark's ``extra_info`` so it is visible
+in the saved benchmark JSON as well as with ``pytest -s``.  Run as plain
+scripts, the benches write their ``BENCH_*.json`` at the repository root.
+The paper's own figures and tables are pinned in
+``tests/test_experiments.py``.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 """Regenerate every table and figure of the paper and write EXPERIMENTS.md.
 
 This is the "one command" reproduction entry point: it runs each experiment
-driver at a moderate scale (larger than the benchmark defaults, smaller than
-the paper's multi-hour runs), prints the reproduced rows, and records a
-paper-vs-measured comparison in ``EXPERIMENTS.md`` at the repository root.
+driver at a moderate scale (larger than ``tests/test_experiments.py``'s,
+smaller than the paper's multi-hour runs), prints the reproduced rows, and
+records a paper-vs-measured comparison in ``EXPERIMENTS.md`` at the
+repository root, below the command catalogue: everything from the
+:data:`HEADING` line down is rewritten, everything above it is kept.
 
-Run it with ``python examples/reproduce_paper.py`` (takes a few minutes).
+Run it with ``PYTHONPATH=src python examples/reproduce_paper.py`` (~15 s).
+The output depends only on the seed, so a second run leaves the file
+byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.experiments.vpn_study import run_vpn_energy_study, run_vpn_speedtests
 
 SEED = 7
 OUTPUT = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+HEADING = "## Paper vs. reproduction"
 
 
 def main() -> None:
@@ -36,7 +41,7 @@ def main() -> None:
     sections.append(
         (
             "Figure 2 — CDF of current drawn (direct / relay / mirroring)",
-            "Paper: negligible difference between the direct and relay wiring; device "
+            "Negligible difference between the direct and relay wiring; device "
             "mirroring raises the median current from ~160 mA to ~220 mA during mp4 playback.",
             rows_to_markdown(fig2_rows),
             f"Measured: relay adds {accuracy.relay_overhead_ma():.1f} mA at the median; "
@@ -59,7 +64,7 @@ def main() -> None:
     sections.append(
         (
             "Figure 3 — per-browser battery discharge",
-            "Paper: Brave consumes the least, Firefox the most, and mirroring adds a "
+            "Brave consumes the least, Firefox the most, and mirroring adds a "
             "constant ~20 mAh (full-length ~7 min runs) regardless of the browser.",
             rows_to_markdown(fig3_rows),
             f"Measured ranking (no mirroring): {ranking}.  Mirroring overhead is "
@@ -73,7 +78,7 @@ def main() -> None:
     sections.append(
         (
             "Figure 4 — CDF of device CPU utilisation (Brave vs Chrome)",
-            "Paper: median CPU ~12% for Brave vs ~20% for Chrome; device mirroring adds ~5% to both.",
+            "Median CPU ~12% for Brave vs ~20% for Chrome; device mirroring adds ~5% to both.",
             rows_to_markdown(fig4_rows),
             f"Measured medians: Brave {brave_median:.1f}%, Chrome {chrome_median:.1f}%, "
             f"Chrome+mirroring {chrome_mirror:.1f}% (mirroring adds "
@@ -90,7 +95,7 @@ def main() -> None:
     sections.append(
         (
             "Figure 5 — CDF of controller (Raspberry Pi) CPU utilisation",
-            "Paper: constant ~25% without mirroring (Monsoon polling); median ~75% with "
+            "Constant ~25% without mirroring (Monsoon polling); median ~75% with "
             "mirroring and >95% in about 10% of the samples.",
             rows_to_markdown(fig5_rows),
             f"Measured: median {controller.median(False):.1f}% without mirroring, "
@@ -105,7 +110,7 @@ def main() -> None:
     sections.append(
         (
             "Table 2 — ProtonVPN statistics",
-            "Paper (D/U Mbps, RTT ms): Johannesburg 6.26/9.77/222.04, Hong Kong 7.64/7.77/286.32, "
+            "D/U Mbps and RTT ms: Johannesburg 6.26/9.77/222.04, Hong Kong 7.64/7.77/286.32, "
             "Bunkyo 9.68/7.76/239.38, Sao Paulo 9.75/8.82/235.05, Santa Clara 10.63/14.87/215.16.",
             rows_to_markdown(table2_rows),
             "Measured through the emulated tunnels; values match the paper within the speedtest "
@@ -126,7 +131,7 @@ def main() -> None:
     sections.append(
         (
             "Figure 6 — Brave and Chrome energy through VPN tunnels",
-            "Paper: network location barely changes the measurements, except Chrome through the "
+            "Network location barely changes the measurements, except Chrome through the "
             "Japanese exit, whose energy drops because ads there are ~20% smaller; Brave is flat.",
             rows_to_markdown(fig6_rows),
             f"Measured: Chrome's minimum is at {min(chrome_by_location, key=chrome_by_location.get)!r}; "
@@ -145,7 +150,7 @@ def main() -> None:
     sections.append(
         (
             "Section 4.2 — system performance",
-            "Paper: mirroring costs an extra ~50% controller CPU on average and ~6% memory "
+            "Mirroring costs an extra ~50% controller CPU on average and ~6% memory "
             "(total <20% of 1 GB); ~32 MB of upload per ~7-minute test; mirroring latency "
             "1.44 ± 0.12 s over 40 trials at 1 ms network RTT.",
             rows_to_markdown(perf_rows),
@@ -159,9 +164,8 @@ def main() -> None:
     print("\nPlatform API v1 round-trip (JSON-lines gateway) ...")
     _api_roundtrip_demo()
 
-    elapsed = time.time() - started
-    _write_markdown(sections, elapsed)
-    print(f"\nWrote {OUTPUT} in {elapsed:.0f} s")
+    _write_markdown(sections)
+    print(f"\nWrote {OUTPUT} in {time.time() - started:.0f} s")
 
 
 def _api_roundtrip_demo() -> None:
@@ -192,25 +196,30 @@ def _api_roundtrip_demo() -> None:
     gateway.stop()
 
 
-def _write_markdown(sections, elapsed_s: float) -> None:
+def _write_markdown(sections) -> None:
+    catalogue = OUTPUT.read_text(encoding="utf-8").split(HEADING, 1)[0].rstrip("\n")
     lines = [
-        "# EXPERIMENTS — paper vs. reproduction",
+        catalogue,
+        "",
+        HEADING,
         "",
         "Every table and figure of the paper's evaluation (Section 4), regenerated by",
-        "`python examples/reproduce_paper.py` on the software-emulated platform",
-        f"(seed 7, total runtime ~{elapsed_s:.0f} s of wall-clock time).  The reproduction",
-        "targets *shape fidelity* — orderings, gaps and crossovers — rather than the",
-        "absolute numbers of the authors' hardware testbed; see DESIGN.md for the",
-        "hardware-substitution table and calibration targets.",
+        "`PYTHONPATH=src python examples/reproduce_paper.py` on the software-emulated",
+        f"platform (seed {SEED}); the script rewrites this section and keeps the",
+        "catalogue above it. The reproduction targets *shape fidelity* — orderings,",
+        "gaps and crossovers — rather than the absolute numbers of the authors'",
+        "hardware testbed; see DESIGN.md for the hardware-substitution table and",
+        "calibration targets.",
         "",
-        "The same experiments (at reduced scale, with shape assertions) run under",
-        "`pytest benchmarks/ --benchmark-only`.",
+        "The same drivers run at a reduced scale in `tests/test_experiments.py`, which",
+        "checks their shapes and compares every row exactly against",
+        "`tests/data/paper_rows_seed17.json` (seed 17).",
         "",
     ]
     for title, paper, table, measured in sections:
         lines.extend(
             [
-                f"## {title}",
+                f"### {title}",
                 "",
                 f"**Paper.** {paper}",
                 "",

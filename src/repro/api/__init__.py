@@ -45,7 +45,6 @@ if TYPE_CHECKING:
         PipelineResult,
         PushStream,
         Transport,
-        in_process_client,
     )
     from repro.api.errors import (
         ALL_ERROR_CODES,
@@ -132,7 +131,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "PipelineResult",
             "PushStream",
             "Transport",
-            "in_process_client",
         ),
         "errors": (
             "ALL_ERROR_CODES",

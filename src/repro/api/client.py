@@ -922,10 +922,3 @@ class BatteryLabClient:
         """Platform-wide status; pass ``version="2.0"`` for the v2 extras
         (write-ahead-journal health in ``StatusView.journal``)."""
         return StatusView.from_wire(self._call("server.status", {}, version))
-
-
-def in_process_client(server, username: str, token: str) -> BatteryLabClient:
-    """A client driving ``server`` (an :class:`AccessServer`) in-process."""
-    from repro.api.router import ApiRouter
-
-    return BatteryLabClient(InProcessTransport(ApiRouter(server)), username, token)

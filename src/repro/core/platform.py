@@ -77,6 +77,9 @@ class BatteryLabPlatform:
     #: Plaintext tokens for the bootstrap accounts, so :meth:`client` can
     #: authenticate without callers re-typing the well-known credentials.
     account_tokens: Dict[str, str] = field(default_factory=dict)
+    #: The router every :meth:`client` shares, so the offer frames one
+    #: client's call makes claimable reach every in-process subscriber.
+    _router: Optional[object] = field(default=None, init=False, repr=False)
 
     def vantage_point(self, name: Optional[str] = None) -> VantagePointHandle:
         if name is None:
@@ -121,7 +124,8 @@ class BatteryLabPlatform:
         the bootstrap token of ``username`` when the platform created that
         account.
         """
-        from repro.api.client import in_process_client
+        from repro.api.client import BatteryLabClient, InProcessTransport
+        from repro.api.router import ApiRouter
 
         if token is None:
             token = self.account_tokens.get(username)
@@ -129,7 +133,9 @@ class BatteryLabPlatform:
             raise ValueError(
                 f"no bootstrap token known for {username!r}; pass token= explicitly"
             )
-        return in_process_client(self.access_server, username, token)
+        if self._router is None:
+            self._router = ApiRouter(self.access_server)
+        return BatteryLabClient(InProcessTransport(self._router), username, token)
 
     def serve_gateway(
         self,

@@ -511,11 +511,30 @@ class TestOfferStream:
         daemon.subscribe()
         ops = record_ops(daemon.client.transport)
         assert daemon.run_once(wait_s=5.0) is None
+        assert ops == ["agent.poll"]
         job = platform.client().submit_job(
-            "polled", "noop", execution="agent", connector="fake"
+            "offered", "noop", execution="agent", connector="fake"
         )
+        # The submit's offer frame is buffered, so the claim needs no poll.
         assert daemon.run_once(wait_s=5.0) == job.job_id
-        assert ops[:3] == ["agent.poll", "agent.poll", "agent.claim"]
+        assert ops[:2] == ["agent.poll", "agent.claim"]
+
+    def test_a_submit_through_another_in_process_client_pushes_an_offer(
+        self, platform, tmp_path
+    ):
+        daemon = start_daemon(platform, tmp_path)
+        daemon.subscribe()
+        assert daemon.run_once(wait_s=0.0) is None  # the poll a new stream owes
+        transport = daemon.client.transport
+        ops = record_ops(transport)
+        job = platform.client().submit_job(
+            "pushed", "noop", execution="agent", connector="fake"
+        )
+        buffered = [frame for frames in transport._push_buffers.values() for frame in frames]
+        assert [frame["frame"] for frame in buffered] == ["offer"]
+        assert ops == []
+        assert daemon.run_once(wait_s=0.0) == job.job_id
+        assert ops == ["agent.claim", "agent.heartbeat", "agent.heartbeat", "agent.report"]
 
 
 class TestCrashMatrix:

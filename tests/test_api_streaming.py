@@ -213,8 +213,8 @@ class TestGatewayStreaming:
                 platform.run_queue()  # events pushed while no request pending
                 # this request's response must arrive despite buffered pushes
                 assert client.job_status(view.job_id).status == "completed"
-                topics = [frame.topic for frame in _drain(stream, 4)]
-                assert "dispatch.assigned" in topics
+                topics = [frame.topic for frame in _drain(stream, 3)]
+                assert topics == ["dispatch.assigned", "dispatch.batch", "dispatch.released"]
         finally:
             gateway.stop()
 
@@ -239,8 +239,8 @@ class TestGatewayStreaming:
                 views = pipe.flush()
                 assert len(views) == 9
                 assert all(h.result().status == "completed" for h in handles)
-                topics = [frame.topic for frame in _drain(stream, 4)]
-                assert "dispatch.assigned" in topics
+                topics = [frame.topic for frame in _drain(stream, 3)]
+                assert topics == ["dispatch.assigned", "dispatch.batch", "dispatch.released"]
         finally:
             gateway.stop()
 
