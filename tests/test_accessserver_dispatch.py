@@ -831,6 +831,7 @@ class TestServerIntegration:
             server.scheduler.cancel(box["job"].job_id)
             ctx.api.power_monitor()
             ctx.api.set_voltage(3.85)
+            ctx.api.controller.monitor.set_sample_rate(20.0)  # billing follows the hold
             ctx.api.measure(ctx.device_serial, duration=3600.0)  # one device-hour
             ctx.api.power_monitor()
             return "evaded?"

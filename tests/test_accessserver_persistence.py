@@ -56,6 +56,7 @@ def echo_payload(ctx):
 def measure_one_hour(ctx):
     ctx.api.power_monitor()
     ctx.api.set_voltage(3.85)
+    ctx.api.controller.monitor.set_sample_rate(20.0)  # billing follows the hold
     ctx.api.measure(ctx.device_serial, duration=3600.0)
     ctx.api.power_monitor()
     return "measured"

@@ -1,8 +1,79 @@
-"""Tests for the command-line interface."""
+"""Tests for the command-line interface.
+
+``tests/data/cli_flags.json`` pins every subcommand and flag (help text
+aside); after adding or changing one on purpose, rewrite it with::
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import argparse
+import json
+import logging
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+FLAGS = Path(__file__).resolve().parent / "data" / "cli_flags.json"
+
+
+def flag_inventory() -> dict:
+    """Each parser's actions as JSON: the top-level parser under ``""``,
+    then every subcommand; help text is left out."""
+    parser = build_parser()
+    (commands,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    parsers = {"": parser, **commands.choices}
+    inventory = {
+        name: [
+            {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", None),
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required,
+                "nargs": action.nargs,
+                "const": action.const,
+                "metavar": action.metavar,
+            }
+            for action in sub._actions
+        ]
+        for name, sub in parsers.items()
+    }
+    return json.loads(json.dumps(inventory))
+
+
+def test_every_subcommand_and_flag_is_kept():
+    golden = json.loads(FLAGS.read_text(encoding="utf-8"))
+    inventory = flag_inventory()
+    assert list(inventory) == list(golden)
+    for name, actions in golden.items():
+        assert inventory[name] == actions, name
+
+
+class TestLogLevel:
+    @pytest.fixture(autouse=True)
+    def restore_root_logger(self):
+        root = logging.getLogger()
+        level, handlers = root.level, list(root.handlers)
+        yield
+        root.setLevel(level)
+        root.handlers[:] = handlers
+
+    def test_a_known_level_configures_logging(self, capsys):
+        assert main(["--log-level", "DEBUG", "locations"]) == 0
+        assert logging.getLogger().level == logging.DEBUG
+        assert "Bunkyo" in capsys.readouterr().out
+
+    def test_an_unknown_level_exits_2(self, capsys):
+        assert main(["--log-level", "LOUD", "locations"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown log level 'LOUD'\n"
 
 
 class TestParser:
@@ -442,3 +513,8 @@ class TestAgentCommand:
             f"outbox: {outbox.stat().st_size} bytes, 0 pending lease(s), "
             "0 compaction(s), 1 fsync(s)" in output
         )
+
+
+if __name__ == "__main__":
+    FLAGS.write_text(json.dumps(flag_inventory(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {FLAGS}")

@@ -6,6 +6,7 @@ returns scripted batch sizes, so every case is exact and takes no wall
 time.  One case at the end crosses a real socket.
 """
 
+import re
 import threading
 import time
 from types import SimpleNamespace
@@ -261,6 +262,27 @@ def test_serve_reports_its_dispatch_passes_on_the_way_out(tmp_path, capsys):
     last_line = capsys.readouterr().out.splitlines()[-1]
     assert last_line.startswith("gateway stopped after executing 0 job(s) in 0 full, 0 partial and ")
     assert last_line.endswith(" empty dispatch pass(es)")
+
+
+def test_federate_announces_its_shards_and_reports_on_the_way_out(tmp_path, capsys):
+    argv = ["federate", "--shards", "2", "--state-root", str(tmp_path), "--duration-s", "0.15"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(
+        r"serving federated Platform API \(2 shard\(s\)\) on 127\.0\.0\.1:\d+ "
+        r"\(plaintext\); \^C to stop",
+        lines[0],
+    )
+    assert lines[-1] == "federation gateway stopped after executing 0 job(s)"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["shard-0", "shard-1"]
+
+
+@pytest.mark.parametrize("command", ["serve", "federate"])
+def test_tls_without_a_cert_dir_exits_with_the_reason(tmp_path, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--state-dir", str(tmp_path), command, "--tls"])
+    assert exit_info.value.code == "--tls requires --cert-dir DIR for the wildcard material"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_second_connection_is_served_while_a_pipelined_backlog_drains(monkeypatch):
