@@ -135,11 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("quickstart", help="build the platform and take a 30 s idle measurement")
-    sub.add_parser("locations", help="list the built-in ProtonVPN locations (Table 2 profiles)")
+    def command(name, handler, **kwargs):
+        """Declare subcommand ``name`` and bind the handler :func:`main` calls."""
+        subparser = sub.add_parser(name, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    dispatch_bench = sub.add_parser(
+    command("quickstart", _cmd_quickstart, help="build the platform and take a 30 s idle measurement")
+    command("locations", _cmd_locations, help="list the built-in ProtonVPN locations (Table 2 profiles)")
+
+    dispatch_bench = command(
         "dispatch-bench",
+        _cmd_dispatch_bench,
         help="measure batch dispatch throughput on a synthetic device fleet",
     )
     dispatch_bench.add_argument("--devices", type=int, default=100, help="device slots in the fleet")
@@ -148,26 +155,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--vantage-points", type=int, default=10, help="vantage points the devices spread over"
     )
 
-    figure2 = sub.add_parser("figure2", help="accuracy experiment (current CDFs)")
+    figure2 = command("figure2", _cmd_figure2, help="accuracy experiment (current CDFs)")
     figure2.add_argument("--duration", type=float, default=120.0, help="measurement length in seconds")
     figure2.add_argument("--sample-rate", type=float, default=500.0, help="monitor sampling rate in Hz")
 
-    figure3 = sub.add_parser("figure3", help="per-browser battery discharge")
+    figure3 = command("figure3", _cmd_figure3, help="per-browser battery discharge")
     figure3.add_argument("--repetitions", type=int, default=2)
     figure3.add_argument("--scrolls", type=int, default=10, help="scroll operations per page")
 
-    figure5 = sub.add_parser("figure5", help="controller CPU utilisation")
+    figure5 = command("figure5", _cmd_figure5, help="controller CPU utilisation")
     figure5.add_argument("--repetitions", type=int, default=1)
 
-    sub.add_parser("table2", help="ProtonVPN speedtest statistics")
+    command("table2", _cmd_table2, help="ProtonVPN speedtest statistics")
 
-    figure6 = sub.add_parser("figure6", help="Brave/Chrome energy through VPN tunnels")
+    figure6 = command("figure6", _cmd_figure6, help="Brave/Chrome energy through VPN tunnels")
     figure6.add_argument("--repetitions", type=int, default=1)
 
-    sub.add_parser("sysperf", help="controller CPU/memory/network and mirroring latency")
+    command("sysperf", _cmd_sysperf, help="controller CPU/memory/network and mirroring latency")
 
-    submit = sub.add_parser(
+    submit = command(
         "submit",
+        _cmd_submit,
         help="submit a job through the Platform API v1 client (payloads by registered name)",
     )
     submit.add_argument("--name", required=True, help="job name")
@@ -209,44 +217,48 @@ def build_parser() -> argparse.ArgumentParser:
         "(useful with --state-dir: a later run recovers and executes it)",
     )
 
-    status = sub.add_parser(
-        "status", help="platform status via the API (queue depth, orphaned jobs, policy)"
+    status = command(
+        "status",
+        _cmd_status,
+        help="platform status via the API (queue depth, orphaned jobs, policy)",
     )
     status.add_argument(
         "--jobs", action="store_true", help="also list every known job with its state"
     )
 
-    cancel = sub.add_parser("cancel", help="cancel a queued or running job via the API")
+    cancel = command("cancel", _cmd_cancel, help="cancel a queued or running job via the API")
     cancel.add_argument("--job-id", type=int, required=True, help="id of the job to cancel")
 
-    sub.add_parser("fleet", help="list vantage points and device slots via the API")
+    command("fleet", _cmd_fleet, help="list vantage points and device slots via the API")
 
-    watch = sub.add_parser(
+    watch = command(
         "watch",
+        _cmd_watch,
         help="stream a job's dispatch.* events (API v2 job.watch, no polling)",
     )
     watch.add_argument("--job-id", type=int, required=True, help="id of the job to watch")
 
-    approve = sub.add_parser(
-        "approve", help="approve a pending pipeline-change job (admin, API v2)"
+    approve = command(
+        "approve", _cmd_approve, help="approve a pending pipeline-change job (admin, API v2)"
     )
     approve.add_argument("--job-id", type=int, required=True)
 
-    reject = sub.add_parser(
-        "reject", help="reject a pending pipeline-change job (admin, API v2)"
+    reject = command(
+        "reject", _cmd_reject, help="reject a pending pipeline-change job (admin, API v2)"
     )
     reject.add_argument("--job-id", type=int, required=True)
     reject.add_argument("--reason", default="", help="recorded on the job for its owner")
 
-    grant = sub.add_parser(
-        "grant", help="grant credit device-hours to an account (admin, API v2)"
+    grant = command(
+        "grant", _cmd_grant, help="grant credit device-hours to an account (admin, API v2)"
     )
     grant.add_argument("--owner", required=True, help="credit account owner")
     grant.add_argument("--amount", type=float, required=True, help="device-hours to add")
     grant.add_argument("--note", default="", help="audit note on the ledger entry")
 
-    register_vp = sub.add_parser(
+    register_vp = command(
         "register-vp",
+        _cmd_register_vp,
         help="register a new vantage point over the API (admin, API v2)",
     )
     register_vp.add_argument("--name", required=True, help="node identifier (DNS label)")
@@ -258,35 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in device hardware profile (e.g. samsung-j7-duo, google-pixel-3a)",
     )
 
-    report = sub.add_parser(
+    report = command(
         "report",
+        _cmd_report,
         help="operations report folded from the platform's event-sourced "
         "records: owner utilisation, queue waits, device health (API v2)",
     )
-    report.add_argument(
-        "--gateway",
-        default=None,
-        metavar="HOST:PORT",
-        help="query a live gateway instead of replaying --state-dir locally",
-    )
-    report.add_argument(
-        "--cert-dir",
-        default=None,
-        metavar="DIR",
-        help="with --gateway: trust the platform wildcard material under "
-        "DIR and connect over TLS (pair of 'serve --tls --cert-dir')",
-    )
-    report.add_argument(
-        "--username",
-        default="experimenter",
-        help="account to query as (non-admins see fleet aggregates plus "
-        "their own owner row; use admin for the full owners table)",
-    )
-    report.add_argument(
-        "--token",
-        default=None,
-        help="account token (defaults to the bootstrap '<username>-token')",
-    )
+    _client_flags(report)
     report.add_argument(
         "--owner", default=None, help="narrow the owners table to one account"
     )
@@ -297,68 +287,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render the fleet throughput timeseries at this bucket size",
     )
 
-    metrics = sub.add_parser(
+    metrics = command(
         "metrics",
+        _cmd_metrics,
         help="render the platform's telemetry registry as Prometheus-style "
         "text (gateway loop, dispatcher, executor, journal)",
     )
-    metrics.add_argument(
-        "--gateway",
-        default=None,
-        metavar="HOST:PORT",
-        help="scrape a live gateway instead of a local --state-dir platform",
-    )
-    metrics.add_argument(
-        "--cert-dir",
-        default=None,
-        metavar="DIR",
-        help="with --gateway: trust the platform wildcard material under "
-        "DIR and connect over TLS",
-    )
-    metrics.add_argument(
-        "--username", default="experimenter", help="account to scrape as"
-    )
-    metrics.add_argument(
-        "--token",
-        default=None,
-        help="account token (defaults to the bootstrap '<username>-token')",
-    )
+    _client_flags(metrics)
     metrics.add_argument(
         "--prefix",
         default=None,
         help="only families whose name starts with PREFIX (e.g. gateway_)",
     )
 
-    agent = sub.add_parser(
+    agent = command(
         "agent",
+        _cmd_agent,
         help="run a vantage-point agent daemon: wait on the server's offer "
         "stream for matching jobs, execute them through a device connector, report "
         "results (exactly-once via a local outbox journal)",
     )
-    agent.add_argument(
-        "--gateway",
-        default=None,
-        metavar="HOST:PORT",
-        help="pull work from a live gateway instead of a local --state-dir "
-        "platform",
-    )
-    agent.add_argument(
-        "--cert-dir",
-        default=None,
-        metavar="DIR",
-        help="with --gateway: trust the platform wildcard material under "
-        "DIR and connect over TLS (pair of 'serve --tls --cert-dir')",
-    )
-    agent.add_argument(
-        "--username",
-        default="experimenter",
-        help="account the agent authenticates as (needs run_job)",
-    )
-    agent.add_argument(
-        "--token",
-        default=None,
-        help="account token (defaults to the bootstrap '<username>-token')",
-    )
+    _client_flags(agent)
     agent.add_argument(
         "--agent-id",
         default=None,
@@ -406,37 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run a single poll→claim→execute→report cycle and exit",
     )
-    agent.add_argument(
-        "--duration-s",
-        type=float,
-        default=None,
-        help="stop after this many wall-clock seconds (default: run until ^C)",
-    )
+    _duration_flag(agent)
 
-    serve = sub.add_parser(
+    serve = command(
         "serve",
+        _cmd_serve,
         help="serve the JSON-lines API gateway (optionally TLS) until interrupted",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    serve.add_argument(
-        "--tls",
-        action="store_true",
-        help="wrap the gateway in TLS using wildcard material under --cert-dir "
-        "(minted with openssl on first use); the paper mandates HTTPS-only",
-    )
-    serve.add_argument(
-        "--cert-dir",
-        default=None,
-        metavar="DIR",
-        help="directory holding (or receiving) wildcard.pem/wildcard.key",
-    )
-    serve.add_argument(
-        "--duration-s",
-        type=float,
-        default=None,
-        help="stop after this many wall-clock seconds (default: run until ^C)",
-    )
+    _listener_flags(serve)
+    _duration_flag(serve)
     serve.add_argument(
         "--shard-id",
         default=None,
@@ -458,28 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="total lanes in the federation (requires --shard-id)",
     )
 
-    federate = sub.add_parser(
+    federate = command(
         "federate",
+        _cmd_federate,
         help="serve N access-server shards behind one scatter-gather "
         "gateway speaking unmodified Platform API v2",
     )
     federate.add_argument(
         "--shards", type=int, default=2, help="shard count (fixes the lane space)"
     )
-    federate.add_argument("--host", default="127.0.0.1")
-    federate.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    federate.add_argument(
-        "--tls",
-        action="store_true",
-        help="wrap the router gateway in TLS using wildcard material under "
-        "--cert-dir (minted with openssl on first use)",
-    )
-    federate.add_argument(
-        "--cert-dir",
-        default=None,
-        metavar="DIR",
-        help="directory holding (or receiving) wildcard.pem/wildcard.key",
-    )
+    _listener_flags(federate)
     federate.add_argument(
         "--state-root",
         default=None,
@@ -487,15 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal each shard under DIR/shard-K (also where shard.add "
         "recovers a restarted shard from)",
     )
-    federate.add_argument(
-        "--duration-s",
-        type=float,
-        default=None,
-        help="stop after this many wall-clock seconds (default: run until ^C)",
-    )
+    _duration_flag(federate)
 
-    chaos = sub.add_parser(
+    chaos = command(
         "chaos",
+        _cmd_chaos,
         help="run a chaos soak: scripted faults against a live platform, "
         "then check every invariant (exit 1 on violation)",
     )
@@ -537,11 +448,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def format_table(rows, title: str) -> str:
+# The flag groups several subcommands share, each declared once and added
+# where the group sits in that subcommand's --help.
+
+
+def _client_flags(parser) -> None:
+    """How a client subcommand reaches the platform (see ``_remote_or_local_client``)."""
+    parser.add_argument(
+        "--gateway",
+        default=None,
+        metavar="HOST:PORT",
+        help="talk to a live gateway instead of a local --state-dir platform",
+    )
+    parser.add_argument(
+        "--cert-dir",
+        default=None,
+        metavar="DIR",
+        help="with --gateway: trust the platform wildcard material under "
+        "DIR and connect over TLS (pair of 'serve --tls --cert-dir')",
+    )
+    parser.add_argument(
+        "--username",
+        default="experimenter",
+        help="account to act as (report: admin sees every owner's row, "
+        "others fleet aggregates plus their own; agent: needs run_job)",
+    )
+    parser.add_argument(
+        "--token",
+        default=None,
+        help="account token (defaults to the bootstrap '<username>-token')",
+    )
+
+
+def _listener_flags(parser) -> None:
+    """Where ``serve`` and ``federate`` listen (see ``_tls_cert_dir``)."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
+    parser.add_argument(
+        "--tls",
+        action="store_true",
+        help="wrap the gateway in TLS using wildcard material under --cert-dir "
+        "(minted with openssl on first use); the paper mandates HTTPS-only",
+    )
+    parser.add_argument(
+        "--cert-dir",
+        default=None,
+        metavar="DIR",
+        help="directory holding (or receiving) wildcard.pem/wildcard.key",
+    )
+
+
+def _duration_flag(parser) -> None:
+    """How long ``agent``, ``serve`` and ``federate`` run."""
+    parser.add_argument(
+        "--duration-s",
+        type=float,
+        default=None,
+        help="stop after this many wall-clock seconds (default: run until ^C)",
+    )
+
+
+def format_table(rows, title: str, columns=None) -> str:
     # Imported on use: most commands print no table.
     from repro.analysis.tables import format_table as render
 
-    return render(rows, title=title)
+    return render(rows, columns, title=title)
+
+
+def _platform_options(args) -> dict:
+    """The global flags every platform and federation shard is built with."""
+    return {
+        "seed": args.seed,
+        "scheduling_policy": args.scheduling_policy,
+        "reservation_admission": args.reservation_admission,
+    }
 
 
 def _ops_platform(args):
@@ -549,12 +529,10 @@ def _ops_platform(args):
     from repro.core.platform import build_default_platform
 
     return build_default_platform(
-        seed=args.seed,
         browsers=("chrome",),
-        scheduling_policy=args.scheduling_policy,
-        reservation_admission=args.reservation_admission,
         state_dir=args.state_dir,
         persistence=not args.no_persistence,
+        **_platform_options(args),
     )
 
 
@@ -583,6 +561,38 @@ def _frame_row(frame) -> dict:
         )
         or "-",
     }
+
+
+def _fields_table(fields: dict, title: str) -> str:
+    """A two-column ``field``/``value`` table, one row per entry of ``fields``."""
+    return format_table(
+        [{"field": field, "value": value} for field, value in fields.items()], title=title
+    )
+
+
+def _device_rows(vantage_points) -> List[dict]:
+    """One row per device slot of each vantage-point view."""
+    return [
+        {
+            "vantage_point": vp.name,
+            "institution": vp.institution,
+            "dns_name": vp.dns_name,
+            "device": device.serial,
+            "busy": device.busy,
+            "held_by": device.held_by or "-",
+        }
+        for vp in vantage_points
+        for device in vp.devices
+    ]
+
+
+def _drain_watched(platform, watch) -> List[str]:
+    """Run the queue dry under an open ``job.watch``; its frames as a table, if any came."""
+    platform.access_server.drain()
+    frames = list(watch)
+    if not frames:
+        return []
+    return [format_table([_frame_row(f) for f in frames], title="Dispatch events (job.watch)")]
 
 
 def _cmd_submit(args) -> str:
@@ -615,12 +625,7 @@ def _cmd_submit(args) -> str:
         # Subscribe before dispatching, then stream the dispatch.* events —
         # the v2 replacement for polling job.status in a loop.
         watch = client.watch_job(view.job_id)
-        platform.access_server.drain()
-        frames = list(watch)
-        if frames:
-            sections.append(
-                format_table([_frame_row(f) for f in frames], title="Dispatch events (job.watch)")
-            )
+        sections += _drain_watched(platform, watch)
         final = watch.final if watch.final is not None else client.job_status(view.job_id)
         results = client.job_results(view.job_id)
         row = _job_row(final)
@@ -632,46 +637,28 @@ def _cmd_submit(args) -> str:
 def _cmd_status(args) -> str:
     from repro.api.schemas import API_VERSION_V2
 
-    platform = _ops_platform(args)
-    client = platform.client()
+    client = _ops_platform(args).client()
     # v2 envelope: journal health rides only on v2 so strict v1 clients
     # keep their frozen wire form.
     view = client.server_status(version=API_VERSION_V2)
-    rows = [
-        {"field": "api_version", "value": view.api_version},
-        {"field": "shard_id", "value": view.shard_id or "-"},
-        {"field": "vantage_points", "value": ", ".join(view.vantage_points) or "-"},
-        {"field": "queued_jobs", "value": view.queued_jobs},
-        {"field": "pending_approval", "value": view.pending_approval},
-        {"field": "scheduling_policy", "value": view.scheduling_policy},
-        {"field": "reservation_admission", "value": view.reservation_admission},
-        {"field": "persistence", "value": view.persistence},
-        {
-            "field": "orphaned_jobs",
-            "value": ", ".join(map(str, view.orphaned_jobs)) or "-",
-        },
-        {
-            "field": "orphaned_vantage_points",
-            "value": ", ".join(view.orphaned_vantage_points) or "-",
-        },
-    ]
+    fields = {
+        "api_version": view.api_version,
+        "shard_id": view.shard_id or "-",
+        "vantage_points": ", ".join(view.vantage_points) or "-",
+        "queued_jobs": view.queued_jobs,
+        "pending_approval": view.pending_approval,
+        "scheduling_policy": view.scheduling_policy,
+        "reservation_admission": view.reservation_admission,
+        "persistence": view.persistence,
+        "orphaned_jobs": ", ".join(map(str, view.orphaned_jobs)) or "-",
+        "orphaned_vantage_points": ", ".join(view.orphaned_vantage_points) or "-",
+    }
     if view.journal is not None:
-        rows.extend(
-            [
-                {"field": "journal_records", "value": view.journal.records},
-                {
-                    "field": "records_since_snapshot",
-                    "value": view.journal.records_since_snapshot,
-                },
-                {
-                    "field": "last_snapshot_at",
-                    "value": view.journal.last_snapshot_at
-                    if view.journal.last_snapshot_at is not None
-                    else "-",
-                },
-            ]
-        )
-    sections = [format_table(rows, title="Platform status (Platform API)")]
+        fields["journal_records"] = view.journal.records
+        fields["records_since_snapshot"] = view.journal.records_since_snapshot
+        snapshot_at = view.journal.last_snapshot_at
+        fields["last_snapshot_at"] = snapshot_at if snapshot_at is not None else "-"
+    sections = [_fields_table(fields, title="Platform status (Platform API)")]
     if args.jobs:
         job_rows = [_job_row(view) for view in client.list_jobs()]
         if job_rows:
@@ -680,42 +667,21 @@ def _cmd_status(args) -> str:
 
 
 def _cmd_cancel(args) -> str:
-    platform = _ops_platform(args)
-    client = platform.client()
-    view = client.cancel_job(args.job_id)
+    view = _ops_platform(args).client().cancel_job(args.job_id)
     return format_table([_job_row(view)], title="Cancelled (Platform API v1)")
 
 
 def _cmd_fleet(args) -> str:
-    platform = _ops_platform(args)
-    fleet = platform.client().fleet()
-    rows = [
-        {
-            "vantage_point": vp.name,
-            "institution": vp.institution,
-            "dns_name": vp.dns_name,
-            "device": device.serial,
-            "busy": device.busy,
-            "held_by": device.held_by or "-",
-        }
-        for vp in fleet.vantage_points
-        for device in vp.devices
-    ]
-    return format_table(rows, title="Fleet (Platform API v1)")
+    fleet = _ops_platform(args).client().fleet()
+    return format_table(_device_rows(fleet.vantage_points), title="Fleet (Platform API v1)")
 
 
 def _cmd_watch(args) -> str:
     platform = _ops_platform(args)
     client = platform.client()
     watch = client.watch_job(args.job_id)
-    initial = watch.initial
-    sections = [format_table([_job_row(initial)], title=f"Watching job {args.job_id}")]
-    platform.access_server.drain()
-    frames = list(watch)
-    if frames:
-        sections.append(
-            format_table([_frame_row(f) for f in frames], title="Dispatch events (job.watch)")
-        )
+    sections = [format_table([_job_row(watch.initial)], title=f"Watching job {args.job_id}")]
+    sections += _drain_watched(platform, watch)
     if watch.final is not None:
         sections.append(format_table([_job_row(watch.final)], title="Final state"))
     else:
@@ -738,8 +704,7 @@ def _cmd_approve(args) -> str:
 
 
 def _cmd_reject(args) -> str:
-    platform = _ops_platform(args)
-    admin = platform.client(username="admin")
+    admin = _ops_platform(args).client(username="admin")
     view = admin.reject_job(args.job_id, reason=args.reason)
     return format_table([_job_row(view)], title="Rejected (Platform API v2)")
 
@@ -761,51 +726,38 @@ def _cmd_grant(args) -> str:
 
 
 def _cmd_register_vp(args) -> str:
-    platform = _ops_platform(args)
-    admin = platform.client(username="admin")
+    admin = _ops_platform(args).client(username="admin")
     view = admin.register_vantage_point(
         args.name,
         args.institution,
         device_count=args.devices,
         device_profile=args.profile,
     )
-    rows = [
-        {
-            "vantage_point": view.name,
-            "institution": view.institution,
-            "dns_name": view.dns_name,
-            "device": device.serial,
-            "busy": device.busy,
-        }
-        for device in view.devices
-    ]
-    return format_table(rows, title="Vantage point registered (Platform API v2)")
+    return format_table(
+        _device_rows([view]),
+        columns=("vantage_point", "institution", "dns_name", "device", "busy"),
+        title="Vantage point registered (Platform API v2)",
+    )
 
 
 def _report_sections(view, timeseries=None) -> List[str]:
     """Render an AnalyticsReportView (and optional timeseries) as tables."""
     jobs = view.jobs
-    summary = [
-        {"field": "records_folded", "value": view.records_folded},
-        {
-            "field": "window",
-            "value": f"{view.first_ts or 0.0:.1f} .. {view.last_ts or 0.0:.1f} s",
-        },
-        {"field": "submitted", "value": jobs.submitted},
-        {"field": "completed", "value": jobs.completed},
-        {"field": "failed", "value": jobs.failed},
-        {"field": "cancelled", "value": jobs.cancelled},
-        {"field": "queued_now", "value": jobs.queued},
-        {"field": "running_now", "value": jobs.running},
-        {"field": "pending_approval_now", "value": jobs.pending_approval},
-        {"field": "requeues", "value": jobs.requeues},
-        {"field": "reservations", "value": view.reservations.created},
-        {
-            "field": "reserved_device_hours",
-            "value": round(view.reservations.booked_device_hours, 3),
-        },
-    ]
-    sections = [format_table(summary, title="Fleet summary (analytics.report)")]
+    summary = {
+        "records_folded": view.records_folded,
+        "window": f"{view.first_ts or 0.0:.1f} .. {view.last_ts or 0.0:.1f} s",
+        "submitted": jobs.submitted,
+        "completed": jobs.completed,
+        "failed": jobs.failed,
+        "cancelled": jobs.cancelled,
+        "queued_now": jobs.queued,
+        "running_now": jobs.running,
+        "pending_approval_now": jobs.pending_approval,
+        "requeues": jobs.requeues,
+        "reservations": view.reservations.created,
+        "reserved_device_hours": round(view.reservations.booked_device_hours, 3),
+    }
+    sections = [_fields_table(summary, title="Fleet summary (analytics.report)")]
     if view.owners:
         sections.append(
             format_table(
@@ -1047,9 +999,15 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
     return served
 
 
-def _cmd_serve(args) -> str:
+def _tls_cert_dir(args) -> Optional[str]:
+    """The ``--cert-dir`` a ``--tls`` listener serves from; ``None`` for plaintext."""
     if args.tls and args.cert_dir is None:
         raise SystemExit("--tls requires --cert-dir DIR for the wildcard material")
+    return args.cert_dir if args.tls else None
+
+
+def _cmd_serve(args) -> str:
+    cert_dir = _tls_cert_dir(args)
     if args.shard_id is not None:
         from repro.federation import build_shard
 
@@ -1061,23 +1019,16 @@ def _cmd_serve(args) -> str:
                 f"--shard-index {args.shard_index} is outside the lane space "
                 f"of --shard-count {args.shard_count}"
             )
-        shard = build_shard(
+        platform = build_shard(
             args.shard_id,
             args.shard_index,
             args.shard_count,
             state_dir=None if args.no_persistence else args.state_dir,
-            seed=args.seed,
-            scheduling_policy=args.scheduling_policy,
-            reservation_admission=args.reservation_admission,
-        )
-        platform = shard.platform
+            **_platform_options(args),
+        ).platform
     else:
         platform = _ops_platform(args)
-    gateway = platform.serve_gateway(
-        host=args.host,
-        port=args.port,
-        tls_cert_dir=args.cert_dir if args.tls else None,
-    )
+    gateway = platform.serve_gateway(host=args.host, port=args.port, tls_cert_dir=cert_dir)
     served = _host_loop(gateway, "Platform API gateway", lambda: (platform,), args.duration_s)
     passes = platform.access_server.dispatch_pass_counts()
     return (
@@ -1088,60 +1039,24 @@ def _cmd_serve(args) -> str:
 
 
 def _cmd_federate(args) -> str:
-    from repro.api.gateway import ApiGateway
     from repro.federation import (
         FederationRouter,
         ShardState,
         build_federation_shards,
-        build_shard,
+        shard_factory,
     )
 
-    if args.tls and args.cert_dir is None:
-        raise SystemExit("--tls requires --cert-dir DIR for the wildcard material")
+    cert_dir = _tls_cert_dir(args)
     if args.shards < 1:
         raise SystemExit("--shards must be at least 1")
-    shards = build_federation_shards(
-        args.shards,
-        state_root=args.state_root,
-        seed=args.seed,
-        scheduling_policy=args.scheduling_policy,
-        reservation_admission=args.reservation_admission,
+    options = _platform_options(args)
+    shards = build_federation_shards(args.shards, args.state_root, **options)
+    router = FederationRouter(shards, shard_factory=shard_factory(args.state_root, **options))
+    # One wildcard certificate fronts the whole federation: clients talk to
+    # the router, never to a shard directly.
+    gateway = shards[0].platform.serve_gateway(
+        host=args.host, port=args.port, tls_cert_dir=cert_dir, router=router
     )
-
-    def factory(shard_id: str, index: int, lane_count: int):
-        state_dir = None
-        if args.state_root is not None:
-            import os
-
-            state_dir = os.path.join(args.state_root, shard_id)
-        return build_shard(
-            shard_id,
-            index,
-            lane_count,
-            state_dir=state_dir,
-            seed=args.seed,
-            scheduling_policy=args.scheduling_policy,
-            reservation_admission=args.reservation_admission,
-        )
-
-    router = FederationRouter(shards, shard_factory=factory)
-    tls_context = None
-    if args.tls:
-        from repro.accessserver.certificates import (
-            ensure_tls_material,
-            server_tls_context,
-        )
-
-        # One wildcard certificate fronts the whole federation: clients
-        # talk to the router, never to a shard directly.
-        material = ensure_tls_material(
-            args.cert_dir, certificate=shards[0].server.wildcard_certificate
-        )
-        tls_context = server_tls_context(material)
-    gateway = ApiGateway(
-        router, host=args.host, port=args.port, tls_context=tls_context
-    )
-    gateway.start()
 
     def attached():  # asked every tick: shards attach and detach while serving
         return [s.platform for s in router.shards if s.state is not ShardState.DETACHED]
@@ -1338,34 +1253,6 @@ def _cmd_chaos(args) -> str:
     return result.summary()
 
 
-_COMMANDS = {
-    "quickstart": _cmd_quickstart,
-    "locations": _cmd_locations,
-    "figure2": _cmd_figure2,
-    "figure3": _cmd_figure3,
-    "figure5": _cmd_figure5,
-    "table2": _cmd_table2,
-    "figure6": _cmd_figure6,
-    "sysperf": _cmd_sysperf,
-    "dispatch-bench": _cmd_dispatch_bench,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
-    "cancel": _cmd_cancel,
-    "fleet": _cmd_fleet,
-    "watch": _cmd_watch,
-    "approve": _cmd_approve,
-    "reject": _cmd_reject,
-    "grant": _cmd_grant,
-    "register-vp": _cmd_register_vp,
-    "report": _cmd_report,
-    "metrics": _cmd_metrics,
-    "agent": _cmd_agent,
-    "serve": _cmd_serve,
-    "federate": _cmd_federate,
-    "chaos": _cmd_chaos,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     from repro.api.errors import ApiError
@@ -1380,9 +1267,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    handler = _COMMANDS[args.command]
     try:
-        print(handler(args))
+        print(args.handler(args))
     except ApiError as error:
         # The API subcommands speak the typed v1 taxonomy; operators get
         # the stable code and message, not a traceback.

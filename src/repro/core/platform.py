@@ -144,6 +144,7 @@ class BatteryLabPlatform:
         tls_cert_dir: Optional[str] = None,
         assume_https: bool = True,
         push_queue_limit: int = 256,
+        router=None,
     ):
         """Start a JSON-lines socket gateway for this platform's API.
 
@@ -152,7 +153,9 @@ class BatteryLabPlatform:
         demand via :func:`repro.accessserver.certificates.ensure_tls_material`)
         — the paper's HTTPS-only deployment shape.  ``assume_https=False``
         makes plaintext connections count as insecure, so the HTTPS-only
-        user registry refuses to authenticate over them.
+        user registry refuses to authenticate over them.  ``router`` serves
+        another router behind this platform's certificate: ``repro
+        federate`` fronts its federation with its first shard's.
 
         Returns the started :class:`~repro.api.gateway.ApiGateway`; callers
         own its lifecycle (``gateway.stop()``).
@@ -171,7 +174,7 @@ class BatteryLabPlatform:
             )
             tls_context = server_tls_context(material)
         gateway = ApiGateway(
-            ApiRouter(self.access_server),
+            router if router is not None else ApiRouter(self.access_server),
             host=host,
             port=port,
             tls_context=tls_context,

@@ -14,8 +14,9 @@ Modules:
   and the learned placement directory (sticky idempotency keys,
   hardware homes).
 * :mod:`repro.federation.shard` — :class:`FederationShard` plus the
-  ``build_shard`` / ``build_federation_shards`` assembly helpers that
-  wire a shard's lane allocator in before journal recovery.
+  ``build_shard`` / ``shard_factory`` / ``build_federation_shards``
+  assembly helpers that wire a shard's lane allocator in before journal
+  recovery.
 * :mod:`repro.federation.merge` — deterministic folds for scattered
   reads (``fleet.list``, ``job.list``, ``server.status``, analytics,
   metrics).
@@ -48,6 +49,7 @@ if TYPE_CHECKING:
         FederationShard,
         build_federation_shards,
         build_shard,
+        shard_factory,
     )
 
 __getattr__, __dir__, __all__ = lazy_exports(
@@ -68,6 +70,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "rendezvous_shard",
         ),
         "router": ("FederationRouter",),
-        "shard": ("FederationShard", "build_federation_shards", "build_shard"),
+        "shard": ("FederationShard", "build_federation_shards", "build_shard", "shard_factory"),
     },
 )

@@ -20,13 +20,13 @@ wire ops, the same bytes, the same error taxonomy as a standalone server.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.api.router import ApiRouter
 from repro.core.platform import BatteryLabPlatform, build_default_platform
 from repro.federation.placement import ShardState
 
-__all__ = ["FederationShard", "build_shard", "build_federation_shards"]
+__all__ = ["FederationShard", "build_shard", "build_federation_shards", "shard_factory"]
 
 
 class FederationShard:
@@ -104,42 +104,30 @@ def build_shard(
     return FederationShard(shard_id, index, lane_count, platform)
 
 
-def build_federation_shards(
-    shard_count: int,
-    state_root: Optional[str] = None,
-    seed: int = 7,
-    device_count: int = 1,
-    browsers: Sequence[str] = ("chrome",),
-    scheduling_policy: str = "fifo",
-    reservation_admission: str = "ignore",
-    analytics: bool = True,
-) -> List[FederationShard]:
-    """Build ``shard_count`` shards named ``shard-0 .. shard-N-1``.
+def shard_factory(
+    state_root: Optional[str] = None, **options
+) -> Callable[[str, int, int], FederationShard]:
+    """The one way a federation builds its shards.
 
-    With ``state_root`` each shard journals under its own subdirectory
-    (``<state_root>/shard-K``), which is also where ``shard.add`` recovers
-    it from after a rolling restart.
+    Returns ``factory(shard_id, index, lane_count)``: :func:`build_shard`
+    with ``options`` (its keywords), journaled under
+    ``<state_root>/<shard_id>`` when ``state_root`` is given.  A
+    :class:`~repro.federation.router.FederationRouter` keeps it to rebuild
+    a restarted shard at ``shard.add``, from the directory it left.
     """
+
+    def factory(shard_id: str, index: int, lane_count: int) -> FederationShard:
+        state_dir = None if state_root is None else os.path.join(state_root, shard_id)
+        return build_shard(shard_id, index, lane_count, state_dir=state_dir, **options)
+
+    return factory
+
+
+def build_federation_shards(
+    shard_count: int, state_root: Optional[str] = None, **options
+) -> List[FederationShard]:
+    """Build ``shard_count`` shards named ``shard-0 .. shard-N-1`` by :func:`shard_factory`."""
     if shard_count < 1:
         raise ValueError("a federation needs at least one shard")
-    shards = []
-    for index in range(shard_count):
-        shard_id = f"shard-{index}"
-        state_dir = None
-        if state_root is not None:
-            state_dir = os.path.join(state_root, shard_id)
-        shards.append(
-            build_shard(
-                shard_id,
-                index,
-                shard_count,
-                state_dir=state_dir,
-                seed=seed,
-                device_count=device_count,
-                browsers=browsers,
-                scheduling_policy=scheduling_policy,
-                reservation_admission=reservation_admission,
-                analytics=analytics,
-            )
-        )
-    return shards
+    factory = shard_factory(state_root, **options)
+    return [factory(f"shard-{index}", index, shard_count) for index in range(shard_count)]

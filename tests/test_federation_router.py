@@ -8,7 +8,6 @@ jobs and leaves the merged analytics report identical.
 """
 
 import json
-import os
 import socket
 import threading
 import time
@@ -34,6 +33,7 @@ from repro.federation import (
     merge_status,
     merge_timeseries,
     rendezvous_shard,
+    shard_factory,
 )
 
 ADMIN = {"username": "admin", "token": "admin-token"}
@@ -731,19 +731,10 @@ class TestShardAdminPlane:
 class TestRollingRestart:
     """The tentpole acceptance: drain + restart loses nothing."""
 
-    def _factory(self, state_root):
-        def build(shard_id, index, lane_count):
-            return build_shard(
-                shard_id, index, lane_count,
-                state_dir=os.path.join(state_root, shard_id),
-            )
-
-        return build
-
     def test_drain_restart_loses_no_jobs_and_report_is_stable(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         client = fed_client(router)
         client.login()
         ids = []
@@ -794,7 +785,7 @@ class TestRollingRestart:
     def test_reattached_shard_keeps_minting_in_its_lane(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         client = fed_client(router)
         client.login()
         before = submit_on(client, 1, "before-restart")
@@ -815,7 +806,7 @@ class TestRollingRestart:
     def test_a_session_outlives_a_shard_restart(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         login = router.handle(
             {"op": "auth.login", "version": "2.0", "request_id": 1, "auth": ADMIN}
         )
@@ -857,7 +848,7 @@ class TestRollingRestart:
     ):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         client = fed_client(router)
         client.login()
         right = submit_on(client, 1, "right").job_id
@@ -878,7 +869,7 @@ class TestRollingRestart:
     def test_a_token_past_its_ttl_is_refused_on_a_restarted_lane(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         login = router.handle(
             {"op": "auth.login", "version": "2.0", "request_id": 1, "auth": ADMIN}
         )
@@ -898,7 +889,7 @@ class TestRollingRestart:
     def test_shard_add_restores_users_created_while_detached(self, tmp_path):
         state_root = str(tmp_path)
         shards = build_federation_shards(2, state_root=state_root)
-        router = FederationRouter(shards, shard_factory=self._factory(state_root))
+        router = FederationRouter(shards, shard_factory=shard_factory(state_root))
         admin_call(router, "shard.drain", {"shard_id": "shard-1"})
         admin_call(router, "shard.remove", {"shard_id": "shard-1"})
         create = {"username": "dave", "role": "experimenter", "token": "dave-token"}
