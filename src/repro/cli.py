@@ -141,8 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.set_defaults(handler=handler)
         return subparser
 
-    command("quickstart", _cmd_quickstart, help="build the platform and take a 30 s idle measurement")
-    command("locations", _cmd_locations, help="list the built-in ProtonVPN locations (Table 2 profiles)")
+    command(
+        "quickstart", _cmd_quickstart, help="build the platform and take a 30 s idle measurement"
+    )
+    command(
+        "locations",
+        _cmd_locations,
+        help="list the built-in ProtonVPN locations (Table 2 profiles)",
+    )
 
     dispatch_bench = command(
         "dispatch-bench",
@@ -168,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("table2", _cmd_table2, help="ProtonVPN speedtest statistics")
 
-    figure6 = command("figure6", _cmd_figure6, help="Brave/Chrome energy through VPN tunnels")
+    figure6 = command(
+        "figure6", _cmd_figure6, help="Brave/Chrome energy through VPN tunnels"
+    )
     figure6.add_argument("--repetitions", type=int, default=1)
 
     command("sysperf", _cmd_sysperf, help="controller CPU/memory/network and mirroring latency")
@@ -1039,6 +1047,9 @@ def _cmd_serve(args) -> str:
 
 
 def _cmd_federate(args) -> str:
+    # Loaded before the shards are built: loaded after them, by
+    # serve_gateway, it leaves the process's peak RSS ~1 MB higher.
+    import repro.api.gateway  # noqa: F401
     from repro.federation import (
         FederationRouter,
         ShardState,

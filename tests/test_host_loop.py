@@ -265,8 +265,8 @@ def test_serve_reports_its_dispatch_passes_on_the_way_out(tmp_path, capsys):
 
 
 def test_federate_announces_its_shards_and_reports_on_the_way_out(tmp_path, capsys):
-    argv = ["federate", "--shards", "2", "--state-root", str(tmp_path), "--duration-s", "0.15"]
-    assert cli.main(argv) == 0
+    argv = ["federate", "--shards", "2", "--state-root", str(tmp_path)]
+    assert cli.main([*argv, "--duration-s", "0.15"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(
         r"serving federated Platform API \(2 shard\(s\)\) on 127\.0\.0\.1:\d+ "
