@@ -114,6 +114,41 @@ class TestJobs:
         assert "power_meter_trace" in job.workspace.names()
         assert job.workspace.fetch("median_ma") > 0
 
+    def test_noop_job_after_a_measuring_job_has_no_power_trace(self, platform, server):
+        def measure(ctx):
+            ctx.api.power_monitor()
+            ctx.api.measure(ctx.api.list_devices()[0], duration=5.0)
+
+        measuring = server.submit_job(
+            platform.experimenter, JobSpec(name="measure", owner="experimenter", run=measure)
+        )
+        noop = server.submit_job(
+            platform.experimenter,
+            JobSpec(name="noop", owner="experimenter", run=lambda ctx: "ok"),
+        )
+        server.drain()
+        assert measuring.status is JobStatus.COMPLETED
+        assert noop.status is JobStatus.COMPLETED
+        assert "power_meter_trace" in measuring.workspace.names()
+        assert "power_meter_trace" not in noop.workspace.names()
+
+    def test_measuring_job_stores_the_trace_its_run_took(self, platform, server):
+        taken = []
+
+        def measure(ctx):
+            ctx.api.power_monitor()
+            taken.append(ctx.api.measure(ctx.api.list_devices()[0], 5.0, label="job-measure"))
+
+        job = server.submit_job(
+            platform.experimenter, JobSpec(name="measure", owner="experimenter", run=measure)
+        )
+        server.run_pending_jobs()
+        assert job.status is JobStatus.COMPLETED
+        stored = job.workspace.fetch("power_meter_trace")
+        assert len(stored) == len(taken[0])
+        assert list(stored.current_ma) == list(taken[0].current_ma)
+        assert stored.label == "measurement:node1-dev00"
+
     def test_constraint_on_unknown_device_keeps_job_queued(self, platform, server):
         spec = self.make_spec(constraints=JobConstraints(device_serial="ghost-device"))
         server.submit_job(platform.experimenter, spec)

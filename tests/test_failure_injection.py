@@ -9,7 +9,7 @@ corrupted state, measurements still stoppable).
 
 import pytest
 
-from repro.accessserver.jobs import JobSpec, JobStatus
+from repro.accessserver.jobs import JobConstraints, JobSpec, JobStatus
 from repro.automation.channels import AdbAutomation, AutomationError
 from repro.core.api import BatteryLabAPIError
 from repro.core.session import MeasurementSession
@@ -139,6 +139,89 @@ class TestMeasurementHygiene:
             api.measure(device_id, duration=5.0)
         trace = api.stop_monitor()
         assert trace is not None
+
+    def test_crashed_payload_leaves_no_measurement_running(self, platform, vantage_point):
+        server = platform.access_server
+
+        def crash(ctx):
+            ctx.api.power_monitor()
+            ctx.api.start_monitor(ctx.api.list_devices()[0])
+            raise RuntimeError("script bug")
+
+        crashed = server.submit_job(
+            platform.experimenter, JobSpec(name="crasher", owner="experimenter", run=crash)
+        )
+        server.run_pending_jobs()
+        assert crashed.status is JobStatus.FAILED
+        device = vantage_point.device()
+        assert not vantage_point.monitor.sampling
+        assert device.battery.connection.value == "internal"
+        assert device.usb_powered
+        measuring = server.submit_job(
+            platform.experimenter,
+            JobSpec(
+                name="measure",
+                owner="experimenter",
+                run=lambda ctx: ctx.api.measure(ctx.api.list_devices()[0], 5.0).median_current_ma(),
+            ),
+        )
+        server.run_pending_jobs()
+        assert measuring.status is JobStatus.COMPLETED
+
+    def test_power_cut_during_api_measure_restores_the_device(self, platform, vantage_point):
+        api = platform.api()
+        device_id = api.list_devices()[0]
+        api.power_monitor()
+        platform.context.scheduler.schedule_in(5.0, vantage_point.power_socket.turn_off)
+        with pytest.raises(Exception):
+            api.measure(device_id, 10.0)
+        device = vantage_point.device()
+        assert device.battery.connection.value == "internal"
+        assert device.usb_powered
+        assert not api.measuring
+        api.power_monitor()
+        assert len(api.measure(device_id, 5.0)) > 0
+
+    def test_power_cut_during_session_measure_restores_the_device(self, platform, vantage_point):
+        device = vantage_point.device()
+        session = MeasurementSession(vantage_point.controller, device.serial, mirroring=True)
+        platform.context.scheduler.schedule_in(5.0, vantage_point.power_socket.turn_off)
+        with pytest.raises(Exception):
+            session.measure(10.0)
+        assert not session.active
+        assert device.battery.connection.value == "internal"
+        assert device.usb_powered
+        assert not device.mirroring_active
+
+    def test_crashed_payload_stops_the_mirroring_it_started(self, platform, vantage_point):
+        server = platform.access_server
+
+        def crash(ctx):
+            ctx.api.device_mirroring(ctx.api.list_devices()[0])
+            raise RuntimeError("script bug")
+
+        crashed = server.submit_job(
+            platform.experimenter, JobSpec(name="crasher", owner="experimenter", run=crash)
+        )
+        server.run_pending_jobs()
+        assert crashed.status is JobStatus.FAILED
+        assert not vantage_point.device().mirroring_active
+        platform.run_for(5.0)
+        # The "low CPU utilization" constraint (Section 4.2) reads the
+        # controller's latest CPU sample; mirroring left on holds it high.
+        gated = server.submit_job(
+            platform.experimenter,
+            JobSpec(
+                name="low-cpu",
+                owner="experimenter",
+                run=lambda ctx: "ok",
+                constraints=JobConstraints(
+                    require_low_controller_cpu=True, max_controller_cpu_percent=10.0
+                ),
+            ),
+        )
+        server.run_pending_jobs()
+        assert gated.status is JobStatus.COMPLETED
 
     def test_expired_workspaces_are_purged(self, platform):
         from repro.accessserver.maintenance import build_workspace_cleanup_job
