@@ -47,7 +47,7 @@ class AdmittedExecution:
 
     assignment: object  # repro.accessserver.dispatch.Assignment
     ctx: object  # repro.accessserver.jobs.JobContext
-    record: object  # VantagePointRecord — for power-trace collection
+    trace_at_admit: object  # the monitor's last trace; settle stores only a newer one
     execution_started_at: float
     result: object = None
     error: Optional[BaseException] = None

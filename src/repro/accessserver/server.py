@@ -641,8 +641,8 @@ class AccessServer(Entity):
         # Bill execution time, not queue-on-device time, so credits match
         # what the seed's one-at-a-time dispatch charged.
         job.mark_execution_started(self.context.now)
-        record = self.accounts.vantage_point(assignment.vantage_point)
-        api = BatteryLabAPI(record.controller)
+        controller = self.accounts.vantage_point(assignment.vantage_point).controller
+        api = BatteryLabAPI(controller)
         ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self.context.now)
         self.scheduler.begin_execution(job)
         admit_elapsed = time.perf_counter() - admit_t0
@@ -651,7 +651,7 @@ class AccessServer(Entity):
         return AdmittedExecution(
             assignment=assignment,
             ctx=ctx,
-            record=record,
+            trace_at_admit=None if controller.monitor is None else controller.monitor.last_trace(),
             execution_started_at=self.context.now,
             admit_elapsed_s=admit_elapsed,
         )
@@ -696,7 +696,7 @@ class AccessServer(Entity):
             )
 
     def _settle_assignment(self, admitted) -> None:
-        """Phase 3 (server thread): power-trace storage, then the shared
+        """Phase 3 (server thread): the job's cleanup and power trace, then the
         finish step (:meth:`_finish_execution`), then telemetry.
 
         Telemetry note: this is also where the job's lifecycle spans
@@ -708,11 +708,14 @@ class AccessServer(Entity):
         """
         settle_t0 = time.perf_counter()
         job = admitted.job
-        # Power-meter logs are collected by default and retained in
-        # the workspace for several days (Section 3.1).
-        monitor = admitted.record.controller.monitor
-        if monitor is not None and monitor.last_trace() is not None:
-            job.workspace.store("power_meter_trace", monitor.last_trace())
+        # Stop what the job left running, then keep the power-meter log its own
+        # run took: collected by default, retained for days (Section 3.1).
+        api = admitted.ctx.api
+        api.close()
+        monitor = api.controller.monitor
+        trace = None if monitor is None else monitor.last_trace()
+        if trace is not admitted.trace_at_admit:
+            job.workspace.store("power_meter_trace", trace)
         error = None if admitted.error is None else str(admitted.error)
         self._finish_execution(job, admitted.execution_started_at, admitted.result, error)
         settle_elapsed = time.perf_counter() - settle_t0

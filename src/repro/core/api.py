@@ -21,8 +21,10 @@ API                 Description                            Parameters
 
 from __future__ import annotations
 
+import contextlib
 from typing import List, Optional
 
+from repro.core.session import MeasurementSession
 from repro.device.adb import AdbTransport
 from repro.mirroring.session import MirroringSession
 from repro.powermonitor.traces import CurrentTrace
@@ -34,24 +36,20 @@ class BatteryLabAPIError(RuntimeError):
 
 
 class BatteryLabAPI:
-    """Table 1 API bound to one vantage point.
+    """Table 1 API bound to one vantage point; a measurement runs as a
+    :class:`~repro.core.session.MeasurementSession`.
 
     Parameters
     ----------
     controller:
         The vantage point controller the API operates on.
-    default_voltage_v:
-        Voltage used by :meth:`start_monitor` when :meth:`set_voltage` was
-        not called first; defaults to the test device's nominal battery voltage.
     """
 
-    def __init__(
-        self, controller: VantagePointController, default_voltage_v: Optional[float] = None
-    ) -> None:
+    def __init__(self, controller: VantagePointController) -> None:
         self._controller = controller
-        self._default_voltage_v = default_voltage_v
-        self._active_measurement_device: Optional[str] = None
-        self._active_measurement_duration: Optional[float] = None
+        self._voltage_v: Optional[float] = None
+        self._session: Optional[MeasurementSession] = None
+        self._mirroring_started: List[MirroringSession] = []
 
     @property
     def controller(self) -> VantagePointController:
@@ -59,11 +57,11 @@ class BatteryLabAPI:
 
     @property
     def measuring(self) -> bool:
-        return self._active_measurement_device is not None
+        return self._session is not None
 
     @property
     def active_measurement_device(self) -> Optional[str]:
-        return self._active_measurement_device
+        return self._session.device_id if self._session is not None else None
 
     # -- Table 1 entry points -------------------------------------------------------
     def list_devices(self) -> List[str]:
@@ -72,7 +70,11 @@ class BatteryLabAPI:
 
     def device_mirroring(self, device_id: str, bitrate_mbps: float = 1.0) -> MirroringSession:
         """Activate device mirroring for ``device_id`` and return the session."""
-        return self._controller.start_mirroring(device_id, bitrate_mbps=bitrate_mbps)
+        already_on = self._controller.mirroring_active(device_id)
+        session = self._controller.start_mirroring(device_id, bitrate_mbps=bitrate_mbps)
+        if not already_on:
+            self._mirroring_started.append(session)
+        return session
 
     def stop_device_mirroring(self, device_id: str) -> None:
         """Deactivate device mirroring (companion of :meth:`device_mirroring`)."""
@@ -88,51 +90,27 @@ class BatteryLabAPI:
     def set_voltage(self, voltage_val: float) -> None:
         """Set the power monitor's target output voltage."""
         self._controller.set_voltage(voltage_val)
-        self._default_voltage_v = voltage_val
+        self._voltage_v = voltage_val
 
     def start_monitor(self, device_id: str, duration: Optional[float] = None) -> None:
-        """Start a battery measurement on ``device_id``.
-
-        The device is switched to battery bypass (through the relay circuit),
-        USB power to it is cut so the charge current cannot perturb the
-        reading, and the Monsoon starts sampling.  ``duration`` is recorded
-        so callers can later advance the simulation and call :meth:`stop_monitor`;
-        use :meth:`measure` for the common run-for-a-duration case.
+        """Start a battery measurement on ``device_id``: USB off, relay to battery
+        bypass, sampling.  ``duration`` is informational: advance the simulation
+        and call :meth:`stop_monitor`, or use :meth:`measure`.
         """
-        monitor = self._require_monitor()
-        if self.measuring:
-            raise BatteryLabAPIError(
-                f"a measurement on {self._active_measurement_device!r} is already running"
-            )
-        device = self._controller.device(device_id)
-        if not monitor.mains_on:
-            raise BatteryLabAPIError(
-                "the power monitor has no mains power; call power_monitor() first"
-            )
-        if not monitor.vout_enabled:
-            voltage = self._default_voltage_v or device.profile.battery_voltage_v
-            monitor.set_vout(voltage)
-        self._controller.set_device_usb_power(device_id, False)
-        self._controller.batt_switch(device_id, bypass=True)
-        monitor.start_sampling(label=f"measurement:{device_id}")
-        self._active_measurement_device = device_id
-        self._active_measurement_duration = duration
+        session = self._provision(device_id)
+        session.start()
+        self._session = session
 
     def stop_monitor(self) -> CurrentTrace:
         """Stop the active battery measurement and return its trace.
 
-        The device is returned to its own battery and USB power is restored.
+        The device is returned to its own battery and USB power is restored,
+        also when a power cut already ended the sampling (which then raises).
         """
-        monitor = self._require_monitor()
-        if not self.measuring:
+        session, self._session = self._session, None
+        if session is None:
             raise BatteryLabAPIError("no battery measurement is running")
-        device_id = self._active_measurement_device
-        trace = monitor.stop_sampling()
-        self._controller.batt_switch(device_id, bypass=False)
-        self._controller.set_device_usb_power(device_id, True)
-        self._active_measurement_device = None
-        self._active_measurement_duration = None
-        return trace
+        return session.stop().trace
 
     def batt_switch(self, device_id: str) -> bool:
         """Toggle a device between its own battery and the monitor ("battery bypass").
@@ -150,24 +128,39 @@ class BatteryLabAPI:
         return self._controller.execute_adb(device_id, command, transport)
 
     # -- convenience built on the Table 1 surface ----------------------------------------
-    def controller_cpu_percent(self) -> float:
-        """Latest CPU utilisation sample of this vantage point's controller.
-
-        This is the signal the dispatch pipeline consults for jobs with the
-        "low CPU utilization (optional)" constraint (Section 4.2); exposing
-        it here lets experimenters pre-check a vantage point before
-        submitting CPU-sensitive jobs.  Returns 0.0 before the first sample.
-        """
-        return self._controller.latest_cpu_percent()
-
     def measure(self, device_id: str, duration: float, label: str = "") -> CurrentTrace:
         """Run a complete measurement of ``duration`` simulated seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        self.start_monitor(device_id, duration)
-        self._controller.context.run_for(duration)
-        trace = self.stop_monitor()
+        self._session = self._provision(device_id)
+        try:
+            trace = self._session.measure(duration).trace
+        finally:
+            self._session = None
         return trace.with_label(label) if label else trace
+
+    def close(self) -> None:
+        """Stop the measurement and the mirroring sessions this API left running."""
+        if self._session is not None:
+            with contextlib.suppress(Exception):
+                self.stop_monitor()
+        for session in self._mirroring_started:
+            if session.active:
+                session.stop()
+
+    def _provision(self, device_id: str) -> MeasurementSession:
+        """Unlike a bare session, Table 1 needs mains on and restores the last voltage."""
+        monitor = self._require_monitor()
+        if self._session is not None:
+            raise BatteryLabAPIError(
+                f"a measurement on {self._session.device_id!r} is already running"
+            )
+        session = MeasurementSession(self._controller, device_id, label=f"measurement:{device_id}")
+        if not monitor.mains_on:
+            raise BatteryLabAPIError(
+                "the power monitor has no mains power; call power_monitor() first"
+            )
+        if not monitor.vout_enabled and self._voltage_v:
+            monitor.set_vout(self._voltage_v)
+        return session
 
     def _require_monitor(self):
         monitor = self._controller.monitor

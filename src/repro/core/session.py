@@ -8,6 +8,9 @@ attached, switch the device to battery bypass (through the relay circuit or
 wired directly, the two accuracy scenarios of Section 4.1), sample for the
 desired duration, and collect every signal the evaluation uses into a
 :class:`~repro.core.results.MeasurementResult`.
+
+It is the one measurement lifecycle — the Table 1 calls delegate to it —
+and its cleanup is never skipped: it runs when a step or the run raises.
 """
 
 from __future__ import annotations
@@ -74,15 +77,12 @@ class MeasurementSession:
         return self._active
 
     @property
-    def label(self) -> str:
-        return self._label
-
-    @property
-    def mirroring(self) -> bool:
-        return self._mirroring
+    def device_id(self) -> str:
+        return self._device_id
 
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> None:
+        """Provision the run and start sampling; a failed step is undone."""
         if self._active:
             raise SessionError("measurement session is already active")
         controller = self._controller
@@ -96,52 +96,47 @@ class MeasurementSession:
         if not monitor.vout_enabled:
             monitor.set_vout(self._device.profile.battery_voltage_v)
         controller.set_device_usb_power(self._device_id, False)
-        if self._mirroring:
-            self._mirroring_session = controller.start_mirroring(self._device_id)
-            self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
-        # Snapshot counters so the result only contains this run's samples.
-        self._start_device_cpu_index = len(self._device.cpu.samples)
-        self._start_controller_cpu_index = len(controller.cpu_samples)
-        self._start_upload_bytes = (
-            self._mirroring_session.upload_bytes() if self._mirroring_session else 0
-        )
-        counters = self._device.radio.counters(RadioTechnology.WIFI)
-        self._start_rx = counters.rx_bytes
-        self._start_tx = counters.tx_bytes
-        if self._use_relay:
-            controller.batt_switch(self._device_id, bypass=True)
-        else:
-            connect_direct(monitor, self._device)
-        monitor.start_sampling(label=self._label)
+        try:
+            if self._mirroring:
+                self._mirroring_session = controller.start_mirroring(self._device_id)
+                self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
+            # Snapshot counters so the result only contains this run's samples.
+            self._start_device_cpu_index = len(self._device.cpu.samples)
+            self._start_controller_cpu_index = len(controller.cpu_samples)
+            self._start_upload_bytes = (
+                self._mirroring_session.upload_bytes() if self._mirroring_session else 0
+            )
+            counters = self._device.radio.counters(RadioTechnology.WIFI)
+            self._start_rx = counters.rx_bytes
+            self._start_tx = counters.tx_bytes
+            if self._use_relay:
+                controller.batt_switch(self._device_id, bypass=True)
+            else:
+                connect_direct(monitor, self._device)
+            monitor.start_sampling(label=self._label)
+        except BaseException:
+            self._cleanup()
+            raise
         self._active = True
 
     def stop(self) -> MeasurementResult:
+        """Stop sampling and collect the result; cleanup runs even if stopping raises."""
         if not self._active:
             raise SessionError("measurement session is not active")
+        self._active = False
         controller = self._controller
-        monitor = controller.monitor
-        trace = monitor.stop_sampling().with_label(self._label)
-        if self._use_relay:
-            controller.batt_switch(self._device_id, bypass=False)
-        else:
-            disconnect_direct(monitor, self._device)
-        controller.set_device_usb_power(self._device_id, True)
-        device_cpu = [
-            sample.total_percent
-            for sample in self._device.cpu.samples[self._start_device_cpu_index:]
-        ]
-        controller_cpu = [
-            sample.total_percent
-            for sample in controller.cpu_samples[self._start_controller_cpu_index:]
-        ]
-        upload_bytes = 0
-        if self._mirroring_session is not None:
-            upload_bytes = self._mirroring_session.upload_bytes() - self._start_upload_bytes
-        memory_percent = controller.memory_utilisation_percent()
-        if self._mirroring_session is not None:
-            controller.stop_mirroring(self._device_id)
+        try:
+            trace = controller.monitor.stop_sampling()
+            device_cpu = self._device.cpu.utilisation_series()[self._start_device_cpu_index:]
+            controller_cpu = controller.cpu_utilisation_series()[self._start_controller_cpu_index:]
+            upload_bytes = 0
+            if self._mirroring_session is not None:
+                upload_bytes = self._mirroring_session.upload_bytes() - self._start_upload_bytes
+            memory_percent = controller.memory_utilisation_percent()
+        finally:
+            self._cleanup()
         counters = self._device.radio.counters(RadioTechnology.WIFI)
-        result = MeasurementResult(
+        return MeasurementResult(
             label=self._label,
             trace=trace,
             device_cpu_percent=device_cpu,
@@ -152,17 +147,26 @@ class MeasurementSession:
             device_rx_bytes=counters.rx_bytes - self._start_rx,
             device_tx_bytes=counters.tx_bytes - self._start_tx,
         )
-        self._active = False
-        self._mirroring_session = None
-        return result
 
     def measure(self, duration_s: float) -> MeasurementResult:
         """Start, advance simulated time by ``duration_s``, and stop."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        self.start()
-        self._controller.context.run_for(duration_s)
-        return self.stop()
+        with self:
+            self._controller.context.run_for(duration_s)
+            return self.stop()
+
+    def _cleanup(self) -> None:
+        """Undo provisioning: relay or direct wiring, USB power, the session's mirroring."""
+        controller = self._controller
+        if self._use_relay:
+            controller.batt_switch(self._device_id, bypass=False)
+        else:
+            disconnect_direct(controller.monitor, self._device)
+        controller.set_device_usb_power(self._device_id, True)
+        if self._mirroring_session is not None:
+            controller.stop_mirroring(self._device_id)
+            self._mirroring_session = None
 
     def __enter__(self) -> "MeasurementSession":
         self.start()
@@ -170,4 +174,8 @@ class MeasurementSession:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._active:
-            self.stop()
+            try:
+                self.stop()
+            except Exception:
+                if exc_type is None:  # else the block's own error propagates
+                    raise

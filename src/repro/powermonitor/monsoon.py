@@ -16,7 +16,7 @@ hardware that BatteryLab's software interacts with:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.powermonitor.sampling import SamplingEngine
 from repro.powermonitor.traces import CurrentTrace
@@ -85,7 +85,7 @@ class MonsoonHVPM(Entity):
         self._tripped = False
         self._load: Optional[Callable[[], float]] = None
         self._load_label = ""
-        self._completed_traces: List[CurrentTrace] = []
+        self._last_trace: Optional[CurrentTrace] = None
         self._engine = SamplingEngine(
             context,
             source=self._read_load_current,
@@ -120,9 +120,8 @@ class MonsoonHVPM(Entity):
     def power_off(self) -> None:
         """Cut mains power.  Any active sampling is aborted and Vout collapses."""
         if self._engine.sampling:
-            trace = self._engine.stop()
-            self._completed_traces.append(trace)
-            self.log("sampling aborted by power-off", samples=len(trace))
+            self._last_trace = self._engine.stop()
+            self.log("sampling aborted by power-off", samples=len(self._last_trace))
         self._mains_on = False
         self._vout_enabled = False
         self._vout_v = 0.0
@@ -223,20 +222,16 @@ class MonsoonHVPM(Entity):
         self.log("sampling started", label=label)
 
     def stop_sampling(self) -> CurrentTrace:
-        trace = self._engine.stop()
-        self._completed_traces.append(trace)
+        trace = self._last_trace = self._engine.stop()
         self.log("sampling stopped", samples=len(trace), median_ma=trace.median_current_ma())
         return trace
 
     def peek_trace(self) -> CurrentTrace:
         return self._engine.peek()
 
-    @property
-    def completed_traces(self) -> List[CurrentTrace]:
-        return list(self._completed_traces)
-
     def last_trace(self) -> Optional[CurrentTrace]:
-        return self._completed_traces[-1] if self._completed_traces else None
+        """The trace of the last run, complete or cut short by a power-off."""
+        return self._last_trace
 
     # -- convenience -----------------------------------------------------------------
     def measure_for(self, duration_s: float, label: str = "") -> CurrentTrace:

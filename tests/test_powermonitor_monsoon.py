@@ -96,12 +96,12 @@ class TestSamplingAndLoad:
         with pytest.raises(ValueError):
             monitor.measure_for(0)
 
-    def test_completed_traces_accumulate(self, context, monitor):
+    def test_only_the_last_trace_is_kept(self, context, monitor):
         monitor.attach_load(lambda: 50.0)
         monitor.set_vout(3.85)
         monitor.measure_for(1.0)
-        monitor.measure_for(1.0)
-        assert len(monitor.completed_traces) == 2
+        second = monitor.measure_for(1.0)
+        assert monitor.last_trace() is second
 
 
 class TestCalibration:

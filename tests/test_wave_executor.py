@@ -232,7 +232,7 @@ class TestWaveExecutorUnit:
             job = _Job()
 
         admitted = AdmittedExecution(
-            assignment=_Assignment(), ctx=None, record=None, execution_started_at=0.0
+            assignment=_Assignment(), ctx=None, trace_at_admit=None, execution_started_at=0.0
         )
         admitted.run_payload()
         assert isinstance(admitted.error, ValueError)
