@@ -140,6 +140,7 @@ class BatteryLabAPI:
     def close(self) -> None:
         """Stop the measurement and the mirroring sessions this API left running."""
         if self._session is not None:
+            # Cleanup already ran if stopping raises (a power cut ended sampling).
             with contextlib.suppress(Exception):
                 self.stop_monitor()
         for session in self._mirroring_started:
@@ -148,7 +149,9 @@ class BatteryLabAPI:
 
     def _provision(self, device_id: str) -> MeasurementSession:
         """Unlike a bare session, Table 1 needs mains on and restores the last voltage."""
-        monitor = self._require_monitor()
+        monitor = self._controller.monitor
+        if monitor is None:
+            raise BatteryLabAPIError("this vantage point has no power monitor attached")
         if self._session is not None:
             raise BatteryLabAPIError(
                 f"a measurement on {self._session.device_id!r} is already running"
@@ -161,9 +164,3 @@ class BatteryLabAPI:
         if not monitor.vout_enabled and self._voltage_v:
             monitor.set_vout(self._voltage_v)
         return session
-
-    def _require_monitor(self):
-        monitor = self._controller.monitor
-        if monitor is None:
-            raise BatteryLabAPIError("this vantage point has no power monitor attached")
-        return monitor

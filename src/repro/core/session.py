@@ -10,7 +10,7 @@ desired duration, and collect every signal the evaluation uses into a
 :class:`~repro.core.results.MeasurementResult`.
 
 It is the one measurement lifecycle — the Table 1 calls delegate to it —
-and its cleanup is never skipped: it runs when a step or the run raises.
+and its cleanup is never skipped: it runs when the run or stopping raises.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class MeasurementSession:
 
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> None:
-        """Provision the run and start sampling; a failed step is undone."""
         if self._active:
             raise SessionError("measurement session is already active")
         controller = self._controller
@@ -96,27 +95,23 @@ class MeasurementSession:
         if not monitor.vout_enabled:
             monitor.set_vout(self._device.profile.battery_voltage_v)
         controller.set_device_usb_power(self._device_id, False)
-        try:
-            if self._mirroring:
-                self._mirroring_session = controller.start_mirroring(self._device_id)
-                self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
-            # Snapshot counters so the result only contains this run's samples.
-            self._start_device_cpu_index = len(self._device.cpu.samples)
-            self._start_controller_cpu_index = len(controller.cpu_samples)
-            self._start_upload_bytes = (
-                self._mirroring_session.upload_bytes() if self._mirroring_session else 0
-            )
-            counters = self._device.radio.counters(RadioTechnology.WIFI)
-            self._start_rx = counters.rx_bytes
-            self._start_tx = counters.tx_bytes
-            if self._use_relay:
-                controller.batt_switch(self._device_id, bypass=True)
-            else:
-                connect_direct(monitor, self._device)
-            monitor.start_sampling(label=self._label)
-        except BaseException:
-            self._cleanup()
-            raise
+        if self._mirroring:
+            self._mirroring_session = controller.start_mirroring(self._device_id)
+            self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
+        # Snapshot counters so the result only contains this run's samples.
+        self._start_device_cpu_index = len(self._device.cpu.samples)
+        self._start_controller_cpu_index = len(controller.cpu_samples)
+        self._start_upload_bytes = (
+            self._mirroring_session.upload_bytes() if self._mirroring_session else 0
+        )
+        counters = self._device.radio.counters(RadioTechnology.WIFI)
+        self._start_rx = counters.rx_bytes
+        self._start_tx = counters.tx_bytes
+        if self._use_relay:
+            controller.batt_switch(self._device_id, bypass=True)
+        else:
+            connect_direct(monitor, self._device)
+        monitor.start_sampling(label=self._label)
         self._active = True
 
     def stop(self) -> MeasurementResult:
@@ -134,7 +129,14 @@ class MeasurementSession:
                 upload_bytes = self._mirroring_session.upload_bytes() - self._start_upload_bytes
             memory_percent = controller.memory_utilisation_percent()
         finally:
-            self._cleanup()
+            if self._use_relay:
+                controller.batt_switch(self._device_id, bypass=False)
+            else:
+                disconnect_direct(controller.monitor, self._device)
+            controller.set_device_usb_power(self._device_id, True)
+            if self._mirroring_session is not None:
+                controller.stop_mirroring(self._device_id)
+                self._mirroring_session = None
         counters = self._device.radio.counters(RadioTechnology.WIFI)
         return MeasurementResult(
             label=self._label,
@@ -155,18 +157,6 @@ class MeasurementSession:
         with self:
             self._controller.context.run_for(duration_s)
             return self.stop()
-
-    def _cleanup(self) -> None:
-        """Undo provisioning: relay or direct wiring, USB power, the session's mirroring."""
-        controller = self._controller
-        if self._use_relay:
-            controller.batt_switch(self._device_id, bypass=False)
-        else:
-            disconnect_direct(controller.monitor, self._device)
-        controller.set_device_usb_power(self._device_id, True)
-        if self._mirroring_session is not None:
-            controller.stop_mirroring(self._device_id)
-            self._mirroring_session = None
 
     def __enter__(self) -> "MeasurementSession":
         self.start()
