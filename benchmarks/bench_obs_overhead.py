@@ -2,7 +2,7 @@
 
 PR 7's telemetry layer instruments the two hottest paths in the platform —
 the gateway's selector loop (per-batch request counters and latency
-histograms) and the wave executor's admit/run/settle pipeline (per-phase
+histograms) and the dispatch pass's admit/run/settle steps (per-phase
 histograms plus lifecycle trace spans).  Telemetry ships default-on, so
 its cost is bounded by contract: **≤5% throughput overhead** on both
 paths.
@@ -27,13 +27,14 @@ for it, so each phase uses the estimator that fits its regime:
   pair order flipped every round, GC suspended, and the ratio taken as
   the trimmed mean of per-pair ratios (outlier pairs hit by a scheduling
   burst are discarded).
-* **wave phase** — parallel wave execution across a 12-device fleet of
-  jobs that sleep ``WAVE_SLEEP_S`` on the device, the scaled-down version
-  of ``bench_wave_executor``'s device-bound regime (real jobs are
-  dominated by device time; that is the workload whose throughput the 5%
-  contract protects).  Sleeps release the GIL, so rounds are timed by
-  wall clock, again alternating order with best-of per mode — the sleep
-  floor is deterministic and noise only slows a round down.
+* **wave phase** — dispatch passes across a 12-device fleet of jobs that
+  sleep ``WAVE_SLEEP_S`` on the device (real jobs are dominated by device
+  time; that is the workload whose throughput the 5% contract protects).
+  A pass runs one job at a time, so the sleep is 10 ms over the 12 jobs of
+  a wave: the per-job wall time of a 12-wide wave of 10 ms jobs run side by
+  side.  Rounds are timed by wall clock, again alternating order with
+  best-of per mode — the sleep floor is deterministic and noise only slows
+  a round down.
 
 Results land in ``BENCH_obs_overhead.json`` at the repository root.
 ``*_per_s`` rates are per CPU-second for the gateway phase and per
@@ -79,7 +80,7 @@ VANTAGE_POINTS = 4
 DEVICES_PER_VP = 3
 DEVICES = VANTAGE_POINTS * DEVICES_PER_VP
 WAVE_JOBS = DEVICES * 10  # 10 full waves per round
-WAVE_SLEEP_S = 0.01  # bench_wave_executor's 50ms device time, scaled down
+WAVE_SLEEP_S = 0.01 / DEVICES  # a wave's 10 ms of device time, one job at a time
 WAVE_ROUNDS = 6  # alternating-order round pairs; best wall rate per mode wins
 
 PAYLOAD_NAME = "bench/obs-sleep"
@@ -197,7 +198,7 @@ def _measure_gateway() -> Dict[str, float]:
     }
 
 
-# -- wave-executor phase -----------------------------------------------------
+# -- wave phase --------------------------------------------------------------
 
 def _build_fleet():
     platform = build_default_platform(
@@ -237,9 +238,7 @@ def _measure_waves() -> Dict[str, float]:
     register_payload(PAYLOAD_NAME, _sleep_payload)
     try:
         platform = _build_fleet()
-        server = platform.access_server
-        server.enable_parallel_waves()
-        obs = server.obs
+        obs = platform.access_server.obs
         _wave_jobs_per_s(platform, DEVICES * 2)  # warm-up
 
         def measure() -> float:
@@ -249,7 +248,6 @@ def _measure_waves() -> Dict[str, float]:
             obs.enable() if enabled else obs.disable()
 
         samples = _paired_rounds(measure, toggle, WAVE_ROUNDS)
-        server.disable_parallel_waves()
     finally:
         unregister_payload(PAYLOAD_NAME)
     # The sleep floor is deterministic and noise only slows a round down,
@@ -290,7 +288,7 @@ def run_obs_overhead_benchmark() -> Dict[str, object]:
         "gateway_reads_without_per_s": round(gateway["without"], 1),
         "gateway_telemetry_ratio": round(gateway_ratio, 4),
         "wave_jobs": WAVE_JOBS,
-        "wave_sleep_s": WAVE_SLEEP_S,
+        "wave_sleep_s": round(WAVE_SLEEP_S, 6),
         "wave_jobs_with_per_s": round(waves["with"], 1),
         "wave_jobs_without_per_s": round(waves["without"], 1),
         "wave_telemetry_ratio": round(wave_ratio, 4),
@@ -327,7 +325,7 @@ def test_obs_overhead(benchmark):
                 "ratio": result["gateway_telemetry_ratio"],
             },
             {
-                "path": "parallel wave executor (per wall-s)",
+                "path": "dispatch passes (per wall-s)",
                 "with_per_s": result["wave_jobs_with_per_s"],
                 "without_per_s": result["wave_jobs_without_per_s"],
                 "ratio": result["wave_telemetry_ratio"],

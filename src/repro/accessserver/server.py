@@ -156,8 +156,6 @@ class AccessServer(Entity):
         self._auto_dispatch_event: Optional[Event] = None
         self._persistence = None
         self._analytics = None
-        #: Opt-in concurrent payload execution; see enable_parallel_waves.
-        self._wave_executor = None
         # (owner, idempotency_key) -> job_id: flaky-transport retries of the
         # same submission return the original job instead of double-queueing.
         self._idempotent_submissions: Dict[Tuple[str, str], int] = {}
@@ -209,10 +207,6 @@ class AccessServer(Entity):
         )
         # Children resolved once per status; the settle path pays a dict hit.
         self._m_executed_children: Dict[str, object] = {}
-        self._m_parallelism = registry.gauge(
-            "wave_parallelism_ratio",
-            "Admitted wave size / executor worker count of the last parallel wave.",
-        ).labels()
         self._g_queue_depth = registry.gauge(
             "dispatch_queue_depth",
             "Queued jobs per constraint bucket.",
@@ -510,18 +504,11 @@ class AccessServer(Entity):
 
         Assignments are computed in waves via the scheduler's
         ``dispatch_batch`` (one job at a time per device holds within each
-        wave); the jobs of a wave are then executed in assignment order, and
-        freed devices feed the next wave.  Each job's power-meter logs and
-        artefacts end up in its workspace.  Returns the jobs that were
-        executed by this call; :meth:`drain` repeats passes.
-
-        With :meth:`enable_parallel_waves` active, each wave's *payloads*
-        run concurrently on a worker pool while every state mutation —
-        admission, status transitions, device release, credit billing,
-        journal appends, EventBus publishes — stays on the calling thread
-        in deterministic assignment order, so journals and event streams
-        match serial execution byte for byte (see the determinism contract
-        on :meth:`enable_parallel_waves`).
+        wave); then each job of the wave is admitted, run and settled before
+        the next is admitted, in assignment order (a payload may advance the
+        clock), and freed devices feed the next wave.  Each job's power-meter
+        logs and artefacts end up in its workspace.  Returns the jobs that
+        were executed by this call; :meth:`drain` repeats passes.
         """
         executed: List[Job] = []
         obs_on = self.obs.registry.enabled
@@ -544,14 +531,12 @@ class AccessServer(Entity):
             if obs_on:
                 self._m_waves.inc()
                 self._m_wave_size.observe(float(len(assignments)))
-            if self._wave_executor is not None:
-                waves = [assignments]
-            else:
-                # Serial execution is waves of one: each job settles before
-                # the next is admitted, as payloads may advance the clock.
-                waves = [[assignment] for assignment in assignments]
-            for wave in waves:
-                executed.extend(self._execute_wave(wave))
+            for assignment in assignments:
+                admitted = self._admit_assignment(assignment)
+                if admitted is not None:
+                    admitted.run_payload()
+                    self._settle_assignment(admitted)
+                    executed.append(admitted.job)
         if obs_on:
             if batch_filled(executed, max_jobs):
                 result = "full"
@@ -583,39 +568,14 @@ class AccessServer(Entity):
         """``dispatch_passes_total`` by result: ``empty`` / ``partial`` / ``full``."""
         return {result: int(child.value) for result, child in self._m_passes.items()}
 
-    def _execute_wave(self, assignments: List[Assignment]) -> List[Job]:
-        """Admit, run and settle one wave; mutations stay on this thread.
-
-        Admission happens first, in assignment order; the admitted payloads
-        then run — together on the wave executor's pool when there are
-        several (a barrier: it returns when all are done), inline otherwise
-        — and finally every outcome is settled in assignment order.  Jobs
-        not admitted (cancelled while waiting for their turn, or requeued
-        by the execution-time eligibility re-check) are left out.
-        """
-        admitted = []
-        for assignment in assignments:
-            admission = self._admit_assignment(assignment)
-            if admission is not None:
-                admitted.append(admission)
-        if len(assignments) > 1 and admitted and self.obs.registry.enabled:
-            self._m_parallelism.set(len(admitted) / self._wave_executor.max_workers)
-        if len(admitted) > 1:
-            self._wave_executor.run_wave(admitted)
-        else:
-            for admission in admitted:
-                admission.run_payload()
-        for admission in admitted:
-            self._settle_assignment(admission)
-        return [admission.job for admission in admitted]
-
     def _admit_assignment(self, assignment: Assignment):
-        """Phase 1 (server thread): decide whether the assignment still runs.
+        """Admit: decide whether the assignment still runs.
 
         Returns an :class:`~repro.accessserver.executor.AdmittedExecution`
         ready for its payload, or ``None`` when the job left the RUNNING
         state while waiting for its turn in the wave (e.g. cancelled by an
-        earlier job of the same batch) or lost eligibility.
+        earlier job of the same batch) or lost eligibility.  Jobs not
+        admitted are left out of the pass's executed jobs.
         """
         from repro.core.api import BatteryLabAPI
         from repro.accessserver.executor import AdmittedExecution
@@ -696,15 +656,12 @@ class AccessServer(Entity):
             )
 
     def _settle_assignment(self, admitted) -> None:
-        """Phase 3 (server thread): the job's cleanup and power trace, then the
-        finish step (:meth:`_finish_execution`), then telemetry.
+        """Settle: the job's cleanup and power trace, then the finish step
+        (:meth:`_finish_execution`), then telemetry.
 
-        Telemetry note: this is also where the job's lifecycle spans
-        (``job.admit`` / ``job.run`` / ``job.settle``) are *recorded* — the
-        phases were timed where they happened (admit on this thread, run
-        possibly on a worker), but span IDs are minted and ``trace.span``
-        bus records published here, on the server thread in assignment
-        order, so parallel waves emit a byte-identical event stream.
+        The job's lifecycle spans (``job.admit`` / ``job.run`` /
+        ``job.settle``) are recorded here from the timings the earlier
+        steps captured.
         """
         settle_t0 = time.perf_counter()
         job = admitted.job
@@ -787,46 +744,6 @@ class AccessServer(Entity):
         children: Optional[List[Dict[str, object]]] = None,
     ) -> Tuple[Job, bool]:
         return self.agents.report(lease_id, agent_id, status, result, error, children)
-
-    # -- parallel wave execution ---------------------------------------------------------------
-    @property
-    def parallel_waves_enabled(self) -> bool:
-        return self._wave_executor is not None
-
-    def enable_parallel_waves(self, max_workers: Optional[int] = None):
-        """Run each dispatch wave's payloads concurrently (opt-in).
-
-        **Determinism contract**: state mutations — admission, status
-        transitions, billing, journal appends, event publishes — stay on
-        the thread calling :meth:`run_pending_jobs`, in assignment order,
-        so journals and event streams are byte-identical to serial
-        execution *as long as the payloads themselves are independent*:
-        they must not advance the simulated clock or mutate shared
-        simulation state (:class:`~repro.simulation.clock.SimClock` is not
-        thread-safe).  Payloads bound by wall time — real device I/O,
-        ``time.sleep``-style waits, local computation — qualify; clock
-        -advancing simulation payloads should keep the serial default.
-
-        ``max_workers`` defaults to the registered device count (the
-        maximum possible wave width), with a floor of one.  Returns the
-        :class:`~repro.accessserver.executor.WaveExecutor`.
-        """
-        from repro.accessserver.executor import WaveExecutor
-
-        if max_workers is None:
-            max_workers = max(1, len(self.scheduler.slots))
-        if self._wave_executor is not None:
-            self._wave_executor.shutdown()
-        self._wave_executor = WaveExecutor(max_workers=max_workers)
-        self.log("parallel waves enabled", workers=max_workers)
-        return self._wave_executor
-
-    def disable_parallel_waves(self) -> None:
-        """Return to strictly serial wave execution (the default)."""
-        if self._wave_executor is not None:
-            self._wave_executor.shutdown()
-            self._wave_executor = None
-            self.log("parallel waves disabled")
 
     # -- scheduling policy & event-driven dispatch ---------------------------------------------
     @property

@@ -10,7 +10,8 @@ desired duration, and collect every signal the evaluation uses into a
 :class:`~repro.core.results.MeasurementResult`.
 
 It is the one measurement lifecycle — the Table 1 calls delegate to it —
-and its cleanup is never skipped: it runs when the run or stopping raises.
+and its cleanup is never skipped: it runs when the run or stopping raises,
+and a start that raises undoes the steps it took, and only those.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.results import MeasurementResult
+from repro.device.battery import BatteryConnection
 from repro.device.radio import RadioTechnology
 from repro.vantagepoint.controller import VantagePointController
 from repro.vantagepoint.relay import connect_direct, disconnect_direct
@@ -94,24 +96,46 @@ class MeasurementSession:
             controller.set_power_monitor(True)
         if not monitor.vout_enabled:
             monitor.set_vout(self._device.profile.battery_voltage_v)
-        controller.set_device_usb_power(self._device_id, False)
-        if self._mirroring:
-            self._mirroring_session = controller.start_mirroring(self._device_id)
-            self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
-        # Snapshot counters so the result only contains this run's samples.
-        self._start_device_cpu_index = len(self._device.cpu.samples)
-        self._start_controller_cpu_index = len(controller.cpu_samples)
-        self._start_upload_bytes = (
-            self._mirroring_session.upload_bytes() if self._mirroring_session else 0
+        # What the device was before this session touched it: if a later
+        # step raises, only this session's own steps are undone, as another
+        # session may own the device's bypass, mirroring or USB state.
+        usb_was_on = self._device.usb_powered
+        mirroring_was_on = controller.mirroring_active(self._device_id)
+        bypass_was_on = (
+            controller.relay.is_bypassed(self._device_id)
+            if self._use_relay
+            else self._device.battery.connection is BatteryConnection.BYPASS
         )
-        counters = self._device.radio.counters(RadioTechnology.WIFI)
-        self._start_rx = counters.rx_bytes
-        self._start_tx = counters.tx_bytes
-        if self._use_relay:
-            controller.batt_switch(self._device_id, bypass=True)
-        else:
-            connect_direct(monitor, self._device)
-        monitor.start_sampling(label=self._label)
+        engaged = False
+        controller.set_device_usb_power(self._device_id, False)
+        try:
+            if self._mirroring:
+                self._mirroring_session = controller.start_mirroring(self._device_id)
+                self._mirroring_session.connect_viewer(self._viewer_user, role="experimenter")
+            # Snapshot counters so the result only contains this run's samples.
+            self._start_device_cpu_index = self._device.cpu.sample_count
+            self._start_controller_cpu_index = controller.cpu_sample_count
+            self._start_upload_bytes = (
+                self._mirroring_session.upload_bytes() if self._mirroring_session else 0
+            )
+            counters = self._device.radio.counters(RadioTechnology.WIFI)
+            self._start_rx = counters.rx_bytes
+            self._start_tx = counters.tx_bytes
+            if self._use_relay:
+                controller.batt_switch(self._device_id, bypass=True)
+            else:
+                connect_direct(monitor, self._device)
+            engaged = not bypass_was_on
+            monitor.start_sampling(label=self._label)
+        except BaseException:
+            if engaged:
+                self._release_bypass()
+            if usb_was_on:
+                controller.set_device_usb_power(self._device_id, True)
+            if self._mirroring_session is not None and not mirroring_was_on:
+                controller.stop_mirroring(self._device_id)
+            self._mirroring_session = None
+            raise
         self._active = True
 
     def stop(self) -> MeasurementResult:
@@ -122,17 +146,14 @@ class MeasurementSession:
         controller = self._controller
         try:
             trace = controller.monitor.stop_sampling()
-            device_cpu = self._device.cpu.utilisation_series()[self._start_device_cpu_index:]
-            controller_cpu = controller.cpu_utilisation_series()[self._start_controller_cpu_index:]
+            device_cpu = self._device.cpu.utilisation_series(self._start_device_cpu_index)
+            controller_cpu = controller.cpu_utilisation_series(self._start_controller_cpu_index)
             upload_bytes = 0
             if self._mirroring_session is not None:
                 upload_bytes = self._mirroring_session.upload_bytes() - self._start_upload_bytes
             memory_percent = controller.memory_utilisation_percent()
         finally:
-            if self._use_relay:
-                controller.batt_switch(self._device_id, bypass=False)
-            else:
-                disconnect_direct(controller.monitor, self._device)
+            self._release_bypass()
             controller.set_device_usb_power(self._device_id, True)
             if self._mirroring_session is not None:
                 controller.stop_mirroring(self._device_id)
@@ -149,6 +170,14 @@ class MeasurementSession:
             device_rx_bytes=counters.rx_bytes - self._start_rx,
             device_tx_bytes=counters.tx_bytes - self._start_tx,
         )
+
+    def _release_bypass(self) -> None:
+        """Give the device its own battery back: release the relay channel or
+        undo the direct wiring."""
+        if self._use_relay:
+            self._controller.batt_switch(self._device_id, bypass=False)
+        else:
+            disconnect_direct(self._controller.monitor, self._device)
 
     def measure(self, duration_s: float) -> MeasurementResult:
         """Start, advance simulated time by ``duration_s``, and stop."""

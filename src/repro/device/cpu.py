@@ -103,9 +103,14 @@ class CpuModel:
     def samples(self) -> List[CpuSample]:
         return list(self._samples)
 
-    def utilisation_series(self) -> List[float]:
-        """All recorded total-utilisation observations, in time order."""
-        return [sample.total_percent for sample in self._samples]
+    @property
+    def sample_count(self) -> int:
+        """Observations recorded so far, without copying them."""
+        return len(self._samples)
+
+    def utilisation_series(self, start: int = 0) -> List[float]:
+        """Recorded total-utilisation observations from index ``start``, in time order."""
+        return [sample.total_percent for sample in self._samples[start:]]
 
     def reset_samples(self) -> None:
         self._samples.clear()

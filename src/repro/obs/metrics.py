@@ -1,8 +1,8 @@
 """Lock-cheap in-process metrics: counters, gauges and bounded-bucket histograms.
 
-The platform's hot paths — the gateway selector loop, the dispatch tick,
-the wave executor — run at tens of thousands of operations per second, so
-the registry is built around three rules:
+The platform's hot paths — the gateway selector loop, the dispatch tick —
+run at tens of thousands of operations per second, so the registry is built
+around three rules:
 
 * **Children are cheap.**  A :class:`Counter`/:class:`Gauge`/:class:`Histogram`
   child is a slotted object whose mutation is a GIL-atomic ``list.append``

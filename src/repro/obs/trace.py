@@ -2,19 +2,16 @@
 
 A *trace* follows one request (and, for ``job.submit``, the job it creates)
 through every layer: the gateway reads a line, the router handles the op,
-the access server admits the job onto a device, the wave executor runs the
-payload, and the settle phase writes the outcome.  Each phase records a
+the access server admits the job onto a device, runs the payload, and the
+settle phase writes the outcome.  Each phase records a
 :class:`Span`; all spans of one trace share a ``trace_id`` minted (or
 accepted from the client) where the request enters the system.
 
 Design constraints inherited from the platform:
 
-* **Determinism.**  The parallel wave executor promises byte-identical
-  journals and bus streams versus serial execution.  Spans for the ``run``
-  phase are therefore *measured* on worker threads (plain floats captured
-  by the executor) but *recorded* — IDs minted, bus record published — in
-  the settle phase on the server thread, in assignment order.  Nothing
-  about tracing depends on worker interleaving.
+* **Determinism.**  A job's ``admit`` / ``run`` phases are *measured* where
+  they run (plain floats on the admitted execution) and *recorded* — IDs
+  minted, bus record published — in the settle phase, in assignment order.
 * **The journal stays trace-free.**  Finished spans are published on the
   event bus under the ``trace.span`` topic, which streams through the
   existing ``events.subscribe`` op but is not in
@@ -96,9 +93,8 @@ class Tracer:
     """Mints trace/span IDs and retains finished spans per trace.
 
     Thread-safety: ID minting and span recording take a small internal
-    lock.  By construction (see module docstring) recording happens on the
-    server/loop threads in deterministic order; the lock exists for the
-    gateway's worker threads, which record request spans concurrently.
+    lock, for the gateway's worker threads, which record request spans
+    concurrently with the dispatch thread.
     """
 
     def __init__(
@@ -196,8 +192,7 @@ class Tracer:
         status: str = "ok",
         **attrs: object,
     ) -> Optional[Span]:
-        """Record an already-measured span (used for phases timed on worker
-        threads so that IDs and bus order stay deterministic)."""
+        """Record an already-measured span."""
         if not self.enabled:
             return None
         with self._lock:

@@ -341,8 +341,14 @@ class VantagePointController(Entity):
     def cpu_samples(self) -> List[ControllerCpuSample]:
         return list(self._cpu_samples)
 
-    def cpu_utilisation_series(self) -> List[float]:
-        return [sample.total_percent for sample in self._cpu_samples]
+    @property
+    def cpu_sample_count(self) -> int:
+        """CPU samples taken so far, without copying them."""
+        return len(self._cpu_samples)
+
+    def cpu_utilisation_series(self, start: int = 0) -> List[float]:
+        """Total CPU utilisation of each sample from index ``start`` on."""
+        return [sample.total_percent for sample in self._cpu_samples[start:]]
 
     def latest_cpu_percent(self) -> float:
         """Most recent CPU utilisation sample, or 0.0 before the first one.

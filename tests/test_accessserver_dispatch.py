@@ -23,6 +23,7 @@ from repro.accessserver.policies import (
 from repro.accessserver.scheduler import JobScheduler
 from repro.chaos import check_device_hold_conservation
 from repro.core.platform import build_default_platform
+from repro.obs import SPAN_TOPIC
 from repro.simulation.events import EventBus
 
 
@@ -980,3 +981,99 @@ class TestDrain:
         message = warnings[0].getMessage()
         assert f"after {DRAIN_PASSES} full" in message
         assert f"{server.scheduler.queue_length()} job(s) still queued" in message
+
+
+class TestSerialPass:
+    """A pass admits, runs and settles each assignment in turn, in
+    assignment order: two fresh fleets given the same jobs write the same
+    journal bytes, publish the same events and leave the same balances,
+    whether every payload completes or one raises."""
+
+    @staticmethod
+    def _run(state_dir, fail_index):
+        from repro.accessserver import jobs as jobs_module
+        from repro.core.platform import add_vantage_point
+        from repro.device.profiles import SAMSUNG_J7_DUO
+
+        # Job ids come from a process-global allocator; pin it so both runs
+        # journal the same ids.  (3 * 10**6 stays clear of other tests' ids.)
+        jobs_module._job_ids._next = 3 * 10**6
+        platform = build_default_platform(seed=31, browsers=("chrome",), device_count=3)
+        add_vantage_point(
+            platform, "node2", "Institution 1",
+            device_profiles=[SAMSUNG_J7_DUO] * 3, browsers=("chrome",),
+        )
+        server = platform.access_server
+        server.enable_persistence(str(state_dir), snapshot_every=10**9)
+        server.accounts.enable_credit_system(initial_grant_device_hours=100.0)
+        events = []
+        server.events.subscribe(
+            None, lambda record: events.append((record.topic, dict(record.payload)))
+        )
+        # The tracer publishes spans only to a topic subscriber; the one
+        # above records them in order with everything else.
+        server.events.subscribe(SPAN_TOPIC, lambda record: None)
+
+        def hold_a_minute(ctx):
+            platform.run_for(60.0)
+            return "ok"
+
+        def explode(ctx):
+            raise RuntimeError("payload exploded")
+
+        submitted = [
+            server.submit_job(
+                platform.experimenter,
+                JobSpec(
+                    name=f"serial-{index:02d}",
+                    owner="experimenter",
+                    run=explode if index == fail_index else hold_a_minute,
+                ),
+            )
+            for index in range(12)
+        ]
+        executed = server.run_pending_jobs()
+        assert [job.job_id for job in executed] == [job.job_id for job in submitted]
+        assert check_device_hold_conservation(server, drained=True).ok
+        for event in events:
+            # A span's elapsed_s is measured wall time; all else must repeat.
+            if event[0] == "trace.span":
+                event[1].pop("elapsed_s", None)
+        journal = (state_dir / "journal.jsonl").read_bytes()
+        return executed, events, journal, server.accounts._credit_balances()
+
+    @pytest.mark.parametrize("fail_index", [None, 2], ids=["all-complete", "one-fails"])
+    def test_a_pass_repeats_its_journal_events_and_balances(self, tmp_path, fail_index):
+        executed, events, journal, balances = self._run(tmp_path / "first", fail_index)
+        again = self._run(tmp_path / "second", fail_index)
+        assert [topic for topic, _ in events].count(SPAN_TOPIC) == 12 * 4
+        assert journal
+        assert (events, journal, balances) == again[1:]
+        assert balances["experimenter"] < 100.0
+        for index, job in enumerate(executed):
+            if index == fail_index:
+                assert job.status is JobStatus.FAILED
+                assert "payload exploded" in job.error
+            else:
+                assert job.status is JobStatus.COMPLETED
+
+    def test_admitted_execution_captures_payload_error(self):
+        from repro.accessserver.executor import AdmittedExecution
+
+        class _Spec:
+            @staticmethod
+            def run(ctx):
+                raise ValueError("boom")
+
+        class _Job:
+            spec = _Spec()
+
+        class _Assignment:
+            job = _Job()
+
+        admitted = AdmittedExecution(
+            assignment=_Assignment(), ctx=None, trace_at_admit=None, execution_started_at=0.0
+        )
+        admitted.run_payload()
+        assert isinstance(admitted.error, ValueError)
+        assert admitted.result is None

@@ -64,6 +64,60 @@ class TestMeasurementSession:
         session.stop()
         assert vantage_point.device().usb_powered
 
+    def test_failed_start_undoes_only_its_own_steps(self, platform, controller, vantage_point):
+        """A second device's session cannot take the relay from a running
+        one: its start raises, gives that device USB power back and stops
+        its mirroring, and leaves the running session in bypass, sampling."""
+        from repro.device.android import AndroidDevice
+        from repro.device.profiles import SAMSUNG_J7_DUO
+        from repro.vantagepoint.relay import RelayError
+
+        measured = controller.list_devices()[0]
+        vantage_point.monitor.set_sample_rate(20.0)
+        running = MeasurementSession(controller, measured)
+        running.start()
+        controller.add_device(
+            AndroidDevice(platform.context, serial="node1-dev01", profile=SAMSUNG_J7_DUO)
+        )
+        second = controller.device("node1-dev01")
+        assert second.usb_powered
+        with pytest.raises(RelayError):
+            MeasurementSession(controller, "node1-dev01", mirroring=True).start()
+        assert second.usb_powered
+        assert not controller.mirroring_active("node1-dev01")
+        assert controller.relay.is_bypassed(measured)
+        assert vantage_point.monitor.sampling
+        # A second session on the measured device itself fails to sample;
+        # the bypass and the USB cut it found belong to the running session.
+        with pytest.raises(RuntimeError):
+            MeasurementSession(controller, measured).start()
+        assert controller.relay.is_bypassed(measured)
+        assert not controller.device(measured).usb_powered
+        platform.run_for(2.0)
+        assert len(running.stop().trace) > 0
+        assert controller.device(measured).usb_powered
+
+    def test_start_does_not_copy_the_cpu_history(self, platform, controller):
+        """The counter snapshot reads two counts, not the whole CPU history,
+        which gains a sample per simulated second on the controller and on
+        every device."""
+        import tracemalloc
+
+        platform.run_for(6 * 3600.0)
+        assert len(controller.cpu_samples) >= 21_600
+        session = MeasurementSession(controller, controller.list_devices()[0])
+        tracemalloc.start()
+        try:
+            session.start()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, peak
+        platform.run_for(3.0)
+        result = session.stop()
+        assert len(result.controller_cpu_percent) == 3
+        assert len(result.device_cpu_percent) == 3
+
     def test_double_start_rejected(self, controller):
         serial = controller.list_devices()[0]
         session = MeasurementSession(controller, serial)

@@ -124,6 +124,13 @@ def test_the_persistence_codec_is_a_leaf():
     assert [name for name in modules if name.startswith(package + ".")] == [package + ".codec"]
 
 
+def test_the_dispatch_pass_loads_no_thread_pool():
+    """A dispatch pass admits, runs and settles one job at a time; devices
+    run at the same time on their own agents, not on server threads."""
+    modules = loaded_modules("import repro.accessserver.server, repro.accessserver.executor")
+    assert [name for name in modules if name.startswith("concurrent")] == []
+
+
 def test_printing_a_table_does_not_load_numpy():
     """``repro report --gateway`` / ``jobs --gateway`` print tables on an
     operator's laptop or the Pi; ``repro.analysis.tables`` is plain string
