@@ -1057,6 +1057,76 @@ class TestSerialPass:
             else:
                 assert job.status is JobStatus.COMPLETED
 
+    def test_each_job_settles_before_the_next_is_admitted(self):
+        """One wave assigns all three devices; while a job's payload runs,
+        every job before it has settled and every job after it still waits
+        for its turn."""
+        platform = build_default_platform(seed=31, browsers=("chrome",), device_count=3)
+        server = platform.access_server
+        seen = []
+
+        def record_statuses(ctx):
+            seen.append([server.scheduler.job(job.job_id).status for job in submitted])
+            return "ok"
+
+        submitted = [
+            server.submit_job(
+                platform.experimenter,
+                JobSpec(name=f"turn-{index}", owner="experimenter", run=record_statuses),
+            )
+            for index in range(3)
+        ]
+        assert len(server.run_pending_jobs()) == 3
+        done, waiting = JobStatus.COMPLETED, JobStatus.RUNNING
+        assert seen == [
+            [waiting, waiting, waiting],
+            [done, waiting, waiting],
+            [done, done, waiting],
+        ]
+        assert server.dispatch_pass_counts()["partial"] == 1
+
+    def test_payloads_run_on_the_thread_that_runs_the_pass(self):
+        import threading
+
+        platform = build_default_platform(seed=31, browsers=("chrome",), device_count=3)
+        server = platform.access_server
+        threads = []
+
+        def record_thread(ctx):
+            threads.append(threading.get_ident())
+            return "ok"
+
+        for index in range(5):
+            server.submit_job(
+                platform.experimenter,
+                JobSpec(name=f"inline-{index}", owner="experimenter", run=record_thread),
+            )
+        assert len(server.run_pending_jobs()) == 5
+        assert threads == [threading.get_ident()] * 5
+
+    def test_a_failed_job_frees_its_device_for_the_next_wave(self):
+        """On a one-device fleet each wave holds one assignment: the failing
+        first job settles and gives the device back within the same pass."""
+        platform = build_default_platform(seed=31, browsers=("chrome",), device_count=1)
+        server = platform.access_server
+
+        def explode(ctx):
+            raise RuntimeError("payload exploded")
+
+        first = server.submit_job(
+            platform.experimenter, JobSpec(name="fails", owner="experimenter", run=explode)
+        )
+        second = server.submit_job(
+            platform.experimenter,
+            JobSpec(name="follows", owner="experimenter", run=lambda ctx: "ok"),
+        )
+        executed = server.run_pending_jobs()
+        assert [job.job_id for job in executed] == [first.job_id, second.job_id]
+        assert first.status is JobStatus.FAILED
+        assert "payload exploded" in first.error
+        assert second.status is JobStatus.COMPLETED
+        assert check_device_hold_conservation(server, drained=True).ok
+
     def test_admitted_execution_captures_payload_error(self):
         from repro.accessserver.executor import AdmittedExecution
 

@@ -97,6 +97,47 @@ class TestMeasurementSession:
         assert len(running.stop().trace) > 0
         assert controller.device(measured).usb_powered
 
+    def test_failed_start_leaves_the_state_it_found(self, platform, controller):
+        """Mirroring that was already on and USB power that was already off
+        are not this session's steps: a start that raises leaves them so."""
+        from repro.device.android import AndroidDevice
+        from repro.device.profiles import SAMSUNG_J7_DUO
+        from repro.vantagepoint.relay import RelayError
+
+        controller.add_device(
+            AndroidDevice(platform.context, serial="node1-dev01", profile=SAMSUNG_J7_DUO)
+        )
+        measured, other = controller.list_devices()[0], "node1-dev01"
+        controller.set_power_monitor(True)
+        controller.set_voltage(3.85)
+        controller.batt_switch(measured, bypass=True)
+        controller.start_mirroring(other)
+        controller.set_device_usb_power(other, False)
+        with pytest.raises(RelayError):
+            MeasurementSession(controller, other, mirroring=True).start()
+        assert controller.mirroring_active(other)
+        assert not controller.device(other).usb_powered
+        assert not controller.relay.is_bypassed(other)
+        assert controller.relay.is_bypassed(measured)
+
+    def test_failed_direct_start_restores_the_battery(self, controller, vantage_point):
+        """With the monitor already sampling, a directly wired session's
+        start raises; the device gets its own battery and USB power back and
+        the monitor carries no load for it."""
+        serial = controller.list_devices()[0]
+        monitor = vantage_point.monitor
+        controller.set_power_monitor(True)
+        controller.set_voltage(3.85)
+        monitor.start_sampling(label="someone-else")
+        with pytest.raises(RuntimeError):
+            MeasurementSession(controller, serial, use_relay=False).start()
+        device = controller.device(serial)
+        assert device.battery.connection is BatteryConnection.INTERNAL
+        assert device.usb_powered
+        assert not monitor.load_attached
+        assert monitor.sampling
+        monitor.stop_sampling()
+
     def test_start_does_not_copy_the_cpu_history(self, platform, controller):
         """The counter snapshot reads two counts, not the whole CPU history,
         which gains a sample per simulated second on the controller and on

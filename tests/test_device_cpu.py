@@ -57,6 +57,14 @@ class TestSampling:
         assert [s.timestamp for s in cpu.samples] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert len(cpu.utilisation_series()) == 5
 
+    def test_series_from_an_index_is_the_tail_of_the_history(self, cpu):
+        for t in range(6):
+            cpu.sample(float(t))
+        assert cpu.sample_count == 6
+        full = cpu.utilisation_series()
+        assert cpu.utilisation_series(4) == full[4:]
+        assert cpu.utilisation_series(6) == []
+
     def test_sample_median_tracks_demand(self, cpu):
         cpu.set_demand("browser", 30.0)
         values = [cpu.sample(float(t)).total_percent for t in range(300)]

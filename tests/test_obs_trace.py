@@ -166,3 +166,20 @@ class TestTraceContinuityAcrossWaves:
             # The payload slept ~20 ms; its run span, recorded at settle,
             # carries the time the run took.
             assert spans[2].elapsed_s >= 0.015
+
+    def test_span_stream_follows_the_serial_pass(self, _payload):
+        """Submit spans come as the jobs are submitted; then each job's
+        admit, run and settle spans come together, in submission order,
+        across both waves of the pass."""
+        platform = _build_fleet()
+        events = []
+        platform.access_server.events.subscribe(SPAN_TOPIC, lambda record: events.append(record))
+        _, jobs = _run_jobs(platform, DEVICES * 2)
+        stream = [
+            (record.payload["name"], record.payload.get("attrs", {}).get("job_id"))
+            for record in events
+        ]
+        ids = [job.job_id for job in jobs]
+        assert stream == [("job.submit", job_id) for job_id in ids] + [
+            (name, job_id) for job_id in ids for name in self.LIFECYCLE[1:]
+        ]

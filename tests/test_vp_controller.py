@@ -137,6 +137,13 @@ class TestCpuAccounting:
         median = sorted(series)[len(series) // 2]
         assert 20.0 < median < 30.0
 
+    def test_series_from_an_index_is_the_tail_of_the_history(self, platform, controller):
+        platform.run_for(8.0)
+        assert controller.cpu_sample_count == len(controller.cpu_samples) == 8
+        full = controller.cpu_utilisation_series()
+        assert controller.cpu_utilisation_series(5) == full[5:]
+        assert controller.cpu_utilisation_series(8) == []
+
     def test_reset_cpu_samples(self, platform, controller):
         platform.run_for(5.0)
         controller.reset_cpu_samples()
