@@ -12,33 +12,29 @@ This benchmark measures each path twice — registry and tracer enabled
 throughput ratio ``with / without``.  A ratio of 1.0 means free telemetry;
 the contract floor is ``MIN_RATIO`` (0.95, i.e. ≤5% overhead).  Ratios are
 normalized within a single run on a single machine, so CI trend-gates
-them with a tight band next to the dispatch and wave-speedup gates.
+them with a tight band like its other normalized gates.
 
 Shared-machine noise swamps a 5% signal unless the measurement is built
-for it, so each phase uses the estimator that fits its regime:
+for it, so both phases use one estimator.  Both paths are pure CPU, so
+rounds are timed with ``time.process_time`` (wall-clock drift on a shared
+host is ±20-40% between identical rounds; CPU time is tighter).
+Enabled/disabled rounds run back-to-back as pairs — adjacent in time, so
+they share the host's frequency/contention state — with the pair order
+flipped every round, GC suspended, and the ratio taken as the trimmed mean
+of per-pair ratios (outlier pairs hit by a scheduling burst are
+discarded).
 
 * **gateway phase** — byte-level pipelined ``server.status`` reads against
   a live socket gateway (the peak-throughput shape of
-  ``bench_api_roundtrip``'s sweep, single connection).  The path is pure
-  CPU, so rounds are timed with ``time.process_time`` (wall-clock drift
-  on a shared host is ±20-40% between identical rounds; CPU time is
-  tighter).  Enabled/disabled rounds run back-to-back as pairs — adjacent
-  in time, so they share the host's frequency/contention state — with the
-  pair order flipped every round, GC suspended, and the ratio taken as
-  the trimmed mean of per-pair ratios (outlier pairs hit by a scheduling
-  burst are discarded).
-* **wave phase** — dispatch passes across a 12-device fleet of jobs that
-  sleep ``WAVE_SLEEP_S`` on the device (real jobs are dominated by device
-  time; that is the workload whose throughput the 5% contract protects).
-  A pass runs one job at a time, so the sleep is 10 ms over the 12 jobs of
-  a wave: the per-job wall time of a 12-wide wave of 10 ms jobs run side by
-  side.  Rounds are timed by wall clock, again alternating order with
-  best-of per mode — the sleep floor is deterministic and noise only slows
-  a round down.
+  ``bench_api_roundtrip``'s sweep, single connection).
+* **wave phase** — dispatch passes that drain ``WAVE_JOBS`` ``noop`` jobs
+  from a 12-device fleet.  A ``noop`` payload does no device time, so
+  nothing hides telemetry's share of admit, run and settle: this is the
+  path the 5% contract is hardest on.  (A payload that sleeps on the
+  device would make any telemetry cost look free.)
 
 Results land in ``BENCH_obs_overhead.json`` at the repository root.
-``*_per_s`` rates are per CPU-second for the gateway phase and per
-wall-second for the wave phase.
+``*_per_s`` rates are per CPU-second, from the cleanest round per mode.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_obs_overhead.py``
 or under pytest-benchmark via
@@ -55,11 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.accessserver.jobs import JobSpec
-from repro.accessserver.payloads import (
-    get_payload,
-    register_payload,
-    unregister_payload,
-)
+from repro.accessserver.payloads import get_payload
 from repro.api import ApiGateway, ApiRouter
 from repro.core.platform import add_vantage_point, build_default_platform
 from repro.device.profiles import SAMSUNG_J7_DUO
@@ -79,16 +71,8 @@ TRIM_KEEP = 0.5  # middle fraction of pair ratios kept by the trimmed mean
 VANTAGE_POINTS = 4
 DEVICES_PER_VP = 3
 DEVICES = VANTAGE_POINTS * DEVICES_PER_VP
-WAVE_JOBS = DEVICES * 10  # 10 full waves per round
-WAVE_SLEEP_S = 0.01 / DEVICES  # a wave's 10 ms of device time, one job at a time
-WAVE_ROUNDS = 6  # alternating-order round pairs; best wall rate per mode wins
-
-PAYLOAD_NAME = "bench/obs-sleep"
-
-
-def _sleep_payload(ctx):
-    time.sleep(WAVE_SLEEP_S)
-    return {"ok": True}
+WAVE_JOBS = DEVICES * 100  # noop jobs drained per round: 12 full passes
+WAVE_ROUNDS = 20  # alternating-order round pairs; trimmed mean of ratios
 
 
 def _paired_rounds(
@@ -160,6 +144,29 @@ def _pipelined_reads_cpu_s(sock: socket.socket, reads: int) -> float:
     return time.process_time() - started
 
 
+def _paired_cpu_ratio(
+    measure: Callable[[], float], toggle: Callable[[bool], None], rounds: int, units: int
+) -> Dict[str, float]:
+    """Time ``measure`` (CPU seconds for ``units`` operations) in paired
+    rounds with GC suspended; return both rates and the trimmed-mean ratio."""
+    gc.collect()
+    gc.disable()
+    try:
+        cpu = _paired_rounds(measure, toggle, rounds)
+    finally:
+        gc.enable()
+    # The ratio is the trimmed mean of per-pair CPU ratios (each pair is
+    # adjacent in time); the reported rates use the cleanest round per mode.
+    ratios = [
+        without / with_ for with_, without in zip(cpu["with"], cpu["without"])
+    ]
+    return {
+        "with": units / min(cpu["with"]),
+        "without": units / min(cpu["without"]),
+        "ratio": _trimmed_mean(ratios),
+    }
+
+
 def _measure_gateway() -> Dict[str, float]:
     platform = build_default_platform(seed=71, browsers=("chrome",))
     obs = platform.access_server.obs
@@ -177,25 +184,10 @@ def _measure_gateway() -> Dict[str, float]:
             def toggle(enabled: bool) -> None:
                 obs.enable() if enabled else obs.disable()
 
-            gc.collect()
-            gc.disable()
-            try:
-                cpu = _paired_rounds(measure, toggle, GATEWAY_ROUNDS)
-            finally:
-                gc.enable()
+            return _paired_cpu_ratio(measure, toggle, GATEWAY_ROUNDS, GATEWAY_READS)
     finally:
         obs.enable()
         gateway.stop()
-    # The ratio is the trimmed mean of per-pair CPU ratios (each pair is
-    # adjacent in time); the reported rates use the cleanest round per mode.
-    ratios = [
-        without / with_ for with_, without in zip(cpu["with"], cpu["without"])
-    ]
-    return {
-        "with": GATEWAY_READS / min(cpu["with"]),
-        "without": GATEWAY_READS / min(cpu["without"]),
-        "ratio": _trimmed_mean(ratios),
-    }
 
 
 # -- wave phase --------------------------------------------------------------
@@ -215,50 +207,40 @@ def _build_fleet():
     return platform
 
 
-def _wave_jobs_per_s(platform, jobs: int) -> float:
+def _drain_cpu_s(platform, jobs: int) -> float:
+    """Queue ``jobs`` noop jobs, then return the CPU seconds of the dispatch
+    passes that drain them."""
     server = platform.access_server
+    noop = get_payload("noop")
     for index in range(jobs):
         server.submit_job(
             platform.experimenter,
-            JobSpec(
-                name=f"obs-{index:03d}",
-                owner="experimenter",
-                run=get_payload(PAYLOAD_NAME),
-                timeout_s=60.0,
-            ),
+            JobSpec(name=f"obs-{index:04d}", owner="experimenter", run=noop, timeout_s=60.0),
         )
-    started = time.perf_counter()
-    executed = server.run_pending_jobs(max_jobs=jobs)
-    wall_s = time.perf_counter() - started
-    assert len(executed) == jobs, (len(executed), jobs)
-    return jobs / wall_s
+    executed = 0
+    started = time.process_time()
+    while executed < jobs:
+        executed += len(server.run_pending_jobs())
+    cpu_s = time.process_time() - started
+    assert executed == jobs, (executed, jobs)
+    return cpu_s
 
 
 def _measure_waves() -> Dict[str, float]:
-    register_payload(PAYLOAD_NAME, _sleep_payload)
+    platform = _build_fleet()
+    obs = platform.access_server.obs
+    _drain_cpu_s(platform, DEVICES * 2)  # warm-up
+
+    def measure() -> float:
+        return _drain_cpu_s(platform, WAVE_JOBS)
+
+    def toggle(enabled: bool) -> None:
+        obs.enable() if enabled else obs.disable()
+
     try:
-        platform = _build_fleet()
-        obs = platform.access_server.obs
-        _wave_jobs_per_s(platform, DEVICES * 2)  # warm-up
-
-        def measure() -> float:
-            return _wave_jobs_per_s(platform, WAVE_JOBS)
-
-        def toggle(enabled: bool) -> None:
-            obs.enable() if enabled else obs.disable()
-
-        samples = _paired_rounds(measure, toggle, WAVE_ROUNDS)
+        return _paired_cpu_ratio(measure, toggle, WAVE_ROUNDS, WAVE_JOBS)
     finally:
-        unregister_payload(PAYLOAD_NAME)
-    # The sleep floor is deterministic and noise only slows a round down,
-    # so best-of per mode is the clean estimate in this regime.
-    best_with = max(samples["with"])
-    best_without = max(samples["without"])
-    return {
-        "with": best_with,
-        "without": best_without,
-        "ratio": best_with / best_without if best_without else 0.0,
-    }
+        obs.enable()
 
 
 def _measure_with_retry(measure: Callable[[], Dict[str, float]]) -> Dict[str, float]:
@@ -288,7 +270,6 @@ def run_obs_overhead_benchmark() -> Dict[str, object]:
         "gateway_reads_without_per_s": round(gateway["without"], 1),
         "gateway_telemetry_ratio": round(gateway_ratio, 4),
         "wave_jobs": WAVE_JOBS,
-        "wave_sleep_s": round(WAVE_SLEEP_S, 6),
         "wave_jobs_with_per_s": round(waves["with"], 1),
         "wave_jobs_without_per_s": round(waves["without"], 1),
         "wave_telemetry_ratio": round(wave_ratio, 4),
@@ -325,7 +306,7 @@ def test_obs_overhead(benchmark):
                 "ratio": result["gateway_telemetry_ratio"],
             },
             {
-                "path": "dispatch passes (per wall-s)",
+                "path": "dispatch passes of noop jobs (per cpu-s)",
                 "with_per_s": result["wave_jobs_with_per_s"],
                 "without_per_s": result["wave_jobs_without_per_s"],
                 "ratio": result["wave_telemetry_ratio"],

@@ -360,38 +360,21 @@ class AgentManager:
             self._child(self._m_reports, job.status.value).inc()
         tracer = server.obs.tracer
         if tracer.enabled:
-            tracer.record_phases(
+            # Imported here: server.py loads this module before repro.obs.
+            from repro.obs.trace import AGENT_PHASES
+
+            tracer.record_lifecycle(
+                AGENT_PHASES,
                 job.job_id,
-                [
-                    (
-                        "agent.claim",
-                        lease.granted_at,
-                        lease.granted_at,
-                        lease.claim_elapsed_s,
-                        "ok",
-                        {
-                            "job_id": job.job_id,
-                            "agent": lease.agent_id,
-                            "devices": len(lease.devices),
-                        },
-                    ),
-                    (
-                        "agent.run",
-                        lease.granted_at,
-                        now,
-                        now - lease.granted_at,
-                        "error" if job.status is JobStatus.FAILED else "ok",
-                        {"job_id": job.job_id, "agent": lease.agent_id},
-                    ),
-                    (
-                        "agent.report",
-                        now,
-                        now,
-                        settle_elapsed,
-                        "ok",
-                        {"job_id": job.job_id, "status_after": job.status.value},
-                    ),
-                ],
+                lease.granted_at,
+                now,
+                lease.claim_elapsed_s,
+                now - lease.granted_at,
+                settle_elapsed,
+                job.status is JobStatus.FAILED,
+                lease.agent_id,
+                len(lease.devices),
+                job.status.value,
             )
         server._schedule_dispatch_tick()
         return job, False

@@ -26,7 +26,6 @@ earlier in the pass cannot become placeable later within the same tick.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.accessserver.dispatch import (
@@ -235,7 +234,15 @@ class JobScheduler:
         """
         assignments: List[Assignment] = []
         if controller_cpu is not None:
-            controller_cpu = functools.lru_cache(maxsize=None)(controller_cpu)  # once a tick
+            # Read each vantage point's CPU once a tick.
+            read_cpu, cpu_by_vantage_point = controller_cpu, {}
+
+            def controller_cpu(vantage_point: str) -> float:
+                cpu = cpu_by_vantage_point.get(vantage_point)
+                if cpu is None:
+                    cpu = cpu_by_vantage_point[vantage_point] = read_cpu(vantage_point)
+                return cpu
+
         dead_buckets: Set[BucketKey] = set()
         for job in self.policy.order(self.queue.jobs("push"), self._stats(now)):
             if max_assignments is not None and len(assignments) >= max_assignments:

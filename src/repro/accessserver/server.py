@@ -59,6 +59,7 @@ from repro.accessserver.policies import SchedulingPolicy
 from repro.accessserver.scheduler import JobScheduler, SessionReservation
 from repro.network.ssh import SshKeyPair
 from repro.obs import Observability, component_logger
+from repro.obs.trace import PUSH_PHASES
 from repro.simulation.entity import Entity, SimulationContext
 from repro.simulation.events import Event, EventBus
 
@@ -426,7 +427,7 @@ class AccessServer(Entity):
                 trace_id,
                 start=self.context.now,
                 elapsed_s=time.perf_counter() - started,
-                status_after=job.status.value,
+                status_after=job.status,  # a str enum: the reader takes its value
             )
         return job
 
@@ -512,38 +513,74 @@ class AccessServer(Entity):
         """
         executed: List[Job] = []
         obs_on = self.obs.registry.enabled
+        # The pass's timings reach the registry once, at its end; each job's
+        # are kept as it settles, while they are hot.
+        decision_s: List[float] = []
+        wave_sizes: List[float] = []
+        admit_s: List[float] = []
+        run_s: List[float] = []
+        settle_s: List[float] = []
+        statuses: List[JobStatus] = []
         # A dead agent must never strand a job or its devices: every
         # dispatch pass starts by reaping expired leases.  With no push job
         # queued there is nothing to decide, and an idle host loop makes
         # ~200 such passes a second: a count check ends them.
         self.agents.expire_leases()
-        while len(executed) < max_jobs and self.scheduler.queue.plane_length("push"):
-            decision_t0 = time.perf_counter()
-            assignments = self.scheduler.dispatch_batch(
-                self.context.now,
-                controller_cpu=self._controller_cpu,
-                max_assignments=max_jobs - len(executed),
-            )
+        try:
+            while len(executed) < max_jobs and self.scheduler.queue.plane_length("push"):
+                decision_t0 = time.perf_counter()
+                assignments = self.scheduler.dispatch_batch(
+                    self.context.now,
+                    controller_cpu=self._controller_cpu,
+                    max_assignments=max_jobs - len(executed),
+                )
+                if obs_on:
+                    decision_s.append(time.perf_counter() - decision_t0)
+                if not assignments:
+                    break
+                if obs_on:
+                    wave_sizes.append(float(len(assignments)))
+                for assignment in assignments:
+                    admitted = self._admit_assignment(assignment)
+                    if admitted is not None:
+                        admitted.run_payload()
+                        self._settle_assignment(admitted)
+                        job = admitted.job
+                        executed.append(job)
+                        if obs_on:
+                            admit_s.append(admitted.admit_elapsed_s)
+                            run_s.append(admitted.run_elapsed_s)
+                            settle_s.append(admitted.settle_elapsed_s)
+                            statuses.append(job.status)
+        finally:
             if obs_on:
-                self._m_decision.observe(time.perf_counter() - decision_t0)
-            if not assignments:
-                break
-            if obs_on:
-                self._m_waves.inc()
-                self._m_wave_size.observe(float(len(assignments)))
-            for assignment in assignments:
-                admitted = self._admit_assignment(assignment)
-                if admitted is not None:
-                    admitted.run_payload()
-                    self._settle_assignment(admitted)
-                    executed.append(admitted.job)
-        if obs_on:
-            if batch_filled(executed, max_jobs):
-                result = "full"
-            else:
-                result = "partial" if executed else "empty"
-            self._m_passes[result].inc()
+                self._m_decision.observe_many(decision_s)
+                if wave_sizes:
+                    self._m_waves.inc(float(len(wave_sizes)))
+                    self._m_wave_size.observe_many(wave_sizes)
+                self._m_admit.observe_many(admit_s)
+                self._m_run.observe_many(run_s)
+                self._m_settle.observe_many(settle_s)
+                self._count_executed(statuses)
+                if batch_filled(executed, max_jobs):
+                    result = "full"
+                else:
+                    result = "partial" if executed else "empty"
+                self._m_passes[result].inc()
         return executed
+
+    def _count_executed(self, statuses: List[JobStatus]) -> None:
+        """``jobs_executed_total`` by terminal status, once per pass."""
+        # list.count compares by identity in C; hashing an enum member (or
+        # reading .value) per job would be a Python call each.
+        for status in JobStatus:
+            count = statuses.count(status)
+            if count:
+                child = self._m_executed_children.get(status.value)
+                if child is None:
+                    child = self._m_executed.labels(status=status.value)
+                    self._m_executed_children[status.value] = child
+                child.inc(float(count))
 
     def drain(self) -> List[Job]:
         """Run dispatch passes until one does not fill its batch; returns the jobs run.
@@ -605,20 +642,17 @@ class AccessServer(Entity):
         api = BatteryLabAPI(controller)
         ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self.context.now)
         self.scheduler.begin_execution(job)
-        admit_elapsed = time.perf_counter() - admit_t0
-        if self.obs.registry.enabled:
-            self._m_admit.observe(admit_elapsed)
         return AdmittedExecution(
             assignment=assignment,
             ctx=ctx,
             trace_at_admit=None if controller.monitor is None else controller.monitor.last_trace(),
             execution_started_at=self.context.now,
-            admit_elapsed_s=admit_elapsed,
+            admit_elapsed_s=time.perf_counter() - admit_t0,
         )
 
     def _finish_execution(
         self, job: Job, held_since: float, result: object, error: Optional[str]
-    ) -> None:
+    ) -> float:
         """The one way out of an execution that ran to its end, push or pull.
 
         In this order: the terminal transition (only a still-RUNNING job
@@ -627,6 +661,7 @@ class AccessServer(Entity):
         credit settlement for the time the devices were held, and last the
         journal record and ``job.finished`` publish, so recovery replays
         balances exactly.  ``error`` set means the execution failed.
+        Returns the simulated time the execution finished at.
         """
         now = self.context.now
         if job.status is not JobStatus.RUNNING:
@@ -654,14 +689,15 @@ class AccessServer(Entity):
                 status=job.status.value,
                 finished_at=job.finished_at,
             )
+        return now
 
     def _settle_assignment(self, admitted) -> None:
         """Settle: the job's cleanup and power trace, then the finish step
-        (:meth:`_finish_execution`), then telemetry.
+        (:meth:`_finish_execution`), then the job's lifecycle record.
 
-        The job's lifecycle spans (``job.admit`` / ``job.run`` /
-        ``job.settle``) are recorded here from the timings the earlier
-        steps captured.
+        The lifecycle spans (``job.admit`` / ``job.run`` / ``job.settle``)
+        are one record, stored here from the timings the earlier steps
+        captured; the pass hands the timings to the histograms.
         """
         settle_t0 = time.perf_counter()
         job = admitted.job
@@ -674,53 +710,25 @@ class AccessServer(Entity):
         if trace is not admitted.trace_at_admit:
             job.workspace.store("power_meter_trace", trace)
         error = None if admitted.error is None else str(admitted.error)
-        self._finish_execution(job, admitted.execution_started_at, admitted.result, error)
-        settle_elapsed = time.perf_counter() - settle_t0
-        if self.obs.registry.enabled:
-            self._m_run.observe(admitted.run_elapsed_s)
-            self._m_settle.observe(settle_elapsed)
-            status = job.status.value
-            child = self._m_executed_children.get(status)
-            if child is None:
-                child = self._m_executed.labels(status=status)
-                self._m_executed_children[status] = child
-            child.inc()
+        finished_at = self._finish_execution(
+            job, admitted.execution_started_at, admitted.result, error
+        )
+        settle_elapsed = admitted.settle_elapsed_s = time.perf_counter() - settle_t0
         tracer = self.obs.tracer
         if tracer.enabled:
-            started_at = admitted.execution_started_at
-            now = self.context.now
-            tracer.record_phases(
+            assignment = admitted.assignment
+            tracer.record_lifecycle(
+                PUSH_PHASES,
                 job.job_id,
-                [
-                    (
-                        "job.admit",
-                        started_at,
-                        started_at,
-                        admitted.admit_elapsed_s,
-                        "ok",
-                        {
-                            "job_id": job.job_id,
-                            "vantage_point": admitted.assignment.vantage_point,
-                            "device": admitted.assignment.device_serial,
-                        },
-                    ),
-                    (
-                        "job.run",
-                        started_at,
-                        now,
-                        admitted.run_elapsed_s,
-                        "error" if admitted.error is not None else "ok",
-                        {"job_id": job.job_id},
-                    ),
-                    (
-                        "job.settle",
-                        now,
-                        now,
-                        settle_elapsed,
-                        "ok",
-                        {"job_id": job.job_id, "status_after": job.status.value},
-                    ),
-                ],
+                admitted.execution_started_at,
+                finished_at,
+                admitted.admit_elapsed_s,
+                admitted.run_elapsed_s,
+                settle_elapsed,
+                admitted.error is not None,
+                assignment.vantage_point,
+                assignment.device_serial,
+                job.status,  # a str enum: the reader takes its value
             )
 
     # -- agent-pull execution ------------------------------------------------------------------

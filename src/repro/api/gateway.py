@@ -1013,24 +1013,24 @@ class ApiGateway:
             return response
         with self._router_lock:
             obs = self._obs
-            span = None
-            if obs is not None and obs.tracer.enabled:
-                span = obs.tracer.start_span(
-                    "gateway.request",
-                    trace_id=request.get("trace_id"),
-                    op=request.get("op"),
+            if obs is None or not obs.tracer.enabled:
+                return router.handle(
+                    request, push=connection.push_frame, owner=connection, secure=secure
                 )
-                # Thread the trace through the router so every downstream
-                # span (router, job lifecycle) shares this trace ID.
-                request = dict(request)
-                request["trace_id"] = span.trace_id
-            response = router.handle(
-                request, push=connection.push_frame, owner=connection, secure=secure
-            )
-            if span is not None:
-                obs.tracer.end_span(
-                    span, status="ok" if response.get("ok") else "error"
+            tracer = obs.tracer
+            traced = tracer.begin_request(request.get("trace_id"), request.get("op"), gateway=True)
+            # Thread the trace through the router so every downstream span
+            # (router, job lifecycle) shares this trace ID.  The request was
+            # parsed for this call alone, so it is stamped in place.
+            request["trace_id"] = traced.trace_id
+            try:
+                response = router.handle(
+                    request, push=connection.push_frame, owner=connection, secure=secure
                 )
+            except BaseException:
+                tracer.end_request(traced, False)
+                raise
+            tracer.end_request(traced, bool(response.get("ok")))
             return response
 
     # -- teardown ------------------------------------------------------------

@@ -389,16 +389,14 @@ class ApiRouter(OpRouter):
     ) -> dict:
         op, envelope = ctx.op, ctx.envelope
         obs = self._obs
-        span = None
+        traced = None
         if obs is not None and obs.tracer.enabled and (
             not op.read_only or envelope.trace_id is not None
         ):
             # Mutating ops (and anything the caller explicitly traced)
             # get a router span; read-only hot-path ops pay metrics only.
-            span = obs.tracer.start_span(
-                f"router.{op.name}", trace_id=envelope.trace_id, op=op.name
-            )
-            ctx.trace_id = span.trace_id
+            traced = obs.tracer.begin_request(envelope.trace_id, op.name)
+            ctx.trace_id = traced.trace_id
         try:
             if op.authenticate:
                 ctx.user = self._authenticate(envelope, ctx.secure)
@@ -406,11 +404,11 @@ class ApiRouter(OpRouter):
                     self._server.users.authorize(ctx.user, op.permission)
             payload = handler(ctx, envelope.payload)
         except Exception:
-            if span is not None:
-                obs.tracer.end_span(span, status="error")
+            if traced is not None:
+                obs.tracer.end_request(traced, False)
             raise
-        if span is not None:
-            obs.tracer.end_span(span)
+        if traced is not None:
+            obs.tracer.end_request(traced, True)
         response = ctx.ok(payload)
         self._observe_request(
             op.name, "ok", time.perf_counter() - ctx.started, ctx.trace_id

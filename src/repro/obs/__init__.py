@@ -7,9 +7,10 @@ of the telemetry layer:
   bounded-bucket histograms with labeled families, scrape-time collect
   hooks and Prometheus-style text exposition (``cli metrics``).
 * :class:`~repro.obs.trace.Tracer` — trace/span IDs minted at the API
-  boundary and propagated through router → server → executor, with
-  finished spans published on the event bus as ``trace.span`` records
-  (streamable via ``events.subscribe``).
+  boundary and propagated through router → server → executor; it keeps
+  one compact record per request and per job, builds spans from them when
+  read, and publishes them on the event bus as ``trace.span`` records
+  while a subscriber listens (streamable via ``events.subscribe``).
 
 Telemetry is **default-on**; :meth:`Observability.disable` short-circuits
 every mutation for overhead measurement (``bench_obs_overhead.py``) and

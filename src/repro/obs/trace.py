@@ -3,41 +3,66 @@
 A *trace* follows one request (and, for ``job.submit``, the job it creates)
 through every layer: the gateway reads a line, the router handles the op,
 the access server admits the job onto a device, runs the payload, and the
-settle phase writes the outcome.  Each phase records a
-:class:`Span`; all spans of one trace share a ``trace_id`` minted (or
-accepted from the client) where the request enters the system.
+settle phase writes the outcome.  Each phase is a :class:`Span`; all spans
+of one trace share a ``trace_id`` minted (or accepted from the client)
+where the request enters the system.
 
 Design constraints inherited from the platform:
 
+* **One record per request and per job.**  Tracing is default-on, so what
+  it keeps must cost less than the work it watches.  A finished request is
+  one tuple — its ``gateway.request`` and ``router.<op>`` spans and, when it
+  created a job, that job's ``job.submit`` span — and a settled job is one
+  more (``job.admit`` / ``job.run`` / ``job.settle``).  A record holds ints,
+  floats and shared strings and is stored under one lock acquisition (a
+  settled job's is one atomic append).  It takes one block of span numbers
+  (:data:`_BLOCK`), so it stores one int, and span IDs are formatted on
+  read.
+* **Spans are built when read.**  :meth:`Tracer.trace` (``obs.trace``) and
+  a live ``trace.span`` subscriber turn records into :class:`Span` objects;
+  nothing else builds one.
 * **Determinism.**  A job's ``admit`` / ``run`` phases are *measured* where
-  they run (plain floats on the admitted execution) and *recorded* — IDs
-  minted, bus record published — in the settle phase, in assignment order.
-* **The journal stays trace-free.**  Finished spans are published on the
-  event bus under the ``trace.span`` topic, which streams through the
-  existing ``events.subscribe`` op but is not in
-  ``DISPATCH_TOPIC_KINDS``, so persistence never journals it and replay
-  determinism is untouched.
-* **Bounded memory.**  Finished traces are retained in an insertion-order
-  dict capped at ``max_traces``; the oldest trace is evicted whole.
+  they run (plain floats on the admitted execution) and *recorded* in the
+  settle phase, in assignment order.
+* **The journal stays trace-free.**  Spans are published on the event bus
+  under the ``trace.span`` topic, which streams through the existing
+  ``events.subscribe`` op but is not in ``DISPATCH_TOPIC_KINDS``, so
+  persistence never journals it and replay determinism is untouched.
+* **Bounded memory.**  Traces are retained oldest-first, capped at
+  ``max_traces``; the oldest trace is evicted whole, with the job bindings
+  that point at it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventBus
 
-__all__ = ["SPAN_TOPIC", "Span", "Tracer"]
+__all__ = ["AGENT_PHASES", "PUSH_PHASES", "Phases", "SPAN_TOPIC", "Span", "Tracer"]
 
 #: Bus topic finished spans are published under; subscribe with
 #: ``topic_prefix="trace."`` over the streaming API to follow live traces.
 SPAN_TOPIC = "trace.span"
+
+#: Span numbers per record: a request's submit, router and gateway spans are
+#: numbers ``3k``, ``3k + 1`` and ``3k + 2`` of its block ``k``; a settle's
+#: three phase spans likewise.
+_BLOCK = 3
+
+_NO_CLOCK = SimpleNamespace(now=0.0)
+
+
+def _span_id(number: int) -> str:
+    return f"s{number:06x}"
 
 
 @dataclass(slots=True)
@@ -89,12 +114,166 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class Tracer:
-    """Mints trace/span IDs and retains finished spans per trace.
+# -- records ------------------------------------------------------------------------
+# A stored record is a tuple: its reader ``(trace, record) -> [Span]``, then
+# the job it names (``None`` if none), then the reader's own fields.  A
+# ``status_after`` may be a str-valued enum member (the caller's status,
+# stored as it is); a span carries its plain ``str`` value.
 
-    Thread-safety: ID minting and span recording take a small internal
-    lock, for the gateway's worker threads, which record request spans
-    concurrently with the dispatch thread.
+
+class _Trace(list):
+    """One retained trace: its records, in recording order, and
+    ``trace_id`` (set by whoever creates it: no Python ``__init__`` runs)."""
+
+    __slots__ = ("trace_id",)
+
+
+def _read_span(trace: _Trace, record: tuple) -> List[Span]:
+    """``(reader, None, span)``: a span recorded through the generic API."""
+    return [record[2]]
+
+
+def _read_binding(trace: _Trace, record: tuple) -> List[Span]:
+    """``(reader, job_id, parent_span_id)``: :meth:`Tracer.bind_job`'s mark
+    of the span a job's lifecycle hangs off; it reads as no span."""
+    return []
+
+
+def _parent_of(trace: _Trace, job_id: int) -> Optional[str]:
+    """The span ``job_id``'s lifecycle hangs off: the submit span of the
+    first record in ``trace`` that names the job, or what ``bind_job`` set."""
+    for record in trace:
+        if record[1] == job_id:
+            if record[0] is _read_binding:
+                return record[2]
+            if record[0] is _read_request:
+                return _span_id(_BLOCK * record[3])
+    return None
+
+
+# Span's fields in order: trace_id, span_id, name, start, parent_id, end,
+# elapsed_s, status, attrs.
+
+
+def _submit_span(trace_id, block, job_id, start, elapsed_s, status_after) -> Span:
+    span_id = _span_id(_BLOCK * block)
+    attrs = {"status_after": str.__str__(status_after), "job_id": job_id}
+    return Span(trace_id, span_id, "job.submit", start, None, start, elapsed_s, "ok", attrs)
+
+
+def _op_span(trace_id, number, name, op, start, end, elapsed_s, status) -> Span:
+    return Span(trace_id, _span_id(number), name, start, None, end, elapsed_s, status, {"op": op})
+
+
+def _read_request(trace: _Trace, record: tuple) -> List[Span]:
+    """``(reader, job_id, op, block, submit_start, submit_elapsed, status_after,
+    router_start, router_end, router_elapsed, router_status, gateway_start,
+    gateway_end, gateway_elapsed, gateway_status)``: a part whose status
+    (``status_after`` for the submit) is ``None`` was not recorded."""
+    (
+        _, job_id, op, block, submit_start, submit_elapsed, status_after,
+        router_start, router_end, router_elapsed, router_status,
+        gateway_start, gateway_end, gateway_elapsed, gateway_status,
+    ) = record
+    trace_id = trace.trace_id
+    spans = []
+    if status_after is not None:
+        spans.append(
+            _submit_span(trace_id, block, job_id, submit_start, submit_elapsed, status_after)
+        )
+    number = _BLOCK * block
+    if router_status is not None:
+        spans.append(_op_span(
+            trace_id, number + 1, "router." + op, op,
+            router_start, router_end, router_elapsed, router_status,
+        ))
+    if gateway_status is not None:
+        spans.append(_op_span(
+            trace_id, number + 2, "gateway.request", op,
+            gateway_start, gateway_end, gateway_elapsed, gateway_status,
+        ))
+    return spans
+
+
+class Phases:
+    """How a settled job's record reads back as its three phase spans.
+
+    ``names`` are the spans' names; the first span carries the record's two
+    values under ``first_attrs``, and the run span carries the first value
+    too, under ``run_attr``, when that is set.  Every span carries
+    ``job_id`` and hangs off the job's submit span; the last also carries
+    ``status_after``.
+    """
+
+    __slots__ = ("names", "first_attrs", "run_attr")
+
+    def __init__(
+        self,
+        names: Tuple[str, str, str],
+        first_attrs: Tuple[str, str],
+        run_attr: Optional[str] = None,
+    ) -> None:
+        self.names = names
+        self.first_attrs = first_attrs
+        self.run_attr = run_attr
+
+    def __call__(self, trace: _Trace, record: tuple) -> List[Span]:
+        """``(phases, job_id, block, start, end, first_elapsed, run_elapsed,
+        last_elapsed, run_status, first_value, second_value, status_after)``."""
+        (
+            _, job_id, block, start, end, first_s, run_s, last_s,
+            run_status, first_value, second_value, status_after,
+        ) = record
+        trace_id = trace.trace_id
+        parent_id = _parent_of(trace, job_id)
+        number = _BLOCK * block
+        first_name, run_name, last_name = self.names
+        first_key, second_key = self.first_attrs
+        run_attrs: Dict[str, object] = {"job_id": job_id}
+        if self.run_attr is not None:
+            run_attrs[self.run_attr] = first_value
+        return [
+            Span(trace_id, _span_id(number), first_name, start, parent_id, start, first_s, "ok",
+                 {"job_id": job_id, first_key: first_value, second_key: second_value}),
+            Span(trace_id, _span_id(number + 1), run_name, start, parent_id, end, run_s,
+                 run_status, run_attrs),
+            Span(trace_id, _span_id(number + 2), last_name, end, parent_id, end, last_s, "ok",
+                 {"job_id": job_id, "status_after": str.__str__(status_after)}),
+        ]
+
+
+#: A pushed job's dispatch pass: admitted on a device, run, settled.
+PUSH_PHASES = Phases(("job.admit", "job.run", "job.settle"), ("vantage_point", "device"))
+#: An agent-pulled job: claimed by an agent, run there, reported back.
+AGENT_PHASES = Phases(
+    ("agent.claim", "agent.run", "agent.report"), ("agent", "devices"), run_attr="agent"
+)
+
+
+class _Request(SimpleNamespace):
+    """One request in flight; its end stores one record or, when it is the
+    router inside a gateway request, fills in that request's router part.
+
+    Fields: ``trace_id``, ``op``, ``block`` (its span numbers), ``start``
+    (simulated), ``t0`` (``perf_counter``), ``gateway`` (its span is
+    ``gateway.request``), ``outer`` (the gateway request it is the router
+    part of), ``router`` (``(start, end, elapsed_s, status)`` once a nested
+    router part ended) and ``submit`` (``(job_id, start, elapsed_s,
+    status_after)`` once the request created a job).  A ``SimpleNamespace``
+    is built by C code: the per-request path makes no call it can avoid.
+    """
+
+
+_NO_PART = (None, None, None, None)
+
+
+class Tracer:
+    """Mints trace/span IDs and retains one record per request and per job.
+
+    Thread-safety: trace and span numbers come from ``itertools.count``
+    (atomic under the GIL), and storing or reading records takes a small
+    internal lock, so the one dispatch thread, the host loop and an
+    in-process caller may record concurrently.
     """
 
     def __init__(
@@ -104,47 +283,50 @@ class Tracer:
         max_traces: int = 512,
         enabled: bool = True,
     ) -> None:
-        self._clock = clock
+        self._clock = clock if clock is not None else _NO_CLOCK
         self._bus = bus
         self._max_traces = max_traces
         self.enabled = enabled
         #: Live ``events.subscribe`` streams whose topic prefix matches
         #: ``trace.span`` (maintained by the API router).  Spans are only
-        #: published on the bus while someone is listening — the retained
-        #: trace store always answers ``obs.trace`` either way, and a bus
+        #: built and published on the bus while someone is listening — the
+        #: retained records answer ``obs.trace`` either way, and a bus
         #: publish fans out to every wildcard subscriber (analytics, the
         #: journal dispatcher's filter), which is too expensive to pay per
         #: job phase when nothing downstream wants the record.
         self.stream_interest = 0
+        # Exact-topic ``trace.span`` subscribers (tests, tools): a live list,
+        # so the per-record check below is attribute reads, not a call.
+        self._span_subscribers = [] if bus is None else bus.subscribers(SPAN_TOPIC)
         self._lock = threading.Lock()
-        self._next_trace = 1
-        self._next_span = 1
-        self._traces: "OrderedDict[str, List[Span]]" = OrderedDict()
-        # job_id -> (trace_id, parent_span_id): which trace a job's lifecycle
-        # spans belong to, and the span they hang off (the submit span).
-        self._job_traces: "OrderedDict[int, Tuple[str, Optional[str]]]" = OrderedDict()
-        # trace_id -> [job_ids]: reverse index so evicting one trace drops
-        # its job bindings without scanning every binding (O(queue) scans on
-        # the submit path are exactly what this layer must not introduce).
-        self._trace_jobs: Dict[str, List[int]] = {}
+        self._trace_numbers = itertools.count(1)
+        self._blocks = itertools.count(1)
+        # trace_id -> its records; the deque holds the same IDs oldest first
+        # (a plain dict plus a deque is half an OrderedDict's bytes).
+        self._traces: Dict[str, _Trace] = {}
+        self._trace_order: Deque[str] = deque()
+        # job_id -> the trace its lifecycle belongs to.  Every binding is
+        # made beside a record that names the job, so evicting a trace finds
+        # and drops the bindings that point at it.
+        self._job_traces: Dict[int, _Trace] = {}
+        # trace_id -> the request in flight that carries it, so the router
+        # part and the job.submit part join the gateway's one record.
+        self._open: Dict[str, _Request] = {}
 
     # -- ids ------------------------------------------------------------------------
     def new_trace_id(self) -> str:
-        with self._lock:
-            value = self._next_trace
-            self._next_trace += 1
-        return f"t{value:08x}"
+        return f"t{next(self._trace_numbers):08x}"
 
-    def _new_span_id(self) -> str:
-        value = self._next_span
-        self._next_span += 1
-        return f"s{value:06x}"
+    def _listening(self) -> bool:
+        """True when a published span would reach someone (call sites on the
+        per-request path test this inline)."""
+        return self._bus is not None and (self.stream_interest > 0 or bool(self._span_subscribers))
 
-    # -- span lifecycle ---------------------------------------------------------------
-    @property
-    def _now(self) -> float:
-        return self._clock.now if self._clock is not None else 0.0
+    def _publish(self, spans: List[Span]) -> None:
+        for span in spans:
+            self._bus.publish(SPAN_TOPIC, **span.to_record())
 
+    # -- generic spans ----------------------------------------------------------------
     def start_span(
         self,
         name: str,
@@ -157,13 +339,11 @@ class Tracer:
             return _NULL_SPAN
         if trace_id is None:
             trace_id = self.new_trace_id()
-        with self._lock:
-            span_id = self._new_span_id()
         return Span(
             trace_id=trace_id,
-            span_id=span_id,
+            span_id=_span_id(_BLOCK * next(self._blocks)),
             name=name,
-            start=self._now,
+            start=self._clock.now,
             parent_id=parent_id,
             attrs=attrs,
             _t0=time.perf_counter(),
@@ -173,13 +353,13 @@ class Tracer:
         """Close ``span``: stamp end/elapsed, retain it, publish ``trace.span``."""
         if span is _NULL_SPAN or not self.enabled:
             return
-        span.end = self._now
+        span.end = self._clock.now
         if span._t0 is not None:
             span.elapsed_s = time.perf_counter() - span._t0
         span.status = status
         if attrs:
             span.attrs.update(attrs)
-        self._retain(span)
+        self._store_span(span)
 
     def record_span(
         self,
@@ -195,105 +375,25 @@ class Tracer:
         """Record an already-measured span."""
         if not self.enabled:
             return None
-        with self._lock:
-            span = Span(
-                trace_id=trace_id,
-                span_id=self._new_span_id(),
-                name=name,
-                start=start,
-                parent_id=parent_id,
-                end=end,
-                elapsed_s=elapsed_s,
-                status=status,
-                attrs=attrs,
-            )
-            self._retain_locked(span)
-        self._publish(span)
+        span = Span(
+            trace_id=trace_id,
+            span_id=_span_id(_BLOCK * next(self._blocks)),
+            name=name,
+            start=start,
+            parent_id=parent_id,
+            end=end,
+            elapsed_s=elapsed_s,
+            status=status,
+            attrs=attrs,
+        )
+        self._store_span(span)
         return span
 
-    def begin_job_trace(
-        self,
-        job_id: int,
-        trace_id: Optional[str],
-        start: float,
-        elapsed_s: float,
-        **attrs: object,
-    ) -> Optional[str]:
-        """Record a ``job.submit`` span and bind ``job_id`` to its trace.
-
-        The submit hot path's fused form of ``new_trace_id`` +
-        ``record_span`` + ``bind_job``: one lock acquisition instead of
-        three (locks are not free at thousands of jobs per second).  A
-        ``trace_id`` carried in from the API boundary is reused; otherwise
-        a fresh trace is minted.  ``job_id`` is folded into the span's
-        attrs.  Returns the trace ID, or ``None`` when tracing is off.
-        """
-        if not self.enabled:
-            return None
-        attrs["job_id"] = job_id
+    def _store_span(self, span: Span) -> None:
         with self._lock:
-            if trace_id is None:
-                value = self._next_trace
-                self._next_trace += 1
-                trace_id = f"t{value:08x}"
-            span = Span(
-                trace_id=trace_id,
-                span_id=self._new_span_id(),
-                name="job.submit",
-                start=start,
-                end=start,
-                elapsed_s=elapsed_s,
-                attrs=attrs,
-            )
-            self._retain_locked(span)
-            self._job_traces[job_id] = (trace_id, span.span_id)
-            self._trace_jobs.setdefault(trace_id, []).append(job_id)
-            while len(self._job_traces) > self._max_traces:
-                self._evict_job_binding_locked()
-        self._publish(span)
-        return trace_id
-
-    def record_phases(
-        self,
-        job_id: int,
-        phases: List[Tuple[str, float, float, float, str, Dict[str, object]]],
-    ) -> bool:
-        """Record several already-measured lifecycle spans of one job's trace
-        under a single lock acquisition.
-
-        ``phases`` is a list of ``(name, start, end, elapsed_s, status,
-        attrs)`` tuples; every span gets the job's bound trace ID and hangs
-        off its submit span.  This is the settle path's fused form of N
-        ``record_span`` calls — the settle phase runs once per job per
-        wave, so its lock traffic is the telemetry overhead budget's
-        biggest line item.  Returns False when the job has no bound trace
-        (evicted, or tracing was off at submit).
-        """
-        if not self.enabled:
-            return False
-        spans = []
-        with self._lock:
-            binding = self._job_traces.get(job_id)
-            if binding is None:
-                return False
-            trace_id, parent_id = binding
-            for name, start, end, elapsed_s, status, attrs in phases:
-                span = Span(
-                    trace_id=trace_id,
-                    span_id=self._new_span_id(),
-                    name=name,
-                    start=start,
-                    parent_id=parent_id,
-                    end=end,
-                    elapsed_s=elapsed_s,
-                    status=status,
-                    attrs=attrs,
-                )
-                self._retain_locked(span)
-                spans.append(span)
-        for span in spans:
-            self._publish(span)
-        return True
+            self._trace_locked(span.trace_id).append((_read_span, None, span))
+        if self._listening():
+            self._publish([span])
 
     @contextmanager
     def span(
@@ -312,33 +412,193 @@ class Tracer:
         else:
             self.end_span(span)
 
-    def _retain(self, span: Span) -> None:
-        with self._lock:
-            self._retain_locked(span)
-        self._publish(span)
+    # -- requests ---------------------------------------------------------------------
+    def begin_request(
+        self, trace_id: Optional[str], op: Optional[str], gateway: bool = False
+    ) -> Optional[_Request]:
+        """Start timing one request: the gateway's (``gateway=True``,
+        ``gateway.request``) or the router's (``router.<op>``).
 
-    def _retain_locked(self, span: Span) -> None:
-        spans = self._traces.get(span.trace_id)
-        if spans is None:
-            spans = []
-            self._traces[span.trace_id] = spans
-            while len(self._traces) > self._max_traces:
-                evicted, _ = self._traces.popitem(last=False)
-                # Drop the job bindings with their trace so lookups cannot
-                # point at an evicted (empty) trace.
-                for job_id in self._trace_jobs.pop(evicted, ()):
-                    self._job_traces.pop(job_id, None)
-        spans.append(span)
+        A router request inside an open gateway request of the same trace
+        becomes that request's router part, so the two spans are stored as
+        one record.  Returns ``None`` when tracing is disabled; the caller
+        threads ``.trace_id`` (minted here when ``trace_id`` is ``None``)
+        through to everything the request does.
+        """
+        if not self.enabled:
+            return None
+        if trace_id is None:
+            trace_id = f"t{next(self._trace_numbers):08x}"
+        outer = self._open.get(trace_id)
+        if outer is None or not outer.gateway or gateway or outer.router is not None:
+            request = _Request(block=next(self._blocks), outer=None)
+            if outer is None:
+                self._open[trace_id] = request
+        else:
+            request = _Request(block=outer.block, outer=outer)
+        request.trace_id = trace_id
+        request.op = op
+        request.start = self._clock.now
+        request.gateway = gateway
+        request.router = request.submit = None
+        request.t0 = time.perf_counter()
+        return request
 
-    def _publish(self, span: Span) -> None:
-        bus = self._bus
-        if bus is None:
+    def end_request(self, request: Optional[_Request], ok: bool) -> None:
+        """Finish ``request`` (status ``ok`` or ``error``) and store its
+        record — or, for a router part, hand its timing to the gateway's."""
+        if request is None:
             return
-        # Only pay the bus fan-out while a trace stream is actually open
-        # (router-bridged ``events.subscribe`` with a ``trace.`` prefix) or
-        # something subscribed to the topic directly.
-        if self.stream_interest > 0 or bus.has_subscribers(SPAN_TOPIC):
-            bus.publish(SPAN_TOPIC, **span.to_record())
+        end = self._clock.now
+        elapsed_s = time.perf_counter() - request.t0
+        status = "ok" if ok else "error"
+        trace_id = request.trace_id
+        part = (request.start, end, elapsed_s, status)
+        outer = request.outer
+        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
+            number = _BLOCK * request.block
+            if request.gateway:
+                span = _op_span(trace_id, number + 2, "gateway.request", request.op, *part)
+            else:
+                span = _op_span(trace_id, number + 1, "router." + request.op, request.op, *part)
+            self._publish([span])
+        if outer is not None:
+            outer.router = part
+            outer.op = request.op
+            return
+        if self._open.get(trace_id) is request:
+            del self._open[trace_id]
+        if request.gateway:
+            router, gateway = request.router or _NO_PART, part
+        else:
+            router, gateway = part, _NO_PART
+        job_id, submit_start, submit_elapsed, status_after = request.submit or _NO_PART
+        record = (
+            _read_request, job_id, request.op, request.block,
+            submit_start, submit_elapsed, status_after, *router, *gateway,
+        )
+        # _trace_locked and _bind_locked, inlined: this runs once per
+        # request, and telemetry's budget counts calls.
+        with self._lock:
+            traces = self._traces
+            trace = traces.get(trace_id)
+            if trace is None:
+                trace = traces[trace_id] = _Trace()
+                trace.trace_id = trace_id
+                order = self._trace_order
+                order.append(trace_id)
+                job_traces = self._job_traces
+                while len(order) > self._max_traces:
+                    evicted = traces.pop(order.popleft())
+                    for old in evicted:
+                        if job_traces.get(old[1]) is evicted:
+                            del job_traces[old[1]]
+            trace.append(record)
+            if job_id is not None:
+                job_traces = self._job_traces
+                job_traces[job_id] = trace
+                if len(job_traces) > self._max_traces:
+                    del job_traces[next(iter(job_traces))]
+
+    # -- jobs -------------------------------------------------------------------------
+    def begin_job_trace(
+        self,
+        job_id: int,
+        trace_id: Optional[str],
+        start: float,
+        elapsed_s: float,
+        status_after: str,
+    ) -> Optional[str]:
+        """Record a ``job.submit`` span and bind ``job_id`` to its trace.
+
+        Inside an open request of the same trace the span joins that
+        request's record; otherwise (a direct caller) it is a record of its
+        own, on a trace minted here when ``trace_id`` is ``None``.  Returns
+        the trace ID, or ``None`` when tracing is off.
+        """
+        if not self.enabled:
+            return None
+        request = None if trace_id is None else self._open.get(trace_id)
+        if request is not None and request.submit is None:
+            # Stored, and the job bound, with the request's record at its end.
+            block = request.block
+            request.submit = (job_id, start, elapsed_s, status_after)
+        else:
+            if trace_id is None:
+                trace_id = f"t{next(self._trace_numbers):08x}"
+            block = next(self._blocks)
+            record = (
+                _read_request, job_id, None, block, start, elapsed_s, status_after,
+                *_NO_PART, *_NO_PART,
+            )
+            with self._lock:
+                trace = self._trace_locked(trace_id)
+                trace.append(record)
+                self._bind_locked(job_id, trace)
+        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
+            self._publish([_submit_span(trace_id, block, job_id, start, elapsed_s, status_after)])
+        return trace_id
+
+    def record_lifecycle(
+        self,
+        phases: Phases,
+        job_id: int,
+        start: float,
+        end: float,
+        first_elapsed_s: float,
+        run_elapsed_s: float,
+        last_elapsed_s: float,
+        failed: bool,
+        first_value: object,
+        second_value: object,
+        status_after: str,
+    ) -> bool:
+        """Record a settled job's three phase spans as one record.
+
+        The spans (named by ``phases``) join the job's bound trace and hang
+        off its submit span: the first at ``start``, the run from ``start``
+        to ``end`` (status ``error`` when ``failed``), the last at ``end``.
+        Returns False when the job has no bound trace (evicted, or tracing
+        was off at submit).
+        """
+        if not self.enabled:
+            return False
+        # No lock: the lookup and the append are each atomic under the GIL,
+        # and a trace evicted between them takes this record with it, as
+        # eviction just after the append would.  This runs once per settled
+        # job, where a lock pair cost more than the record itself.
+        trace = self._job_traces.get(job_id)
+        if trace is None:
+            return False
+        record = (
+            phases, job_id, next(self._blocks), start, end,
+            first_elapsed_s, run_elapsed_s, last_elapsed_s,
+            "error" if failed else "ok", first_value, second_value, status_after,
+        )
+        trace.append(record)
+        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
+            self._publish(phases(trace, record))
+        return True
+
+    def _trace_locked(self, trace_id: str) -> _Trace:
+        """The trace ``trace_id``, created when new (evicting the oldest past
+        ``max_traces``, with the job bindings that point at it)."""
+        trace = self._traces.get(trace_id)
+        if trace is None:
+            trace = self._traces[trace_id] = _Trace()
+            trace.trace_id = trace_id
+            self._trace_order.append(trace_id)
+            while len(self._trace_order) > self._max_traces:
+                evicted = self._traces.pop(self._trace_order.popleft())
+                for record in evicted:
+                    if self._job_traces.get(record[1]) is evicted:
+                        del self._job_traces[record[1]]
+        return trace
+
+    def _bind_locked(self, job_id: int, trace: _Trace) -> None:
+        self._job_traces[job_id] = trace
+        if len(self._job_traces) > self._max_traces:
+            del self._job_traces[next(iter(self._job_traces))]
 
     # -- job binding ------------------------------------------------------------------
     def bind_job(
@@ -350,35 +610,28 @@ class Tracer:
         if not self.enabled:
             return
         with self._lock:
-            self._job_traces[job_id] = (trace_id, parent_span_id)
-            self._trace_jobs.setdefault(trace_id, []).append(job_id)
-            while len(self._job_traces) > self._max_traces:
-                self._evict_job_binding_locked()
-
-    def _evict_job_binding_locked(self) -> None:
-        evicted_job, (evicted_trace, _parent) = self._job_traces.popitem(last=False)
-        jobs = self._trace_jobs.get(evicted_trace)
-        if jobs is not None:
-            try:
-                jobs.remove(evicted_job)
-            except ValueError:
-                pass
-            if not jobs:
-                del self._trace_jobs[evicted_trace]
+            trace = self._trace_locked(trace_id)
+            trace.append((_read_binding, job_id, parent_span_id))
+            self._bind_locked(job_id, trace)
 
     def trace_id_for_job(self, job_id: int) -> Optional[str]:
-        binding = self._job_traces.get(job_id)
-        return binding[0] if binding is not None else None
+        trace = self._job_traces.get(job_id)
+        return trace.trace_id if trace is not None else None
 
     def parent_span_for_job(self, job_id: int) -> Optional[str]:
-        binding = self._job_traces.get(job_id)
-        return binding[1] if binding is not None else None
+        trace = self._job_traces.get(job_id)
+        return _parent_of(trace, job_id) if trace is not None else None
 
     # -- retrieval --------------------------------------------------------------------
     def trace(self, trace_id: str) -> List[Span]:
-        """Finished spans of one trace, in recording order."""
+        """The spans of one trace, in recording order, built from its records."""
         with self._lock:
-            return list(self._traces.get(trace_id, ()))
+            trace = self._traces.get(trace_id)
+            records = list(trace) if trace is not None else []
+        spans: List[Span] = []
+        for record in records:
+            spans.extend(record[0](trace, record))
+        return spans
 
     @property
     def max_traces(self) -> int:
@@ -389,5 +642,4 @@ class Tracer:
         return list(self._traces)
 
     def span_count(self) -> int:
-        with self._lock:
-            return sum(len(spans) for spans in self._traces.values())
+        return sum(len(self.trace(trace_id)) for trace_id in self.trace_ids())

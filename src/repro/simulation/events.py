@@ -207,14 +207,16 @@ class EventBus:
         if callback in callbacks:
             callbacks.remove(callback)
 
-    def has_subscribers(self, topic: str) -> bool:
-        """True when ``topic`` has at least one exact-topic subscriber.
+    def subscribers(self, topic: str) -> List[Callable[[BusEvent], None]]:
+        """The live list of ``topic``'s exact-topic subscribers.
 
-        Wildcard (``None``) subscribers are deliberately not counted:
-        publishers of high-rate optional topics (``trace.span``) use this
-        to skip the publish entirely when nothing topic-specific listens.
+        The same list object for the bus's lifetime, updated as callbacks
+        subscribe and unsubscribe, so a publisher of a high-rate optional
+        topic (``trace.span``) can test it for emptiness without a call per
+        publish and skip the publish when nothing topic-specific listens.
+        Wildcard (``None``) subscribers are deliberately not in it.
         """
-        return bool(self._subscribers.get(topic))
+        return self._subscribers.setdefault(topic, [])
 
     def publish(self, topic: str, **payload: object) -> BusEvent:
         """Publish a record and synchronously notify its subscribers."""

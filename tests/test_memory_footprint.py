@@ -10,6 +10,7 @@ records, their allocate-on-first-use containers and the one shared default
 import copy
 import dataclasses
 import gc
+import os
 import tracemalloc
 
 import pytest
@@ -34,8 +35,14 @@ from repro.simulation.events import BusEvent
 #: record is located in the snapshot by 24 B of splice index instead; 1,136
 #: once the simulation log and the event bus keep no records (their two
 #: 10,000-record windows were full here) and a job that chose no
-#: constraints shares one default.  The budget is that plus 10 %.
-BYTES_PER_JOB_BUDGET = 1_250
+#: constraints shares one default; 758 once telemetry keeps one compact
+#: record per request and per job (its 512-trace store had held ~770 KB of
+#: span objects) and a metric mailbox folds at 512 values, not 8,192.  The
+#: budget is that plus 10 %.
+BYTES_PER_JOB_BUDGET = 834
+#: Heap the same run leaves in ``repro/obs`` (trace store, metric mailboxes):
+#: 1,236 KB before telemetry kept compact records, ~340 KB after.
+OBS_BYTES_BUDGET = 400 * 1024
 
 
 def submit_noop_jobs(platform, client, jobs):
@@ -64,6 +71,9 @@ def test_a_retained_job_stays_within_its_heap_budget(tmp_path):
         submit_noop_jobs(platform, client, jobs)
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
+        in_obs = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, os.path.join("*", "repro", "obs", "*"))]
+        )
     finally:
         tracemalloc.stop()
     server = platform.access_server
@@ -71,6 +81,8 @@ def test_a_retained_job_stays_within_its_heap_budget(tmp_path):
     assert all(job.status is JobStatus.COMPLETED for job in server.scheduler.jobs())
     per_job = (after - before) / jobs
     assert per_job <= BYTES_PER_JOB_BUDGET, f"{per_job:.0f} B per retained job"
+    obs_bytes = sum(stat.size for stat in in_obs.statistics("filename"))
+    assert obs_bytes <= OBS_BYTES_BUDGET, f"{obs_bytes / 1024:.0f} KB held in repro/obs"
 
 
 def test_per_job_records_carry_no_instance_dict():

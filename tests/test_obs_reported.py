@@ -5,12 +5,18 @@ These tests read telemetry only through what an operator sees — ``obs.trace``,
 tracer and the registry store what they record: the spans of one job's trace
 (names, order, parent links, attrs, status, simulated start/end), the counts
 behind the dispatch, journal and API histograms, and the live span stream.
+The last test drives one tracer from several threads at once and reads the
+traces back the same way ``obs.trace`` does.
 """
+
+import sys
+import threading
 
 import pytest
 
 from repro.api.schemas import SpanView
 from repro.core.platform import build_default_platform
+from repro.obs.trace import PUSH_PHASES, Tracer
 
 LIFECYCLE = ["job.submit", "router.job.submit", "job.admit", "job.run", "job.settle"]
 
@@ -142,3 +148,51 @@ class TestMetricCounts:
         assert moved("api_op_latency_seconds", "job.submit") == jobs
         executed = ("jobs_executed_total", "completed")
         assert counters_after[executed] - counters_before.get(executed, 0) == jobs
+
+
+class TestConcurrentRecording:
+    def test_threads_recording_at_once_keep_every_trace_whole(self):
+        """Requests and settles recorded from several threads at once, with a
+        short switch interval, still read back as whole traces and respect
+        the trace bound."""
+        tracer = Tracer(max_traces=64)
+        threads, per_thread = 6, 300
+        errors = []
+
+        def work(worker):
+            try:
+                for index in range(per_thread):
+                    job_id = worker * per_thread + index
+                    request = tracer.begin_request(None, "job.submit")
+                    tracer.begin_job_trace(job_id, request.trace_id, 1.0, 0.001, "queued")
+                    tracer.end_request(request, True)
+                    tracer.record_lifecycle(
+                        PUSH_PHASES, job_id, 1.0, 2.0, 0.1, 0.2, 0.3, False,
+                        "node1", "dev", "completed",
+                    )
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(n,)) for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(worker.is_alive() for worker in workers)
+        trace_ids = tracer.trace_ids()
+        assert len(trace_ids) == 64
+        names = ["job.submit", "router.job.submit", "job.admit", "job.run", "job.settle"]
+        for trace_id in trace_ids:
+            spans = tracer.trace(trace_id)
+            assert [span.name for span in spans] == names
+            job_id = spans[0].attrs["job_id"]
+            assert tracer.trace_id_for_job(job_id) == trace_id
+            assert all(span.parent_id == spans[0].span_id for span in spans[2:])
+        bound = [job for job in range(threads * per_thread) if tracer.trace_id_for_job(job)]
+        assert len(bound) == 64
