@@ -31,7 +31,9 @@ discarded).
   from a 12-device fleet.  A ``noop`` payload does no device time, so
   nothing hides telemetry's share of admit, run and settle: this is the
   path the 5% contract is hardest on.  (A payload that sleeps on the
-  device would make any telemetry cost look free.)
+  device would make any telemetry cost look free.)  A round is no larger
+  than the tracer's trace bound, so every job it drains is traced, as in a
+  live deployment where a job settles soon after its submit.
 
 Results land in ``BENCH_obs_overhead.json`` at the repository root.
 ``*_per_s`` rates are per CPU-second, from the cleanest round per mode.
@@ -65,14 +67,18 @@ MIN_RATIO = 0.95
 
 GATEWAY_READS = 2500  # reads per measurement round
 GATEWAY_BATCH = 64
-GATEWAY_ROUNDS = 12  # alternating-order round pairs; trimmed mean of ratios
+GATEWAY_ROUNDS = 40  # alternating-order round pairs; trimmed mean of ratios
 TRIM_KEEP = 0.5  # middle fraction of pair ratios kept by the trimmed mean
 
 VANTAGE_POINTS = 4
 DEVICES_PER_VP = 3
 DEVICES = VANTAGE_POINTS * DEVICES_PER_VP
-WAVE_JOBS = DEVICES * 100  # noop jobs drained per round: 12 full passes
-WAVE_ROUNDS = 20  # alternating-order round pairs; trimmed mean of ratios
+#: noop jobs drained per round (three dispatch passes).  At most the
+#: tracer's 512-trace bound: each job submitted by a direct caller opens a
+#: trace, and a round larger than the bound would evict the first jobs'
+#: traces before they settle, leaving their lifecycles unrecorded.
+WAVE_JOBS = DEVICES * 25
+WAVE_ROUNDS = 100  # alternating-order round pairs; trimmed mean of ratios
 
 
 def _paired_rounds(
@@ -229,6 +235,7 @@ def _drain_cpu_s(platform, jobs: int) -> float:
 def _measure_waves() -> Dict[str, float]:
     platform = _build_fleet()
     obs = platform.access_server.obs
+    assert WAVE_JOBS <= obs.tracer.max_traces, "every job of a round must be traced"
     _drain_cpu_s(platform, DEVICES * 2)  # warm-up
 
     def measure() -> float:

@@ -363,7 +363,7 @@ class AgentManager:
             # Imported here: server.py loads this module before repro.obs.
             from repro.obs.trace import AGENT_PHASES
 
-            tracer.record_lifecycle(
+            tracer.record_lifecycles([(
                 AGENT_PHASES,
                 job.job_id,
                 lease.granted_at,
@@ -375,7 +375,7 @@ class AgentManager:
                 lease.agent_id,
                 len(lease.devices),
                 job.status.value,
-            )
+            )])
         server._schedule_dispatch_tick()
         return job, False
 

@@ -37,11 +37,10 @@ class AdmittedExecution:
     execution_started_at: float
     result: object = None
     error: Optional[BaseException] = None
-    # Phase timings (wall seconds): settle records them in the job's
-    # lifecycle spans, and the pass hands them to the histograms.
+    # Phase timings (wall seconds): settle puts them in the job's lifecycle
+    # row, which the pass hands to the histograms and the tracer.
     admit_elapsed_s: float = 0.0
     run_elapsed_s: float = 0.0
-    settle_elapsed_s: float = 0.0
 
     @property
     def job(self):

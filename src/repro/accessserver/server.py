@@ -59,7 +59,7 @@ from repro.accessserver.policies import SchedulingPolicy
 from repro.accessserver.scheduler import JobScheduler, SessionReservation
 from repro.network.ssh import SshKeyPair
 from repro.obs import Observability, component_logger
-from repro.obs.trace import PUSH_PHASES
+from repro.obs.trace import LifecycleRow, PUSH_PHASES
 from repro.simulation.entity import Entity, SimulationContext
 from repro.simulation.events import Event, EventBus
 
@@ -513,14 +513,14 @@ class AccessServer(Entity):
         """
         executed: List[Job] = []
         obs_on = self.obs.registry.enabled
-        # The pass's timings reach the registry once, at its end; each job's
-        # are kept as it settles, while they are hot.
+        tracer = self.obs.tracer
+        tracing = tracer.enabled
+        # Telemetry reaches the registry and the tracer once, when the pass
+        # ends: the waves' decision times and sizes, and the lifecycle row
+        # the settle step appends for each job (see LifecycleRow).
         decision_s: List[float] = []
         wave_sizes: List[float] = []
-        admit_s: List[float] = []
-        run_s: List[float] = []
-        settle_s: List[float] = []
-        statuses: List[JobStatus] = []
+        rows: Optional[List[LifecycleRow]] = [] if obs_on or tracing else None
         # A dead agent must never strand a job or its devices: every
         # dispatch pass starts by reaping expired leases.  With no push job
         # queued there is nothing to decide, and an idle host loop makes
@@ -544,43 +544,49 @@ class AccessServer(Entity):
                     admitted = self._admit_assignment(assignment)
                     if admitted is not None:
                         admitted.run_payload()
-                        self._settle_assignment(admitted)
-                        job = admitted.job
-                        executed.append(job)
-                        if obs_on:
-                            admit_s.append(admitted.admit_elapsed_s)
-                            run_s.append(admitted.run_elapsed_s)
-                            settle_s.append(admitted.settle_elapsed_s)
-                            statuses.append(job.status)
+                        self._settle_assignment(admitted, rows)
+                        executed.append(admitted.job)
         finally:
             if obs_on:
-                self._m_decision.observe_many(decision_s)
-                if wave_sizes:
-                    self._m_waves.inc(float(len(wave_sizes)))
-                    self._m_wave_size.observe_many(wave_sizes)
-                self._m_admit.observe_many(admit_s)
-                self._m_run.observe_many(run_s)
-                self._m_settle.observe_many(settle_s)
-                self._count_executed(statuses)
-                if batch_filled(executed, max_jobs):
-                    result = "full"
-                else:
-                    result = "partial" if executed else "empty"
-                self._m_passes[result].inc()
+                self._observe_pass(decision_s, wave_sizes, rows, executed, max_jobs)
+            if tracing:
+                tracer.record_lifecycles(rows)
         return executed
 
-    def _count_executed(self, statuses: List[JobStatus]) -> None:
-        """``jobs_executed_total`` by terminal status, once per pass."""
-        # list.count compares by identity in C; hashing an enum member (or
-        # reading .value) per job would be a Python call each.
-        for status in JobStatus:
-            count = statuses.count(status)
-            if count:
-                child = self._m_executed_children.get(status.value)
-                if child is None:
-                    child = self._m_executed.labels(status=status.value)
-                    self._m_executed_children[status.value] = child
-                child.inc(float(count))
+    def _observe_pass(
+        self,
+        decision_s: List[float],
+        wave_sizes: List[float],
+        rows: List[LifecycleRow],
+        executed: List[Job],
+        max_jobs: int,
+    ) -> None:
+        """Hand one pass's timings to the histograms and counters."""
+        self._m_decision.observe_many(decision_s)
+        if wave_sizes:
+            self._m_waves.inc(float(len(wave_sizes)))
+            self._m_wave_size.observe_many(wave_sizes)
+        if rows:
+            _, _, _, _, admit_s, run_s, settle_s, _, _, _, statuses = zip(*rows)
+            self._m_admit.observe_many(admit_s)
+            self._m_run.observe_many(run_s)
+            self._m_settle.observe_many(settle_s)
+            # ``jobs_executed_total`` by terminal status.  tuple.count runs in
+            # C; hashing each job's enum member (a Counter) would run Python
+            # code per job.
+            for status in JobStatus:
+                count = statuses.count(status)
+                if count:
+                    child = self._m_executed_children.get(status.value)
+                    if child is None:
+                        child = self._m_executed.labels(status=status.value)
+                        self._m_executed_children[status.value] = child
+                    child.inc(float(count))
+        if batch_filled(executed, max_jobs):
+            result = "full"
+        else:
+            result = "partial" if executed else "empty"
+        self._m_passes[result].inc()
 
     def drain(self) -> List[Job]:
         """Run dispatch passes until one does not fill its batch; returns the jobs run.
@@ -691,13 +697,14 @@ class AccessServer(Entity):
             )
         return now
 
-    def _settle_assignment(self, admitted) -> None:
+    def _settle_assignment(
+        self, admitted, rows: Optional[List[LifecycleRow]]
+    ) -> None:
         """Settle: the job's cleanup and power trace, then the finish step
-        (:meth:`_finish_execution`), then the job's lifecycle record.
+        (:meth:`_finish_execution`).
 
-        The lifecycle spans (``job.admit`` / ``job.run`` / ``job.settle``)
-        are one record, stored here from the timings the earlier steps
-        captured; the pass hands the timings to the histograms.
+        When ``rows`` is given, the job's lifecycle row (its ``job.admit`` /
+        ``job.run`` / ``job.settle`` timings) is appended to it.
         """
         settle_t0 = time.perf_counter()
         job = admitted.job
@@ -713,23 +720,22 @@ class AccessServer(Entity):
         finished_at = self._finish_execution(
             job, admitted.execution_started_at, admitted.result, error
         )
-        settle_elapsed = admitted.settle_elapsed_s = time.perf_counter() - settle_t0
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            assignment = admitted.assignment
-            tracer.record_lifecycle(
-                PUSH_PHASES,
-                job.job_id,
-                admitted.execution_started_at,
-                finished_at,
-                admitted.admit_elapsed_s,
-                admitted.run_elapsed_s,
-                settle_elapsed,
-                admitted.error is not None,
-                assignment.vantage_point,
-                assignment.device_serial,
-                job.status,  # a str enum: the reader takes its value
-            )
+        if rows is None:
+            return
+        assignment = admitted.assignment
+        rows.append((
+            PUSH_PHASES,
+            job.job_id,
+            admitted.execution_started_at,
+            finished_at,
+            admitted.admit_elapsed_s,
+            admitted.run_elapsed_s,
+            time.perf_counter() - settle_t0,
+            admitted.error is not None,
+            assignment.vantage_point,
+            assignment.device_serial,
+            job.status,  # a str enum: spans read its value
+        ))
 
     # -- agent-pull execution ------------------------------------------------------------------
     # The plane lives on ``self.agents``; these three are the router's entry

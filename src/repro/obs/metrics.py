@@ -31,7 +31,7 @@ is debugging.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.simulation.clock import SimClock
@@ -87,7 +87,7 @@ def _format_value(value: float) -> str:
 #: Writers fold their pending mailbox once it reaches this depth.  A pending
 #: value is a float object (24 B) plus its list slot (8 B), so a child holds
 #: at most ~16 KB between scrapes (plus one batch from ``observe_many``), at
-#: one lock acquisition and one sort of 512 values per 512 events.
+#: one lock acquisition and one fold of 512 values per 512 events.
 _FOLD_LIMIT = 512
 
 
@@ -212,7 +212,7 @@ class Histogram:
         if len(pending) >= _FOLD_LIMIT:
             self._fold()
 
-    def observe_many(self, values: List[float]) -> None:
+    def observe_many(self, values: Sequence[float]) -> None:
         """Observe every value of ``values``: one call for a batch a hot
         loop collected (a dispatch pass hands over its phase timings once)."""
         if not self._registry.enabled:
@@ -224,10 +224,12 @@ class Histogram:
 
     def _fold(self) -> None:
         # Same snapshot-and-delete scheme as Counter._fold, then bucket the
-        # batch at C speed: sort it and bisect each *bound* into the batch
-        # (len(bounds) bisects total) instead of each value into the bounds.
-        # A value lands in the first bucket whose bound is >= it, so bucket
-        # i gains the values in (bounds[i-1], bounds[i]] — exactly the
+        # batch at C speed.  A value lands in the first bucket whose bound
+        # is >= it (bisect_left of the value into the bounds).  When the
+        # smallest and largest values share a bucket — one phase's timings
+        # usually do — every value is in it.  Otherwise sort the batch and
+        # bisect each *bound* into it (len(bounds) bisects total): bucket i
+        # gains the values in (bounds[i-1], bounds[i]], exactly the
         # elements bisect_right separates in the sorted batch.
         with self._lock:
             pending = self._pending
@@ -236,14 +238,19 @@ class Histogram:
                 return
             batch = pending[:taken]
             del pending[:taken]
-            batch.sort()
             counts = self._counts
-            below_previous = 0
-            for index, bound in enumerate(self.bounds):
-                below = bisect_right(batch, bound)
-                counts[index] += below - below_previous
-                below_previous = below
-            counts[-1] += taken - below_previous
+            bounds = self.bounds
+            lowest = bisect_left(bounds, min(batch))
+            if lowest == bisect_left(bounds, max(batch)):
+                counts[lowest] += taken
+            else:
+                batch.sort()
+                below_previous = 0
+                for index, bound in enumerate(bounds):
+                    below = bisect_right(batch, bound)
+                    counts[index] += below - below_previous
+                    below_previous = below
+                counts[-1] += taken - below_previous
             self._sum += sum(batch)
             self._count += taken
 

@@ -11,26 +11,29 @@ Design constraints inherited from the platform:
 
 * **One record per request and per job.**  Tracing is default-on, so what
   it keeps must cost less than the work it watches.  A finished request is
-  one tuple — its ``gateway.request`` and ``router.<op>`` spans and, when it
-  created a job, that job's ``job.submit`` span — and a settled job is one
-  more (``job.admit`` / ``job.run`` / ``job.settle``).  A record holds ints,
-  floats and shared strings and is stored under one lock acquisition (a
-  settled job's is one atomic append).  It takes one block of span numbers
-  (:data:`_BLOCK`), so it stores one int, and span IDs are formatted on
-  read.
+  one tuple in its trace — its ``gateway.request`` and ``router.<op>``
+  spans and, when it created a job, that job's ``job.submit`` span — and a
+  settled job is one more (``job.admit`` / ``job.run`` / ``job.settle``):
+  the row the dispatch pass built for it, kept as it stands in one bounded
+  deque and matched to its trace when the trace is read.  A record holds
+  ints, floats and shared strings.  A request's record takes one block of
+  span numbers (:data:`_BLOCK`), so it stores one int; a job's phase spans
+  are numbered by its job ID.  Span IDs are formatted on read.
 * **Spans are built when read.**  :meth:`Tracer.trace` (``obs.trace``) and
   a live ``trace.span`` subscriber turn records into :class:`Span` objects;
   nothing else builds one.
-* **Determinism.**  A job's ``admit`` / ``run`` phases are *measured* where
-  they run (plain floats on the admitted execution) and *recorded* in the
-  settle phase, in assignment order.
+* **Determinism.**  A job's ``admit`` / ``run`` / ``settle`` phases are
+  *measured* where they run and *recorded* by the dispatch pass, one
+  record per job in assignment order, once the pass ends (an agent-run
+  job's when its report settles it).
 * **The journal stays trace-free.**  Spans are published on the event bus
   under the ``trace.span`` topic, which streams through the existing
   ``events.subscribe`` op but is not in ``DISPATCH_TOPIC_KINDS``, so
   persistence never journals it and replay determinism is untouched.
 * **Bounded memory.**  Traces are retained oldest-first, capped at
   ``max_traces``; the oldest trace is evicted whole, with the job bindings
-  that point at it.
+  that point at it.  Job bindings are capped the same way, and lifecycle
+  rows at twice that.
 """
 
 from __future__ import annotations
@@ -41,28 +44,39 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventBus
 
-__all__ = ["AGENT_PHASES", "PUSH_PHASES", "Phases", "SPAN_TOPIC", "Span", "Tracer"]
+__all__ = ["AGENT_PHASES", "LifecycleRow", "PUSH_PHASES", "Phases", "SPAN_TOPIC", "Span", "Tracer"]
 
 #: Bus topic finished spans are published under; subscribe with
 #: ``topic_prefix="trace."`` over the streaming API to follow live traces.
 SPAN_TOPIC = "trace.span"
 
-#: Span numbers per record: a request's submit, router and gateway spans are
-#: numbers ``3k``, ``3k + 1`` and ``3k + 2`` of its block ``k``; a settle's
-#: three phase spans likewise.
+#: Span numbers per request record: its submit, router and gateway spans are
+#: numbers ``3k``, ``3k + 1`` and ``3k + 2`` of its block ``k``.
 _BLOCK = 3
 
-_NO_CLOCK = SimpleNamespace(now=0.0)
+
+class _NoClock:
+    now = 0.0
+
+
+_NO_CLOCK = _NoClock()
+
+
+_trace_id = "t{:08x}".format
 
 
 def _span_id(number: int) -> str:
     return f"s{number:06x}"
+
+
+def _phase_span_id(job_id: int, index: int) -> str:
+    """Phase ``index`` of job ``job_id``'s lifecycle (a job settles once)."""
+    return f"j{job_id:06x}.{index}"
 
 
 @dataclass(slots=True)
@@ -123,9 +137,13 @@ _NULL_SPAN = _NullSpan()
 
 class _Trace(list):
     """One retained trace: its records, in recording order, and
-    ``trace_id`` (set by whoever creates it: no Python ``__init__`` runs)."""
+    ``trace_id``."""
 
     __slots__ = ("trace_id",)
+
+
+def _status_value(status: object) -> str:
+    return getattr(status, "value", status)
 
 
 def _read_span(trace: _Trace, record: tuple) -> List[Span]:
@@ -157,7 +175,7 @@ def _parent_of(trace: _Trace, job_id: int) -> Optional[str]:
 
 def _submit_span(trace_id, block, job_id, start, elapsed_s, status_after) -> Span:
     span_id = _span_id(_BLOCK * block)
-    attrs = {"status_after": str.__str__(status_after), "job_id": job_id}
+    attrs = {"status_after": _status_value(status_after), "job_id": job_id}
     return Span(trace_id, span_id, "job.submit", start, None, start, elapsed_s, "ok", attrs)
 
 
@@ -218,27 +236,26 @@ class Phases:
         self.run_attr = run_attr
 
     def __call__(self, trace: _Trace, record: tuple) -> List[Span]:
-        """``(phases, job_id, block, start, end, first_elapsed, run_elapsed,
-        last_elapsed, run_status, first_value, second_value, status_after)``."""
+        """The spans of a :data:`LifecycleRow`."""
         (
-            _, job_id, block, start, end, first_s, run_s, last_s,
-            run_status, first_value, second_value, status_after,
+            _, job_id, start, end, first_s, run_s, last_s,
+            failed, first_value, second_value, status_after,
         ) = record
         trace_id = trace.trace_id
         parent_id = _parent_of(trace, job_id)
-        number = _BLOCK * block
         first_name, run_name, last_name = self.names
         first_key, second_key = self.first_attrs
         run_attrs: Dict[str, object] = {"job_id": job_id}
         if self.run_attr is not None:
             run_attrs[self.run_attr] = first_value
+        first_id, run_id, last_id = (_phase_span_id(job_id, index) for index in range(3))
         return [
-            Span(trace_id, _span_id(number), first_name, start, parent_id, start, first_s, "ok",
+            Span(trace_id, first_id, first_name, start, parent_id, start, first_s, "ok",
                  {"job_id": job_id, first_key: first_value, second_key: second_value}),
-            Span(trace_id, _span_id(number + 1), run_name, start, parent_id, end, run_s,
-                 run_status, run_attrs),
-            Span(trace_id, _span_id(number + 2), last_name, end, parent_id, end, last_s, "ok",
-                 {"job_id": job_id, "status_after": str.__str__(status_after)}),
+            Span(trace_id, run_id, run_name, start, parent_id, end, run_s,
+                 "error" if failed else "ok", run_attrs),
+            Span(trace_id, last_id, last_name, end, parent_id, end, last_s, "ok",
+                 {"job_id": job_id, "status_after": _status_value(status_after)}),
         ]
 
 
@@ -249,19 +266,32 @@ AGENT_PHASES = Phases(
     ("agent.claim", "agent.run", "agent.report"), ("agent", "devices"), run_attr="agent"
 )
 
+#: One settled job, as :meth:`Tracer.record_lifecycles` takes and stores it:
+#: ``(phases, job_id, start, end, first_elapsed_s, run_elapsed_s,
+#: last_elapsed_s, failed, first_value, second_value, status_after)``.
+#: ``phases`` (a :class:`Phases`) names the spans: the first at ``start``,
+#: the run from ``start`` to ``end`` (status ``error`` when ``failed``), the
+#: last at ``end``.
+LifecycleRow = Tuple[
+    "Phases", int, float, float, float, float, float, bool, object, object, object
+]
 
-class _Request(SimpleNamespace):
-    """One request in flight; its end stores one record or, when it is the
+
+class _Request:
+    """One request in flight.  Its end stores one record or, when it is the
     router inside a gateway request, fills in that request's router part.
 
-    Fields: ``trace_id``, ``op``, ``block`` (its span numbers), ``start``
-    (simulated), ``t0`` (``perf_counter``), ``gateway`` (its span is
-    ``gateway.request``), ``outer`` (the gateway request it is the router
-    part of), ``router`` (``(start, end, elapsed_s, status)`` once a nested
-    router part ended) and ``submit`` (``(job_id, start, elapsed_s,
-    status_after)`` once the request created a job).  A ``SimpleNamespace``
-    is built by C code: the per-request path makes no call it can avoid.
+    ``block`` numbers its spans; ``start`` is simulated time and ``t0`` is
+    ``perf_counter``; ``gateway`` marks a ``gateway.request``; ``outer`` is
+    the gateway request it is the router part of; ``router`` is ``(start,
+    end, elapsed_s, status)`` once a nested router part ended; ``submit``
+    is ``(job_id, start, elapsed_s, status_after)`` and ``trace`` the
+    retained trace once the request created a job.
     """
+
+    __slots__ = (
+        "trace_id", "op", "block", "start", "t0", "gateway", "outer", "router", "submit", "trace",
+    )
 
 
 _NO_PART = (None, None, None, None)
@@ -271,9 +301,16 @@ class Tracer:
     """Mints trace/span IDs and retains one record per request and per job.
 
     Thread-safety: trace and span numbers come from ``itertools.count``
-    (atomic under the GIL), and storing or reading records takes a small
-    internal lock, so the one dispatch thread, the host loop and an
-    in-process caller may record concurrently.
+    (atomic under the GIL), and creating a trace or binding a job takes a
+    small internal lock, so the one dispatch thread, the host loop and an
+    in-process caller may record concurrently.  A record is appended to its
+    trace without the lock (a list append is atomic); a trace evicted just
+    before takes the record with it, as eviction just after would.
+
+    Requests in flight are found by trace ID, so a router request nested in
+    a gateway request joins its record.  Two requests in flight at once
+    under one client-supplied trace ID share that entry: the later one's
+    spans are still recorded, but may join the earlier one's record.
     """
 
     def __init__(
@@ -295,8 +332,7 @@ class Tracer:
         #: journal dispatcher's filter), which is too expensive to pay per
         #: job phase when nothing downstream wants the record.
         self.stream_interest = 0
-        # Exact-topic ``trace.span`` subscribers (tests, tools): a live list,
-        # so the per-record check below is attribute reads, not a call.
+        # Exact-topic ``trace.span`` subscribers (tests, tools): a live list.
         self._span_subscribers = [] if bus is None else bus.subscribers(SPAN_TOPIC)
         self._lock = threading.Lock()
         self._trace_numbers = itertools.count(1)
@@ -305,26 +341,67 @@ class Tracer:
         # (a plain dict plus a deque is half an OrderedDict's bytes).
         self._traces: Dict[str, _Trace] = {}
         self._trace_order: Deque[str] = deque()
-        # job_id -> the trace its lifecycle belongs to.  Every binding is
-        # made beside a record that names the job, so evicting a trace finds
-        # and drops the bindings that point at it.
+        # job_id -> the trace its lifecycle belongs to (see _trace_for).
         self._job_traces: Dict[int, _Trace] = {}
+        # Settled jobs' lifecycle rows, oldest first.  A row reads as spans
+        # of the trace its job is bound to, found when the trace is read,
+        # so recording one costs the dispatch pass nothing per job.  Twice
+        # ``max_traces`` are kept: rows recorded out of submit order by
+        # concurrent callers must not push out those of retained traces.
+        self._settled: Deque[LifecycleRow] = deque(maxlen=2 * max_traces)
         # trace_id -> the request in flight that carries it, so the router
         # part and the job.submit part join the gateway's one record.
         self._open: Dict[str, _Request] = {}
 
     # -- ids ------------------------------------------------------------------------
     def new_trace_id(self) -> str:
-        return f"t{next(self._trace_numbers):08x}"
-
-    def _listening(self) -> bool:
-        """True when a published span would reach someone (call sites on the
-        per-request path test this inline)."""
-        return self._bus is not None and (self.stream_interest > 0 or bool(self._span_subscribers))
+        return _trace_id(next(self._trace_numbers))
 
     def _publish(self, spans: List[Span]) -> None:
+        """Publish ``spans``; callers first check that someone listens
+        (``stream_interest`` or an exact-topic subscriber)."""
+        if self._bus is None:
+            return
         for span in spans:
             self._bus.publish(SPAN_TOPIC, **span.to_record())
+
+    def _trace_for(self, trace_id: str, job_id: Optional[int] = None) -> _Trace:
+        """The retained trace ``trace_id``, created when new; ``job_id``, when
+        given, is bound to it.
+
+        The one place traces are created and jobs bound.  Past
+        ``max_traces`` the oldest trace is evicted with the bindings its
+        records name, and past the same number of bindings the oldest
+        binding is dropped.  A job bound while its submitting request is
+        still open is not yet named by a record, so if its trace is evicted
+        first the binding stays until it is the oldest;
+        :meth:`_live_trace_of` reads it as none.
+        """
+        with self._lock:
+            trace = self._traces.get(trace_id)
+            job_traces = self._job_traces
+            if trace is None:
+                trace = self._traces[trace_id] = _Trace()
+                trace.trace_id = trace_id
+                order = self._trace_order
+                order.append(trace_id)
+                if len(order) > self._max_traces:
+                    evicted = self._traces.pop(order.popleft())
+                    for record in evicted:
+                        if job_traces.get(record[1]) is evicted:
+                            del job_traces[record[1]]
+            if job_id is not None:
+                job_traces[job_id] = trace
+                if len(job_traces) > self._max_traces:
+                    del job_traces[next(iter(job_traces))]
+        return trace
+
+    def _live_trace_of(self, job_id: int) -> Optional[_Trace]:
+        """The trace ``job_id`` is bound to, if that trace is still retained."""
+        trace = self._job_traces.get(job_id)
+        if trace is None or self._traces.get(trace.trace_id) is not trace:
+            return None
+        return trace
 
     # -- generic spans ----------------------------------------------------------------
     def start_span(
@@ -390,9 +467,8 @@ class Tracer:
         return span
 
     def _store_span(self, span: Span) -> None:
-        with self._lock:
-            self._trace_locked(span.trace_id).append((_read_span, None, span))
-        if self._listening():
+        self._trace_for(span.trace_id).append((_read_span, None, span))
+        if self.stream_interest or self._span_subscribers:
             self._publish([span])
 
     @contextmanager
@@ -428,19 +504,22 @@ class Tracer:
         if not self.enabled:
             return None
         if trace_id is None:
-            trace_id = f"t{next(self._trace_numbers):08x}"
+            trace_id = _trace_id(next(self._trace_numbers))
+        request = _Request()
         outer = self._open.get(trace_id)
         if outer is None or not outer.gateway or gateway or outer.router is not None:
-            request = _Request(block=next(self._blocks), outer=None)
+            request.block = next(self._blocks)
+            request.outer = None
             if outer is None:
                 self._open[trace_id] = request
         else:
-            request = _Request(block=outer.block, outer=outer)
+            request.block = outer.block
+            request.outer = outer
         request.trace_id = trace_id
         request.op = op
-        request.start = self._clock.now
         request.gateway = gateway
-        request.router = request.submit = None
+        request.router = request.submit = request.trace = None
+        request.start = self._clock.now
         request.t0 = time.perf_counter()
         return request
 
@@ -449,19 +528,17 @@ class Tracer:
         record — or, for a router part, hand its timing to the gateway's."""
         if request is None:
             return
-        end = self._clock.now
-        elapsed_s = time.perf_counter() - request.t0
-        status = "ok" if ok else "error"
+        part = (request.start, self._clock.now, time.perf_counter() - request.t0,
+                "ok" if ok else "error")
         trace_id = request.trace_id
-        part = (request.start, end, elapsed_s, status)
-        outer = request.outer
-        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
+        if self.stream_interest or self._span_subscribers:
             number = _BLOCK * request.block
             if request.gateway:
                 span = _op_span(trace_id, number + 2, "gateway.request", request.op, *part)
             else:
                 span = _op_span(trace_id, number + 1, "router." + request.op, request.op, *part)
             self._publish([span])
+        outer = request.outer
         if outer is not None:
             outer.router = part
             outer.op = request.op
@@ -477,28 +554,10 @@ class Tracer:
             _read_request, job_id, request.op, request.block,
             submit_start, submit_elapsed, status_after, *router, *gateway,
         )
-        # _trace_locked and _bind_locked, inlined: this runs once per
-        # request, and telemetry's budget counts calls.
-        with self._lock:
-            traces = self._traces
-            trace = traces.get(trace_id)
-            if trace is None:
-                trace = traces[trace_id] = _Trace()
-                trace.trace_id = trace_id
-                order = self._trace_order
-                order.append(trace_id)
-                job_traces = self._job_traces
-                while len(order) > self._max_traces:
-                    evicted = traces.pop(order.popleft())
-                    for old in evicted:
-                        if job_traces.get(old[1]) is evicted:
-                            del job_traces[old[1]]
-            trace.append(record)
-            if job_id is not None:
-                job_traces = self._job_traces
-                job_traces[job_id] = trace
-                if len(job_traces) > self._max_traces:
-                    del job_traces[next(iter(job_traces))]
+        trace = request.trace
+        if trace is None:
+            trace = self._trace_for(trace_id)
+        trace.append(record)
 
     # -- jobs -------------------------------------------------------------------------
     def begin_job_trace(
@@ -507,98 +566,57 @@ class Tracer:
         trace_id: Optional[str],
         start: float,
         elapsed_s: float,
-        status_after: str,
+        status_after: object,
     ) -> Optional[str]:
         """Record a ``job.submit`` span and bind ``job_id`` to its trace.
 
-        Inside an open request of the same trace the span joins that
-        request's record; otherwise (a direct caller) it is a record of its
-        own, on a trace minted here when ``trace_id`` is ``None``.  Returns
-        the trace ID, or ``None`` when tracing is off.
+        The job is bound here, before this returns, so its lifecycle can be
+        recorded however soon it settles.  Inside an open request of the
+        same trace the span joins that request's record, stored when the
+        request ends; otherwise (a direct caller) it is a record of its own,
+        on a trace minted here when ``trace_id`` is ``None``.  Returns the
+        trace ID, or ``None`` when tracing is off.
         """
         if not self.enabled:
             return None
         request = None if trace_id is None else self._open.get(trace_id)
+        if trace_id is None:
+            trace_id = _trace_id(next(self._trace_numbers))
+        trace = self._trace_for(trace_id, job_id)
         if request is not None and request.submit is None:
-            # Stored, and the job bound, with the request's record at its end.
             block = request.block
             request.submit = (job_id, start, elapsed_s, status_after)
+            request.trace = trace
         else:
-            if trace_id is None:
-                trace_id = f"t{next(self._trace_numbers):08x}"
             block = next(self._blocks)
-            record = (
+            trace.append((
                 _read_request, job_id, None, block, start, elapsed_s, status_after,
                 *_NO_PART, *_NO_PART,
-            )
-            with self._lock:
-                trace = self._trace_locked(trace_id)
-                trace.append(record)
-                self._bind_locked(job_id, trace)
-        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
+            ))
+        if self.stream_interest or self._span_subscribers:
             self._publish([_submit_span(trace_id, block, job_id, start, elapsed_s, status_after)])
         return trace_id
 
-    def record_lifecycle(
-        self,
-        phases: Phases,
-        job_id: int,
-        start: float,
-        end: float,
-        first_elapsed_s: float,
-        run_elapsed_s: float,
-        last_elapsed_s: float,
-        failed: bool,
-        first_value: object,
-        second_value: object,
-        status_after: str,
-    ) -> bool:
-        """Record a settled job's three phase spans as one record.
+    def record_lifecycles(self, rows: List[LifecycleRow]) -> None:
+        """Record settled jobs' phase spans: each :data:`LifecycleRow` is
+        kept as it is, as one record, in order.
 
-        The spans (named by ``phases``) join the job's bound trace and hang
-        off its submit span: the first at ``start``, the run from ``start``
-        to ``end`` (status ``error`` when ``failed``), the last at ``end``.
-        Returns False when the job has no bound trace (evicted, or tracing
-        was off at submit).
+        A row reads as spans of its job's bound trace, hanging off the
+        job's submit span; a job with no bound trace when its trace is read
+        (tracing was off at submit, or the binding was dropped) reads as
+        none.
         """
         if not self.enabled:
-            return False
-        # No lock: the lookup and the append are each atomic under the GIL,
-        # and a trace evicted between them takes this record with it, as
-        # eviction just after the append would.  This runs once per settled
-        # job, where a lock pair cost more than the record itself.
-        trace = self._job_traces.get(job_id)
-        if trace is None:
-            return False
-        record = (
-            phases, job_id, next(self._blocks), start, end,
-            first_elapsed_s, run_elapsed_s, last_elapsed_s,
-            "error" if failed else "ok", first_value, second_value, status_after,
-        )
-        trace.append(record)
-        if self._bus is not None and (self.stream_interest > 0 or self._span_subscribers):
-            self._publish(phases(trace, record))
-        return True
-
-    def _trace_locked(self, trace_id: str) -> _Trace:
-        """The trace ``trace_id``, created when new (evicting the oldest past
-        ``max_traces``, with the job bindings that point at it)."""
-        trace = self._traces.get(trace_id)
-        if trace is None:
-            trace = self._traces[trace_id] = _Trace()
-            trace.trace_id = trace_id
-            self._trace_order.append(trace_id)
-            while len(self._trace_order) > self._max_traces:
-                evicted = self._traces.pop(self._trace_order.popleft())
-                for record in evicted:
-                    if self._job_traces.get(record[1]) is evicted:
-                        del self._job_traces[record[1]]
-        return trace
-
-    def _bind_locked(self, job_id: int, trace: _Trace) -> None:
-        self._job_traces[job_id] = trace
-        if len(self._job_traces) > self._max_traces:
-            del self._job_traces[next(iter(self._job_traces))]
+            return
+        job_traces = self._job_traces
+        # Only a bound job's row can ever be read: a binding is made at
+        # submit and never after.
+        self._settled.extend(row for row in rows if row[1] in job_traces)
+        if self.stream_interest or self._span_subscribers:
+            for row in rows:
+                trace = job_traces.get(row[1])
+                if trace is not None:
+                    self._publish(row[0](trace, row))
 
     # -- job binding ------------------------------------------------------------------
     def bind_job(
@@ -609,25 +627,30 @@ class Tracer:
         their spans to the right trace."""
         if not self.enabled:
             return
-        with self._lock:
-            trace = self._trace_locked(trace_id)
-            trace.append((_read_binding, job_id, parent_span_id))
-            self._bind_locked(job_id, trace)
+        self._trace_for(trace_id, job_id).append((_read_binding, job_id, parent_span_id))
 
     def trace_id_for_job(self, job_id: int) -> Optional[str]:
-        trace = self._job_traces.get(job_id)
+        trace = self._live_trace_of(job_id)
         return trace.trace_id if trace is not None else None
 
     def parent_span_for_job(self, job_id: int) -> Optional[str]:
-        trace = self._job_traces.get(job_id)
+        trace = self._live_trace_of(job_id)
         return _parent_of(trace, job_id) if trace is not None else None
 
     # -- retrieval --------------------------------------------------------------------
     def trace(self, trace_id: str) -> List[Span]:
-        """The spans of one trace, in recording order, built from its records."""
+        """The spans of one trace, built from its records: its requests' in
+        recording order, then its jobs' lifecycles in the order they
+        settled."""
         with self._lock:
             trace = self._traces.get(trace_id)
-            records = list(trace) if trace is not None else []
+            if trace is None:
+                return []
+            records = list(trace)
+        # A tuple copy of the deque is taken in one C call, so a dispatch
+        # pass extending it meanwhile cannot break the scan.
+        job_traces = self._job_traces
+        records += [row for row in tuple(self._settled) if job_traces.get(row[1]) is trace]
         spans: List[Span] = []
         for record in records:
             spans.extend(record[0](trace, record))

@@ -41,7 +41,10 @@ from repro.simulation.events import BusEvent
 #: budget is that plus 10 %.
 BYTES_PER_JOB_BUDGET = 834
 #: Heap the same run leaves in ``repro/obs`` (trace store, metric mailboxes):
-#: 1,236 KB before telemetry kept compact records, ~340 KB after.
+#: 1,236 KB before telemetry kept compact records, ~260 KB after.  A settled
+#: job's lifecycle record is the row the dispatch pass built, so its ~70 KB
+#: (512 of them) are charged to ``accessserver/server.py``, not here; the
+#: per-job budget above counts them.
 OBS_BYTES_BUDGET = 400 * 1024
 
 

@@ -5,8 +5,9 @@ These tests read telemetry only through what an operator sees — ``obs.trace``,
 tracer and the registry store what they record: the spans of one job's trace
 (names, order, parent links, attrs, status, simulated start/end), the counts
 behind the dispatch, journal and API histograms, and the live span stream.
-The last test drives one tracer from several threads at once and reads the
-traces back the same way ``obs.trace`` does.
+The last tests drive one tracer directly: a job that settles before the
+request that submitted it has ended, and several threads recording at once,
+read back the same way ``obs.trace`` does.
 """
 
 import sys
@@ -150,6 +151,36 @@ class TestMetricCounts:
         assert counters_after[executed] - counters_before.get(executed, 0) == jobs
 
 
+class TestJobBinding:
+    def test_a_job_settled_before_its_request_ends_keeps_its_lifecycle(self):
+        """The job is bound to its trace at submit, so a lifecycle recorded
+        while the submitting request is still open joins that trace."""
+        tracer = Tracer()
+        request = tracer.begin_request(None, "job.submit")
+        tracer.begin_job_trace(5, request.trace_id, 1.0, 0.001, "queued")
+        assert tracer.trace_id_for_job(5) == request.trace_id
+        tracer.record_lifecycles([(
+            PUSH_PHASES, 5, 1.0, 2.0, 0.1, 0.2, 0.3, False, "node1", "dev", "completed",
+        )])
+        tracer.end_request(request, True)
+        spans = {span.name: span for span in tracer.trace(request.trace_id)}
+        assert sorted(spans) == sorted(LIFECYCLE)
+        submit = spans["job.submit"]
+        for name in ("job.admit", "job.run", "job.settle"):
+            assert spans[name].parent_id == submit.span_id
+            assert spans[name].attrs["job_id"] == 5
+
+    def test_a_binding_whose_trace_was_evicted_reads_as_none(self):
+        tracer = Tracer(max_traces=2)
+        first = tracer.begin_job_trace(1, None, 0.0, 0.0, "queued")
+        for job_id in (2, 3):
+            tracer.begin_job_trace(job_id, None, 0.0, 0.0, "queued")
+        assert first not in tracer.trace_ids()
+        assert tracer.trace_id_for_job(1) is None
+        assert tracer.parent_span_for_job(1) is None
+        assert tracer.trace_id_for_job(3) is not None
+
+
 class TestConcurrentRecording:
     def test_threads_recording_at_once_keep_every_trace_whole(self):
         """Requests and settles recorded from several threads at once, with a
@@ -166,10 +197,9 @@ class TestConcurrentRecording:
                     request = tracer.begin_request(None, "job.submit")
                     tracer.begin_job_trace(job_id, request.trace_id, 1.0, 0.001, "queued")
                     tracer.end_request(request, True)
-                    tracer.record_lifecycle(
-                        PUSH_PHASES, job_id, 1.0, 2.0, 0.1, 0.2, 0.3, False,
-                        "node1", "dev", "completed",
-                    )
+                    tracer.record_lifecycles([(
+                        PUSH_PHASES, job_id, 1.0, 2.0, 0.1, 0.2, 0.3, False, "node1", "dev", "completed",
+                    )])
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
