@@ -93,8 +93,10 @@ class Accounts:
         self._vantage_points[record.name] = record
         for serial in controller.list_devices():
             server.scheduler.slots.register(record.name, serial)
-        if server.persistence is not None:
-            server.persistence.on_vantage_point_registered(record)
+        if server.recording:
+            from repro.accessserver.persistence.codec import serialize_vantage_point
+
+            server.record("vantage_point.registered", serialize_vantage_point(record))
         server.log("vantage point registered", name=record.name, devices=controller.list_devices())
         return record
 
@@ -164,8 +166,10 @@ class Accounts:
             # reads it as "this shard holds the account already".
             raise AccessServerError(f"user {username!r} already exists")
         user = server.users.add_user(username, Role(role), token, email=email)
-        if server.persistence is not None:
-            server.persistence.on_user_created(user)
+        if server.recording:
+            from repro.accessserver.persistence.codec import serialize_user
+
+            server.record("user.created", serialize_user(user))
         server.log(
             "user created", username=username, role=user.role.value, by=admin.username
         )
@@ -210,18 +214,20 @@ class Accounts:
         self._credit_policy = CreditPolicy(
             ledger, minimum_reservation_hours=minimum_reservation_hours
         )
-        # Bridge ledger mutations onto the event bus so analytics and
-        # remote ``credit.`` event subscribers see credit traffic live.
-        ledger.add_observer(self._publish_credit_event)
+        # Every ledger mutation is recorded (journal, analytics) and
+        # published for remote ``credit.`` event subscribers.
+        ledger.observer = self._on_ledger_event
         # The "credit" scheduling policy weighs owners by remaining balance;
         # feed it live ledger balances through the dispatch stats.
         server.scheduler.set_credit_balance_provider(self._credit_balances)
-        if server.persistence is not None:
-            server.persistence.on_credit_enabled(
-                contribution_multiplier=contribution_multiplier,
-                initial_grant_device_hours=initial_grant_device_hours,
-                minimum_reservation_hours=minimum_reservation_hours,
-            )
+        server.record(
+            "credit.enabled",
+            {
+                "contribution_multiplier": contribution_multiplier,
+                "initial_grant_device_hours": initial_grant_device_hours,
+                "minimum_reservation_hours": minimum_reservation_hours,
+            },
+        )
         server.log("credit system enabled")
         return ledger
 
@@ -231,9 +237,12 @@ class Accounts:
             for account in self._credit_policy.ledger.accounts()
         }
 
-    def _publish_credit_event(self, kind: str, data: Dict[str, object]) -> None:
-        topic = "credit.txn" if kind == "transaction" else "credit.account_opened"
-        self._server.events.publish(topic, **data)
+    def _on_ledger_event(self, change: str, data: Dict[str, object]) -> None:
+        """The ledger's one observer: record the mutation, then publish it."""
+        kind = "credit.txn" if change == "transaction" else "credit.account_opened"
+        server = self._server
+        server.record(kind, dict(data))
+        server.events.publish(kind, **data)
 
     def _account(self, owner: str) -> CreditAccount:
         """``owner``'s credit account, opened (initial grant included) if missing."""
@@ -284,7 +293,7 @@ class Accounts:
         """Administrative credit adjustment; opens the account when missing.
 
         Returns the (possibly new) :class:`~repro.accessserver.credits.CreditAccount`.
-        The ledger's observers journal the transaction, so grants replay
+        The ledger's observer records the transaction, so grants replay
         exactly on recovery.
         """
         server = self._server

@@ -185,8 +185,8 @@ class AgentManager:
         record.vantage_point = vantage_point
         record.connectors = tuple(sorted(set(connectors or ())))
         record.tags = dict(tags or {})
-        if created and server.persistence is not None:
-            server.persistence.on_agent_registered(record)
+        if created:
+            server.record("agent.registered", record.to_record())
         server.log(
             "agent registered",
             agent=agent_id,

@@ -85,7 +85,11 @@ class CreditLedger:
         self._accounts: Dict[str, CreditAccount] = {}
         self._contribution_multiplier = float(contribution_multiplier)
         self._initial_grant = float(initial_grant_device_hours)
-        self._observers: List[Callable[[str, Dict[str, object]], None]] = []
+        #: Called with ``("account_opened", data)`` when an account is
+        #: created and ``("transaction", data)`` for every ledger entry,
+        #: ``data`` primitive-valued.  ``Accounts`` sets it to record and
+        #: publish credit mutations without the ledger knowing of either.
+        self.observer: Optional[Callable[[str, Dict[str, object]], None]] = None
 
     @property
     def contribution_multiplier(self) -> float:
@@ -95,24 +99,9 @@ class CreditLedger:
     def initial_grant_device_hours(self) -> float:
         return self._initial_grant
 
-    # -- observers ----------------------------------------------------------------
-    def add_observer(self, callback: Callable[[str, Dict[str, object]], None]) -> None:
-        """Register a mutation observer.
-
-        The callback receives ``("account_opened", data)`` when an account is
-        created and ``("transaction", data)`` for every ledger entry, with
-        primitive-valued ``data`` dicts.  The persistence layer uses this to
-        journal credit mutations without the ledger knowing about journals.
-        """
-        self._observers.append(callback)
-
-    def remove_observer(self, callback: Callable[[str, Dict[str, object]], None]) -> None:
-        if callback in self._observers:
-            self._observers.remove(callback)
-
     def _notify(self, kind: str, data: Dict[str, object]) -> None:
-        for callback in list(self._observers):
-            callback(kind, data)
+        if self.observer is not None:
+            self.observer(kind, data)
 
     # -- accounts -----------------------------------------------------------------
     def open_account(

@@ -35,14 +35,15 @@ the same durability with zero external dependencies:
   :class:`InMemoryBackend` (tests, benchmarks) and :class:`FileBackend`
   (the default behind ``--state-dir``).
 
-The manager taps the existing ``dispatch.*`` records on the server's
-:class:`~repro.simulation.events.EventBus` for everything the scheduler
-already announces (assignments, requeues, cancellations, reservation
-cancellations) and uses explicit hooks in ``server.py`` / ``credits.py``
-for the mutations that never reach the bus (submissions, approvals,
-completions, reservation creation, credit movements).  State mutated behind
-the server's back — e.g. driving ``scheduler.submit`` directly — is
-invisible to the journal by design.
+The server records each mutation once, where it happens, through
+:meth:`~repro.accessserver.server.AccessServer.record`, which hands the
+record to the manager (and to live analytics): its own mutations
+(submissions, approvals, completions, reservation creation), the
+scheduler's assignments, requeues and cancellations through the
+scheduler's ``record`` hook, and credit movements through the ledger's
+observer.  The event bus is not an input: nothing published on it is
+journaled.  State mutated behind the server's back — e.g. driving
+``scheduler.submit`` directly — is invisible to the journal by design.
 :meth:`~repro.accessserver.server.AccessServer.enable_persistence` is the
 one way to attach it.
 

@@ -1,7 +1,7 @@
 """What a persisted record says, written once: the package's leaf.
 
 The format version, the elide-at-default per-job codec and the shapes of
-the other records the manager journals and a snapshot holds; readers take
+the other records the server journals and a snapshot holds; readers take
 them back through the same tables.  Imports no sibling module.
 """
 
@@ -23,18 +23,6 @@ from repro.accessserver.jobs import (
 from repro.accessserver.payloads import get_payload, payload_name
 
 FORMAT_VERSION = 1
-
-#: ``dispatch.*`` bus topics the persistence manager journals, mapped to
-#: the journal record kind each becomes.  Single-sourced here because the
-#: analytics live tap applies the *same* translation — a topic added to
-#: one side but not the other would silently diverge live folds from
-#: journal replays.
-DISPATCH_TOPIC_KINDS: Dict[str, str] = {
-    "dispatch.assigned": "job.assigned",
-    "dispatch.requeued": "job.requeued",
-    "dispatch.cancelled": "job.cancelled",
-    "dispatch.reservation_cancelled": "reservation.cancelled",
-}
 
 #: The keywords of ``Accounts.enable_credit_system``, in the order a
 #: ``credit.enabled`` record and a snapshot's ``credit`` value spell them.
@@ -202,6 +190,26 @@ def serialize_job(job: Job, queue_seq: Optional[int] = None) -> Dict[str, object
     if queue_seq is not None:  # a snapshot's note on a queued job, not a field
         record["queue_seq"] = queue_seq
     return record
+
+
+def job_submitted(job: Job, idempotency_key: Optional[str] = None) -> Dict[str, object]:
+    """A ``job.submitted`` record's data: the job's row, and the key a
+    retried submission is matched by, if it has one."""
+    data: Dict[str, object] = {"job": serialize_job(job)}
+    if idempotency_key is not None:
+        data["idempotency_key"] = idempotency_key
+    return data
+
+
+def job_finished(job: Job) -> Dict[str, object]:
+    """A ``job.finished`` record's data: the terminal status and what the
+    run left on the job."""
+    state = _job_state(job)
+    return {
+        "job_id": job.job_id,
+        "status": job.status.value,
+        **{key: state[key] for key in _JOB_FINISHED_KEYS if key in state},
+    }
 
 
 def _check_job_record(job: Dict[str, object], source: object) -> None:

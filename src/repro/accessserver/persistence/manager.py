@@ -1,26 +1,14 @@
-"""The manager: journals every access-server mutation and checkpoints."""
+"""The manager: journals the access server's records and checkpoints."""
 
 from __future__ import annotations
 
 import errno
 import time
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.accessserver.dispatch import SessionReservation
-from repro.accessserver.jobs import Job
 from repro.accessserver.payloads import catalogue_epoch
 from repro.accessserver.persistence.backends import SnapshotJobs, StorageBackend
-from repro.accessserver.persistence.codec import (
-    _JOB_FINISHED_KEYS,
-    DISPATCH_TOPIC_KINDS,
-    PersistenceError,
-    _encode,
-    _job_state,
-    serialize_job,
-    serialize_user,
-    serialize_vantage_point,
-)
+from repro.accessserver.persistence.codec import PersistenceError, _encode, serialize_job
 from repro.accessserver.persistence.recovery import (
     TERMINAL_STATUSES,
     RecoveryReport,
@@ -29,7 +17,6 @@ from repro.accessserver.persistence.recovery import (
 )
 from repro.accessserver.persistence.splice import _cut, _place, _Plan, _Run
 from repro.obs.logsetup import component_logger
-from repro.simulation.events import BusEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.accessserver.server import AccessServer
@@ -38,7 +25,12 @@ _LOG = component_logger("repro.accessserver.persistence")
 
 
 class PersistenceManager:
-    """Journals every access-server mutation and checkpoints periodically.
+    """Journals the records the access server hands it and checkpoints
+    periodically.
+
+    The server builds each mutation's record and passes it to
+    :meth:`append` (see ``AccessServer.record``); the manager numbers it,
+    writes it and decides when a checkpoint is due.
 
     Created and attached by
     :meth:`~repro.accessserver.server.AccessServer.enable_persistence`;
@@ -189,13 +181,9 @@ class PersistenceManager:
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> None:
-        """Subscribe to the server's event bus and mutation hooks."""
+        """Become the server's journal: its records come to :meth:`append`."""
         if self._attached:
             return
-        for topic in DISPATCH_TOPIC_KINDS:
-            self._server.events.subscribe(topic, self._on_bus_event)
-        if self._server.accounts.credit_policy is not None:
-            self._server.accounts.credit_policy.ledger.add_observer(self._on_credit_event)
         self._server._persistence = self
         self._attached = True
 
@@ -203,10 +191,6 @@ class PersistenceManager:
         """Stop journaling; the backend is left open for inspection."""
         if not self._attached:
             return
-        for topic in DISPATCH_TOPIC_KINDS:
-            self._server.events.unsubscribe(topic, self._on_bus_event)
-        if self._server.accounts.credit_policy is not None:
-            self._server.accounts.credit_policy.ledger.remove_observer(self._on_credit_event)
         self._server._persistence = None
         self._attached = False
 
@@ -343,78 +327,11 @@ class PersistenceManager:
         self._live = plan.live
         self._touched = set()
 
-    # -- explicit server hooks ---------------------------------------------
-    def on_job_submitted(self, job: Job, idempotency_key: Optional[str] = None) -> None:
-        data: Dict[str, object] = {"job": serialize_job(job)}
-        if idempotency_key is not None:
-            data["idempotency_key"] = idempotency_key
-        self._append("job.submitted", data, job.job_id)
-
-    def on_user_created(self, user) -> None:
-        self._append("user.created", serialize_user(user))
-
-    def on_agent_registered(self, record) -> None:
-        self._append("agent.registered", record.to_record())
-
-    def on_job_rejected(self, job: Job) -> None:
-        # The cancellation itself is journaled via the dispatch.cancelled
-        # bus tap; this record carries what the tap cannot see — the
-        # rejection reason recorded on the job for its owner.
-        self._append("job.rejected", {"job_id": job.job_id, "error": job.error}, job.job_id)
-
-    def on_job_approved(self, job: Job) -> None:
-        self._append("job.approved", {"job_id": job.job_id}, job.job_id)
-
-    def on_job_finished(self, job: Job) -> None:
-        state = _job_state(job)
-        self._append(
-            "job.finished",
-            {
-                "job_id": job.job_id,
-                "status": job.status.value,
-                **{key: state[key] for key in _JOB_FINISHED_KEYS if key in state},
-            },
-            job.job_id,
-        )
-
-    def on_reservation_created(self, reservation: SessionReservation) -> None:
-        self._append("reservation.created", asdict(reservation))
-
-    def on_policy_changed(self, policy_name: str) -> None:
-        self._append("policy.changed", {"policy": policy_name})
-
-    def on_vantage_point_registered(self, record) -> None:
-        self._append("vantage_point.registered", serialize_vantage_point(record))
-
-    def on_credit_enabled(self, **config: float) -> None:
-        """``config``: the ``CREDIT_CONFIG`` keywords the ledger was built with."""
-        self._append("credit.enabled", config)
-        self._server.accounts.credit_policy.ledger.add_observer(self._on_credit_event)
-
-    # -- bus / ledger taps --------------------------------------------------
-    def _on_bus_event(self, record: BusEvent) -> None:
-        payload = record.payload
-        kind = DISPATCH_TOPIC_KINDS[record.topic]
-        if kind == "reservation.cancelled":
-            self._append(kind, {"reservation_id": payload["reservation_id"]})
-            return
-        job_id = payload["job_id"]
-        data: Dict[str, object] = {"job_id": job_id}
-        if kind == "job.assigned":
-            data["vantage_point"] = payload["vantage_point"]
-            data["device_serial"] = payload["device_serial"]
-            data["timestamp"] = record.timestamp
-        self._append(kind, data, job_id)
-
-    def _on_credit_event(self, kind: str, data: Dict[str, object]) -> None:
-        if kind == "account_opened":
-            self._append("credit.account_opened", dict(data))
-        elif kind == "transaction":
-            self._append("credit.txn", dict(data))
-
-    # -- internals ----------------------------------------------------------
-    def _append(self, kind: str, data: Dict[str, object], job_id: Optional[int] = None) -> None:
-        """Journal one record (about job ``job_id``, if any); checkpoint when due.
+    # -- the journal ---------------------------------------------------------
+    def append(self, record: Dict[str, object], job_id: Optional[int] = None) -> None:
+        """Journal one record (``ts``, ``kind``, ``data``; about job
+        ``job_id``, if any) under the next sequence number; checkpoint when
+        due.
 
         A snapshot write that fails does not fail the caller — the record is
         durable already, and so is every earlier one — it is retried a full
@@ -425,14 +342,7 @@ class PersistenceManager:
         if job_id is not None:
             self._touched.add(job_id)
         self._sequence += 1
-        self._backend.append(
-            {
-                "seq": self._sequence,
-                "ts": self._server.context.now,
-                "kind": kind,
-                "data": data,
-            }
-        )
+        self._backend.append({"seq": self._sequence, **record})
         self._records_since_snapshot += 1
         self._m_append.observe(time.perf_counter() - append_t0)
         if self._records_since_snapshot >= self._checkpoint_due:

@@ -98,6 +98,10 @@ class JobScheduler:
         self.batches_dispatched = 0
         self.assignments_made = 0
         self._event_bus = event_bus
+        #: The access server's record sink (``AccessServer.record``), set by
+        #: the server: it is handed the journal record of each assignment,
+        #: requeue, cancellation and reservation cancellation.
+        self.record: Optional[Callable[..., None]] = None
         # Every retained job, in id order by construction: ids are handed
         # out increasing, so insertion order is id order until one arrives
         # below the last (recovery's queue order, a job re-homed from another
@@ -181,6 +185,8 @@ class JobScheduler:
         self.queue.forget(job)  # cancellation is terminal; drop the retained sequence
         if job_id not in self._executing:
             self.release(job)
+        if self.record is not None:
+            self.record("job.cancelled", {"job_id": job_id}, job_id)
         self._emit(
             "dispatch.cancelled",
             job_id=job_id,
@@ -342,6 +348,17 @@ class JobScheduler:
         owner = job.spec.owner
         self._running_by_owner[owner] = self._running_by_owner.get(owner, 0) + 1
         self.assignments_made += 1
+        if self.record is not None:
+            self.record(
+                "job.assigned",
+                {
+                    "job_id": job.job_id,
+                    "vantage_point": vantage_point,
+                    "device_serial": device_serial,
+                    "timestamp": now,
+                },
+                job.job_id,
+            )
         self._emit(
             "dispatch.assigned",
             job_id=job.job_id,
@@ -425,6 +442,8 @@ class JobScheduler:
         self.release(job, forget=False)
         job.mark_requeued()
         self.queue.push(job, preserve_position=True)
+        if self.record is not None:
+            self.record("job.requeued", {"job_id": job.job_id}, job.job_id)
         self._emit(
             "dispatch.requeued",
             job_id=job.job_id,
@@ -467,6 +486,8 @@ class JobScheduler:
         """
         removed = self.reservations.remove(reservation_id)
         if removed:
+            if self.record is not None:
+                self.record("reservation.cancelled", {"reservation_id": reservation_id})
             self._emit("dispatch.reservation_cancelled", reservation_id=reservation_id)
         return removed
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.accessserver.accounts import AccessServerError, Accounts
@@ -128,15 +129,17 @@ class AccessServer(Entity):
         self._wildcard_certificate: Optional[WildcardCertificate] = (
             self.certificate_authority.issue(context.now)
         )
-        self.events = EventBus(clock=context.clock)
+        self._clock = context.clock
+        self.events = EventBus(clock=self._clock)
         #: Platform telemetry: metrics registry + tracer (``repro.obs``).
-        self.obs = Observability(clock=context.clock, bus=self.events)
+        self.obs = Observability(clock=self._clock, bus=self.events)
         self._obs_log = component_logger("repro.accessserver.server")
         self.scheduler = JobScheduler(
             policy=scheduling_policy,
             event_bus=self.events,
             reservation_admission=reservation_admission,
         )
+        self.scheduler.record = self.record
         # A cancelled reservation frees its device ahead of schedule; retry
         # blocked jobs right away instead of at the reservation's old end.
         # (No-op unless auto-dispatch is enabled.)
@@ -302,19 +305,19 @@ class AccessServer(Entity):
         return self._analytics
 
     def enable_analytics(self, bucket_s: float = 60.0):
-        """Fold the server's operational record stream into live analytics.
+        """Fold the server's records into live analytics.
 
-        Attaches a :class:`~repro.analytics.records.LiveBusTap` to the
-        event bus so every ``dispatch.*`` / ``job.*`` / ``reservation.*`` /
-        ``credit.*`` record updates the materialised views incrementally.
-        When persistence is already attached, the engine is first *seeded*
-        by a cold replay of the backend, so a recovered server's report
-        includes pre-crash history and then continues live.  Idempotent —
-        re-enabling returns the existing engine.
+        From now on :meth:`record` hands the engine every record it hands
+        the journal, so each job, reservation and credit mutation updates
+        the materialised views incrementally.  When persistence is already
+        attached, the engine is first *seeded* by a cold replay of the
+        backend, so a recovered server's report includes pre-crash history
+        and then continues live.  Idempotent — re-enabling returns the
+        existing engine.
         """
         if self._analytics is not None:
             return self._analytics
-        from repro.analytics import AnalyticsEngine, LiveBusTap
+        from repro.analytics import AnalyticsEngine
 
         engine = AnalyticsEngine(bucket_s=bucket_s)
         if self._persistence is not None:
@@ -322,10 +325,37 @@ class AccessServer(Entity):
             from repro.analytics import JournalReplaySource
 
             engine.fold_source(JournalReplaySource(self._persistence.backend))
-        LiveBusTap(engine, self).attach()
         self._analytics = engine
         self.log("analytics enabled", seeded_records=engine.records_folded)
         return engine
+
+    # -- the record sink ---------------------------------------------------------------
+    @property
+    def recording(self) -> bool:
+        """Whether :meth:`record` has anywhere to send a record; a caller
+        whose record costs something to build builds it only then."""
+        return self._persistence is not None or self._analytics is not None
+
+    def record(self, kind: str, data: Dict[str, object], job_id: Optional[int] = None) -> None:
+        """Hand one mutation's journal record to the journal, when persistence
+        is attached, and then to the live analytics fold, when enabled.
+
+        Every mutation the journal keeps is recorded here once, in the
+        journal's vocabulary: ``kind``, the simulated time and ``data``
+        (about job ``job_id``, if any).  The event bus is not a sink: a
+        mutation's bus topic is published beside its call, for
+        ``events.subscribe`` and ``job.watch`` streams, and nothing
+        published on the bus is journaled or folded.
+        """
+        persistence = self._persistence
+        analytics = self._analytics
+        if persistence is None and analytics is None:
+            return
+        record = {"ts": self._clock.now, "kind": kind, "data": data}
+        if persistence is not None:
+            persistence.append(record, job_id)
+        if analytics is not None:
+            analytics.fold_journal(record)
 
     # -- platform assets -------------------------------------------------------------
     @property
@@ -410,8 +440,10 @@ class AccessServer(Entity):
         if spec.is_pipeline_change:
             job.status = JobStatus.PENDING_APPROVAL
         self.scheduler.submit(job, self.context.now)
-        if self._persistence is not None:
-            self._persistence.on_job_submitted(job, idempotency_key=idempotency_key)
+        if self.recording:
+            from repro.accessserver.persistence.codec import job_submitted
+
+            self.record("job.submitted", job_submitted(job, idempotency_key), job.job_id)
         self._publish_job_submitted(job)
         if spec.is_pipeline_change:
             self.log("job pending approval", job=spec.name, owner=user.username)
@@ -432,13 +464,13 @@ class AccessServer(Entity):
         return job
 
     # -- lifecycle event publication ---------------------------------------------------
-    # The scheduler already announces assignments/requeues/cancels on
-    # the bus; these publications cover the mutations that previously only
-    # the persistence hooks saw, so bus consumers — the analytics live tap,
-    # remote ``events.subscribe`` clients on the ``job.`` / ``reservation.``
-    # / ``credit.`` prefixes — observe the full lifecycle.  Topics reuse the
+    # The scheduler announces assignments/requeues/cancels on the bus; the
+    # server publishes its own mutations beside their records, so remote
+    # ``events.subscribe`` clients on the ``job.`` / ``reservation.`` /
+    # ``credit.`` prefixes observe the full lifecycle.  Topics reuse the
     # journal's record vocabulary; ``job.watch`` subscriptions filter on the
-    # ``dispatch.`` prefix and are unaffected.
+    # ``dispatch.`` prefix.  The bus is output only: :meth:`record` feeds
+    # the journal and the analytics fold.
     def _publish_job_submitted(self, job: Job) -> None:
         self.events.publish(
             "job.submitted",
@@ -469,8 +501,7 @@ class AccessServer(Entity):
         if job.job_id not in self.scheduler.awaiting_approval:
             raise AccessServerError(f"job {job.job_id} is not awaiting approval")
         self.scheduler.enqueue_approved(job)
-        if self._persistence is not None:
-            self._persistence.on_job_approved(job)
+        self.record("job.approved", {"job_id": job.job_id}, job.job_id)
         self.events.publish("job.approved", job_id=job.job_id)
         self.log("job approved", job=job.spec.name, approver=admin.username)
         self._schedule_dispatch_tick()
@@ -484,8 +515,9 @@ class AccessServer(Entity):
             raise AccessServerError(f"job {job.job_id} is not awaiting approval")
         job.error = f"rejected: {reason}" if reason else "rejected by administrator"
         self.scheduler.cancel(job.job_id)
-        if self._persistence is not None:
-            self._persistence.on_job_rejected(job)
+        # The scheduler recorded the cancellation; this record carries the
+        # rejection reason recorded on the job for its owner.
+        self.record("job.rejected", {"job_id": job.job_id, "error": job.error}, job.job_id)
         self.events.publish("job.rejected", job_id=job.job_id)
         self.log(
             "job rejected",
@@ -665,7 +697,7 @@ class AccessServer(Entity):
         transitions — one cancelled while it held its devices stays
         cancelled), the give-back of every slot and the executing mark,
         credit settlement for the time the devices were held, and last the
-        journal record and ``job.finished`` publish, so recovery replays
+        ``job.finished`` record and publish, so recovery replays
         balances exactly.  ``error`` set means the execution failed.
         Returns the simulated time the execution finished at.
         """
@@ -684,11 +716,12 @@ class AccessServer(Entity):
             self.log("job failed", job=job.spec.name, error=error)
         self.scheduler.release(job)
         self.accounts.bill(job, held_since)
-        # Cancellations were already journaled via the dispatch.cancelled
-        # bus event.
+        # A cancellation was recorded when the scheduler cancelled the job.
         if job.status in (JobStatus.COMPLETED, JobStatus.FAILED):
-            if self._persistence is not None:
-                self._persistence.on_job_finished(job)
+            if self.recording:
+                from repro.accessserver.persistence.codec import job_finished
+
+                self.record("job.finished", job_finished(job), job.job_id)
             self.events.publish(
                 "job.finished",
                 job_id=job.job_id,
@@ -767,8 +800,7 @@ class AccessServer(Entity):
     def set_scheduling_policy(self, policy: Union[str, SchedulingPolicy]) -> SchedulingPolicy:
         """Swap the queue ordering policy; applies from the next dispatch tick."""
         selected = self.scheduler.set_policy(policy)
-        if self._persistence is not None:
-            self._persistence.on_policy_changed(selected.name)
+        self.record("policy.changed", {"policy": selected.name})
         self.log("scheduling policy changed", policy=selected.name)
         return selected
 
@@ -854,8 +886,7 @@ class AccessServer(Entity):
         reservation = self.scheduler.reserve_session(
             user.username, vantage_point_name, device_serial, start_s, duration_s
         )
-        if self._persistence is not None:
-            self._persistence.on_reservation_created(reservation)
+        self.record("reservation.created", asdict(reservation))
         self.events.publish(
             "reservation.created",
             reservation_id=reservation.reservation_id,

@@ -1,4 +1,4 @@
-"""The analytics engine: one reducer pipeline, two record sources.
+"""The analytics engine: one reducer pipeline, fed journal records.
 
 :class:`AnalyticsEngine` owns the reducers and exposes the two consumer
 surfaces the platform-operations story needs:
@@ -16,10 +16,10 @@ Feed it either way — both through the *same* ``fold()``:
   snapshot + journal (see
   :class:`~repro.analytics.records.JournalReplaySource`);
 * hot: :meth:`AccessServer.enable_analytics()
-  <repro.accessserver.server.AccessServer.enable_analytics>` attaches a
-  :class:`~repro.analytics.records.LiveBusTap`, seeding from the attached
-  persistence backend first so a recovered server's report includes its
-  pre-crash history.
+  <repro.accessserver.server.AccessServer.enable_analytics>` seeds the
+  engine from the attached persistence backend, so a recovered server's
+  report includes its pre-crash history, and from then on the server hands
+  :meth:`AnalyticsEngine.fold_journal` each record it journals.
 
 Determinism contract: the report dict has sorted keys/rows and rounded
 floats, and :func:`report_json` is the canonical byte form — the golden
@@ -41,6 +41,7 @@ from repro.analytics.records import (
     JournalReplaySource,
     OpsRecord,
     RecordSource,
+    normalize_journal_record,
 )
 from repro.analytics.reducers import (
     CreditReducer,
@@ -95,6 +96,14 @@ class AnalyticsEngine:
         self._credits.fold(record)
         self._reservations.fold(record)
         self._throughput.fold(record)
+
+    def fold_journal(self, record: Dict[str, object]) -> None:
+        """Fold one journal record (``kind``, ``ts``, ``data``) as a replay
+        would: through :func:`~repro.analytics.records.normalize_journal_record`,
+        skipping a record with no signal."""
+        normalized = normalize_journal_record(record)
+        if normalized is not None:
+            self.fold(normalized)
 
     def fold_source(self, source: Union[RecordSource, Iterable[OpsRecord]]) -> int:
         """Fold every record a source yields; returns how many were folded."""

@@ -1,12 +1,12 @@
-"""Canonical operations records and the two sources that produce them.
+"""Canonical operations records, and the journal they are read from.
 
 The analytics subsystem is an event-sourcing fold: every operational fact
 it reports is derived from a stream of :class:`OpsRecord` values — one
-timestamped, primitive-valued record per platform mutation.  Two sources
-produce that stream, and the whole design hinges on them being
-*indistinguishable* to the reducers downstream:
+timestamped, primitive-valued record per platform mutation.  Each comes
+from one journal-vocabulary record (``kind``, ``ts``, ``data``) through
+:func:`normalize_journal_record`, whichever way it arrives:
 
-* :class:`JournalReplaySource` — **cold**: reads a persistence
+* **cold** — :class:`JournalReplaySource` reads a persistence
   :class:`~repro.accessserver.persistence.StorageBackend` (the write-ahead
   journal plus its snapshot) and normalises each journal record.  Snapshot
   compaction folds old records away, so the source first *synthesises*
@@ -15,23 +15,20 @@ produce that stream, and the whole design hinges on them being
   timestamps the row retained) and then applies journal records with
   ``seq`` greater than the snapshot's — the same replay guard crash
   recovery uses.
-* :class:`LiveBusTap` — **hot**: subscribes to the access server's
-  :class:`~repro.simulation.events.EventBus` and normalises each
-  ``dispatch.*`` record plus the ``job.*`` / ``reservation.*`` /
-  ``credit.*`` lifecycle topics the server publishes alongside its
-  persistence hooks, folding into the engine as the simulation runs.
+* **hot** — the access server builds each mutation's record once and
+  hands it to the journal and then to the live engine
+  (``AccessServer.record``), so a live fold reads the very records a
+  replay reads.  The event bus is not an input.
 
-Both sources map into one canonical vocabulary (the journal's record
-kinds), so a report folded live and a report folded from a cold replay of
-the same *uncompacted* journal are byte-identical — the equivalence the
-test suite pins.  Once a checkpoint folds the journal into a snapshot,
-replay sees only what the snapshot retains: totals and final timelines
-survive, but requeue counts, approval latency, exact cancel times,
-retention-expired terminal jobs and already-cancelled reservations do
-not (see DESIGN.md, "live-vs-replay semantics").  Records that carry no
-operational signal (``dispatch.batch``, ``policy.changed``, account
-bookkeeping) normalise to ``None`` and are skipped by both sources
-symmetrically.
+A report folded live and a report folded from a cold replay of the same
+*uncompacted* journal are therefore byte-identical by construction.  Once
+a checkpoint folds the journal into a snapshot, replay sees only what the
+snapshot retains: totals and final timelines survive, but requeue counts,
+approval latency, exact cancel times, retention-expired terminal jobs and
+already-cancelled reservations do not (see DESIGN.md, "live-vs-replay
+semantics").  Records that carry no operational signal (``policy.changed``,
+``user.created``, account bookkeeping) normalise to ``None`` and are
+skipped.
 """
 
 from __future__ import annotations
@@ -43,11 +40,10 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from repro.accessserver.jobs import JobStatus
 from repro.accessserver.persistence.backends import FileBackend, StorageBackend
-from repro.accessserver.persistence.codec import DISPATCH_TOPIC_KINDS, JOB_DEFAULTS, SPEC_DEFAULTS
-from repro.simulation.events import BusEvent
+from repro.accessserver.persistence.codec import JOB_DEFAULTS, SPEC_DEFAULTS
 
-#: Canonical record kinds the reducers consume.  The vocabulary is the
-#: write-ahead journal's — the live tap translates bus topics into it.
+#: Canonical record kinds the reducers consume: the write-ahead journal's
+#: vocabulary.
 KIND_JOB_SUBMITTED = "job.submitted"
 KIND_JOB_APPROVED = "job.approved"
 KIND_JOB_ASSIGNED = "job.assigned"
@@ -64,8 +60,9 @@ KIND_CREDIT_TXN = "credit.txn"
 class OpsRecord:
     """One canonical operational fact: ``(ts, kind, data)``.
 
-    ``data`` holds only JSON primitives; two sources observing the same
-    underlying mutation must produce equal records.
+    ``data`` holds only JSON primitives; a journal record and the snapshot
+    row it was folded into read back as equal records where the row kept
+    what the record said.
     """
 
     ts: float
@@ -76,7 +73,7 @@ class OpsRecord:
 def _assigned_data(
     job_id, vantage_point, device_serial
 ) -> Dict[str, object]:
-    """Canonical ``job.assigned`` payload (single-sourced across sources)."""
+    """Canonical ``job.assigned`` payload (journal records and snapshot rows)."""
     return {
         "job_id": job_id,
         "vantage_point": vantage_point,
@@ -85,7 +82,7 @@ def _assigned_data(
 
 
 def _reservation_data(data: Dict[str, object]) -> Dict[str, object]:
-    """Canonical ``reservation.created`` payload from any source's fields."""
+    """Canonical ``reservation.created`` payload from a journal record or snapshot row."""
     return {
         "reservation_id": data["reservation_id"],
         "username": data.get("username", ""),
@@ -97,7 +94,7 @@ def _reservation_data(data: Dict[str, object]) -> Dict[str, object]:
 
 
 def _credit_txn_data(data: Dict[str, object]) -> Dict[str, object]:
-    """Canonical ``credit.txn`` payload from any source's fields."""
+    """Canonical ``credit.txn`` payload from a journal record or snapshot row."""
     return {
         "account": data["account"],
         "kind": data.get("kind", ""),
@@ -127,10 +124,14 @@ def _job_submitted_data(job: Dict[str, object]) -> Dict[str, object]:
 
 
 def normalize_journal_record(record: Dict[str, object]) -> Optional[OpsRecord]:
-    """One raw journal record -> its canonical form (``None`` = no signal)."""
-    kind = record.get("kind")
-    ts = float(record.get("ts", 0.0))
-    data = record.get("data", {})
+    """One raw journal record -> its canonical form (``None`` = no signal).
+
+    ``record`` has the ``kind``, ``ts`` and ``data`` every journal record
+    is written with (its ``seq`` is not read).
+    """
+    kind = record["kind"]
+    ts = float(record["ts"])
+    data = record["data"]
     if kind == KIND_JOB_SUBMITTED:
         return OpsRecord(ts, kind, _job_submitted_data(data["job"]))
     if kind == KIND_JOB_ASSIGNED:
@@ -162,72 +163,6 @@ def normalize_journal_record(record: Dict[str, object]) -> Optional[OpsRecord]:
     # user.created, vantage_point.registered, policy.changed, credit.enabled,
     # credit.account_opened, job.rejected reasons ... — configuration and
     # bookkeeping records with no utilisation signal.
-    return None
-
-
-#: Bus topics the live tap translates into journal-vocabulary kinds —
-#: imported from the persistence layer so the two consumers of the
-#: ``dispatch.*`` stream can never apply different translations.
-_BUS_TRANSLATIONS = DISPATCH_TOPIC_KINDS
-
-#: Bus topics the access server publishes already in canonical vocabulary
-#: (alongside its persistence hooks — see ``server.py``).
-_BUS_CANONICAL = (
-    KIND_JOB_SUBMITTED,
-    KIND_JOB_APPROVED,
-    KIND_JOB_FINISHED,
-    KIND_JOB_REJECTED,
-    KIND_RESERVATION_CREATED,
-    KIND_CREDIT_TXN,
-)
-
-
-def normalize_bus_event(event: BusEvent) -> Optional[OpsRecord]:
-    """One live bus record -> its canonical form (``None`` = no signal)."""
-    topic = event.topic
-    payload = event.payload
-    translated = _BUS_TRANSLATIONS.get(topic)
-    if translated == KIND_JOB_ASSIGNED:
-        return OpsRecord(
-            event.timestamp,
-            KIND_JOB_ASSIGNED,
-            _assigned_data(
-                payload["job_id"],
-                payload.get("vantage_point"),
-                payload.get("device_serial"),
-            ),
-        )
-    if translated in (KIND_JOB_REQUEUED, KIND_JOB_CANCELLED):
-        return OpsRecord(event.timestamp, translated, {"job_id": payload["job_id"]})
-    if translated == KIND_RESERVATION_CANCELLED:
-        return OpsRecord(
-            event.timestamp, translated, {"reservation_id": payload["reservation_id"]}
-        )
-    if topic == KIND_JOB_SUBMITTED:
-        # The bus payload is a job row laid flat: the spec fields sit beside
-        # the job's own, and the event's time stands in for ``submitted_at``.
-        row = {"submitted_at": event.timestamp, **payload, "spec": payload}
-        return OpsRecord(event.timestamp, topic, _job_submitted_data(row))
-    if topic in (KIND_JOB_APPROVED, KIND_JOB_REJECTED):
-        return OpsRecord(event.timestamp, topic, {"job_id": payload["job_id"]})
-    if topic == KIND_JOB_FINISHED:
-        return OpsRecord(
-            event.timestamp,
-            topic,
-            {
-                "job_id": payload["job_id"],
-                "status": payload["status"],
-                "finished_at": float(payload.get("finished_at") or event.timestamp),
-            },
-        )
-    if topic == KIND_RESERVATION_CREATED:
-        return OpsRecord(event.timestamp, topic, _reservation_data(payload))
-    if topic == KIND_CREDIT_TXN:
-        return OpsRecord(
-            float(payload.get("timestamp", event.timestamp)),
-            topic,
-            _credit_txn_data(payload),
-        )
     return None
 
 
@@ -364,24 +299,3 @@ class JournalReplaySource(RecordSource):
             normalized = normalize_journal_record(raw)
             if normalized is not None:
                 yield normalized
-
-
-class LiveBusTap:
-    """Hot source: folds the server's event bus into an engine as it runs.
-
-    Not a :class:`RecordSource` iterator — records are pushed by the bus —
-    but it feeds the *same* reducer pipeline through
-    :meth:`~repro.analytics.engine.AnalyticsEngine.fold`.
-    """
-
-    def __init__(self, engine, server) -> None:
-        self._engine = engine
-        self._server = server
-
-    def attach(self) -> None:
-        self._server.events.subscribe(None, self._on_event)
-
-    def _on_event(self, event: BusEvent) -> None:
-        record = normalize_bus_event(event)
-        if record is not None:
-            self._engine.fold(record)

@@ -1,7 +1,7 @@
 """Incremental reducers folding canonical records into operational views.
 
 Each reducer is a small state machine with ``fold(record)`` — O(1) dict
-updates per record, so the live tap adds negligible cost to the dispatch
+updates per record, so the live fold adds negligible cost to the dispatch
 hot path — and a ``view()`` producing plain, JSON-stable dicts (keys
 sorted, floats rounded) so two folds of the same stream serialise to
 identical bytes.

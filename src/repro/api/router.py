@@ -888,7 +888,7 @@ class ApiRouter(OpRouter):
 
     # -- v2 handlers: operations analytics -----------------------------------
     def _analytics_engine(self):
-        """The engine the analytics ops read: live tap, else cold replay.
+        """The engine the analytics ops read: the live fold, else cold replay.
 
         A server with analytics enabled serves its incrementally folded
         views; otherwise a persistence-backed server gets a cold replay of

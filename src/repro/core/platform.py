@@ -425,7 +425,7 @@ def build_default_platform(
     if state_dir is not None and persistence:
         access_server.enable_persistence(state_dir)
     # Analytics attaches last so a recovered journal seeds the engine
-    # before the live tap starts folding new events.
+    # before the live fold starts taking new records.
     if analytics:
         access_server.enable_analytics()
     return platform

@@ -932,8 +932,10 @@ class FederationRouter(OpRouter):
             restored = server.users.restore_user(
                 name, user.role, user.token_hash, user.email, user.enabled
             )
-            if server.persistence is not None:
-                server.persistence.on_user_created(restored)
+            if server.recording:
+                from repro.accessserver.persistence.codec import serialize_user
+
+                server.record("user.created", serialize_user(restored))
         rebuilt.state = ShardState.ACTIVE
         self._lanes[shard.index] = rebuilt
         self._attach(rebuilt)

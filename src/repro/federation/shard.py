@@ -76,7 +76,7 @@ def build_shard(
     recovery must claim journaled job ids into the lane allocator — a job
     minted after recovery may otherwise reuse a recovered id.  Analytics
     still attaches last so a recovered journal seeds the engine before
-    the live tap folds new events.
+    the live fold takes new records.
     """
     if not (0 <= index < lane_count):
         raise ValueError(

@@ -28,8 +28,8 @@ Design constraints inherited from the platform:
   job's when its report settles it).
 * **The journal stays trace-free.**  Spans are published on the event bus
   under the ``trace.span`` topic, which streams through the existing
-  ``events.subscribe`` op but is not in ``DISPATCH_TOPIC_KINDS``, so
-  persistence never journals it and replay determinism is untouched.
+  ``events.subscribe`` op; the journal never reads the bus, so replay
+  determinism is untouched.
 * **Bounded memory.**  Traces are retained oldest-first, capped at
   ``max_traces``; the oldest trace is evicted whole, with the job bindings
   that point at it.  Job bindings are capped the same way, and lifecycle
@@ -42,9 +42,8 @@ import itertools
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventBus
@@ -97,7 +96,6 @@ class Span:
     elapsed_s: Optional[float] = None
     status: str = "ok"
     attrs: Dict[str, object] = field(default_factory=dict)
-    _t0: Optional[float] = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> Dict[str, object]:
         record: Dict[str, object] = {
@@ -114,18 +112,6 @@ class Span:
         if self.attrs:
             record["attrs"] = dict(self.attrs)
         return record
-
-
-class _NullSpan:
-    """Returned by a disabled tracer so hot paths never branch twice."""
-
-    __slots__ = ()
-    trace_id = ""
-    span_id = ""
-    attrs: Dict[str, object] = {}
-
-
-_NULL_SPAN = _NullSpan()
 
 
 # -- records ------------------------------------------------------------------------
@@ -146,26 +132,12 @@ def _status_value(status: object) -> str:
     return getattr(status, "value", status)
 
 
-def _read_span(trace: _Trace, record: tuple) -> List[Span]:
-    """``(reader, None, span)``: a span recorded through the generic API."""
-    return [record[2]]
-
-
-def _read_binding(trace: _Trace, record: tuple) -> List[Span]:
-    """``(reader, job_id, parent_span_id)``: :meth:`Tracer.bind_job`'s mark
-    of the span a job's lifecycle hangs off; it reads as no span."""
-    return []
-
-
 def _parent_of(trace: _Trace, job_id: int) -> Optional[str]:
     """The span ``job_id``'s lifecycle hangs off: the submit span of the
-    first record in ``trace`` that names the job, or what ``bind_job`` set."""
+    first record in ``trace`` that names the job."""
     for record in trace:
-        if record[1] == job_id:
-            if record[0] is _read_binding:
-                return record[2]
-            if record[0] is _read_request:
-                return _span_id(_BLOCK * record[3])
+        if record[1] == job_id and record[0] is _read_request:
+            return _span_id(_BLOCK * record[3])
     return None
 
 
@@ -327,10 +299,9 @@ class Tracer:
         #: Live ``events.subscribe`` streams whose topic prefix matches
         #: ``trace.span`` (maintained by the API router).  Spans are only
         #: built and published on the bus while someone is listening — the
-        #: retained records answer ``obs.trace`` either way, and a bus
-        #: publish fans out to every wildcard subscriber (analytics, the
-        #: journal dispatcher's filter), which is too expensive to pay per
-        #: job phase when nothing downstream wants the record.
+        #: retained records answer ``obs.trace`` either way, and building a
+        #: span and publishing it is too expensive to pay per job phase when
+        #: nothing downstream wants the record.
         self.stream_interest = 0
         # Exact-topic ``trace.span`` subscribers (tests, tools): a live list.
         self._span_subscribers = [] if bus is None else bus.subscribers(SPAN_TOPIC)
@@ -402,91 +373,6 @@ class Tracer:
         if trace is None or self._traces.get(trace.trace_id) is not trace:
             return None
         return trace
-
-    # -- generic spans ----------------------------------------------------------------
-    def start_span(
-        self,
-        name: str,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-        **attrs: object,
-    ):
-        """Open a span; returns a no-op sentinel when tracing is disabled."""
-        if not self.enabled:
-            return _NULL_SPAN
-        if trace_id is None:
-            trace_id = self.new_trace_id()
-        return Span(
-            trace_id=trace_id,
-            span_id=_span_id(_BLOCK * next(self._blocks)),
-            name=name,
-            start=self._clock.now,
-            parent_id=parent_id,
-            attrs=attrs,
-            _t0=time.perf_counter(),
-        )
-
-    def end_span(self, span, status: str = "ok", **attrs: object) -> None:
-        """Close ``span``: stamp end/elapsed, retain it, publish ``trace.span``."""
-        if span is _NULL_SPAN or not self.enabled:
-            return
-        span.end = self._clock.now
-        if span._t0 is not None:
-            span.elapsed_s = time.perf_counter() - span._t0
-        span.status = status
-        if attrs:
-            span.attrs.update(attrs)
-        self._store_span(span)
-
-    def record_span(
-        self,
-        name: str,
-        trace_id: str,
-        start: float,
-        end: float,
-        elapsed_s: float,
-        parent_id: Optional[str] = None,
-        status: str = "ok",
-        **attrs: object,
-    ) -> Optional[Span]:
-        """Record an already-measured span."""
-        if not self.enabled:
-            return None
-        span = Span(
-            trace_id=trace_id,
-            span_id=_span_id(_BLOCK * next(self._blocks)),
-            name=name,
-            start=start,
-            parent_id=parent_id,
-            end=end,
-            elapsed_s=elapsed_s,
-            status=status,
-            attrs=attrs,
-        )
-        self._store_span(span)
-        return span
-
-    def _store_span(self, span: Span) -> None:
-        self._trace_for(span.trace_id).append((_read_span, None, span))
-        if self.stream_interest or self._span_subscribers:
-            self._publish([span])
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-        **attrs: object,
-    ) -> Iterator[object]:
-        span = self.start_span(name, trace_id=trace_id, parent_id=parent_id, **attrs)
-        try:
-            yield span
-        except BaseException:
-            self.end_span(span, status="error")
-            raise
-        else:
-            self.end_span(span)
 
     # -- requests ---------------------------------------------------------------------
     def begin_request(
@@ -618,24 +504,9 @@ class Tracer:
                 if trace is not None:
                     self._publish(row[0](trace, row))
 
-    # -- job binding ------------------------------------------------------------------
-    def bind_job(
-        self, job_id: int, trace_id: str, parent_span_id: Optional[str] = None
-    ) -> None:
-        """Associate ``job_id`` with ``trace_id`` (and optionally the span the
-        lifecycle hangs off) so later phases (admit/run/settle) can attach
-        their spans to the right trace."""
-        if not self.enabled:
-            return
-        self._trace_for(trace_id, job_id).append((_read_binding, job_id, parent_span_id))
-
     def trace_id_for_job(self, job_id: int) -> Optional[str]:
         trace = self._live_trace_of(job_id)
         return trace.trace_id if trace is not None else None
-
-    def parent_span_for_job(self, job_id: int) -> Optional[str]:
-        trace = self._live_trace_of(job_id)
-        return _parent_of(trace, job_id) if trace is not None else None
 
     # -- retrieval --------------------------------------------------------------------
     def trace(self, trace_id: str) -> List[Span]:
@@ -663,6 +534,3 @@ class Tracer:
     def trace_ids(self) -> List[str]:
         """Retained trace IDs, oldest first."""
         return list(self._traces)
-
-    def span_count(self) -> int:
-        return sum(len(self.trace(trace_id)) for trace_id in self.trace_ids())

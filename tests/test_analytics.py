@@ -4,10 +4,11 @@
    the committed report *byte for byte* (`analytics_report_golden.json`).
    A failure means the fold is no longer deterministic (or the report
    schema changed — regenerate the golden deliberately, never casually).
-2. **Live-vs-replay equivalence** — the same workload folded through the
-   live EventBus tap and through a cold journal replay must produce
-   identical reports; this is what makes the journal an event-sourcing
-   substrate rather than just a crash-recovery log.
+2. **Live-vs-replay equivalence** — the same workload folded live (the
+   access server hands the engine each record it journals) and through a
+   cold journal replay must produce identical reports; this is what makes
+   the journal an event-sourcing substrate rather than just a
+   crash-recovery log.
 """
 
 import json
@@ -25,13 +26,12 @@ from repro.analytics import (
     ThroughputReducer,
     distribution_view,
     JobLifecycleReducer,
-    normalize_bus_event,
+    normalize_journal_record,
     percentile,
     report_json,
     synthesize_snapshot_records,
 )
 from repro.core.platform import build_default_platform
-from repro.simulation.events import BusEvent
 
 FIXTURE_DIR = "tests/data/analytics_fixture"
 GOLDEN_PATH = "tests/data/analytics_report_golden.json"
@@ -288,13 +288,19 @@ class TestReducers:
             (360.0, 1),
         ]
 
-    def test_unknown_bus_topics_normalize_to_none(self):
-        assert normalize_bus_event(BusEvent(0.0, "dispatch.batch", {"assigned": 1})) is None
-        assert normalize_bus_event(BusEvent(0.0, "dispatch.released", {"job_id": 1})) is None
-        assert (
-            normalize_bus_event(BusEvent(0.0, "credit.account_opened", {"owner": "x"}))
-            is None
-        )
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            ("credit.account_opened", {"owner": "x", "contributes_hardware": False}),
+            ("credit.enabled", {"contribution_multiplier": 1.5}),
+            ("policy.changed", {"policy": "fifo"}),
+            ("user.created", {"username": "x", "role": "experimenter"}),
+            ("agent.registered", {"agent_id": "edge-1"}),
+            ("vantage_point.registered", {"name": "node1", "devices": []}),
+        ],
+    )
+    def test_records_without_signal_normalize_to_none(self, kind, data):
+        assert normalize_journal_record({"ts": 0.0, "kind": kind, "data": data}) is None
 
     def test_credit_only_accounts_appear_in_owner_rows(self):
         """A contributor earning credits without ever submitting a job

@@ -177,7 +177,7 @@ class TestJobBinding:
             tracer.begin_job_trace(job_id, None, 0.0, 0.0, "queued")
         assert first not in tracer.trace_ids()
         assert tracer.trace_id_for_job(1) is None
-        assert tracer.parent_span_for_job(1) is None
+        assert tracer.trace(first) == []
         assert tracer.trace_id_for_job(3) is not None
 
 

@@ -2,9 +2,11 @@
 
 A trace follows one request through gateway → router → admit → run →
 settle; spans share the trace ID minted at the API boundary.  These tests
-pin the tracer's mechanics (IDs, retention, job bindings, bus records) and
-trace continuity through a dispatch pass: every job's lifecycle spans are
-recorded in its settle step and hang off its submit span.
+pin the tracer's mechanics (IDs, retention, job bindings, bus records)
+through the calls the platform makes (``begin_request`` / ``end_request``,
+``begin_job_trace``, ``record_lifecycles``), and trace continuity through
+a dispatch pass: every job's lifecycle spans are recorded in its settle
+step and hang off its submit span.
 """
 
 import logging
@@ -17,67 +19,76 @@ from repro.accessserver.payloads import register_payload, unregister_payload
 from repro.core.platform import add_vantage_point, build_default_platform
 from repro.device.profiles import SAMSUNG_J7_DUO
 from repro.obs import SPAN_TOPIC, Tracer, component_logger, log_slow_op
+from repro.obs.trace import PUSH_PHASES
 from repro.simulation.clock import SimClock
 from repro.simulation.events import EventBus
 
 
 class TestTracerMechanics:
-    def test_span_lifecycle_publishes_bus_record(self):
+    def test_request_publishes_its_span_on_the_bus(self):
         clock = SimClock()
         bus = EventBus(clock=clock)
         records = []
         bus.subscribe(SPAN_TOPIC, lambda record: records.append(record))
         tracer = Tracer(clock=clock, bus=bus)
-        span = tracer.start_span("router.job.submit", op="job.submit")
-        tracer.end_span(span)
+        request = tracer.begin_request(None, "job.submit")
+        tracer.end_request(request, True)
         assert len(records) == 1
         payload = records[0].payload
         assert payload["name"] == "router.job.submit"
-        assert payload["trace_id"] == span.trace_id
+        assert payload["trace_id"] == request.trace_id
         assert payload["status"] == "ok"
         assert payload["attrs"] == {"op": "job.submit"}
 
-    def test_record_span_returns_span_with_fresh_id(self):
+    def test_requests_of_one_trace_get_fresh_span_ids(self):
         tracer = Tracer()
         trace_id = tracer.new_trace_id()
-        first = tracer.record_span("a", trace_id, start=0.0, end=1.0, elapsed_s=0.5)
-        second = tracer.record_span("b", trace_id, start=1.0, end=2.0, elapsed_s=0.5)
+        for op in ("a", "b"):
+            tracer.end_request(tracer.begin_request(trace_id, op), True)
+        first, second = tracer.trace(trace_id)
         assert first.span_id != second.span_id
-        assert [span.name for span in tracer.trace(trace_id)] == ["a", "b"]
+        assert [first.name, second.name] == ["router.a", "router.b"]
 
     def test_job_binding_and_parent_linkage(self):
         tracer = Tracer()
         trace_id = tracer.new_trace_id()
-        submit = tracer.record_span("job.submit", trace_id, 0.0, 0.0, 0.1)
-        tracer.bind_job(7, trace_id, submit.span_id)
+        assert tracer.begin_job_trace(7, trace_id, 0.0, 0.1, "queued") == trace_id
         assert tracer.trace_id_for_job(7) == trace_id
-        assert tracer.parent_span_for_job(7) == submit.span_id
         assert tracer.trace_id_for_job(999) is None
+        tracer.record_lifecycles([(
+            PUSH_PHASES, 7, 0.0, 1.0, 0.1, 0.2, 0.3, False, "node1", "dev", "completed",
+        )])
+        submit, *phases = tracer.trace(trace_id)
+        assert submit.name == "job.submit"
+        assert [span.name for span in phases] == ["job.admit", "job.run", "job.settle"]
+        assert all(span.parent_id == submit.span_id for span in phases)
 
     def test_retention_evicts_oldest_trace_and_its_job_binding(self):
         tracer = Tracer(max_traces=2)
-        first = tracer.new_trace_id()
-        tracer.record_span("s", first, 0.0, 0.0, 0.0)
-        tracer.bind_job(1, first)
-        for index in range(2):
-            tracer.record_span("s", tracer.new_trace_id(), 0.0, 0.0, 0.0)
+        first = tracer.begin_job_trace(1, None, 0.0, 0.0, "queued")
+        for _ in range(2):
+            request = tracer.begin_request(None, "job.list")
+            tracer.end_request(request, True)
         assert first not in tracer.trace_ids()
         assert len(tracer.trace_ids()) == 2
         assert tracer.trace_id_for_job(1) is None
 
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
-        span = tracer.start_span("x")
-        tracer.end_span(span)
-        assert tracer.record_span("y", "t1", 0.0, 0.0, 0.0) is None
-        assert tracer.span_count() == 0
+        request = tracer.begin_request(None, "x")
+        assert request is None
+        tracer.end_request(request, True)
+        assert tracer.begin_job_trace(1, None, 0.0, 0.0, "queued") is None
+        tracer.record_lifecycles([(
+            PUSH_PHASES, 1, 0.0, 1.0, 0.1, 0.2, 0.3, False, "node1", "dev", "completed",
+        )])
+        assert tracer.trace_ids() == []
 
-    def test_span_context_manager_marks_errors(self):
+    def test_a_failed_request_is_marked_error(self):
         tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("risky") as span:
-                raise RuntimeError("boom")
-        assert tracer.trace(span.trace_id)[0].status == "error"
+        request = tracer.begin_request(None, "risky")
+        tracer.end_request(request, False)
+        assert tracer.trace(request.trace_id)[0].status == "error"
 
 
 class TestStructuredLogging:
