@@ -164,6 +164,9 @@ class IOSDevice(Entity):
             self.screen.turn_on()
         elif not has_foreground and self.screen.on:
             self.screen.turn_off()
+        for package in list(self.cpu.process_names):
+            if package != "airplayd" and not self.packages.is_running(package):
+                self.cpu.clear_demand(package)
         if self.screen.on:
             self.screen.set_update_rate(total_screen_fps)
         if self._airplay.active:

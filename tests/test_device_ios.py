@@ -59,6 +59,22 @@ class TestPowerAndMirroring:
         iphone.refresh_demands()
         assert iphone.screen.on
 
+    def test_stopped_app_leaves_no_cpu_demand(self, iphone):
+        idle_demand = iphone.cpu.total_demand()
+        idle_current = iphone.instantaneous_current_ma(with_noise=False)
+        assert (idle_demand, idle_current) == (2.0, 39.0)
+        iphone.install_app(InstalledApp(package="com.apple.mobilesafari", label="Safari"))
+        iphone.packages.launch("com.apple.mobilesafari").set_activity(cpu_percent=40.0)
+        assert iphone.instantaneous_current_ma(with_noise=False) > idle_current
+        iphone.packages.stop("com.apple.mobilesafari")
+        assert iphone.instantaneous_current_ma(with_noise=False) == idle_current
+        assert iphone.cpu.total_demand() == idle_demand
+
+    def test_airplay_demand_outlives_the_app_refresh(self, iphone):
+        iphone.start_mirroring_server()
+        iphone.refresh_demands()
+        assert iphone.cpu.demand("airplayd") > 0.0
+
     def test_usb_power_masks_external_draw(self, iphone):
         iphone.connect_usb(powered=True)
         assert iphone.instantaneous_current_ma(with_noise=False) == 0.0
