@@ -16,12 +16,16 @@ control surfaces the real platform uses:
 
 The headline entry point is :class:`~repro.device.android.AndroidDevice`;
 :class:`~repro.device.ios.IOSDevice` models the iOS support discussed in the
-paper (no ADB, automation via Bluetooth keyboard only).
+paper (no ADB, automation via Bluetooth keyboard only) and
+:class:`~repro.device.linux.LinuxDevice` the laptops and IoT nodes of its
+conclusion.  All three are a :class:`~repro.device.base.DeviceUnderTest`,
+which holds the power model they share.
 """
 
 from repro.device.adb import AdbCommandError, AdbConnection, AdbServer, AdbTransport
 from repro.device.android import AndroidDevice
 from repro.device.apps import AppProcess, InstalledApp, PackageManager
+from repro.device.base import DeviceUnderTest
 from repro.device.battery import Battery, BatteryConnection
 from repro.device.cpu import CpuModel
 from repro.device.ios import IOSDevice
@@ -47,6 +51,7 @@ __all__ = [
     "Battery",
     "BatteryConnection",
     "CpuModel",
+    "DeviceUnderTest",
     "IOSDevice",
     "LinuxDevice",
     "LinuxDeviceProfile",

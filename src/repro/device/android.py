@@ -1,48 +1,30 @@
 """Android device model.
 
-:class:`AndroidDevice` ties together the battery, CPU, screen, radio and
-package-manager sub-models and turns their state into an instantaneous
-current draw — the quantity the (emulated) Monsoon samples.  It also runs a
-one-hertz accounting tick that drains the battery (or counts bypass charge)
-and records CPU utilisation samples, which is where the Figure 4 device-CPU
-CDFs come from.
-
-The device additionally hosts the scrcpy *server* process used by device
-mirroring.  Its cost model — a few percent of CPU that grows with screen
-activity, the hardware H.264 encoder rail, and the WiFi uplink used to ship
-encoded frames to the controller — is what produces the mirroring overheads
-reported in Figures 2, 3 and 4.
+:class:`AndroidDevice` is the paper's test phone: the shared
+:class:`~repro.device.base.DeviceUnderTest` power model plus what only
+Android has — the hardware video decoder, the ``dumpsys`` / ``netstats``
+status calls, a per-component :class:`CurrentBreakdown`, and the scrcpy
+*server* process used by device mirroring.  Its cost model — a few percent
+of CPU that grows with screen activity, the hardware H.264 encoder rail, and
+the WiFi uplink used to ship encoded frames to the controller — is what
+produces the mirroring overheads reported in Figures 2, 3 and 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.device.apps import InstalledApp, PackageManager
-from repro.device.battery import Battery, BatteryConnection
-from repro.device.cpu import CpuModel
+from repro.device.base import DeviceUnderTest
 from repro.device.profiles import SAMSUNG_J7_DUO, DeviceHardwareProfile
-from repro.device.radio import NetworkInterfaceModel, RadioTechnology
-from repro.device.screen import Screen
-from repro.simulation.entity import Entity, SimulationContext
-from repro.simulation.process import PeriodicProcess
+from repro.device.radio import RadioTechnology
+from repro.simulation.entity import SimulationContext
 
 #: Name used for the scrcpy server process in CPU accounting.
 SCRCPY_PROCESS = "com.genymobile.scrcpy"
 
 #: Name used for the built-in media player process during the video workload.
 MEDIA_PLAYER_PROCESS = "com.android.gallery3d:video"
-
-
-@dataclass
-class MirroringServerState:
-    """Device-side state of a scrcpy mirroring session."""
-
-    active: bool = False
-    bitrate_mbps: float = 1.0
-    base_cpu_percent: float = 3.5
-    activity_cpu_percent: float = 3.0
 
 
 @dataclass
@@ -61,7 +43,7 @@ class CurrentBreakdown:
     total: float
 
 
-class AndroidDevice(Entity):
+class AndroidDevice(DeviceUnderTest):
     """A simulated Android phone wired into a BatteryLab vantage point.
 
     Parameters
@@ -76,6 +58,17 @@ class AndroidDevice(Entity):
         Period, in seconds, of the battery-drain / CPU-sampling tick.
     """
 
+    PROFILE_OS = "android"
+    CURRENT_TERMS = (
+        "idle", "screen", "cpu", "video_decoder", "hw_encoder", "wifi", "cellular", "bluetooth",
+    )
+    MIRRORING_PROCESS = SCRCPY_PROCESS
+    MIRRORING_CPU_PERCENT = (3.5, 3.0)
+    # Even a static screen generates keyframes at a low rate; with any
+    # meaningful activity the encoder runs close to its configured cap,
+    # which is what bounds the paper's ~32 MB upload per ~7 minute test.
+    MIRRORING_STREAM_SHARE = (0.35, 0.55)
+
     def __init__(
         self,
         context: SimulationContext,
@@ -84,42 +77,9 @@ class AndroidDevice(Entity):
         accounting_period: float = 1.0,
         rooted: bool = False,
     ) -> None:
-        super().__init__(context, f"device:{serial}")
-        if profile.os_name != "android":
-            raise ValueError(
-                f"AndroidDevice requires an android profile, got {profile.os_name!r}"
-            )
-        self._serial = serial
-        self._profile = profile
+        super().__init__(context, serial, profile, accounting_period)
         self._rooted = bool(rooted)
-        self.battery = Battery(profile.battery_capacity_mah, profile.battery_voltage_v)
-        self.cpu = CpuModel(profile.cpu_cores, self.random.child("cpu"))
-        self.screen = Screen()
-        self.radio = NetworkInterfaceModel()
-        self.packages = PackageManager()
         self._video_decoder_active = False
-        self._bluetooth_links = 0
-        self._usb_connected = False
-        self._usb_powered = False
-        self._mirroring = MirroringServerState()
-        self._bypass_supply_mah = 0.0
-        self._measurement_noise_fraction = 0.02
-        self._accounting = PeriodicProcess(
-            context.scheduler,
-            accounting_period,
-            self._accounting_tick,
-            label=f"{self.name}:accounting",
-        )
-        self._accounting.start(initial_delay=accounting_period)
-
-    # -- identity -------------------------------------------------------------
-    @property
-    def serial(self) -> str:
-        return self._serial
-
-    @property
-    def profile(self) -> DeviceHardwareProfile:
-        return self._profile
 
     @property
     def rooted(self) -> bool:
@@ -133,57 +93,6 @@ class AndroidDevice(Entity):
     def api_level(self) -> int:
         return self._profile.api_level
 
-    # -- connectivity ---------------------------------------------------------
-    def connect_usb(self, powered: bool = True) -> None:
-        """Plug the device into the controller's USB hub."""
-        self._usb_connected = True
-        self._usb_powered = bool(powered)
-        self.battery.set_charging(self._usb_powered)
-
-    def disconnect_usb(self) -> None:
-        self._usb_connected = False
-        self._usb_powered = False
-        self.battery.set_charging(False)
-
-    def set_usb_power(self, powered: bool) -> None:
-        """(De)activate USB port power (what ``uhubctl`` does on the controller)."""
-        if not self._usb_connected and powered:
-            raise RuntimeError("cannot power a USB port with no device attached")
-        self._usb_powered = bool(powered)
-        self.battery.set_charging(self._usb_powered)
-
-    @property
-    def usb_connected(self) -> bool:
-        return self._usb_connected
-
-    @property
-    def usb_powered(self) -> bool:
-        return self._usb_powered
-
-    def connect_wifi(self, ssid: str) -> None:
-        self.radio.enable(RadioTechnology.WIFI, ssid=ssid)
-
-    def disconnect_wifi(self) -> None:
-        self.radio.disable(RadioTechnology.WIFI)
-
-    def connect_cellular(self) -> None:
-        self.radio.enable(RadioTechnology.CELLULAR)
-
-    def disconnect_cellular(self) -> None:
-        self.radio.disable(RadioTechnology.CELLULAR)
-
-    def attach_bluetooth_link(self) -> None:
-        self._bluetooth_links += 1
-
-    def detach_bluetooth_link(self) -> None:
-        if self._bluetooth_links == 0:
-            raise RuntimeError("no Bluetooth link to detach")
-        self._bluetooth_links -= 1
-
-    @property
-    def bluetooth_links(self) -> int:
-        return self._bluetooth_links
-
     # -- workload hooks -------------------------------------------------------
     def set_video_decoder_active(self, active: bool) -> None:
         self._video_decoder_active = bool(active)
@@ -192,8 +101,8 @@ class AndroidDevice(Entity):
     def video_decoder_active(self) -> bool:
         return self._video_decoder_active
 
-    def install_app(self, app: InstalledApp) -> None:
-        self.packages.install(app)
+    def _video_decoder_ma(self) -> float:
+        return self._profile.video_decoder_current_ma if self._video_decoder_active else 0.0
 
     # -- mirroring server -----------------------------------------------------
     def start_mirroring_server(self, bitrate_mbps: float = 1.0) -> None:
@@ -202,166 +111,13 @@ class AndroidDevice(Entity):
             raise RuntimeError(
                 f"{self._profile.model} (API {self._profile.api_level}) does not support scrcpy"
             )
-        if bitrate_mbps <= 0:
-            raise ValueError(f"bitrate must be positive, got {bitrate_mbps!r}")
-        self._mirroring.active = True
-        self._mirroring.bitrate_mbps = float(bitrate_mbps)
-        self.log("scrcpy server started", bitrate_mbps=bitrate_mbps)
-
-    def stop_mirroring_server(self) -> None:
-        self._mirroring.active = False
-        self.cpu.clear_demand(SCRCPY_PROCESS)
-        self.log("scrcpy server stopped")
-
-    @property
-    def mirroring_active(self) -> bool:
-        return self._mirroring.active
-
-    @property
-    def mirroring_bitrate_mbps(self) -> float:
-        return self._mirroring.bitrate_mbps
-
-    def mirroring_stream_mbps(self) -> float:
-        """Uplink throughput of the mirroring stream right now.
-
-        scrcpy only ships frames when the screen content changes, so the
-        effective bitrate scales with screen activity up to the configured cap.
-        """
-        if not self._mirroring.active:
-            return 0.0
-        activity = self.screen.activity_fraction()
-        # Even a static screen generates keyframes at a low rate; with any
-        # meaningful activity the encoder runs close to its configured cap,
-        # which is what bounds the paper's ~32 MB upload per ~7 minute test.
-        effective = self._mirroring.bitrate_mbps * max(0.35, min(1.0, 0.55 + activity))
-        return effective
-
-    def _mirroring_cpu_percent(self) -> float:
-        if not self._mirroring.active:
-            return 0.0
-        activity = self.screen.activity_fraction()
-        return self._mirroring.base_cpu_percent + self._mirroring.activity_cpu_percent * activity
+        super().start_mirroring_server(bitrate_mbps)
 
     # -- power model ----------------------------------------------------------
-    def refresh_demands(self) -> None:
-        """Fold app-process demands into the CPU, screen and radio models.
-
-        Called before every current reading and accounting tick so that the
-        power model always reflects the live workload state.
-        """
-        total_screen_fps = 0.0
-        has_foreground = False
-        for process in self.packages.running_processes():
-            self.cpu.set_demand(process.package, process.cpu_percent)
-            if process.foreground:
-                has_foreground = True
-                total_screen_fps += process.screen_fps
-        # Launching an app wakes the screen; with nothing in the foreground the
-        # display times out, which is how automated tests run between workloads.
-        if has_foreground and not self.screen.on:
-            self.screen.turn_on()
-        elif not has_foreground and self.screen.on:
-            self.screen.turn_off()
-        for package in list(self.cpu.process_names):
-            if package == SCRCPY_PROCESS:
-                continue
-            if not self.packages.is_running(package):
-                self.cpu.clear_demand(package)
-        if self.screen.on:
-            self.screen.set_update_rate(total_screen_fps)
-        # scrcpy CPU demand depends on the freshly computed screen activity.
-        if self._mirroring.active:
-            self.cpu.set_demand(SCRCPY_PROCESS, self._mirroring_cpu_percent())
-        # Radio throughput: foreground + background app traffic plus the
-        # mirroring uplink, all carried over the default route.
-        app_mbps = sum(p.network_mbps for p in self.packages.running_processes())
-        stream_mbps = self.mirroring_stream_mbps()
-        route = self.radio.default_route
-        for technology in (RadioTechnology.WIFI, RadioTechnology.CELLULAR):
-            if self.radio.is_enabled(technology):
-                mbps = (app_mbps + stream_mbps) if technology is route else 0.0
-                self.radio.set_throughput(technology, mbps)
-
     def current_breakdown(self) -> CurrentBreakdown:
         """Instantaneous current decomposition, without measurement noise."""
-        self.refresh_demands()
-        profile = self._profile
-        idle = profile.idle_current_ma
-        screen = 0.0
-        if self.screen.on:
-            screen = profile.screen_on_current_ma + profile.screen_brightness_coeff_ma * (
-                self.screen.brightness - self.screen.reference_brightness
-            )
-            screen = max(screen, 0.0)
-        cpu = self.cpu.total_demand() * profile.cpu_current_ma_per_percent
-        video = profile.video_decoder_current_ma if self._video_decoder_active else 0.0
-        encoder = profile.hw_encoder_current_ma if self._mirroring.active else 0.0
-        wifi = 0.0
-        if self.radio.is_enabled(RadioTechnology.WIFI):
-            wifi = (
-                profile.wifi_idle_current_ma
-                + profile.wifi_active_current_ma_per_mbps
-                * self.radio.throughput(RadioTechnology.WIFI)
-            )
-        cellular = 0.0
-        if self.radio.is_enabled(RadioTechnology.CELLULAR):
-            cellular = (
-                profile.cellular_idle_current_ma
-                + profile.cellular_active_current_ma_per_mbps
-                * self.radio.throughput(RadioTechnology.CELLULAR)
-            )
-        bluetooth = profile.bluetooth_active_current_ma * self._bluetooth_links
-        gross = idle + screen + cpu + video + encoder + wifi + cellular + bluetooth
-        usb_offset = 0.0
-        if self._usb_powered:
-            # USB supplies the device (and charges the battery): the external
-            # meter sees the draw collapse, which is exactly why the paper
-            # avoids ADB-over-USB during measurements.
-            usb_offset = -min(gross, profile.usb_charge_current_ma)
-        total = max(gross + usb_offset, 0.0)
-        return CurrentBreakdown(
-            idle=idle,
-            screen=screen,
-            cpu=cpu,
-            video_decoder=video,
-            hw_encoder=encoder,
-            wifi=wifi,
-            cellular=cellular,
-            bluetooth=bluetooth,
-            usb_charge_offset=usb_offset,
-            total=total,
-        )
-
-    def instantaneous_current_ma(self, with_noise: bool = True) -> float:
-        """Current drawn from the supply (battery or monitor) right now, in mA."""
-        total = self.current_breakdown().total
-        if with_noise and total > 0:
-            total *= self.random.clipped_normal(1.0, self._measurement_noise_fraction, low=0.8)
-        return total
-
-    # -- accounting -----------------------------------------------------------
-    def _accounting_tick(self, timestamp: float) -> None:
-        period = self._accounting.period
-        current = self.instantaneous_current_ma(with_noise=True)
-        if self.battery.connection is BatteryConnection.INTERNAL:
-            if self._usb_powered:
-                self.battery.charge(self._profile.usb_charge_current_ma * 0.5, period)
-            self.battery.drain(current, period)
-        elif self.battery.connection is BatteryConnection.BYPASS:
-            self._bypass_supply_mah += current * period / 3600.0
-        self.cpu.sample(timestamp)
-
-    @property
-    def bypass_supply_mah(self) -> float:
-        """Charge supplied by the power monitor while in battery bypass."""
-        return self._bypass_supply_mah
-
-    def reset_bypass_supply(self) -> None:
-        self._bypass_supply_mah = 0.0
-
-    @property
-    def accounting(self) -> PeriodicProcess:
-        return self._accounting
+        currents, usb_offset, total = self._currents()
+        return CurrentBreakdown(**currents, usb_charge_offset=usb_offset, total=total)
 
     # -- dumpsys-style status -------------------------------------------------
     def dumpsys_battery(self) -> Dict[str, object]:
@@ -389,9 +145,6 @@ class AndroidDevice(Entity):
             "cell_rx_bytes": cell.rx_bytes,
             "cell_tx_bytes": cell.tx_bytes,
         }
-
-    def cpu_utilisation_series(self) -> List[float]:
-        return self.cpu.utilisation_series()
 
     def summary(self) -> Dict[str, object]:
         """Compact status dictionary used by the access server job logs."""

@@ -2,45 +2,37 @@
 
 The paper focuses on Android but sketches iOS support: no ADB and no scrcpy,
 so automation happens through the Bluetooth keyboard channel and mirroring
-through AirPlay.  :class:`IOSDevice` shares the power model with
-:class:`~repro.device.android.AndroidDevice` concepts but deliberately omits
-the ADB server and rejects scrcpy, so platform code has to take the
-OS-agnostic code paths (exactly the constraint §3.3 describes).
+through AirPlay.  :class:`IOSDevice` runs the shared
+:class:`~repro.device.base.DeviceUnderTest` power model with an AirPlay
+sender as its mirroring server and deliberately has no ADB server and no
+scrcpy support, so platform code has to take the OS-agnostic code paths
+(exactly the constraint §3.3 describes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-from repro.device.apps import InstalledApp, PackageManager
-from repro.device.battery import Battery, BatteryConnection
-from repro.device.cpu import CpuModel
+from repro.device.base import DeviceUnderTest
 from repro.device.profiles import IPHONE_8, DeviceHardwareProfile
-from repro.device.radio import NetworkInterfaceModel, RadioTechnology
-from repro.device.screen import Screen
-from repro.simulation.entity import Entity, SimulationContext
-from repro.simulation.process import PeriodicProcess
+from repro.simulation.entity import SimulationContext
 
 
-@dataclass
-class AirPlayState:
-    """AirPlay screen-mirroring session state (the iOS analogue of scrcpy)."""
-
-    active: bool = False
-    bitrate_mbps: float = 1.5
-
-
-class IOSDevice(Entity):
+class IOSDevice(DeviceUnderTest):
     """A simulated iPhone/iPad attached to a vantage point.
 
-    Compared to :class:`AndroidDevice` the iOS model:
+    Compared to :class:`~repro.device.android.AndroidDevice` the iOS model:
 
     * has no ADB server — automation must use the Bluetooth keyboard channel
       or a pre-built XCTest bundle;
     * mirrors via AirPlay rather than scrcpy;
     * never exposes root.
     """
+
+    PROFILE_OS = "ios"
+    MIRRORING_PROCESS = "airplayd"
+    MIRRORING_CPU_PERCENT = (4.0, 3.0)
+    MIRRORING_STREAM_SHARE = (0.12, 0.25)
 
     def __init__(
         self,
@@ -49,193 +41,23 @@ class IOSDevice(Entity):
         profile: DeviceHardwareProfile = IPHONE_8,
         accounting_period: float = 1.0,
     ) -> None:
-        super().__init__(context, f"device:{udid}")
-        if profile.os_name != "ios":
-            raise ValueError(f"IOSDevice requires an ios profile, got {profile.os_name!r}")
-        self._udid = udid
-        self._profile = profile
-        self.battery = Battery(profile.battery_capacity_mah, profile.battery_voltage_v)
-        self.cpu = CpuModel(profile.cpu_cores, self.random.child("cpu"))
-        self.screen = Screen()
-        self.radio = NetworkInterfaceModel()
-        self.packages = PackageManager()
-        self._airplay = AirPlayState()
-        self._bluetooth_links = 0
-        self._usb_connected = False
-        self._usb_powered = False
-        self._bypass_supply_mah = 0.0
-        self._accounting = PeriodicProcess(
-            context.scheduler,
-            accounting_period,
-            self._accounting_tick,
-            label=f"{self.name}:accounting",
-        )
-        self._accounting.start(initial_delay=accounting_period)
+        super().__init__(context, udid, profile, accounting_period)
 
     @property
     def udid(self) -> str:
-        return self._udid
+        return self._serial
 
-    @property
-    def serial(self) -> str:
-        """Alias so vantage-point code can treat Android and iOS devices uniformly."""
-        return self._udid
-
-    @property
-    def profile(self) -> DeviceHardwareProfile:
-        return self._profile
-
-    @property
-    def rooted(self) -> bool:
-        return False
-
-    # -- connectivity ---------------------------------------------------------
-    def connect_usb(self, powered: bool = True) -> None:
-        self._usb_connected = True
-        self._usb_powered = bool(powered)
-        self.battery.set_charging(self._usb_powered)
-
-    def disconnect_usb(self) -> None:
-        self._usb_connected = False
-        self._usb_powered = False
-        self.battery.set_charging(False)
-
-    def set_usb_power(self, powered: bool) -> None:
-        if not self._usb_connected and powered:
-            raise RuntimeError("cannot power a USB port with no device attached")
-        self._usb_powered = bool(powered)
-        self.battery.set_charging(self._usb_powered)
-
-    @property
-    def usb_connected(self) -> bool:
-        return self._usb_connected
-
-    @property
-    def usb_powered(self) -> bool:
-        return self._usb_powered
-
-    def connect_wifi(self, ssid: str) -> None:
-        self.radio.enable(RadioTechnology.WIFI, ssid=ssid)
-
-    def connect_cellular(self) -> None:
-        self.radio.enable(RadioTechnology.CELLULAR)
-
-    def attach_bluetooth_link(self) -> None:
-        self._bluetooth_links += 1
-
-    def detach_bluetooth_link(self) -> None:
-        if self._bluetooth_links == 0:
-            raise RuntimeError("no Bluetooth link to detach")
-        self._bluetooth_links -= 1
-
-    @property
-    def bluetooth_links(self) -> int:
-        return self._bluetooth_links
-
-    # -- mirroring ------------------------------------------------------------
     def start_mirroring_server(self, bitrate_mbps: float = 1.5) -> None:
         """Start AirPlay screen mirroring to the controller."""
-        if bitrate_mbps <= 0:
-            raise ValueError(f"bitrate must be positive, got {bitrate_mbps!r}")
-        self._airplay.active = True
-        self._airplay.bitrate_mbps = float(bitrate_mbps)
-
-    def stop_mirroring_server(self) -> None:
-        self._airplay.active = False
-        self.cpu.clear_demand("airplayd")
-
-    @property
-    def mirroring_active(self) -> bool:
-        return self._airplay.active
-
-    def install_app(self, app: InstalledApp) -> None:
-        self.packages.install(app)
-
-    # -- power model ----------------------------------------------------------
-    def refresh_demands(self) -> None:
-        total_screen_fps = 0.0
-        has_foreground = False
-        for process in self.packages.running_processes():
-            self.cpu.set_demand(process.package, process.cpu_percent)
-            if process.foreground:
-                has_foreground = True
-                total_screen_fps += process.screen_fps
-        if has_foreground and not self.screen.on:
-            self.screen.turn_on()
-        elif not has_foreground and self.screen.on:
-            self.screen.turn_off()
-        for package in list(self.cpu.process_names):
-            if package != "airplayd" and not self.packages.is_running(package):
-                self.cpu.clear_demand(package)
-        if self.screen.on:
-            self.screen.set_update_rate(total_screen_fps)
-        if self._airplay.active:
-            activity = self.screen.activity_fraction()
-            self.cpu.set_demand("airplayd", 4.0 + 3.0 * activity)
-        app_mbps = sum(p.network_mbps for p in self.packages.running_processes())
-        stream = 0.0
-        if self._airplay.active:
-            stream = self._airplay.bitrate_mbps * max(
-                0.12, min(1.0, 0.25 + self.screen.activity_fraction())
-            )
-        route = self.radio.default_route
-        for technology in (RadioTechnology.WIFI, RadioTechnology.CELLULAR):
-            if self.radio.is_enabled(technology):
-                mbps = (app_mbps + stream) if technology is route else 0.0
-                self.radio.set_throughput(technology, mbps)
-
-    def instantaneous_current_ma(self, with_noise: bool = True) -> float:
-        self.refresh_demands()
-        profile = self._profile
-        total = profile.idle_current_ma
-        if self.screen.on:
-            total += profile.screen_on_current_ma + profile.screen_brightness_coeff_ma * (
-                self.screen.brightness - self.screen.reference_brightness
-            )
-        total += self.cpu.total_demand() * profile.cpu_current_ma_per_percent
-        if self._airplay.active:
-            total += profile.hw_encoder_current_ma
-        if self.radio.is_enabled(RadioTechnology.WIFI):
-            total += (
-                profile.wifi_idle_current_ma
-                + profile.wifi_active_current_ma_per_mbps
-                * self.radio.throughput(RadioTechnology.WIFI)
-            )
-        if self.radio.is_enabled(RadioTechnology.CELLULAR):
-            total += (
-                profile.cellular_idle_current_ma
-                + profile.cellular_active_current_ma_per_mbps
-                * self.radio.throughput(RadioTechnology.CELLULAR)
-            )
-        total += profile.bluetooth_active_current_ma * self._bluetooth_links
-        if self._usb_powered:
-            total = max(total - profile.usb_charge_current_ma, 0.0)
-        if with_noise and total > 0:
-            total *= self.random.clipped_normal(1.0, 0.02, low=0.8)
-        return total
-
-    def _accounting_tick(self, timestamp: float) -> None:
-        period = self._accounting.period
-        current = self.instantaneous_current_ma(with_noise=True)
-        if self.battery.connection is BatteryConnection.INTERNAL:
-            if self._usb_powered:
-                self.battery.charge(self._profile.usb_charge_current_ma * 0.5, period)
-            self.battery.drain(current, period)
-        elif self.battery.connection is BatteryConnection.BYPASS:
-            self._bypass_supply_mah += current * period / 3600.0
-        self.cpu.sample(timestamp)
-
-    @property
-    def bypass_supply_mah(self) -> float:
-        return self._bypass_supply_mah
+        super().start_mirroring_server(bitrate_mbps)
 
     def summary(self) -> Dict[str, object]:
         return {
-            "udid": self._udid,
+            "udid": self._serial,
             "model": self._profile.model,
             "os": f"{self._profile.os_name} {self._profile.os_version}",
             "battery_percent": round(self.battery.level_percent, 1),
             "battery_connection": self.battery.connection.value,
             "screen_on": self.screen.on,
-            "mirroring": self._airplay.active,
+            "mirroring": self._mirroring.active,
         }

@@ -14,9 +14,10 @@ point can host them alongside phones:
   an experiment script needs (start/stop services, read sensors, power
   settings).
 
-Power accounting mirrors the Android model: every component contributes a
-current at the device's supply voltage, the monitor (or relay) samples the
-total, and a one-hertz tick drains the battery or counts bypass charge.
+Power accounting is the shared :class:`~repro.device.base.DeviceUnderTest`
+model: every component contributes a current at the device's supply voltage,
+the monitor (or relay) samples the total, and a one-hertz tick drains the
+battery or counts bypass charge.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.device.apps import InstalledApp, PackageManager
-from repro.device.battery import Battery, BatteryConnection
-from repro.device.cpu import CpuModel
-from repro.device.radio import NetworkInterfaceModel, RadioTechnology
+from repro.device.apps import AppProcess, InstalledApp, PackageManager
+from repro.device.base import DeviceUnderTest
+from repro.device.battery import Battery
 from repro.device.screen import Screen
-from repro.simulation.entity import Entity, SimulationContext
-from repro.simulation.process import PeriodicProcess
+from repro.simulation.entity import SimulationContext
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,20 @@ class LinuxDeviceError(RuntimeError):
     """Raised for unsupported operations (e.g. draining a battery-less node)."""
 
 
-class LinuxDevice(Entity):
+class LinuxDevice(DeviceUnderTest):
     """A laptop or IoT node attached to a BatteryLab vantage point.
 
-    The device deliberately mirrors the attachment surface of
-    :class:`~repro.device.android.AndroidDevice` (``serial``,
+    The device shares the attachment surface of every
+    :class:`~repro.device.base.DeviceUnderTest` (``serial``,
     ``instantaneous_current_ma``, USB/WiFi hooks, a ``battery`` when one
     exists) so the relay circuit, USB hub and measurement sessions work
     unchanged; what differs is the automation surface (:meth:`run_command`,
-    services) and the absence of ADB, scrcpy and Bluetooth input.
+    services), an operator-switched display, mains power, and the absence
+    of ADB, mirroring, a cellular modem and Bluetooth input.
     """
+
+    CURRENT_TERMS = ("idle", "cpu", "display", "wifi")
+    NOISE_CLIP = (0.85, 1.15)
 
     def __init__(
         self,
@@ -118,71 +121,34 @@ class LinuxDevice(Entity):
         profile: LinuxDeviceProfile = THINKPAD_X250,
         accounting_period: float = 1.0,
     ) -> None:
-        super().__init__(context, f"device:{serial}")
-        self._serial = serial
-        self._profile = profile
-        self.cpu = CpuModel(profile.cpu_cores, self.random.child("cpu"))
-        self.radio = NetworkInterfaceModel()
-        self.services = PackageManager()
-        self.battery: Optional[Battery] = (
-            Battery(profile.battery_capacity_mah, profile.supply_voltage_v)
-            if profile.has_battery
-            else None
-        )
-        self.display: Optional[Screen] = Screen() if profile.has_display else None
-        self._usb_connected = False
-        self._usb_powered = False
+        super().__init__(context, serial, profile, accounting_period)
         self._mains_powered = not profile.has_battery
-        self._bypass_supply_mah = 0.0
-        self._accounting = PeriodicProcess(
-            context.scheduler,
-            accounting_period,
-            self._accounting_tick,
-            label=f"{self.name}:accounting",
-        )
-        self._accounting.start(initial_delay=accounting_period)
 
-    # -- identity --------------------------------------------------------------------
-    @property
-    def serial(self) -> str:
-        return self._serial
-
-    @property
-    def profile(self) -> LinuxDeviceProfile:
-        return self._profile
+    def _new_battery(self) -> Optional[Battery]:
+        profile = self._profile
+        if not profile.has_battery:
+            return None
+        return Battery(profile.battery_capacity_mah, profile.supply_voltage_v)
 
     @property
     def kind(self) -> str:
         return self._profile.kind
 
-    # -- attachment hooks (same surface the hub/relay/session expect) ------------------
-    def connect_usb(self, powered: bool = True) -> None:
-        self._usb_connected = True
-        self._usb_powered = bool(powered)
-
-    def disconnect_usb(self) -> None:
-        self._usb_connected = False
-        self._usb_powered = False
-
-    def set_usb_power(self, powered: bool) -> None:
-        if not self._usb_connected and powered:
-            raise RuntimeError("cannot power a USB port with no device attached")
-        self._usb_powered = bool(powered)
+    @property
+    def services(self) -> PackageManager:
+        return self.packages
 
     @property
-    def usb_connected(self) -> bool:
-        return self._usb_connected
+    def display(self) -> Optional[Screen]:
+        return self.screen if self._profile.has_display else None
 
-    @property
-    def usb_powered(self) -> bool:
-        return self._usb_powered
+    def connect_cellular(self) -> None:
+        raise LinuxDeviceError(f"{self._profile.model} has no cellular modem")
 
-    def connect_wifi(self, ssid: str) -> None:
-        self.radio.enable(RadioTechnology.WIFI, ssid=ssid)
+    def attach_bluetooth_link(self) -> None:
+        raise LinuxDeviceError(f"{self._profile.model} has no Bluetooth input")
 
-    def disconnect_wifi(self) -> None:
-        self.radio.disable(RadioTechnology.WIFI)
-
+    # -- power sources ------------------------------------------------------------------------
     @property
     def mains_powered(self) -> bool:
         return self._mains_powered
@@ -194,6 +160,10 @@ class LinuxDevice(Entity):
                 f"{self._profile.model} has no battery and cannot run unplugged"
             )
         self._mains_powered = bool(powered)
+
+    def _run_on_battery(self, current_ma: float, period: float) -> None:
+        if not self._mains_powered:
+            super()._run_on_battery(current_ma, period)
 
     # -- services (the Linux analogue of app processes) ----------------------------------
     def install_service(self, name: str, description: str = "") -> None:
@@ -243,47 +213,11 @@ class LinuxDevice(Entity):
         raise LinuxDeviceError(f"unsupported command {command!r}")
 
     # -- power model ------------------------------------------------------------------------
-    def refresh_demands(self) -> None:
-        for process in self.services.running_processes():
-            self.cpu.set_demand(process.package, process.cpu_percent)
-        for name in list(self.cpu.process_names):
-            if not self.services.is_running(name):
-                self.cpu.clear_demand(name)
-        total_mbps = sum(p.network_mbps for p in self.services.running_processes())
-        if self.radio.is_enabled(RadioTechnology.WIFI):
-            self.radio.set_throughput(RadioTechnology.WIFI, total_mbps)
+    def _follow_foreground(self, running: List[AppProcess]) -> None:
+        """The display is switched by ``display on|off``, not by running services."""
 
-    def instantaneous_current_ma(self, with_noise: bool = True) -> float:
-        """Current drawn from the measured supply (battery, monitor or mains)."""
-        self.refresh_demands()
-        profile = self._profile
-        total = profile.idle_current_ma
-        total += self.cpu.total_demand() * profile.cpu_current_ma_per_percent
-        if self.display is not None and self.display.on:
-            total += profile.display_current_ma
-        if self.radio.is_enabled(RadioTechnology.WIFI):
-            total += (
-                profile.wifi_idle_current_ma
-                + profile.wifi_active_current_ma_per_mbps
-                * self.radio.throughput(RadioTechnology.WIFI)
-            )
-        if with_noise and total > 0:
-            total *= self.random.clipped_normal(1.0, 0.02, low=0.85, high=1.15)
-        return total
-
-    def _accounting_tick(self, timestamp: float) -> None:
-        period = self._accounting.period
-        current = self.instantaneous_current_ma(with_noise=True)
-        if self.battery is not None and self.battery.connection is BatteryConnection.INTERNAL:
-            if not self._mains_powered:
-                self.battery.drain(current, period)
-        elif self.battery is not None and self.battery.connection is BatteryConnection.BYPASS:
-            self._bypass_supply_mah += current * period / 3600.0
-        self.cpu.sample(timestamp)
-
-    @property
-    def bypass_supply_mah(self) -> float:
-        return self._bypass_supply_mah
+    def _display_ma(self) -> float:
+        return self._profile.display_current_ma if self.screen.on else 0.0
 
     def summary(self) -> Dict[str, object]:
         return {

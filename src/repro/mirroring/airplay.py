@@ -1,156 +1,79 @@
-"""AirPlay mirroring pipeline for iOS devices.
+"""AirPlay receiver: the iOS frame source of a mirroring session.
 
 Android devices are mirrored through scrcpy, which "runs atop of ADB"; for
 iOS "no equivalent software exists, but a similar functionality can be
 achieved combining AirPlay Screen Mirroring with (virtual) keyboard keys"
-(Section 3.2).  :class:`AirPlayMirroringSession` is that pipeline: the iOS
-device streams its screen over AirPlay to a receiver on the controller,
-which feeds the same VNC/noVNC chain used for Android — so experimenters get
-the same browser GUI, with input limited to the Bluetooth keyboard channel.
+(Section 3.2).  :class:`AirPlayReceiver` is the controller-side receiver
+the iOS device streams its screen to; it offers the same interface as
+:class:`~repro.mirroring.scrcpy.ScrcpyClient`, so a
+:class:`~repro.mirroring.session.MirroringSession` feeds it into the same
+VNC/noVNC chain used for Android — experimenters get the same browser GUI,
+with input limited to the Bluetooth keyboard channel.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.device.ios import IOSDevice
-from repro.mirroring.novnc import NoVncGateway, ViewerSession
-from repro.mirroring.vnc import VncServer
-from repro.simulation.entity import SimulationContext
-from repro.simulation.process import PeriodicProcess
 
 
 class AirPlayError(RuntimeError):
-    """Raised when a session is started against an unsupported device."""
+    """Raised when a receiver is bound to an unsupported device."""
 
 
-class _AirPlayFrameSource:
-    """Adapter giving the VNC/noVNC stages the same interface as a scrcpy client."""
-
-    def __init__(self, device: IOSDevice, max_fps: float) -> None:
-        self.device = device
-        self._max_fps = max_fps
-
-    def current_fps(self) -> float:
-        return max(1.0, self.device.screen.activity_fraction() * self._max_fps)
-
-
-class AirPlayMirroringSession:
-    """Full iOS mirroring pipeline (device -> AirPlay receiver -> VNC -> noVNC).
+class AirPlayReceiver:
+    """Controller-side AirPlay receiver bound to one iOS device.
 
     Parameters
     ----------
-    context:
-        Simulation context (for the periodic accounting tick).
     device:
-        The iOS device to mirror.
+        The mirrored iOS device; its AirPlay sender is started/stopped by this receiver.
     bitrate_mbps:
         AirPlay stream bitrate (slightly higher than scrcpy's 1 Mbps default).
+    max_fps:
+        Frame-rate cap of the mirror stream.
     """
 
-    def __init__(
-        self,
-        context: SimulationContext,
-        device: IOSDevice,
-        bitrate_mbps: float = 1.5,
-        display: int = 1,
-        max_fps: float = 30.0,
-        accounting_period: float = 1.0,
-    ) -> None:
+    #: Resident memory of the receiver, Xvnc and websockify, in MB.
+    CONTROLLER_MEMORY_MB = 64.0
+
+    def __init__(self, device: IOSDevice, bitrate_mbps: float = 1.5, max_fps: float = 30.0) -> None:
         if not isinstance(device, IOSDevice):
             raise AirPlayError("AirPlay mirroring only applies to iOS devices")
         if bitrate_mbps <= 0:
             raise ValueError("bitrate must be positive")
-        self._context = context
-        self._device = device
-        self._bitrate_mbps = float(bitrate_mbps)
-        self._source = _AirPlayFrameSource(device, max_fps)
-        self.vnc = VncServer(display=display)
-        self.novnc = NoVncGateway(self.vnc, port=6081)
-        self._active = False
-        self._started_at: Optional[float] = None
-        self._receiver_bytes = 0
-        self._accounting = PeriodicProcess(
-            context.scheduler,
-            accounting_period,
-            self._account_tick,
-            label=f"airplay:{device.udid}",
-        )
+        self.device = device
+        self.bitrate_mbps = float(bitrate_mbps)
+        self._max_fps = max_fps
+        self._running = False
+        self.received_bytes = 0
 
-    @property
-    def device(self) -> IOSDevice:
-        return self._device
-
-    @property
-    def active(self) -> bool:
-        return self._active
-
-    @property
-    def bitrate_mbps(self) -> float:
-        return self._bitrate_mbps
-
-    @property
-    def receiver_bytes(self) -> int:
-        """Bytes received by the controller-side AirPlay receiver so far."""
-        return self._receiver_bytes
-
-    # -- lifecycle ------------------------------------------------------------------
     def start(self) -> None:
-        if self._active:
-            return
-        self._device.start_mirroring_server(bitrate_mbps=self._bitrate_mbps)
-        self.vnc.start(self._source)
-        self.novnc.start(self._device)
-        self._active = True
-        self._started_at = self._context.now
-        self._accounting.start(initial_delay=self._accounting.period)
+        self.device.start_mirroring_server(bitrate_mbps=self.bitrate_mbps)
+        self._running = True
 
     def stop(self) -> None:
-        if not self._active:
-            return
-        self._accounting.stop()
-        self.novnc.stop()
-        self.vnc.stop()
-        self._device.stop_mirroring_server()
-        self._active = False
+        self.device.stop_mirroring_server()
+        self._running = False
 
-    def connect_viewer(self, user: str, role: str = "experimenter") -> ViewerSession:
-        return self.novnc.connect_viewer(user, role)
+    def current_stream_mbps(self) -> float:
+        if not self._running:
+            return 0.0
+        activity = self.device.screen.activity_fraction()
+        return self.bitrate_mbps * max(0.3, min(1.0, 0.5 + activity))
 
-    # -- accounting --------------------------------------------------------------------
-    def _stream_mbps(self) -> float:
-        activity = self._device.screen.activity_fraction()
-        return self._bitrate_mbps * max(0.3, min(1.0, 0.5 + activity))
+    def current_fps(self) -> float:
+        if not self._running:
+            return 0.0
+        return max(1.0, self.device.screen.activity_fraction() * self._max_fps)
 
-    def _account_tick(self, timestamp: float) -> None:
-        period = self._accounting.period
-        stream = self._stream_mbps()
-        self._receiver_bytes += int(round(stream * 1e6 / 8.0 * period))
-        self.vnc.account_interval(period)
-        self.novnc.account_interval(period, stream)
+    def account_interval(self, duration_s: float) -> None:
+        self.received_bytes += int(round(self.current_stream_mbps() * 1e6 / 8.0 * duration_s))
 
     def controller_cpu_percent(self) -> float:
-        """CPU the AirPlay receiver + VNC + noVNC stages cost the controller."""
-        if not self._active:
+        """Decode cost of a shairplay-style receiver."""
+        if not self._running:
             return 0.0
-        activity = self._device.screen.activity_fraction()
-        receiver = 10.0 + 24.0 * activity  # shairplay-style receiver decode cost
-        return receiver + self.vnc.controller_cpu_percent() + self.novnc.controller_cpu_percent()
+        return 10.0 + 24.0 * self.device.screen.activity_fraction()
 
-    def controller_memory_mb(self) -> float:
-        if not self._active:
-            return 0.0
-        return 64.0 + 4.0 * self.novnc.viewer_count()
-
-    def upload_bytes(self) -> int:
-        return self.novnc.upload_bytes
-
-    def status(self) -> dict:
-        return {
-            "device": self._device.udid,
-            "active": self._active,
-            "bitrate_mbps": self._bitrate_mbps,
-            "receiver_bytes": self._receiver_bytes,
-            "upload_bytes": self.upload_bytes(),
-            "viewers": self.novnc.viewer_count(),
-        }
+    def status_fields(self, duration_s: float) -> dict:
+        return {"receiver_bytes": self.received_bytes}

@@ -47,6 +47,9 @@ class ScrcpyClient:
         Frame-rate cap of the mirror stream.
     """
 
+    #: Resident memory of the client, Xvnc and websockify, in MB.
+    CONTROLLER_MEMORY_MB = 58.0
+
     def __init__(
         self,
         device: AndroidDevice,
@@ -141,3 +144,7 @@ class ScrcpyClient:
             return 0.0
         activity = self._device.screen.activity_fraction()
         return 8.0 + 22.0 * activity
+
+    def status_fields(self, duration_s: float) -> dict:
+        """This source's entries in the mirroring session's status."""
+        return {"duration_s": duration_s, "stream_bytes": self._counters.bytes}

@@ -1,36 +1,38 @@
 """Composed mirroring session.
 
 A :class:`MirroringSession` is what the controller starts when the
-``device_mirroring`` API is invoked: the scrcpy client streaming the device
-screen, the VNC session displaying it, and the noVNC gateway publishing it
-to browsers.  The session periodically accounts stream traffic and exposes
-the total controller CPU overhead, which the controller folds into its own
-CPU samples (Figure 5) and memory/network figures (Section 4.2).
+``device_mirroring`` API is invoked: a *frame source* streaming the device
+screen to the controller, the VNC session displaying it, and the noVNC
+gateway publishing it to browsers.  The source is a
+:class:`~repro.mirroring.scrcpy.ScrcpyClient` for Android or an
+:class:`~repro.mirroring.airplay.AirPlayReceiver` for iOS; both offer
+``device``, ``bitrate_mbps``, ``start`` / ``stop``, ``current_stream_mbps``,
+``current_fps``, ``account_interval``, ``controller_cpu_percent``,
+``CONTROLLER_MEMORY_MB`` and ``status_fields``.  The session periodically
+accounts stream traffic and exposes the total controller CPU overhead,
+which the controller folds into its own CPU samples (Figure 5) and
+memory/network figures (Section 4.2).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.device.android import AndroidDevice
 from repro.mirroring.novnc import NoVncGateway, ViewerSession
-from repro.mirroring.scrcpy import ScrcpyClient
 from repro.mirroring.vnc import VncServer
 from repro.simulation.entity import SimulationContext
 from repro.simulation.process import PeriodicProcess
 
 
 class MirroringSession:
-    """Full mirroring pipeline (device -> scrcpy -> VNC -> noVNC -> browser).
+    """Full mirroring pipeline (device -> frame source -> VNC -> noVNC -> browser).
 
     Parameters
     ----------
     context:
         Simulation context (for the periodic accounting tick).
-    device:
-        The Android device to mirror.
-    bitrate_mbps:
-        scrcpy encoder cap (1 Mbps in the paper).
+    source:
+        The frame source bound to the mirrored device (scrcpy or AirPlay).
     display:
         VNC display number on the controller.
     accounting_period:
@@ -40,15 +42,13 @@ class MirroringSession:
     def __init__(
         self,
         context: SimulationContext,
-        device: AndroidDevice,
-        bitrate_mbps: float = 1.0,
+        source,
         display: int = 1,
         novnc_port: int = 6081,
         accounting_period: float = 1.0,
     ) -> None:
         self._context = context
-        self._device = device
-        self.scrcpy = ScrcpyClient(device, bitrate_mbps=bitrate_mbps)
+        self.source = source
         self.vnc = VncServer(display=display)
         self.novnc = NoVncGateway(self.vnc, port=novnc_port)
         self._active = False
@@ -58,12 +58,12 @@ class MirroringSession:
             context.scheduler,
             accounting_period,
             self._account_tick,
-            label=f"mirroring:{device.serial}",
+            label=f"mirroring:{source.device.serial}",
         )
 
     @property
-    def device(self) -> AndroidDevice:
-        return self._device
+    def device(self):
+        return self.source.device
 
     @property
     def active(self) -> bool:
@@ -80,9 +80,9 @@ class MirroringSession:
     def start(self) -> None:
         if self._active:
             return
-        self.scrcpy.start()
-        self.vnc.start(self.scrcpy)
-        self.novnc.start(self._device)
+        self.source.start()
+        self.vnc.start(self.source)
+        self.novnc.start(self.device)
         self._active = True
         self._started_at = self._context.now
         self._stopped_at = None
@@ -94,7 +94,7 @@ class MirroringSession:
         self._accounting.stop()
         self.novnc.stop()
         self.vnc.stop()
-        self.scrcpy.stop()
+        self.source.stop()
         self._active = False
         self._stopped_at = self._context.now
 
@@ -105,25 +105,25 @@ class MirroringSession:
     # -- accounting -------------------------------------------------------------------
     def _account_tick(self, timestamp: float) -> None:
         period = self._accounting.period
-        self.scrcpy.account_interval(period)
+        self.source.account_interval(period)
         self.vnc.account_interval(period)
-        self.novnc.account_interval(period, self.scrcpy.current_stream_mbps())
+        self.novnc.account_interval(period, self.source.current_stream_mbps())
 
     def controller_cpu_percent(self) -> float:
         """Total mirroring CPU overhead on the controller right now."""
         if not self._active:
             return 0.0
         return (
-            self.scrcpy.controller_cpu_percent()
+            self.source.controller_cpu_percent()
             + self.vnc.controller_cpu_percent()
             + self.novnc.controller_cpu_percent()
         )
 
     def controller_memory_mb(self) -> float:
-        """Resident memory of the mirroring pipeline (scrcpy + Xvnc + websockify)."""
+        """Resident memory of the mirroring pipeline (source + Xvnc + websockify)."""
         if not self._active:
             return 0.0
-        return 58.0 + 4.0 * self.novnc.viewer_count()
+        return self.source.CONTROLLER_MEMORY_MB + 4.0 * self.novnc.viewer_count()
 
     def upload_bytes(self) -> int:
         """Bytes shipped to remote viewers so far."""
@@ -131,11 +131,10 @@ class MirroringSession:
 
     def status(self) -> dict:
         return {
-            "device": self._device.serial,
+            "device": self.device.serial,
             "active": self._active,
-            "bitrate_mbps": self.scrcpy.bitrate_mbps,
-            "duration_s": round(self.duration_s, 1),
-            "stream_bytes": self.scrcpy.counters.bytes,
+            "bitrate_mbps": self.source.bitrate_mbps,
+            **self.source.status_fields(round(self.duration_s, 1)),
             "upload_bytes": self.upload_bytes(),
             "viewers": self.novnc.viewer_count(),
         }

@@ -16,11 +16,13 @@ upload traffic (about 32 MB for a ~7 minute mirrored test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.device.adb import AdbServer, AdbTransport
 from repro.device.android import AndroidDevice
+from repro.device.base import DeviceUnderTest
 from repro.device.ios import IOSDevice
+from repro.mirroring.scrcpy import ScrcpyClient
 from repro.mirroring.session import MirroringSession
 from repro.network.link import NetworkLink
 from repro.network.path import NetworkPath
@@ -35,9 +37,6 @@ from repro.vantagepoint.power_socket import MerossPowerSocket
 from repro.vantagepoint.relay import RelayCircuit
 from repro.vantagepoint.usb import UsbHub
 from repro.vantagepoint.wifi_ap import WifiAccessPoint
-
-AnyDevice = Union[AndroidDevice, IOSDevice]
-
 
 class ControllerError(RuntimeError):
     """Raised for unknown devices or invalid controller operations."""
@@ -123,7 +122,7 @@ class VantagePointController(Entity):
         self._monitor: Optional[MonsoonHVPM] = None
         self._power_socket: Optional[MerossPowerSocket] = None
         self.relay = RelayCircuit(self.gpio)
-        self._devices: Dict[str, AnyDevice] = {}
+        self._devices: Dict[str, DeviceUnderTest] = {}
         self._adb_servers: Dict[str, AdbServer] = {}
         self._mirroring: Dict[str, MirroringSession] = {}
         self._cpu_samples: List[ControllerCpuSample] = []
@@ -171,7 +170,7 @@ class VantagePointController(Entity):
     # -- device management --------------------------------------------------------------
     def add_device(
         self,
-        device: AnyDevice,
+        device: DeviceUnderTest,
         usb_port: Optional[int] = None,
         pair_bluetooth: bool = True,
         wire_relay: bool = True,
@@ -204,16 +203,16 @@ class VantagePointController(Entity):
         self._adb_servers.pop(serial, None)
         del self._devices[serial]
 
-    def _require_device(self, serial: str) -> AnyDevice:
+    def _require_device(self, serial: str) -> DeviceUnderTest:
         try:
             return self._devices[serial]
         except KeyError:
             raise ControllerError(f"unknown device {serial!r}") from None
 
-    def device(self, serial: str) -> AnyDevice:
+    def device(self, serial: str) -> DeviceUnderTest:
         return self._require_device(serial)
 
-    def devices(self) -> List[AnyDevice]:
+    def devices(self) -> List[DeviceUnderTest]:
         return [self._devices[serial] for serial in sorted(self._devices)]
 
     def list_devices(self) -> List[str]:
@@ -267,31 +266,22 @@ class VantagePointController(Entity):
         self._monitor.set_vout(voltage_v)
 
     # -- mirroring --------------------------------------------------------------------------------
-    def start_mirroring(self, serial: str, bitrate_mbps: float = 1.0):
+    def start_mirroring(self, serial: str, bitrate_mbps: float = 1.0) -> MirroringSession:
         """Activate device mirroring: scrcpy for Android, AirPlay for iOS."""
         device = self._require_device(serial)
         session = self._mirroring.get(serial)
         if session is None or not session.active:
             if isinstance(device, AndroidDevice):
-                session = MirroringSession(
-                    self.context,
-                    device,
-                    bitrate_mbps=bitrate_mbps,
-                    display=len(self._mirroring) + 1,
-                )
+                source = ScrcpyClient(device, bitrate_mbps=bitrate_mbps)
             elif isinstance(device, IOSDevice):
-                from repro.mirroring.airplay import AirPlayMirroringSession
+                from repro.mirroring.airplay import AirPlayReceiver
 
-                session = AirPlayMirroringSession(
-                    self.context,
-                    device,
-                    bitrate_mbps=max(bitrate_mbps, 1.5),
-                    display=len(self._mirroring) + 1,
-                )
+                source = AirPlayReceiver(device, bitrate_mbps=max(bitrate_mbps, 1.5))
             else:
                 raise ControllerError(
                     f"device {serial!r} does not support mirroring (no scrcpy or AirPlay path)"
                 )
+            session = MirroringSession(self.context, source, display=len(self._mirroring) + 1)
             self._mirroring[serial] = session
             session.start()
         return session

@@ -29,6 +29,7 @@ from repro.experiments.browser_study import run_browser_study
 from repro.experiments.controller_load import run_controller_load_experiment
 from repro.experiments.system_perf import run_system_performance
 from repro.experiments.vpn_study import run_vpn_energy_study, run_vpn_speedtests
+from repro.mirroring.scrcpy import ScrcpyClient
 from repro.mirroring.session import MirroringSession
 from repro.network.vpn import PROTONVPN_LOCATIONS
 from repro.network.web import NEWS_SITES
@@ -335,7 +336,7 @@ class TestAblations:
         for bitrate in (0.5, 1.0, 2.0, 4.0):
             platform, controller, device = _playing_video(200.0)
             plain = MeasurementSession(controller, device.serial).measure(20.0)
-            mirror = MirroringSession(platform.context, device, bitrate_mbps=bitrate)
+            mirror = MirroringSession(platform.context, ScrcpyClient(device, bitrate_mbps=bitrate))
             mirror.start()
             mirror.connect_viewer("experimenter")
             mirrored = MeasurementSession(controller, device.serial).measure(20.0)

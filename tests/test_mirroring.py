@@ -88,7 +88,7 @@ class TestVncAndNoVnc:
         assert vnc.controller_cpu_percent() == 0.0
 
     def test_novnc_viewer_lifecycle(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         session.start()
         viewer = session.connect_viewer("alice", role="experimenter")
         assert session.novnc.viewer_count() == 1
@@ -99,12 +99,12 @@ class TestVncAndNoVnc:
             session.novnc.disconnect_viewer(viewer.session_id)
 
     def test_novnc_rejects_viewers_when_stopped(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         with pytest.raises(NoVncError):
             session.novnc.connect_viewer("alice")
 
     def test_toolbar_visibility_for_testers(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         session.start()
         session.novnc.toolbar.hide()
         tester = session.connect_viewer("bob", role="tester")
@@ -116,7 +116,7 @@ class TestVncAndNoVnc:
 
 class TestMirroringSession:
     def test_session_lifecycle_and_accounting(self, context, busy_device):
-        session = MirroringSession(context, busy_device, bitrate_mbps=1.0)
+        session = MirroringSession(context, ScrcpyClient(busy_device, bitrate_mbps=1.0))
         session.start()
         session.connect_viewer("alice")
         context.run_for(60.0)
@@ -131,13 +131,13 @@ class TestMirroringSession:
         assert session.controller_memory_mb() == 0.0
 
     def test_upload_requires_viewer(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         session.start()
         context.run_for(30.0)
         assert session.upload_bytes() == 0
 
     def test_double_start_and_stop_are_idempotent(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         session.start()
         session.start()
         session.stop()
@@ -145,7 +145,7 @@ class TestMirroringSession:
         assert not busy_device.mirroring_active
 
     def test_status(self, context, busy_device):
-        session = MirroringSession(context, busy_device)
+        session = MirroringSession(context, ScrcpyClient(busy_device))
         session.start()
         status = session.status()
         assert status["device"] == busy_device.serial

@@ -5,7 +5,8 @@ import pytest
 from repro.device.apps import InstalledApp
 from repro.device.ios import IOSDevice
 from repro.device.profiles import IPHONE_8
-from repro.mirroring.airplay import AirPlayError, AirPlayMirroringSession
+from repro.mirroring.airplay import AirPlayError, AirPlayReceiver
+from repro.mirroring.session import MirroringSession
 
 
 @pytest.fixture
@@ -22,14 +23,14 @@ def iphone(context) -> IOSDevice:
 class TestAirPlaySession:
     def test_requires_ios_device(self, context, device):
         with pytest.raises(AirPlayError):
-            AirPlayMirroringSession(context, device)
+            AirPlayReceiver(device)
 
     def test_invalid_bitrate(self, context, iphone):
         with pytest.raises(ValueError):
-            AirPlayMirroringSession(context, iphone, bitrate_mbps=0)
+            AirPlayReceiver(iphone, bitrate_mbps=0)
 
     def test_start_stop_toggles_device_mirroring(self, context, iphone):
-        session = AirPlayMirroringSession(context, iphone)
+        session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
         assert session.active
         assert iphone.mirroring_active
@@ -39,17 +40,17 @@ class TestAirPlaySession:
 
     def test_mirroring_increases_device_current(self, context, iphone):
         before = iphone.instantaneous_current_ma(with_noise=False)
-        session = AirPlayMirroringSession(context, iphone)
+        session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
         after = iphone.instantaneous_current_ma(with_noise=False)
         assert after > before + 20.0
 
     def test_accounting_and_viewers(self, context, iphone):
-        session = AirPlayMirroringSession(context, iphone)
+        session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
         session.connect_viewer("alice")
         context.run_for(30.0)
-        assert session.receiver_bytes > 0
+        assert session.source.received_bytes > 0
         assert session.upload_bytes() > 0
         assert session.controller_cpu_percent() > 10.0
         assert session.controller_memory_mb() > 0
@@ -60,7 +61,7 @@ class TestAirPlaySession:
         assert session.controller_cpu_percent() == 0.0
 
     def test_double_start_is_idempotent(self, context, iphone):
-        session = AirPlayMirroringSession(context, iphone)
+        session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
         session.start()
         session.stop()
@@ -69,7 +70,7 @@ class TestAirPlaySession:
 
     def test_input_still_goes_through_keyboard_not_gui(self, context, iphone):
         """AirPlay mirroring is view-only in BatteryLab; input uses the BT keyboard."""
-        session = AirPlayMirroringSession(context, iphone)
+        session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
         viewer = session.connect_viewer("alice")
         # The GUI can still forward events, but the canonical iOS input path is

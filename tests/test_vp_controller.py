@@ -49,14 +49,14 @@ class TestDeviceManagement:
             controller.batt_switch("missing", True)
 
     def test_ios_device_has_no_adb_but_mirrors_via_airplay(self, platform, controller):
-        from repro.mirroring.airplay import AirPlayMirroringSession
+        from repro.mirroring.airplay import AirPlayReceiver
 
         iphone = IOSDevice(platform.context, udid="ios-dev", profile=IPHONE_8)
         controller.add_device(iphone, wire_relay=False)
         with pytest.raises(ControllerError):
             controller.adb_server("ios-dev")
         session = controller.start_mirroring("ios-dev")
-        assert isinstance(session, AirPlayMirroringSession)
+        assert isinstance(session.source, AirPlayReceiver)
         assert iphone.mirroring_active
         controller.stop_mirroring("ios-dev")
         assert not iphone.mirroring_active
