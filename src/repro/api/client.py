@@ -41,7 +41,7 @@ import json
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.api.errors import (
     ApiError,
@@ -344,25 +344,10 @@ class ClientPipeline:
     def fleet(self) -> PipelineResult:
         return self.call("fleet.list", decoder=FleetView.from_wire)
 
-    def submit_job(self, name: str, payload: str, **kwargs) -> PipelineResult:
-        """Stage a ``job.submit``; ``payload`` must be a registered name."""
-        constraints = JobConstraintsV1(
-            vantage_point=kwargs.get("vantage_point"),
-            device_serial=kwargs.get("device_serial"),
-            connectivity=kwargs.get("connectivity"),
-        )
-        body = {
-            "name": name,
-            "payload": payload,
-            "owner": kwargs.get("owner"),
-            "description": kwargs.get("description", ""),
-            "priority": kwargs.get("priority", 0.0),
-            "timeout_s": kwargs.get("timeout_s", 3600.0),
-            "is_pipeline_change": kwargs.get("is_pipeline_change", False),
-            "log_retention_days": kwargs.get("log_retention_days", 7.0),
-            "constraints": constraints.to_wire(),
-        }
-        return self.call("job.submit", body, decoder=JobView.from_wire)
+    def submit_job(self, name: str, payload: Union[str, Callable], **kwargs) -> PipelineResult:
+        """Stage a ``job.submit``; takes :meth:`BatteryLabClient.submit_job`'s arguments."""
+        body, version = self._client._submit_request(name, payload, **kwargs)
+        return self.call("job.submit", body, version, decoder=JobView.from_wire)
 
     def flush(self) -> List[object]:
         """Send the staged batch; returns decoded values in staging order."""
@@ -556,7 +541,19 @@ class BatteryLabClient:
         return bool(wire.get("revoked", False))
 
     # -- jobs ---------------------------------------------------------------
-    def submit_job(
+    def submit_job(self, name: str, payload: Union[str, Callable], **options) -> JobView:
+        """Submit one job; returns its :class:`~repro.api.schemas.JobView`.
+
+        ``payload`` is the server-side payload catalogue name; a callable is
+        auto-registered under ``client/<username>/<name>`` first (local-use
+        convenience, see the module docstring).  The keyword ``options`` are
+        :meth:`_submit_request`'s: ownership, priority, timeout and retention,
+        the constraints, ``execution`` and ``idempotency_key``.
+        """
+        body, version = self._submit_request(name, payload, **options)
+        return JobView.from_wire(self._call("job.submit", body, version))
+
+    def _submit_request(
         self,
         name: str,
         payload: Union[str, Callable],
@@ -576,15 +573,11 @@ class BatteryLabClient:
         device_count: int = 1,
         connector: Optional[str] = None,
         execution: str = "push",
-    ) -> JobView:
-        """Submit one job; returns its :class:`~repro.api.schemas.JobView`.
+    ) -> Tuple[dict, Optional[str]]:
+        """The ``job.submit`` body and API version of one submission.
 
-        ``payload`` is the server-side payload catalogue name; a callable is
-        auto-registered under ``client/<username>/<name>`` first (local-use
-        convenience, see the module docstring).  ``idempotency_key`` (v2)
-        makes retrying this exact call safe: the server returns the original
-        job instead of enqueueing a duplicate.
-
+        ``idempotency_key`` (v2) makes retrying this exact call safe: the
+        server returns the original job instead of enqueueing a duplicate.
         On a reconnecting transport a v2 submission without an explicit key
         gets a generated one: the transport may transparently resend the
         request after a gateway drop (drain, rolling restart), and without
@@ -628,8 +621,7 @@ class BatteryLabClient:
             # v1 servers and goldens never see it.
             body["execution"] = execution
             version = API_VERSION_V2
-        wire = self._call("job.submit", body, version)
-        return JobView.from_wire(wire)
+        return body, version
 
     def _resolve_payload_name(self, job_name: str, payload: Union[str, Callable]) -> str:
         if isinstance(payload, str):
