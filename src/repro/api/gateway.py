@@ -294,10 +294,6 @@ class _Connection:
         with self._lock:
             return len(self._requests)
 
-    def has_pushes(self) -> bool:
-        with self._lock:
-            return bool(self._push_queue)
-
     # -- teardown -------------------------------------------------------------
     def mark_closed(self) -> None:
         with self._lock:

@@ -6,6 +6,7 @@ submit → dispatch → results with no in-process shortcuts.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -538,3 +539,100 @@ class TestGatewayTelemetry:
         assert sum(sample.value for sample in requests) >= 1.0
         histograms = {sample.name for sample in view.histograms}
         assert "gateway_batch_seconds" in histograms
+
+
+class _BackPressureGateway(ApiGateway):
+    """Records a connection's backlog when its reads pause and resume."""
+
+    def __init__(self, router):
+        super().__init__(router)
+        self.paused_at = []
+        self.resumed_at = []
+
+    def _consume_lines(self, connection):
+        was_paused = connection.read_paused
+        super()._consume_lines(connection)
+        if connection.read_paused and not was_paused:
+            self.paused_at.append(connection.backlog())
+
+    def _maybe_resume_reads(self, connection):
+        was_paused = connection.read_paused
+        super()._maybe_resume_reads(connection)
+        if was_paused and not connection.read_paused:
+            self.resumed_at.append(connection.backlog())
+
+
+class TestPipelineBackPressure:
+    """A connection more than ``MAX_PIPELINE_DEPTH`` requests ahead of the
+    dispatch thread stops being read until its backlog halves; nothing is
+    dropped or reordered."""
+
+    AUTH = {"username": "experimenter", "token": "experimenter-token"}
+
+    def test_reads_pause_at_the_depth_and_resume_below_half(self, platform):
+        import threading
+
+        server = platform.access_server
+        original = server.submit_job
+        entered, release = threading.Event(), threading.Event()
+
+        def held_submit(user, spec, *args, **kwargs):
+            if spec.name == "hold":
+                entered.set()
+                assert release.wait(timeout=30.0)
+            return original(user, spec, *args, **kwargs)
+
+        server.submit_job = held_submit
+        gateway = _BackPressureGateway(ApiRouter(server))
+        gateway.start()
+        total = 1100
+        blob = b"".join(
+            json.dumps(
+                {
+                    "op": "job.submit",
+                    "version": "1.0",
+                    "auth": self.AUTH,
+                    "payload": {"name": f"deep-{index}", "payload": "noop"},
+                    "request_id": index,
+                }
+            ).encode("utf-8")
+            + b"\n"
+            for index in range(1, total + 1)
+        )
+        responses = []
+
+        def pipeline():
+            with socket.create_connection(gateway.address, timeout=30.0) as sock:
+                sock.sendall(blob)
+                reader = sock.makefile("rb")
+                responses.extend(json.loads(reader.readline()) for _ in range(total))
+
+        try:
+            with BatteryLabClient(
+                JsonLinesTransport(*gateway.address, timeout_s=30.0),
+                "experimenter",
+                "experimenter-token",
+            ) as holder:
+                holding = threading.Thread(target=lambda: holder.submit_job("hold", "noop"))
+                holding.start()
+                assert entered.wait(timeout=10.0)  # the one dispatch thread is held
+                deep = threading.Thread(target=pipeline)
+                deep.start()
+                deadline = time.monotonic() + 10.0
+                while not gateway.paused_at and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert gateway.paused_at, "reads never paused"
+                assert ApiGateway.MAX_PIPELINE_DEPTH <= gateway.paused_at[0] <= total
+                assert not responses
+                release.set()
+                deep.join(timeout=30.0)
+                holding.join(timeout=30.0)
+        finally:
+            release.set()
+            server.submit_job = original
+            gateway.stop()
+        assert [r["request_id"] for r in responses] == list(range(1, total + 1))
+        assert all(r["ok"] for r in responses)
+        assert gateway.resumed_at and gateway.resumed_at[0] < ApiGateway.MAX_PIPELINE_DEPTH // 2
+        pauses = server.obs.registry.family("gateway_read_pauses_total").labels().value
+        assert pauses == 1
