@@ -26,7 +26,8 @@ re-derives by hand at each re-anchor.
 ``--uncalled`` prints a census instead: every function defined under
 ``src/repro`` that no tier-1 test calls.  The tier-1 suite runs in one child
 interpreter under a ``sys.setprofile`` / ``threading.setprofile`` hook that
-records each code object entered; an AST walk of ``src/repro`` lists the
+records each code object entered (re-installed before each test phase,
+since a test that profiles with ``cProfile`` replaces it); an AST walk of ``src/repro`` lists the
 defined functions, and a function is called when a recorded code object
 starts on its first line.  Code reached only inside a process a test
 spawns (``serve``, ``agent``) counts as uncalled.  The suite runs without
@@ -135,6 +136,8 @@ with tempfile.TemporaryDirectory() as state_dir:
 
 #: Runs tier-1 under the profile hook; writes the entered code objects'
 #: ``[file, first line]`` to ``argv[1]`` and exits with pytest's status.
+#: A test that runs ``cProfile`` replaces the main thread's hook, so the
+#: plugin re-installs it before every setup, call and teardown phase.
 CENSUS_PROBE = """\
 import json, os, sys, threading
 codes = {}
@@ -147,7 +150,21 @@ def entered(frame, event, arg):
 sys.setprofile(entered)
 threading.setprofile(entered)
 import pytest
-status = pytest.main(["-q", "-p", "no:cacheprovider"])
+
+class Rehook:
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_setup(self, item):
+        sys.setprofile(entered)
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_call(self, item):
+        sys.setprofile(entered)
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_teardown(self, item):
+        sys.setprofile(entered)
+
+status = pytest.main(["-q", "-p", "no:cacheprovider"], plugins=[Rehook()])
 sys.setprofile(None)
 threading.setprofile(None)
 called = {(os.path.abspath(c.co_filename), c.co_firstlineno) for c in codes.values()}
