@@ -156,7 +156,7 @@ class AndroidDevice(DeviceUnderTest):
             "battery_percent": round(self.battery.level_percent, 1),
             "battery_connection": self.battery.connection.value,
             "screen_on": self.screen.on,
-            "mirroring": self._mirroring.active,
+            "mirroring": self._mirroring_active,
             "usb_powered": self._usb_powered,
             "wifi": self.radio.is_enabled(RadioTechnology.WIFI),
             "cellular": self.radio.is_enabled(RadioTechnology.CELLULAR),

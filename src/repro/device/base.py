@@ -14,7 +14,6 @@ OS classes add only what is their own, as class attributes and overrides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.device.apps import AppProcess, InstalledApp, PackageManager
@@ -24,14 +23,6 @@ from repro.device.radio import NetworkInterfaceModel, RadioTechnology
 from repro.device.screen import Screen
 from repro.simulation.entity import Entity, SimulationContext
 from repro.simulation.process import PeriodicProcess
-
-
-@dataclass
-class MirroringServerState:
-    """Device-side state of a screen-mirroring session (scrcpy or AirPlay)."""
-
-    active: bool = False
-    bitrate_mbps: float = 1.0
 
 
 class DeviceUnderTest(Entity):
@@ -90,7 +81,8 @@ class DeviceUnderTest(Entity):
         self._bluetooth_links = 0
         self._usb_connected = False
         self._usb_powered = False
-        self._mirroring = MirroringServerState()
+        self._mirroring_active = False
+        self._mirroring_bitrate_mbps = 1.0
         self._bypass_supply_mah = 0.0
         self._accounting = PeriodicProcess(
             context.scheduler,
@@ -175,18 +167,18 @@ class DeviceUnderTest(Entity):
             raise RuntimeError(f"{self._profile.model} has no on-device mirroring server")
         if bitrate_mbps <= 0:
             raise ValueError(f"bitrate must be positive, got {bitrate_mbps!r}")
-        self._mirroring.active = True
-        self._mirroring.bitrate_mbps = float(bitrate_mbps)
+        self._mirroring_active = True
+        self._mirroring_bitrate_mbps = float(bitrate_mbps)
         self.log(f"{self.MIRRORING_PROCESS} started", bitrate_mbps=bitrate_mbps)
 
     def stop_mirroring_server(self) -> None:
-        self._mirroring.active = False
+        self._mirroring_active = False
         self.cpu.clear_demand(self.MIRRORING_PROCESS)
         self.log(f"{self.MIRRORING_PROCESS} stopped")
 
     @property
     def mirroring_active(self) -> bool:
-        return self._mirroring.active
+        return self._mirroring_active
 
     def mirroring_stream_mbps(self) -> float:
         """Uplink throughput of the mirroring stream right now.
@@ -194,11 +186,11 @@ class DeviceUnderTest(Entity):
         The encoder only ships frames when the screen content changes, so
         the effective bitrate scales with screen activity up to the cap.
         """
-        if not self._mirroring.active:
+        if not self._mirroring_active:
             return 0.0
         floor, offset = self.MIRRORING_STREAM_SHARE
         activity = self.screen.activity_fraction()
-        return self._mirroring.bitrate_mbps * max(floor, min(1.0, offset + activity))
+        return self._mirroring_bitrate_mbps * max(floor, min(1.0, offset + activity))
 
     def _mirroring_cpu_percent(self) -> float:
         static, per_activity = self.MIRRORING_CPU_PERCENT
@@ -219,7 +211,7 @@ class DeviceUnderTest(Entity):
                 self.cpu.clear_demand(package)
         self._follow_foreground(running)
         # The mirroring server's demand depends on the freshly computed screen activity.
-        if self._mirroring.active:
+        if self._mirroring_active:
             self.cpu.set_demand(self.MIRRORING_PROCESS, self._mirroring_cpu_percent())
         # Radio throughput: foreground + background app traffic plus the
         # mirroring uplink, all carried over the default route.
@@ -263,7 +255,7 @@ class DeviceUnderTest(Entity):
         return self.cpu.total_demand() * self._profile.cpu_current_ma_per_percent
 
     def _hw_encoder_ma(self) -> float:
-        return self._profile.hw_encoder_current_ma if self._mirroring.active else 0.0
+        return self._profile.hw_encoder_current_ma if self._mirroring_active else 0.0
 
     def _wifi_ma(self) -> float:
         if not self.radio.is_enabled(RadioTechnology.WIFI):
@@ -338,6 +330,3 @@ class DeviceUnderTest(Entity):
     @property
     def accounting(self) -> PeriodicProcess:
         return self._accounting
-
-    def cpu_utilisation_series(self) -> List[float]:
-        return self.cpu.utilisation_series()

@@ -59,5 +59,5 @@ class IOSDevice(DeviceUnderTest):
             "battery_percent": round(self.battery.level_percent, 1),
             "battery_connection": self.battery.connection.value,
             "screen_on": self.screen.on,
-            "mirroring": self._mirroring.active,
+            "mirroring": self._mirroring_active,
         }
