@@ -38,6 +38,13 @@ class TestProfiles:
             iot_node.set_mains_powered(False)
 
 
+    def test_no_cellular_modem_or_bluetooth_input(self, laptop):
+        with pytest.raises(LinuxDeviceError):
+            laptop.connect_cellular()
+        with pytest.raises(LinuxDeviceError):
+            laptop.attach_bluetooth_link()
+
+
 class TestPowerModel:
     def test_idle_current_near_profile_floor(self, iot_node):
         current = iot_node.instantaneous_current_ma(with_noise=False)
