@@ -38,6 +38,7 @@ from repro.vantagepoint.relay import RelayCircuit
 from repro.vantagepoint.usb import UsbHub
 from repro.vantagepoint.wifi_ap import WifiAccessPoint
 
+
 class ControllerError(RuntimeError):
     """Raised for unknown devices or invalid controller operations."""
 
