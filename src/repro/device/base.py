@@ -58,6 +58,13 @@ class DeviceUnderTest(Entity):
 
     rooted = False
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Resolved once per class: a reading runs on every monitor tick.
+        cls._current_readers = tuple(
+            (term, getattr(cls, f"_{term}_ma")) for term in cls.CURRENT_TERMS
+        )
+
     def __init__(
         self,
         context: SimulationContext,
@@ -282,7 +289,7 @@ class DeviceUnderTest(Entity):
     def _currents(self) -> Tuple[Dict[str, float], float, float]:
         """Per-component currents, the USB offset and the total, in mA (no noise)."""
         self.refresh_demands()
-        currents = {term: getattr(self, f"_{term}_ma")() for term in self.CURRENT_TERMS}
+        currents = {term: read(self) for term, read in self._current_readers}
         gross = 0.0
         for current in currents.values():  # strictly left to right, unlike sum()
             gross += current
