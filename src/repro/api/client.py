@@ -591,7 +591,7 @@ class BatteryLabClient:
             and (self._session_token is not None or self._version == API_VERSION_V2)
         ):
             idempotency_key = uuid.uuid4().hex
-        payload_name = self._resolve_payload_name(name, payload)
+        payload_name = payload if isinstance(payload, str) else self._callable_name(name, payload)
         constraints = JobConstraintsV1(
             vantage_point=vantage_point,
             device_serial=device_serial,
@@ -623,9 +623,8 @@ class BatteryLabClient:
             version = API_VERSION_V2
         return body, version
 
-    def _resolve_payload_name(self, job_name: str, payload: Union[str, Callable]) -> str:
-        if isinstance(payload, str):
-            return payload
+    def _callable_name(self, job_name: str, payload: Callable) -> str:
+        """The catalogue name of a callable payload, registering it first."""
         if not callable(payload):
             raise TransportApiError(
                 f"payload must be a registered name or a callable, got {payload!r}"
