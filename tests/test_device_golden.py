@@ -188,5 +188,7 @@ if __name__ == "__main__":
     record = golden_record()
     lines = ",\n".join(json.dumps(row, sort_keys=True) for row in record.pop("rows"))
     head = json.dumps(record, indent=1, sort_keys=True)
+    # One row per line, so a moved number shows as one changed line; head[:-2]
+    # drops the closing "\n}" to append the rows to the same object.
     GOLDEN.write_text(head[:-2] + ',\n "rows": [\n' + lines + "\n ]\n}\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
