@@ -70,11 +70,6 @@ class TestPowerAndMirroring:
         assert iphone.instantaneous_current_ma(with_noise=False) == idle_current
         assert iphone.cpu.total_demand() == idle_demand
 
-    def test_airplay_demand_outlives_the_app_refresh(self, iphone):
-        iphone.start_mirroring_server()
-        iphone.refresh_demands()
-        assert iphone.cpu.demand("airplayd") > 0.0
-
     def test_usb_power_masks_external_draw(self, iphone):
         iphone.connect_usb(powered=True)
         assert iphone.instantaneous_current_ma(with_noise=False) == 0.0
