@@ -58,8 +58,7 @@ class AirPlayReceiver:
     def current_stream_mbps(self) -> float:
         if not self._running:
             return 0.0
-        activity = self.device.screen.activity_fraction()
-        return self.bitrate_mbps * max(0.3, min(1.0, 0.5 + activity))
+        return self.device.mirroring_stream_mbps()
 
     def current_fps(self) -> float:
         if not self._running:
@@ -76,4 +75,4 @@ class AirPlayReceiver:
         return 10.0 + 24.0 * self.device.screen.activity_fraction()
 
     def status_fields(self, duration_s: float) -> dict:
-        return {"receiver_bytes": self.received_bytes}
+        return {"duration_s": duration_s, "stream_bytes": self.received_bytes}

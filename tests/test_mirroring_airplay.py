@@ -60,6 +60,17 @@ class TestAirPlaySession:
         session.stop()
         assert session.controller_cpu_percent() == 0.0
 
+    def test_receiver_counts_the_stream_the_iphone_sends(self, context, iphone):
+        """The radio and the receiver see one stream: the device's own uplink."""
+        session = MirroringSession(context, AirPlayReceiver(iphone, bitrate_mbps=2.2))
+        session.start()
+        sent = 0
+        for _ in range(30):
+            context.run_for(1.0)
+            sent += int(round(iphone.mirroring_stream_mbps() * 1e6 / 8.0))
+        assert sent > 0
+        assert session.status()["stream_bytes"] == sent
+
     def test_double_start_is_idempotent(self, context, iphone):
         session = MirroringSession(context, AirPlayReceiver(iphone))
         session.start()
