@@ -68,8 +68,14 @@ class BatteryLabAPI:
         """List ADB ids of the test devices at this vantage point."""
         return self._controller.list_devices()
 
-    def device_mirroring(self, device_id: str, bitrate_mbps: float = 1.0) -> MirroringSession:
-        """Activate device mirroring for ``device_id`` and return the session."""
+    def device_mirroring(
+        self, device_id: str, bitrate_mbps: Optional[float] = None
+    ) -> MirroringSession:
+        """Activate device mirroring for ``device_id`` and return the session.
+
+        ``bitrate_mbps`` caps the stream; ``None`` takes the source's default
+        (1 Mbps for scrcpy, 1.5 Mbps for AirPlay).
+        """
         already_on = self._controller.mirroring_active(device_id)
         session = self._controller.start_mirroring(device_id, bitrate_mbps=bitrate_mbps)
         if not already_on:

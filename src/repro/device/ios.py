@@ -47,10 +47,6 @@ class IOSDevice(DeviceUnderTest):
     def udid(self) -> str:
         return self._serial
 
-    def start_mirroring_server(self, bitrate_mbps: float = 1.5) -> None:
-        """Start AirPlay screen mirroring to the controller."""
-        super().start_mirroring_server(bitrate_mbps)
-
     def summary(self) -> Dict[str, object]:
         return {
             "udid": self._serial,

@@ -16,9 +16,7 @@ paper measures ~32 MB of upload for a ~7 minute test against scrcpy's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.mirroring.vnc import VncServer
+from typing import Dict, List
 
 
 class NoVncError(RuntimeError):
@@ -61,40 +59,20 @@ class ViewerSession:
 
 
 class NoVncGateway:
-    """The websockified HTTPS front-end for one mirrored device.
+    """The websockified HTTPS front-end (port 6081) for one mirrored device."""
 
-    Parameters
-    ----------
-    vnc:
-        The VNC session being exposed.
-    port:
-        HTTPS/WebSocket port (BatteryLab uses 6081).
-    compression_ratio:
-        Output bytes per input byte of the scrcpy stream; noVNC's extra
-        compression is what brings the 1 Mbps stream down to ~32 MB per
-        7-minute test.
-    """
+    #: Output bytes per input byte of the mirror stream; noVNC's extra
+    #: compression is what brings the 1 Mbps stream down to ~32 MB per
+    #: 7-minute test.
+    COMPRESSION_RATIO = 0.72
 
-    def __init__(self, vnc: VncServer, port: int = 6081, compression_ratio: float = 0.72) -> None:
-        if not 0 < compression_ratio <= 1.0:
-            raise ValueError("compression_ratio must be in (0, 1]")
-        self._vnc = vnc
-        self._port = port
-        self._compression_ratio = float(compression_ratio)
+    def __init__(self) -> None:
         self._running = False
         self._viewers: Dict[str, ViewerSession] = {}
         self._toolbar = GuiToolbar()
         self._upload_bytes = 0
         self._next_session = 1
         self._device = None
-
-    @property
-    def port(self) -> int:
-        return self._port
-
-    @property
-    def running(self) -> bool:
-        return self._running
 
     @property
     def toolbar(self) -> GuiToolbar:
@@ -104,10 +82,6 @@ class NoVncGateway:
     def upload_bytes(self) -> int:
         """Bytes uploaded to remote viewers so far."""
         return self._upload_bytes
-
-    @property
-    def compression_ratio(self) -> float:
-        return self._compression_ratio
 
     def start(self, device) -> None:
         self._running = True
@@ -171,7 +145,7 @@ class NoVncGateway:
             raise ValueError("duration must be non-negative")
         if not self._running or self.viewer_count() == 0:
             return
-        compressed_mbps = stream_mbps * self._compression_ratio
+        compressed_mbps = stream_mbps * self.COMPRESSION_RATIO
         self._upload_bytes += int(round(compressed_mbps * 1e6 / 8.0 * duration_s))
 
     def controller_cpu_percent(self) -> float:
@@ -182,12 +156,3 @@ class NoVncGateway:
             return 0.0
         activity = self._device.screen.activity_fraction()
         return 6.0 + 12.0 * activity
-
-    def status(self) -> dict:
-        return {
-            "running": self._running,
-            "port": self._port,
-            "viewers": self.viewer_count(),
-            "toolbar_visible": self._toolbar.visible,
-            "upload_bytes": self._upload_bytes,
-        }

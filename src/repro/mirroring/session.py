@@ -4,14 +4,12 @@ A :class:`MirroringSession` is what the controller starts when the
 ``device_mirroring`` API is invoked: a *frame source* streaming the device
 screen to the controller, the VNC session displaying it, and the noVNC
 gateway publishing it to browsers.  The source is a
-:class:`~repro.mirroring.scrcpy.ScrcpyClient` for Android or an
-:class:`~repro.mirroring.airplay.AirPlayReceiver` for iOS; both offer
-``device``, ``bitrate_mbps``, ``start`` / ``stop``, ``current_stream_mbps``,
-``current_fps``, ``account_interval``, ``controller_cpu_percent``,
-``CONTROLLER_MEMORY_MB`` and ``status_fields``.  The session periodically
-accounts stream traffic and exposes the total controller CPU overhead,
-which the controller folds into its own CPU samples (Figure 5) and
-memory/network figures (Section 4.2).
+:class:`~repro.mirroring.source.FrameSource`: a
+:class:`~repro.mirroring.source.ScrcpyClient` for Android or an
+:class:`~repro.mirroring.source.AirPlayReceiver` for iOS.  The session
+periodically accounts stream traffic and exposes the total controller CPU
+overhead, which the controller folds into its own CPU samples (Figure 5)
+and memory/network figures (Section 4.2).
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.mirroring.novnc import NoVncGateway, ViewerSession
+from repro.mirroring.source import FrameSource
 from repro.mirroring.vnc import VncServer
 from repro.simulation.entity import SimulationContext
 from repro.simulation.process import PeriodicProcess
@@ -42,15 +41,14 @@ class MirroringSession:
     def __init__(
         self,
         context: SimulationContext,
-        source,
+        source: FrameSource,
         display: int = 1,
-        novnc_port: int = 6081,
         accounting_period: float = 1.0,
     ) -> None:
         self._context = context
         self.source = source
         self.vnc = VncServer(display=display)
-        self.novnc = NoVncGateway(self.vnc, port=novnc_port)
+        self.novnc = NoVncGateway()
         self._active = False
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
@@ -106,7 +104,6 @@ class MirroringSession:
     def _account_tick(self, timestamp: float) -> None:
         period = self._accounting.period
         self.source.account_interval(period)
-        self.vnc.account_interval(period)
         self.novnc.account_interval(period, self.source.current_stream_mbps())
 
     def controller_cpu_percent(self) -> float:
@@ -134,7 +131,8 @@ class MirroringSession:
             "device": self.device.serial,
             "active": self._active,
             "bitrate_mbps": self.source.bitrate_mbps,
-            **self.source.status_fields(round(self.duration_s, 1)),
+            "duration_s": round(self.duration_s, 1),
+            "stream_bytes": self.source.counters.bytes,
             "upload_bytes": self.upload_bytes(),
             "viewers": self.novnc.viewer_count(),
         }

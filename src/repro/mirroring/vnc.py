@@ -2,45 +2,26 @@
 
 The device mirror is displayed inside a VNC session on the controller, and
 access is limited to that visual element (Section 3.2).  The model tracks
-the session lifecycle, the framebuffer update rate it inherits from the
-scrcpy client, and its CPU cost on the controller.
+the session lifecycle, the framebuffer updates it inherits from the frame
+source, and its CPU cost on the controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.mirroring.scrcpy import ScrcpyClient
-
-
-class VncError(RuntimeError):
-    """Raised for operations on a stopped VNC session."""
-
-
-@dataclass
-class VncSessionInfo:
-    display: int
-    geometry: str
-    running: bool
-    framebuffer_updates: int
+from repro.mirroring.source import FrameSource
 
 
 class VncServer:
     """A tigervnc session hosting one mirrored device."""
 
-    def __init__(self, display: int = 1, geometry: str = "480x854") -> None:
+    def __init__(self, display: int = 1) -> None:
         if display <= 0:
             raise ValueError(f"display number must be positive, got {display!r}")
         self._display = display
-        self._geometry = geometry
         self._running = False
-        self._framebuffer_updates = 0
-        self._source: Optional[ScrcpyClient] = None
-
-    @property
-    def display(self) -> int:
-        return self._display
+        self._source: Optional[FrameSource] = None
 
     @property
     def port(self) -> int:
@@ -48,46 +29,21 @@ class VncServer:
         return 5900 + self._display
 
     @property
-    def geometry(self) -> str:
-        return self._geometry
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    @property
     def framebuffer_updates(self) -> int:
-        return self._framebuffer_updates
+        """One update per frame the source received since the session started."""
+        return 0 if self._source is None else self._source.counters.frames
 
-    def start(self, source: ScrcpyClient) -> None:
-        """Start the session with a scrcpy client as its framebuffer source."""
+    def start(self, source: FrameSource) -> None:
+        """Start the session with ``source`` as its framebuffer source."""
         self._source = source
         self._running = True
-        self._framebuffer_updates = 0
 
     def stop(self) -> None:
         self._running = False
-        self._source = None
-
-    def account_interval(self, duration_s: float) -> None:
-        """Accumulate framebuffer updates for ``duration_s`` of mirroring."""
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        if not self._running or self._source is None:
-            return
-        self._framebuffer_updates += int(round(self._source.current_fps() * duration_s))
 
     def controller_cpu_percent(self) -> float:
         """CPU cost of compositing framebuffer updates on the controller."""
-        if not self._running or self._source is None:
+        if not self._running:
             return 0.0
         activity = self._source.device.screen.activity_fraction()
         return 4.0 + 8.0 * activity
-
-    def info(self) -> VncSessionInfo:
-        return VncSessionInfo(
-            display=self._display,
-            geometry=self._geometry,
-            running=self._running,
-            framebuffer_updates=self._framebuffer_updates,
-        )

@@ -21,9 +21,8 @@ from typing import Dict, List, Optional
 from repro.device.adb import AdbServer, AdbTransport
 from repro.device.android import AndroidDevice
 from repro.device.base import DeviceUnderTest
-from repro.device.ios import IOSDevice
-from repro.mirroring.scrcpy import ScrcpyClient
 from repro.mirroring.session import MirroringSession
+from repro.mirroring.source import AirPlayReceiver, ScrcpyClient
 from repro.network.link import NetworkLink
 from repro.network.path import NetworkPath
 from repro.network.ssh import SshKeyPair, SshServer
@@ -267,21 +266,24 @@ class VantagePointController(Entity):
         self._monitor.set_vout(voltage_v)
 
     # -- mirroring --------------------------------------------------------------------------------
-    def start_mirroring(self, serial: str, bitrate_mbps: float = 1.0) -> MirroringSession:
-        """Activate device mirroring: scrcpy for Android, AirPlay for iOS."""
+    def start_mirroring(
+        self, serial: str, bitrate_mbps: Optional[float] = None
+    ) -> MirroringSession:
+        """Activate device mirroring: scrcpy for Android, AirPlay for iOS.
+
+        ``bitrate_mbps`` caps the stream; ``None`` takes the source's default.
+        """
         device = self._require_device(serial)
         session = self._mirroring.get(serial)
         if session is None or not session.active:
-            if isinstance(device, AndroidDevice):
-                source = ScrcpyClient(device, bitrate_mbps=bitrate_mbps)
-            elif isinstance(device, IOSDevice):
-                from repro.mirroring.airplay import AirPlayReceiver
-
-                source = AirPlayReceiver(device, bitrate_mbps=max(bitrate_mbps, 1.5))
+            for source_class in (ScrcpyClient, AirPlayReceiver):
+                if isinstance(device, source_class.DEVICE_CLASS):
+                    break
             else:
                 raise ControllerError(
                     f"device {serial!r} does not support mirroring (no scrcpy or AirPlay path)"
                 )
+            source = source_class(device, bitrate_mbps)
             session = MirroringSession(self.context, source, display=len(self._mirroring) + 1)
             self._mirroring[serial] = session
             session.start()

@@ -29,8 +29,8 @@ from repro.experiments.browser_study import run_browser_study
 from repro.experiments.controller_load import run_controller_load_experiment
 from repro.experiments.system_perf import run_system_performance
 from repro.experiments.vpn_study import run_vpn_energy_study, run_vpn_speedtests
-from repro.mirroring.scrcpy import ScrcpyClient
 from repro.mirroring.session import MirroringSession
+from repro.mirroring.source import ScrcpyClient
 from repro.network.vpn import PROTONVPN_LOCATIONS
 from repro.network.web import NEWS_SITES
 from repro.workloads.video import VIDEO_PLAYER_PACKAGE

@@ -7,8 +7,8 @@ from repro.device.apps import InstalledApp
 from repro.device.profiles import SAMSUNG_J7_DUO
 from repro.mirroring.latency import MirroringLatencyProbe
 from repro.mirroring.novnc import NoVncError
-from repro.mirroring.scrcpy import ScrcpyClient, ScrcpyError
 from repro.mirroring.session import MirroringSession
+from repro.mirroring.source import FrameSourceError, ScrcpyClient
 from repro.mirroring.vnc import VncServer
 from repro.simulation.random import SeededRandom
 import dataclasses
@@ -28,7 +28,7 @@ class TestScrcpyClient:
     def test_start_requires_supported_device(self, context):
         old_profile = dataclasses.replace(SAMSUNG_J7_DUO, api_level=19, model="Old Phone")
         old_device = AndroidDevice(context, serial="old", profile=old_profile)
-        with pytest.raises(ScrcpyError):
+        with pytest.raises(FrameSourceError):
             ScrcpyClient(old_device).start()
 
     def test_start_stop_toggles_device_server(self, busy_device):
@@ -81,8 +81,8 @@ class TestVncAndNoVnc:
         client.start()
         vnc = VncServer()
         vnc.start(client)
-        vnc.account_interval(10.0)
-        assert vnc.framebuffer_updates > 0
+        client.account_interval(10.0)
+        assert vnc.framebuffer_updates == client.counters.frames > 0
         assert vnc.controller_cpu_percent() > 0
         vnc.stop()
         assert vnc.controller_cpu_percent() == 0.0

@@ -5,8 +5,8 @@ import pytest
 from repro.device.apps import InstalledApp
 from repro.device.ios import IOSDevice
 from repro.device.profiles import IPHONE_8
-from repro.mirroring.airplay import AirPlayError, AirPlayReceiver
 from repro.mirroring.session import MirroringSession
+from repro.mirroring.source import AirPlayReceiver, FrameSourceError
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def iphone(context) -> IOSDevice:
 
 class TestAirPlaySession:
     def test_requires_ios_device(self, context, device):
-        with pytest.raises(AirPlayError):
+        with pytest.raises(FrameSourceError):
             AirPlayReceiver(device)
 
     def test_invalid_bitrate(self, context, iphone):
@@ -50,7 +50,8 @@ class TestAirPlaySession:
         session.start()
         session.connect_viewer("alice")
         context.run_for(30.0)
-        assert session.source.received_bytes > 0
+        assert session.source.counters.frames > 0
+        assert session.source.counters.bytes > 0
         assert session.upload_bytes() > 0
         assert session.controller_cpu_percent() > 10.0
         assert session.controller_memory_mb() > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.device.adb import AdbTransport
 from repro.device.android import AndroidDevice
+from repro.device.apps import InstalledApp
 from repro.device.ios import IOSDevice
 from repro.device.profiles import IPHONE_8, SAMSUNG_J7_DUO
 from repro.network.ssh import SshKeyPair
@@ -49,7 +50,7 @@ class TestDeviceManagement:
             controller.batt_switch("missing", True)
 
     def test_ios_device_has_no_adb_but_mirrors_via_airplay(self, platform, controller):
-        from repro.mirroring.airplay import AirPlayReceiver
+        from repro.mirroring.source import AirPlayReceiver
 
         iphone = IOSDevice(platform.context, udid="ios-dev", profile=IPHONE_8)
         controller.add_device(iphone, wire_relay=False)
@@ -60,6 +61,21 @@ class TestDeviceManagement:
         assert iphone.mirroring_active
         controller.stop_mirroring("ios-dev")
         assert not iphone.mirroring_active
+
+    def test_ios_mirroring_takes_the_receivers_default_or_the_callers_bitrate(
+        self, platform, controller
+    ):
+        iphone = IOSDevice(platform.context, udid="ios-dev", profile=IPHONE_8)
+        controller.add_device(iphone, wire_relay=False)
+        session = controller.start_mirroring("ios-dev")
+        assert session.status()["bitrate_mbps"] == 1.5
+        controller.stop_mirroring("ios-dev")
+        session = controller.start_mirroring("ios-dev", bitrate_mbps=1.0)
+        assert session.status()["bitrate_mbps"] == 1.0
+        iphone.install_app(InstalledApp(package="com.apple.mobilesafari", label="Safari"))
+        iphone.packages.launch("com.apple.mobilesafari").set_activity(screen_fps=60.0)
+        iphone.refresh_demands()
+        assert iphone.mirroring_stream_mbps() == 1.0
 
     def test_adb_roundtrip_over_wifi(self, controller):
         serial = controller.list_devices()[0]
