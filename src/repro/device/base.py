@@ -24,6 +24,9 @@ from repro.device.screen import Screen
 from repro.simulation.entity import Entity, SimulationContext
 from repro.simulation.process import PeriodicProcess
 
+#: Lower clip of the multiplicative measurement noise (sigma 2 %) on every device.
+NOISE_FLOOR = 0.8
+
 
 class DeviceUnderTest(Entity):
     """A test device wired into a BatteryLab vantage point.
@@ -53,8 +56,6 @@ class DeviceUnderTest(Entity):
     #: Mirroring uplink as a share of the bitrate: its floor, and the offset added to
     #: screen activity (capped at the full bitrate).
     MIRRORING_STREAM_SHARE: Tuple[float, float] = (1.0, 1.0)
-    #: Clip bounds (low, high) of the multiplicative measurement noise (sigma 2 %).
-    NOISE_CLIP: Tuple[Optional[float], Optional[float]] = (0.8, None)
 
     rooted = False
 
@@ -305,7 +306,7 @@ class DeviceUnderTest(Entity):
         """Current drawn from the supply (battery, monitor or mains) right now, in mA."""
         total = self._currents()[2]
         if with_noise and total > 0:
-            total *= self.random.clipped_normal(1.0, 0.02, *self.NOISE_CLIP)
+            total *= self.random.clipped_normal(1.0, 0.02, low=NOISE_FLOOR)
         return total
 
     # -- accounting -----------------------------------------------------------

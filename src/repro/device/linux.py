@@ -112,7 +112,6 @@ class LinuxDevice(DeviceUnderTest):
     """
 
     CURRENT_TERMS = ("idle", "cpu", "display", "wifi")
-    NOISE_CLIP = (0.85, 1.15)
 
     def __init__(
         self,
