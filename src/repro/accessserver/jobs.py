@@ -149,10 +149,11 @@ class Workspace:
 class _JobIdAllocator:
     """Monotonic job-id source that recovery can fast-forward.
 
-    Job ids must stay unique across an access-server restart: the
-    persistence layer replays journaled jobs with their original ids and
-    then calls :func:`claim_job_id` so freshly created jobs never collide
-    with a recovered one.
+    Each access server owns one.  Job ids must stay unique across a
+    restart: recovery replays journaled jobs with their original ids and
+    claims each on the server's allocator, so freshly created jobs never
+    collide with a recovered one.  The module-global allocator numbers
+    jobs built outside a server.
 
     ``stride`` partitions the id space for federation: shard ``k`` of a
     ``stride``-wide federation allocates ``k+1, k+1+stride, ...`` so N
@@ -183,15 +184,6 @@ class _JobIdAllocator:
 
 
 _job_ids = _JobIdAllocator()
-
-
-def claim_job_id(job_id: int) -> None:
-    """Mark ``job_id`` as used so future jobs allocate strictly greater ids.
-
-    Called by the persistence layer when it materialises a journaled job
-    with its original id during crash recovery.
-    """
-    _job_ids.claim(job_id)
 
 
 def shard_job_id_allocator(shard_index: int, shard_count: int) -> _JobIdAllocator:

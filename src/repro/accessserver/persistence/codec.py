@@ -17,7 +17,6 @@ from repro.accessserver.jobs import (
     JobConstraints,
     JobSpec,
     JobStatus,
-    claim_job_id,
     job_constraints,
 )
 from repro.accessserver.payloads import get_payload, payload_name
@@ -245,7 +244,6 @@ def materialize_job(data: Dict[str, object]) -> Tuple[Job, bool]:
     job = Job(spec=deserialize_spec(data["spec"]), job_id=data["job_id"], status=status, **state)
     for line in data.get("log_lines", ()):
         job.log(line)
-    claim_job_id(job.job_id)
     return job, was_in_flight
 
 

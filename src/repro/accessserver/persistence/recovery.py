@@ -458,8 +458,6 @@ def recover_into(server: "AccessServer", backend: StorageBackend) -> RecoveryRep
     for job_id in sorted(state.jobs):
         data = state.jobs[job_id]
         job, was_in_flight = materialize_job(data)
-        # materialize_job claimed the process-global allocator; a sharded
-        # server additionally fast-forwards its own job-id lane.
         server.claim_job_id(job.job_id)
         payload_ref = data["spec"].get("payload")
         if get_payload(payload_ref) is None and job.status in (

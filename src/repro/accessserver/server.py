@@ -164,12 +164,13 @@ class AccessServer(Entity):
         # same submission return the original job instead of double-queueing.
         self._idempotent_submissions: Dict[Tuple[str, str], int] = {}
         # Federation identity: unset for the historical single-server
-        # deployment.  configure_shard() names this server and hands it a
-        # disjoint lane of the job-id space (see shard_job_id_allocator).
+        # deployment, which owns the whole job-id space.  configure_shard()
+        # names this server and hands it a disjoint lane of that space (see
+        # shard_job_id_allocator).
         self.shard_id: Optional[str] = None
         self.shard_index = 0
         self.shard_count = 1
-        self._job_ids = None  # None -> the process-global allocator
+        self._job_ids = shard_job_id_allocator(0, 1)
 
     # -- telemetry ---------------------------------------------------------------------
     def _declare_metrics(self) -> None:
@@ -392,16 +393,12 @@ class AccessServer(Entity):
     def claim_job_id(self, job_id: int) -> None:
         """Fast-forward this server's job-id lane past a recovered id.
 
-        The module-global allocator is claimed by the persistence layer
-        already; a sharded server additionally advances its own lane so a
-        restarted shard never re-mints an id its journal already holds.
+        Recovery claims every id its journal holds, so a restarted server
+        never re-mints one.
         """
-        if self._job_ids is not None:
-            self._job_ids.claim(job_id)
+        self._job_ids.claim(job_id)
 
     def _new_job(self, spec: JobSpec) -> Job:
-        if self._job_ids is None:
-            return Job(spec=spec)
         return Job(spec=spec, job_id=next(self._job_ids))
 
     def submit_job(

@@ -991,13 +991,9 @@ class TestSerialPass:
 
     @staticmethod
     def _run(state_dir, fail_index):
-        from repro.accessserver import jobs as jobs_module
         from repro.core.platform import add_vantage_point
         from repro.device.profiles import SAMSUNG_J7_DUO
 
-        # Job ids come from a process-global allocator; pin it so both runs
-        # journal the same ids.  (3 * 10**6 stays clear of other tests' ids.)
-        jobs_module._job_ids._next = 3 * 10**6
         platform = build_default_platform(seed=31, browsers=("chrome",), device_count=3)
         add_vantage_point(
             platform, "node2", "Institution 1",

@@ -160,7 +160,7 @@ def device_session():
 
 
 def example_stdout():
-    # A fresh interpreter: job ids come from a process-wide allocator.
+    # A fresh interpreter, as ``python examples/heterogeneous_devices.py`` runs.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, str(EXAMPLE)], env=env, check=True, capture_output=True, text=True

@@ -592,15 +592,7 @@ class TestFederationOfOneByteParity:
         },
     )
 
-    def test_same_bytes_as_standalone_server(self, monkeypatch):
-        # The standalone server mints from the process-global allocator,
-        # which other tests may have advanced; start it from a fresh
-        # series so the comparison is two pristine deployments.
-        from repro.accessserver import jobs as jobs_module
-
-        monkeypatch.setattr(
-            jobs_module, "_job_ids", jobs_module._JobIdAllocator()
-        )
+    def test_same_bytes_as_standalone_server(self):
         standalone = build_default_platform(
             seed=7, node_identifier="shard-0-node1", browsers=("chrome",)
         )

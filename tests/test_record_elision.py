@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accessserver import jobs
 from repro.accessserver.jobs import Job, JobConstraints, JobSpec, JobStatus
 from repro.accessserver.persistence import codec, recovery
 from repro.accessserver.persistence import (
@@ -404,12 +403,11 @@ def _non_job_lines(journal: Path) -> list:
     ]
 
 
-def test_the_records_beside_the_jobs_are_the_fixtures_bytes(tmp_path, monkeypatch, fixture_payloads):
+def test_the_records_beside_the_jobs_are_the_fixtures_bytes(tmp_path, fixture_payloads):
     """Elision changed only the job records, so everything else the fixture's
     session writes today is the fixture byte for byte.  Reservations and
     credit transactions are written as ``asdict`` of their dataclass: this
     pins their key order, which parsed-JSON comparisons cannot see."""
-    monkeypatch.setattr(jobs, "_job_ids", jobs._JobIdAllocator())  # the fixture's ids
     fixture_payloads.write_state(tmp_path)
     assert _non_job_lines(tmp_path / "journal.jsonl") == _non_job_lines(FIXTURE / "journal.jsonl")
     written = _top_level_values((tmp_path / "snapshot.json").read_text())
