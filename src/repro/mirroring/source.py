@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.device.android import AndroidDevice
-from repro.device.base import DeviceUnderTest
 from repro.device.ios import IOSDevice
 
 
@@ -53,24 +52,22 @@ class FrameSource:
         The mirrored device; its mirroring server is started/stopped by this source.
     bitrate_mbps:
         Encoder cap of the stream (``None``: the source's default).
-    max_fps:
-        Frame-rate cap of the mirror stream.
     """
 
     #: The device class this source mirrors.
-    DEVICE_CLASS: type = DeviceUnderTest
+    DEVICE_CLASS: type
     #: Stream bitrate when the caller names none, in Mbps.
-    DEFAULT_BITRATE_MBPS = 1.0
+    DEFAULT_BITRATE_MBPS: float
     #: Decode CPU percent with a static screen, and per unit of screen activity.
-    DECODE_CPU_PERCENT: Tuple[float, float] = (0.0, 0.0)
+    DECODE_CPU_PERCENT: Tuple[float, float]
     #: Resident memory of the source, Xvnc and websockify, in MB.
-    CONTROLLER_MEMORY_MB = 0.0
+    CONTROLLER_MEMORY_MB: float
     #: Lowest Android API level the on-device server runs on (``None``: any device).
     MIN_API_LEVEL: Optional[int] = None
+    #: Frame-rate cap of the mirror stream.
+    MAX_FPS = 30.0
 
-    def __init__(
-        self, device, bitrate_mbps: Optional[float] = None, max_fps: float = 30.0
-    ) -> None:
+    def __init__(self, device, bitrate_mbps: Optional[float] = None) -> None:
         if not isinstance(device, self.DEVICE_CLASS):
             raise FrameSourceError(
                 f"{type(self).__name__} mirrors {self.DEVICE_CLASS.__name__}s, "
@@ -80,11 +77,8 @@ class FrameSource:
             bitrate_mbps = self.DEFAULT_BITRATE_MBPS
         if bitrate_mbps <= 0:
             raise ValueError(f"bitrate must be positive, got {bitrate_mbps!r}")
-        if max_fps <= 0:
-            raise ValueError(f"max_fps must be positive, got {max_fps!r}")
         self.device = device
         self.bitrate_mbps = float(bitrate_mbps)
-        self._max_fps = float(max_fps)
         self._running = False
         self.counters = StreamCounters()
 
@@ -117,7 +111,7 @@ class FrameSource:
         """Frames per second currently crossing the stream."""
         if not self._running:
             return 0.0
-        return max(1.0, self.device.screen.activity_fraction() * self._max_fps)
+        return max(1.0, self.device.screen.activity_fraction() * self.MAX_FPS)
 
     def account_interval(self, duration_s: float) -> None:
         """Accumulate frame/byte counters for ``duration_s`` of streaming."""

@@ -44,7 +44,7 @@ class TestScrcpyClient:
         assert 0.0 < client.current_stream_mbps() <= 1.0
 
     def test_fps_scales_with_activity(self, busy_device):
-        client = ScrcpyClient(busy_device, bitrate_mbps=1.0, max_fps=30.0)
+        client = ScrcpyClient(busy_device, bitrate_mbps=1.0)
         client.start()
         assert client.current_fps() == pytest.approx(15.0, rel=0.1)
 
@@ -66,8 +66,6 @@ class TestScrcpyClient:
     def test_invalid_parameters(self, busy_device):
         with pytest.raises(ValueError):
             ScrcpyClient(busy_device, bitrate_mbps=0)
-        with pytest.raises(ValueError):
-            ScrcpyClient(busy_device, max_fps=0)
 
 
 class TestVncAndNoVnc:
