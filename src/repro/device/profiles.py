@@ -20,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+#: scrcpy device mirroring needs Android API level 21 or higher.
+SCRCPY_MIN_API_LEVEL = 21
+
 
 @dataclass(frozen=True)
 class DeviceHardwareProfile:
@@ -87,8 +90,8 @@ class DeviceHardwareProfile:
     extra: Dict[str, float] = field(default_factory=dict)
 
     def supports_scrcpy(self) -> bool:
-        """scrcpy device mirroring needs Android API level 21 or higher."""
-        return self.os_name == "android" and self.api_level >= 21
+        """Whether scrcpy can mirror this device (``SCRCPY_MIN_API_LEVEL``)."""
+        return self.os_name == "android" and self.api_level >= SCRCPY_MIN_API_LEVEL
 
     def supports_adb(self) -> bool:
         return self.os_name == "android"

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 from repro.device.android import AndroidDevice
 from repro.device.ios import IOSDevice
+from repro.device.profiles import SCRCPY_MIN_API_LEVEL
 
 
 class FrameSourceError(RuntimeError):
@@ -145,7 +146,7 @@ class ScrcpyClient(FrameSource):
     DEFAULT_BITRATE_MBPS = 1.0
     DECODE_CPU_PERCENT = (8.0, 22.0)
     CONTROLLER_MEMORY_MB = 58.0
-    MIN_API_LEVEL = 21
+    MIN_API_LEVEL = SCRCPY_MIN_API_LEVEL
 
 
 class AirPlayReceiver(FrameSource):
