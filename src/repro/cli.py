@@ -949,8 +949,9 @@ def _cmd_agent(args) -> str:
 #: simulated time by ``1.0`` at most once per this interval.
 _SIM_SECOND_S = 0.05
 
-#: Wall-clock seconds an idle host loop sleeps before it visits the queues
-#: again: the longest a job submitted to an idle server waits for dispatch.
+#: Wall-clock seconds from the start of one idle host-loop pass to the start
+#: of the next: the longest a job submitted to an idle server waits for
+#: dispatch.
 _PASS_S = 0.005
 
 
@@ -961,9 +962,11 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
     (one batch at most), then its simulation, on this thread under the
     router lock — a request landing mid-dispatch must not race the
     single-threaded simulation state.  The lock is released after every
-    pass, and the loop sleeps ``_PASS_S`` only after a pass in which no
-    platform filled its batch: a full batch means more is queued, so the
-    next pass starts at once.  Simulated time advances one second per
+    pass.  After a pass in which no platform filled its batch, the loop
+    sleeps for what is left of a ``_PASS_S`` period counted from that
+    pass's start, so idle passes start ``_PASS_S`` apart (a pass that took
+    longer is followed by a zero sleep); a full batch means more is queued,
+    so the next pass starts at once.  Simulated time advances one second per
     ``_SIM_SECOND_S`` of wall clock at most — ``run_for(1.0)`` on the first
     pass at or past each due time, ``run_for(0.0)`` on every other — so one
     wall second never buys more than 20 simulated ones, however many passes
@@ -998,7 +1001,7 @@ def _host_loop(gateway, what, platforms, duration_s) -> int:
                     backlog = backlog or batch_filled(ran)
                     platform.context.run_for(step)
             if not backlog:
-                time.sleep(_PASS_S)
+                time.sleep(max(0.0, _PASS_S - (time.monotonic() - now)))
             now = time.monotonic()
     except KeyboardInterrupt:
         pass

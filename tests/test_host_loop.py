@@ -133,6 +133,45 @@ def test_an_idle_loop_sleeps_a_pass_and_advances_one_second_per_50ms(rig):
     assert windows == list(range(20))
 
 
+def record_pass_starts(platform):
+    """Make ``platform`` note the fake clock at the start of every pass."""
+    starts = []
+    run_queue = platform.run_queue
+
+    def noted():
+        starts.append(platform.clock.now)
+        return run_queue()
+
+    platform.run_queue = noted
+    return starts
+
+
+def test_idle_passes_start_a_pass_apart_whatever_a_pass_costs(rig):
+    clock, gateway, calls = rig
+    platform = FakePlatform("a", clock, calls, busy_s=0.001)
+    starts = record_pass_starts(platform)
+
+    cli._host_loop(gateway, "test", lambda: (platform,), 0.1)
+
+    # The sleep is the rest of the pass period, not a whole period on top.
+    assert len(clock.sleeps) in (19, 20, 21)
+    assert clock.sleeps == pytest.approx([PASS_S - 0.001] * len(clock.sleeps))
+    gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
+    assert gaps == pytest.approx([PASS_S] * len(gaps))
+
+
+def test_a_pass_that_overruns_its_period_is_followed_by_a_zero_sleep(rig):
+    clock, gateway, calls = rig
+    platform = FakePlatform("a", clock, calls, busy_s=0.007)
+
+    cli._host_loop(gateway, "test", lambda: (platform,), 0.05)
+
+    history = [(what, value) for _, what, value in calls if what != "run_for"]
+    assert history[:4] == [("run_queue", 0), ("sleep", 0.0), ("run_queue", 0), ("sleep", 0.0)]
+    assert set(clock.sleeps) == {0.0}
+    assert len(clock.sleeps) == history.count(("run_queue", 0))
+
+
 def test_a_job_queued_during_an_idle_sleep_runs_one_pass_later(rig):
     clock, gateway, calls = rig
     platform = FakePlatform("a", clock, calls)
