@@ -146,7 +146,6 @@ def _measure_envelope_cost() -> Dict[str, float]:
         push=None,
         owner_token=None,
         secure=True,
-        complete=None,
         started=0.0,
     )
 
