@@ -126,10 +126,10 @@ class AccessServer(Entity):
         self.sessions = SessionManager()
         self.dns = DnsZone(origin=domain)
         self.certificate_authority = CertificateAuthority(domain=domain)
-        self._wildcard_certificate: Optional[WildcardCertificate] = (
-            self.certificate_authority.issue(context.now)
-        )
         self._clock = context.clock
+        self._wildcard_certificate: Optional[WildcardCertificate] = (
+            self.certificate_authority.issue(self._clock.now)
+        )
         self.events = EventBus(clock=self._clock)
         #: Platform telemetry: metrics registry + tracer (``repro.obs``).
         self.obs = Observability(clock=self._clock, bus=self.events)
@@ -436,7 +436,7 @@ class AccessServer(Entity):
         job = self._new_job(spec)
         if spec.is_pipeline_change:
             job.status = JobStatus.PENDING_APPROVAL
-        self.scheduler.submit(job, self.context.now)
+        self.scheduler.submit(job, self._clock.now)
         if self.recording:
             from repro.accessserver.persistence.codec import job_submitted
 
@@ -454,7 +454,7 @@ class AccessServer(Entity):
             tracer.begin_job_trace(
                 job.job_id,
                 trace_id,
-                start=self.context.now,
+                start=self._clock.now,
                 elapsed_s=time.perf_counter() - started,
                 status_after=job.status,  # a str enum: the reader takes its value
             )
@@ -559,7 +559,7 @@ class AccessServer(Entity):
             while len(executed) < max_jobs and self.scheduler.queue.plane_length("push"):
                 decision_t0 = time.perf_counter()
                 assignments = self.scheduler.dispatch_batch(
-                    self.context.now,
+                    self._clock.now,
                     controller_cpu=self._controller_cpu,
                     max_assignments=max_jobs - len(executed),
                 )
@@ -665,23 +665,23 @@ class AccessServer(Entity):
             job,
             assignment.vantage_point,
             assignment.device_serial,
-            self.context.now,
+            self._clock.now,
             controller_cpu=self._controller_cpu,
         ):
             self.scheduler.requeue(job)
             return None
         # Bill execution time, not queue-on-device time, so credits match
         # what the seed's one-at-a-time dispatch charged.
-        job.mark_execution_started(self.context.now)
+        job.mark_execution_started(self._clock.now)
         controller = self.accounts.vantage_point(assignment.vantage_point).controller
         api = BatteryLabAPI(controller)
-        ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self.context.now)
+        ctx = JobContext(job, api, assignment.device_serial, clock=lambda: self._clock.now)
         self.scheduler.begin_execution(job)
         return AdmittedExecution(
             assignment=assignment,
             ctx=ctx,
             trace_at_admit=None if controller.monitor is None else controller.monitor.last_trace(),
-            execution_started_at=self.context.now,
+            execution_started_at=self._clock.now,
             admit_elapsed_s=time.perf_counter() - admit_t0,
         )
 
@@ -698,7 +698,7 @@ class AccessServer(Entity):
         balances exactly.  ``error`` set means the execution failed.
         Returns the simulated time the execution finished at.
         """
-        now = self.context.now
+        now = self._clock.now
         if job.status is not JobStatus.RUNNING:
             self.log(
                 "job finished after cancellation",
@@ -831,7 +831,7 @@ class AccessServer(Entity):
         if self._auto_dispatch_event is not None:
             # Keep whichever tick fires first: a pending poll scheduled far
             # out must not swallow the immediate tick a new submission earns.
-            if self._auto_dispatch_event.timestamp <= self.context.now + delay_s:
+            if self._auto_dispatch_event.timestamp <= self._clock.now + delay_s:
                 return
             self._auto_dispatch_event.cancel()
         self._auto_dispatch_event = self.context.scheduler.schedule_in(
@@ -855,11 +855,11 @@ class AccessServer(Entity):
         delay = self._auto_dispatch_interval_s
         reservations = self.scheduler.reservations
         if self.scheduler.reservation_admission == "defer":
-            reservation_end = reservations.earliest_relevant_end(self.context.now)
+            reservation_end = reservations.earliest_relevant_end(self._clock.now)
         else:
-            reservation_end = reservations.earliest_active_end(self.context.now)
-        if reservation_end is not None and reservation_end > self.context.now:
-            reservation_delay = reservation_end - self.context.now
+            reservation_end = reservations.earliest_active_end(self._clock.now)
+        if reservation_end is not None and reservation_end > self._clock.now:
+            reservation_delay = reservation_end - self._clock.now
             delay = reservation_delay if delay is None else min(delay, reservation_delay)
         if delay is not None:
             self._schedule_dispatch_tick(delay)
