@@ -163,15 +163,6 @@ class SoakResult:
     def ok(self) -> bool:
         return self.report.ok
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "scenario": self.scenario,
-            "jobs": self.jobs,
-            "metrics": dict(self.metrics),
-            "invariants": self.report.to_dict(),
-        }
-
     def summary(self) -> str:
         lines = [
             f"chaos soak: {self.jobs} job(s), scenario={self.scenario!r}, "

@@ -175,12 +175,3 @@ IPHONE_8 = DeviceHardwareProfile(
 BUILTIN_PROFILES: Dict[str, DeviceHardwareProfile] = {
     profile.model: profile for profile in (SAMSUNG_J7_DUO, PIXEL_3A, IPHONE_8)
 }
-
-
-def get_profile(model: str) -> DeviceHardwareProfile:
-    """Look up a built-in hardware profile by marketing name."""
-    try:
-        return BUILTIN_PROFILES[model]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_PROFILES))
-        raise KeyError(f"unknown device model {model!r}; known models: {known}") from None

@@ -34,14 +34,10 @@ class FrameSourceError(RuntimeError):
 
 @dataclass
 class StreamCounters:
+    """Frames and bytes of one stream; its duration is the session's."""
+
     frames: int = 0
     bytes: int = 0
-    duration_s: float = 0.0
-
-    def bitrate_mbps(self) -> float:
-        if self.duration_s == 0:
-            return 0.0
-        return self.bytes * 8.0 / 1e6 / self.duration_s
 
 
 class FrameSource:
@@ -97,11 +93,10 @@ class FrameSource:
         self._running = True
         self.counters = StreamCounters()
 
-    def stop(self) -> StreamCounters:
+    def stop(self) -> None:
         if self._running:
             self.device.stop_mirroring_server()
             self._running = False
-        return self.counters
 
     # -- streaming accounting ------------------------------------------------------
     def current_stream_mbps(self) -> float:
@@ -122,7 +117,6 @@ class FrameSource:
             return
         self.counters.frames += int(round(self.current_fps() * duration_s))
         self.counters.bytes += int(round(self.current_stream_mbps() * 1e6 / 8.0 * duration_s))
-        self.counters.duration_s += duration_s
 
     # -- controller cost -------------------------------------------------------------
     def controller_cpu_percent(self) -> float:

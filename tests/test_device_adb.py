@@ -11,6 +11,7 @@ from repro.device.adb import (
 from repro.device.android import AndroidDevice
 from repro.device.apps import InstalledApp
 from repro.device.profiles import SAMSUNG_J7_DUO
+from repro.device.radio import RadioTechnology
 
 
 @pytest.fixture
@@ -68,6 +69,17 @@ class TestShellCommands:
     def test_dumpsys_battery(self, adb):
         output = adb.execute("shell dumpsys battery", AdbTransport.WIFI)
         assert "level" in output and "voltage_mv" in output
+
+    def test_dumpsys_netstats_prints_the_radio_counters(self, adb, device):
+        device.radio.account_traffic(RadioTechnology.WIFI, rx_bytes=1500, tx_bytes=700)
+        device.radio.account_traffic(RadioTechnology.CELLULAR, rx_bytes=40)
+        output = adb.execute("shell dumpsys netstats", AdbTransport.WIFI)
+        assert output.splitlines() == [
+            "  cell_rx_bytes: 40",
+            "  cell_tx_bytes: 0",
+            "  wifi_rx_bytes: 1500",
+            "  wifi_tx_bytes: 700",
+        ]
 
     def test_dumpsys_unknown_service(self, adb):
         with pytest.raises(AdbCommandError):
